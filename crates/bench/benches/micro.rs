@@ -175,6 +175,47 @@ fn bench_checksum(c: &mut Criterion) {
         cache.sum_for(agg.slice_at(0));
         b.iter(|| cache.sum_for(agg.slice_at(0)))
     });
+    // The §3.9 complexity contract: retiring one buffer costs the
+    // entries on that buffer, not the table's population — the two
+    // `invalidate_*` rows stay within 2x of each other — and a hit in a
+    // full kernel-sized table stays one probe plus a short chain walk.
+    g.throughput(Throughput::Elements(1));
+    let windows: Vec<_> = (0..3)
+        .map(|i| agg.slice_at(0).sub(i * 64, 64).unwrap())
+        .collect();
+    // A table holding `residents` sums over unrelated buffers, with
+    // room for the three windows.
+    let resident_table = |residents: usize| {
+        let unrelated: Vec<Aggregate> = (0..residents)
+            .map(|i| Aggregate::from_bytes(&p, &(i as u64).to_le_bytes()))
+            .collect();
+        let mut cache = ChecksumCache::new(residents + windows.len());
+        for a in &unrelated {
+            cache.sum_for(a.slice_at(0));
+        }
+        (cache, unrelated)
+    };
+    let (mut small, _small_residents) = resident_table(1 << 10);
+    let (mut full, residents) = resident_table(1 << 16);
+    for (name, cache) in [("1k", &mut small), ("64k", &mut full)] {
+        // One PUT over a document last sent in three windows: admit
+        // the three sub-range sums, then retire their buffer.
+        g.bench_function(format!("invalidate_1_of_{name}"), |b| {
+            b.iter(|| {
+                for w in &windows {
+                    cache.sum_for(w);
+                }
+                cache.invalidate_aggregate(&agg)
+            })
+        });
+    }
+    g.bench_function("sum_for_hit_64k", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 7919) % residents.len();
+            full.sum_for(residents[i].slice_at(0))
+        })
+    });
     g.finish();
 }
 

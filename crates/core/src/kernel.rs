@@ -1142,40 +1142,65 @@ mod tests {
     /// installs the body dirty and zero-copy, readers of the old
     /// version keep complete snapshots, write-back cleans through the
     /// NVM tier, and the journaled run replays bit-identically.
+    ///
+    /// The old version goes out in several send windows first, so the
+    /// PUT retires a buffer with several cached §3.9 sums spread among
+    /// unrelated ones: the checksum table's layout after that
+    /// invalidation is part of `state_hash`, and must be the same in an
+    /// independent kernel fed the same calls.
     #[test]
     fn put_install_write_back_replays_bit_identically() {
+        fn drive(k: &mut Kernel) {
+            let pid = k.spawn("server");
+            let f = k.create_file("/doc", b"generation-one");
+            let fd = k.open_file(pid, f);
+            let (old_snap, _) = k.iol_pread(pid, fd, 0, 100).unwrap();
+            let sock = k.socket_create(pid, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
+            let pool = k.process(pid).pool().clone();
+            let windows = [(0, 14), (0, 4), (4, 4), (8, 3), (11, 3)];
+            for (i, (at, len)) in windows.into_iter().enumerate() {
+                let window = old_snap.range(at, len).unwrap();
+                k.iol_write_fd(pid, sock, &window).unwrap();
+                let header = Aggregate::from_bytes(&pool, &[i as u8; 24]);
+                k.iol_write_fd(pid, sock, &header).unwrap();
+            }
+            assert_eq!(k.cksum.len(), 2 * windows.len());
+            // PUT: the body aggregate is installed by reference.
+            let body = Aggregate::from_bytes(&pool, b"generation-two!");
+            let out = k.put_install(pid, f, &body);
+            assert_eq!(out.disk_bytes, 0, "persistence is deferred");
+            assert_eq!(k.metrics.bytes_dirty_installed, body.len());
+            assert!(k.cache.is_dirty(&CacheKey::whole(f)));
+            assert_eq!(k.cksum.stats().invalidations, windows.len() as u64);
+            assert_eq!(k.cksum.len(), windows.len(), "the headers' sums survive");
+            // The new cache entry shares the body's buffers (zero-copy).
+            let (new_snap, o) = k.iol_pread(pid, fd, 0, 100).unwrap();
+            assert!(o.cache_hit);
+            assert!(new_snap.slice_at(0).same_buffer(body.slice_at(0)));
+            // §3.5: the old reader still sees complete old bytes.
+            assert_eq!(old_snap.to_vec(), b"generation-one");
+            assert_eq!(new_snap.to_vec(), b"generation-two!");
+            assert_eq!(k.store.read(f, 0, 100).unwrap(), b"generation-two!");
+            // Write-back cleans the entry; the small body fits the NVM tier.
+            assert!(!k.writeback_due(), "one small body is under threshold");
+            let flushed = k.write_back(0);
+            assert_eq!(flushed, body.len());
+            assert!(!k.cache.is_dirty(&CacheKey::whole(f)));
+            assert_eq!(k.metrics.nvm_absorbed_bytes, body.len());
+            assert_eq!(k.metrics.writeback_flushes, 1);
+            // Background demotion drains the tier to disk.
+            let moved = k.nvm_demote(0);
+            assert_eq!(moved, body.len());
+            assert_eq!(k.metrics.disk_write_bytes, body.len());
+            assert_eq!(k.state.writeback.nvm_used(), 0);
+        }
         let mut k = kernel();
         k.start_journal();
-        let pid = k.spawn("server");
-        let f = k.create_file("/doc", b"generation-one");
-        let fd = k.open_file(pid, f);
-        let (old_snap, _) = k.iol_pread(pid, fd, 0, 100).unwrap();
-        // PUT: the body aggregate is installed by reference.
-        let body = Aggregate::from_bytes(k.process(pid).pool(), b"generation-two!");
-        let out = k.put_install(pid, f, &body);
-        assert_eq!(out.disk_bytes, 0, "persistence is deferred");
-        assert_eq!(k.metrics.bytes_dirty_installed, body.len());
-        assert!(k.cache.is_dirty(&CacheKey::whole(f)));
-        // The new cache entry shares the body's buffers (zero-copy).
-        let (new_snap, o) = k.iol_pread(pid, fd, 0, 100).unwrap();
-        assert!(o.cache_hit);
-        assert!(new_snap.slice_at(0).same_buffer(body.slice_at(0)));
-        // §3.5: the old reader still sees complete old bytes.
-        assert_eq!(old_snap.to_vec(), b"generation-one");
-        assert_eq!(new_snap.to_vec(), b"generation-two!");
-        assert_eq!(k.store.read(f, 0, 100).unwrap(), b"generation-two!");
-        // Write-back cleans the entry; the small body fits the NVM tier.
-        assert!(!k.writeback_due(), "one small body is under threshold");
-        let flushed = k.write_back(0);
-        assert_eq!(flushed, body.len());
-        assert!(!k.cache.is_dirty(&CacheKey::whole(f)));
-        assert_eq!(k.metrics.nvm_absorbed_bytes, body.len());
-        assert_eq!(k.metrics.writeback_flushes, 1);
-        // Background demotion drains the tier to disk.
-        let moved = k.nvm_demote(0);
-        assert_eq!(moved, body.len());
-        assert_eq!(k.metrics.disk_write_bytes, body.len());
-        assert_eq!(k.state.writeback.nvm_used(), 0);
+        drive(&mut k);
+        // Same calls, independent kernel: same state.
+        let mut twin = kernel();
+        drive(&mut twin);
+        assert_eq!(twin.state_hash(), k.state_hash());
         // Deterministic replay: same state hash, same metrics.
         let journal = k.take_journal().unwrap();
         let initial = KernelState::new(CostModel::pentium_ii_333(), Policy::Lru);

@@ -11,8 +11,29 @@
 //! CLOCK over the entry table): when a cold slice arrives at a full
 //! cache, it replaces the least-recently-referenced entry instead of
 //! flushing the whole map, so the hot-document working set survives
-//! cold-tail traffic. Hits are O(1); replacement is amortized O(1)
-//! (one hand sweep can clear up to a full table of reference bits).
+//! cold-tail traffic.
+//!
+//! # Structure and complexity contract
+//!
+//! The one hash table is keyed by *buffer identity* ⟨pool, buffer,
+//! generation⟩ and maps to the head of that buffer's chain: the
+//! entries over one buffer (its whole-slice sum and its send-window
+//! sub-range sums, typically 1–3) are linked through the slot table by
+//! intrusive `prev`/`next` indices, and ⟨offset, len⟩ is compared while
+//! walking the chain.
+//!
+//! * **Hit:** O(1) — one 24-byte hash plus a short chain walk.
+//! * **Replacement:** amortized O(1) — one hand sweep can clear up to a
+//!   full table of reference bits; unlinking the victim and linking the
+//!   newcomer touch only their chain neighbours.
+//! * **Invalidation** ([`ChecksumCache::invalidate_aggregate`]):
+//!   O(entries on the retired buffers), allocation-free — never a
+//!   function of how many unrelated sums are resident.
+//! * **Layout:** a pure function of the operation sequence. The hash
+//!   table is only ever probed, never iterated; victims leave in chain
+//!   order and the hole is filled by the last slot, so
+//!   [`ChecksumCache::digest`] (and the kernel's `state_hash` above
+//!   it) repeats exactly for the same calls.
 
 use std::collections::HashMap;
 
@@ -20,19 +41,40 @@ use iolite_buf::{BufferId, Generation, PoolId, Slice};
 
 use crate::checksum::{slice_sum, PartialSum};
 
+/// End-of-chain marker for the intrusive slot links. Slot indices are
+/// `u32`, so the table is bounded to `NIL` entries.
+const NIL: u32 = u32::MAX;
+
+/// Buffer identity (§3.9): what the hash table is keyed by, and what a
+/// write retires. The pool id is part of it because chunk ids and
+/// generations are per-pool counters — slices from two pools can
+/// otherwise share a ⟨buffer, generation⟩ pair while holding different
+/// bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct BufKey {
+    pool: PoolId,
+    buffer: BufferId,
+    generation: Generation,
+}
+
+impl BufKey {
+    fn of(s: &Slice) -> BufKey {
+        BufKey {
+            pool: s.pool(),
+            buffer: s.id(),
+            generation: s.generation(),
+        }
+    }
+}
+
 /// Cache key: the systemwide-unique content identifier of a slice.
 ///
 /// Offsets and lengths are kept at full `u64` width: two distinct
 /// slices ≥4 GiB apart in one buffer must never collide, since a
-/// collision serves a stale checksum on the wire. The pool id is part
-/// of the key for the same reason — chunk ids and generations are
-/// per-pool counters, so slices from two pools can otherwise share a
-/// ⟨buffer, generation⟩ pair while holding different bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// collision serves a stale checksum on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key {
-    pool: PoolId,
-    buffer: BufferId,
-    generation: Generation,
+    buf: BufKey,
     offset: u64,
     len: u64,
 }
@@ -40,21 +82,32 @@ struct Key {
 impl Key {
     fn of(s: &Slice) -> Key {
         Key {
-            pool: s.pool(),
-            buffer: s.id(),
-            generation: s.generation(),
+            buf: BufKey::of(s),
             offset: s.offset_in_buffer() as u64,
             len: s.len() as u64,
         }
     }
 }
 
-/// One resident checksum with its CLOCK reference bit.
-#[derive(Debug, Clone)]
+/// One resident checksum with its CLOCK reference bit and its links in
+/// the chain of entries over the same buffer. Only the 16-bit
+/// accumulator is stored: a slice sum always covers `key.len` bytes.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     key: Key,
-    sum: PartialSum,
+    prev: u32,
+    next: u32,
+    sum: u16,
     referenced: bool,
+}
+
+impl Slot {
+    fn partial_sum(&self) -> PartialSum {
+        PartialSum {
+            sum: self.sum,
+            len: self.key.len,
+        }
+    }
 }
 
 /// Cache effectiveness counters; the cost model charges data-touching
@@ -99,21 +152,25 @@ pub struct CksumCacheStats {
 pub struct ChecksumCache {
     capacity: usize,
     enabled: bool,
-    map: HashMap<Key, usize>,
+    /// Buffer identity → slot index of the head of that buffer's
+    /// chain. Probed only; iterating it would leak `RandomState` order
+    /// into the slot layout.
+    heads: HashMap<BufKey, u32>,
     slots: Vec<Slot>,
     hand: usize,
     stats: CksumCacheStats,
 }
 
 impl ChecksumCache {
-    /// Creates a cache bounded to `capacity` entries.
+    /// Creates a cache bounded to `capacity` entries (at least 1, at
+    /// most `u32::MAX` — the width of the chain links).
     pub fn new(capacity: usize) -> Self {
         ChecksumCache {
-            capacity: capacity.max(1),
+            capacity: capacity.clamp(1, NIL as usize),
             enabled: true,
             // Grows lazily alongside `slots`: the kernel default is
             // 2¹⁶ entries, which would be megabytes if preallocated.
-            map: HashMap::new(),
+            heads: HashMap::new(),
             slots: Vec::new(),
             hand: 0,
             stats: CksumCacheStats::default(),
@@ -140,22 +197,50 @@ impl ChecksumCache {
             return slice_sum(s);
         }
         let key = Key::of(s);
-        if let Some(&idx) = self.map.get(&key) {
+        if let Some(idx) = self.find(&key) {
             self.slots[idx].referenced = true;
             self.stats.hits += 1;
             self.stats.bytes_cached += s.len() as u64;
-            return self.slots[idx].sum;
+            return self.slots[idx].partial_sum();
         }
         let sum = slice_sum(s);
         self.stats.misses += 1;
         self.stats.bytes_computed += s.len() as u64;
-        if self.slots.len() < self.capacity {
-            self.map.insert(key, self.slots.len());
+        self.admit(key, sum.sum);
+        sum
+    }
+
+    /// Whether a sum for exactly this slice is resident. Read-only: the
+    /// reference bit and the counters are untouched.
+    pub fn contains(&self, s: &Slice) -> bool {
+        self.find(&Key::of(s)).is_some()
+    }
+
+    /// Walks the chain of `key`'s buffer for its ⟨offset, len⟩.
+    fn find(&self, key: &Key) -> Option<usize> {
+        let mut i = *self.heads.get(&key.buf)?;
+        while i != NIL {
+            let slot = &self.slots[i as usize];
+            if slot.key.offset == key.offset && slot.key.len == key.len {
+                return Some(i as usize);
+            }
+            i = slot.next;
+        }
+        None
+    }
+
+    /// Admits a freshly computed sum, replacing a CLOCK victim when the
+    /// table is full.
+    fn admit(&mut self, key: Key, sum: u16) {
+        let idx = if self.slots.len() < self.capacity {
             self.slots.push(Slot {
                 key,
+                prev: NIL,
+                next: NIL,
                 sum,
                 referenced: false,
             });
+            self.slots.len() - 1
         } else {
             // Second chance: sweep the hand past recently referenced
             // slots (clearing their bits) to the first unreferenced one,
@@ -164,16 +249,70 @@ impl ChecksumCache {
                 self.slots[self.hand].referenced = false;
                 self.hand = (self.hand + 1) % self.capacity;
             }
-            let slot = &mut self.slots[self.hand];
-            self.map.remove(&slot.key);
-            self.map.insert(key, self.hand);
+            let idx = self.hand;
+            self.unlink(idx);
+            let slot = &mut self.slots[idx];
             slot.key = key;
             slot.sum = sum;
             slot.referenced = false;
             self.stats.evictions += 1;
             self.hand = (self.hand + 1) % self.capacity;
+            idx
+        };
+        self.link(idx);
+        debug_assert!(self.chains_consistent());
+    }
+
+    /// Makes slot `idx` the head of its buffer's chain.
+    fn link(&mut self, idx: usize) {
+        let next = self
+            .heads
+            .insert(self.slots[idx].key.buf, idx as u32)
+            .unwrap_or(NIL);
+        self.slots[idx].prev = NIL;
+        self.slots[idx].next = next;
+        if next != NIL {
+            self.slots[next as usize].prev = idx as u32;
         }
-        sum
+    }
+
+    /// Takes slot `idx` out of its buffer's chain; the chain's head
+    /// entry goes with its last member.
+    fn unlink(&mut self, idx: usize) {
+        let Slot {
+            key, prev, next, ..
+        } = self.slots[idx];
+        if next != NIL {
+            self.slots[next as usize].prev = prev;
+        }
+        if prev != NIL {
+            self.slots[prev as usize].next = next;
+        } else if next != NIL {
+            self.heads.insert(key.buf, next);
+        } else {
+            self.heads.remove(&key.buf);
+        }
+    }
+
+    /// Unlinks slot `idx` and compacts the table by moving the last
+    /// slot into the hole, re-pointing the moved slot's neighbours (or
+    /// its head) at its new index.
+    fn remove_slot(&mut self, idx: usize) {
+        self.unlink(idx);
+        self.slots.swap_remove(idx);
+        if let Some(moved) = self.slots.get(idx) {
+            let Slot {
+                key, prev, next, ..
+            } = *moved;
+            if next != NIL {
+                self.slots[next as usize].prev = idx as u32;
+            }
+            if prev != NIL {
+                self.slots[prev as usize].next = idx as u32;
+            } else {
+                self.heads.insert(key.buf, idx as u32);
+            }
+        }
     }
 
     /// Drops every cached checksum computed over any buffer of `agg`'s
@@ -186,36 +325,20 @@ impl ChecksumCache {
     /// dead weight at best — and, should a buffer be recycled into a
     /// same-generation identity by a snapshot-restoring test harness, a
     /// stale hit at worst. Returns the number of entries removed.
+    ///
+    /// Cost is one probe per slice of `agg` plus O(1) per entry
+    /// removed; entries leave head-first in chain order.
     pub fn invalidate_aggregate(&mut self, agg: &iolite_buf::Aggregate) -> u64 {
-        if self.map.is_empty() {
+        if self.slots.is_empty() {
             return 0;
         }
         let mut removed = 0u64;
         for s in agg.slices() {
-            let (pool, buffer, generation) = (s.pool(), s.id(), s.generation());
-            // Collect-then-remove: at most a handful of entries per
-            // buffer, and the table is bounded.
-            let victims: Vec<Key> = self
-                .map
-                .keys()
-                .filter(|k| {
-                    k.pool == pool && k.buffer == buffer && k.generation == generation
-                })
-                .copied()
-                .collect();
-            for key in victims {
-                let idx = self.map.remove(&key).expect("collected from map");
-                // Compact the slot table: move the last slot into the
-                // hole (deterministic — same op sequence, same layout).
-                let last = self.slots.len() - 1;
-                if idx != last {
-                    self.slots.swap(idx, last);
-                    *self
-                        .map
-                        .get_mut(&self.slots[idx].key)
-                        .expect("moved slot is mapped") = idx;
-                }
-                self.slots.pop();
+            let buf = BufKey::of(s);
+            // A second slice over an already-retired buffer finds no
+            // head: an O(1) miss.
+            while let Some(&head) = self.heads.get(&buf) {
+                self.remove_slot(head as usize);
                 removed += 1;
             }
         }
@@ -227,8 +350,48 @@ impl ChecksumCache {
             } else {
                 self.hand %= self.slots.len();
             }
+            debug_assert!(self.chains_consistent());
         }
         removed
+    }
+
+    /// Debug-build structural check: `prev`/`next` are symmetric and
+    /// stay within one buffer, every chain start is that buffer's head
+    /// (so no head exists for an empty chain), and walking from the
+    /// heads reaches every slot exactly once. A full walk, so it only
+    /// runs on tables small enough to keep debug-build serving tests at
+    /// O(1) per operation; the property suite lives below the limit.
+    fn chains_consistent(&self) -> bool {
+        const FULL_WALK_LIMIT: usize = 256;
+        if self.slots.len() > FULL_WALK_LIMIT {
+            return true;
+        }
+        let mut starts = 0;
+        let mut reached = 0;
+        for (i, slot) in self.slots.iter().enumerate() {
+            if slot.prev != NIL {
+                continue;
+            }
+            starts += 1;
+            if self.heads.get(&slot.key.buf) != Some(&(i as u32)) {
+                return false;
+            }
+            // Cannot loop: re-entering a visited slot would need its
+            // `prev` to name two predecessors.
+            let mut at = i as u32;
+            loop {
+                reached += 1;
+                let next = self.slots[at as usize].next;
+                if next == NIL {
+                    break;
+                }
+                match self.slots.get(next as usize) {
+                    Some(n) if n.prev == at && n.key.buf == slot.key.buf => at = next,
+                    _ => return false,
+                }
+            }
+        }
+        starts == self.heads.len() && reached == self.slots.len()
     }
 
     /// Counters so far.
@@ -238,17 +401,18 @@ impl ChecksumCache {
 
     /// Cached entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 
     /// Folds the cache's state into a stable digest. Slot order is the
-    /// table's physical order (deterministic: admissions and the CLOCK
-    /// hand are sequential), so no sorting is needed.
+    /// table's physical order (deterministic: admissions, the CLOCK
+    /// hand and chain-order invalidation are all sequential), so no
+    /// sorting is needed.
     pub fn digest(&self, h: &mut iolite_buf::Fnv64) {
         h.write_u64(self.capacity as u64);
         h.write_bool(self.enabled);
@@ -265,15 +429,16 @@ impl ChecksumCache {
         }
         h.write_u64(self.slots.len() as u64);
         for slot in &self.slots {
-            h.write_u32(slot.key.pool.0);
-            h.write_u64(slot.key.buffer.chunk.0);
-            h.write_u32(slot.key.buffer.offset);
-            h.write_u64(slot.key.generation.0);
+            h.write_u32(slot.key.buf.pool.0);
+            h.write_u64(slot.key.buf.buffer.chunk.0);
+            h.write_u32(slot.key.buf.buffer.offset);
+            h.write_u64(slot.key.buf.generation.0);
             h.write_u64(slot.key.offset);
             h.write_u64(slot.key.len);
-            h.write_u32(slot.sum.sum as u32);
-            h.write_u64(slot.sum.len);
+            h.write_u32(slot.sum as u32);
             h.write_bool(slot.referenced);
+            h.write_u32(slot.prev);
+            h.write_u32(slot.next);
         }
     }
 }
@@ -395,30 +560,26 @@ mod tests {
     /// property of the key arithmetic.
     #[test]
     fn distant_subranges_do_not_collide_under_truncation() {
-        let pool = PoolId(1);
-        let buffer = BufferId {
-            chunk: ChunkId(1),
-            offset: 0,
+        let buf = BufKey {
+            pool: PoolId(1),
+            buffer: BufferId {
+                chunk: ChunkId(1),
+                offset: 0,
+            },
+            generation: Generation(1),
         };
-        let generation = Generation(1);
         let near = Key {
-            pool,
-            buffer,
-            generation,
+            buf,
             offset: 0,
             len: 1460,
         };
         let far = Key {
-            pool,
-            buffer,
-            generation,
+            buf,
             offset: 1 << 32,
             len: 1460,
         };
         let long = Key {
-            pool,
-            buffer,
-            generation,
+            buf,
             offset: 0,
             len: (1u64 << 32) + 1460,
         };
@@ -427,13 +588,18 @@ mod tests {
         assert_eq!(near.len as u32, long.len as u32);
         assert_ne!(near, far);
         assert_ne!(near, long);
-        // And a map keyed on them keeps the sums distinct.
-        let mut map = HashMap::new();
-        map.insert(near, 1u16);
-        map.insert(far, 2u16);
-        map.insert(long, 3u16);
-        assert_eq!(map.len(), 3);
-        assert_eq!(map[&near], 1);
+        // And the chain walk over their shared buffer keeps the sums
+        // distinct.
+        let mut c = ChecksumCache::new(16);
+        for (key, sum) in [(near, 1u16), (far, 2), (long, 3)] {
+            assert_eq!(c.find(&key), None);
+            c.admit(key, sum);
+        }
+        assert_eq!(c.len(), 3);
+        for (key, sum) in [(near, 1u16), (far, 2), (long, 3)] {
+            let idx = c.find(&key).expect("admitted");
+            assert_eq!(c.slots[idx].partial_sum(), PartialSum { sum, len: key.len });
+        }
     }
 
     /// Regression: chunk ids and generations are per-pool counters, so
@@ -490,6 +656,96 @@ mod tests {
         assert_eq!(c.invalidate_aggregate(&doc), 0);
     }
 
+    /// The `0` fast path on an empty table, and the exact removed count
+    /// when two slices of the retired aggregate share one buffer: the
+    /// first visit pops the whole chain, the second finds no head.
+    #[test]
+    fn invalidate_counts_shared_buffer_once() {
+        let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 4096);
+        let doc = Aggregate::from_bytes(&pool, b"one buffer, two windows");
+        let s = doc.slice_at(0);
+        let mut two_windows = Aggregate::from_slice(s.sub(0, 5).unwrap());
+        two_windows.append_slice(s.sub(12, 6).unwrap());
+        assert_eq!(two_windows.slices().count(), 2);
+
+        let mut c = ChecksumCache::new(16);
+        assert_eq!(c.invalidate_aggregate(&two_windows), 0, "empty table");
+        assert_eq!(c.stats().invalidations, 0);
+
+        c.sum_for(s);
+        c.sum_for(&s.sub(0, 5).unwrap());
+        c.sum_for(&s.sub(12, 6).unwrap());
+        let other = slice(&pool, b"survivor");
+        c.sum_for(&other);
+        assert_eq!(c.invalidate_aggregate(&two_windows), 3);
+        assert_eq!(c.stats().invalidations, 3);
+        assert_eq!(c.len(), 1);
+        assert!(c.contains(&other) && !c.contains(s));
+    }
+
+    /// The chain links are `u32`: a larger requested capacity is
+    /// clamped below the `NIL` marker, and zero still admits one entry.
+    #[test]
+    fn capacity_is_clamped_to_link_width() {
+        assert_eq!(ChecksumCache::new(usize::MAX).capacity, NIL as usize);
+        assert_eq!(ChecksumCache::new(0).capacity, 1);
+        assert_eq!(ChecksumCache::new(1 << 16).capacity, 1 << 16);
+    }
+
+    /// The slot layout — and so `digest`, and the kernel `state_hash`
+    /// above it — is a function of the op sequence alone. Invalidation
+    /// used to pick victims in `HashMap` iteration order (per-instance
+    /// `RandomState`), and each removal swap-compacts the table, so a
+    /// buffer with several cached send windows left 16 fresh caches
+    /// with 16 different layouts.
+    #[test]
+    fn layout_is_a_function_of_the_op_sequence() {
+        let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 64 * 1024);
+        let doc = Aggregate::from_bytes(&pool, &[0x3C; 4096]);
+        let windows: Vec<Slice> = (0..8)
+            .map(|i| doc.slice_at(0).sub(i * 512, 512).unwrap())
+            .collect();
+        let unrelated: Vec<Slice> = (0..8).map(|i| slice(&pool, &[i as u8; 32])).collect();
+        let later: Vec<Slice> = (0..26)
+            .map(|i| slice(&pool, &[0x80 + i as u8; 48]))
+            .collect();
+
+        let digests: Vec<u64> = (0..16)
+            .map(|_| {
+                let mut c = ChecksumCache::new(16);
+                // Interleaved, so the doomed chain's slots are spread
+                // through the table.
+                for (w, u) in windows.iter().zip(&unrelated) {
+                    c.sum_for(w);
+                    c.sum_for(u);
+                }
+                assert_eq!(c.invalidate_aggregate(&doc), 8);
+                // Folded twice: the compacted layout itself, then what
+                // the CLOCK hand makes of it.
+                let mut h = iolite_buf::Fnv64::new();
+                c.digest(&mut h);
+                for s in &later[..8] {
+                    c.sum_for(s);
+                }
+                // Full again. Two survivors of the compaction get a
+                // second chance; 18 more admissions take the hand all
+                // the way round and past them.
+                c.sum_for(&unrelated[1]);
+                c.sum_for(&unrelated[5]);
+                for s in &later[8..] {
+                    c.sum_for(s);
+                }
+                assert_eq!(c.stats().evictions, 18);
+                c.digest(&mut h);
+                h.finish()
+            })
+            .collect();
+        assert!(
+            digests.iter().all(|d| *d == digests[0]),
+            "same calls, different layouts: {digests:x?}"
+        );
+    }
+
     /// CLOCK gives one-shot entries a second chance only when
     /// re-referenced: a scan that reuses nothing cycles through the
     /// table without disturbing entries whose bits are set.
@@ -497,7 +753,9 @@ mod tests {
     fn clock_hand_skips_referenced_entries() {
         let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 4096);
         let mut c = ChecksumCache::new(4);
-        let keep: Vec<Slice> = (0..3).map(|i| slice(&pool, &[0xF0 + i as u8; 24])).collect();
+        let keep: Vec<Slice> = (0..3)
+            .map(|i| slice(&pool, &[0xF0 + i as u8; 24]))
+            .collect();
         for s in &keep {
             c.sum_for(s);
         }
