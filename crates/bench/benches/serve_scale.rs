@@ -40,7 +40,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use iolite_buf::{Acl, Aggregate, BufferPool, PoolId, Slice};
-use iolite_core::{CostModel, Fd, Kernel};
+use iolite_core::{CostModel, Fd, Kernel, KernelState};
 use iolite_fs::{CacheKey, CacheOwnership, FileId, Policy, UnifiedCache, WritebackConfig};
 use iolite_http::{run_sharded, server::serve_static, ServerKind, ShardedConfig, ShardedReport};
 use iolite_net::{ChecksumCache, DEFAULT_MSS, DEFAULT_TSS};
@@ -102,14 +102,13 @@ impl ScaleRig {
         let workload = Workload::synthesize(&scale_spec(), 7);
         let mut cost = CostModel::pentium_ii_333();
         cost.ram_bytes = 64 << 20;
-        let mut kernel = Kernel::with_policy(cost, Policy::Gds);
+        let mut state = KernelState::new(cost, Policy::Gds);
         // Undersize the checksum cache relative to the corpus's slice
         // population so its replacement policy is actually exercised
         // (the kernel default never overflows in a 30k-request pass).
-        kernel.cksum = ChecksumCache::new(8192);
-        kernel
-            .physmem
-            .reserve(MemAccount::Server, cost.server_reserve_bytes);
+        state.cksum = ChecksumCache::new(8192);
+        let mut kernel = Kernel::from_state(state);
+        kernel.mem_reserve(MemAccount::Server, cost.server_reserve_bytes);
         let pid = kernel.spawn("server");
         let files: Vec<Fd> = workload
             .files()
@@ -157,13 +156,9 @@ impl ScaleRig {
         // appears and disappears; rebalance drives set_budget.
         if self.served.is_multiple_of(512) {
             if self.wobbled {
-                self.kernel
-                    .physmem
-                    .release(MemAccount::SocketCopies, WOBBLE_BYTES);
+                self.kernel.mem_release(MemAccount::SocketCopies, WOBBLE_BYTES);
             } else {
-                self.kernel
-                    .physmem
-                    .reserve(MemAccount::SocketCopies, WOBBLE_BYTES);
+                self.kernel.mem_reserve(MemAccount::SocketCopies, WOBBLE_BYTES);
             }
             self.wobbled = !self.wobbled;
             self.kernel.rebalance_cache();
@@ -558,7 +553,7 @@ fn run_sweep_point(
         &cfg,
         |k: &mut Kernel| {
             let reserve = k.cost.server_reserve_bytes;
-            k.physmem.reserve(MemAccount::Server, reserve);
+            k.mem_reserve(MemAccount::Server, reserve);
             let pid = k.spawn("server");
             for f in workload.files() {
                 k.create_synthetic_file(&f.name, f.bytes, 7 ^ f.bytes);

@@ -2,29 +2,33 @@
 //!
 //! [`Kernel`] owns a pure [`KernelState`] value plus the three things
 //! the core must never touch: the [`Metrics`] sink, the optional
-//! command [`Journal`], and a reused effect buffer. Every public
-//! syscall-surface method is a thin wrapper with one shape:
+//! command [`Journal`], and a reused effect buffer.
+//!
+//! # One door to kernel state
+//!
+//! Every state-changing method below is a single call to the private
+//! `Kernel::run(op, make)`, the **only** place the state is borrowed
+//! mutably:
 //!
 //! 1. clear the effect buffer,
-//! 2. call the state's `op_*` transition with `&mut fx`,
-//! 3. absorb the effects into `metrics` and (when recording) append
-//!    the equivalent [`Command`] to the journal,
-//! 4. return the operation's typed result.
+//! 2. run `op` — the state's `op_*` transition — with `&mut fx`,
+//! 3. absorb the effects into `metrics`,
+//! 4. when recording, append `make()` — the equivalent [`Command`] —
+//!    to the journal (built lazily: a disabled journal builds no
+//!    command and clones nothing),
+//! 5. return the operation's typed result.
 //!
-//! Because step 2 is the *only* place state changes, folding the
-//! recorded journal through [`crate::pure::replay`] from the same
-//! initial state reproduces both the final
+//! So every mutation names its journaled command by construction, and
+//! folding a recorded journal through [`crate::pure::replay`] from the
+//! same initial state reproduces both the final
 //! [`KernelState::state_hash`] and the metrics — deterministic replay.
 //!
-//! The public I/O surface is unchanged from earlier revisions:
-//! descriptor-based and fallible, with raw [`FileId`]/[`PipeId`] entry
-//! points remaining only as deprecated shims for the cache/bench
-//! layers. Subsystem state (the caches, the window, the accountant) is
-//! reachable read/write through [`Deref`]/[`DerefMut`] — direct field
-//! access is shell-side convenience and is not journaled; replayable
-//! runs go through the methods below.
+//! The I/O surface is descriptor-only (§3.4: the `IOL_*` calls act on
+//! any descriptor). Subsystem state is *readable* through [`Deref`];
+//! there is no mutable deref and no `state_mut()`. State a run should
+//! *start* from enters as a value, through [`Kernel::from_state`].
 
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 
 use iolite_buf::{Acl, Aggregate, BufferPool, DomainId};
 use iolite_fs::{CacheKey, FileId, Policy};
@@ -39,21 +43,42 @@ use crate::fd::{Fd, FdObject, Whence};
 use crate::metrics::Metrics;
 use crate::poll::{PollFd, Readiness};
 use crate::process::Pid;
-use crate::pure::{Command, Journal, KernelState};
+use crate::pure::{Command, Effect, Journal, KernelState};
 
 pub use crate::pure::{ConnId, IoOutcome, MappedFileCache, PipeEnd, PipeId};
 
 /// The simulated operating system: the imperative shell.
 ///
-/// Dereferences to [`KernelState`], so subsystem fields (`cache`,
-/// `physmem`, `cksum`, …) and the read-only query surface (`now`,
-/// `socket_space`, `fd_object`, …) are used exactly as before.
+/// Dereferences (immutably) to [`KernelState`], so subsystem fields
+/// (`cache`, `physmem`, `cksum`, …) and the read-only query surface
+/// (`now`, `socket_space`, `fd_object`, …) read as plain fields; every
+/// change goes through a journaled method:
+///
+/// ```
+/// use iolite_core::{CostModel, Kernel};
+/// use iolite_vm::MemAccount;
+///
+/// let mut kernel = Kernel::new(CostModel::pentium_ii_333());
+/// let budget = kernel.cache.budget(); // reads deref to the state
+/// kernel.mem_reserve(MemAccount::SocketCopies, 1 << 20);
+/// kernel.rebalance_cache(); // writes are journaled commands
+/// assert!(kernel.cache.budget() < budget);
+/// ```
+///
+/// Mutating a subsystem behind the journal's back does not compile:
+///
+/// ```compile_fail,E0596
+/// use iolite_core::{CostModel, Kernel};
+///
+/// let mut kernel = Kernel::new(CostModel::pentium_ii_333());
+/// kernel.cache.set_budget(0); // the deref is read-only: cannot borrow as mutable
+/// ```
 pub struct Kernel {
     state: KernelState,
     /// Mechanism metrics (folded from the core's effect stream).
     pub metrics: Metrics,
     journal: Option<Journal>,
-    fx: Vec<crate::pure::Effect>,
+    fx: Vec<Effect>,
 }
 
 impl Deref for Kernel {
@@ -61,12 +86,6 @@ impl Deref for Kernel {
 
     fn deref(&self) -> &KernelState {
         &self.state
-    }
-}
-
-impl DerefMut for Kernel {
-    fn deref_mut(&mut self) -> &mut KernelState {
-        &mut self.state
     }
 }
 
@@ -79,24 +98,38 @@ impl Kernel {
     /// Creates a kernel with an explicit file-cache policy (Flash-Lite
     /// installs [`Policy::Gds`] through the §3.7 customization hook).
     pub fn with_policy(cost: CostModel, policy: Policy) -> Self {
+        Kernel::from_state(KernelState::new(cost, policy))
+    }
+
+    /// Wraps a prepared *initial* state (e.g. one with a non-default
+    /// checksum-cache capacity) — the value [`crate::pure::replay`]
+    /// takes, so snapshot it first if the journal will be replayed.
+    pub fn from_state(state: KernelState) -> Self {
         Kernel {
-            state: KernelState::new(cost, policy),
+            state,
             metrics: Metrics::new(),
             journal: None,
             fx: Vec::new(),
         }
     }
 
-    /// Absorbs the pending effect buffer into the metrics and, when
-    /// recording, journals the command (built lazily so a disabled
-    /// journal costs no clones on the hot path).
-    fn finish(&mut self, make: impl FnOnce() -> Command) {
+    /// The one door (module docs): `op` on the state with a cleared
+    /// effect buffer → effects into the metrics → `make()` journaled,
+    /// lazily, so a disabled journal costs no clones on the hot path.
+    fn run<R>(
+        &mut self,
+        op: impl FnOnce(&mut KernelState, &mut Vec<Effect>) -> R,
+        make: impl FnOnce() -> Command,
+    ) -> R {
+        self.fx.clear();
+        let r = op(&mut self.state, &mut self.fx);
         for e in &self.fx {
             self.metrics.absorb(e);
         }
         if let Some(j) = self.journal.as_mut() {
             j.push(make());
         }
+        r
     }
 
     // ---- journaling ------------------------------------------------------
@@ -128,88 +161,86 @@ impl Kernel {
     /// with [`Kernel::dup2_fd`], shell-style.
     pub fn spawn(&mut self, name: impl Into<String>) -> Pid {
         let name = name.into();
-        self.fx.clear();
-        let pid = self.state.op_spawn(name.clone(), &mut self.fx);
-        self.finish(|| Command::Spawn { name });
-        pid
+        self.run(
+            |s, _| s.op_spawn(name.clone()),
+            || Command::Spawn { name: name.clone() },
+        )
     }
 
     /// Creates an additional allocation pool (the `IOL_create_pool`
     /// call of §3.4) with an explicit ACL.
     pub fn create_pool(&mut self, acl: Acl) -> BufferPool {
-        self.fx.clear();
-        let pool = self.state.op_create_pool(acl.clone());
-        self.finish(|| Command::CreatePool { acl });
-        pool
+        self.run(
+            |s, _| s.op_create_pool(acl.clone()),
+            || Command::CreatePool { acl: acl.clone() },
+        )
     }
 
     // ---- clock and charging --------------------------------------------
 
     /// Adds CPU time to the sequential clock and the metrics breakdown.
     pub fn charge(&mut self, cat: CostCategory, c: Charge) {
-        self.fx.clear();
-        self.state.op_charge(cat, c, &mut self.fx);
-        self.finish(|| Command::Charge {
-            category: cat,
-            charge: c,
-        });
+        self.run(
+            |s, fx| s.op_charge(cat, c, fx),
+            || Command::Charge {
+                category: cat,
+                charge: c,
+            },
+        )
     }
 
     /// Advances the sequential clock by non-CPU time (e.g. disk waits).
     pub fn advance(&mut self, t: SimTime) {
-        self.fx.clear();
-        self.state.op_advance(t);
-        self.finish(|| Command::Advance { t });
+        self.run(|s, _| s.op_advance(t), || Command::Advance { t })
     }
 
     /// Resets the sequential clock (metrics are kept).
     pub fn reset_clock(&mut self) {
-        self.fx.clear();
-        self.state.op_reset_clock();
-        self.finish(|| Command::ResetClock);
+        self.run(|s, _| s.op_reset_clock(), || Command::ResetClock)
     }
 
     /// Accounts `n` process context switches (scheduling hand-offs the
     /// drivers previously tallied by hand).
     pub fn context_switch(&mut self, n: u64) {
-        self.fx.clear();
-        self.state.op_context_switch(n, &mut self.fx);
-        self.finish(|| Command::ContextSwitch { n });
+        self.run(
+            |s, fx| s.op_context_switch(n, fx),
+            || Command::ContextSwitch { n },
+        )
     }
 
     // ---- file system ---------------------------------------------------
 
     /// Creates a file with explicit contents.
     pub fn create_file(&mut self, name: &str, data: &[u8]) -> FileId {
-        self.fx.clear();
-        let id = self.state.op_create_file(name, data);
-        self.finish(|| Command::CreateFile {
-            name: name.to_string(),
-            data: data.to_vec(),
-        });
-        id
+        self.run(
+            |s, _| s.op_create_file(name, data),
+            || Command::CreateFile {
+                name: name.to_string(),
+                data: data.to_vec(),
+            },
+        )
     }
 
     /// Creates a synthetic (pattern-generated) file.
     pub fn create_synthetic_file(&mut self, name: &str, len: u64, seed: u64) -> FileId {
-        self.fx.clear();
-        let id = self.state.op_create_synthetic_file(name, len, seed);
-        self.finish(|| Command::CreateSyntheticFile {
-            name: name.to_string(),
-            len,
-            seed,
-        });
-        id
+        self.run(
+            |s, _| s.op_create_synthetic_file(name, len, seed),
+            || Command::CreateSyntheticFile {
+                name: name.to_string(),
+                len,
+                seed,
+            },
+        )
     }
 
     /// Resolves a path through the metadata cache.
     pub fn lookup(&mut self, name: &str) -> (Option<FileId>, Charge) {
-        self.fx.clear();
-        let r = self.state.op_lookup(name, &mut self.fx);
-        self.finish(|| Command::Lookup {
-            name: name.to_string(),
-        });
-        r
+        self.run(
+            |s, fx| s.op_lookup(name, fx),
+            || Command::Lookup {
+                name: name.to_string(),
+            },
+        )
     }
 
     /// Re-syncs the file-cache budget with the memory accountant and
@@ -218,10 +249,7 @@ impl Kernel {
     /// Evictions are reported to the pageout daemon as replaced
     /// cached-I/O pages, feeding the §3.7 trigger statistics.
     pub fn rebalance_cache(&mut self) -> usize {
-        self.fx.clear();
-        let n = self.state.op_rebalance_cache();
-        self.finish(|| Command::RebalanceCache);
-        n
+        self.run(|s, _| s.op_rebalance_cache(), || Command::RebalanceCache)
     }
 
     /// Reports VM replacement pressure from non-cache pages (application
@@ -231,10 +259,10 @@ impl Kernel {
     /// pool dominates (dirty entries are never discarded). Returns
     /// whether the cache shrank or cleaned anything.
     pub fn vm_pressure(&mut self, other_pages: u64) -> bool {
-        self.fx.clear();
-        let acted = self.state.op_vm_pressure(other_pages, &mut self.fx);
-        self.finish(|| Command::VmPressure { other_pages });
-        acted
+        self.run(
+            |s, fx| s.op_vm_pressure(other_pages, fx),
+            || Command::VmPressure { other_pages },
+        )
     }
 
     // ---- the write path (PR 10) ----------------------------------------
@@ -244,41 +272,42 @@ impl Kernel {
     /// Persistence is deferred to [`Kernel::write_back`]; checksums
     /// cached over the replaced version are invalidated.
     pub fn put_install(&mut self, pid: Pid, file: FileId, agg: &Aggregate) -> IoOutcome {
-        self.fx.clear();
-        let out = self.state.op_put_install(pid, file, agg, &mut self.fx);
-        self.finish(|| Command::PutInstall {
-            pid,
-            file,
-            agg: agg.clone(),
-        });
-        out
+        self.run(
+            |s, fx| s.op_put_install(pid, file, agg, fx),
+            || Command::PutInstall {
+                pid,
+                file,
+                agg: agg.clone(),
+            },
+        )
     }
 
     /// Flushes one write-back batch (up to `max_bytes`; 0 ⇒ the
     /// configured flush-batch size) through the NVM staging tier, disk
     /// overflow included. Returns bytes flushed.
     pub fn write_back(&mut self, max_bytes: u64) -> u64 {
-        self.fx.clear();
-        let n = self.state.op_write_back(max_bytes, &mut self.fx);
-        self.finish(|| Command::WriteBack { max_bytes });
-        n
+        self.run(
+            |s, fx| s.op_write_back(max_bytes, fx),
+            || Command::WriteBack { max_bytes },
+        )
     }
 
     /// Demotes up to `max_bytes` (0 ⇒ the configured drain chunk) from
     /// the NVM staging tier to disk. Returns bytes moved.
     pub fn nvm_demote(&mut self, max_bytes: u64) -> u64 {
-        self.fx.clear();
-        let n = self.state.op_nvm_demote(max_bytes, &mut self.fx);
-        self.finish(|| Command::NvmDemote { max_bytes });
-        n
+        self.run(
+            |s, fx| s.op_nvm_demote(max_bytes, fx),
+            || Command::NvmDemote { max_bytes },
+        )
     }
 
     /// Replaces the write-back tuning (journaled: replay sees the same
     /// flush scheduling).
     pub fn set_writeback(&mut self, cfg: iolite_fs::WritebackConfig) {
-        self.fx.clear();
-        self.state.op_set_writeback(cfg);
-        self.finish(|| Command::SetWriteback { cfg });
+        self.run(
+            |s, _| s.op_set_writeback(cfg),
+            || Command::SetWriteback { cfg },
+        )
     }
 
     /// Whether accumulated dirty bytes have armed a write-back flush —
@@ -286,166 +315,81 @@ impl Kernel {
     /// between request completions and issues the journaled
     /// [`Kernel::write_back`] when it answers `true`.
     pub fn writeback_due(&self) -> bool {
-        self.state
-            .writeback
-            .should_flush(self.state.cache.dirty_bytes())
+        self.writeback.should_flush(self.cache.dirty_bytes())
     }
 
     /// Pins a cache key against eviction (e.g. while the network
     /// transmits the entry).
     pub fn cache_pin(&mut self, key: CacheKey) {
-        self.fx.clear();
-        self.state.op_cache_pin(key);
-        self.finish(|| Command::CachePin { key });
+        self.run(|s, _| s.op_cache_pin(key), || Command::CachePin { key })
     }
 
     /// Releases one pin on a cache key.
     pub fn cache_unpin(&mut self, key: CacheKey) {
-        self.fx.clear();
-        self.state.op_cache_unpin(key);
-        self.finish(|| Command::CacheUnpin { key });
+        self.run(|s, _| s.op_cache_unpin(key), || Command::CacheUnpin { key })
     }
 
     /// Installs a replica of `data` as `file`'s whole-file cache entry
     /// (sharded serving: a remote read's payload becomes a local cache
     /// entry so later requests for the file hit this shard).
     pub fn cache_install(&mut self, file: FileId, data: &[u8]) -> IoOutcome {
-        self.fx.clear();
-        let out = self.state.op_cache_install(file, data, &mut self.fx);
-        self.finish(|| Command::CacheInstall {
-            file,
-            data: data.to_vec(),
-        });
-        out
+        self.run(
+            |s, fx| s.op_cache_install(file, data, fx),
+            || Command::CacheInstall {
+                file,
+                data: data.to_vec(),
+            },
+        )
     }
 
     /// Drops a cache entry outright (sharded writes: a stale local
     /// replica after a write routed to the file's home shard). Returns
     /// whether an entry was dropped.
     pub fn cache_invalidate(&mut self, key: CacheKey) -> bool {
-        self.fx.clear();
-        let dropped = self.state.op_cache_invalidate(key);
-        self.finish(|| Command::CacheInvalidate { key });
-        dropped
+        self.run(
+            |s, _| s.op_cache_invalidate(key),
+            || Command::CacheInvalidate { key },
+        )
     }
 
     /// Whether the NVM staging tier holds bytes a background demotion
     /// drain should move to disk — a pure state read (not journaled),
     /// the companion query to [`Kernel::writeback_due`].
     pub fn nvm_demote_due(&self) -> bool {
-        self.state.writeback.should_demote()
+        self.writeback.should_demote()
     }
 
     /// Touches Flash's mapped-file cache; returns whether the file was
     /// already mapped (a miss models an `mmap`/`munmap` cycle).
     pub fn mapped_file_touch(&mut self, file: FileId) -> bool {
-        self.fx.clear();
-        let hit = self.state.op_mapped_file_touch(file);
-        self.finish(|| Command::MappedFileTouch { file });
-        hit
+        self.run(
+            |s, _| s.op_mapped_file_touch(file),
+            || Command::MappedFileTouch { file },
+        )
     }
 
     /// Reserves memory on an account in the physical-memory accountant.
     pub fn mem_reserve(&mut self, account: MemAccount, bytes: u64) {
-        self.fx.clear();
-        self.state.op_mem_reserve(account, bytes);
-        self.finish(|| Command::MemReserve { account, bytes });
+        self.run(
+            |s, _| s.op_mem_reserve(account, bytes),
+            || Command::MemReserve { account, bytes },
+        )
     }
 
     /// Releases memory from an account.
     pub fn mem_release(&mut self, account: MemAccount, bytes: u64) {
-        self.fx.clear();
-        self.state.op_mem_release(account, bytes);
-        self.finish(|| Command::MemRelease { account, bytes });
+        self.run(
+            |s, _| s.op_mem_release(account, bytes),
+            || Command::MemRelease { account, bytes },
+        )
     }
 
     /// Enables or disables the §3.9 checksum cache.
     pub fn set_checksum_cache(&mut self, enabled: bool) {
-        self.fx.clear();
-        self.state.op_set_checksum_cache(enabled);
-        self.finish(|| Command::SetChecksumCache { enabled });
-    }
-
-    // ---- deprecated raw-FileId shims -----------------------------------
-
-    /// `IOL_read` on a raw [`FileId`].
-    #[deprecated(
-        note = "application code uses the Fd-based API (`iol_read_fd`/`iol_pread`); \
-                this direct-FileId shim remains for the cache/bench layers"
-    )]
-    pub fn iol_read(&mut self, pid: Pid, file: FileId, offset: u64, len: u64) -> (Aggregate, IoOutcome) {
-        self.fx.clear();
-        let r = self.state.op_read_file_at(pid, file, offset, len, &mut self.fx);
-        self.finish(|| Command::ReadFileAt {
-            pid,
-            file,
-            offset,
-            len,
-        });
-        r
-    }
-
-    /// `IOL_write` on a raw [`FileId`].
-    #[deprecated(
-        note = "application code uses the Fd-based API (`iol_write_fd`/`iol_pwrite`); \
-                this direct-FileId shim remains for the cache/bench layers"
-    )]
-    pub fn iol_write(&mut self, pid: Pid, file: FileId, offset: u64, agg: &Aggregate) -> IoOutcome {
-        self.fx.clear();
-        let out = self.state.op_write_file_at(pid, file, offset, agg, &mut self.fx);
-        self.finish(|| Command::WriteFileAt {
-            pid,
-            file,
-            offset,
-            agg: agg.clone(),
-        });
-        out
-    }
-
-    /// Copying `read` on a raw [`FileId`].
-    #[deprecated(
-        note = "application code uses the Fd-based API (`posix_read_fd`); \
-                this direct-FileId shim remains for the cache/bench layers"
-    )]
-    pub fn posix_read(&mut self, pid: Pid, file: FileId, offset: u64, len: u64) -> (Vec<u8>, IoOutcome) {
-        self.fx.clear();
-        let r = self.state.op_posix_file_read(pid, file, offset, len, &mut self.fx);
-        self.finish(|| Command::PosixFileRead {
-            pid,
-            file,
-            offset,
-            len,
-        });
-        r
-    }
-
-    /// Copying `write` on a raw [`FileId`].
-    #[deprecated(
-        note = "application code uses the Fd-based API (`posix_write_fd`); \
-                this direct-FileId shim remains for the cache/bench layers"
-    )]
-    pub fn posix_write(&mut self, pid: Pid, file: FileId, offset: u64, data: &[u8]) -> IoOutcome {
-        self.fx.clear();
-        let out = self.state.op_posix_file_write(pid, file, offset, data, &mut self.fx);
-        self.finish(|| Command::PosixFileWrite {
-            pid,
-            file,
-            offset,
-            data: data.to_vec(),
-        });
-        out
-    }
-
-    /// `mmap` on a raw [`FileId`].
-    #[deprecated(
-        note = "application code uses the Fd-based API (`mmap_fd`); \
-                this direct-FileId shim remains for the cache/bench layers"
-    )]
-    pub fn mmap(&mut self, pid: Pid, file: FileId) -> (MmapView, IoOutcome) {
-        self.fx.clear();
-        let r = self.state.op_file_mmap(pid, file, &mut self.fx);
-        self.finish(|| Command::FileMmap { pid, file });
-        r
+        self.run(
+            |s, _| s.op_set_checksum_cache(enabled),
+            || Command::SetChecksumCache { enabled },
+        )
     }
 
     // ---- window transfers ----------------------------------------------
@@ -453,13 +397,13 @@ impl Kernel {
     /// Makes an aggregate's chunks readable in `domain`, charging only
     /// first-time mappings (§3.2). Returns newly mapped pages.
     pub fn transfer_to(&mut self, agg: &Aggregate, domain: DomainId) -> u64 {
-        self.fx.clear();
-        let pages = self.state.op_transfer_to(agg, domain, &mut self.fx);
-        self.finish(|| Command::TransferTo {
-            agg: agg.clone(),
-            domain,
-        });
-        pages
+        self.run(
+            |s, fx| s.op_transfer_to(agg, domain, fx),
+            || Command::TransferTo {
+                agg: agg.clone(),
+                domain,
+            },
+        )
     }
 
     /// Like [`Kernel::transfer_to`] but enforcing an explicit ACL
@@ -475,74 +419,14 @@ impl Kernel {
         domain: DomainId,
         acl: &Acl,
     ) -> Result<u64, iolite_vm::AccessDenied> {
-        self.fx.clear();
-        let r = self.state.op_transfer_with_acl(agg, domain, acl, &mut self.fx);
-        self.finish(|| Command::TransferWithAcl {
-            agg: agg.clone(),
-            domain,
-            acl: acl.clone(),
-        });
-        r
-    }
-
-    // ---- pipes -----------------------------------------------------------
-
-    /// Creates a pipe in the given mode with the BSD 64KB buffer.
-    pub fn pipe_create(&mut self, mode: PipeMode) -> PipeId {
-        self.fx.clear();
-        let id = self.state.op_pipe_create(mode, None, &mut self.fx);
-        self.finish(|| Command::PipeCreate { mode, acl: None });
-        id
-    }
-
-    /// Creates a pipe whose zero-copy transfers are governed by `acl`
-    /// (the writer pool's ACL, §3.10: the server and each CGI instance
-    /// have separate pools with different ACLs — the pipe enforces the
-    /// writer's on its reader).
-    pub fn pipe_create_with_acl(&mut self, mode: PipeMode, acl: Acl) -> PipeId {
-        self.fx.clear();
-        let id = self.state.op_pipe_create(mode, Some(acl.clone()), &mut self.fx);
-        self.finish(|| Command::PipeCreate {
-            mode,
-            acl: Some(acl),
-        });
-        id
-    }
-
-    /// Writes to a pipe by raw id, returning accepted bytes and the cost.
-    #[deprecated(
-        note = "application code writes pipes through descriptors (`iol_write_fd`); \
-                this raw-PipeId shim remains for kernel-layer callers"
-    )]
-    pub fn pipe_write(&mut self, pid: Pid, id: PipeId, data: &Aggregate) -> (u64, IoOutcome) {
-        self.fx.clear();
-        let r = self.state.op_pipe_write(pid, id, data, &mut self.fx);
-        self.finish(|| Command::PipeWrite {
-            pid,
-            pipe: id,
-            agg: data.clone(),
-        });
-        r
-    }
-
-    /// Reads from a pipe by raw id.
-    #[deprecated(
-        note = "application code reads pipes through descriptors (`iol_read_fd`); \
-                this raw-PipeId shim remains for kernel-layer callers"
-    )]
-    pub fn pipe_read(&mut self, pid: Pid, id: PipeId, max: u64) -> (Option<Aggregate>, IoOutcome) {
-        self.fx.clear();
-        let r = self.state.op_pipe_read(pid, id, max, &mut self.fx);
-        self.finish(|| Command::PipeRead { pid, pipe: id, max });
-        r.expect("raw pipe reads bypass ACL'd pipes")
-    }
-
-    /// Closes a pipe's write end by raw id (descriptor holders use
-    /// [`Kernel::close_fd`], which calls this on last close).
-    pub fn pipe_close(&mut self, id: PipeId) {
-        self.fx.clear();
-        self.state.op_pipe_close(id);
-        self.finish(|| Command::PipeClose { pipe: id });
+        self.run(
+            |s, fx| s.op_transfer_with_acl(agg, domain, acl, fx),
+            || Command::TransferWithAcl {
+                agg: agg.clone(),
+                domain,
+                acl: acl.clone(),
+            },
+        )
     }
 
     // ---- sockets ---------------------------------------------------------
@@ -553,15 +437,15 @@ impl Kernel {
     /// files and pipes drive the socket's zero-copy (or copying) send
     /// path.
     pub fn socket_create(&mut self, pid: Pid, mode: BufferMode, mss: usize, tss: usize) -> Fd {
-        self.fx.clear();
-        let fd = self.state.op_socket_create(pid, mode, mss, tss);
-        self.finish(|| Command::SocketCreate {
-            pid,
-            mode,
-            mss,
-            tss,
-        });
-        fd
+        self.run(
+            |s, _| s.op_socket_create(pid, mode, mss, tss),
+            || Command::SocketCreate {
+                pid,
+                mode,
+                mss,
+                tss,
+            },
+        )
     }
 
     /// Delivers inbound payload to a socket (the receive path's
@@ -569,10 +453,17 @@ impl Kernel {
     /// remote peer). The data becomes readable through
     /// [`Kernel::iol_read_fd`].
     pub fn socket_deliver(&mut self, pid: Pid, fd: Fd, payload: Aggregate) -> IoResult<u64> {
-        self.fx.clear();
-        let r = self.state.op_socket_deliver(pid, fd, payload.clone());
-        self.finish(|| Command::SocketDeliver { pid, fd, payload });
-        r
+        // The payload moves into the socket's inbound queue; only a
+        // recording journal pays for a second handle.
+        let journaled = self.journal.is_some().then(|| payload.clone());
+        self.run(
+            |s, _| s.op_socket_deliver(pid, fd, payload),
+            || Command::SocketDeliver {
+                pid,
+                fd,
+                payload: journaled.expect("cloned above whenever a journal is recording"),
+            },
+        )
     }
 
     /// Accounting-only send on a *copy-mode* socket descriptor: the
@@ -581,10 +472,10 @@ impl Kernel {
     /// Updates the copy/checksum metrics centrally and returns the
     /// [`SendOutcome`] in both the value and `outcome.net`.
     pub fn socket_send_accounted(&mut self, pid: Pid, fd: Fd, len: u64) -> IoResult<SendOutcome> {
-        self.fx.clear();
-        let r = self.state.op_socket_send_accounted(pid, fd, len, &mut self.fx);
-        self.finish(|| Command::SocketSendAccounted { pid, fd, len });
-        r
+        self.run(
+            |s, fx| s.op_socket_send_accounted(pid, fd, len, fx),
+            || Command::SocketSendAccounted { pid, fd, len },
+        )
     }
 
     /// Materializes the actual TCP segment chains a descriptor write of
@@ -596,14 +487,14 @@ impl Kernel {
         fd: Fd,
         payload: &Aggregate,
     ) -> IoResult<Vec<MbufChain>> {
-        self.fx.clear();
-        let r = self.state.op_socket_transmit_segments(pid, fd, payload);
-        self.finish(|| Command::SocketTransmitSegments {
-            pid,
-            fd,
-            payload: payload.clone(),
-        });
-        r
+        self.run(
+            |s, _| s.op_socket_transmit_segments(pid, fd, payload),
+            || Command::SocketTransmitSegments {
+                pid,
+                fd,
+                payload: payload.clone(),
+            },
+        )
     }
 
     /// Sets a socket descriptor's `O_NONBLOCK` flag. Nonblocking
@@ -617,14 +508,14 @@ impl Kernel {
     ///
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
     pub fn set_nonblocking(&mut self, pid: Pid, fd: Fd, nonblocking: bool) -> Result<(), IolError> {
-        self.fx.clear();
-        let r = self.state.op_set_nonblocking(pid, fd, nonblocking);
-        self.finish(|| Command::SetNonblocking {
-            pid,
-            fd,
-            nonblocking,
-        });
-        r
+        self.run(
+            |s, _| s.op_set_nonblocking(pid, fd, nonblocking),
+            || Command::SetNonblocking {
+                pid,
+                fd,
+                nonblocking,
+            },
+        )
     }
 
     /// Acknowledges up to `max` bytes of a nonblocking socket's send
@@ -640,10 +531,10 @@ impl Kernel {
     /// acknowledges nothing, so unacknowledged bytes can never drain
     /// and the in-flight response must be failed, not completed.
     pub fn socket_drain(&mut self, pid: Pid, fd: Fd, max: u64) -> Result<u64, IolError> {
-        self.fx.clear();
-        let r = self.state.op_socket_drain(pid, fd, max);
-        self.finish(|| Command::SocketDrain { pid, fd, max });
-        r
+        self.run(
+            |s, _| s.op_socket_drain(pid, fd, max),
+            || Command::SocketDrain { pid, fd, max },
+        )
     }
 
     /// Marks a socket's remote side as hung up (FIN/RST arrived): reads
@@ -656,10 +547,10 @@ impl Kernel {
     ///
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
     pub fn socket_peer_close(&mut self, pid: Pid, fd: Fd) -> Result<(), IolError> {
-        self.fx.clear();
-        let r = self.state.op_socket_peer_close(pid, fd);
-        self.finish(|| Command::SocketPeerClose { pid, fd });
-        r
+        self.run(
+            |s, _| s.op_socket_peer_close(pid, fd),
+            || Command::SocketPeerClose { pid, fd },
+        )
     }
 
     // ---- readiness (the event-driven servers' select/poll, §6) ----------
@@ -680,13 +571,13 @@ impl Kernel {
     /// None today — the result is total; the `IoResult` shape carries
     /// the accounting like every other descriptor operation.
     pub fn iol_poll(&mut self, pid: Pid, fds: &[PollFd]) -> IoResult<Vec<Readiness>> {
-        self.fx.clear();
-        let r = self.state.op_iol_poll(pid, fds, &mut self.fx);
-        self.finish(|| Command::Poll {
-            pid,
-            fds: fds.to_vec(),
-        });
-        r
+        self.run(
+            |s, fx| s.op_iol_poll(pid, fds, fx),
+            || Command::Poll {
+                pid,
+                fds: fds.to_vec(),
+            },
+        )
     }
 
     // ---- file descriptors (§3.4: the IOL calls act on any fd) -----------
@@ -698,23 +589,23 @@ impl Kernel {
     ///
     /// [`IolError::NotFound`] when the path does not resolve.
     pub fn open(&mut self, pid: Pid, path: &str) -> IoResult<Fd> {
-        self.fx.clear();
-        let r = self.state.op_open(pid, path, &mut self.fx);
-        self.finish(|| Command::Open {
-            pid,
-            path: path.to_string(),
-        });
-        r
+        self.run(
+            |s, fx| s.op_open(pid, path, fx),
+            || Command::Open {
+                pid,
+                path: path.to_string(),
+            },
+        )
     }
 
     /// Installs a descriptor (offset 0) for an already-resolved file —
     /// the bridge for layers that hold [`FileId`]s (workload setup,
     /// benches) into the descriptor world.
     pub fn open_file(&mut self, pid: Pid, file: FileId) -> Fd {
-        self.fx.clear();
-        let fd = self.state.op_open_file(pid, file);
-        self.finish(|| Command::OpenFile { pid, file });
-        fd
+        self.run(
+            |s, _| s.op_open_file(pid, file),
+            || Command::OpenFile { pid, file },
+        )
     }
 
     /// Creates a pipe and returns `(read_fd, write_fd)` in `pid`'s table
@@ -722,25 +613,25 @@ impl Kernel {
     /// hand the ends to other processes with [`Kernel::install_fd`] or
     /// wire two processes directly with [`Kernel::pipe_between`]).
     pub fn pipe_fds(&mut self, pid: Pid, mode: PipeMode) -> (Fd, Fd) {
-        self.fx.clear();
-        let r = self.state.op_pipe_fds(pid, mode, &mut self.fx);
-        self.finish(|| Command::PipeFds { pid, mode });
-        r
+        self.run(
+            |s, _| s.op_pipe_fds(pid, mode),
+            || Command::PipeFds { pid, mode },
+        )
     }
 
     /// Creates a pipe with its write end in `writer`'s table and its
     /// read end in `reader`'s (the post-`fork` shape of `a | b`).
     /// Returns `(write_fd, read_fd)`.
     pub fn pipe_between(&mut self, writer: Pid, reader: Pid, mode: PipeMode) -> (Fd, Fd) {
-        self.fx.clear();
-        let r = self.state.op_pipe_between(writer, reader, mode, None, &mut self.fx);
-        self.finish(|| Command::PipeBetween {
-            writer,
-            reader,
-            mode,
-            acl: None,
-        });
-        r
+        self.run(
+            |s, _| s.op_pipe_between(writer, reader, mode, None),
+            || Command::PipeBetween {
+                writer,
+                reader,
+                mode,
+                acl: None,
+            },
+        )
     }
 
     /// Like [`Kernel::pipe_between`], with zero-copy transfers governed
@@ -752,26 +643,24 @@ impl Kernel {
         mode: PipeMode,
         acl: Acl,
     ) -> (Fd, Fd) {
-        self.fx.clear();
-        let r = self
-            .state
-            .op_pipe_between(writer, reader, mode, Some(acl.clone()), &mut self.fx);
-        self.finish(|| Command::PipeBetween {
-            writer,
-            reader,
-            mode,
-            acl: Some(acl),
-        });
-        r
+        self.run(
+            |s, _| s.op_pipe_between(writer, reader, mode, Some(acl.clone())),
+            || Command::PipeBetween {
+                writer,
+                reader,
+                mode,
+                acl: Some(acl.clone()),
+            },
+        )
     }
 
     /// Installs an existing object in `pid`'s descriptor table (the
     /// moral equivalent of inheriting an fd across `fork`/`exec`).
     pub fn install_fd(&mut self, pid: Pid, object: FdObject) -> Fd {
-        self.fx.clear();
-        let fd = self.state.op_install_fd(pid, object);
-        self.finish(|| Command::InstallFd { pid, object });
-        fd
+        self.run(
+            |s, _| s.op_install_fd(pid, object),
+            || Command::InstallFd { pid, object },
+        )
     }
 
     /// Installs an existing object at exactly `at` (`dup2`-style
@@ -779,10 +668,10 @@ impl Kernel {
     /// child's stdio number), displacing and (last-reference) closing
     /// whatever was there.
     pub fn install_fd_at(&mut self, pid: Pid, at: Fd, object: FdObject) -> Fd {
-        self.fx.clear();
-        let fd = self.state.op_install_fd_at(pid, at, object);
-        self.finish(|| Command::InstallFdAt { pid, at, object });
-        fd
+        self.run(
+            |s, _| s.op_install_fd_at(pid, at, object),
+            || Command::InstallFdAt { pid, at, object },
+        )
     }
 
     /// Duplicates a descriptor (`dup(2)`) onto the lowest free number:
@@ -792,10 +681,7 @@ impl Kernel {
     ///
     /// [`IolError::NotOpen`] if `fd` is not open.
     pub fn dup_fd(&mut self, pid: Pid, fd: Fd) -> Result<Fd, IolError> {
-        self.fx.clear();
-        let r = self.state.op_dup_fd(pid, fd);
-        self.finish(|| Command::DupFd { pid, fd });
-        r
+        self.run(|s, _| s.op_dup_fd(pid, fd), || Command::DupFd { pid, fd })
     }
 
     /// Duplicates `src` onto exactly `dst` (`dup2(2)`), displacing and
@@ -806,10 +692,10 @@ impl Kernel {
     ///
     /// [`IolError::NotOpen`] if `src` is not open.
     pub fn dup2_fd(&mut self, pid: Pid, src: Fd, dst: Fd) -> Result<Fd, IolError> {
-        self.fx.clear();
-        let r = self.state.op_dup2_fd(pid, src, dst);
-        self.finish(|| Command::Dup2Fd { pid, src, dst });
-        r
+        self.run(
+            |s, _| s.op_dup2_fd(pid, src, dst),
+            || Command::Dup2Fd { pid, src, dst },
+        )
     }
 
     /// Closes a descriptor (`close(2)`). When the last descriptor for a
@@ -821,10 +707,10 @@ impl Kernel {
     ///
     /// [`IolError::NotOpen`] if `fd` is not open (double close).
     pub fn close_fd(&mut self, pid: Pid, fd: Fd) -> Result<(), IolError> {
-        self.fx.clear();
-        let r = self.state.op_close_fd(pid, fd);
-        self.finish(|| Command::CloseFd { pid, fd });
-        r
+        self.run(
+            |s, _| s.op_close_fd(pid, fd),
+            || Command::CloseFd { pid, fd },
+        )
     }
 
     /// Repositions a file descriptor (`lseek(2)`), resolving
@@ -837,15 +723,15 @@ impl Kernel {
     /// [`IolError::BadFdKind`] for pipes/sockets (ESPIPE), and
     /// [`IolError::InvalidSeek`] when the resolved position is negative.
     pub fn lseek(&mut self, pid: Pid, fd: Fd, offset: i64, whence: Whence) -> IoResult<u64> {
-        self.fx.clear();
-        let r = self.state.op_lseek(pid, fd, offset, whence, &mut self.fx);
-        self.finish(|| Command::Lseek {
-            pid,
-            fd,
-            offset,
-            whence,
-        });
-        r
+        self.run(
+            |s, fx| s.op_lseek(pid, fd, offset, whence, fx),
+            || Command::Lseek {
+                pid,
+                fd,
+                offset,
+                whence,
+            },
+        )
     }
 
     /// `IOL_read` on a descriptor: files read at (and advance) the
@@ -861,10 +747,10 @@ impl Kernel {
     /// writer is still open; [`IolError::PermissionDenied`] when an
     /// ACL'd pipe refuses the reader's domain.
     pub fn iol_read_fd(&mut self, pid: Pid, fd: Fd, len: u64) -> IoResult<Aggregate> {
-        self.fx.clear();
-        let r = self.state.op_iol_read_fd(pid, fd, len, &mut self.fx);
-        self.finish(|| Command::IolReadFd { pid, fd, len });
-        r
+        self.run(
+            |s, fx| s.op_iol_read_fd(pid, fd, len, fx),
+            || Command::IolReadFd { pid, fd, len },
+        )
     }
 
     /// `IOL_write` on a descriptor: files replace at (and advance) the
@@ -881,14 +767,14 @@ impl Kernel {
     /// [`IolError::ShortIo`] (carrying the partial count and its
     /// charge) when a pipe fills mid-write.
     pub fn iol_write_fd(&mut self, pid: Pid, fd: Fd, agg: &Aggregate) -> IoResult<u64> {
-        self.fx.clear();
-        let r = self.state.op_iol_write_fd(pid, fd, agg, &mut self.fx);
-        self.finish(|| Command::IolWriteFd {
-            pid,
-            fd,
-            agg: agg.clone(),
-        });
-        r
+        self.run(
+            |s, fx| s.op_iol_write_fd(pid, fd, agg, fx),
+            || Command::IolWriteFd {
+                pid,
+                fd,
+                agg: agg.clone(),
+            },
+        )
     }
 
     /// Positional `IOL_read` (`pread(2)`): reads a file descriptor at
@@ -899,15 +785,15 @@ impl Kernel {
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] (pipes and
     /// sockets have no positions).
     pub fn iol_pread(&mut self, pid: Pid, fd: Fd, offset: u64, len: u64) -> IoResult<Aggregate> {
-        self.fx.clear();
-        let r = self.state.op_iol_pread(pid, fd, offset, len, &mut self.fx);
-        self.finish(|| Command::IolPread {
-            pid,
-            fd,
-            offset,
-            len,
-        });
-        r
+        self.run(
+            |s, fx| s.op_iol_pread(pid, fd, offset, len, fx),
+            || Command::IolPread {
+                pid,
+                fd,
+                offset,
+                len,
+            },
+        )
     }
 
     /// Positional `IOL_write` (`pwrite(2)`).
@@ -916,15 +802,15 @@ impl Kernel {
     ///
     /// As [`Kernel::iol_pread`].
     pub fn iol_pwrite(&mut self, pid: Pid, fd: Fd, offset: u64, agg: &Aggregate) -> IoResult<u64> {
-        self.fx.clear();
-        let r = self.state.op_iol_pwrite(pid, fd, offset, agg, &mut self.fx);
-        self.finish(|| Command::IolPwrite {
-            pid,
-            fd,
-            offset,
-            agg: agg.clone(),
-        });
-        r
+        self.run(
+            |s, fx| s.op_iol_pwrite(pid, fd, offset, agg, fx),
+            || Command::IolPwrite {
+                pid,
+                fd,
+                offset,
+                agg: agg.clone(),
+            },
+        )
     }
 
     /// Backward-compatible copying read on a file descriptor, advancing
@@ -935,10 +821,10 @@ impl Kernel {
     /// As [`Kernel::iol_pread`] — pipes carry copy semantics through
     /// their mode instead.
     pub fn posix_read_fd(&mut self, pid: Pid, fd: Fd, len: u64) -> IoResult<Vec<u8>> {
-        self.fx.clear();
-        let r = self.state.op_posix_read_fd(pid, fd, len, &mut self.fx);
-        self.finish(|| Command::PosixReadFd { pid, fd, len });
-        r
+        self.run(
+            |s, fx| s.op_posix_read_fd(pid, fd, len, fx),
+            || Command::PosixReadFd { pid, fd, len },
+        )
     }
 
     /// Backward-compatible copying write on a file descriptor,
@@ -948,14 +834,14 @@ impl Kernel {
     ///
     /// As [`Kernel::posix_read_fd`].
     pub fn posix_write_fd(&mut self, pid: Pid, fd: Fd, data: &[u8]) -> IoResult<u64> {
-        self.fx.clear();
-        let r = self.state.op_posix_write_fd(pid, fd, data, &mut self.fx);
-        self.finish(|| Command::PosixWriteFd {
-            pid,
-            fd,
-            data: data.to_vec(),
-        });
-        r
+        self.run(
+            |s, fx| s.op_posix_write_fd(pid, fd, data, fx),
+            || Command::PosixWriteFd {
+                pid,
+                fd,
+                data: data.to_vec(),
+            },
+        )
     }
 
     /// Maps the whole file behind a descriptor (§3.8 `mmap`).
@@ -964,10 +850,10 @@ impl Kernel {
     ///
     /// As [`Kernel::iol_pread`].
     pub fn mmap_fd(&mut self, pid: Pid, fd: Fd) -> IoResult<MmapView> {
-        self.fx.clear();
-        let r = self.state.op_mmap_fd(pid, fd, &mut self.fx);
-        self.finish(|| Command::MmapFd { pid, fd });
-        r
+        self.run(
+            |s, fx| s.op_mmap_fd(pid, fd, fx),
+            || Command::MmapFd { pid, fd },
+        )
     }
 
     // ---- the stdio console (harness side of fds 0/1/2) ------------------
@@ -980,13 +866,13 @@ impl Kernel {
     /// [`IolError::WouldBlock`]/[`IolError::ShortIo`] as for any pipe
     /// write when the console buffer fills.
     pub fn feed_stdin(&mut self, pid: Pid, data: &Aggregate) -> IoResult<u64> {
-        self.fx.clear();
-        let r = self.state.op_feed_stdin(pid, data, &mut self.fx);
-        self.finish(|| Command::FeedStdin {
-            pid,
-            data: data.clone(),
-        });
-        r
+        self.run(
+            |s, fx| s.op_feed_stdin(pid, data, fx),
+            || Command::FeedStdin {
+                pid,
+                data: data.clone(),
+            },
+        )
     }
 
     /// Drains up to `max` bytes the process wrote to [`Fd::STDOUT`].
@@ -996,10 +882,10 @@ impl Kernel {
     /// [`IolError::WouldBlock`] when nothing is buffered and the
     /// process still holds its write end.
     pub fn read_stdout(&mut self, pid: Pid, max: u64) -> IoResult<Aggregate> {
-        self.fx.clear();
-        let r = self.state.op_read_stdout(pid, max, &mut self.fx);
-        self.finish(|| Command::ReadStdout { pid, max });
-        r
+        self.run(
+            |s, fx| s.op_read_stdout(pid, max, fx),
+            || Command::ReadStdout { pid, max },
+        )
     }
 
     /// Drains up to `max` bytes the process wrote to [`Fd::STDERR`].
@@ -1008,12 +894,13 @@ impl Kernel {
     ///
     /// As [`Kernel::read_stdout`].
     pub fn read_stderr(&mut self, pid: Pid, max: u64) -> IoResult<Aggregate> {
-        self.fx.clear();
-        let r = self.state.op_read_stderr(pid, max, &mut self.fx);
-        self.finish(|| Command::ReadStderr { pid, max });
-        r
+        self.run(
+            |s, fx| s.op_read_stderr(pid, max, fx),
+            || Command::ReadStderr { pid, max },
+        )
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1192,7 +1079,7 @@ mod tests {
             let moved = k.nvm_demote(0);
             assert_eq!(moved, body.len());
             assert_eq!(k.metrics.disk_write_bytes, body.len());
-            assert_eq!(k.state.writeback.nvm_used(), 0);
+            assert_eq!(k.writeback.nvm_used(), 0);
         }
         let mut k = kernel();
         k.start_journal();
@@ -1219,10 +1106,13 @@ mod tests {
         let body = Aggregate::from_bytes(k.process(pid).pool(), &vec![7u8; 8192]);
         k.put_install(pid, f, &body);
         // Make cached-I/O replacements dominate so §3.7 arms, with the
-        // only cache entry dirty.
-        for _ in 0..8 {
-            k.pageout.page_replaced(iolite_vm::PageClass::CachedIo);
-        }
+        // only cache entry dirty: a clean 8-page neighbour is squeezed
+        // out by a budget collapse (dirty entries are never victims).
+        let clean = k.create_synthetic_file("/clean", 8 * 4096, 1);
+        let fd = k.open_file(pid, clean);
+        k.iol_pread(pid, fd, 0, 8 * 4096).unwrap();
+        k.mem_reserve(MemAccount::SocketCopies, u64::MAX / 2);
+        assert_eq!(k.rebalance_cache(), 1, "only the clean entry can go");
         assert!(k.vm_pressure(0), "armed pressure must act");
         assert_eq!(k.pageout.dirty_writebacks(), 1);
         assert!(!k.cache.is_dirty(&CacheKey::whole(f)), "flushed, not lost");
@@ -1254,21 +1144,22 @@ mod tests {
         let key = CacheKey::whole(f);
         // Transmission A: read + pin (the serve path's pin lifecycle).
         let (_snap, _) = k.iol_pread(pid, fd, 0, 100).unwrap();
-        k.cache.pin(&key);
+        k.cache_pin(key);
         // A write replaces the cached entry mid-transmission.
         let patch = Aggregate::from_bytes(k.process(pid).pool(), b"version-2");
         k.iol_pwrite(pid, fd, 0, &patch).unwrap();
         // Transmission B starts on the new snapshot.
         let (_snap2, o2) = k.iol_pread(pid, fd, 0, 100).unwrap();
         assert!(o2.cache_hit);
-        k.cache.pin(&key);
+        k.cache_pin(key);
         // Transmission A drains: its deferred unpin fires.
-        k.cache.unpin(&key);
+        k.cache_unpin(key);
         assert_eq!(k.cache.pins(&key), 1, "B's pin must survive A's unpin");
         // Under total memory pressure the in-flight entry is evicted
         // only as a last resort (counted as a pinned eviction).
         let before = k.cache.stats().pinned_evictions;
-        k.cache.set_budget(0);
+        k.mem_reserve(MemAccount::SocketCopies, u64::MAX / 2);
+        k.rebalance_cache();
         assert_eq!(k.cache.stats().pinned_evictions, before + 1);
     }
 
@@ -1282,8 +1173,7 @@ mod tests {
         assert!(k.cache.resident_bytes() > 0);
         // Reserve (almost) all remaining memory: cache must shrink.
         let avail = k.physmem.available();
-        k.physmem
-            .reserve(MemAccount::SocketCopies, avail + (1 << 20));
+        k.mem_reserve(MemAccount::SocketCopies, avail + (1 << 20));
         k.rebalance_cache();
         assert_eq!(k.cache.resident_bytes(), 0, "budget squeeze evicts all");
     }
@@ -1640,7 +1530,7 @@ mod tests {
         let resident_before = k.cache.resident_bytes();
         assert!(resident_before > 0);
         let squeeze = k.physmem.available() + resident_before / 2;
-        k.physmem.reserve(MemAccount::SocketCopies, squeeze);
+        k.mem_reserve(MemAccount::SocketCopies, squeeze);
         k.rebalance_cache();
         // The daemon saw cached-I/O replacements; light "other" traffic
         // must now trigger the half rule.

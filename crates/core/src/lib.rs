@@ -53,6 +53,6 @@ pub use kernel::{ConnId, IoOutcome, Kernel, MappedFileCache, PipeEnd, PipeId};
 pub use metrics::Metrics;
 pub use poll::{Interest, PollFd, Readiness};
 pub use process::{Pid, Process};
-pub use pure::{apply, replay, step, Command, Effect, IdAlloc, Journal, KernelState, Reply};
+pub use pure::{replay, step, Command, Effect, IdAlloc, Journal, KernelState};
 pub use shard::{shard_of_conn, ShardFabric, ShardMailbox, ShardMsg};
 pub use stdio::{StdioIn, StdioMode, StdioOut};

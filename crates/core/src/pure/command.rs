@@ -8,16 +8,15 @@ use iolite_net::BufferMode;
 use iolite_sim::SimTime;
 use iolite_vm::MemAccount;
 
-use super::ids::PipeId;
 use crate::cost::{Charge, CostCategory};
 use crate::fd::{Fd, FdObject, Whence};
 use crate::poll::PollFd;
 use crate::process::Pid;
 
 /// One validated kernel mutation. Applying a command to a
-/// [`super::KernelState`] (via [`super::step`] or [`super::apply`]) is
-/// the *only* way state changes; the variants mirror the shell's public
-/// surface one-to-one.
+/// [`super::KernelState`] (the shell's `run`, or [`super::step`] on
+/// replay) is the *only* way state changes; the variants mirror the
+/// shell's public surface one-to-one.
 ///
 /// Commands own their inputs (paths as `String`s, payloads as
 /// [`Aggregate`]s — cheap reference-counted clones), so a recorded
@@ -40,11 +39,6 @@ pub enum Command {
     Lookup { name: String },
     RebalanceCache,
     VmPressure { other_pages: u64 },
-    ReadFileAt { pid: Pid, file: FileId, offset: u64, len: u64 },
-    WriteFileAt { pid: Pid, file: FileId, offset: u64, agg: Aggregate },
-    PosixFileRead { pid: Pid, file: FileId, offset: u64, len: u64 },
-    PosixFileWrite { pid: Pid, file: FileId, offset: u64, data: Vec<u8> },
-    FileMmap { pid: Pid, file: FileId },
     CachePin { key: CacheKey },
     CacheUnpin { key: CacheKey },
     CacheInstall { file: FileId, data: Vec<u8> },
@@ -60,12 +54,6 @@ pub enum Command {
     // -- window transfers --
     TransferTo { agg: Aggregate, domain: DomainId },
     TransferWithAcl { agg: Aggregate, domain: DomainId, acl: Acl },
-
-    // -- pipes --
-    PipeCreate { mode: PipeMode, acl: Option<Acl> },
-    PipeWrite { pid: Pid, pipe: PipeId, agg: Aggregate },
-    PipeRead { pid: Pid, pipe: PipeId, max: u64 },
-    PipeClose { pipe: PipeId },
 
     // -- sockets --
     SocketCreate { pid: Pid, mode: BufferMode, mss: usize, tss: usize },

@@ -23,7 +23,7 @@
 //!   │   ids.rs      IdAlloc: all id counters       │
 //!   │   command.rs  Command + Journal              │
 //!   │   effect.rs   Effect: side effects as data   │
-//!   │   apply.rs    step / apply / replay          │
+//!   │   step.rs     step / replay                  │
 //!   │   ops_file.rs file + cache + VM ops          │
 //!   │   ops_pipe.rs pipe + console ops             │
 //!   │   ops_socket.rs TCP socket ops               │
@@ -31,22 +31,22 @@
 //!   └──────────────────────────────────────────────┘
 //! ```
 //!
-//! The contract: every mutation of [`KernelState`] is expressible as a
-//! [`Command`]; [`apply`] (value semantics) and [`step`] (in-place, the
-//! shell's and [`replay`]'s engine) are **deterministic** — no I/O, no
-//! wall-clock time, no randomness. Observable side effects (CPU
-//! charges, copies, checksums, page mappings, disk traffic) leave the
-//! core only as [`Effect`] values; the shell folds them into
-//! [`crate::Metrics`]. Recording the command stream into a [`Journal`]
-//! and folding [`replay`] over it from the initial state reproduces the
+//! The contract: every mutation of [`KernelState`] is a [`Command`]:
+//! the shell's one door to the state (`Kernel::run`) names the command
+//! each call journals, and [`step`] ([`replay`]'s engine, exhaustive
+//! over [`Command`]) runs the same `op_*` transitions, which are
+//! **deterministic** — no I/O, no wall-clock time, no randomness.
+//! Observable side effects (CPU charges, copies, checksums, page
+//! mappings, disk traffic) leave the core only as [`Effect`] values;
+//! the shell folds them into [`crate::Metrics`]. Folding [`replay`]
+//! over a recorded [`Journal`] from the initial state reproduces the
 //! final [`KernelState::state_hash`] and metrics bit-for-bit.
 //!
 //! Purity is enforced in CI: nothing under `crates/core/src/pure/` may
 //! reach the host — the standard library's io/time/fs modules and any
 //! random-number source are banned by `clippy.toml` (disallowed types
-//! and methods) plus a grep gate in the workflow.
+//! and methods) plus `iolite-lint`'s `purity` rule.
 
-mod apply;
 mod command;
 mod effect;
 mod ids;
@@ -55,9 +55,10 @@ mod ops_file;
 mod ops_pipe;
 mod ops_socket;
 mod state;
+mod step;
 
-pub use apply::{apply, replay, step, Reply};
 pub use command::{Command, Journal};
 pub use effect::Effect;
 pub use ids::{ConnId, IdAlloc, PipeId};
 pub use state::{IoOutcome, KernelState, MappedFileCache, PipeEnd};
+pub use step::{replay, step};

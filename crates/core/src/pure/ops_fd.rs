@@ -136,8 +136,8 @@ impl KernelState {
     /// Creates a pipe and returns `(read_fd, write_fd)` in `pid`'s
     /// table (both ends in one process, as after `pipe(2)` before
     /// `fork`).
-    pub(crate) fn op_pipe_fds(&mut self, pid: Pid, mode: PipeMode, fx: &mut Vec<Effect>) -> (Fd, Fd) {
-        let id = self.op_pipe_create(mode, None, fx);
+    pub(crate) fn op_pipe_fds(&mut self, pid: Pid, mode: PipeMode) -> (Fd, Fd) {
+        let id = self.op_pipe_create(mode, None);
         let table = self.fds.table(pid);
         let r = table.install(FdObject::PipeRead(id));
         let w = table.install(FdObject::PipeWrite(id));
@@ -153,9 +153,8 @@ impl KernelState {
         reader: Pid,
         mode: PipeMode,
         acl: Option<Acl>,
-        fx: &mut Vec<Effect>,
     ) -> (Fd, Fd) {
-        let id = self.op_pipe_create(mode, acl, fx);
+        let id = self.op_pipe_create(mode, acl);
         let w = self.fds.table(writer).install(FdObject::PipeWrite(id));
         let r = self.fds.table(reader).install(FdObject::PipeRead(id));
         (w, r)

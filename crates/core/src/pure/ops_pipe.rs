@@ -18,12 +18,7 @@ impl KernelState {
     /// Copy-mode staging buffers draw their scratch-pool id from the
     /// central [`super::IdAlloc`] so two kernels replaying the same
     /// commands mint identical pool ids.
-    pub(crate) fn op_pipe_create(
-        &mut self,
-        mode: PipeMode,
-        acl: Option<Acl>,
-        _fx: &mut Vec<Effect>,
-    ) -> PipeId {
+    pub(crate) fn op_pipe_create(&mut self, mode: PipeMode, acl: Option<Acl>) -> PipeId {
         let id = self.ids.alloc_pipe();
         let scratch = self.ids.alloc_scratch_pool();
         self.pipes.insert(

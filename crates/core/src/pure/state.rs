@@ -360,7 +360,7 @@ impl KernelState {
 
     /// Spawns a process: private default pool, stdio console triple at
     /// fds 0/1/2.
-    pub(crate) fn op_spawn(&mut self, name: String, fx: &mut Vec<Effect>) -> Pid {
+    pub(crate) fn op_spawn(&mut self, name: String) -> Pid {
         let pid = self.ids.alloc_pid();
         let pool_id = self.ids.alloc_pool();
         let proc = Process::new(pid, name, pool_id, iolite_buf::DEFAULT_CHUNK_SIZE);
@@ -370,9 +370,9 @@ impl KernelState {
         // The stdio triple: three zero-copy console pipes, wired to the
         // conventional descriptor numbers.
         let console = Console {
-            stdin: self.op_pipe_create(iolite_ipc::PipeMode::ZeroCopy, None, fx),
-            stdout: self.op_pipe_create(iolite_ipc::PipeMode::ZeroCopy, None, fx),
-            stderr: self.op_pipe_create(iolite_ipc::PipeMode::ZeroCopy, None, fx),
+            stdin: self.op_pipe_create(iolite_ipc::PipeMode::ZeroCopy, None),
+            stdout: self.op_pipe_create(iolite_ipc::PipeMode::ZeroCopy, None),
+            stderr: self.op_pipe_create(iolite_ipc::PipeMode::ZeroCopy, None),
         };
         self.consoles.insert(pid, console);
         let table = self.fds.table(pid);

@@ -9,7 +9,7 @@
 //! attempts and replay re-steps them.
 
 use iolite_core::{step, Command, CostCategory, CostModel, Effect, Fd, Kernel, KernelState, Pid};
-use iolite_fs::{CacheKey, FileId};
+use iolite_fs::{CacheKey, FileId, WritebackConfig};
 use iolite_ipc::PipeMode;
 use iolite_net::BufferMode;
 use iolite_sim::SimTime;
@@ -48,6 +48,17 @@ enum Op {
     SetChecksumCache(bool),
     FeedStdin(u8),
     ReadStdout(u16),
+    // The write path and socket ingest (PR 10).
+    PutInstall(u8, u16),
+    WriteBack(u16),
+    NvmDemote(u16),
+    SetWriteback(u8),
+    CacheInstall(u8, u16),
+    CacheInvalidate(u8),
+    SocketDeliver(u8, u16),
+    SocketPeerClose(u8),
+    Pwrite(u8, u16, u16),
+    Dup2Fd(u8, u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -80,6 +91,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<bool>().prop_map(Op::SetChecksumCache),
         any::<u8>().prop_map(Op::FeedStdin),
         any::<u16>().prop_map(Op::ReadStdout),
+        (any::<u8>(), any::<u16>()).prop_map(|(f, len)| Op::PutInstall(f, len)),
+        any::<u16>().prop_map(Op::WriteBack),
+        any::<u16>().prop_map(Op::NvmDemote),
+        any::<u8>().prop_map(Op::SetWriteback),
+        (any::<u8>(), any::<u16>()).prop_map(|(f, len)| Op::CacheInstall(f, len)),
+        any::<u8>().prop_map(Op::CacheInvalidate),
+        (any::<u8>(), any::<u16>()).prop_map(|(fd, len)| Op::SocketDeliver(fd, len)),
+        any::<u8>().prop_map(Op::SocketPeerClose),
+        (any::<u8>(), any::<u16>(), any::<u16>()).prop_map(|(fd, o, l)| Op::Pwrite(fd, o, l)),
+        (any::<u8>(), any::<u8>()).prop_map(|(src, dst)| Op::Dup2Fd(src, dst)),
     ]
 }
 
@@ -211,6 +232,53 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
             pid,
             max: u64::from(*max),
         },
+        Op::PutInstall(n, len) => Command::PutInstall {
+            pid,
+            file: file(*n),
+            agg: payload(state, pid, *len),
+        },
+        // 0 means "the configured batch / drain chunk".
+        Op::WriteBack(max) => Command::WriteBack {
+            max_bytes: u64::from(*max),
+        },
+        Op::NvmDemote(max) => Command::NvmDemote {
+            max_bytes: u64::from(*max),
+        },
+        // Small thresholds and tiers, so short sequences cross them:
+        // armed flushes, NVM overflow to disk, and a disabled tier.
+        Op::SetWriteback(n) => Command::SetWriteback {
+            cfg: WritebackConfig {
+                dirty_threshold_bytes: u64::from(n % 4) * 1024,
+                flush_batch_bytes: u64::from(n / 4 % 4 + 1) * 2048,
+                nvm_capacity_bytes: u64::from(n / 16 % 4) * 4096,
+                nvm_drain_bytes: u64::from(n / 64 + 1) * 1024,
+                ..WritebackConfig::default_tuning()
+            },
+        },
+        Op::CacheInstall(n, len) => Command::CacheInstall {
+            file: file(*n),
+            data: vec![0xEF; usize::from(*len % 4096)],
+        },
+        Op::CacheInvalidate(n) => Command::CacheInvalidate {
+            key: CacheKey::whole(file(*n)),
+        },
+        Op::SocketDeliver(n, len) => Command::SocketDeliver {
+            pid,
+            fd: fd(*n),
+            payload: payload(state, pid, *len),
+        },
+        Op::SocketPeerClose(n) => Command::SocketPeerClose { pid, fd: fd(*n) },
+        Op::Pwrite(n, o, l) => Command::IolPwrite {
+            pid,
+            fd: fd(*n),
+            offset: u64::from(*o),
+            agg: payload(state, pid, *l),
+        },
+        Op::Dup2Fd(src, dst) => Command::Dup2Fd {
+            pid,
+            src: fd(*src),
+            dst: fd(*dst),
+        },
     }
 }
 
@@ -237,7 +305,7 @@ fn run(initial: &KernelState, cmds: &[Command]) -> (u64, Vec<(usize, Effect)>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `apply`/`step` is a pure function of (state, command): two folds
+    /// `step` is a pure function of (state, command): two folds
     /// of the same sequence from the same state are indistinguishable.
     #[test]
     fn prop_apply_deterministic(ops in proptest::collection::vec(op_strategy(), 1..60)) {

@@ -260,6 +260,7 @@ mod tests {
     use iolite_core::CostModel;
     use iolite_fs::Policy;
     use iolite_net::{DEFAULT_MSS, DEFAULT_TSS};
+    use iolite_vm::MemAccount;
 
     fn setup(kind: ServerKind) -> (Kernel, Pid, Fd, Fd) {
         let policy = if kind == ServerKind::FlashLite {
@@ -281,7 +282,7 @@ mod tests {
         // Warm the caches.
         let first = serve_static(&mut k, ServerKind::FlashLite, sock, pid, f);
         assert!(!first.cache_hit);
-        k.cache.unpin(&first.pin_key.unwrap());
+        k.cache_unpin(first.pin_key.unwrap());
         let warm = serve_static(&mut k, ServerKind::FlashLite, sock, pid, f);
         assert!(warm.cache_hit);
         // Only the fresh response header is checksummed; the body rides
@@ -332,7 +333,7 @@ mod tests {
             let (mut k, pid, f, sock) = setup(kind);
             let first = serve_static(&mut k, kind, sock, pid, f);
             if let Some(key) = first.pin_key {
-                k.cache.unpin(&key);
+                k.cache_unpin(key);
             }
             let warm = serve_static(&mut k, kind, sock, pid, f);
             totals.push((kind.label(), warm.cpu_total()));
@@ -361,18 +362,22 @@ mod tests {
         assert_eq!(rc_b.pin_key, Some(key));
         assert_eq!(k.cache.pins(&key), 2);
         // A's transmission drains first: the driver releases its pin.
-        k.cache.unpin(&rc_a.pin_key.unwrap());
+        k.cache_unpin(rc_a.pin_key.unwrap());
         // B is still in flight: its entry must not be the next victim.
         assert_eq!(k.cache.pins(&key), 1);
         let other = k.create_synthetic_file("/other", 1_000, 3);
         let other_fd = k.open_file(pid, other);
         serve_static(&mut k, ServerKind::FlashLite, sock, pid, other_fd);
-        k.cache.unpin(&CacheKey::whole(other));
-        let (victim, _) = k.cache.evict_one().unwrap();
-        assert_eq!(victim, CacheKey::whole(other), "in-flight doc survives");
-        assert!(k.cache.contains(&key));
+        k.cache_unpin(CacheKey::whole(other));
+        // Squeeze the budget one byte under residency: one victim.
+        k.rebalance_cache();
+        let squeeze = k.physmem.available() + 1;
+        k.mem_reserve(MemAccount::SocketCopies, squeeze);
+        assert_eq!(k.rebalance_cache(), 1);
+        assert!(!k.cache.contains(&CacheKey::whole(other)));
+        assert!(k.cache.contains(&key), "in-flight doc survives");
         // B drains: now the document is evictable again.
-        k.cache.unpin(&rc_b.pin_key.unwrap());
+        k.cache_unpin(rc_b.pin_key.unwrap());
         assert_eq!(k.cache.pins(&key), 0);
     }
 

@@ -1,9 +1,9 @@
 //! The committed counts ratchet (`lint-baseline.toml`).
 //!
-//! Two rule kinds compare observed counts against this file instead of
-//! demanding zero: deprecated-API callers (may only shrink) and
-//! annotated panic sites (the budget). The file is committed, so an
-//! intentional change is an explicit, reviewable diff — produced by
+//! Budgeted rules compare their count of annotated (`lint:allow`)
+//! sites against this file instead of demanding zero: the count may
+//! shrink, never grow. The file is committed, so an intentional change
+//! is an explicit, reviewable diff — produced by
 //! `iolite-lint --fix-baseline`, never by hand-tweaking counts to make
 //! CI pass.
 
@@ -12,9 +12,8 @@ use std::fmt::Write as _;
 
 use crate::toml::{Doc, Value};
 
-/// Counts per rule: rule name → key → count. For `baseline-count`
-/// rules the keys are symbol names; for budgeted scan rules the single
-/// key is `"allowed"`.
+/// Counts per rule: rule name → key → count. Budgeted rules record
+/// the single key `"allowed"`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Baseline {
     tables: BTreeMap<String, BTreeMap<String, u64>>,

@@ -16,19 +16,6 @@
 //! ban-macros = ["vec"]    # `name!` invocations to flag
 //! budget = true           # annotated sites ratchet via the baseline
 //! reason = "…"            # printed with every diagnostic
-//!
-//! [rules.<name>]
-//! kind = "exhaustive"     # enum ↔ match ↔ shell cross-check
-//! enum-file = "…"
-//! enum-name = "Command"
-//! match-files = ["…"]     # every variant needs `Enum::Variant` here…
-//! shell-files = ["…"]     # …and here (the journaling shell site)
-//!
-//! [rules.<name>]
-//! kind = "baseline-count" # deprecated-API caller ratchet
-//! paths = ["crates"]
-//! exclude = ["crates/core/src/kernel.rs"]   # definition sites
-//! methods = ["iol_read"]  # `.name(` callers counted per symbol
 //! ```
 
 use std::collections::BTreeMap;
@@ -59,50 +46,13 @@ pub struct ScanRule {
     pub reason: String,
 }
 
-/// A `kind = "exhaustive"` rule: every variant of the named enum must
-/// appear as `Enum::Variant` in each match file and each shell file.
-#[derive(Debug, Clone, Default)]
-pub struct ExhaustiveRule {
-    /// File declaring the enum.
-    pub enum_file: String,
-    /// The enum's name.
-    pub enum_name: String,
-    /// Files that must match every variant (the pure dispatcher).
-    pub match_files: Vec<String>,
-    /// Files that must journal every variant (the imperative shell).
-    pub shell_files: Vec<String>,
-}
-
-/// A `kind = "baseline-count"` rule: callers of deprecated symbols are
-/// counted and ratcheted against the baseline — shrink-only.
-#[derive(Debug, Clone, Default)]
-pub struct CountRule {
-    /// Directories/files scanned for callers.
-    pub paths: Vec<String>,
-    /// Path prefixes excluded (the symbols' definition sites).
-    pub exclude: Vec<String>,
-    /// Method names whose `.name(` call sites are counted.
-    pub methods: Vec<String>,
-}
-
-/// One configured rule.
-#[derive(Debug, Clone)]
-pub enum Rule {
-    /// Token-pattern scan.
-    Scan(ScanRule),
-    /// Enum/match/shell cross-check.
-    Exhaustive(ExhaustiveRule),
-    /// Deprecated-caller ratchet.
-    Count(CountRule),
-}
-
 /// The whole configuration: named rules in declaration order.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
     /// Baseline file path, config-relative.
     pub baseline: PathBuf,
     /// `(name, rule)` pairs in `lint.toml` order.
-    pub rules: Vec<(String, Rule)>,
+    pub rules: Vec<(String, ScanRule)>,
 }
 
 impl Config {
@@ -132,13 +82,10 @@ impl Config {
                 Some(v) => str_of(v, "kind")?,
                 None => return Err(format!("[{name}] missing `kind`")),
             };
-            let rule = match kind.as_str() {
-                "scan" => Rule::Scan(scan_rule(table, name)?),
-                "exhaustive" => Rule::Exhaustive(exhaustive_rule(table, name)?),
-                "baseline-count" => Rule::Count(count_rule(table, name)?),
-                other => return Err(format!("[{name}] unknown kind `{other}`")),
-            };
-            cfg.rules.push((rule_name.to_string(), rule));
+            if kind != "scan" {
+                return Err(format!("[{name}] unknown kind `{kind}`"));
+            }
+            cfg.rules.push((rule_name.to_string(), scan_rule(table, name)?));
         }
         if cfg.rules.is_empty() {
             return Err("lint.toml defines no [rules.*] tables".to_string());
@@ -181,33 +128,6 @@ fn scan_rule(t: &Table, ctx: &str) -> Result<ScanRule, String> {
         }
         Ok(r)
     })
-}
-
-fn exhaustive_rule(t: &Table, ctx: &str) -> Result<ExhaustiveRule, String> {
-    let r = ExhaustiveRule {
-        enum_file: opt_str(t, "enum-file")?
-            .ok_or_else(|| format!("[{ctx}] needs `enum-file`"))?,
-        enum_name: opt_str(t, "enum-name")?
-            .ok_or_else(|| format!("[{ctx}] needs `enum-name`"))?,
-        match_files: strs(t, "match-files")?,
-        shell_files: strs(t, "shell-files")?,
-    };
-    if r.match_files.is_empty() && r.shell_files.is_empty() {
-        return Err(format!("[{ctx}] needs match-files and/or shell-files"));
-    }
-    Ok(r)
-}
-
-fn count_rule(t: &Table, ctx: &str) -> Result<CountRule, String> {
-    let r = CountRule {
-        paths: strs(t, "paths")?,
-        exclude: strs(t, "exclude")?,
-        methods: strs(t, "methods")?,
-    };
-    if r.paths.is_empty() || r.methods.is_empty() {
-        return Err(format!("[{ctx}] needs `paths` and `methods`"));
-    }
-    Ok(r)
 }
 
 fn strs(t: &Table, key: &str) -> Result<Vec<String>, String> {

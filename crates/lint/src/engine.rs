@@ -8,17 +8,17 @@
 //!   isn't configured is dead weight (usually a typo silently
 //!   disabling nothing), and an annotation without a reason defeats
 //!   the point of annotations; both are diagnostics;
-//! * **baseline ratchets** — budgeted scan rules and `baseline-count`
-//!   rules compare observed counts to the committed baseline: growth
-//!   is a failure, shrinkage a note suggesting `--fix-baseline`.
+//! * **baseline ratchets** — budgeted rules compare their count of
+//!   annotated sites to the committed baseline: growth is a failure,
+//!   shrinkage a note suggesting `--fix-baseline`.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::baseline::Baseline;
-use crate::config::{Config, Rule};
-use crate::rules::{count, exhaustive, scan, Diagnostic};
+use crate::config::Config;
+use crate::rules::{scan, Diagnostic};
 use crate::source::SourceFile;
 
 /// Everything one lint run produced.
@@ -43,40 +43,17 @@ pub fn run(root: &Path, cfg: &Config, baseline: &Baseline, enforce_baseline: boo
     let mut report = Report::default();
     let mut files: BTreeMap<String, SourceFile> = BTreeMap::new();
 
-    let mut wanted: Vec<String> = Vec::new();
     for (_, rule) in &cfg.rules {
-        match rule {
-            Rule::Scan(r) => wanted.extend(r.paths.iter().cloned()),
-            Rule::Count(r) => wanted.extend(r.paths.iter().cloned()),
-            Rule::Exhaustive(r) => {
-                wanted.push(r.enum_file.clone());
-                wanted.extend(r.match_files.iter().cloned());
-                wanted.extend(r.shell_files.iter().cloned());
-            }
+        for rel in &rule.paths {
+            collect(root, rel.trim_end_matches('/'), &mut files, &mut report.diags);
         }
-    }
-    for rel in wanted {
-        collect(root, rel.trim_end_matches('/'), &mut files, &mut report.diags);
     }
     report.files_scanned = files.len();
 
-    // Annotation hygiene — policed where annotations have effect (the
-    // union of scan-rule scopes; elsewhere `lint:allow` in a comment is
-    // just prose, e.g. this crate's own docs).
+    // Annotation hygiene. Every loaded file is in some rule's scope,
+    // so every `lint:allow` seen here was meant to have an effect.
     let rule_names = cfg.rule_names();
-    let scan_scope: Vec<String> = cfg
-        .rules
-        .iter()
-        .filter_map(|(_, r)| match r {
-            Rule::Scan(s) => Some(s.paths.clone()),
-            _ => None,
-        })
-        .flatten()
-        .collect();
     for (rel, file) in &files {
-        if !in_scope(rel, &scan_scope) {
-            continue;
-        }
         for allow in &file.allows {
             if !rule_names.contains(&allow.rule.as_str()) {
                 report.diags.push(Diagnostic {
@@ -103,53 +80,24 @@ pub fn run(root: &Path, cfg: &Config, baseline: &Baseline, enforce_baseline: boo
         }
     }
 
-    for (name, rule) in &cfg.rules {
-        match rule {
-            Rule::Scan(r) => {
-                let mut outcome = scan::ScanOutcome::default();
-                let mut in_scope_files = 0usize;
-                for (rel, file) in &files {
-                    if !in_scope(rel, &r.paths) {
-                        continue;
-                    }
-                    in_scope_files += 1;
-                    scan::scan_file(name, r, file, &mut outcome);
-                }
-                if in_scope_files == 0 {
-                    report.diags.push(config_rot(name, &r.paths));
-                }
-                report.diags.extend(outcome.diags);
-                if r.budget {
-                    report.observed.set(name, "allowed", outcome.allowed_sites);
-                    if enforce_baseline {
-                        ratchet(name, "allowed sites", outcome.allowed_sites,
-                                baseline.get(name, "allowed"), &mut report);
-                    }
-                }
+    for (name, r) in &cfg.rules {
+        let mut outcome = scan::ScanOutcome::default();
+        let mut in_scope_files = 0usize;
+        for (rel, file) in &files {
+            if !in_scope(rel, &r.paths) {
+                continue;
             }
-            Rule::Exhaustive(r) => {
-                exhaustive::check(name, r, |p| files.get(p), &mut report.diags);
-            }
-            Rule::Count(r) => {
-                let mut counts = vec![0u64; r.methods.len()];
-                let mut in_scope_files = 0usize;
-                for (rel, file) in &files {
-                    if !in_scope(rel, &r.paths) || in_scope(rel, &r.exclude) {
-                        continue;
-                    }
-                    in_scope_files += 1;
-                    count::count_file(r, file, &mut counts);
-                }
-                if in_scope_files == 0 {
-                    report.diags.push(config_rot(name, &r.paths));
-                }
-                for (method, &n) in r.methods.iter().zip(&counts) {
-                    report.observed.set(name, method, n);
-                    if enforce_baseline {
-                        ratchet(name, &format!("`.{method}()` callers"), n,
-                                baseline.get(name, method), &mut report);
-                    }
-                }
+            in_scope_files += 1;
+            scan::scan_file(name, r, file, &mut outcome);
+        }
+        if in_scope_files == 0 {
+            report.diags.push(config_rot(name, &r.paths));
+        }
+        report.diags.extend(outcome.diags);
+        if r.budget {
+            report.observed.set(name, "allowed", outcome.allowed_sites);
+            if enforce_baseline {
+                ratchet(name, outcome.allowed_sites, baseline.get(name, "allowed"), &mut report);
             }
         }
     }
@@ -160,8 +108,9 @@ pub fn run(root: &Path, cfg: &Config, baseline: &Baseline, enforce_baseline: boo
     report
 }
 
-/// One ratchet comparison: observed vs committed.
-fn ratchet(rule: &str, what: &str, observed: u64, committed: Option<u64>, report: &mut Report) {
+/// One ratchet comparison: observed vs committed annotated sites.
+fn ratchet(rule: &str, observed: u64, committed: Option<u64>, report: &mut Report) {
+    let what = "allowed sites";
     let key_hint = "run `--fix-baseline` and commit the diff";
     match committed {
         None => report.diags.push(Diagnostic {

@@ -17,8 +17,12 @@
 //! | `no-lock` | `scan` | No `Mutex`/`RwLock` in the kernel, cache, or serving crates — the sharded design (PR 7) is shared-nothing; cross-shard communication goes over the fabric. |
 //! | `hot-path-alloc` | `scan` | No `.to_vec()`/`.clone()`/`Vec::new`/`vec!` in the designated hot serving modules — the zero-copy aggregate discipline (PR 2). Deliberate copies carry an annotation. |
 //! | `panic` | `scan` + budget | No `.unwrap()`/`.expect()`/`panic!` in the event loop or shard fabric (PR 5: a request must never kill the server). Justified sites are annotated and *budgeted*: the committed count may only shrink. |
-//! | `command-coverage` | `exhaustive` | Every `pure::Command` variant has an `apply` match arm **and** a journaling shell site — a variant the shell never journals silently replays nothing (PR 6). Also flags wildcard `_ =>` arms in the dispatcher. |
-//! | `deprecated-api` | `baseline-count` | Callers of the PR 4 raw `FileId`/`PipeId` shims (`iol_read`, `posix_write`, …) are counted against the committed baseline — shrink-only. |
+//!
+//! All four are configurations of the one `scan` kind. What a compiler
+//! can check is left to it: `rustc` and clippy keep `pure::step`
+//! exhaustive over `pure::Command` (wildcard arms denied), and every
+//! state mutation journals a command by construction — the `Kernel`
+//! shell has one private door to its state.
 //!
 //! # Annotation syntax
 //!

@@ -1,17 +1,9 @@
-//! The rule implementations.
+//! The rule implementation and its diagnostics.
 //!
-//! Three kinds cover every standing contract:
-//!
-//! * [`scan`] — generic token-pattern policing (purity, no-lock,
-//!   hot-path allocation, panic discipline are all configurations of
-//!   this one scanner);
-//! * [`exhaustive`] — the `Command` enum ↔ `apply` match ↔ journaling
-//!   shell cross-check;
-//! * [`count`] — deprecated-API caller counting against the committed
-//!   baseline.
+//! One kind covers every standing contract: [`scan`] — generic
+//! token-pattern policing (purity, no-lock, hot-path allocation and
+//! panic discipline are all configurations of this one scanner).
 
-pub mod count;
-pub mod exhaustive;
 pub mod scan;
 
 /// One finding: a violated contract at a source location.

@@ -186,8 +186,7 @@ fn cache_budget_zero_still_serves_reads() {
     let pid = k.spawn("app");
     let f = k.create_synthetic_file("/f", 50_000, 1);
     let fd = k.open_file(pid, f);
-    k.physmem
-        .reserve(iolite::vm::MemAccount::SocketCopies, u64::MAX / 2);
+    k.mem_reserve(iolite::vm::MemAccount::SocketCopies, u64::MAX / 2);
     k.rebalance_cache();
     let (a, o1) = k.iol_pread(pid, fd, 0, 50_000).unwrap();
     let (b, o2) = k.iol_pread(pid, fd, 0, 50_000).unwrap();

@@ -265,7 +265,7 @@ proptest! {
                 seq_bytes += rc.response_bytes;
                 seq_hits += u64::from(rc.cache_hit);
                 if let Some(key) = rc.pin_key {
-                    k2.cache.unpin(&key);
+                    k2.cache_unpin(key);
                 }
             }
         }

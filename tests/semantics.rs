@@ -3,6 +3,7 @@
 
 use iolite::buf::{Acl, Aggregate, DomainId};
 use iolite::core::{CostModel, Kernel};
+use iolite::net::{BufferMode, DEFAULT_MSS, DEFAULT_TSS};
 use iolite::vm::MemAccount;
 
 #[test]
@@ -19,8 +20,11 @@ fn iol_read_snapshots_survive_writes_and_evictions() {
     let (snap2, _) = k.iol_pread(pid, fd, 0, 100).unwrap();
 
     // Evict everything from the cache (budget to zero and back).
-    k.cache.set_budget(0);
-    k.cache.set_budget(u64::MAX);
+    k.mem_reserve(MemAccount::SocketCopies, u64::MAX / 2);
+    k.rebalance_cache();
+    assert_eq!(k.cache.len(), 0);
+    k.mem_release(MemAccount::SocketCopies, u64::MAX / 2);
+    k.rebalance_cache();
 
     // Both snapshots still read their respective generations.
     assert_eq!(snap1.to_vec(), b"generation-one-content");
@@ -93,11 +97,11 @@ fn memory_accounts_are_conserved() {
     );
     assert!(k.physmem.used() <= total, "no phantom memory");
 
-    k.physmem.reserve(MemAccount::SocketCopies, 100 << 20);
+    k.mem_reserve(MemAccount::SocketCopies, 100 << 20);
     k.rebalance_cache();
     // The cache shrank to fit.
     assert!(k.cache.resident_bytes() <= k.physmem.cache_budget());
-    k.physmem.release(MemAccount::SocketCopies, 100 << 20);
+    k.mem_release(MemAccount::SocketCopies, 100 << 20);
     k.rebalance_cache();
     assert_eq!(k.physmem.held(MemAccount::SocketCopies), 0);
 }
@@ -127,16 +131,19 @@ fn pool_recycling_is_observable_system_wide() {
     let mut k = Kernel::new(CostModel::pentium_ii_333());
     let pid = k.spawn("app");
     let pool = k.process(pid).pool().clone();
+    let sock = k.socket_create(pid, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
     let a1 = Aggregate::from_bytes(&pool, &[0xAAu8; 64 * 1024]);
-    let s1 = a1.slice_at(0).clone();
-    let sum1 = k.cksum.sum_for(&s1);
-    let key1 = (s1.id(), s1.generation());
-    drop((a1, s1));
+    let key1 = (a1.slice_at(0).id(), a1.slice_at(0).generation());
+    k.iol_write_fd(pid, sock, &a1).unwrap();
+    assert!(!k.cksum.is_empty(), "the send cached its sums");
+    drop(a1);
     let a2 = Aggregate::from_bytes(&pool, &[0xBBu8; 64 * 1024]);
-    let s2 = a2.slice_at(0).clone();
+    let s2 = a2.slice_at(0);
     assert_eq!(s2.id(), key1.0, "chunk address reused");
     assert_ne!(s2.generation(), key1.1, "generation bumped");
-    let sum2 = k.cksum.sum_for(&s2);
-    assert_ne!(sum1, sum2, "no stale checksum served");
+    let (_, out) = k.iol_write_fd(pid, sock, &a2).unwrap();
+    let send = out.net.expect("socket writes carry SendOutcome");
+    assert_eq!(send.csum_bytes_cached, 0, "no stale checksum served");
+    assert_eq!(send.csum_bytes_computed, a2.len());
     assert_eq!(k.cksum.stats().hits, 0);
 }
