@@ -54,5 +54,5 @@ pub use metrics::Metrics;
 pub use poll::{Interest, PollFd, Readiness};
 pub use process::{Pid, Process};
 pub use pure::{replay, step, Command, Effect, IdAlloc, Journal, KernelState};
-pub use shard::{shard_of_conn, ShardFabric, ShardMailbox, ShardMsg};
+pub use shard::{shard_of_conn, ShardFabric, ShardMailbox, ShardMsg, FABRIC_SLACK};
 pub use stdio::{StdioIn, StdioMode, StdioOut};

@@ -31,6 +31,11 @@ use iolite_fs::FileId;
 
 use crate::pure::ConnId;
 
+/// The slack of the capacity contract above: inbox headroom beyond the
+/// fleet-wide in-flight bound, covering the coordinator's `Shutdown`
+/// and ordering slop. Every [`ShardFabric::new`] caller adds it.
+pub const FABRIC_SLACK: usize = 8;
+
 /// The shard a connection is served by: the full 64-bit conn id through
 /// a full-avalanche mixer, reduced onto `shards`.
 ///

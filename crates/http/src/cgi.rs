@@ -22,8 +22,7 @@ use iolite_buf::{Acl, Aggregate, BufferPool};
 use iolite_core::{short_ok, Charge, CostCategory, Fd, IolError, Kernel, Pid};
 use iolite_ipc::PipeMode;
 
-use crate::message::response_header;
-use crate::server::{RequestCosts, ServerKind};
+use crate::server::{send_response, RequestCosts, ServerKind};
 
 /// One persistent (FastCGI-style) CGI process.
 pub struct CgiProcess {
@@ -154,56 +153,7 @@ impl CgiProcess {
         rc.parts.push((CostCategory::Copy, pipe_cpu));
 
         // Server sends the received data on the client's socket.
-        let header = response_header(received.len(), true);
-        match kind {
-            ServerKind::FlashLite => {
-                let mut response =
-                    Aggregate::from_bytes(kernel.process(server_pid).pool(), &header);
-                response.append(&received);
-                rc.response_bytes = response.len();
-                let (_, wout) = kernel.iol_write_fd(server_pid, sock, &response)?;
-                let send = wout.net.expect("socket writes carry SendOutcome");
-                rc.parts
-                    .push((CostCategory::Syscall, Charge::us(kernel.cost.syscall_us)));
-                rc.parts.push((
-                    CostCategory::Checksum,
-                    kernel.cost.wire_checksum(send.csum_bytes_computed),
-                ));
-                rc.parts
-                    .push((CostCategory::Packet, kernel.cost.packets(send.segments)));
-                rc.wire_bytes = rc.response_bytes + send.header_bytes;
-                rc.owned_sock_bytes = send.owned_occupancy;
-            }
-            ServerKind::Flash | ServerKind::Apache => {
-                let response_len = header.len() as u64 + received.len();
-                rc.response_bytes = response_len;
-                rc.parts
-                    .push((CostCategory::Syscall, Charge::us(kernel.cost.syscall_us)));
-                let (send, _) = kernel.socket_send_accounted(server_pid, sock, response_len)?;
-                rc.parts.push((
-                    CostCategory::Copy,
-                    kernel.cost.socket_copy(send.bytes_copied),
-                ));
-                rc.parts.push((
-                    CostCategory::Checksum,
-                    kernel.cost.wire_checksum(send.csum_bytes_computed),
-                ));
-                rc.parts
-                    .push((CostCategory::Packet, kernel.cost.packets(send.segments)));
-                rc.wire_bytes = response_len + send.header_bytes;
-                rc.owned_sock_bytes = send.owned_occupancy;
-                if kind == ServerKind::Apache {
-                    rc.parts.push((
-                        CostCategory::ProcessModel,
-                        Charge::us(
-                            kernel.cost.apache_request_extra_us
-                                + response_len as f64 * kernel.cost.apache_extra_ns_per_byte
-                                    / 1000.0,
-                        ),
-                    ));
-                }
-            }
-        }
+        send_response(kernel, kind, sock, server_pid, &received, &mut rc)?;
         Ok(rc)
     }
 }
@@ -211,6 +161,7 @@ impl CgiProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::response_header;
     use iolite_core::CostModel;
     use iolite_net::{BufferMode, DEFAULT_MSS, DEFAULT_TSS};
 

@@ -6,30 +6,51 @@
 //! interleave connections, which is exactly the regime where the
 //! paper's servers live: Flash and Flash-Lite multiplex thousands of
 //! nonblocking descriptors behind `select`. [`EventLoopServer`] is that
-//! shape on the IO-Lite kernel:
+//! shape on the IO-Lite kernel: every client connection is a
+//! **nonblocking** socket whose send buffer is bounded at Tss, each tick
+//! issues **one `iol_poll`** over the interest set, and the loop acts
+//! only on descriptors the kernel reported ready — an I/O call
+//! returning [`IolError::WouldBlock`] is counted as a bug
+//! ([`LoopStats::blocked_io`], asserted zero in the test suite).
 //!
-//! * every client connection is a **nonblocking** socket descriptor
-//!   whose send buffer is bounded at Tss;
-//! * each loop tick issues **one `iol_poll`** over the interest set and
-//!   acts only on descriptors the kernel reported ready — an I/O call
-//!   returning [`IolError::WouldBlock`] is counted as a bug
-//!   ([`LoopStats::blocked_io`], asserted zero in the test suite);
-//! * a request moves through a per-connection state machine —
-//!   **parse → open → stream-in-chunks → drain** — with the response
-//!   streamed window-by-window as the simulated wire acknowledges
-//!   earlier bytes ([`iolite_core::Kernel::socket_drain`]);
-//! * CGI responses flow through the ACL-carrying kernel pipe under the
-//!   same readiness discipline (the CGI process writes only when its
-//!   end is writable, the server reads only when its end is readable),
-//!   and a peer hanging up mid-transfer fails that one request instead
-//!   of panicking the server.
+//! # One request record, one phase
+//!
+//! A connection is a request record — `path`, `keep_alive`, the
+//! transmission `pin`, `cache_hit` — beside a phase that carries only
+//! what that phase needs:
+//!
+//! | phase | holds | polls | leaves when |
+//! |---|---|---|---|
+//! | `Idle` | — | — | injection admits the next script entry |
+//! | `Receiving` | bytes so far; a PUT's body span once the head parsed | readable | the parser sees the head terminator (GET, 404) or the declared body is in (PUT) |
+//! | `PutWait` | — | — | the home shard acks the `RemoteWrite` |
+//! | `CgiWait` | — | — | the CGI pipe frees up |
+//! | `CgiStream` | bytes sent / received over the pipe | the pipe's two ends | the whole document crossed the pipe |
+//! | `RemoteWait` | — | — | the home shard's `RemoteData` lands |
+//! | `Sending` | the response, next slice to write | writable | every slice is written |
+//! | `Draining` | byte count, captured bytes | — | the wire acknowledged everything |
+//! | `Done` | — | — | never (script exhausted, or the peer died) |
+//!
+//! Every response — document, CGI output, 404, 201 — is framed by the
+//! one `respond` (`head ++ body` by reference, exactly what
+//! `serve_static` and `cgi` build, which the equivalence property
+//! depends on) and leaves through `Sending` → `Draining`.
+//!
+//! **The pin rule.** The network references the cached document until
+//! the response drains (§3.7). `open_static` takes that pin and records
+//! it in the request record; `finish_request` and `fail_conn` — the only
+//! two ways a request ends — are the only two places it is released.
+//! Nothing else touches it, so no exit can leak or double-release one.
 //!
 //! Socket write windows are aligned to the response aggregate's slice
 //! boundaries. A slice is never split mid-send, so the checksum cache
 //! sees exactly the ⟨buffer, generation, range⟩ keys a whole-response
 //! `IOL_write` would produce — the event loop is byte- *and*
 //! checksum-cache-identical to sequential [`serve_static`], which the
-//! `readiness` property suite pins down.
+//! `readiness` property suite pins down. CGI responses flow through the
+//! ACL-carrying kernel pipe under the same readiness discipline, and a
+//! peer hanging up mid-transfer fails that one request instead of
+//! panicking the server.
 //!
 //! [`serve_static`]: crate::server::serve_static
 
@@ -39,17 +60,15 @@ use std::time::Duration;
 
 use iolite_buf::Aggregate;
 use iolite_core::{
-    short_ok, Charge, CostCategory, Fd, Interest, IolError, Kernel, Pid, PollFd, Readiness,
-    ShardMailbox, ShardMsg,
+    short_ok, Charge, CostCategory, Fd, Interest, IoOutcome, IolError, Kernel, Pid, PollFd,
+    Readiness, ShardMailbox, ShardMsg,
 };
 use iolite_fs::{home_shard, CacheKey, CacheOwnership, FileId};
 use iolite_net::BufferMode;
 use iolite_sim::SimTime;
 
 use crate::cgi::CgiProcess;
-use crate::message::{
-    created, not_found, parse_request_head_agg, response_header, Method, Request,
-};
+use crate::message::{created, not_found, parse_lines, response_header, Method};
 
 /// Tuning knobs for one event-loop run.
 #[derive(Debug, Clone, Copy)]
@@ -146,6 +165,19 @@ impl LoopStats {
     pub fn requests_per_cpu_sec(&self) -> f64 {
         self.completed as f64 / self.cpu.as_secs().max(1e-12)
     }
+
+    /// Bills simulated CPU to the run.
+    fn bill(&mut self, c: Charge) {
+        self.cpu += c.time;
+    }
+
+    /// An I/O call on a descriptor the kernel reported ready refused
+    /// anyway: counted (so the suite can prove it never happens), and
+    /// the refused trap still billed.
+    fn blocked(&mut self, outcome: IoOutcome) {
+        self.blocked_io += 1;
+        self.bill(outcome.charge);
+    }
 }
 
 /// One completed request's record.
@@ -180,68 +212,63 @@ type ServerEvents = Vec<(usize, Readiness)>;
 /// server read end readiness). `None` when no transfer is active.
 type CgiEvents = Option<(Readiness, Readiness)>;
 
-/// What a connection is doing right now.
-enum ConnState {
+/// The request a connection is serving: its identity, kept beside the
+/// phase so no phase change has to carry it along.
+#[derive(Default)]
+struct Req {
+    path: String,
+    keep_alive: bool,
+    /// The cache entry the network references until the response
+    /// drains. Taken by `open_static`; released by `finish_request` or
+    /// `fail_conn`, and by nothing else (the module docs' pin rule).
+    pin: Option<CacheKey>,
+    cache_hit: bool,
+}
+
+/// What a connection is doing right now (the module docs' table).
+enum Phase {
     /// No request in flight; the script decides what happens next.
     Idle,
-    /// Accumulating request bytes until the header terminator arrives.
-    Parsing { buf: Aggregate },
-    /// Accumulating a PUT body: `content_length` bytes must follow the
-    /// header at `body_at`. The wire's slices accumulate by reference;
-    /// completion splits the body out with pure slice arithmetic — the
+    /// Accumulating request bytes by reference. `body` is `None` until
+    /// the head parses; for a PUT it is then `(body_at, len)` — `len`
+    /// body bytes must follow the head's end at `body_at`, and
+    /// completion splits them out with pure slice arithmetic, the
     /// zero-copy ingest the write path is built around.
-    BodyIngest {
-        path: String,
-        keep_alive: bool,
-        body_at: u64,
-        content_length: u64,
+    Receiving {
         buf: Aggregate,
+        body: Option<(u64, u64)>,
     },
     /// Waiting for the file's home shard to acknowledge a
     /// `RemoteWrite` (sharded runs only).
-    PutWait { path: String, keep_alive: bool },
+    PutWait,
     /// Waiting for the CGI pipe (one transfer at a time per process).
-    CgiWait { path: String },
+    CgiWait,
     /// This connection owns the CGI pipe: the CGI writes, we read.
-    CgiStream {
-        path: String,
-        sent: u64,
-        received: Aggregate,
-    },
+    CgiStream { sent: u64, received: Aggregate },
     /// Waiting for the file's home shard to answer a `RemoteRead`
     /// (sharded runs only; at most one outstanding read per conn).
-    RemoteWait { path: String },
-    /// Streaming the response to the socket, window by window.
-    Sending(SendJob),
+    RemoteWait,
+    /// Streaming the response to the socket, window by window;
+    /// `next_slice` is the next response slice to send (windows are
+    /// slice-aligned).
+    Sending {
+        response: Aggregate,
+        next_slice: usize,
+    },
     /// All bytes written; waiting for the wire to acknowledge them.
-    Draining(DrainJob),
+    Draining {
+        bytes: u64,
+        captured: Option<Vec<u8>>,
+    },
     /// Script exhausted (or the connection died).
     Done,
-}
-
-/// A response mid-stream.
-struct SendJob {
-    path: String,
-    response: Aggregate,
-    /// Next response slice to send (windows are slice-aligned).
-    next_slice: usize,
-    pin: Option<CacheKey>,
-    cache_hit: bool,
-}
-
-/// A response fully written, not yet fully acknowledged.
-struct DrainJob {
-    path: String,
-    bytes: u64,
-    pin: Option<CacheKey>,
-    cache_hit: bool,
-    captured: Option<Vec<u8>>,
 }
 
 /// One client connection.
 struct Conn {
     sock: Fd,
-    state: ConnState,
+    phase: Phase,
+    req: Req,
     /// Paths this client will request, in order (closed loop: the next
     /// one is issued as soon as the previous response completes).
     script: VecDeque<String>,
@@ -317,7 +344,8 @@ impl EventLoopServer {
                     .expect("fresh socket");
                 Conn {
                     sock,
-                    state: ConnState::Idle,
+                    phase: Phase::Idle,
+                    req: Req::default(),
                     script: script.into(),
                 }
             })
@@ -368,7 +396,7 @@ impl EventLoopServer {
 
     /// Whether connection `i` has retired (script exhausted or failed).
     pub fn conn_done(&self, i: usize) -> bool {
-        matches!(self.conns[i].state, ConnState::Done)
+        matches!(self.conns[i].phase, Phase::Done)
     }
 
     /// Counters so far (an external driver reads progress mid-run).
@@ -385,7 +413,7 @@ impl EventLoopServer {
     /// termination test (it owns the loop that [`run`](Self::run) would
     /// otherwise be).
     pub fn is_done(&self) -> bool {
-        self.done()
+        self.conns.iter().all(|c| matches!(c.phase, Phase::Done))
     }
 
     /// Finishes an externally driven run: the report and the kernel,
@@ -418,19 +446,28 @@ impl EventLoopServer {
     /// deterministic sharded driver alternates this with
     /// [`tick`](Self::tick) until the fleet quiesces.
     pub fn pump_fabric(&mut self) -> usize {
-        let mut handled = 0;
         if self.shard.is_none() {
-            return handled;
+            return 0;
         }
+        // Disconnection outside run_shard means the driver already
+        // dropped its senders (end of run): quiesce like an empty inbox.
+        self.pump().0
+    }
+
+    /// Drains the inbox, nonblocking: how many messages were handled,
+    /// and what ended the drain — `None` for a `Shutdown` message, else
+    /// the receive error (inbox empty, or every sender gone).
+    fn pump(&mut self) -> (usize, Option<TryRecvError>) {
+        let mut handled = 0;
         loop {
             match self.shard_ctx().mailbox.inbox.try_recv() {
                 Ok(msg) => {
                     handled += 1;
-                    self.handle_shard_msg(msg);
+                    if self.handle_shard_msg(msg) {
+                        return (handled, None);
+                    }
                 }
-                // Disconnection outside run_shard means the driver
-                // already dropped its senders (end of run): quiesce.
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => return handled,
+                Err(end) => return (handled, Some(end)),
             }
         }
     }
@@ -443,29 +480,30 @@ impl EventLoopServer {
     /// Panics if [`EventLoopConfig::max_ticks`] elapses first — a
     /// stuck state machine, by construction a bug.
     pub fn run(mut self) -> (LoopReport, Kernel) {
-        while !self.done() {
-            self.tick();
-            assert!(
-                self.stats.ticks <= self.cfg.max_ticks,
-                "event loop stuck after {} ticks ({} completed, {} failed)",
-                self.stats.ticks,
-                self.stats.completed,
-                self.stats.failed,
-            );
+        while !self.is_done() {
+            self.tick_checked();
         }
-        (
-            LoopReport {
-                stats: self.stats,
-                requests: self.requests,
-            },
-            self.kernel,
-        )
+        self.into_report()
     }
 
-    fn done(&self) -> bool {
+    /// One tick under the `max_ticks` backstop of the two `run` loops.
+    fn tick_checked(&mut self) {
+        self.tick();
+        assert!(
+            self.stats.ticks <= self.cfg.max_ticks,
+            "event loop stuck after {} ticks ({} completed, {} failed)",
+            self.stats.ticks,
+            self.stats.completed,
+            self.stats.failed,
+        );
+    }
+
+    /// Connections mid-request (neither idle nor retired).
+    fn inflight(&self) -> usize {
         self.conns
             .iter()
-            .all(|c| matches!(c.state, ConnState::Done))
+            .filter(|c| !matches!(c.phase, Phase::Idle | Phase::Done))
+            .count()
     }
 
     /// One event-loop iteration: inject, drain, poll once, dispatch.
@@ -476,12 +514,7 @@ impl EventLoopServer {
         let (server_events, cgi_events) = self.poll();
         self.dispatch(&server_events, cgi_events);
         self.tick_writeback();
-        let inflight = self
-            .conns
-            .iter()
-            .filter(|c| !matches!(c.state, ConnState::Idle | ConnState::Done))
-            .count();
-        self.stats.max_inflight = self.stats.max_inflight.max(inflight);
+        self.stats.max_inflight = self.stats.max_inflight.max(self.inflight());
     }
 
     /// Background persistence between request events: when accumulated
@@ -506,32 +539,24 @@ impl EventLoopServer {
     /// its next request (the harness playing the remote peer), subject
     /// to [`EventLoopConfig::admission_limit`].
     fn inject_requests(&mut self) {
-        // lint:allow(hot-path-alloc) — Arc handle clone (a refcount
-        // bump), not a buffer copy; needed to end the kernel borrow.
-        let pool = self.kernel.process(self.pid).pool().clone();
         let limit = self.cfg.admission_limit;
-        let mut inflight = if limit == 0 {
-            0
-        } else {
-            self.conns
-                .iter()
-                .filter(|c| !matches!(c.state, ConnState::Idle | ConnState::Done))
-                .count()
-        };
+        let mut inflight = if limit == 0 { 0 } else { self.inflight() };
         for i in 0..self.conns.len() {
-            if !matches!(self.conns[i].state, ConnState::Idle) {
+            let conn = &mut self.conns[i];
+            if !matches!(conn.phase, Phase::Idle) {
                 continue;
             }
-            if self.conns[i].script.is_empty() {
-                self.conns[i].state = ConnState::Done;
+            if limit > 0 && inflight >= limit && !conn.script.is_empty() {
                 continue;
             }
-            if limit > 0 && inflight >= limit {
+            let Some(entry) = conn.script.pop_front() else {
+                conn.phase = Phase::Done;
                 continue;
-            }
+            };
             inflight += 1;
-            let Some(path) = self.conns[i].script.pop_front() else {
-                unreachable!("script checked non-empty above");
+            conn.phase = Phase::Receiving {
+                buf: Aggregate::empty(),
+                body: None,
             };
             if self.cfg.external_wire {
                 // The storm harness plays the remote peer: request
@@ -539,28 +564,21 @@ impl EventLoopServer {
                 // reassembly → `socket_deliver`), possibly much later.
                 // The connection just starts listening; the popped
                 // entry only counts the request against the script.
-                self.conns[i].state = ConnState::Parsing {
-                    buf: Aggregate::empty(),
-                };
                 continue;
             }
-            let req = match parse_put_entry(&path) {
+            let req = match parse_put_entry(&entry) {
                 Some((p, len)) => {
                     crate::message::put_request_bytes(p, &synthetic_put_body(p, len), true)
                 }
-                None => crate::message::request_bytes(&path, true),
+                None => crate::message::request_bytes(&entry, true),
             };
-            let agg = Aggregate::from_bytes(&pool, &req);
-            match self.kernel.socket_deliver(self.pid, self.conns[i].sock, agg) {
-                Ok(_) => {
-                    self.conns[i].state = ConnState::Parsing {
-                        buf: Aggregate::empty(),
-                    };
-                }
-                // The peer hung up between requests: this client's
-                // remaining script is unreachable — fail it, don't
-                // panic the server.
-                Err(_) => self.fail_conn(i, None),
+            let sock = conn.sock;
+            let agg = Aggregate::from_bytes(self.kernel.process(self.pid).pool(), &req);
+            // The peer hung up between requests: this client's
+            // remaining script is unreachable — fail it, don't panic
+            // the server.
+            if self.kernel.socket_deliver(self.pid, sock, agg).is_err() {
+                self.fail_conn(i);
             }
         }
     }
@@ -572,56 +590,46 @@ impl EventLoopServer {
     /// against a dead peer.
     fn drain_wires(&mut self) {
         for i in 0..self.conns.len() {
-            if !matches!(
-                self.conns[i].state,
-                ConnState::Sending(_) | ConnState::Draining(_)
-            ) {
-                continue;
-            }
+            let draining = match self.conns[i].phase {
+                Phase::Sending { .. } => false,
+                Phase::Draining { .. } => true,
+                _ => continue,
+            };
             let sock = self.conns[i].sock;
-            if self.cfg.external_wire {
+            let peer_gone = if self.cfg.external_wire {
                 // The harness drains on ACK arrival; here we only watch
                 // for a peer that died while bytes were in flight (its
                 // ACKs will never come, so the drain check below would
                 // otherwise wait forever).
-                if self
-                    .kernel
+                self.kernel
                     .socket_peer_closed(self.pid, sock)
                     .unwrap_or(true)
-                {
-                    self.fail_in_flight(i);
-                    continue;
-                }
-            } else if self
-                .kernel
-                .socket_drain(self.pid, sock, self.cfg.drain_per_tick)
-                .is_err()
-            {
-                self.fail_in_flight(i);
-                continue;
-            }
-            if matches!(self.conns[i].state, ConnState::Draining(_))
-                && self.kernel.socket_unacked(self.pid, sock) == Ok(0)
-            {
-                let state = std::mem::replace(&mut self.conns[i].state, ConnState::Idle);
-                let ConnState::Draining(job) = state else {
-                    unreachable!("matched Draining above");
-                };
-                self.finish_request(i, job);
+            } else {
+                self.kernel
+                    .socket_drain(self.pid, sock, self.cfg.drain_per_tick)
+                    .is_err()
+            };
+            if peer_gone {
+                self.fail_conn(i);
+            } else if draining && self.kernel.socket_unacked(self.pid, sock) == Ok(0) {
+                self.finish_request(i);
             }
         }
     }
 
-    /// Fails a connection whose response was mid-stream or mid-drain,
-    /// releasing the transmission pin it held.
-    fn fail_in_flight(&mut self, i: usize) {
-        let state = std::mem::replace(&mut self.conns[i].state, ConnState::Done);
-        let pin = match state {
-            ConnState::Sending(job) => job.pin,
-            ConnState::Draining(job) => job.pin,
-            _ => None,
-        };
-        self.fail_conn(i, pin);
+    /// One `iol_poll` by `pid` over `entries`, counted and billed.
+    fn poll_fds(&mut self, pid: Pid, entries: &[PollFd]) -> Vec<Readiness> {
+        let (events, out) = self
+            .kernel
+            .iol_poll(pid, entries)
+            // lint:allow(panic) — iol_poll is total over its interest
+            // set (readiness is a pure state read; no request input
+            // reaches it), per the PR 5 contract.
+            .expect("poll is total");
+        self.stats.polls += 1;
+        self.stats.poll_entries += entries.len() as u64;
+        self.stats.bill(out.charge);
+        events
     }
 
     /// One `iol_poll` over the server's interest set, plus (when a CGI
@@ -634,72 +642,49 @@ impl EventLoopServer {
         // lint:allow(hot-path-alloc) — same per-tick scratch as above.
         let mut owners = Vec::new();
         for (i, conn) in self.conns.iter().enumerate() {
-            let interest = match &conn.state {
-                ConnState::Parsing { .. } | ConnState::BodyIngest { .. } => {
-                    Some(Interest::Readable)
-                }
-                ConnState::Sending(_) => Some(Interest::Writable),
-                _ => None,
+            let interest = match conn.phase {
+                Phase::Receiving { .. } => Interest::Readable,
+                Phase::Sending { .. } => Interest::Writable,
+                _ => continue,
             };
-            if let Some(interest) = interest {
-                entries.push(PollFd {
-                    fd: conn.sock,
-                    interest,
-                });
-                owners.push(i);
-            }
+            entries.push(PollFd {
+                fd: conn.sock,
+                interest,
+            });
+            owners.push(i);
+        }
+        // An active CGI transfer adds the pipe's read end, last.
+        let cgi = self
+            .cgi
+            .as_ref()
+            .filter(|_| self.cgi_owner.is_some())
+            .map(|cgi| (cgi.pid, cgi.write_fd(), cgi.server_read_fd()));
+        if let Some((_, _, rfd)) = cgi {
+            entries.push(PollFd::readable(rfd));
         }
         let mut rfd_ready = Readiness::PENDING;
-        let cgi_active = self.cgi_owner.is_some();
-        if let (true, Some(cgi)) = (cgi_active, &self.cgi) {
-            entries.push(PollFd::readable(cgi.server_read_fd()));
-        }
         let mut server_events = Vec::with_capacity(owners.len());
         if !entries.is_empty() {
-            let (events, out) = self
-                .kernel
-                .iol_poll(self.pid, &entries)
-                // lint:allow(panic) — iol_poll is total over its
-                // interest set (readiness is a pure state read; no
-                // request input reaches it), per the PR 5 contract.
-                .expect("poll is total");
-            self.stats.polls += 1;
-            self.stats.poll_entries += entries.len() as u64;
-            self.stats.cpu += out.charge.time;
-            if cgi_active {
-                if let Some(&last) = events.last() {
-                    rfd_ready = last;
-                }
+            let events = self.poll_fds(self.pid, &entries);
+            if let (Some(_), Some(&last)) = (cgi, events.last()) {
+                rfd_ready = last;
             }
             server_events = owners.into_iter().zip(events).collect();
         }
         // The CGI process polls its own write end.
-        let cgi_events = match (&self.cgi, cgi_active) {
-            (Some(cgi), true) => {
-                let (wfd, cgi_pid) = (cgi.write_fd(), cgi.pid);
-                let (events, out) = self
-                    .kernel
-                    .iol_poll(cgi_pid, &[PollFd::writable(wfd)])
-                    // lint:allow(panic) — same poll-totality contract
-                    // as the server-side poll above.
-                    .expect("poll is total");
-                self.stats.polls += 1;
-                self.stats.poll_entries += 1;
-                self.stats.cpu += out.charge.time;
-                Some((events[0], rfd_ready))
-            }
-            _ => None,
-        };
+        let cgi_events = cgi.map(|(cgi_pid, wfd, _)| {
+            let events = self.poll_fds(cgi_pid, &[PollFd::writable(wfd)]);
+            (events[0], rfd_ready)
+        });
         (server_events, cgi_events)
     }
 
     fn dispatch(&mut self, server_events: &ServerEvents, cgi_events: CgiEvents) {
         for &(i, ready) in server_events {
-            match &self.conns[i].state {
-                ConnState::Parsing { .. } => self.advance_parse(i, ready),
-                ConnState::BodyIngest { .. } => self.advance_body(i, ready),
-                ConnState::Sending(_) => self.advance_send(i, ready),
-                // The state may have changed since the poll (e.g. a
+            match self.conns[i].phase {
+                Phase::Receiving { .. } => self.advance_recv(i, ready),
+                Phase::Sending { .. } => self.advance_send(i, ready),
+                // The phase may have changed since the poll (e.g. a
                 // fault injected by a test); skip stale events.
                 _ => {}
             }
@@ -709,181 +694,118 @@ impl EventLoopServer {
         }
     }
 
-    /// Parsing: read available request bytes, look for the header
-    /// terminator, then route (static open vs CGI queue).
-    fn advance_parse(&mut self, i: usize, ready: Readiness) {
+    /// Receiving: read available request bytes, appended by reference.
+    /// Until the head has parsed, ask the parser itself whether its
+    /// terminator arrived — one scanner, so "has the header arrived"
+    /// and "does it parse" cannot disagree — then route (static open,
+    /// CGI queue, PUT body ingest, 404). Once a PUT's head has parsed,
+    /// complete it when the declared body is in.
+    fn advance_recv(&mut self, i: usize, ready: Readiness) {
         if ready.eof || ready.epipe {
             // Peer hung up before completing its request.
-            self.fail_conn(i, None);
-            return;
+            return self.fail_conn(i);
         }
         if !ready.readable {
             return;
         }
-        let sock = self.conns[i].sock;
-        let chunk = match self.kernel.iol_read_fd(self.pid, sock, u64::MAX) {
+        let conn = &mut self.conns[i];
+        let chunk = match self.kernel.iol_read_fd(self.pid, conn.sock, u64::MAX) {
             Ok((chunk, out)) => {
-                self.stats.cpu += out.charge.time;
+                self.stats.bill(out.charge);
                 chunk
             }
-            Err(IolError::WouldBlock { outcome }) => {
-                self.stats.blocked_io += 1;
-                self.stats.cpu += outcome.charge.time;
-                return;
-            }
-            Err(_) => {
-                self.fail_conn(i, None);
-                return;
-            }
+            Err(IolError::WouldBlock { outcome }) => return self.stats.blocked(outcome),
+            Err(_) => return self.fail_conn(i),
         };
-        let ConnState::Parsing { buf } = &mut self.conns[i].state else {
-            unreachable!("advance_parse is only called while Parsing");
+        let Phase::Receiving { buf, body } = &mut conn.phase else {
+            unreachable!("dispatch sends only Receiving connections here");
         };
         buf.append(&chunk);
-        if !header_complete(buf) {
-            return;
+        if body.is_some() {
+            return self.try_complete_put(i);
         }
+        let (parsed, Some(body_at)) = parse_lines(buf.chunks()) else {
+            // No head terminator yet: keep listening.
+            return;
+        };
         // Request parse + per-request bookkeeping + the IOL API's extra
         // (the serve_static cost structure).
         let cost = &self.kernel.cost;
-        self.stats.cpu += Charge::us(
+        self.stats.bill(Charge::us(
             cost.http_parse_us + cost.server_fixed_us + cost.iol_request_extra_us,
-        )
-        .time;
-        let parsed = parse_request_head_agg(buf);
-        match parsed {
-            Some((req, _))
-                if req.method == Method::Get
-                    && req.path.starts_with(CGI_PREFIX)
-                    && self.cgi.is_some() =>
-            {
+        ));
+        let Some(req) = parsed else {
+            // Malformed request: a 404/400-style short response.
+            conn.req.path = String::from("<bad-request>");
+            return self.respond(i, &not_found(), &Aggregate::empty());
+        };
+        conn.req.path = req.path;
+        conn.req.keep_alive = req.keep_alive;
+        match req.method {
+            Method::Get if conn.req.path.starts_with(CGI_PREFIX) && self.cgi.is_some() => {
                 // CGI dispatch: forward + wake the CGI process.
-                let cost = &self.kernel.cost;
-                self.stats.cpu +=
-                    (Charge::us(cost.cgi_dispatch_us) + cost.context_switches(2)).time;
+                self.stats
+                    .bill(Charge::us(cost.cgi_dispatch_us) + cost.context_switches(2));
                 self.kernel.context_switch(2);
                 if self.cgi_owner.is_none() {
                     self.cgi_owner = Some(i);
-                    self.conns[i].state = ConnState::CgiStream {
-                        path: req.path,
+                    conn.phase = Phase::CgiStream {
                         sent: 0,
                         received: Aggregate::empty(),
                     };
                 } else {
                     self.cgi_queue.push_back(i);
-                    self.conns[i].state = ConnState::CgiWait { path: req.path };
+                    conn.phase = Phase::CgiWait;
                 }
             }
-            Some((req, _)) if req.method == Method::Get => self.open_static(i, req.path),
-            Some((req, body_at)) if req.method == Method::Put => {
-                let state = std::mem::replace(&mut self.conns[i].state, ConnState::Idle);
-                let ConnState::Parsing { buf } = state else {
-                    unreachable!("advance_parse is only called while Parsing");
-                };
-                self.start_body_ingest(i, req, body_at, buf);
+            Method::Get => self.open_static(i),
+            Method::Put => {
+                *body = Some((body_at, req.content_length));
+                // The first read may already have delivered the body.
+                self.try_complete_put(i);
             }
             // POST parses, but no handler is mounted: the 404 route
             // answers (the body, if any, is left on the wire).
-            Some((req, _)) => self.send_not_found(i, req.path),
-            // Malformed request: a 404/400-style short response.
-            None => self.send_not_found(i, String::from("<bad-request>")),
+            Method::Post => self.respond(i, &not_found(), &Aggregate::empty()),
         }
-    }
-
-    /// Begins (and, when the first read already delivered the whole
-    /// body, immediately completes) a PUT's body ingest.
-    fn start_body_ingest(&mut self, i: usize, req: Request, body_at: u64, buf: Aggregate) {
-        self.conns[i].state = ConnState::BodyIngest {
-            path: req.path,
-            keep_alive: req.keep_alive,
-            body_at,
-            content_length: req.content_length,
-            buf,
-        };
-        self.try_complete_put(i);
-    }
-
-    /// BodyIngest: read available bytes, append them by reference, and
-    /// complete the PUT once the declared length is in.
-    fn advance_body(&mut self, i: usize, ready: Readiness) {
-        if ready.eof || ready.epipe {
-            // Peer hung up mid-body: the upload can never complete.
-            self.fail_conn(i, None);
-            return;
-        }
-        if !ready.readable {
-            return;
-        }
-        let sock = self.conns[i].sock;
-        let chunk = match self.kernel.iol_read_fd(self.pid, sock, u64::MAX) {
-            Ok((chunk, out)) => {
-                self.stats.cpu += out.charge.time;
-                chunk
-            }
-            Err(IolError::WouldBlock { outcome }) => {
-                self.stats.blocked_io += 1;
-                self.stats.cpu += outcome.charge.time;
-                return;
-            }
-            Err(_) => {
-                self.fail_conn(i, None);
-                return;
-            }
-        };
-        let ConnState::BodyIngest { buf, .. } = &mut self.conns[i].state else {
-            unreachable!("advance_body is only called while BodyIngest");
-        };
-        buf.append(&chunk);
-        self.try_complete_put(i);
     }
 
     /// Completes a PUT whose declared body has fully arrived: the body
     /// is split out of the receive aggregate at the header boundary —
     /// pure slice arithmetic, the bytes never move — and installed.
     fn try_complete_put(&mut self, i: usize) {
-        let ConnState::BodyIngest {
-            body_at,
-            content_length,
+        let Phase::Receiving {
             buf,
-            ..
-        } = &self.conns[i].state
+            body: Some((body_at, len)),
+        } = &self.conns[i].phase
         else {
             return;
         };
-        if buf.len() < body_at + content_length {
+        // `body_at` is an offset into `buf`, so the subtraction cannot
+        // wrap — unlike `body_at + len`, whose `len` the client chose.
+        if buf.len() - body_at < *len {
             return;
         }
-        let state = std::mem::replace(&mut self.conns[i].state, ConnState::Idle);
-        let ConnState::BodyIngest {
-            path,
-            keep_alive,
-            body_at,
-            content_length,
-            buf,
-        } = state
-        else {
-            unreachable!("matched BodyIngest above");
-        };
-        let Ok(body) = buf.range(body_at, content_length) else {
+        let Ok(body) = buf.range(*body_at, *len) else {
             // In bounds by the length check above; a breach means the
             // aggregate lied about its length — fail, don't panic.
-            self.fail_conn(i, None);
-            return;
+            return self.fail_conn(i);
         };
         self.stats.put_bytes += body.len();
-        if self.try_remote_write(i, &path, &body, keep_alive) {
+        if self.try_remote_write(i, &body) {
             return;
         }
-        let file = match self.kernel.store.lookup(&path) {
+        let path = &self.conns[i].req.path;
+        let file = match self.kernel.store.lookup(path) {
             Some(file) => file,
             // First PUT to this path: create the (empty) file so an id
             // exists to install under.
-            None => self.kernel.create_file(&path, &[]),
+            None => self.kernel.create_file(path, &[]),
         };
         let out = self.kernel.put_install(self.pid, file, &body);
-        self.stats.cpu += out.charge.time;
+        self.stats.bill(out.charge);
         self.broadcast_invalidate(file);
-        self.respond_created(i, path, keep_alive);
+        self.respond_created(i);
     }
 
     /// Tells every other shard that `file`'s replicas are stale (a
@@ -910,97 +832,67 @@ impl EventLoopServer {
     }
 
     /// Queues the short 201 response acknowledging a completed PUT.
-    fn respond_created(&mut self, i: usize, path: String, keep_alive: bool) {
+    fn respond_created(&mut self, i: usize) {
         self.stats.puts += 1;
-        // lint:allow(hot-path-alloc) — Arc handle clone (a refcount
-        // bump), not a buffer copy; needed to end the kernel borrow.
-        let pool = self.kernel.process(self.pid).pool().clone();
-        let response = Aggregate::from_bytes(&pool, &created(keep_alive));
-        self.start_send(i, path, response, None, false);
+        let head = created(self.conns[i].req.keep_alive);
+        self.respond(i, &head, &Aggregate::empty());
     }
 
-    /// `header ++ body` by reference — the response framing every
-    /// route shares (and `serve_static`/`cgi` build identically, which
-    /// the equivalence property depends on).
-    fn build_response(&mut self, body: &Aggregate) -> Aggregate {
-        let header = response_header(body.len(), true);
-        let mut response =
-            Aggregate::from_bytes(self.kernel.process(self.pid).pool(), &header);
+    /// Frames `head ++ body` by reference — the header allocated in the
+    /// server's IO-Lite pool, the body's slices appended untouched —
+    /// and starts streaming it. Every route answers through here.
+    fn respond(&mut self, i: usize, head: &[u8], body: &Aggregate) {
+        let mut response = Aggregate::from_bytes(self.kernel.process(self.pid).pool(), head);
         response.append(body);
-        response
+        self.conns[i].phase = Phase::Sending {
+            response,
+            next_slice: 0,
+        };
     }
 
-    /// Queues the short 404-style response (missing file, bad request).
-    fn send_not_found(&mut self, i: usize, path: String) {
-        // lint:allow(hot-path-alloc) — Arc handle clone (a refcount
-        // bump), not a buffer copy; needed to end the kernel borrow.
-        let pool = self.kernel.process(self.pid).pool().clone();
-        let response = Aggregate::from_bytes(&pool, &not_found());
-        self.start_send(i, path, response, None, false);
-    }
-
-    /// Static route: open by path, snapshot-read the document, build
-    /// `header ++ body` by reference, pin the cache entry for the
-    /// transmission, and start streaming. In sharded runs a document
-    /// homed elsewhere is fetched by message instead (see
-    /// [`try_remote_route`](Self::try_remote_route)).
-    fn open_static(&mut self, i: usize, path: String) {
-        if self.try_remote_route(i, &path) {
+    /// Static route: open by path, snapshot-read the document, pin the
+    /// cache entry for the transmission, and answer `header ++ body`.
+    /// In sharded runs a document homed elsewhere is fetched by message
+    /// instead (see [`try_remote_route`](Self::try_remote_route)).
+    fn open_static(&mut self, i: usize) {
+        if self.try_remote_route(i) {
             return;
         }
-        match self.snapshot_document(&path) {
-            Ok(Some((file, response, cache_hit))) => {
+        match self.snapshot_document(i) {
+            Ok(Some((file, body, cache_hit))) => {
                 // The network references the cached entry until the
                 // response drains (§3.7) — same pin lifecycle as
                 // serve_static.
                 let key = CacheKey::whole(file);
                 self.kernel.cache_pin(key);
-                self.start_send(i, path, response, Some(key), cache_hit);
+                self.conns[i].req.pin = Some(key);
+                self.conns[i].req.cache_hit = cache_hit;
+                self.respond(i, &response_header(body.len(), true), &body);
             }
-            Ok(None) => self.send_not_found(i, path),
+            Ok(None) => self.respond(i, &not_found(), &Aggregate::empty()),
             // A descriptor operation failed mid-snapshot: the request
             // cannot be answered, but the server lives on.
-            Err(_) => self.fail_conn(i, None),
+            Err(_) => self.fail_conn(i),
         }
     }
 
-    /// Opens, snapshot-reads, and frames one document: `Ok(None)` when
-    /// the path does not resolve (the 404 route answers), `Err` when a
-    /// descriptor operation fails mid-snapshot.
+    /// Opens and snapshot-reads the document connection `i` asked for:
+    /// `Ok(None)` when the path does not resolve (the 404 route
+    /// answers), `Err` when a descriptor operation fails mid-snapshot.
     fn snapshot_document(
         &mut self,
-        path: &str,
+        i: usize,
     ) -> Result<Option<(FileId, Aggregate, bool)>, IolError> {
-        let (file_fd, oout) = match self.kernel.open(self.pid, path) {
-            Ok(v) => v,
-            Err(_) => return Ok(None),
+        let Ok((file_fd, oout)) = self.kernel.open(self.pid, &self.conns[i].req.path) else {
+            return Ok(None);
         };
-        self.stats.cpu += oout.charge.time;
+        self.stats.bill(oout.charge);
         let len = self.kernel.fd_len(self.pid, file_fd)?;
         let file = self.kernel.fd_file(self.pid, file_fd)?;
         let (body, rout) = self.kernel.iol_pread(self.pid, file_fd, 0, len)?;
-        self.stats.cpu += rout.charge.time;
-        let cache_hit = rout.cache_hit;
+        self.stats.bill(rout.charge);
         self.kernel.close_fd(self.pid, file_fd)?;
-        let response = self.build_response(&body);
-        Ok(Some((file, response, cache_hit)))
-    }
-
-    fn start_send(
-        &mut self,
-        i: usize,
-        path: String,
-        response: Aggregate,
-        pin: Option<CacheKey>,
-        cache_hit: bool,
-    ) {
-        self.conns[i].state = ConnState::Sending(SendJob {
-            path,
-            response,
-            next_slice: 0,
-            pin,
-            cache_hit,
-        });
+        Ok(Some((file, body, rout.cache_hit)))
     }
 
     /// Sending: write as many *whole response slices* as fit in the
@@ -1011,33 +903,28 @@ impl EventLoopServer {
     fn advance_send(&mut self, i: usize, ready: Readiness) {
         if ready.epipe {
             // The peer closed mid-response: fail this request.
-            let state = std::mem::replace(&mut self.conns[i].state, ConnState::Done);
-            let ConnState::Sending(job) = state else {
-                unreachable!("advance_send is only called while Sending");
-            };
-            self.fail_conn(i, job.pin);
-            return;
+            return self.fail_conn(i);
         }
         if !ready.writable {
             return;
         }
         let sock = self.conns[i].sock;
-        let space = match self.kernel.socket_space(self.pid, sock) {
-            Ok(space) => space,
+        let Ok(space) = self.kernel.socket_space(self.pid, sock) else {
             // The socket vanished between poll and dispatch (a test
             // injected a close): the response can never finish.
-            Err(_) => {
-                self.fail_in_flight(i);
-                return;
-            }
+            return self.fail_conn(i);
         };
-        let ConnState::Sending(job) = &mut self.conns[i].state else {
-            unreachable!("advance_send is only called while Sending");
+        let Phase::Sending {
+            response,
+            next_slice,
+        } = &mut self.conns[i].phase
+        else {
+            unreachable!("dispatch sends only Sending connections here");
         };
         let mut window = Aggregate::empty();
         let mut take = 0usize;
-        while job.next_slice + take < job.response.num_slices() {
-            let s = job.response.slice_at(job.next_slice + take);
+        while *next_slice + take < response.num_slices() {
+            let s = response.slice_at(*next_slice + take);
             if window.len() + s.len() as u64 > space {
                 break;
             }
@@ -1059,49 +946,31 @@ impl EventLoopServer {
                 // simulation, so surface the modeling bug instead.
                 let send = out.net.expect("socket writes carry SendOutcome");
                 let cost = &self.kernel.cost;
-                self.stats.cpu += (out.charge
-                    + cost.wire_checksum(send.csum_bytes_computed)
-                    + cost.packets(send.segments))
-                .time;
+                self.stats.bill(
+                    out.charge
+                        + cost.wire_checksum(send.csum_bytes_computed)
+                        + cost.packets(send.segments),
+                );
             }
+            // Cannot happen: the window was sized to the space the
+            // kernel reported. Counted so the suite can prove it.
             Err(IolError::WouldBlock { outcome } | IolError::ShortIo { outcome, .. }) => {
-                // Cannot happen: the window was sized to the space the
-                // kernel reported. Counted so the suite can prove it.
-                self.stats.blocked_io += 1;
-                self.stats.cpu += outcome.charge.time;
-                return;
+                return self.stats.blocked(outcome);
             }
-            Err(_) => {
-                let state = std::mem::replace(&mut self.conns[i].state, ConnState::Done);
-                let ConnState::Sending(job) = state else {
-                    unreachable!("still Sending");
-                };
-                self.fail_conn(i, job.pin);
-                return;
-            }
+            Err(_) => return self.fail_conn(i),
         }
-        let ConnState::Sending(job) = &mut self.conns[i].state else {
-            unreachable!("still Sending");
-        };
-        job.next_slice += take;
-        if job.next_slice == job.response.num_slices() {
-            let state = std::mem::replace(&mut self.conns[i].state, ConnState::Done);
-            let ConnState::Sending(job) = state else {
-                unreachable!("still Sending");
-            };
+        *next_slice += take;
+        if *next_slice == response.num_slices() {
             let captured = self
                 .cfg
                 .capture_responses
                 // lint:allow(hot-path-alloc) — test-observability
                 // knob, off in every measured configuration.
-                .then(|| job.response.to_vec());
-            self.conns[i].state = ConnState::Draining(DrainJob {
-                path: job.path,
-                bytes: job.response.len(),
-                pin: job.pin,
-                cache_hit: job.cache_hit,
+                .then(|| response.to_vec());
+            self.conns[i].phase = Phase::Draining {
+                bytes: response.len(),
                 captured,
-            });
+            };
         }
     }
 
@@ -1110,13 +979,10 @@ impl EventLoopServer {
     /// readable; a dead peer fails the request and hands the pipe to
     /// the next waiter.
     fn advance_cgi(&mut self, wfd_ready: Readiness, rfd_ready: Readiness) {
-        let Some(owner) = self.cgi_owner else {
-            return;
-        };
-        let Some(cgi) = self.cgi.as_ref() else {
-            // An owner without a CGI process cannot exist (ownership
-            // is only assigned when `self.cgi` is set) — but if it
-            // did, there is nothing to advance.
+        // An owner without a CGI process cannot exist (ownership is
+        // only assigned when `self.cgi` is set) — but if it did, there
+        // would be nothing to advance.
+        let (Some(owner), Some(cgi)) = (self.cgi_owner, &self.cgi) else {
             return;
         };
         let (cgi_pid, wfd, rfd) = (cgi.pid, cgi.write_fd(), cgi.server_read_fd());
@@ -1124,82 +990,47 @@ impl EventLoopServer {
         if rfd_ready.invalid || rfd_ready.eof {
             // The server-side read end vanished (or the pipe closed
             // under us): the transfer can never complete.
-            self.fail_cgi_owner();
-            return;
+            return self.fail_cgi_owner();
         }
-        // Writer side (the CGI process's own loop).
-        let ConnState::CgiStream { sent, .. } = &self.conns[owner].state else {
+        let Phase::CgiStream { sent, received } = &mut self.conns[owner].phase else {
             unreachable!("cgi_owner always points at a CgiStream connection");
         };
-        let sent_now = *sent;
-        if wfd_ready.epipe && sent_now < doc_len {
+        // Writer side (the CGI process's own loop).
+        if wfd_ready.epipe && *sent < doc_len {
             // The server's read end is gone: EPIPE, request failed.
-            self.fail_cgi_owner();
-            return;
+            return self.fail_cgi_owner();
         }
-        if wfd_ready.writable && sent_now < doc_len {
-            let Some(cgi) = self.cgi.as_ref() else {
-                return;
-            };
-            let Ok(remaining) = cgi.document().range(sent_now, doc_len - sent_now)
-            else {
+        if wfd_ready.writable && *sent < doc_len {
+            let Ok(remaining) = cgi.document().range(*sent, doc_len - *sent) else {
                 // `sent` ran past the document — unreachable by
                 // construction, but failing the transfer beats a
                 // panic.
-                self.fail_cgi_owner();
-                return;
+                return self.fail_cgi_owner();
             };
             match short_ok(self.kernel.iol_write_fd(cgi_pid, wfd, &remaining)) {
                 Ok((accepted, out)) => {
-                    self.stats.cpu += out.charge.time;
-                    let ConnState::CgiStream { sent, .. } = &mut self.conns[owner].state
-                    else {
-                        unreachable!("still CgiStream");
-                    };
+                    self.stats.bill(out.charge);
                     *sent += accepted;
                 }
-                Err(IolError::WouldBlock { outcome }) => {
-                    self.stats.blocked_io += 1;
-                    self.stats.cpu += outcome.charge.time;
-                }
-                Err(_) => {
-                    self.fail_cgi_owner();
-                    return;
-                }
+                Err(IolError::WouldBlock { outcome }) => self.stats.blocked(outcome),
+                Err(_) => return self.fail_cgi_owner(),
             }
         }
         // Reader side (the server's loop).
         if rfd_ready.readable {
             match self.kernel.iol_read_fd(self.pid, rfd, u64::MAX) {
                 Ok((chunk, out)) => {
-                    self.stats.cpu += out.charge.time;
-                    let ConnState::CgiStream { received, .. } = &mut self.conns[owner].state
-                    else {
-                        unreachable!("still CgiStream");
-                    };
+                    self.stats.bill(out.charge);
                     received.append(&chunk);
                 }
-                Err(IolError::WouldBlock { outcome }) => {
-                    self.stats.blocked_io += 1;
-                    self.stats.cpu += outcome.charge.time;
-                }
-                Err(_) => {
-                    self.fail_cgi_owner();
-                    return;
-                }
+                Err(IolError::WouldBlock { outcome }) => self.stats.blocked(outcome),
+                Err(_) => return self.fail_cgi_owner(),
             }
         }
-        // Transfer complete: build the response and release the pipe.
-        let ConnState::CgiStream { received, .. } = &self.conns[owner].state else {
-            unreachable!("still CgiStream");
-        };
+        // Transfer complete: answer the client and release the pipe.
         if received.len() == doc_len {
-            let state = std::mem::replace(&mut self.conns[owner].state, ConnState::Done);
-            let ConnState::CgiStream { path, received, .. } = state else {
-                unreachable!("still CgiStream");
-            };
-            let response = self.build_response(&received);
-            self.start_send(owner, path, response, None, false);
+            let body = std::mem::take(received);
+            self.respond(owner, &response_header(doc_len, true), &body);
             self.release_cgi();
         }
     }
@@ -1210,54 +1041,59 @@ impl EventLoopServer {
         let Some(owner) = self.cgi_owner else {
             return;
         };
-        self.fail_conn(owner, None);
+        self.fail_conn(owner);
         self.release_cgi();
     }
 
-    /// Hands CGI-pipe ownership to the next queued connection.
+    /// Hands CGI-pipe ownership to the next queued connection (the
+    /// queue only ever holds `CgiWait` connections, which nothing can
+    /// fail: they are neither polled nor drained).
     fn release_cgi(&mut self) {
-        self.cgi_owner = None;
-        if let Some(next) = self.cgi_queue.pop_front() {
-            let state = std::mem::replace(&mut self.conns[next].state, ConnState::Done);
-            let ConnState::CgiWait { path } = state else {
-                unreachable!("cgi_queue only holds CgiWait connections");
-            };
-            self.cgi_owner = Some(next);
-            self.conns[next].state = ConnState::CgiStream {
-                path,
+        self.cgi_owner = self.cgi_queue.pop_front();
+        if let Some(next) = self.cgi_owner {
+            debug_assert!(matches!(self.conns[next].phase, Phase::CgiWait));
+            self.conns[next].phase = Phase::CgiStream {
                 sent: 0,
                 received: Aggregate::empty(),
             };
         }
     }
 
-    /// Records a completed request and returns the connection to the
-    /// closed loop.
-    fn finish_request(&mut self, i: usize, job: DrainJob) {
-        if let Some(key) = job.pin {
+    /// Records a completed request, releases its transmission pin, and
+    /// returns the connection to the closed loop. With
+    /// [`fail_conn`](Self::fail_conn), one of the two ways a request
+    /// ends.
+    fn finish_request(&mut self, i: usize) {
+        let conn = &mut self.conns[i];
+        let Phase::Draining { bytes, captured } = std::mem::replace(&mut conn.phase, Phase::Idle)
+        else {
+            unreachable!("only a fully written response finishes");
+        };
+        let req = std::mem::take(&mut conn.req);
+        if let Some(key) = req.pin {
             self.kernel.cache_unpin(key);
         }
         self.stats.completed += 1;
-        self.stats.response_bytes += job.bytes;
-        self.stats.cache_hits += u64::from(job.cache_hit);
+        self.stats.response_bytes += bytes;
+        self.stats.cache_hits += u64::from(req.cache_hit);
         self.requests.push(CompletedRequest {
             conn: i,
-            path: job.path,
-            bytes: job.bytes,
-            cache_hit: job.cache_hit,
-            response: job.captured,
+            path: req.path,
+            bytes,
+            cache_hit: req.cache_hit,
+            response: captured,
         });
-        self.conns[i].state = ConnState::Idle;
     }
 
-    /// Fails the in-flight request on `i` and retires the connection
-    /// (the peer is gone; the rest of its script is unreachable).
-    fn fail_conn(&mut self, i: usize, pin: Option<CacheKey>) {
-        if let Some(key) = pin {
+    /// Fails the in-flight request on `i`, releases the transmission
+    /// pin if it held one, and retires the connection (the peer is
+    /// gone; the rest of its script is unreachable).
+    fn fail_conn(&mut self, i: usize) {
+        if let Some(key) = self.conns[i].req.pin.take() {
             self.kernel.cache_unpin(key);
         }
         self.stats.failed += 1;
-        self.conns[i].state = ConnState::Done;
+        self.conns[i].phase = Phase::Done;
     }
 
     // ---- Sharded serving -------------------------------------------------
@@ -1268,8 +1104,8 @@ impl EventLoopServer {
     // any kernel or cache is ever taken on this path.
 
     /// The shard context. Only called from the sharded paths, all of
-    /// which are reachable solely from [`run_shard`](Self::run_shard),
-    /// which installs the context on entry.
+    /// which are reachable solely once [`run_shard`](Self::run_shard)
+    /// or [`attach_shard`](Self::attach_shard) installed the context.
     fn shard_ctx(&self) -> &ShardContext {
         // lint:allow(panic) — run_shard installs the context before
         // any sharded path runs; absence is harness miswiring,
@@ -1277,27 +1113,28 @@ impl EventLoopServer {
         self.shard.as_ref().expect("run_shard installs the context")
     }
 
+    /// The file connection `i`'s request names and its home shard, when
+    /// that home is *another* shard. `None` — serve or install locally
+    /// — when this is not a sharded run, the fleet has one shard, the
+    /// home shard is us, or the path does not resolve in this shard's
+    /// namespace (the local 404 answers a GET; a first PUT creates it).
+    fn remote_home(&self, i: usize) -> Option<(FileId, usize)> {
+        let ctx = self.shard.as_ref().filter(|ctx| ctx.shards > 1)?;
+        let file = self.kernel.store.lookup(&self.conns[i].req.path)?;
+        let home = home_shard(file, ctx.shards);
+        (home != ctx.mailbox.id).then_some((file, home))
+    }
+
     /// Routes a static request for a remotely-homed document over the
     /// fabric, parking the connection in `RemoteWait`. Returns `false`
-    /// when the request should be served locally: not a sharded run,
-    /// single-shard fleet, home shard is us, the path does not resolve
-    /// (the local 404 path answers), or a `Replicate` replica is
+    /// when the request should be served locally: no remote home (see
+    /// [`remote_home`](Self::remote_home)), or a `Replicate` replica is
     /// already resident.
-    fn try_remote_route(&mut self, i: usize, path: &str) -> bool {
-        let Some(ctx) = &self.shard else {
+    fn try_remote_route(&mut self, i: usize) -> bool {
+        let Some((file, home)) = self.remote_home(i) else {
             return false;
         };
-        if ctx.shards <= 1 {
-            return false;
-        }
-        let Some(file) = self.kernel.store.lookup(path) else {
-            return false;
-        };
-        let home = home_shard(file, ctx.shards);
-        if home == ctx.mailbox.id {
-            return false;
-        }
-        if ctx.ownership == CacheOwnership::Replicate
+        if self.shard_ctx().ownership == CacheOwnership::Replicate
             && self.kernel.cache.contains(&CacheKey::whole(file))
         {
             return false;
@@ -1311,18 +1148,17 @@ impl EventLoopServer {
         waiters.push(i);
         if waiters.len() == 1 {
             self.stats.remote_reads += 1;
-            ctx.mailbox.send(
+            let mailbox = &self.shard_ctx().mailbox;
+            mailbox.send(
                 home,
                 ShardMsg::RemoteRead {
-                    from: ctx.mailbox.id,
+                    from: mailbox.id,
                     token: i as u64,
                     file,
                 },
             );
         }
-        self.conns[i].state = ConnState::RemoteWait {
-            path: path.to_string(),
-        };
+        self.conns[i].phase = Phase::RemoteWait;
         true
     }
 
@@ -1330,29 +1166,12 @@ impl EventLoopServer {
     /// parking the connection in `PutWait` until the home shard's ack.
     /// Only the home shard ever writes a file, so writes serialize
     /// there without any cross-shard lock. Returns `false` when the
-    /// write should be installed locally: not a sharded run,
-    /// single-shard fleet, home shard is us, or a path this shard's
-    /// namespace cannot resolve (first PUT: created locally).
-    fn try_remote_write(
-        &mut self,
-        i: usize,
-        path: &str,
-        body: &Aggregate,
-        keep_alive: bool,
-    ) -> bool {
-        let Some(ctx) = &self.shard else {
+    /// write should be installed locally (no remote home; see
+    /// [`remote_home`](Self::remote_home)).
+    fn try_remote_write(&mut self, i: usize, body: &Aggregate) -> bool {
+        let Some((file, home)) = self.remote_home(i) else {
             return false;
         };
-        if ctx.shards <= 1 {
-            return false;
-        }
-        let Some(file) = self.kernel.store.lookup(path) else {
-            return false;
-        };
-        let home = home_shard(file, ctx.shards);
-        if home == ctx.mailbox.id {
-            return false;
-        }
         self.stats.remote_writes += 1;
         // lint:allow(hot-path-alloc) — the host-level channel copy
         // (see serve_remote_read): an artifact of thread-confined
@@ -1360,6 +1179,7 @@ impl EventLoopServer {
         // where the bytes land).
         let bytes = body.to_vec();
         let ctx = self.shard_ctx();
+        let replicate = ctx.ownership == CacheOwnership::Replicate;
         ctx.mailbox.send(
             home,
             ShardMsg::RemoteWrite {
@@ -1372,90 +1192,71 @@ impl EventLoopServer {
         // The writing shard's own replica is stale the moment the
         // write lands at home: drop it now (journaled), so no later
         // local read can serve the replaced bytes.
-        if self.shard_ctx().ownership == CacheOwnership::Replicate {
+        if replicate {
             self.kernel.cache_invalidate(CacheKey::whole(file));
         }
-        self.conns[i].state = ConnState::PutWait {
-            path: path.to_string(),
-            keep_alive,
-        };
+        self.conns[i].phase = Phase::PutWait;
         true
     }
 
-    /// Home-shard side of a remote write: the body bytes land in this
-    /// shard's pool (the remote write's one real memcpy, billed here)
-    /// and install through its own journaled put path, then the ack
-    /// releases the writer's connection.
-    fn serve_remote_write(&mut self, from: usize, token: u64, file: FileId, bytes: Vec<u8>) {
+    /// Lands bytes that crossed the fabric in this shard's pool — the
+    /// one real memcpy of a remote read or write, billed (and
+    /// journaled) here, where the bytes land, since the app-side
+    /// `from_bytes` is invisible to the kernel.
+    fn land_copied(&mut self, bytes: &[u8]) -> Aggregate {
         let c = self.kernel.cost.copy(bytes.len() as u64);
         self.kernel.charge(CostCategory::Copy, c);
-        self.stats.cpu += c.time;
-        // lint:allow(hot-path-alloc) — Arc handle clone (a refcount
-        // bump), not a buffer copy; needed to end the kernel borrow.
-        let pool = self.kernel.process(self.pid).pool().clone();
-        let body = Aggregate::from_bytes(&pool, &bytes);
+        self.stats.bill(c);
+        Aggregate::from_bytes(self.kernel.process(self.pid).pool(), bytes)
+    }
+
+    /// Home-shard side of a remote write: the body lands in this
+    /// shard's pool and installs through its own journaled put path,
+    /// then the ack releases the writer's connection.
+    fn serve_remote_write(&mut self, from: usize, token: u64, file: FileId, bytes: Vec<u8>) {
+        let body = self.land_copied(&bytes);
         let out = self.kernel.put_install(self.pid, file, &body);
-        self.stats.cpu += out.charge.time;
+        self.stats.bill(out.charge);
         self.broadcast_invalidate(file);
         self.shard_ctx()
             .mailbox
             .send(from, ShardMsg::RemoteWriteAck { token, file });
     }
 
-    /// Writer side: the home shard acknowledged the PUT; answer the
-    /// parked connection's client.
-    fn finish_remote_write(&mut self, token: u64) {
-        let i = token as usize;
-        if !matches!(
-            self.conns.get(i).map(|c| &c.state),
-            Some(ConnState::PutWait { .. })
-        ) {
-            // The writer failed while the ack was in flight.
-            return;
-        }
-        let state = std::mem::replace(&mut self.conns[i].state, ConnState::Idle);
-        let ConnState::PutWait { path, keep_alive } = state else {
-            unreachable!("matched PutWait above");
-        };
-        self.respond_created(i, path, keep_alive);
-    }
-
     /// Handles one inbound cross-shard message; returns `true` on
     /// `Shutdown`.
     fn handle_shard_msg(&mut self, msg: ShardMsg) -> bool {
         match msg {
-            ShardMsg::Shutdown => true,
+            ShardMsg::Shutdown => return true,
             ShardMsg::RemoteRead { from, token, file } => {
                 self.serve_remote_read(from, token, file);
-                false
             }
             ShardMsg::RemoteData {
                 file,
                 bytes,
                 home_hit,
                 ..
-            } => {
-                self.finish_remote(file, bytes, home_hit);
-                false
-            }
+            } => self.finish_remote(file, &bytes, home_hit),
             ShardMsg::RemoteWrite {
                 from,
                 token,
                 file,
                 bytes,
-            } => {
-                self.serve_remote_write(from, token, file, bytes);
-                false
-            }
+            } => self.serve_remote_write(from, token, file, bytes),
+            // Writer side: the home shard acknowledged the PUT; answer
+            // the parked connection's client (unless the writer failed
+            // while the ack was in flight).
             ShardMsg::RemoteWriteAck { token, .. } => {
-                self.finish_remote_write(token);
-                false
+                let i = token as usize;
+                if matches!(self.conns.get(i).map(|c| &c.phase), Some(Phase::PutWait)) {
+                    self.respond_created(i);
+                }
             }
             ShardMsg::Invalidate { file } => {
                 self.kernel.cache_invalidate(CacheKey::whole(file));
-                false
             }
         }
+        false
     }
 
     /// Home-shard side of a remote read: snapshot the document through
@@ -1477,7 +1278,7 @@ impl EventLoopServer {
         // disk on a cold home + page maps — no byte copy, exactly
         // like a local zero-copy serve). The one real memcpy of a
         // remote fetch is billed on the requester side, where the
-        // bytes land (`cache_install` / `serve_copied`). The `Vec`
+        // bytes land (`cache_install` / `land_copied`). The `Vec`
         // crossing the host-level channel is an artifact of
         // thread-confined buffer pools, not a modeled cost.
         let (body, out) = self
@@ -1485,7 +1286,7 @@ impl EventLoopServer {
             .iol_read_fd(self.pid, fd, len)
             // lint:allow(panic) — no failure reply exists (see above).
             .expect("document read");
-        self.stats.cpu += out.charge.time;
+        self.stats.bill(out.charge);
         let home_hit = out.cache_hit;
         self.kernel
             .close_fd(self.pid, fd)
@@ -1510,65 +1311,42 @@ impl EventLoopServer {
     /// connection waiting on this file. Under `Replicate` the bytes
     /// are installed as a local cache replica and the waiters go
     /// through the normal local path (a guaranteed hit, unless the
-    /// budget rejects the entry outright); under `HomeOnly` the copy
-    /// is served directly and discarded.
-    fn finish_remote(&mut self, file: FileId, bytes: Vec<u8>, home_hit: bool) {
+    /// budget rejects the entry outright); under `HomeOnly` — and as
+    /// the replica-rejected fallback — the copy is landed, served
+    /// directly (no cache entry, no pin) and discarded.
+    fn finish_remote(&mut self, file: FileId, bytes: &[u8], home_hit: bool) {
         let waiters = self.remote_pending.remove(&file).unwrap_or_default();
         self.stats.remote_hits += u64::from(home_hit);
-        let ownership = self.shard_ctx().ownership;
         let mut replica_resident = false;
-        if ownership == CacheOwnership::Replicate {
-            let out = self.kernel.cache_install(file, &bytes);
-            self.stats.cpu += out.charge.time;
+        if self.shard_ctx().ownership == CacheOwnership::Replicate {
+            let out = self.kernel.cache_install(file, bytes);
+            self.stats.bill(out.charge);
             // When the budget evicts the replica on admission (entry
             // larger than this shard's share), fall back to serving
             // the copy directly instead of re-requesting forever.
             replica_resident = self.kernel.cache.contains(&CacheKey::whole(file));
         }
         for i in waiters {
-            if !matches!(
-                self.conns.get(i).map(|c| &c.state),
-                Some(ConnState::RemoteWait { .. })
-            ) {
+            if !matches!(self.conns.get(i).map(|c| &c.phase), Some(Phase::RemoteWait)) {
                 // This waiter failed while the read was in flight.
                 continue;
             }
-            let state = std::mem::replace(&mut self.conns[i].state, ConnState::Idle);
-            let ConnState::RemoteWait { path } = state else {
-                unreachable!("matched RemoteWait above");
-            };
             if replica_resident {
                 // The normal local path serves the replica as a cache
                 // hit (and re-routing cannot recurse).
-                self.open_static(i, path);
+                self.open_static(i);
             } else {
-                self.serve_copied(i, path, &bytes);
+                let body = self.land_copied(bytes);
+                self.respond(i, &response_header(body.len(), true), &body);
             }
         }
-    }
-
-    /// Serves a response straight from copied bytes (no cache entry, no
-    /// pin): the `HomeOnly` path and the replica-rejected fallback.
-    /// This path pays the remote fetch's one real memcpy — the bytes
-    /// land in the requester's pool — billed (and journaled) here
-    /// since the app-side `from_bytes` is invisible to the kernel.
-    fn serve_copied(&mut self, i: usize, path: String, bytes: &[u8]) {
-        let c = self.kernel.cost.copy(bytes.len() as u64);
-        self.kernel.charge(CostCategory::Copy, c);
-        self.stats.cpu += c.time;
-        // lint:allow(hot-path-alloc) — Arc handle clone (a refcount
-        // bump); the copy this path pays is billed two lines up.
-        let pool = self.kernel.process(self.pid).pool().clone();
-        let body = Aggregate::from_bytes(&pool, bytes);
-        let response = self.build_response(&body);
-        self.start_send(i, path, response, None, false);
     }
 
     /// Whether a tick can make progress without any inbound message:
     /// some connection is mid-request, retirable, or injectable under
     /// the admission limit. When this is false (and the shard is not
-    /// done), every live connection is in `RemoteWait` — the service
-    /// loop then *blocks* on the inbox instead of spinning.
+    /// done), every live connection is parked on the fabric — the
+    /// service loop then *blocks* on the inbox instead of spinning.
     fn can_progress_locally(&self) -> bool {
         let limit = self.cfg.admission_limit;
         let mut inflight = 0usize;
@@ -1576,16 +1354,11 @@ impl EventLoopServer {
         let mut retirable = false;
         let mut active = false;
         for c in &self.conns {
-            match &c.state {
-                ConnState::Done => {}
-                ConnState::Idle => {
-                    if c.script.is_empty() {
-                        retirable = true;
-                    } else {
-                        injectable = true;
-                    }
-                }
-                ConnState::RemoteWait { .. } | ConnState::PutWait { .. } => inflight += 1,
+            match c.phase {
+                Phase::Done => {}
+                Phase::Idle if c.script.is_empty() => retirable = true,
+                Phase::Idle => injectable = true,
+                Phase::RemoteWait | Phase::PutWait => inflight += 1,
                 _ => {
                     inflight += 1;
                     active = true;
@@ -1609,37 +1382,22 @@ impl EventLoopServer {
     pub fn run_shard(mut self, ctx: ShardContext) -> (LoopReport, Kernel) {
         self.shard = Some(ctx);
         let mut reported = false;
-        'serve: loop {
+        loop {
             // Drain everything already queued, nonblocking.
-            loop {
-                let polled = self.shard_ctx().mailbox.inbox.try_recv();
-                match polled {
-                    Ok(msg) => {
-                        if self.handle_shard_msg(msg) {
-                            break 'serve;
-                        }
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        // lint:allow(panic) — the documented
-                        // protocol-bug panic (see `# Panics`): a
-                        // fabric that disconnects before `Shutdown`
-                        // is a coordinator bug, and limping on would
-                        // hang the fleet on join.
-                        panic!("shard fabric disconnected before Shutdown")
-                    }
+            match self.pump().1 {
+                None => break,
+                Some(TryRecvError::Empty) => {}
+                Some(TryRecvError::Disconnected) => {
+                    // lint:allow(panic) — the documented protocol-bug
+                    // panic (see `# Panics`): a fabric that disconnects
+                    // before `Shutdown` is a coordinator bug, and
+                    // limping on would hang the fleet on join.
+                    panic!("shard fabric disconnected before Shutdown")
                 }
             }
-            if !self.done() {
+            if !self.is_done() {
                 if self.can_progress_locally() {
-                    self.tick();
-                    assert!(
-                        self.stats.ticks <= self.cfg.max_ticks,
-                        "shard event loop stuck after {} ticks ({} completed, {} failed)",
-                        self.stats.ticks,
-                        self.stats.completed,
-                        self.stats.failed,
-                    );
+                    self.tick_checked();
                     continue;
                 }
             } else if !reported {
@@ -1648,7 +1406,7 @@ impl EventLoopServer {
                 // A dead coordinator can never send Shutdown: treat
                 // it as one rather than panicking mid-serve.
                 if ctx.done_tx.send(ctx.mailbox.id).is_err() {
-                    break 'serve;
+                    break;
                 }
             }
             // Nothing to do until a message arrives (our data, a peer's
@@ -1659,19 +1417,11 @@ impl EventLoopServer {
                 .mailbox
                 .inbox
                 .recv_timeout(Duration::from_millis(5));
-            if let Ok(msg) = waited {
-                if self.handle_shard_msg(msg) {
-                    break 'serve;
-                }
+            if waited.is_ok_and(|msg| self.handle_shard_msg(msg)) {
+                break;
             }
         }
-        (
-            LoopReport {
-                stats: self.stats,
-                requests: self.requests,
-            },
-            self.kernel,
-        )
+        self.into_report()
     }
 }
 
@@ -1698,24 +1448,6 @@ pub fn synthetic_put_body(path: &str, len: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Whether the aggregate contains the `\r\n\r\n` header terminator
-/// (scanned run-by-run; state carries across chunk boundaries).
-fn header_complete(buf: &Aggregate) -> bool {
-    let mut progress = 0u8;
-    for chunk in buf.chunks() {
-        for &b in chunk {
-            progress = match (progress, b) {
-                (0 | 2, b'\r') => progress + 1,
-                (1, b'\n') => 2,
-                (3, b'\n') => return true,
-                (_, b'\r') => 1,
-                _ => 0,
-            };
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1730,18 +1462,6 @@ mod tests {
             k.create_synthetic_file(name, *bytes, 7);
         }
         (k, pid)
-    }
-
-    #[test]
-    fn terminator_detection_spans_chunk_boundaries() {
-        use iolite_buf::{Acl, BufferPool, PoolId};
-        for chunk in [1usize, 2, 3, 7, 4096] {
-            let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), chunk);
-            let full = Aggregate::from_bytes(&pool, b"GET / HTTP/1.1\r\nH: v\r\n\r\n");
-            assert!(header_complete(&full), "chunk {chunk}");
-            let partial = Aggregate::from_bytes(&pool, b"GET / HTTP/1.1\r\nH: v\r\n");
-            assert!(!header_complete(&partial), "chunk {chunk}");
-        }
     }
 
     #[test]

@@ -162,7 +162,7 @@ fn contains_ignore_case(haystack: &[u8], needle: &[u8]) -> bool {
 ///
 /// Returns the parse result plus the byte offset just past the
 /// terminator — where the body starts — when the terminator was seen.
-fn parse_lines<'a>(
+pub(crate) fn parse_lines<'a>(
     chunks: impl Iterator<Item = &'a [u8]>,
 ) -> (Option<Request>, Option<u64>) {
     let mut parser = LineParser::default();

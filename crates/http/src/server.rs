@@ -13,7 +13,7 @@
 //! transmission (§3.4), zero-copy or copying per the server's mode.
 
 use iolite_buf::Aggregate;
-use iolite_core::{Charge, CostCategory, Fd, Kernel, Pid};
+use iolite_core::{Charge, CostCategory, Fd, IolError, Kernel, Pid};
 use iolite_fs::CacheKey;
 use iolite_net::BufferMode;
 use iolite_sim::SimTime;
@@ -111,8 +111,7 @@ pub fn serve_static(
     );
     match kind {
         ServerKind::FlashLite => serve_iolite(kernel, sock, server_pid, file_fd, &mut rc),
-        ServerKind::Flash => serve_conventional(kernel, sock, server_pid, file_fd, &mut rc, false),
-        ServerKind::Apache => serve_conventional(kernel, sock, server_pid, file_fd, &mut rc, true),
+        _ => serve_conventional(kernel, kind, sock, server_pid, file_fd, &mut rc),
     }
     rc
 }
@@ -146,28 +145,8 @@ fn serve_iolite(kernel: &mut Kernel, sock: Fd, server_pid: Pid, file_fd: Fd, rc:
             kernel.cost.page_maps(outcome.mapped_pages),
         );
     }
-    // Response header: allocated in IO-Lite space (the paper: "allocating
-    // memory for response headers ... is handled with memory allocation
-    // from IO-Lite space"), then concatenated with the body by
-    // reference.
-    let header = response_header(body.len(), true);
-    let mut response = Aggregate::from_bytes(kernel.process(server_pid).pool(), &header);
-    response.append(&body);
-    rc.response_bytes = response.len();
-    // IOL_write on the socket descriptor: zero-copy send with checksum
-    // caching; the SendOutcome rides the IoOutcome.
-    let (_, wout) = kernel
-        .iol_write_fd(server_pid, sock, &response)
+    send_response(kernel, ServerKind::FlashLite, sock, server_pid, &body, rc)
         .expect("socket write");
-    let send = wout.net.expect("socket writes carry SendOutcome");
-    rc.push(CostCategory::Syscall, Charge::us(kernel.cost.syscall_us));
-    rc.push(
-        CostCategory::Checksum,
-        kernel.cost.wire_checksum(send.csum_bytes_computed),
-    );
-    rc.push(CostCategory::Packet, kernel.cost.packets(send.segments));
-    rc.wire_bytes = rc.response_bytes + send.header_bytes;
-    rc.owned_sock_bytes = send.owned_occupancy;
     // The network now references the cached entry: pin until drained.
     // The pin is keyed by CacheKey and registers even if the entry was
     // evicted between the IOL_read above and here (or is later replaced
@@ -180,11 +159,11 @@ fn serve_iolite(kernel: &mut Kernel, sock: Fd, server_pid: Pid, file_fd: Fd, rc:
 /// The Flash/Apache path: mmap'd file cache, copying send.
 fn serve_conventional(
     kernel: &mut Kernel,
+    kind: ServerKind,
     sock: Fd,
     server_pid: Pid,
     file_fd: Fd,
     rc: &mut RequestCosts,
-    apache: bool,
 ) {
     let file = kernel
         .fd_file(server_pid, file_fd)
@@ -195,11 +174,7 @@ fn serve_conventional(
     // mmap the document. Flash keeps a bounded mapped-file cache; a
     // miss (tail files) costs an mmap/munmap cycle. Apache maps and
     // unmaps per request (its cache capacity is zero here).
-    let mapped = if apache {
-        false
-    } else {
-        kernel.mapped_file_touch(file)
-    };
+    let mapped = kind != ServerKind::Apache && kernel.mapped_file_touch(file);
     if !mapped {
         rc.push(CostCategory::PageMap, Charge::us(kernel.cost.mmap_cycle_us));
     }
@@ -217,28 +192,56 @@ fn serve_conventional(
             kernel.cost.page_maps(outcome.mapped_pages),
         );
     }
-    let header = response_header(len, true);
-    let response_len = header.len() as u64 + body.len();
-    rc.response_bytes = response_len;
-    // writev(header, body) on the socket descriptor: one syscall, then
-    // the kernel copies payload into socket mbufs and checksums
-    // everything, every time.
+    send_response(kernel, kind, sock, server_pid, &body, rc).expect("socket write");
+}
+
+/// Frames `header ++ body` and transmits it on `sock` — the one send
+/// tail every server and the CGI path share — pushing the send's cost
+/// parts and filling `rc`'s response/wire/occupancy fields.
+///
+/// Flash-Lite allocates the header in IO-Lite space ("allocating memory
+/// for response headers ... is handled with memory allocation from
+/// IO-Lite space"), concatenates the body by reference, and
+/// `IOL_write`s the aggregate: a zero-copy send with checksum caching.
+/// Flash and Apache `writev(header, body)`: one syscall, then the
+/// kernel copies the payload into socket mbufs and checksums
+/// everything, every time; Apache adds its process-model cost.
+///
+/// # Errors
+///
+/// The socket write's [`IolError`] when the client connection died.
+pub(crate) fn send_response(
+    kernel: &mut Kernel,
+    kind: ServerKind,
+    sock: Fd,
+    server_pid: Pid,
+    body: &Aggregate,
+    rc: &mut RequestCosts,
+) -> Result<(), IolError> {
+    let header = response_header(body.len(), true);
+    rc.response_bytes = header.len() as u64 + body.len();
     rc.push(CostCategory::Syscall, Charge::us(kernel.cost.syscall_us));
-    let (send, _) = kernel
-        .socket_send_accounted(server_pid, sock, response_len)
-        .expect("socket write");
-    rc.push(
-        CostCategory::Copy,
-        kernel.cost.socket_copy(send.bytes_copied),
-    );
+    let send = if kind == ServerKind::FlashLite {
+        let mut response = Aggregate::from_bytes(kernel.process(server_pid).pool(), &header);
+        response.append(body);
+        let (_, wout) = kernel.iol_write_fd(server_pid, sock, &response)?;
+        wout.net.expect("socket writes carry SendOutcome")
+    } else {
+        let (send, _) = kernel.socket_send_accounted(server_pid, sock, rc.response_bytes)?;
+        rc.push(
+            CostCategory::Copy,
+            kernel.cost.socket_copy(send.bytes_copied),
+        );
+        send
+    };
     rc.push(
         CostCategory::Checksum,
         kernel.cost.wire_checksum(send.csum_bytes_computed),
     );
     rc.push(CostCategory::Packet, kernel.cost.packets(send.segments));
-    rc.wire_bytes = response_len + send.header_bytes;
+    rc.wire_bytes = rc.response_bytes + send.header_bytes;
     rc.owned_sock_bytes = send.owned_occupancy;
-    if apache {
+    if kind == ServerKind::Apache {
         // The process-per-connection model: scheduling, inter-process
         // select, per-request process work (§5.1: Apache trails Flash
         // even on identical data paths), plus slower internal buffer
@@ -247,11 +250,11 @@ fn serve_conventional(
             CostCategory::ProcessModel,
             Charge::us(
                 kernel.cost.apache_request_extra_us
-                    + response_len as f64 * kernel.cost.apache_extra_ns_per_byte / 1000.0,
+                    + rc.response_bytes as f64 * kernel.cost.apache_extra_ns_per_byte / 1000.0,
             ),
         );
     }
-    drop(body);
+    Ok(())
 }
 
 #[cfg(test)]

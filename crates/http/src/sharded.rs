@@ -33,7 +33,7 @@ use std::sync::mpsc::sync_channel;
 use std::thread;
 
 use iolite_core::{
-    shard_of_conn, ConnId, CostModel, Kernel, Metrics, Pid, ShardFabric, ShardMsg,
+    shard_of_conn, ConnId, CostModel, Kernel, Metrics, Pid, ShardFabric, ShardMsg, FABRIC_SLACK,
 };
 use iolite_fs::{CacheOwnership, Policy};
 use iolite_sim::SimTime;
@@ -133,10 +133,6 @@ impl ShardedReport {
         m
     }
 }
-
-/// Extra headroom in each inbox beyond the fleet-wide in-flight bound
-/// (covers `Shutdown` and ordering slop; see `iolite_core::shard`).
-const FABRIC_SLACK: usize = 8;
 
 /// Runs `conns` — `(conn_id, request script)` pairs — across
 /// `cfg.shards` shared-nothing shards and aggregates the outcome.

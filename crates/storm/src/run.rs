@@ -15,7 +15,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use iolite_buf::{splitmix64, Aggregate, BufferPool};
 use iolite_core::{
     replay, shard_of_conn, ConnId, CostModel, Journal, Kernel, KernelState, Metrics, Pid,
-    ShardFabric, ShardMsg,
+    ShardFabric, ShardMsg, FABRIC_SLACK,
 };
 use iolite_fs::{CacheKey, CacheOwnership, Policy};
 use iolite_http::{
@@ -27,10 +27,6 @@ use iolite_sim::{EventQueue, SimRng, SimTime};
 
 use crate::config::StormConfig;
 use crate::wire::WireSender;
-
-/// Extra fabric-inbox headroom beyond the fleet-wide in-flight bound
-/// (mirrors the capacity contract of `iolite_http::sharded`).
-const FABRIC_SLACK: usize = 8;
 
 /// Largest dribble segment a slowloris client puts on the wire.
 const DRIBBLE_BYTES: u64 = 3;
