@@ -77,8 +77,8 @@ fn recycling_delta() -> (u64, u64) {
         let mut keep = Vec::new();
         for _ in 0..100 {
             let msg = Aggregate::from_bytes(&pool, &[0u8; 64 * 1024]);
-            let chunks: Vec<_> = msg.slices().map(|s| s.id().chunk).collect();
-            window.transfer(&chunks, DomainId(1), &acl).unwrap();
+            let chunks = msg.slices().map(|s| s.id().chunk);
+            window.transfer(chunks, DomainId(1), &acl).unwrap();
             if hold {
                 // Prevent recycling: every message keeps its buffers
                 // (sequential-sharing systems without recycling).
@@ -157,8 +157,8 @@ fn chunk_size_sweep() -> Vec<(usize, u64)> {
             let mut held = Vec::new();
             for _ in 0..16 {
                 let msg = Aggregate::from_bytes(&pool, &vec![0u8; 64 * 1024]);
-                let chunks: Vec<_> = msg.slices().map(|s| s.id().chunk).collect();
-                window.transfer(&chunks, DomainId(1), &acl).unwrap();
+                let chunks = msg.slices().map(|s| s.id().chunk);
+                window.transfer(chunks, DomainId(1), &acl).unwrap();
                 held.push(msg);
             }
             (chunk, window.stats().chunk_maps)

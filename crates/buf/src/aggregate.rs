@@ -27,6 +27,7 @@
 //! | [`Aggregate::append_slice`], [`Aggregate::prepend_slice`] | O(1) amortized |
 //! | [`Aggregate::append`], [`Aggregate::prepend`] | O(other's n) |
 //! | [`Aggregate::pack`], [`Aggregate::copy_from_agg`] | O(bytes), exactly one copy |
+//! | [`Aggregate::from_bytes_aligned`], [`Aggregate::fill_aligned`] | O(bytes): one copy in, or the producer writing in place |
 //! | [`Aggregate::cursor`], [`Aggregate::chunks`] | O(1) to create, zero-alloc to iterate |
 
 use std::collections::{HashSet, VecDeque};
@@ -34,7 +35,7 @@ use std::fmt;
 
 use crate::cursor::AggCursor;
 use crate::error::BufError;
-use crate::pool::BufferPool;
+use crate::pool::{BufMut, BufferPool};
 use crate::reader::AggReader;
 use crate::slice::Slice;
 
@@ -101,35 +102,59 @@ impl Aggregate {
     /// This is the ingress point where outside bytes *enter* the IO-Lite
     /// world (and the one place a copy is inherent).
     pub fn from_bytes(pool: &BufferPool, data: &[u8]) -> Self {
-        let mut agg = Aggregate::empty();
-        let max = pool.chunk_size();
-        let mut rest = data;
-        while !rest.is_empty() {
-            let take = rest.len().min(max);
-            let mut b = pool
-                .alloc(take)
-                .expect("chunk-size-bounded allocation cannot fail");
-            b.put(&rest[..take]);
-            agg.append_slice(b.freeze());
-            rest = &rest[take..];
-        }
-        agg
+        Self::from_bytes_aligned(pool, data, 1)
     }
 
     /// Like [`Aggregate::from_bytes`] but with page-aligned, page-sized
     /// buffers, as the file system produces for disk data (§3.5).
     pub fn from_bytes_aligned(pool: &BufferPool, data: &[u8], align: usize) -> Self {
+        Self::build(pool, data.len() as u64, align, |offset, b| {
+            let start = offset as usize;
+            b.put(&data[start..start + b.capacity()]);
+        })
+    }
+
+    /// Allocates `len` bytes of `align`-aligned buffers from `pool` and
+    /// has `fill(offset, dst)` write each one in place, `offset` being
+    /// where `dst` starts within the `len` bytes.
+    ///
+    /// This is how disk data lands (§3.5): the producer writes straight
+    /// into the IO-Lite buffers, with no staging vector in between. The
+    /// allocation sequence — chunking, alignment, buffer ids and
+    /// generations — is exactly [`Aggregate::from_bytes_aligned`]'s for
+    /// `len` bytes (both run the same loop), so which of the two built
+    /// an aggregate is invisible to buffer identity.
+    pub fn fill_aligned(
+        pool: &BufferPool,
+        len: u64,
+        align: usize,
+        mut fill: impl FnMut(u64, &mut [u8]),
+    ) -> Self {
+        Self::build(pool, len, align, |offset, b| {
+            b.fill(b.capacity(), |dst| fill(offset, dst));
+        })
+    }
+
+    /// The one allocation loop: carves `len` bytes into chunk-size-bounded
+    /// `align`-aligned buffers and has `write(offset, buf)` fill each to
+    /// capacity before it is frozen and appended.
+    fn build(
+        pool: &BufferPool,
+        len: u64,
+        align: usize,
+        mut write: impl FnMut(u64, &mut BufMut),
+    ) -> Self {
         let mut agg = Aggregate::empty();
-        let max = pool.chunk_size();
-        let mut rest = data;
-        while !rest.is_empty() {
-            let take = rest.len().min(max);
+        let max = pool.chunk_size() as u64;
+        let mut offset = 0;
+        while offset < len {
+            let take = (len - offset).min(max);
             let mut b = pool
-                .alloc_aligned(take, align)
+                .alloc_aligned(take as usize, align)
                 .expect("chunk-size-bounded allocation cannot fail");
-            b.put(&rest[..take]);
+            write(offset, &mut b);
             agg.append_slice(b.freeze());
-            rest = &rest[take..];
+            offset += take;
         }
         agg
     }
@@ -520,23 +545,15 @@ impl Aggregate {
     /// Appends a *deep copy* of `src`'s value, allocated from `pool`,
     /// copying each byte exactly once (no intermediate `Vec`).
     pub fn copy_from_agg(&mut self, pool: &BufferPool, src: &Aggregate) {
-        let max = pool.chunk_size();
         let mut cur = src.cursor();
-        while cur.remaining() > 0 {
-            let take = (cur.remaining() as usize).min(max);
-            let mut b = pool
-                .alloc(take)
-                .expect("chunk-size-bounded allocation cannot fail");
-            let mut filled = 0;
-            while filled < take {
+        self.append(&Self::build(pool, src.len(), 1, |_, b| {
+            while b.remaining() > 0 {
                 let chunk = cur.peek_chunk().expect("length accounted");
-                let n = chunk.len().min(take - filled);
+                let n = chunk.len().min(b.remaining());
                 b.put(&chunk[..n]);
                 cur.advance(n as u64);
-                filled += n;
             }
-            self.append_slice(b.freeze());
-        }
+        }));
     }
 
     /// Sum of distinct buffer bytes referenced, counting each underlying

@@ -225,4 +225,44 @@ proptest! {
             }
         }
     }
+
+    /// `fill_aligned` is `from_bytes_aligned` minus the staging vector:
+    /// on twin pools, through fresh, open and recycled chunks alike, it
+    /// yields slice for slice the same buffer ids, generations, offsets,
+    /// lengths and bytes, and the callback sees each byte's offset once.
+    #[test]
+    fn fill_aligned_allocates_like_from_bytes_aligned(
+        chunk in 1usize..300,
+        builds in proptest::collection::vec((0usize..900, 0u8..4, any::<bool>()), 1..24),
+    ) {
+        let (copied_pool, filled_pool) = (pool(chunk), pool(chunk));
+        let mut live = Vec::new();
+        for (i, &(len, align_log2, keep)) in builds.iter().enumerate() {
+            let align = (1usize << (align_log2 * 2)).min(chunk);
+            let data: Vec<u8> = (0..len).map(|j| (i * 131 + j * 7) as u8).collect();
+            let copied = Aggregate::from_bytes_aligned(&copied_pool, &data, align);
+            let mut next = 0u64;
+            let filled = Aggregate::fill_aligned(&filled_pool, len as u64, align, |offset, dst| {
+                assert_eq!(offset, next, "fills arrive in order, without gaps");
+                next += dst.len() as u64;
+                dst.copy_from_slice(&data[offset as usize..][..dst.len()]);
+            });
+            prop_assert_eq!(next, len as u64);
+            prop_assert_eq!(filled.num_slices(), copied.num_slices());
+            for (f, c) in filled.slices().zip(copied.slices()) {
+                prop_assert_eq!(f.id(), c.id());
+                prop_assert_eq!(f.generation(), c.generation());
+                prop_assert_eq!(f.offset_in_buffer(), c.offset_in_buffer());
+                prop_assert_eq!(f.len(), c.len());
+                prop_assert_eq!(f.as_bytes(), c.as_bytes());
+                prop_assert_eq!(f.id().offset as usize % align, 0);
+            }
+            prop_assert_eq!(&filled.to_vec(), &data);
+            // Dropping some pairs lets chunks drain and recycle, in step.
+            if keep {
+                live.push((copied, filled));
+            }
+        }
+        prop_assert_eq!(copied_pool.stats(), filled_pool.stats());
+    }
 }

@@ -6,7 +6,7 @@
 //! buffer, and device time is reported as [`Effect::DiskRead`] data
 //! instead of being accumulated in place.
 
-use iolite_buf::{Acl, Aggregate, ChunkId, DomainId};
+use iolite_buf::{Acl, Aggregate, DomainId};
 use iolite_fs::{CacheKey, FileContent, FileId};
 use iolite_vm::{MemAccount, MmapView};
 
@@ -462,8 +462,9 @@ impl KernelState {
             return agg;
         }
         let len = self.store.len(file).unwrap_or(0);
-        let bytes = self.store.read(file, 0, len).unwrap_or_default();
-        let agg = Aggregate::from_bytes_aligned(&self.cache_pool, &bytes, iolite_buf::PAGE_SIZE);
+        let agg = Aggregate::fill_aligned(&self.cache_pool, len, iolite_buf::PAGE_SIZE, |at, dst| {
+            self.store.read_into(file, at, dst);
+        });
         out.disk_bytes = len;
         out.disk_time = self.disk.access_time(len);
         fx.push(Effect::DiskRead {
@@ -472,15 +473,14 @@ impl KernelState {
             time: out.disk_time,
         });
         // Admit, then shrink to budget. The cache pool is deliberately
-        // append-only — drained chunks are never scavenged back from
-        // inside an op. Scavenging keys off `Arc` refcounts, and those
-        // count *ambient* holders (the recorded journal's command
-        // aggregates, a connection's in-flight response clone) that
-        // exist live but not under replay: releasing here would make
-        // every later allocation offset — and thus buffer identity,
-        // which §3.9 checksum keys and the state digest both observe —
-        // depend on who else happens to hold a buffer. Determinism
-        // over compaction.
+        // append-only: scavenging drained chunks from inside an op keys
+        // off `Arc` refcounts, and those count *ambient* holders (the
+        // recorded journal's command aggregates, a connection's
+        // in-flight response clone) that exist live but not under
+        // replay — releasing here would make every later allocation
+        // offset, and thus buffer identity, which §3.9 checksum keys
+        // and the state digest both observe, depend on who else
+        // happens to hold a buffer. Determinism over compaction.
         self.cache.insert(key, agg.clone());
         self.op_rebalance_cache();
         agg
@@ -496,10 +496,10 @@ impl KernelState {
         domain: DomainId,
         fx: &mut Vec<Effect>,
     ) -> u64 {
-        let chunks: Vec<ChunkId> = agg.slices().map(|s| s.id().chunk).collect();
+        let chunks = agg.slices().map(|s| s.id().chunk);
         let pages = self
             .window
-            .transfer(&chunks, domain, &self.cache_pool_acl.clone())
+            .transfer(chunks, domain, &self.cache_pool_acl)
             .unwrap_or(0);
         fx.push(Effect::PagesMapped(pages));
         pages
@@ -519,8 +519,8 @@ impl KernelState {
         acl: &Acl,
         fx: &mut Vec<Effect>,
     ) -> Result<u64, iolite_vm::AccessDenied> {
-        let chunks: Vec<ChunkId> = agg.slices().map(|s| s.id().chunk).collect();
-        let pages = self.window.transfer(&chunks, domain, acl)?;
+        let chunks = agg.slices().map(|s| s.id().chunk);
+        let pages = self.window.transfer(chunks, domain, acl)?;
         fx.push(Effect::PagesMapped(pages));
         Ok(pages)
     }

@@ -4,6 +4,13 @@
 //! through the whole server path — but large files are generated
 //! deterministically on demand (`FileContent::Synthetic`) so trace data
 //! sets of hundreds of megabytes cost no host memory until read.
+//!
+//! Reads land where the caller says: [`FileStore::read_into`] writes a
+//! file extent straight into a caller-owned destination (the file cache
+//! hands it IO-Lite buffers, §3.5), and one generator, `fill_synthetic`,
+//! produces every synthetic byte — for reads, for materialization on
+//! first write and for zero-extension alike. [`FileStore::read`] is the
+//! same call into a fresh `Vec`.
 
 use std::collections::BTreeMap;
 
@@ -55,9 +62,26 @@ fn synthetic_block(seed: u64, block: u64) -> [u8; 8] {
     z.to_le_bytes()
 }
 
-/// Generates byte `i` of a synthetic file (unaligned remainder path).
-fn synthetic_byte(seed: u64, i: u64) -> u8 {
-    synthetic_block(seed, i / 8)[(i % 8) as usize]
+/// Writes bytes `offset..offset + dst.len()` of the synthetic file
+/// `seed` into `dst` — the one generator every read, materialization
+/// and extension goes through. Whole 8-byte blocks are stored with one
+/// `copy_from_slice` each; only an unaligned head and tail are partial.
+fn fill_synthetic(seed: u64, offset: u64, dst: &mut [u8]) {
+    let mut block = offset / 8;
+    let skew = (offset % 8) as usize;
+    // Unaligned head: the rest of the block `offset` falls inside.
+    let (head, body) = dst.split_at_mut(((8 - skew) % 8).min(dst.len()));
+    if !head.is_empty() {
+        head.copy_from_slice(&synthetic_block(seed, block)[skew..skew + head.len()]);
+        block += 1;
+    }
+    let mut blocks = body.chunks_exact_mut(8);
+    for b in &mut blocks {
+        b.copy_from_slice(&synthetic_block(seed, block));
+        block += 1;
+    }
+    let tail = blocks.into_remainder();
+    tail.copy_from_slice(&synthetic_block(seed, block)[..tail.len()]);
 }
 
 /// The server's file store: names, sizes, contents.
@@ -111,34 +135,55 @@ impl FileStore {
         self.files.values().map(|c| c.len()).sum()
     }
 
-    /// Reads `len` bytes at `offset`, clamped to the file end.
+    /// Reads the file's bytes at `offset` straight into `dst`, clamped to
+    /// the file end, and returns how many bytes were written (the
+    /// prefix of `dst`; the rest is left untouched).
+    ///
+    /// This is the primitive disk reads land through: the caller owns
+    /// the destination (an IO-Lite buffer being filled, §3.5), so no
+    /// staging copy exists. Synthetic content is generated a whole
+    /// 8-byte block per store, explicit content is one
+    /// `copy_from_slice`. Returns `None` for unknown files.
+    pub fn read_into(&self, id: FileId, offset: u64, dst: &mut [u8]) -> Option<usize> {
+        let content = self.files.get(&id)?;
+        let start = offset.min(content.len());
+        let avail = usize::try_from(content.len() - start).unwrap_or(usize::MAX);
+        let n = dst.len().min(avail);
+        let dst = &mut dst[..n];
+        match content {
+            FileContent::Synthetic { seed, .. } => fill_synthetic(*seed, start, dst),
+            FileContent::Explicit(v) => {
+                let start = start as usize;
+                dst.copy_from_slice(&v[start..start + n]);
+            }
+        }
+        Some(n)
+    }
+
+    /// Reads `len` bytes at `offset`, clamped to the file end, into a
+    /// fresh vector ([`FileStore::read_into`] for callers without a
+    /// destination of their own).
     ///
     /// Returns `None` for unknown files.
     pub fn read(&self, id: FileId, offset: u64, len: u64) -> Option<Vec<u8>> {
-        let content = self.files.get(&id)?;
-        let flen = content.len();
-        let start = offset.min(flen);
-        let end = (offset + len).min(flen);
-        let mut out = Vec::with_capacity((end - start) as usize);
-        match content {
-            FileContent::Synthetic { seed, .. } => {
-                // Generate blockwise: one hash per 8-byte block.
-                let mut i = start;
-                while i < end {
-                    if i % 8 == 0 && i + 8 <= end {
-                        out.extend_from_slice(&synthetic_block(*seed, i / 8));
-                        i += 8;
-                    } else {
-                        out.push(synthetic_byte(*seed, i));
-                        i += 1;
-                    }
-                }
-            }
-            FileContent::Explicit(v) => {
-                out.extend_from_slice(&v[start as usize..end as usize]);
+        let avail = self.len(id)?.saturating_sub(offset);
+        let mut out = vec![0; len.min(avail) as usize];
+        self.read_into(id, offset, &mut out)?;
+        Some(out)
+    }
+
+    /// Turns a synthetic file into explicit bytes (no-op for explicit
+    /// files). Returns `false` for unknown files.
+    fn materialize(&mut self, id: FileId) -> bool {
+        match self.files.get(&id) {
+            None => false,
+            Some(FileContent::Explicit(_)) => true,
+            Some(FileContent::Synthetic { len, .. }) => {
+                let v = self.read(id, 0, *len).expect("file exists");
+                self.files.insert(id, FileContent::Explicit(v));
+                true
             }
         }
-        Some(out)
     }
 
     /// Writes `data` at `offset`, growing the file if needed.
@@ -147,24 +192,10 @@ impl FileStore {
     /// are written in the experiments). Returns `false` for unknown
     /// files.
     pub fn write(&mut self, id: FileId, offset: u64, data: &[u8]) -> bool {
-        let Some(content) = self.files.get_mut(&id) else {
+        if !self.materialize(id) {
             return false;
-        };
-        if let FileContent::Synthetic { len, seed } = *content {
-            let mut materialized = Vec::with_capacity(len as usize);
-            let mut i = 0;
-            while i < len {
-                if i % 8 == 0 && i + 8 <= len {
-                    materialized.extend_from_slice(&synthetic_block(seed, i / 8));
-                    i += 8;
-                } else {
-                    materialized.push(synthetic_byte(seed, i));
-                    i += 1;
-                }
-            }
-            *content = FileContent::Explicit(materialized);
         }
-        let FileContent::Explicit(v) = content else {
+        let Some(FileContent::Explicit(v)) = self.files.get_mut(&id) else {
             unreachable!()
         };
         let end = offset as usize + data.len();
@@ -182,21 +213,16 @@ impl FileStore {
     /// PUT that replaces a huge trace file never materializes the old
     /// bytes just to discard them. Returns `false` for unknown files.
     pub fn truncate(&mut self, id: FileId, new_len: u64) -> bool {
-        let Some(content) = self.files.get(&id) else {
-            return false;
-        };
-        if let FileContent::Synthetic { len, .. } = *content {
-            if new_len <= len {
-                let Some(FileContent::Synthetic { len, .. }) = self.files.get_mut(&id) else {
-                    unreachable!()
-                };
+        if let Some(FileContent::Synthetic { len, .. }) = self.files.get_mut(&id) {
+            if new_len <= *len {
                 *len = new_len;
                 return true;
             }
-            // Zero-extension breaks the synthetic generator contract:
-            // materialize the real prefix, then grow.
-            let v = self.read(id, 0, len).expect("file exists");
-            self.files.insert(id, FileContent::Explicit(v));
+        }
+        // Zero-extension breaks the synthetic generator contract:
+        // materialize the real prefix, then grow.
+        if !self.materialize(id) {
+            return false;
         }
         let Some(FileContent::Explicit(v)) = self.files.get_mut(&id) else {
             unreachable!()

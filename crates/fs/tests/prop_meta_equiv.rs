@@ -1,0 +1,211 @@
+//! Cold-path equivalence: the O(1) structures against what they replaced.
+//!
+//! * `MetadataCache` (hash index + intrusive recency list) against the
+//!   scan implementation it replaced — one map of name → (id, stamp),
+//!   the victim found by walking every entry for the oldest stamp —
+//!   kept below as the model. Under random lookup / unresolvable-name /
+//!   `invalidate` sequences both must return the same `(id, hit)` per
+//!   call and end with the same counters and the same digest bytes: the
+//!   hit/miss sequence is what every simulated charge hangs off.
+//! * `FileStore::read_into` against `FileStore::read`, for arbitrary
+//!   extents and arbitrary cuts of the destination, synthetic and
+//!   explicit content.
+//! * A complexity guard: eviction cost must not scale with capacity.
+
+use std::collections::HashMap;
+
+use iolite_buf::Fnv64;
+use iolite_fs::{FileContent, FileId, FileStore, MetadataCache};
+use proptest::prelude::*;
+
+/// The replaced implementation, verbatim in behaviour: exact LRU by
+/// scanning all entries for the minimum stamp.
+struct ScanMeta {
+    capacity: usize,
+    clock: u64,
+    entries: HashMap<String, (FileId, u64)>,
+    hits: u64,
+    misses: u64,
+}
+
+impl ScanMeta {
+    fn new(capacity: usize) -> Self {
+        ScanMeta {
+            capacity,
+            clock: 0,
+            entries: HashMap::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn lookup(&mut self, name: &str, resolved: Option<FileId>) -> Option<(FileId, bool)> {
+        self.clock += 1;
+        if let Some((id, stamp)) = self.entries.get_mut(name) {
+            *stamp = self.clock;
+            self.hits += 1;
+            return Some((*id, true));
+        }
+        let id = resolved?;
+        self.misses += 1;
+        if self.entries.len() >= self.capacity {
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(k, _)| k.clone())
+                .expect("a full cache has a victim");
+            self.entries.remove(&victim);
+        }
+        self.entries.insert(name.to_string(), (id, self.clock));
+        Some((id, false))
+    }
+
+    fn invalidate(&mut self, name: &str) {
+        self.entries.remove(name);
+    }
+
+    fn digest(&self, h: &mut Fnv64) {
+        h.write_u64(self.capacity as u64);
+        h.write_u64(self.clock);
+        h.write_u64(self.hits);
+        h.write_u64(self.misses);
+        let mut names: Vec<&String> = self.entries.keys().collect();
+        names.sort_unstable();
+        h.write_u64(names.len() as u64);
+        for name in names {
+            let (id, stamp) = self.entries[name];
+            h.write_str(name);
+            h.write_u64(id.0);
+            h.write_u64(stamp);
+        }
+    }
+}
+
+fn digest_of(write: impl FnOnce(&mut Fnv64)) -> u64 {
+    let mut h = Fnv64::new();
+    write(&mut h);
+    h.finish()
+}
+
+/// A store holding the same bytes twice: once as a synthetic file, once
+/// as its explicit materialization.
+fn twin_store(len: u64, seed: u64) -> (FileStore, FileId, FileId) {
+    let mut fs = FileStore::new();
+    let synthetic = fs.create_synthetic("s", len, seed);
+    let bytes = fs.read(synthetic, 0, len).unwrap();
+    let explicit = fs.create("e", FileContent::Explicit(bytes));
+    (fs, synthetic, explicit)
+}
+
+proptest! {
+    /// Op kinds: 0–5 resolvable lookup, 6 unresolvable lookup (ticks the
+    /// clock, caches nothing), 7 invalidate. The name universe is up to
+    /// twice the largest capacity, so small caches churn constantly and
+    /// large ones mix hits, cold misses and refills of invalidated slots.
+    #[test]
+    fn matches_the_scan_model(
+        capacity in 1usize..65,
+        universe in 1u16..130,
+        ops in proptest::collection::vec((0u8..8, any::<u16>()), 1..400),
+    ) {
+        let mut real = MetadataCache::new(capacity);
+        let mut model = ScanMeta::new(capacity);
+        for (kind, pick) in ops {
+            let n = pick % universe;
+            let name = format!("/docs/{n}.html");
+            match kind {
+                0..=5 => {
+                    let id = Some(FileId(u64::from(n)));
+                    prop_assert_eq!(real.lookup(&name, || id), model.lookup(&name, id));
+                }
+                6 => {
+                    // A name the store cannot resolve — unless it is
+                    // cached, in which case both must hit.
+                    prop_assert_eq!(real.lookup(&name, || None), model.lookup(&name, None));
+                }
+                _ => {
+                    real.invalidate(&name);
+                    model.invalidate(&name);
+                }
+            }
+            prop_assert_eq!(real.len(), model.entries.len());
+            prop_assert!(real.len() <= capacity);
+        }
+        prop_assert_eq!(real.hits(), model.hits);
+        prop_assert_eq!(real.misses(), model.misses);
+        prop_assert_eq!(real.is_empty(), model.entries.is_empty());
+        prop_assert_eq!(digest_of(|h| real.digest(h)), digest_of(|h| model.digest(h)));
+        // A snapshot clone is the same cache.
+        let snap = real.clone();
+        prop_assert_eq!(digest_of(|h| snap.digest(h)), digest_of(|h| real.digest(h)));
+    }
+
+    /// `read_into` over any cut of the destination writes the bytes
+    /// `read` returns — block-aligned or not, across EOF or not.
+    #[test]
+    fn read_into_matches_read(
+        len in 0u64..600,
+        seed in any::<u64>(),
+        offset in 0u64..640,
+        want in 0usize..640,
+        cuts in proptest::collection::vec(1usize..40, 0..12),
+    ) {
+        let (fs, synthetic, explicit) = twin_store(len, seed);
+        for id in [synthetic, explicit] {
+            let expected = fs.read(id, offset, want as u64).unwrap();
+            prop_assert_eq!(expected.len() as u64, (want as u64).min(len.saturating_sub(offset)));
+            // One call: the prefix is filled, the rest is left alone.
+            let mut whole = vec![0xA5u8; want];
+            prop_assert_eq!(fs.read_into(id, offset, &mut whole), Some(expected.len()));
+            prop_assert_eq!(&whole[..expected.len()], &expected[..]);
+            prop_assert!(whole[expected.len()..].iter().all(|&b| b == 0xA5));
+            // Many calls: the destination cut into arbitrary pieces.
+            let mut pieces = vec![0xA5u8; want];
+            let (mut at, mut filled) = (0usize, 0usize);
+            for cut in cuts.iter().copied().chain(std::iter::once(want)) {
+                let end = (at + cut).min(want);
+                filled += fs.read_into(id, offset + at as u64, &mut pieces[at..end]).unwrap();
+                at = end;
+            }
+            prop_assert_eq!(filled, expected.len());
+            prop_assert_eq!(&pieces[..], &whole[..]);
+        }
+    }
+}
+
+/// Offsets and lengths near `u64::MAX` clamp instead of wrapping.
+#[test]
+fn read_clamps_huge_extents() {
+    let (fs, synthetic, explicit) = twin_store(10, 3);
+    for id in [synthetic, explicit] {
+        let all = fs.read(id, 0, 10).unwrap();
+        assert_eq!(fs.read(id, 3, u64::MAX).unwrap(), &all[3..]);
+        assert_eq!(fs.read(id, 10, u64::MAX).unwrap(), b"");
+        assert_eq!(fs.read(id, u64::MAX, u64::MAX).unwrap(), b"");
+        assert_eq!(fs.read_into(id, u64::MAX, &mut [0u8; 4]), Some(0));
+    }
+    assert_eq!(fs.read_into(FileId(99), 0, &mut [0u8; 4]), None);
+}
+
+/// 2^20 evicting misses against a 2^16-entry cache: about a second of
+/// hashing and formatting with O(1) eviction, 2^36 entry visits — the
+/// suite visibly stalls for minutes — under a victim scan. (No clock is
+/// read: `clippy.toml` bans `Instant` workspace-wide, and the gap
+/// between the two complexity classes needs no stopwatch.)
+#[test]
+fn eviction_cost_does_not_scale_with_capacity() {
+    const CAPACITY: usize = 1 << 16;
+    const MISSES: u64 = 1 << 20;
+    let mut c = MetadataCache::new(CAPACITY);
+    for n in 0..MISSES {
+        let (_, hit) = c.lookup(&format!("/f{n}"), || Some(FileId(n))).unwrap();
+        assert!(!hit);
+    }
+    assert_eq!(c.misses(), MISSES);
+    assert_eq!(c.len(), CAPACITY);
+    // Exact LRU: precisely the last CAPACITY names survive.
+    let (kept, evicted) = (MISSES - CAPACITY as u64, MISSES - CAPACITY as u64 - 1);
+    assert!(c.lookup(&format!("/f{kept}"), || None).is_some());
+    assert!(c.lookup(&format!("/f{evicted}"), || None).is_none());
+}

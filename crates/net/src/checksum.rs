@@ -21,19 +21,30 @@ pub struct PartialSum {
     pub len: u64,
 }
 
+/// Bytes summed between folds in [`raw_sum`]: 2^15 words of at most
+/// `0xFFFF` each, on top of a folded 16-bit carry-in, stay well below
+/// 2^32. Even, so every block but the last ends on a word boundary.
+const SUM_BLOCK: usize = 1 << 16;
+
 /// Sums a byte run as 16-bit big-endian words (RFC 1071 core loop).
+///
+/// The words are added block by block: a plain `u32` loop per block
+/// (which the compiler vectorises), folded to 16 bits before the next,
+/// so no input length can overflow the accumulator.
 fn raw_sum(data: &[u8]) -> u16 {
     let mut acc: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        acc += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        acc += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    // Fold carries.
-    while acc > 0xFFFF {
-        acc = (acc & 0xFFFF) + (acc >> 16);
+    for block in data.chunks(SUM_BLOCK) {
+        let mut words = block.chunks_exact(2);
+        for c in &mut words {
+            acc += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        }
+        if let [last] = words.remainder() {
+            acc += u32::from(u16::from_be_bytes([*last, 0]));
+        }
+        // Fold carries.
+        while acc > 0xFFFF {
+            acc = (acc & 0xFFFF) + (acc >> 16);
+        }
     }
     acc as u16
 }
@@ -142,6 +153,31 @@ mod tests {
                 reference_checksum(data),
                 "split {split}"
             );
+        }
+    }
+
+    /// The RFC 1071 sum with an accumulator no test input can overflow.
+    fn wide_sum(data: &[u8]) -> u16 {
+        let mut acc: u64 = 0;
+        for (i, &b) in data.iter().enumerate() {
+            acc += u64::from(b) << if i % 2 == 0 { 8 } else { 0 };
+        }
+        while acc > 0xFFFF {
+            acc = (acc & 0xFFFF) + (acc >> 16);
+        }
+        acc as u16
+    }
+
+    #[test]
+    fn long_runs_do_not_overflow_the_accumulator() {
+        // 2^19 words of 0xFFFF sum to 2^35 - 2^19: past a bare u32.
+        let mut data = vec![0xFFu8; 1 << 20];
+        data.extend_from_slice(&[0x12, 0x34, 0x56]);
+        assert_eq!(bytes_sum(&data).sum, wide_sum(&data));
+        // Block boundaries fall mid-run for every length around them.
+        for len in [SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 3 * SUM_BLOCK + 7] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            assert_eq!(bytes_sum(&data).sum, wide_sum(&data), "len {len}");
         }
     }
 

@@ -65,8 +65,8 @@ pub struct MapStats {
 /// let mut w = IoLiteWindow::new(64 * 1024);
 /// let acl = Acl::with_domain(DomainId(3));
 /// // First transfer of a chunk maps 16 pages; repeats are free.
-/// assert_eq!(w.transfer(&[ChunkId(0)], DomainId(3), &acl).unwrap(), 16);
-/// assert_eq!(w.transfer(&[ChunkId(0)], DomainId(3), &acl).unwrap(), 0);
+/// assert_eq!(w.transfer([ChunkId(0)], DomainId(3), &acl).unwrap(), 16);
+/// assert_eq!(w.transfer([ChunkId(0)], DomainId(3), &acl).unwrap(), 0);
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct IoLiteWindow {
@@ -103,7 +103,7 @@ impl IoLiteWindow {
     /// on the ACL; callers surface this as an access-control fault.
     pub fn transfer(
         &mut self,
-        chunks: &[ChunkId],
+        chunks: impl IntoIterator<Item = ChunkId>,
         domain: DomainId,
         acl: &Acl,
     ) -> Result<u64, AccessDenied> {
@@ -116,7 +116,7 @@ impl IoLiteWindow {
         }
         let table = self.maps.entry(domain).or_default();
         let mut new_pages = 0;
-        for &c in chunks {
+        for c in chunks {
             if table.contains_key(&c) {
                 continue;
             }
@@ -242,10 +242,10 @@ mod tests {
         let mut w = IoLiteWindow::new(64 * 1024);
         let d = DomainId(1);
         let acl = acl_for(d);
-        let pages = w.transfer(&[ChunkId(0), ChunkId(1)], d, &acl).unwrap();
+        let pages = w.transfer([ChunkId(0), ChunkId(1)], d, &acl).unwrap();
         assert_eq!(pages, 32);
         assert_eq!(w.stats().chunk_maps, 2);
-        let pages = w.transfer(&[ChunkId(0), ChunkId(1)], d, &acl).unwrap();
+        let pages = w.transfer([ChunkId(0), ChunkId(1)], d, &acl).unwrap();
         assert_eq!(pages, 0);
         assert_eq!(w.stats().warm_transfers, 1);
     }
@@ -254,7 +254,7 @@ mod tests {
     fn kernel_transfers_are_free() {
         let mut w = IoLiteWindow::new(64 * 1024);
         let acl = Acl::kernel_only();
-        assert_eq!(w.transfer(&[ChunkId(5)], DomainId::KERNEL, &acl), Ok(0));
+        assert_eq!(w.transfer([ChunkId(5)], DomainId::KERNEL, &acl), Ok(0));
         assert_eq!(w.stats().chunk_maps, 0);
         assert!(w.is_mapped(ChunkId(5), DomainId::KERNEL));
     }
@@ -263,7 +263,7 @@ mod tests {
     fn acl_denial_counted() {
         let mut w = IoLiteWindow::new(64 * 1024);
         let acl = acl_for(DomainId(1));
-        assert!(w.transfer(&[ChunkId(0)], DomainId(2), &acl).is_err());
+        assert!(w.transfer([ChunkId(0)], DomainId(2), &acl).is_err());
         assert_eq!(w.stats().denials, 1);
         assert!(!w.is_mapped(ChunkId(0), DomainId(2)));
     }
@@ -289,10 +289,10 @@ mod tests {
         let d1 = DomainId(1);
         let d2 = DomainId(2);
         let acl = Acl::with_domains(&[d1, d2]);
-        w.transfer(&[ChunkId(7)], d1, &acl).unwrap();
+        w.transfer([ChunkId(7)], d1, &acl).unwrap();
         assert!(w.is_mapped(ChunkId(7), d1));
         assert!(!w.is_mapped(ChunkId(7), d2));
-        w.transfer(&[ChunkId(7)], d2, &acl).unwrap();
+        w.transfer([ChunkId(7)], d2, &acl).unwrap();
         assert_eq!(w.mapped_chunks(d1), 1);
         assert_eq!(w.mapped_chunks(d2), 1);
         w.unmap_domain(d1);
