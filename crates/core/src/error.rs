@@ -9,13 +9,13 @@
 //!
 //! | [`IolError`] | errno analog | raised when |
 //! |---|---|---|
-//! | [`NotOpen`](IolError::NotOpen) | `EBADF` | the descriptor is not open in the caller's table |
+//! | [`NotOpen`](IolError::NotOpen) | `EBADF` | the descriptor is not open in the caller's table, names an object the kernel never created, or (as a `dup2`/`install_fd_at` target) is at or past [`FD_LIMIT`](crate::FD_LIMIT) |
 //! | [`BadFdKind`](IolError::BadFdKind) | `ESPIPE`/`ENOTSOCK`/`EBADF` | the object cannot perform the operation (e.g. `lseek` on a pipe, read on a write end) |
 //! | [`PermissionDenied`](IolError::PermissionDenied) | `EACCES` | the caller's domain is not on the governing ACL (§3.3) |
 //! | [`NotFound`](IolError::NotFound) | `ENOENT` | a path fails to resolve at `open` |
 //! | [`Closed`](IolError::Closed) | `EPIPE` | writing an object whose peer hung up |
 //! | [`WouldBlock`](IolError::WouldBlock) | `EAGAIN` | the operation made no progress and must wait for the peer (carries the trap's charge) |
-//! | [`InvalidSeek`](IolError::InvalidSeek) | `EINVAL` | the resolved seek position is negative |
+//! | [`InvalidSeek`](IolError::InvalidSeek) | `EINVAL` | the resolved seek position is negative or past `i64::MAX` (`off_t`) |
 //! | [`ShortIo`](IolError::ShortIo) | partial `write(2)` | the object filled mid-write; partial progress is carried |
 //!
 //! `ShortIo` deserves a note: a pipe that accepts *some* bytes before
@@ -37,7 +37,9 @@ use crate::kernel::IoOutcome;
 #[derive(Debug, Clone, Copy)]
 pub enum IolError {
     /// The descriptor is not open in the calling process's table
-    /// (`EBADF`): never opened, or closed then used.
+    /// (`EBADF`): never opened, closed then used, installed over an
+    /// object id the kernel never minted, or — as the target of
+    /// `dup2_fd`/`install_fd_at` — at or past [`crate::FD_LIMIT`].
     NotOpen {
         /// The descriptor that failed to resolve.
         fd: Fd,
@@ -71,7 +73,8 @@ pub enum IolError {
         /// Accounting for the refused attempt (the syscall charge).
         outcome: IoOutcome,
     },
-    /// The resolved seek position would be negative (`EINVAL`).
+    /// The resolved seek position would be negative or beyond
+    /// `i64::MAX`, the end of `off_t` (`EINVAL`).
     InvalidSeek {
         /// The out-of-range position that was requested.
         requested: i64,
@@ -128,7 +131,7 @@ impl fmt::Display for IolError {
             IolError::Closed => write!(f, "peer closed (EPIPE)"),
             IolError::WouldBlock { .. } => write!(f, "operation would block (EAGAIN)"),
             IolError::InvalidSeek { requested } => {
-                write!(f, "seek to negative position {requested} (EINVAL)")
+                write!(f, "seek by {requested} leaves the file offset range (EINVAL)")
             }
             IolError::ShortIo { done, .. } => {
                 write!(f, "short write: {done} bytes accepted before the object filled")

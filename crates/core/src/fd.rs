@@ -1,27 +1,65 @@
 //! File descriptors: the §3.4 contract that `IOL_read`/`IOL_write`
 //! "can act on any UNIX file descriptor".
 //!
-//! Descriptors resolve to open-file descriptions with UNIX semantics:
-//! `dup`ed descriptors share one file offset (one description, two
-//! numbers), independently `open`ed descriptors do not. Files, pipe
-//! ends, **and sockets** all sit behind the same table, so one code
-//! path serves the paper's "all other file-descriptor-related UNIX
-//! system calls remain unchanged".
+//! Files, pipe ends, **and sockets** all sit behind the same table, so
+//! one code path serves the paper's "all other file-descriptor-related
+//! UNIX system calls remain unchanged". Semantics are POSIX: allocation
+//! takes the lowest free number, `dup2`-style calls target an exact
+//! number, the stdio triple occupies 0/1/2 (installed by
+//! `Kernel::spawn`), `dup`ed descriptors share one file offset (one
+//! open-file description, two numbers) and independently `open`ed ones
+//! do not.
 //!
-//! Descriptor numbers follow POSIX: allocation always takes the lowest
-//! free number, `dup2`-style [`FdTable::install_at`] targets an exact
-//! number, and the conventional stdio triple occupies 0/1/2 (installed
-//! by `Kernel::spawn`).
+//! # Layout
+//!
+//! Every descriptor call is on a server's per-request path, so the
+//! layout is the one a kernel uses — arrays, no trees, no locks:
+//!
+//! * **Slot table** ([`FdTable`], one per process, held in a dense
+//!   pid-indexed table): a vector indexed by descriptor number whose
+//!   slot names an open-file description, plus the min-ordered set of
+//!   free numbers below the vector's end. The lowest free number is
+//!   the set's first element, or the vector's length when there are no
+//!   holes — nothing walks the open descriptors to find it.
+//! * **Description slab** ([`FdRegistry`]-wide): one
+//!   `Vec<`[`OpenFile`]`>` with a LIFO free list. A description records
+//!   its object, the shared offset, and how many numbers (in any
+//!   process) name it; `dup` copies a slab index, so sharing needs no
+//!   pointer and no lock, and the registry is a plain `Clone` value —
+//!   a snapshot is `clone()`, sharing included.
+//! * **Live-description counts**, per pipe end and socket, kept at
+//!   description birth and death: the last close of an object is a
+//!   counter reaching zero, not a scan of every process's table.
+//!
+//! # Cost of each call
+//!
+//! | call | cost |
+//! |---|---|
+//! | [`FdRegistry::get`], [`FdRegistry::advance`], [`FdRegistry::set_pos`] | O(1): three array indexes |
+//! | [`FdRegistry::install`], [`FdRegistry::dup`] | O(log h), h = holes below the highest number ever used (O(1) with none) |
+//! | [`FdRegistry::close`] | O(log h) |
+//! | [`FdRegistry::install_at`], [`FdRegistry::dup2`] | O(log h), plus O(g) when the target lies g numbers past the end (bounded by [`FD_LIMIT`]) |
+//! | [`Clone`], [`FdRegistry::digest`] | O(slots + descriptions) |
+//!
+//! None of them depends on how many descriptors are open.
 
-use std::collections::{BTreeMap, HashMap};
-// lint:allow(no-lock) — see `OpenFileRef` below for why this Mutex
-// does not violate the shared-nothing rule.
-use std::sync::{Arc, Mutex};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 
 use iolite_fs::FileId;
 
+use crate::error::IolError;
+use crate::idtable::IdTable;
 use crate::kernel::{ConnId, PipeId};
 use crate::process::Pid;
+
+/// Exclusive upper bound on a *caller-chosen* descriptor number
+/// ([`FdRegistry::install_at`], [`FdRegistry::dup2`]): targets at or
+/// above it are `EBADF`, as past `RLIMIT_NOFILE`, so one call cannot
+/// make the slot table allocate gigabytes. Lowest-free allocation needs
+/// no such bound — its numbers are bounded by the descriptors actually
+/// open.
+pub const FD_LIMIT: u32 = 1 << 20;
 
 /// A per-process file-descriptor number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -49,7 +87,7 @@ pub enum Whence {
 }
 
 /// What an open-file description refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FdObject {
     /// A regular file with a seek position.
     File(FileId),
@@ -62,155 +100,98 @@ pub enum FdObject {
 }
 
 /// An open-file description (shared by `dup`ed descriptors).
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct OpenFile {
     /// The underlying object.
     pub object: FdObject,
     /// Current file offset (files only; pipes and sockets ignore it).
     pub pos: u64,
+    /// Descriptor numbers, in any process, naming this description.
+    refs: u32,
 }
 
-/// A shared handle to an open-file description.
-///
-/// The Mutex exists so `dup`ed descriptors (possibly across simulated
-/// processes) share one offset while `Kernel` stays `Send`; every
-/// descriptor is only ever touched by its owning shard's thread, so
-/// the lock is uncontended by construction — it never crosses shards.
-// lint:allow(no-lock) — shard-confined dup sharing (see above); no
-// cross-shard state hides behind this lock.
-pub type OpenFileRef = Arc<Mutex<OpenFile>>;
-
-/// One process's descriptor table.
-#[derive(Debug, Default)]
+/// One process's descriptor numbers: the slot table of the module docs.
+#[derive(Debug, Default, Clone)]
 pub struct FdTable {
-    entries: BTreeMap<Fd, OpenFileRef>,
+    /// Descriptor number → description slab index.
+    slots: Vec<Option<u32>>,
+    /// The free numbers below `slots.len()`.
+    free: BTreeSet<u32>,
+    open: usize,
 }
 
 impl FdTable {
-    /// Creates an empty table. Numbering starts at 0; the kernel claims
-    /// 0/1/2 for the stdio triple at `spawn`, so user objects land at 3+.
-    pub fn new() -> Self {
-        FdTable::default()
+    /// Open descriptors.
+    pub fn len(&self) -> usize {
+        self.open
     }
 
-    /// The lowest descriptor number not currently in use (POSIX
-    /// allocation order).
-    fn lowest_free(&self) -> Fd {
-        let mut n = 0u32;
-        for fd in self.entries.keys() {
-            if fd.0 == n {
-                n += 1;
-            } else {
-                break;
-            }
-        }
+    /// Whether no descriptor is open.
+    pub fn is_empty(&self) -> bool {
+        self.open == 0
+    }
+
+    /// The description behind `fd`, if open.
+    fn get(&self, fd: Fd) -> Option<u32> {
+        *self.slots.get(fd.0 as usize)?
+    }
+
+    /// Binds the lowest free number (POSIX allocation order) to `desc`.
+    fn claim_lowest(&mut self, desc: u32) -> Fd {
+        let n = self.free.pop_first().unwrap_or_else(|| {
+            self.slots.push(None);
+            u32::try_from(self.slots.len() - 1).expect("descriptor numbers fit u32")
+        });
+        self.slots[n as usize] = Some(desc);
+        self.open += 1;
         Fd(n)
     }
 
-    /// Installs a new open-file description at the lowest free number,
-    /// returning its descriptor. Closed numbers are reused, per POSIX.
-    pub fn install(&mut self, object: FdObject) -> Fd {
-        let fd = self.lowest_free();
-        self.entries
-            // lint:allow(no-lock) — constructing an `OpenFileRef`
-            // (shard-confined; see the type's docs).
-            .insert(fd, Arc::new(Mutex::new(OpenFile { object, pos: 0 })));
-        fd
-    }
-
-    /// Installs a *new* description for `object` at exactly `at`
-    /// (`dup2`-style targeting), silently replacing whatever was there.
-    /// Returns the displaced description, if any, so the kernel can run
-    /// last-reference close semantics on it.
-    pub fn install_at(&mut self, at: Fd, object: FdObject) -> Option<OpenFileRef> {
-        self.entries
-            // lint:allow(no-lock) — constructing an `OpenFileRef`
-            // (shard-confined; see the type's docs).
-            .insert(at, Arc::new(Mutex::new(OpenFile { object, pos: 0 })))
-    }
-
-    /// Duplicates `fd` onto the lowest free number: the new descriptor
-    /// shares the same open-file description (and therefore the same
-    /// offset), as POSIX `dup`.
-    pub fn dup(&mut self, fd: Fd) -> Option<Fd> {
-        let desc = self.entries.get(&fd)?.clone();
-        let new = self.lowest_free();
-        self.entries.insert(new, desc);
-        Some(new)
-    }
-
-    /// Duplicates `src` onto exactly `dst` (POSIX `dup2`): the two
-    /// numbers share one description afterwards. Returns the displaced
-    /// description previously at `dst`, if any (`None` also when
-    /// `src == dst`, which is a no-op per POSIX).
-    pub fn dup2(&mut self, src: Fd, dst: Fd) -> Option<Option<OpenFileRef>> {
-        let desc = self.entries.get(&src)?.clone();
-        if src == dst {
-            return Some(None);
+    /// Binds exactly `at` (below [`FD_LIMIT`]) to `desc`, returning the
+    /// description it displaced.
+    fn claim(&mut self, at: Fd, desc: u32) -> Option<u32> {
+        let end = u32::try_from(self.slots.len()).expect("descriptor numbers fit u32");
+        if at.0 >= end {
+            self.free.extend(end..at.0);
+            self.slots.resize(at.0 as usize + 1, None);
         }
-        Some(self.entries.insert(dst, desc))
+        let old = self.slots[at.0 as usize].replace(desc);
+        if old.is_none() {
+            self.free.remove(&at.0);
+            self.open += 1;
+        }
+        old
     }
 
-    /// Resolves a descriptor.
-    pub fn get(&self, fd: Fd) -> Option<OpenFileRef> {
-        self.entries.get(&fd).cloned()
+    /// Frees `fd`, returning the description it named.
+    fn release(&mut self, fd: Fd) -> Option<u32> {
+        let desc = self.slots.get_mut(fd.0 as usize)?.take()?;
+        self.free.insert(fd.0);
+        self.open -= 1;
+        Some(desc)
     }
 
-    /// Closes a descriptor; the description dies with its last number.
-    /// Returns the removed description so the kernel can apply
-    /// last-reference semantics (pipe EOF, socket teardown).
-    pub fn close(&mut self, fd: Fd) -> Option<OpenFileRef> {
-        self.entries.remove(&fd)
-    }
-
-    /// Open descriptors.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates the open descriptors and their objects.
-    pub fn iter(&self) -> impl Iterator<Item = (Fd, FdObject)> + '_ {
-        self.entries.iter().map(|(fd, of)| (*fd, of.lock().unwrap().object))
-    }
-
-    /// Deep-forks the table for a kernel-state snapshot. `shared` maps
-    /// original description identity → forked twin across the *whole*
-    /// registry, so `dup`ed descriptors (possibly in different
-    /// processes) keep sharing one offset after the fork.
-    fn fork(&self, shared: &mut HashMap<usize, OpenFileRef>) -> FdTable {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(fd, desc)| {
-                let key = Arc::as_ptr(desc) as usize;
-                let twin = shared
-                    .entry(key)
-                    .or_insert_with(|| {
-                        let of = desc.lock().unwrap();
-                        // lint:allow(no-lock) — constructing an
-                        // `OpenFileRef` (shard-confined; type docs).
-                        Arc::new(Mutex::new(OpenFile {
-                            object: of.object,
-                            pos: of.pos,
-                        }))
-                    })
-                    .clone();
-                (*fd, twin)
-            })
-            .collect();
-        FdTable { entries }
+    /// The open numbers and their descriptions, ascending.
+    fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0u32..).zip(&self.slots).filter_map(|(n, d)| Some((n, (*d)?)))
     }
 }
 
-/// Kernel-wide registry of per-process tables.
-#[derive(Debug, Default)]
+/// Kernel-wide descriptor state: per-process slot tables over one slab
+/// of open-file descriptions (module docs). A plain value — `clone()`
+/// is a deep fork that keeps every `dup` sharing, across processes too.
+///
+/// The mutating calls materialise `pid`'s (empty) table on first use,
+/// failing calls included; [`FdRegistry::get`] never does.
+#[derive(Debug, Default, Clone)]
 pub struct FdRegistry {
-    tables: BTreeMap<Pid, FdTable>,
+    tables: IdTable<Pid, FdTable>,
+    descs: Vec<OpenFile>,
+    /// Dead slab entries, reused last-freed-first.
+    free_descs: Vec<u32>,
+    /// Live descriptions per pipe end and socket. Files are not
+    /// counted: they have no last-close action. Probed, never iterated.
+    live: HashMap<FdObject, u32>,
 }
 
 impl FdRegistry {
@@ -219,54 +200,178 @@ impl FdRegistry {
         FdRegistry::default()
     }
 
-    /// The table for `pid`, created on first use.
-    pub fn table(&mut self, pid: Pid) -> &mut FdTable {
-        self.tables.entry(pid).or_default()
-    }
-
     /// Read-only access to `pid`'s table, if it exists.
     pub fn get_table(&self, pid: Pid) -> Option<&FdTable> {
-        self.tables.get(&pid)
+        self.tables.get(pid)
     }
 
-    /// Whether any descriptor in any process still refers to `object`
-    /// (drives last-close semantics: a pipe's write end closes for real
-    /// only when its last descriptor is gone).
-    pub fn object_referenced(&self, object: FdObject) -> bool {
-        self.tables
-            .values()
-            .any(|t| t.iter().any(|(_, obj)| obj == object))
+    /// The slab index of the description behind `fd` — the one lookup
+    /// every descriptor operation goes through.
+    fn desc(&self, pid: Pid, fd: Fd) -> Option<usize> {
+        Some(self.tables.get(pid)?.get(fd)? as usize)
     }
 
-    /// Deep-forks the registry, preserving description sharing (one
-    /// shared identity map spans every process's table).
-    pub fn fork(&self) -> FdRegistry {
-        let mut shared = HashMap::new();
-        FdRegistry {
-            tables: self
-                .tables
-                .iter()
-                .map(|(pid, t)| (*pid, t.fork(&mut shared)))
-                .collect(),
+    /// Resolves a descriptor to (a copy of) its description.
+    pub fn get(&self, pid: Pid, fd: Fd) -> Option<OpenFile> {
+        Some(self.descs[self.desc(pid, fd)?])
+    }
+
+    /// Sets the offset shared by every number naming `fd`'s
+    /// description; `false` if `fd` is not open.
+    pub fn set_pos(&mut self, pid: Pid, fd: Fd, pos: u64) -> bool {
+        let desc = self.desc(pid, fd);
+        desc.map(|d| self.descs[d].pos = pos).is_some()
+    }
+
+    /// Moves the shared offset forward by the `n` bytes a read or write
+    /// transferred (a no-op if `fd` is not open). Saturating: an offset
+    /// never wraps back to the start of the file.
+    pub fn advance(&mut self, pid: Pid, fd: Fd, n: u64) {
+        if let Some(d) = self.desc(pid, fd) {
+            let pos = &mut self.descs[d].pos;
+            *pos = pos.saturating_add(n);
         }
+    }
+
+    /// Installs a new description (offset 0) for `object` at `pid`'s
+    /// lowest free number. Closed numbers are reused, per POSIX.
+    pub fn install(&mut self, pid: Pid, object: FdObject) -> Fd {
+        let desc = self.birth(object);
+        self.tables.get_or_default(pid).claim_lowest(desc)
+    }
+
+    /// Installs a *new* description for `object` at exactly `at`
+    /// (`dup2`-style targeting), displacing whatever was there. Returns
+    /// the pipe end or socket that thereby lost its last descriptor, if
+    /// any, so the kernel can run its last-close action.
+    ///
+    /// # Errors
+    ///
+    /// [`IolError::NotOpen`] (`EBADF`) when `at` is [`FD_LIMIT`] or more.
+    pub fn install_at(
+        &mut self,
+        pid: Pid,
+        at: Fd,
+        object: FdObject,
+    ) -> Result<Option<FdObject>, IolError> {
+        self.tables.get_or_default(pid);
+        if at.0 >= FD_LIMIT {
+            return Err(IolError::NotOpen { fd: at });
+        }
+        let desc = self.birth(object);
+        let displaced = self.tables.get_or_default(pid).claim(at, desc);
+        Ok(displaced.and_then(|old| self.unref(old)))
+    }
+
+    /// Duplicates `fd` onto the lowest free number: the new descriptor
+    /// shares the same description (and therefore the same offset), as
+    /// POSIX `dup`.
+    ///
+    /// # Errors
+    ///
+    /// [`IolError::NotOpen`] if `fd` is not open.
+    pub fn dup(&mut self, pid: Pid, fd: Fd) -> Result<Fd, IolError> {
+        let table = self.tables.get_or_default(pid);
+        let desc = table.get(fd).ok_or(IolError::NotOpen { fd })?;
+        self.descs[desc as usize].refs += 1;
+        Ok(table.claim_lowest(desc))
+    }
+
+    /// Duplicates `src` onto exactly `dst` (POSIX `dup2`): the two
+    /// numbers share one description afterwards; `src == dst` is a
+    /// no-op. Returns the object that lost its last descriptor by being
+    /// displaced from `dst`, as [`FdRegistry::install_at`].
+    ///
+    /// # Errors
+    ///
+    /// [`IolError::NotOpen`] if `src` is not open, or (naming `dst`) if
+    /// `dst` is [`FD_LIMIT`] or more.
+    pub fn dup2(&mut self, pid: Pid, src: Fd, dst: Fd) -> Result<Option<FdObject>, IolError> {
+        let table = self.tables.get_or_default(pid);
+        let desc = table.get(src).ok_or(IolError::NotOpen { fd: src })?;
+        if src == dst {
+            return Ok(None);
+        }
+        if dst.0 >= FD_LIMIT {
+            return Err(IolError::NotOpen { fd: dst });
+        }
+        self.descs[desc as usize].refs += 1;
+        let displaced = table.claim(dst, desc);
+        Ok(displaced.and_then(|old| self.unref(old)))
+    }
+
+    /// Closes a descriptor; the description dies with its last number.
+    /// Returns the pipe end or socket that thereby lost its last
+    /// descriptor in *any* process, if any (pipe EOF, `EPIPE`, socket
+    /// teardown are the kernel's to apply).
+    ///
+    /// # Errors
+    ///
+    /// [`IolError::NotOpen`] if `fd` is not open (double close).
+    pub fn close(&mut self, pid: Pid, fd: Fd) -> Result<Option<FdObject>, IolError> {
+        let desc = self
+            .tables
+            .get_or_default(pid)
+            .release(fd)
+            .ok_or(IolError::NotOpen { fd })?;
+        Ok(self.unref(desc))
+    }
+
+    /// Allocates a slab entry for a new description of `object`.
+    fn birth(&mut self, object: FdObject) -> u32 {
+        if !matches!(object, FdObject::File(_)) {
+            *self.live.entry(object).or_insert(0) += 1;
+        }
+        let of = OpenFile {
+            object,
+            pos: 0,
+            refs: 1,
+        };
+        if let Some(desc) = self.free_descs.pop() {
+            self.descs[desc as usize] = of;
+            return desc;
+        }
+        self.descs.push(of);
+        u32::try_from(self.descs.len() - 1).expect("fewer than 2^32 open descriptions")
+    }
+
+    /// Drops one number's reference to description `desc`. When that
+    /// kills the description and it was the last one for its pipe end
+    /// or socket, returns that object.
+    fn unref(&mut self, desc: u32) -> Option<FdObject> {
+        let of = &mut self.descs[desc as usize];
+        of.refs -= 1;
+        if of.refs > 0 {
+            return None;
+        }
+        self.free_descs.push(desc);
+        let Entry::Occupied(mut count) = self.live.entry(of.object) else {
+            return None; // a file
+        };
+        *count.get_mut() -= 1;
+        (*count.get() == 0).then(|| count.remove_entry().0)
     }
 
     /// Folds the registry into a stable digest. Shared descriptions are
     /// identified by an alias index assigned in first-encounter order
-    /// over the (sorted) `(pid, fd)` iteration, so pointer values never
-    /// leak into the hash.
+    /// over the ascending `(pid, fd)` iteration, so slab indices — which
+    /// depend on close order — never reach the hash.
     pub fn digest(&self, h: &mut iolite_buf::Fnv64) {
-        let mut alias: HashMap<usize, u64> = HashMap::new();
+        let mut alias = vec![u64::MAX; self.descs.len()];
+        let mut next = 0;
         h.write_usize(self.tables.len());
-        for (pid, t) in &self.tables {
+        for (pid, t) in self.tables.iter() {
             h.write_u32(pid.0);
-            h.write_usize(t.entries.len());
-            for (fd, desc) in &t.entries {
-                h.write_u32(fd.0);
-                let key = Arc::as_ptr(desc) as usize;
-                let next = alias.len() as u64;
-                h.write_u64(*alias.entry(key).or_insert(next));
-                let of = desc.lock().unwrap();
+            h.write_usize(t.open);
+            for (fd, desc) in t.iter() {
+                h.write_u32(fd);
+                let a = &mut alias[desc as usize];
+                if *a == u64::MAX {
+                    *a = next;
+                    next += 1;
+                }
+                h.write_u64(*a);
+                let of = self.descs[desc as usize];
                 let (tag, id) = match of.object {
                     FdObject::File(f) => (0u64, f.0),
                     FdObject::PipeRead(p) => (1, p.0 as u64),
@@ -285,12 +390,18 @@ impl FdRegistry {
 mod tests {
     use super::*;
 
+    const P: Pid = Pid(1);
+
+    fn pos(reg: &FdRegistry, fd: Fd) -> u64 {
+        reg.get(P, fd).unwrap().pos
+    }
+
     #[test]
     fn descriptors_allocate_lowest_free_per_process() {
         let mut reg = FdRegistry::new();
-        let a = reg.table(Pid(1)).install(FdObject::File(FileId(1)));
-        let b = reg.table(Pid(1)).install(FdObject::File(FileId(2)));
-        let c = reg.table(Pid(2)).install(FdObject::File(FileId(3)));
+        let a = reg.install(Pid(1), FdObject::File(FileId(1)));
+        let b = reg.install(Pid(1), FdObject::File(FileId(2)));
+        let c = reg.install(Pid(2), FdObject::File(FileId(3)));
         assert_eq!(a, Fd(0));
         assert_eq!(b, Fd(1));
         assert_eq!(c, Fd(0), "tables are independent per process");
@@ -298,81 +409,122 @@ mod tests {
 
     #[test]
     fn closed_numbers_are_reused_lowest_first() {
-        let mut t = FdTable::new();
-        let a = t.install(FdObject::File(FileId(1)));
-        let b = t.install(FdObject::File(FileId(2)));
-        let c = t.install(FdObject::File(FileId(3)));
+        let mut reg = FdRegistry::new();
+        let a = reg.install(P, FdObject::File(FileId(1)));
+        let b = reg.install(P, FdObject::File(FileId(2)));
+        let c = reg.install(P, FdObject::File(FileId(3)));
         assert_eq!((a, b, c), (Fd(0), Fd(1), Fd(2)));
-        t.close(b);
+        reg.close(P, b).unwrap();
         // POSIX: the lowest free number, not a forever-incrementing one.
-        assert_eq!(t.install(FdObject::File(FileId(4))), Fd(1));
-        t.close(a);
-        t.close(c);
-        assert_eq!(t.install(FdObject::File(FileId(5))), Fd(0));
-        assert_eq!(t.install(FdObject::File(FileId(6))), Fd(2));
+        assert_eq!(reg.install(P, FdObject::File(FileId(4))), Fd(1));
+        reg.close(P, a).unwrap();
+        reg.close(P, c).unwrap();
+        assert_eq!(reg.install(P, FdObject::File(FileId(5))), Fd(0));
+        assert_eq!(reg.install(P, FdObject::File(FileId(6))), Fd(2));
     }
 
     #[test]
     fn dup_shares_the_offset() {
-        let mut t = FdTable::new();
-        let fd = t.install(FdObject::File(FileId(1)));
-        let dup = t.dup(fd).unwrap();
-        t.get(fd).unwrap().lock().unwrap().pos = 42;
-        assert_eq!(t.get(dup).unwrap().lock().unwrap().pos, 42);
+        let mut reg = FdRegistry::new();
+        let fd = reg.install(P, FdObject::File(FileId(1)));
+        let dup = reg.dup(P, fd).unwrap();
+        assert!(reg.set_pos(P, fd, 42));
+        assert_eq!(pos(&reg, dup), 42);
         // Closing one number keeps the description alive for the other.
-        assert!(t.close(fd).is_some());
-        assert_eq!(t.get(dup).unwrap().lock().unwrap().pos, 42);
-        assert!(t.get(fd).is_none());
+        assert!(reg.close(P, fd).is_ok());
+        assert_eq!(pos(&reg, dup), 42);
+        assert!(reg.get(P, fd).is_none());
+        assert!(!reg.set_pos(P, fd, 7), "a closed number has no offset");
     }
 
     #[test]
     fn dup2_targets_an_exact_number_and_shares_state() {
-        let mut t = FdTable::new();
-        let src = t.install(FdObject::File(FileId(7)));
-        let displaced = t.install(FdObject::File(FileId(8)));
+        let mut reg = FdRegistry::new();
+        let src = reg.install(P, FdObject::File(FileId(7)));
+        let displaced = reg.install(P, FdObject::PipeRead(PipeId(8)));
         // dup2 onto an occupied number displaces it.
-        let old = t.dup2(src, displaced).unwrap();
-        assert!(old.is_some(), "previous description is handed back");
-        t.get(src).unwrap().lock().unwrap().pos = 9;
-        assert_eq!(t.get(displaced).unwrap().lock().unwrap().pos, 9);
+        let old = reg.dup2(P, src, displaced).unwrap();
+        assert_eq!(
+            old,
+            Some(FdObject::PipeRead(PipeId(8))),
+            "the displaced object lost its last descriptor"
+        );
+        reg.set_pos(P, src, 9);
+        assert_eq!(pos(&reg, displaced), 9);
         // dup2 onto itself is a no-op.
-        assert!(t.dup2(src, src).unwrap().is_none());
+        assert_eq!(reg.dup2(P, src, src), Ok(None));
         // dup2 from a closed source fails.
-        assert!(t.dup2(Fd(99), Fd(5)).is_none());
+        assert_eq!(reg.dup2(P, Fd(99), Fd(5)), Err(IolError::NotOpen { fd: Fd(99) }));
     }
 
     #[test]
     fn independent_opens_do_not_share() {
-        let mut t = FdTable::new();
-        let a = t.install(FdObject::File(FileId(1)));
-        let b = t.install(FdObject::File(FileId(1)));
-        t.get(a).unwrap().lock().unwrap().pos = 10;
-        assert_eq!(t.get(b).unwrap().lock().unwrap().pos, 0);
+        let mut reg = FdRegistry::new();
+        let a = reg.install(P, FdObject::File(FileId(1)));
+        let b = reg.install(P, FdObject::File(FileId(1)));
+        reg.set_pos(P, a, 10);
+        assert_eq!(pos(&reg, b), 0);
+        reg.advance(P, b, 3);
+        assert_eq!((pos(&reg, a), pos(&reg, b)), (10, 3));
     }
 
     #[test]
     fn close_is_idempotent_and_precise() {
-        let mut t = FdTable::new();
-        let fd = t.install(FdObject::PipeRead(PipeId(1)));
-        assert!(t.close(fd).is_some());
-        assert!(t.close(fd).is_none());
-        assert!(t.dup(fd).is_none());
-        assert!(t.is_empty());
+        let mut reg = FdRegistry::new();
+        let fd = reg.install(P, FdObject::PipeRead(PipeId(1)));
+        assert_eq!(reg.close(P, fd), Ok(Some(FdObject::PipeRead(PipeId(1)))));
+        assert_eq!(reg.close(P, fd), Err(IolError::NotOpen { fd }));
+        assert_eq!(reg.dup(P, fd), Err(IolError::NotOpen { fd }));
+        assert!(reg.get_table(P).unwrap().is_empty());
     }
 
     #[test]
     fn registry_tracks_object_references() {
         let mut reg = FdRegistry::new();
         let obj = FdObject::PipeWrite(PipeId(3));
-        assert!(!reg.object_referenced(obj));
-        let fd = reg.table(Pid(1)).install(obj);
-        let dup = reg.table(Pid(1)).dup(fd).unwrap();
-        let other = reg.table(Pid(2)).install(obj);
-        reg.table(Pid(1)).close(fd);
-        assert!(reg.object_referenced(obj), "dup + other process remain");
-        reg.table(Pid(1)).close(dup);
-        assert!(reg.object_referenced(obj), "other process remains");
-        reg.table(Pid(2)).close(other);
-        assert!(!reg.object_referenced(obj));
+        let fd = reg.install(Pid(1), obj);
+        let dup = reg.dup(Pid(1), fd).unwrap();
+        let other = reg.install(Pid(2), obj);
+        assert_eq!(reg.close(Pid(1), fd), Ok(None), "dup + other process remain");
+        assert_eq!(reg.close(Pid(1), dup), Ok(None), "other process remains");
+        assert_eq!(reg.close(Pid(2), other), Ok(Some(obj)), "the last reference");
+        // The read end of the same pipe is a different object, and files
+        // never report a last close.
+        let r = reg.install(Pid(1), FdObject::PipeRead(PipeId(3)));
+        let f = reg.install(Pid(1), FdObject::File(FileId(3)));
+        assert_eq!(reg.close(Pid(1), r), Ok(Some(FdObject::PipeRead(PipeId(3)))));
+        assert_eq!(reg.close(Pid(1), f), Ok(None));
+    }
+
+    #[test]
+    fn caller_chosen_numbers_stop_at_fd_limit() {
+        let mut reg = FdRegistry::new();
+        let obj = FdObject::Socket(ConnId(1));
+        let src = reg.install(P, obj);
+        for at in [Fd(FD_LIMIT), Fd(u32::MAX)] {
+            assert_eq!(reg.install_at(P, at, obj), Err(IolError::NotOpen { fd: at }));
+            assert_eq!(reg.dup2(P, src, at), Err(IolError::NotOpen { fd: at }));
+        }
+        // A refused call leaves nothing behind: `src` still holds the
+        // socket's only description.
+        assert_eq!(reg.get_table(P).unwrap().len(), 1);
+        assert_eq!(reg.close(P, src), Ok(Some(obj)));
+        // The last legal number works, and the gap below it stays
+        // allocatable lowest-first.
+        let top = Fd(FD_LIMIT - 1);
+        assert_eq!(reg.install_at(P, top, obj), Ok(None));
+        assert_eq!(reg.install(P, obj), Fd(0));
+        assert_eq!(reg.get(P, top).unwrap().object, obj);
+    }
+
+    #[test]
+    fn clone_preserves_dup_sharing_across_processes() {
+        let mut reg = FdRegistry::new();
+        let a = reg.install(Pid(1), FdObject::File(FileId(1)));
+        let b = reg.dup(Pid(1), a).unwrap();
+        let mut twin = reg.clone();
+        twin.set_pos(Pid(1), a, 5);
+        assert_eq!(twin.get(Pid(1), b).unwrap().pos, 5, "sharing survives the fork");
+        assert_eq!(pos(&reg, b), 0, "and the original is untouched");
     }
 }

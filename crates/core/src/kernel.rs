@@ -667,7 +667,11 @@ impl Kernel {
     /// targeting for inherited objects — e.g. parking a pipe end on a
     /// child's stdio number), displacing and (last-reference) closing
     /// whatever was there.
-    pub fn install_fd_at(&mut self, pid: Pid, at: Fd, object: FdObject) -> Fd {
+    ///
+    /// # Errors
+    ///
+    /// [`IolError::NotOpen`] when `at` is [`crate::FD_LIMIT`] or more.
+    pub fn install_fd_at(&mut self, pid: Pid, at: Fd, object: FdObject) -> Result<Fd, IolError> {
         self.run(
             |s, _| s.op_install_fd_at(pid, at, object),
             || Command::InstallFdAt { pid, at, object },
@@ -690,7 +694,8 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// [`IolError::NotOpen`] if `src` is not open.
+    /// [`IolError::NotOpen`] if `src` is not open or `dst` is
+    /// [`crate::FD_LIMIT`] or more.
     pub fn dup2_fd(&mut self, pid: Pid, src: Fd, dst: Fd) -> Result<Fd, IolError> {
         self.run(
             |s, _| s.op_dup2_fd(pid, src, dst),
@@ -721,7 +726,8 @@ impl Kernel {
     ///
     /// [`IolError::NotOpen`] for unknown descriptors,
     /// [`IolError::BadFdKind`] for pipes/sockets (ESPIPE), and
-    /// [`IolError::InvalidSeek`] when the resolved position is negative.
+    /// [`IolError::InvalidSeek`] when the resolved position is negative
+    /// or beyond `i64::MAX` (`off_t`).
     pub fn lseek(&mut self, pid: Pid, fd: Fd, offset: i64, whence: Whence) -> IoResult<u64> {
         self.run(
             |s, fx| s.op_lseek(pid, fd, offset, whence, fx),
@@ -1473,7 +1479,7 @@ mod tests {
         // style; the displaced console description closes cleanly.
         let r_pipe = pipe_of(&mut k, b, r);
         assert_eq!(
-            k.install_fd_at(b, Fd::STDIN, FdObject::PipeRead(r_pipe)),
+            k.install_fd_at(b, Fd::STDIN, FdObject::PipeRead(r_pipe)).unwrap(),
             Fd::STDIN
         );
         let pool = k.process(a).pool().clone();
@@ -1487,7 +1493,7 @@ mod tests {
         // the pipe for real.
         let (w2, r2) = k.pipe_between(a, b, PipeMode::ZeroCopy);
         let r2_pipe = pipe_of(&mut k, b, r2);
-        k.install_fd_at(a, w2, FdObject::PipeRead(r2_pipe));
+        k.install_fd_at(a, w2, FdObject::PipeRead(r2_pipe)).unwrap();
         let (eof, _) = k.iol_read_fd(b, r2, 10).unwrap();
         assert!(eof.is_empty(), "write end displaced away => EOF");
     }

@@ -37,6 +37,7 @@ pub mod api;
 pub mod cost;
 pub mod error;
 pub mod fd;
+mod idtable;
 pub mod kernel;
 pub mod metrics;
 pub mod poll;
@@ -48,7 +49,7 @@ pub mod stdio;
 pub use api::IolAgg;
 pub use cost::{Charge, CostCategory, CostModel};
 pub use error::{short_ok, IoResult, IolError};
-pub use fd::{Fd, FdObject, FdTable, Whence};
+pub use fd::{Fd, FdObject, FdTable, Whence, FD_LIMIT};
 pub use kernel::{ConnId, IoOutcome, Kernel, MappedFileCache, PipeEnd, PipeId};
 pub use metrics::Metrics;
 pub use poll::{Interest, PollFd, Readiness};

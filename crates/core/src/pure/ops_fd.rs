@@ -43,25 +43,19 @@ impl KernelState {
             ..IoOutcome::default()
         };
         fx.push(Effect::Syscalls(1));
-        let table = self.fds.get_table(pid);
-        let mut events = Vec::with_capacity(fds.len());
-        for entry in fds {
-            let Some(desc) = table.and_then(|t| t.get(entry.fd)) else {
-                events.push(Readiness {
-                    invalid: true,
-                    ..Readiness::PENDING
-                });
-                continue;
-            };
-            let object = desc.lock().unwrap().object;
-            events.push(self.object_readiness(object));
-        }
+        let invalid = Readiness {
+            invalid: true,
+            ..Readiness::PENDING
+        };
+        let poll_one = |fd| self.object_readiness(self.fds.get(pid, fd)?.object);
+        let events = fds.iter().map(|e| poll_one(e.fd).unwrap_or(invalid)).collect();
         Ok((events, out))
     }
 
-    /// The current readiness of one descriptor object.
-    fn object_readiness(&self, object: FdObject) -> Readiness {
-        match object {
+    /// The current readiness of one descriptor object; `None` when the
+    /// object's id names no pipe or socket the kernel ever created.
+    fn object_readiness(&self, object: FdObject) -> Option<Readiness> {
+        Some(match object {
             // Regular files never block (poll(2) semantics).
             FdObject::File(_) => Readiness {
                 readable: true,
@@ -69,7 +63,7 @@ impl KernelState {
                 ..Readiness::PENDING
             },
             FdObject::PipeRead(id) => {
-                let slot = &self.pipes[&id];
+                let slot = self.pipes.get(id)?;
                 let buffered = slot.pipe.buffered();
                 Readiness {
                     readable: buffered > 0,
@@ -80,7 +74,7 @@ impl KernelState {
                 }
             }
             FdObject::PipeWrite(id) => {
-                let slot = &self.pipes[&id];
+                let slot = self.pipes.get(id)?;
                 let dead = slot.pipe.is_closed() || slot.reader_gone;
                 Readiness {
                     writable: !dead && slot.pipe.space() > 0,
@@ -89,12 +83,7 @@ impl KernelState {
                 }
             }
             FdObject::Socket(id) => {
-                let Some(sock) = self.sockets.get(&id) else {
-                    return Readiness {
-                        invalid: true,
-                        ..Readiness::PENDING
-                    };
-                };
+                let sock = self.sockets.get(id)?;
                 let hung_up = sock.write_dead();
                 Readiness {
                     readable: !sock.inbound.is_empty(),
@@ -104,7 +93,7 @@ impl KernelState {
                     ..Readiness::PENDING
                 }
             }
-        }
+        })
     }
 
     // ---- opening, duplicating, closing ----------------------------------
@@ -118,7 +107,7 @@ impl KernelState {
     pub(crate) fn op_open(&mut self, pid: Pid, path: &str, fx: &mut Vec<Effect>) -> IoResult<Fd> {
         let (id, charge) = self.op_lookup(path, fx);
         let file = id.ok_or(IolError::NotFound)?;
-        let fd = self.fds.table(pid).install(FdObject::File(file));
+        let fd = self.fds.install(pid, FdObject::File(file));
         let out = IoOutcome {
             charge: charge + Charge::us(self.cost.syscall_us),
             ..IoOutcome::default()
@@ -130,7 +119,7 @@ impl KernelState {
     /// the bridge for layers that hold [`FileId`]s (workload setup,
     /// benches) into the descriptor world.
     pub(crate) fn op_open_file(&mut self, pid: Pid, file: FileId) -> Fd {
-        self.fds.table(pid).install(FdObject::File(file))
+        self.fds.install(pid, FdObject::File(file))
     }
 
     /// Creates a pipe and returns `(read_fd, write_fd)` in `pid`'s
@@ -138,9 +127,8 @@ impl KernelState {
     /// `fork`).
     pub(crate) fn op_pipe_fds(&mut self, pid: Pid, mode: PipeMode) -> (Fd, Fd) {
         let id = self.op_pipe_create(mode, None);
-        let table = self.fds.table(pid);
-        let r = table.install(FdObject::PipeRead(id));
-        let w = table.install(FdObject::PipeWrite(id));
+        let r = self.fds.install(pid, FdObject::PipeRead(id));
+        let w = self.fds.install(pid, FdObject::PipeWrite(id));
         (r, w)
     }
 
@@ -155,27 +143,33 @@ impl KernelState {
         acl: Option<Acl>,
     ) -> (Fd, Fd) {
         let id = self.op_pipe_create(mode, acl);
-        let w = self.fds.table(writer).install(FdObject::PipeWrite(id));
-        let r = self.fds.table(reader).install(FdObject::PipeRead(id));
+        let w = self.fds.install(writer, FdObject::PipeWrite(id));
+        let r = self.fds.install(reader, FdObject::PipeRead(id));
         (w, r)
     }
 
     /// Installs an existing object in `pid`'s descriptor table (the
     /// moral equivalent of inheriting an fd across `fork`/`exec`).
     pub(crate) fn op_install_fd(&mut self, pid: Pid, object: FdObject) -> Fd {
-        self.fds.table(pid).install(object)
+        self.fds.install(pid, object)
     }
 
     /// Installs an existing object at exactly `at` (`dup2`-style
     /// targeting for inherited objects), displacing and
     /// (last-reference) closing whatever was there.
-    pub(crate) fn op_install_fd_at(&mut self, pid: Pid, at: Fd, object: FdObject) -> Fd {
-        let displaced = self.fds.table(pid).install_at(at, object);
-        if let Some(old) = displaced {
-            let old_object = old.lock().unwrap().object;
-            self.finalize_close(old_object);
-        }
-        at
+    ///
+    /// # Errors
+    ///
+    /// [`IolError::NotOpen`] when `at` is [`crate::fd::FD_LIMIT`] or more.
+    pub(crate) fn op_install_fd_at(
+        &mut self,
+        pid: Pid,
+        at: Fd,
+        object: FdObject,
+    ) -> Result<Fd, IolError> {
+        let orphan = self.fds.install_at(pid, at, object)?;
+        self.last_close(orphan);
+        Ok(at)
     }
 
     /// Duplicates a descriptor (`dup(2)`) onto the lowest free number:
@@ -185,10 +179,7 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] if `fd` is not open.
     pub(crate) fn op_dup_fd(&mut self, pid: Pid, fd: Fd) -> Result<Fd, IolError> {
-        self.fds
-            .table(pid)
-            .dup(fd)
-            .ok_or(IolError::NotOpen { fd })
+        self.fds.dup(pid, fd)
     }
 
     /// Duplicates `src` onto exactly `dst` (`dup2(2)`), displacing and
@@ -196,17 +187,11 @@ impl KernelState {
     ///
     /// # Errors
     ///
-    /// [`IolError::NotOpen`] if `src` is not open.
+    /// [`IolError::NotOpen`] if `src` is not open or `dst` is
+    /// [`crate::fd::FD_LIMIT`] or more.
     pub(crate) fn op_dup2_fd(&mut self, pid: Pid, src: Fd, dst: Fd) -> Result<Fd, IolError> {
-        let displaced = self
-            .fds
-            .table(pid)
-            .dup2(src, dst)
-            .ok_or(IolError::NotOpen { fd: src })?;
-        if let Some(old) = displaced {
-            let object = old.lock().unwrap().object;
-            self.finalize_close(object);
-        }
+        let orphan = self.fds.dup2(pid, src, dst)?;
+        self.last_close(orphan);
         Ok(dst)
     }
 
@@ -219,45 +204,32 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] if `fd` is not open (double close).
     pub(crate) fn op_close_fd(&mut self, pid: Pid, fd: Fd) -> Result<(), IolError> {
-        let removed = self
-            .fds
-            .table(pid)
-            .close(fd)
-            .ok_or(IolError::NotOpen { fd })?;
-        let object = removed.lock().unwrap().object;
-        self.finalize_close(object);
+        let orphan = self.fds.close(pid, fd)?;
+        self.last_close(orphan);
         Ok(())
     }
 
-    /// Applies last-reference close semantics after a descriptor for
-    /// `object` was removed or displaced.
-    ///
-    /// Files have no last-close action, so they skip the registry scan
-    /// entirely — the common case (a server's 10k-file open set) closes
-    /// in O(log n).
-    fn finalize_close(&mut self, object: FdObject) {
-        if matches!(object, FdObject::File(_)) {
-            return;
-        }
-        if self.fds.object_referenced(object) {
-            return;
-        }
-        match object {
-            FdObject::PipeWrite(id) => self.op_pipe_close(id),
-            FdObject::PipeRead(id) => {
+    /// Applies last-reference close semantics to the object, if any,
+    /// that the registry reports just lost its last descriptor (it
+    /// counts live descriptions per object, so no table is scanned).
+    fn last_close(&mut self, orphan: Option<FdObject>) {
+        match orphan {
+            Some(FdObject::PipeWrite(id)) => self.op_pipe_close(id),
+            Some(FdObject::PipeRead(id)) => {
                 // The last reader hung up: writers get EPIPE from now
                 // on instead of filling a pipe nobody drains.
-                if let Some(slot) = self.pipes.get_mut(&id) {
+                if let Some(slot) = self.pipes.get_mut(id) {
                     slot.reader_gone = true;
                 }
             }
-            FdObject::Socket(id) => {
-                if let Some(sock) = self.sockets.get_mut(&id) {
+            Some(FdObject::Socket(id)) => {
+                if let Some(sock) = self.sockets.get_mut(id) {
                     sock.closed = true;
                     sock.inbound.clear();
                 }
             }
-            FdObject::File(_) => unreachable!("files returned early"),
+            // Files have no last-close action.
+            Some(FdObject::File(_)) | None => {}
         }
     }
 
@@ -269,7 +241,8 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] for unknown descriptors,
     /// [`IolError::BadFdKind`] for pipes/sockets (ESPIPE), and
-    /// [`IolError::InvalidSeek`] when the resolved position is negative.
+    /// [`IolError::InvalidSeek`] when the resolved position is negative
+    /// or beyond `i64::MAX` (`off_t`); the offset is then left alone.
     pub(crate) fn op_lseek(
         &mut self,
         pid: Pid,
@@ -278,30 +251,23 @@ impl KernelState {
         whence: Whence,
         fx: &mut Vec<Effect>,
     ) -> IoResult<u64> {
-        let desc = self.resolve_fd(pid, fd)?;
-        let mut open = desc.lock().unwrap();
-        let FdObject::File(file) = open.object else {
-            return Err(IolError::BadFdKind {
-                fd,
-                operation: "lseek",
-            });
-        };
+        let file = self.resolve_file(pid, fd, "lseek")?;
         let base: u64 = match whence {
             Whence::Set => 0,
-            Whence::Cur => open.pos,
+            Whence::Cur => self.resolve_fd(pid, fd)?.pos,
             Whence::End => self.store.len(file).unwrap_or(0),
         };
-        let target = base as i128 + offset as i128;
-        if target < 0 {
-            return Err(IolError::InvalidSeek { requested: offset });
-        }
-        open.pos = target as u64;
+        let target = i64::try_from(base as i128 + offset as i128)
+            .ok()
+            .and_then(|t| u64::try_from(t).ok())
+            .ok_or(IolError::InvalidSeek { requested: offset })?;
+        self.fds.set_pos(pid, fd, target);
         fx.push(Effect::Syscalls(1));
         let out = IoOutcome {
             charge: Charge::us(self.cost.syscall_us),
             ..IoOutcome::default()
         };
-        Ok((open.pos, out))
+        Ok((target, out))
     }
 
     // ---- descriptor I/O --------------------------------------------------
@@ -326,24 +292,13 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> IoResult<Aggregate> {
         let desc = self.resolve_fd(pid, fd)?;
-        let object = desc.lock().unwrap().object;
-        match object {
+        match desc.object {
             FdObject::File(file) => {
-                let pos = desc.lock().unwrap().pos;
-                let (agg, out) = self.op_read_file_at(pid, file, pos, len, fx);
-                desc.lock().unwrap().pos = pos + agg.len();
+                let (agg, out) = self.op_read_file_at(pid, file, desc.pos, len, fx);
+                self.fds.advance(pid, fd, agg.len());
                 Ok((agg, out))
             }
-            FdObject::PipeRead(pipe) => {
-                let (got, out) = self.op_pipe_read(pid, pipe, len, fx)?;
-                match got {
-                    Some(agg) => Ok((agg, out)),
-                    // Empty + closed is EOF (an empty read); empty +
-                    // open writer is EAGAIN, charged like any trap.
-                    None if self.pipes[&pipe].pipe.is_closed() => Ok((Aggregate::empty(), out)),
-                    None => Err(IolError::WouldBlock { outcome: out }),
-                }
-            }
+            FdObject::PipeRead(pipe) => self.op_pipe_read(pid, fd, pipe, len, fx),
             FdObject::Socket(id) => self.op_socket_read(pid, fd, id, len, fx),
             FdObject::PipeWrite(_) => Err(IolError::BadFdKind {
                 fd,
@@ -373,35 +328,15 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> IoResult<u64> {
         let desc = self.resolve_fd(pid, fd)?;
-        let object = desc.lock().unwrap().object;
-        match object {
+        match desc.object {
             FdObject::File(file) => {
-                let pos = desc.lock().unwrap().pos;
-                let out = self.op_write_file_at(pid, file, pos, agg, fx);
-                desc.lock().unwrap().pos = pos + agg.len();
+                let out = self.op_write_file_at(pid, file, desc.pos, agg, fx);
+                self.fds.advance(pid, fd, agg.len());
                 Ok((agg.len(), out))
             }
-            FdObject::PipeWrite(pipe) => {
-                let slot = &self.pipes[&pipe];
-                if slot.pipe.is_closed() || slot.reader_gone {
-                    // Writing with no write end left, or no reader left
-                    // to ever drain it, is EPIPE.
-                    return Err(IolError::Closed);
-                }
-                let (accepted, out) = self.op_pipe_write(pid, pipe, agg, fx);
-                if accepted == agg.len() {
-                    Ok((accepted, out))
-                } else if accepted == 0 {
-                    Err(IolError::WouldBlock { outcome: out })
-                } else {
-                    Err(IolError::ShortIo {
-                        done: accepted,
-                        outcome: out,
-                    })
-                }
-            }
+            FdObject::PipeWrite(pipe) => self.op_pipe_write(fd, pipe, agg, fx),
             FdObject::Socket(id) => {
-                let sock = self.sockets.get_mut(&id).expect("registered socket");
+                let sock = self.sockets.get_mut(id).ok_or(IolError::NotOpen { fd })?;
                 if sock.write_dead() {
                     return Err(IolError::Closed);
                 }
@@ -427,7 +362,6 @@ impl KernelState {
                 } else {
                     Some(agg.range(0, accept).expect("clamped send window"))
                 };
-                let sock = self.sockets.get_mut(&id).expect("registered socket");
                 let send = sock.conn.send(window.as_ref().unwrap_or(agg), &mut self.cksum);
                 if sock.nonblocking {
                     sock.sndbuf_used += accept;
@@ -507,10 +441,9 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> IoResult<Vec<u8>> {
         let file = self.resolve_file(pid, fd, "posix_read")?;
-        let desc = self.resolve_fd(pid, fd)?;
-        let pos = desc.lock().unwrap().pos;
+        let pos = self.resolve_fd(pid, fd)?.pos;
         let (bytes, out) = self.op_posix_file_read(pid, file, pos, len, fx);
-        desc.lock().unwrap().pos = pos + bytes.len() as u64;
+        self.fds.advance(pid, fd, bytes.len() as u64);
         Ok((bytes, out))
     }
 
@@ -528,10 +461,9 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> IoResult<u64> {
         let file = self.resolve_file(pid, fd, "posix_write")?;
-        let desc = self.resolve_fd(pid, fd)?;
-        let pos = desc.lock().unwrap().pos;
+        let pos = self.resolve_fd(pid, fd)?.pos;
         let out = self.op_posix_file_write(pid, file, pos, data, fx);
-        desc.lock().unwrap().pos = pos + data.len() as u64;
+        self.fds.advance(pid, fd, data.len() as u64);
         Ok((data.len() as u64, out))
     }
 

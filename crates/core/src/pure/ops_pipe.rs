@@ -5,9 +5,10 @@ use iolite_ipc::{Pipe, PipeMode};
 
 use super::effect::Effect;
 use super::ids::PipeId;
-use super::state::{IoOutcome, KernelState, PipeSlot};
+use super::state::{Console, IoOutcome, KernelState, PipeSlot};
 use crate::cost::Charge;
 use crate::error::{IoResult, IolError};
+use crate::fd::Fd;
 use crate::process::Pid;
 
 impl KernelState {
@@ -32,20 +33,27 @@ impl KernelState {
         id
     }
 
-    /// The raw-id pipe write behind `iol_write_fd`.
+    /// The pipe write behind `iol_write_fd` and the stdin console.
+    /// `fd` is the descriptor the pipe was reached through: a pipe id
+    /// the kernel never minted reports it [`IolError::NotOpen`].
     pub(crate) fn op_pipe_write(
         &mut self,
-        _pid: Pid,
+        fd: Fd,
         id: PipeId,
         data: &Aggregate,
         fx: &mut Vec<Effect>,
-    ) -> (u64, IoOutcome) {
+    ) -> IoResult<u64> {
+        let slot = self.pipes.get_mut(id).ok_or(IolError::NotOpen { fd })?;
+        if slot.pipe.is_closed() || slot.reader_gone {
+            // Writing with no write end left, or no reader left to ever
+            // drain it, is EPIPE.
+            return Err(IolError::Closed);
+        }
         let mut out = IoOutcome {
             charge: Charge::us(self.cost.syscall_us),
             ..IoOutcome::default()
         };
         fx.push(Effect::Syscalls(1));
-        let slot = self.pipes.get_mut(&id).expect("unknown pipe");
         let before = slot.pipe.stats().bytes_copied;
         let accepted = slot.pipe.write(data);
         let copied = slot.pipe.stats().bytes_copied - before;
@@ -53,26 +61,37 @@ impl KernelState {
             fx.push(Effect::BytesCopied(copied));
             out.charge += self.cost.copy(copied);
         }
-        (accepted, out)
+        if accepted == data.len() {
+            Ok((accepted, out))
+        } else if accepted == 0 {
+            Err(IolError::WouldBlock { outcome: out })
+        } else {
+            Err(IolError::ShortIo {
+                done: accepted,
+                outcome: out,
+            })
+        }
     }
 
-    /// The raw-id pipe read behind `iol_read_fd`; zero-copy pipes also
-    /// transfer the received chunks into the reader's domain (first
-    /// time only — recycled buffers ride existing mappings, §3.2),
-    /// enforcing the pipe's ACL when it carries one.
+    /// The pipe read behind `iol_read_fd` and the stdout/stderr
+    /// consoles (`fd` as for [`KernelState::op_pipe_write`]); zero-copy
+    /// pipes also transfer the received chunks into the reader's domain
+    /// (first time only — recycled buffers ride existing mappings,
+    /// §3.2), enforcing the pipe's ACL when it carries one.
     pub(crate) fn op_pipe_read(
         &mut self,
         pid: Pid,
+        fd: Fd,
         id: PipeId,
         max: u64,
         fx: &mut Vec<Effect>,
-    ) -> Result<(Option<Aggregate>, IoOutcome), IolError> {
+    ) -> IoResult<Aggregate> {
+        let slot = self.pipes.get_mut(id).ok_or(IolError::NotOpen { fd })?;
         let mut out = IoOutcome {
             charge: Charge::us(self.cost.syscall_us),
             ..IoOutcome::default()
         };
         fx.push(Effect::Syscalls(1));
-        let slot = self.pipes.get_mut(&id).expect("unknown pipe");
         // ACL'd pipes refuse unauthorized readers *before* any byte is
         // dequeued: a denial must not destroy data still in flight to
         // the legitimate reader.
@@ -87,6 +106,7 @@ impl KernelState {
         let acl = slot.acl.clone();
         let before = slot.pipe.stats().bytes_copied;
         let got = slot.pipe.read(max);
+        let closed = slot.pipe.is_closed();
         let copied = slot.pipe.stats().bytes_copied - before;
         if copied > 0 {
             fx.push(Effect::BytesCopied(copied));
@@ -108,13 +128,19 @@ impl KernelState {
             out.mapped_pages += pages;
             out.charge += self.cost.page_maps(pages);
         }
-        Ok((got, out))
+        match got {
+            Some(agg) => Ok((agg, out)),
+            // Empty + closed is EOF (an empty read); empty + open
+            // writer is EAGAIN, charged like any trap.
+            None if closed => Ok((Aggregate::empty(), out)),
+            None => Err(IolError::WouldBlock { outcome: out }),
+        }
     }
 
     /// Closes a pipe's write end by raw id (descriptor holders go
     /// through `close_fd`, which calls this on last close).
     pub(crate) fn op_pipe_close(&mut self, id: PipeId) {
-        if let Some(slot) = self.pipes.get_mut(&id) {
+        if let Some(slot) = self.pipes.get_mut(id) {
             slot.pipe.close();
         }
     }
@@ -134,22 +160,7 @@ impl KernelState {
         data: &Aggregate,
         fx: &mut Vec<Effect>,
     ) -> IoResult<u64> {
-        let console = self.consoles[&pid];
-        let slot = &self.pipes[&console.stdin];
-        if slot.pipe.is_closed() || slot.reader_gone {
-            return Err(IolError::Closed);
-        }
-        let (accepted, out) = self.op_pipe_write(pid, console.stdin, data, fx);
-        if accepted == data.len() {
-            Ok((accepted, out))
-        } else if accepted == 0 {
-            Err(IolError::WouldBlock { outcome: out })
-        } else {
-            Err(IolError::ShortIo {
-                done: accepted,
-                outcome: out,
-            })
-        }
+        self.op_pipe_write(Fd::STDIN, self.console(pid).stdin, data, fx)
     }
 
     /// Drains up to `max` bytes the process wrote to fd 1.
@@ -164,8 +175,7 @@ impl KernelState {
         max: u64,
         fx: &mut Vec<Effect>,
     ) -> IoResult<Aggregate> {
-        let console = self.consoles[&pid];
-        self.op_console_read(pid, console.stdout, max, fx)
+        self.op_pipe_read(pid, Fd::STDOUT, self.console(pid).stdout, max, fx)
     }
 
     /// Drains up to `max` bytes the process wrote to fd 2.
@@ -179,22 +189,15 @@ impl KernelState {
         max: u64,
         fx: &mut Vec<Effect>,
     ) -> IoResult<Aggregate> {
-        let console = self.consoles[&pid];
-        self.op_console_read(pid, console.stderr, max, fx)
+        self.op_pipe_read(pid, Fd::STDERR, self.console(pid).stderr, max, fx)
     }
 
-    fn op_console_read(
-        &mut self,
-        pid: Pid,
-        pipe: PipeId,
-        max: u64,
-        fx: &mut Vec<Effect>,
-    ) -> IoResult<Aggregate> {
-        let (got, out) = self.op_pipe_read(pid, pipe, max, fx)?;
-        match got {
-            Some(agg) => Ok((agg, out)),
-            None if self.pipes[&pipe].pipe.is_closed() => Ok((Aggregate::empty(), out)),
-            None => Err(IolError::WouldBlock { outcome: out }),
-        }
+    /// The console pipes behind `pid`'s stdio triple.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a pid that was never spawned.
+    fn console(&self, pid: Pid) -> Console {
+        *self.consoles.get(pid).expect("unknown pid")
     }
 }

@@ -38,7 +38,7 @@ impl KernelState {
                 sndbuf_used: 0,
             },
         );
-        self.fds.table(pid).install(FdObject::Socket(id))
+        self.fds.install(pid, FdObject::Socket(id))
     }
 
     /// Delivers inbound payload to a socket (the receive path's
@@ -50,8 +50,7 @@ impl KernelState {
         fd: Fd,
         payload: Aggregate,
     ) -> IoResult<u64> {
-        let id = self.resolve_socket(pid, fd, "socket delivery")?;
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
+        let sock = self.resolve_socket_mut(pid, fd, "socket delivery")?;
         if sock.closed || sock.peer_closed {
             return Err(IolError::Closed);
         }
@@ -70,8 +69,7 @@ impl KernelState {
         len: u64,
         fx: &mut Vec<Effect>,
     ) -> IoResult<SendOutcome> {
-        let id = self.resolve_socket(pid, fd, "accounted socket send")?;
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
+        let sock = self.resolve_socket_mut(pid, fd, "accounted socket send")?;
         if sock.write_dead() {
             return Err(IolError::Closed);
         }
@@ -96,8 +94,7 @@ impl KernelState {
         fd: Fd,
         payload: &Aggregate,
     ) -> IoResult<Vec<MbufChain>> {
-        let id = self.resolve_socket(pid, fd, "segment materialization")?;
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
+        let sock = self.resolve_socket_mut(pid, fd, "segment materialization")?;
         if sock.write_dead() {
             return Err(IolError::Closed);
         }
@@ -120,8 +117,7 @@ impl KernelState {
         fd: Fd,
         nonblocking: bool,
     ) -> Result<(), IolError> {
-        let id = self.resolve_socket(pid, fd, "set O_NONBLOCK")?;
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
+        let sock = self.resolve_socket_mut(pid, fd, "set O_NONBLOCK")?;
         sock.nonblocking = nonblocking;
         Ok(())
     }
@@ -138,8 +134,7 @@ impl KernelState {
     /// acknowledges nothing, so unacknowledged bytes can never drain
     /// and the in-flight response must be failed, not completed.
     pub(crate) fn op_socket_drain(&mut self, pid: Pid, fd: Fd, max: u64) -> Result<u64, IolError> {
-        let id = self.resolve_socket(pid, fd, "send-buffer drain")?;
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
+        let sock = self.resolve_socket_mut(pid, fd, "send-buffer drain")?;
         if sock.write_dead() {
             return Err(IolError::Closed);
         }
@@ -156,8 +151,7 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
     pub(crate) fn op_socket_peer_close(&mut self, pid: Pid, fd: Fd) -> Result<(), IolError> {
-        let id = self.resolve_socket(pid, fd, "peer close")?;
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
+        let sock = self.resolve_socket_mut(pid, fd, "peer close")?;
         sock.peer_closed = true;
         Ok(())
     }
@@ -171,17 +165,17 @@ impl KernelState {
     pub(crate) fn op_socket_read(
         &mut self,
         pid: Pid,
-        _fd: Fd,
+        fd: Fd,
         id: ConnId,
         len: u64,
         fx: &mut Vec<Effect>,
     ) -> IoResult<Aggregate> {
+        let sock = self.sockets.get_mut(id).ok_or(IolError::NotOpen { fd })?;
         let mut out = IoOutcome {
             charge: Charge::us(self.cost.syscall_us),
             ..IoOutcome::default()
         };
         fx.push(Effect::Syscalls(1));
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
         let mode = sock.conn.mode();
         let mut agg = Aggregate::empty();
         while agg.len() < len {

@@ -9,7 +9,7 @@
 //! fork), and [`KernelState::state_hash`] (a stable digest used to prove
 //! replay equivalence).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use iolite_buf::{digest_aggregate, Acl, Aggregate, BufferPool, Fnv64, PoolForker, PoolId};
 use iolite_fs::{
@@ -24,7 +24,8 @@ use iolite_vm::{IoLiteWindow, MemAccount, PageoutDaemon, PhysMemory};
 use super::ids::{ConnId, IdAlloc, PipeId};
 use crate::cost::{Charge, CostCategory, CostModel};
 use crate::error::IolError;
-use crate::fd::{Fd, FdObject, FdRegistry, OpenFileRef};
+use crate::fd::{Fd, FdObject, FdRegistry, OpenFile};
+use crate::idtable::IdTable;
 use crate::process::{Pid, Process};
 
 use super::effect::Effect;
@@ -38,7 +39,9 @@ use super::effect::Effect;
 pub struct MappedFileCache {
     capacity: usize,
     clock: u64,
-    entries: std::collections::HashMap<FileId, u64>,
+    entries: HashMap<FileId, u64>,
+    /// `entries` by stamp (unique, monotonic): the LRU victim is first.
+    by_stamp: BTreeMap<u64, FileId>,
 }
 
 impl MappedFileCache {
@@ -47,8 +50,7 @@ impl MappedFileCache {
     pub fn new(capacity: usize) -> Self {
         MappedFileCache {
             capacity,
-            clock: 0,
-            entries: std::collections::HashMap::new(),
+            ..MappedFileCache::default()
         }
     }
 
@@ -58,21 +60,18 @@ impl MappedFileCache {
         if self.capacity == 0 {
             return false;
         }
-        if let Some(stamp) = self.entries.get_mut(&file) {
-            *stamp = self.clock;
+        self.by_stamp.insert(self.clock, file);
+        if let Some(old) = self.entries.insert(file, self.clock) {
+            self.by_stamp.remove(&old);
             return true;
         }
-        if self.entries.len() >= self.capacity {
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, &stamp)| stamp)
-                .map(|(&f, _)| f)
-            {
+        // A miss past capacity evicts the least recently touched file —
+        // never the one just mapped, whose stamp is the newest.
+        if self.entries.len() > self.capacity {
+            if let Some((_, victim)) = self.by_stamp.pop_first() {
                 self.entries.remove(&victim);
             }
         }
-        self.entries.insert(file, self.clock);
         false
     }
 
@@ -273,10 +272,10 @@ pub struct KernelState {
     /// carried by the per-process pools instead.
     pub(crate) cache_pool: BufferPool,
     pub(crate) cache_pool_acl: Acl,
-    pub(crate) processes: BTreeMap<Pid, Process>,
-    pub(crate) pipes: BTreeMap<PipeId, PipeSlot>,
-    pub(crate) sockets: BTreeMap<ConnId, KernelSocket>,
-    pub(crate) consoles: BTreeMap<Pid, Console>,
+    pub(crate) processes: IdTable<Pid, Process>,
+    pub(crate) pipes: IdTable<PipeId, PipeSlot>,
+    pub(crate) sockets: IdTable<ConnId, KernelSocket>,
+    pub(crate) consoles: IdTable<Pid, Console>,
     pub(crate) fds: FdRegistry,
     pub(crate) ids: IdAlloc,
     pub(crate) clock: SimTime,
@@ -313,10 +312,10 @@ impl KernelState {
                 iolite_buf::DEFAULT_CHUNK_SIZE,
             ),
             cache_pool_acl: Acl::kernel_only(),
-            processes: BTreeMap::new(),
-            pipes: BTreeMap::new(),
-            sockets: BTreeMap::new(),
-            consoles: BTreeMap::new(),
+            processes: IdTable::default(),
+            pipes: IdTable::default(),
+            sockets: IdTable::default(),
+            consoles: IdTable::default(),
             fds: FdRegistry::new(),
             ids: IdAlloc::new(),
             clock: SimTime::ZERO,
@@ -375,10 +374,10 @@ impl KernelState {
             stderr: self.op_pipe_create(iolite_ipc::PipeMode::ZeroCopy, None),
         };
         self.consoles.insert(pid, console);
-        let table = self.fds.table(pid);
-        table.install_at(Fd::STDIN, FdObject::PipeRead(console.stdin));
-        table.install_at(Fd::STDOUT, FdObject::PipeWrite(console.stdout));
-        table.install_at(Fd::STDERR, FdObject::PipeWrite(console.stderr));
+        let mut wire = |at, end| self.fds.install_at(pid, at, end).expect("stdio < FD_LIMIT");
+        wire(Fd::STDIN, FdObject::PipeRead(console.stdin));
+        wire(Fd::STDOUT, FdObject::PipeWrite(console.stdout));
+        wire(Fd::STDERR, FdObject::PipeWrite(console.stderr));
         pid
     }
 
@@ -397,12 +396,16 @@ impl KernelState {
     ///
     /// Panics on unknown pids — experiment drivers own process lifetimes.
     pub fn process(&self, pid: Pid) -> &Process {
-        &self.processes[&pid]
+        self.processes.get(pid).expect("unknown pid")
     }
 
     /// Immutable access to a pipe (tests, stats).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an id no pipe was created with.
     pub fn pipe(&self, id: PipeId) -> &Pipe {
-        &self.pipes[&id].pipe
+        &self.pipes.get(id).expect("unknown pipe").pipe
     }
 
     /// Read-only access to the connection behind a socket descriptor
@@ -413,19 +416,7 @@ impl KernelState {
     /// [`IolError::NotOpen`] for unknown descriptors,
     /// [`IolError::BadFdKind`] for non-sockets.
     pub fn socket(&self, pid: Pid, fd: Fd) -> Result<&TcpConn, IolError> {
-        let desc = self
-            .fds
-            .get_table(pid)
-            .and_then(|t| t.get(fd))
-            .ok_or(IolError::NotOpen { fd })?;
-        let object = desc.lock().unwrap().object;
-        match object {
-            FdObject::Socket(id) => Ok(&self.sockets[&id].conn),
-            _ => Err(IolError::BadFdKind {
-                fd,
-                operation: "socket access",
-            }),
-        }
+        Ok(&self.resolve_socket(pid, fd, "socket access")?.conn)
     }
 
     /// Free space in a socket's send buffer (`Tss - unacknowledged`);
@@ -436,8 +427,7 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
     pub fn socket_space(&self, pid: Pid, fd: Fd) -> Result<u64, IolError> {
-        let id = self.resolve_socket(pid, fd, "send-buffer space")?;
-        let sock = &self.sockets[&id];
+        let sock = self.resolve_socket(pid, fd, "send-buffer space")?;
         // A blocking socket's buffer is always (logically) empty; cap
         // the answer at Tss either way.
         Ok(sock.send_space().min(sock.conn.tss() as u64))
@@ -449,8 +439,7 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
     pub fn socket_unacked(&self, pid: Pid, fd: Fd) -> Result<u64, IolError> {
-        let id = self.resolve_socket(pid, fd, "send-buffer occupancy")?;
-        Ok(self.sockets[&id].sndbuf_used)
+        Ok(self.resolve_socket(pid, fd, "send-buffer occupancy")?.sndbuf_used)
     }
 
     /// Whether a socket's remote side has hung up (a FIN/RST was
@@ -464,8 +453,7 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
     pub fn socket_peer_closed(&self, pid: Pid, fd: Fd) -> Result<bool, IolError> {
-        let id = self.resolve_socket(pid, fd, "peer liveness")?;
-        Ok(self.sockets[&id].peer_closed)
+        Ok(self.resolve_socket(pid, fd, "peer liveness")?.peer_closed)
     }
 
     /// The length of the file behind a descriptor (`fstat(2)`'s
@@ -509,19 +497,15 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] for unknown descriptors.
     pub fn fd_object(&self, pid: Pid, fd: Fd) -> Result<FdObject, IolError> {
-        let desc = self.resolve_fd(pid, fd)?;
-        let object = desc.lock().unwrap().object;
-        Ok(object)
+        Ok(self.resolve_fd(pid, fd)?.object)
     }
 
     /// Resolves a descriptor to its open-file description (`EBADF` on
     /// unknown numbers) — the one lookup every fd operation goes
-    /// through. Read-only: resolving never creates a table.
-    pub(crate) fn resolve_fd(&self, pid: Pid, fd: Fd) -> Result<OpenFileRef, IolError> {
-        self.fds
-            .get_table(pid)
-            .and_then(|t| t.get(fd))
-            .ok_or(IolError::NotOpen { fd })
+    /// through: array indexes, no lock. Read-only: resolving never
+    /// creates a table.
+    pub(crate) fn resolve_fd(&self, pid: Pid, fd: Fd) -> Result<OpenFile, IolError> {
+        self.fds.get(pid, fd).ok_or(IolError::NotOpen { fd })
     }
 
     /// Resolves a descriptor that must name a regular file.
@@ -531,26 +515,42 @@ impl KernelState {
         fd: Fd,
         operation: &'static str,
     ) -> Result<FileId, IolError> {
-        let desc = self.resolve_fd(pid, fd)?;
-        let object = desc.lock().unwrap().object;
-        match object {
+        match self.resolve_fd(pid, fd)?.object {
             FdObject::File(file) => Ok(file),
             _ => Err(IolError::BadFdKind { fd, operation }),
         }
     }
 
+    /// The connection id behind a descriptor that must name a socket.
+    fn resolve_conn(&self, pid: Pid, fd: Fd, operation: &'static str) -> Result<ConnId, IolError> {
+        match self.resolve_fd(pid, fd)?.object {
+            FdObject::Socket(id) => Ok(id),
+            _ => Err(IolError::BadFdKind { fd, operation }),
+        }
+    }
+
+    /// Resolves a descriptor that must name a socket. One installed
+    /// over an id no socket was created with is as good as closed:
+    /// [`IolError::NotOpen`].
     pub(crate) fn resolve_socket(
         &self,
         pid: Pid,
         fd: Fd,
         operation: &'static str,
-    ) -> Result<ConnId, IolError> {
-        let desc = self.resolve_fd(pid, fd)?;
-        let object = desc.lock().unwrap().object;
-        match object {
-            FdObject::Socket(id) => Ok(id),
-            _ => Err(IolError::BadFdKind { fd, operation }),
-        }
+    ) -> Result<&KernelSocket, IolError> {
+        let id = self.resolve_conn(pid, fd, operation)?;
+        self.sockets.get(id).ok_or(IolError::NotOpen { fd })
+    }
+
+    /// [`KernelState::resolve_socket`], mutably.
+    pub(crate) fn resolve_socket_mut(
+        &mut self,
+        pid: Pid,
+        fd: Fd,
+        operation: &'static str,
+    ) -> Result<&mut KernelSocket, IolError> {
+        let id = self.resolve_conn(pid, fd, operation)?;
+        self.sockets.get_mut(id).ok_or(IolError::NotOpen { fd })
     }
 
     // ---- snapshot and digest -------------------------------------------
@@ -568,22 +568,10 @@ impl KernelState {
     pub fn snapshot(&self) -> KernelState {
         let mut forker = PoolForker::new();
         let cache_pool = self.cache_pool.fork(&mut forker);
-        let processes: BTreeMap<Pid, Process> = self
-            .processes
-            .iter()
-            .map(|(pid, p)| (*pid, p.fork(&mut forker)))
-            .collect();
-        let pipes: BTreeMap<PipeId, PipeSlot> = self
-            .pipes
-            .iter()
-            .map(|(id, s)| (*id, s.fork(&mut forker)))
-            .collect();
+        let processes = self.processes.map(|p| p.fork(&mut forker));
+        let pipes = self.pipes.map(|s| s.fork(&mut forker));
         let cache = self.cache.snapshot(&mut forker);
-        let sockets: BTreeMap<ConnId, KernelSocket> = self
-            .sockets
-            .iter()
-            .map(|(id, s)| (*id, s.fork(&mut forker)))
-            .collect();
+        let sockets = self.sockets.map(|s| s.fork(&mut forker));
         KernelState {
             cost: self.cost,
             window: self.window.clone(),
@@ -603,7 +591,7 @@ impl KernelState {
             pipes,
             sockets,
             consoles: self.consoles.clone(),
-            fds: self.fds.fork(),
+            fds: self.fds.clone(),
             ids: self.ids,
             clock: self.clock,
         }
@@ -630,23 +618,23 @@ impl KernelState {
         self.filter.digest(&mut h);
         self.mapped_files.digest(&mut h);
         h.write_usize(self.processes.len());
-        for (pid, p) in &self.processes {
+        for (pid, p) in self.processes.iter() {
             h.write_u32(pid.0);
             h.write_str(p.name());
             h.write_u32(p.pool().id().0);
         }
         h.write_usize(self.pipes.len());
-        for (id, slot) in &self.pipes {
+        for (id, slot) in self.pipes.iter() {
             h.write_u32(id.0);
             slot.digest(&mut h);
         }
         h.write_usize(self.sockets.len());
-        for (id, sock) in &self.sockets {
+        for (id, sock) in self.sockets.iter() {
             h.write_u64(id.0);
             sock.digest(&mut h);
         }
         h.write_usize(self.consoles.len());
-        for (pid, c) in &self.consoles {
+        for (pid, c) in self.consoles.iter() {
             h.write_u32(pid.0);
             h.write_u32(c.stdin.0);
             h.write_u32(c.stdout.0);

@@ -133,7 +133,7 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
             state.op_install_fd(*pid, *object);
         }
         Command::InstallFdAt { pid, at, object } => {
-            state.op_install_fd_at(*pid, *at, *object);
+            state.op_install_fd_at(*pid, *at, *object)?;
         }
         Command::DupFd { pid, fd } => {
             state.op_dup_fd(*pid, *fd)?;

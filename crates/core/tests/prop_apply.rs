@@ -8,7 +8,10 @@
 //! be deterministic on the error paths too, because the journal records
 //! attempts and replay re-steps them.
 
-use iolite_core::{step, Command, CostCategory, CostModel, Effect, Fd, Kernel, KernelState, Pid};
+use iolite_core::{
+    step, Command, ConnId, CostCategory, CostModel, Effect, Fd, FdObject, Kernel, KernelState, Pid,
+    PipeId, PollFd,
+};
 use iolite_fs::{CacheKey, FileId, WritebackConfig};
 use iolite_ipc::PipeMode;
 use iolite_net::BufferMode;
@@ -59,6 +62,12 @@ enum Op {
     SocketPeerClose(u8),
     Pwrite(u8, u16, u16),
     Dup2Fd(u8, u8),
+    Poll(u8),
+    // Inherited objects by raw id (PR 20): mostly ids the kernel never
+    // minted — every later poll, read, write and close of the number
+    // must fail the same way twice, never panic.
+    InstallFd(u8, u16),
+    InstallFdAt(u8, u8, u16),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -101,6 +110,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(Op::SocketPeerClose),
         (any::<u8>(), any::<u16>(), any::<u16>()).prop_map(|(fd, o, l)| Op::Pwrite(fd, o, l)),
         (any::<u8>(), any::<u8>()).prop_map(|(src, dst)| Op::Dup2Fd(src, dst)),
+        (any::<u8>(), any::<u16>()).prop_map(|(kind, id)| Op::InstallFd(kind, id)),
+        (any::<u8>(), any::<u8>(), any::<u16>()).prop_map(|(at, k, id)| Op::InstallFdAt(at, k, id)),
+        any::<u8>().prop_map(Op::Poll),
     ]
 }
 
@@ -126,6 +138,17 @@ fn fixture() -> (KernelState, Pid) {
 fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
     let fd = |n: u8| Fd(u32::from(n % 12));
     let file = |n: u8| FileId(u64::from(n % 6));
+    // Ids 0–7 mostly name live objects of the fixture and of earlier
+    // ops; the rest of the `u16` range is dangling. Half of each.
+    let object = |kind: u8, id: u16| {
+        let id = if kind & 4 == 0 { id % 8 } else { id };
+        match kind % 4 {
+            0 => FdObject::File(FileId(u64::from(id))),
+            1 => FdObject::PipeRead(PipeId(u32::from(id))),
+            2 => FdObject::PipeWrite(PipeId(u32::from(id))),
+            _ => FdObject::Socket(ConnId(u64::from(id))),
+        }
+    };
     match op {
         Op::Charge(us) => Command::Charge {
             category: CostCategory::Syscall,
@@ -278,6 +301,19 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
             pid,
             src: fd(*src),
             dst: fd(*dst),
+        },
+        Op::Poll(n) => Command::Poll {
+            pid,
+            fds: (0..12).map(|i| PollFd::readable(fd(n.wrapping_add(i)))).collect(),
+        },
+        Op::InstallFd(kind, id) => Command::InstallFd {
+            pid,
+            object: object(*kind, *id),
+        },
+        Op::InstallFdAt(at, kind, id) => Command::InstallFdAt {
+            pid,
+            at: fd(*at),
+            object: object(*kind, *id),
         },
     }
 }

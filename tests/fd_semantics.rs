@@ -5,7 +5,9 @@
 //! nor checksum-cache behavior.
 
 use iolite::buf::{Acl, Aggregate, BufferPool, PoolId};
-use iolite::core::{CostModel, Fd, IolError, Kernel, Whence};
+use iolite::core::{
+    ConnId, CostModel, Fd, FdObject, IolError, Kernel, PipeId, PollFd, Whence, FD_LIMIT,
+};
 use iolite::ipc::PipeMode;
 use iolite::net::{
     BufferMode, ChecksumCache, SegmentHeader, TcpConn, DEFAULT_MSS, DEFAULT_TSS,
@@ -143,6 +145,129 @@ fn close_then_use_returns_not_open() {
         k.iol_write_fd(pid, sock, &msg),
         Err(IolError::NotOpen { .. })
     ));
+}
+
+/// Regression: `install_fd` takes any object id, minted or not, and is
+/// journaled. A descriptor over a pipe id the kernel never created used
+/// to panic the poll scan (`self.pipes[&id]`) — the scan is total: it
+/// reports `invalid`; I/O through it is `EBADF`, and replay agrees.
+#[test]
+fn a_dangling_pipe_id_polls_invalid_and_fails_io_without_panicking() {
+    let mut k = kernel();
+    let initial = k.snapshot();
+    k.start_journal();
+    let pid = k.spawn("app");
+    let r = k.install_fd(pid, FdObject::PipeRead(PipeId(77)));
+    let w = k.install_fd(pid, FdObject::PipeWrite(PipeId(77)));
+    let (events, _) = k
+        .iol_poll(pid, &[PollFd::readable(r), PollFd::writable(w), PollFd::readable(Fd::STDIN)])
+        .unwrap();
+    assert!(events[0].invalid && events[1].invalid, "{events:?}");
+    assert!(!events[2].invalid, "one stale entry does not fail the scan");
+    assert_eq!(k.iol_read_fd(pid, r, 8).unwrap_err(), IolError::NotOpen { fd: r });
+    let msg = Aggregate::from_bytes(k.process(pid).pool(), b"x");
+    assert_eq!(k.iol_write_fd(pid, w, &msg).unwrap_err(), IolError::NotOpen { fd: w });
+    // The numbers themselves are ordinary: they dup and close.
+    let dup = k.dup_fd(pid, r).unwrap();
+    for fd in [r, w, dup] {
+        k.close_fd(pid, fd).unwrap();
+    }
+    let journal = k.take_journal().unwrap();
+    let (replayed, _) = iolite::core::replay(initial, &journal);
+    assert_eq!(replayed.state_hash(), k.state_hash());
+}
+
+/// Regression, the socket shape: a descriptor over an unminted
+/// connection id used to panic `iol_write_fd`/`iol_read_fd`/
+/// `socket_deliver` at `.expect("registered socket")`. Every socket
+/// call now reports it `EBADF`.
+#[test]
+fn a_dangling_socket_id_is_not_open_to_every_socket_call() {
+    let mut k = kernel();
+    let initial = k.snapshot();
+    k.start_journal();
+    let pid = k.spawn("app");
+    let fd = k.install_fd(pid, FdObject::Socket(ConnId(99)));
+    let bad = IolError::NotOpen { fd };
+    let msg = Aggregate::from_bytes(k.process(pid).pool(), b"x");
+    assert_eq!(k.iol_write_fd(pid, fd, &msg).unwrap_err(), bad);
+    assert_eq!(k.iol_read_fd(pid, fd, 8).unwrap_err(), bad);
+    assert_eq!(k.socket_deliver(pid, fd, msg.clone()).unwrap_err(), bad);
+    assert_eq!(k.socket_send_accounted(pid, fd, 8).unwrap_err(), bad);
+    assert_eq!(k.socket_transmit_segments(pid, fd, &msg).unwrap_err(), bad);
+    assert_eq!(k.set_nonblocking(pid, fd, true).unwrap_err(), bad);
+    assert_eq!(k.socket_drain(pid, fd, 8).unwrap_err(), bad);
+    assert_eq!(k.socket_peer_close(pid, fd).unwrap_err(), bad);
+    assert_eq!(k.socket_space(pid, fd).unwrap_err(), bad);
+    assert_eq!(k.socket_unacked(pid, fd).unwrap_err(), bad);
+    assert_eq!(k.socket_peer_closed(pid, fd).unwrap_err(), bad);
+    assert_eq!(k.socket(pid, fd).unwrap_err(), bad);
+    let (events, _) = k.iol_poll(pid, &[PollFd::writable(fd)]).unwrap();
+    assert!(events[0].invalid);
+    // Still a descriptor: introspectable, closable, and its last close
+    // (of a socket that never was) is a no-op.
+    assert_eq!(k.fd_object(pid, fd), Ok(FdObject::Socket(ConnId(99))));
+    k.close_fd(pid, fd).unwrap();
+    let journal = k.take_journal().unwrap();
+    let (replayed, _) = iolite::core::replay(initial, &journal);
+    assert_eq!(replayed.state_hash(), k.state_hash());
+}
+
+/// Regression: `lseek` computed its target in `i128` and stored
+/// `target as u64`, so two seeks by `i64::MAX` and one by 10 wrapped
+/// the offset round to 8. `off_t` ends at `i64::MAX`.
+#[test]
+fn lseek_refuses_offsets_past_off_t_max() {
+    let mut k = kernel();
+    let pid = k.spawn("app");
+    k.create_file("/f", b"0123456789");
+    let (fd, _) = k.open(pid, "/f").unwrap();
+    let top = i64::MAX as u64;
+    assert_eq!(k.lseek(pid, fd, i64::MAX, Whence::Set).unwrap().0, top);
+    for (offset, whence) in [(i64::MAX, Whence::Cur), (10, Whence::Cur), (i64::MAX, Whence::End)] {
+        assert_eq!(
+            k.lseek(pid, fd, offset, whence).unwrap_err(),
+            IolError::InvalidSeek { requested: offset }
+        );
+        // A refused seek leaves the offset where it was.
+        assert_eq!(k.lseek(pid, fd, 0, Whence::Cur).unwrap().0, top);
+    }
+    // Reading up there is plain EOF, on either interface, and the
+    // offset stays put instead of wrapping.
+    assert!(k.iol_read_fd(pid, fd, 100).unwrap().0.is_empty());
+    assert!(k.posix_read_fd(pid, fd, 100).unwrap().0.is_empty());
+    assert_eq!(k.lseek(pid, fd, 0, Whence::Cur).unwrap().0, top);
+    // The legal range is unchanged, negative targets included.
+    assert_eq!(k.lseek(pid, fd, -(i64::MAX - 4), Whence::Cur).unwrap().0, 4);
+    assert_eq!(k.iol_read_fd(pid, fd, 3).unwrap().0.to_vec(), b"456");
+    assert_eq!(
+        k.lseek(pid, fd, -8, Whence::Cur).unwrap_err(),
+        IolError::InvalidSeek { requested: -8 }
+    );
+    assert_eq!(k.lseek(pid, fd, -3, Whence::End).unwrap().0, 7);
+}
+
+/// `dup2_fd` and `install_fd_at` take the number from the caller; one
+/// at or past [`FD_LIMIT`] is `EBADF` (as past `RLIMIT_NOFILE`), not a
+/// slot table sized to reach it.
+#[test]
+fn caller_chosen_descriptor_numbers_stop_at_fd_limit() {
+    let mut k = kernel();
+    let pid = k.spawn("app");
+    let (r, w) = k.pipe_fds(pid, PipeMode::ZeroCopy);
+    let read_end = k.fd_object(pid, r).unwrap();
+    for at in [Fd(FD_LIMIT), Fd(u32::MAX)] {
+        assert_eq!(k.dup2_fd(pid, w, at), Err(IolError::NotOpen { fd: at }));
+        assert_eq!(k.install_fd_at(pid, at, read_end), Err(IolError::NotOpen { fd: at }));
+        assert_eq!(k.fd_object(pid, at), Err(IolError::NotOpen { fd: at }));
+    }
+    // The refusals displaced and closed nothing: the pipe still flows.
+    let msg = Aggregate::from_bytes(k.process(pid).pool(), b"still here");
+    k.iol_write_fd(pid, w, &msg).unwrap();
+    assert_eq!(k.iol_read_fd(pid, r, 100).unwrap().0.to_vec(), b"still here");
+    // Below the limit both calls work as ever.
+    assert_eq!(k.dup2_fd(pid, w, Fd(4000)), Ok(Fd(4000)));
+    assert_eq!(k.install_fd_at(pid, Fd(4001), read_end), Ok(Fd(4001)));
 }
 
 proptest! {
