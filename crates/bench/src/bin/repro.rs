@@ -1,10 +1,13 @@
 //! `repro`: regenerates every figure of the IO-Lite paper's evaluation.
 //!
-//! Usage: `repro [all|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|check] [--fast]`
+//! Usage: `repro [all|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|check|scale] [--fast]`
 //!
 //! Output is designed to sit next to the paper: each figure prints the
 //! measured series plus the claims the paper makes about it, so
-//! EXPERIMENTS.md can record paper-vs-measured directly.
+//! EXPERIMENTS.md can record paper-vs-measured directly. `check` and
+//! `scale` are gates: they exit non-zero unless every claim (resp. the
+//! sharded speedup bar) holds. `--fast` shortens a single figure's run;
+//! the gates, and `all`, which ends in `check`, refuse it.
 
 use iolite_bench::figures::{self, Scale};
 
@@ -18,6 +21,14 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("all")
         .to_string();
+
+    if fast && matches!(what.as_str(), "all" | "check" | "scale") {
+        eprintln!(
+            "`{what}` refuses --fast: the reduced scale is for a look at one figure and \
+             does not carry the paper's claims; `scale` has one size"
+        );
+        std::process::exit(2);
+    }
 
     let mut failed = false;
     match what.as_str() {
@@ -33,6 +44,7 @@ fn main() {
         "fig12" => fig12(scale),
         "fig13" => fig13(scale),
         "check" => failed = !check(scale),
+        "scale" => failed = !scale_table(),
         "all" => {
             fig3(scale);
             fig4(scale);
@@ -266,6 +278,64 @@ fn fig13(scale: Scale) {
             row.paper_reduction_pct
         );
     }
+}
+
+/// Prints the sharded scaling table and holds it to the PR 7 bar:
+/// 2 shards >= 1.7x and 4 shards >= 3.0x one shard (per-core
+/// provisioned, replicated), no failed request, no busy-spin.
+fn scale_table() -> bool {
+    header(
+        "Sharded scaling: 2^18 connections, SCALE-10K corpus, simulated CPU on the parallel makespan",
+        &[],
+    );
+    println!("  bar: 2 shards >= 1.7x and 4 shards >= 3.0x one shard (replicated, 128 MB/shard)");
+    println!(
+        "{:>6} {:>10} {:>9} {:>12} {:>8} {:>10} {:>9} {:>8} {:>9} {:>8} {:>8}",
+        "shards",
+        "ownership",
+        "MB/shard",
+        "req/cpu-sec",
+        "speedup",
+        "makespan",
+        "imbalance",
+        "hit rate",
+        "evictions",
+        "fetches",
+        "waits"
+    );
+    let rows = iolite_bench::scale::sweep();
+    let base = rows[0].report.requests_per_cpu_sec();
+    let mut ok = true;
+    for row in &rows {
+        let speedup = row.report.requests_per_cpu_sec() / base;
+        let pass = speedup >= row.min_speedup && row.report.failed() == 0 && !row.spun();
+        ok &= pass;
+        println!(
+            "{:>6} {:>10} {:>9} {:>12.0} {:>7.2}x {:>8.1} s {:>9.3} {:>8.3} {:>9} {:>8} {:>8}{}",
+            row.shards,
+            format!("{:?}", row.ownership),
+            row.ram_per_shard >> 20,
+            row.report.requests_per_cpu_sec(),
+            speedup,
+            row.report.max_shard_cpu().as_secs(),
+            row.report.imbalance(),
+            row.hit_rate(),
+            row.evictions(),
+            row.report.remote_reads(),
+            row.remote_waits(),
+            if pass { "" } else { "  <- FAIL" },
+        );
+    }
+    println!();
+    println!(
+        "overall: {}",
+        if ok {
+            "SCALING BAR HELD"
+        } else {
+            "SCALING BAR MISSED (speedup below the bar, a failed request, or a shard that spun)"
+        }
+    );
+    ok
 }
 
 /// Asserts the direction of every headline claim; prints PASS/FAIL.

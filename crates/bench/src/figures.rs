@@ -7,7 +7,7 @@ use iolite_http::{Experiment, ExperimentConfig, ServerKind, WorkloadKind};
 use iolite_trace::{cdf::cdf_series, TraceSpec, Workload};
 
 /// Run-length control: `full` approximates the paper's run lengths;
-/// `fast` is for benches and smoke tests.
+/// `fast` is for a quick look at one figure and for smoke tests.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Measured requests per data point.
@@ -37,7 +37,9 @@ impl Scale {
         }
     }
 
-    /// Short runs for benches.
+    /// Short runs for a look at a single figure. Too short to carry the
+    /// paper's claims (fig. 11's disk-bound point and fig. 12's delay
+    /// sweep need the full run length), so `repro check` refuses it.
     pub fn fast() -> Self {
         Scale {
             requests: 600,

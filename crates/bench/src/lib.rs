@@ -1,17 +1,12 @@
-//! Figure-regeneration harness: one function per figure of the paper's
-//! evaluation (§5), shared by the `repro` binary and the Criterion
-//! benches.
+//! The simulated-clock harness behind the `repro` binary: one function
+//! per figure of the paper's evaluation (§5) in [`figures`], and the
+//! sharded scaling table in [`scale`]. (Wall clock is `perf/`'s job.)
 //!
 //! Every function returns printable rows so EXPERIMENTS.md can record
 //! paper-vs-measured numbers; `Scale` trades run length for fidelity
-//! (benches use `Scale::fast()`, the `repro` binary defaults to
-//! `Scale::full()`).
+//! (`repro` defaults to `Scale::full()`; `--fast` is `Scale::fast()`).
 
 pub mod figures;
+pub mod scale;
 
 pub use figures::Scale;
-
-/// Formats one bandwidth row.
-pub fn fmt_mbps(v: f64) -> String {
-    format!("{v:7.1}")
-}

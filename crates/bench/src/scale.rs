@@ -1,0 +1,168 @@
+//! The PR 7 sharded scaling table: shared-nothing thread-per-core
+//! serving over 1/2/4/8 shards, in simulated CPU (`repro scale`).
+//!
+//! 2^18 single-request connections over the SCALE-10K Zipf corpus.
+//! Headline rows are per-core provisioned — every shard is a stock
+//! `pentium_ii_333` machine with the 128 MB budget — and requests per
+//! CPU second are taken on the parallel makespan (max per-shard
+//! simulated CPU), so idle shards don't help and a hot shard hurts. One
+//! `HomeOnly` row at 8 shards prices hot-spot concentration when
+//! replicas are forbidden; one fixed-total-RAM row (the single machine's
+//! budget *split* across 2 shards) prices replicating the Zipf head when
+//! adding shards cannot add memory.
+//!
+//! The clock is simulated but the fleet is threaded: which tick a
+//! remote fetch's reply lands in follows the host scheduler, and with it
+//! the order replicas install, what they evict and what is fetched
+//! again. Multi-shard rows therefore move between runs — a few percent
+//! in the eviction and fetch counts, well under 1 % in req/cpu-sec. The
+//! speedup bars have far more room than that.
+
+use iolite_core::{CostModel, Kernel};
+use iolite_fs::{CacheOwnership, Policy};
+use iolite_http::{run_sharded, EventLoopConfig, ShardedConfig, ShardedReport};
+use iolite_sim::SimRng;
+use iolite_trace::{TraceSpec, Workload};
+use iolite_vm::MemAccount;
+
+/// Connections in the sweep, one Zipf-sampled request each.
+const CONNS: usize = 1 << 18;
+/// Per-shard cache budget of the headline rows.
+const SHARD_RAM: u64 = 128 << 20;
+/// Per-shard admission limit: bounds in-flight response memory.
+const ADMISSION: usize = 2048;
+
+/// The 10k-file corpus: Zipf popularity, log-normal sizes, 192 MB.
+fn scale_spec() -> TraceSpec {
+    TraceSpec {
+        name: "SCALE-10K",
+        files: 10_000,
+        total_bytes: 192 << 20,
+        requests: 1_000_000,
+        mean_request_bytes: 16 << 10,
+        zipf_s: 1.0,
+        size_sigma: 1.4,
+    }
+}
+
+/// One row of the table.
+pub struct ScaleRow {
+    /// Shard count.
+    pub shards: usize,
+    /// Cache ownership mode.
+    pub ownership: CacheOwnership,
+    /// Cache budget per shard, in bytes.
+    pub ram_per_shard: u64,
+    /// The PR 7 bar: least speedup over the one-shard row this row must
+    /// show (0 for rows that measure a tax instead of clearing a bar).
+    pub min_speedup: f64,
+    /// The fleet's report (per-shard loop stats and kernels).
+    pub report: ShardedReport,
+}
+
+impl ScaleRow {
+    /// Fleet-wide file-cache hit rate.
+    pub fn hit_rate(&self) -> f64 {
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for s in &self.report.shards {
+            let cs = s.kernel.cache.stats();
+            hits += cs.hits;
+            misses += cs.misses;
+        }
+        hits as f64 / (hits + misses).max(1) as f64
+    }
+
+    /// Fleet-wide file-cache evictions.
+    pub fn evictions(&self) -> u64 {
+        self.report
+            .shards
+            .iter()
+            .map(|s| s.kernel.cache.stats().evictions)
+            .sum()
+    }
+
+    /// Requests that parked behind another connection's remote fetch.
+    pub fn remote_waits(&self) -> u64 {
+        self.report
+            .shards
+            .iter()
+            .map(|s| s.report.stats.remote_waits)
+            .sum()
+    }
+
+    /// Whether any shard issued an I/O call its poll did not justify.
+    pub fn spun(&self) -> bool {
+        self.report
+            .shards
+            .iter()
+            .any(|s| s.report.stats.blocked_io != 0)
+    }
+}
+
+fn run_point(
+    workload: &Workload,
+    (shards, ownership, ram_per_shard, min_speedup): (usize, CacheOwnership, u64, f64),
+) -> ScaleRow {
+    let mut cost = CostModel::pentium_ii_333();
+    cost.ram_bytes = ram_per_shard;
+    let cfg = ShardedConfig {
+        shards,
+        ownership,
+        cost,
+        policy: Policy::Gds,
+        journal: false,
+        loop_cfg: EventLoopConfig {
+            drain_per_tick: 16 * 1024,
+            admission_limit: ADMISSION,
+            ..EventLoopConfig::default()
+        },
+    };
+    let paths: Vec<String> = workload.files().iter().map(|f| f.name.clone()).collect();
+    let mut rng = SimRng::new(0x5eed);
+    // Structured conn ids (stride 4096): shard routing sees the id
+    // spaces real listeners hand out, not dense integers.
+    let conns: Vec<(u64, Vec<String>)> = (0..CONNS)
+        .map(|j| {
+            let path = paths[workload.sample_request(&mut rng)].clone();
+            (j as u64 * 4096, vec![path])
+        })
+        .collect();
+    let report = run_sharded(
+        &cfg,
+        |k: &mut Kernel| {
+            let reserve = k.cost.server_reserve_bytes;
+            k.mem_reserve(MemAccount::Server, reserve);
+            let pid = k.spawn("server");
+            for f in workload.files() {
+                k.create_synthetic_file(&f.name, f.bytes, 7 ^ f.bytes);
+            }
+            pid
+        },
+        conns,
+    );
+    ScaleRow {
+        shards,
+        ownership,
+        ram_per_shard,
+        min_speedup,
+        report,
+    }
+}
+
+/// Runs the sweep: 1/2/4/8 shards replicated, 8 shards `HomeOnly`, and
+/// 2 shards at fixed total RAM. The first row is the speedup baseline.
+pub fn sweep() -> Vec<ScaleRow> {
+    use CacheOwnership::{HomeOnly, Replicate};
+    let workload = Workload::synthesize(&scale_spec(), 7);
+    [
+        (1, Replicate, SHARD_RAM, 0.0),
+        (2, Replicate, SHARD_RAM, 1.7),
+        (4, Replicate, SHARD_RAM, 3.0),
+        (8, Replicate, SHARD_RAM, 0.0),
+        (8, HomeOnly, SHARD_RAM, 0.0),
+        (2, Replicate, SHARD_RAM / 2, 0.0),
+    ]
+    .into_iter()
+    .map(|point| run_point(&workload, point))
+    .collect()
+}

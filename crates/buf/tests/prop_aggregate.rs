@@ -266,3 +266,71 @@ proptest! {
         prop_assert_eq!(copied_pool.stats(), filled_pool.stats());
     }
 }
+
+// ---- complexity guards ----------------------------------------------------
+
+/// 2^18 slices of 16 bytes: §3.8's fragmentation regime, well past
+/// anything a server builds.
+const FRAG_SLICES: usize = 1 << 18;
+const FRAG_SLICE_LEN: usize = 16;
+
+fn fragmented() -> (Vec<u8>, Aggregate) {
+    let data: Vec<u8> = (0..FRAG_SLICES * FRAG_SLICE_LEN)
+        .map(|i| (i / FRAG_SLICE_LEN * 7 + i % FRAG_SLICE_LEN) as u8)
+        .collect();
+    // Cut from 64 KB buffers by reference: a pool of 16-byte chunks
+    // would spend the test allocating.
+    let mut agg = Aggregate::empty();
+    for s in agg_from(&data, 64 * 1024).slices() {
+        for off in (0..s.len()).step_by(FRAG_SLICE_LEN) {
+            agg.append_slice(s.sub(off, FRAG_SLICE_LEN).unwrap());
+        }
+    }
+    assert_eq!(agg.num_slices(), FRAG_SLICES);
+    (data, agg)
+}
+
+/// Locating an offset must not pay for the slices in front of it. 2^20
+/// probes each of `byte_at`, `range` and `copy_to` (16-byte windows, so
+/// the locate is the whole cost) across a 2^18-slice aggregate: about a
+/// second through the cumulative-offset index, 2^37 slice visits per
+/// operation under the linear walk it replaced. No clock is read
+/// (`clippy.toml` bans `Instant`): a regression shows as a suite that
+/// stalls for minutes.
+#[test]
+fn locate_cost_does_not_scale_with_slice_count() {
+    const PROBES: u64 = 1 << 20;
+    let (data, agg) = fragmented();
+    let last = agg.len() - FRAG_SLICE_LEN as u64;
+    let mut window = [0u8; FRAG_SLICE_LEN];
+    let mut at = 7u64;
+    for _ in 0..PROBES {
+        // Full-period LCG over the offsets, deep ones included.
+        at = (at * 1_664_525 + 1_013_904_223) % last;
+        let expect = &data[at as usize..][..FRAG_SLICE_LEN];
+        assert_eq!(agg.byte_at(at), Some(expect[0]));
+        let r = agg.range(at, FRAG_SLICE_LEN as u64).unwrap();
+        assert!(r.num_slices() <= 2 && r.byte_at(15) == Some(expect[15]));
+        assert_eq!(agg.copy_to(at, &mut window), FRAG_SLICE_LEN);
+        assert_eq!(window, expect);
+    }
+}
+
+/// Prepending must not shift what is already there: 2^20 header
+/// prepends onto a 2^18-slice body move the base offset, never the
+/// 2^18..2^20 slices behind it (`Vec::insert(0)` is ~2^39 moves).
+#[test]
+fn prepend_cost_does_not_scale_with_slice_count() {
+    const PREPENDS: u64 = 1 << 20;
+    let (data, mut agg) = fragmented();
+    let header = agg_from(b"H", 1);
+    for _ in 0..PREPENDS {
+        agg.prepend(&header);
+    }
+    assert_eq!(agg.len(), PREPENDS + data.len() as u64);
+    assert_eq!(agg.num_slices(), PREPENDS as usize + FRAG_SLICES);
+    // The index still addresses both sides of the old front.
+    assert_eq!(agg.byte_at(PREPENDS - 1), Some(b'H'));
+    assert_eq!(agg.byte_at(PREPENDS), Some(data[0]));
+    assert_eq!(agg.byte_at(agg.len() - 1), data.last().copied());
+}

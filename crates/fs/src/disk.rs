@@ -271,14 +271,6 @@ pub struct DiskModel {
 }
 
 impl DiskModel {
-    /// The default model used by every experiment (DESIGN.md §4).
-    pub fn default_late_90s() -> Self {
-        DiskModel {
-            avg_position_ms: 8.5,
-            transfer_mb_s: 14.0,
-        }
-    }
-
     /// Service time for one access of `bytes`.
     pub fn access_time(&self, bytes: u64) -> SimTime {
         SimTime::from_ms(self.avg_position_ms)

@@ -257,3 +257,49 @@ proptest! {
         }
     }
 }
+
+// ---- complexity guard -----------------------------------------------------
+
+/// Eviction must not pay for what the network holds. 2^16 entries
+/// pinned mid-transmission — under LRU all older than anything that
+/// follows, so a single-queue victim search walks every one of them —
+/// then 2^18 rounds of insert-one/evict-one over a four-entry unpinned
+/// window: a second with the segregated indexes, 2^34 pinned entries
+/// passed over under the scan model above. Victims must leave oldest
+/// first, as the policy orders them. No clock: a regression shows as a
+/// suite that never finishes.
+#[test]
+fn evict_cost_does_not_scale_with_pinned_entries() {
+    const PINNED: u64 = 1 << 16;
+    const ROUNDS: u64 = 1 << 18;
+    const WINDOW: u64 = 4;
+    let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 64 * 1024);
+    let body = || Aggregate::from_bytes(&pool, &[0xEE; 16]);
+    let mut cache = UnifiedCache::new(Policy::Lru, u64::MAX);
+    for i in 0..PINNED + WINDOW {
+        let key = CacheKey::whole(FileId(i));
+        cache.insert(key, body());
+        if i < PINNED {
+            cache.pin(&key);
+        }
+    }
+    for round in 0..ROUNDS {
+        let newest = PINNED + WINDOW + round;
+        let (victim, agg) = cache.evict_one().expect("an unpinned victim");
+        assert_eq!(victim, CacheKey::whole(FileId(newest - WINDOW)));
+        cache.insert(CacheKey::whole(FileId(newest)), agg);
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.evictions, stats.pinned_evictions), (ROUNDS, 0));
+    assert_eq!(cache.len() as u64, PINNED + WINDOW);
+    // Only with the window gone does the search fall back to a pinned
+    // entry (§3.7's last resort), again oldest first.
+    for _ in 0..WINDOW {
+        cache.evict_one().expect("window entry");
+    }
+    assert_eq!(
+        cache.evict_one().map(|(k, _)| k),
+        Some(CacheKey::whole(FileId(0)))
+    );
+    assert_eq!(cache.stats().pinned_evictions, 1);
+}

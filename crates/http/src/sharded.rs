@@ -33,7 +33,7 @@ use std::sync::mpsc::sync_channel;
 use std::thread;
 
 use iolite_core::{
-    shard_of_conn, ConnId, CostModel, Kernel, Metrics, Pid, ShardFabric, ShardMsg, FABRIC_SLACK,
+    shard_of_conn, ConnId, CostModel, Kernel, Pid, ShardFabric, ShardMsg, FABRIC_SLACK,
 };
 use iolite_fs::{CacheOwnership, Policy};
 use iolite_sim::SimTime;
@@ -122,15 +122,6 @@ impl ShardedReport {
             return 1.0;
         }
         self.max_shard_cpu().as_secs() / mean
-    }
-
-    /// Kernel metrics merged across shards (every field sums).
-    pub fn merged_metrics(&self) -> Metrics {
-        let mut m = Metrics::new();
-        for s in &self.shards {
-            m.merge(&s.kernel.metrics);
-        }
-        m
     }
 }
 

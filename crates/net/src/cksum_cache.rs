@@ -184,11 +184,6 @@ impl ChecksumCache {
         self.enabled = enabled;
     }
 
-    /// Whether caching is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Returns the partial sum for a slice, from cache when possible.
     pub fn sum_for(&mut self, s: &Slice) -> PartialSum {
         if !self.enabled {

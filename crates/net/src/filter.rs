@@ -8,7 +8,7 @@
 //!
 //! Disabling the filter reproduces the conventional driver: payloads
 //! land in anonymous kernel buffers and must be copied once their
-//! destination becomes known — the `ablate_demux` bench measures exactly
+//! destination becomes known — `RxStats::bytes_copied` counts exactly
 //! that.
 
 use crate::packet::SegmentHeader;

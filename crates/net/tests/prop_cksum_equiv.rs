@@ -217,3 +217,39 @@ proptest! {
         }
     }
 }
+
+// ---- complexity guard -----------------------------------------------------
+
+/// Retiring a buffer must not pay for the table's population (§3.9). A
+/// kernel-sized table holds 2^16 sums over unrelated buffers; then 2^18
+/// PUTs each admit one to three send windows of a document and retire
+/// its buffer. Every invalidation returns exactly its own entries and
+/// leaves the residents alone: a second through the buffer index, 2^34
+/// slot visits under the scan model above. No clock: a regression shows
+/// as a suite that never finishes.
+#[test]
+fn invalidate_cost_does_not_scale_with_cache_size() {
+    const RESIDENTS: usize = 1 << 16;
+    const PUTS: u64 = 1 << 18;
+    let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 64 * 1024);
+    let residents: Vec<Aggregate> = (0..RESIDENTS)
+        .map(|i| Aggregate::from_bytes(&pool, &(i as u64).to_le_bytes()))
+        .collect();
+    let doc = Aggregate::from_bytes(&pool, &[0x5A; 64]);
+    let mut cache = ChecksumCache::new(RESIDENTS + WINDOWS.len());
+    for r in &residents {
+        cache.sum_for(r.slice_at(0));
+    }
+    for put in 0..PUTS {
+        let windows = 1 + put % 3;
+        for w in 0..windows {
+            cache.sum_for(&window(doc.slice_at(0), w as u8));
+        }
+        assert_eq!(cache.invalidate_aggregate(&doc), windows, "put {put}");
+        assert_eq!(cache.len(), RESIDENTS);
+    }
+    let stats = cache.stats();
+    assert_eq!(stats.evictions, 0, "the table never overflowed");
+    assert_eq!(stats.hits, 0, "no window outlived its buffer's retirement");
+    assert!(residents.iter().all(|r| cache.contains(r.slice_at(0))));
+}

@@ -12,7 +12,7 @@
 //! Everything in this crate is deterministic: running the same experiment
 //! with the same seed produces identical results on every platform. That
 //! property is load-bearing for the reproduction — EXPERIMENTS.md records
-//! numbers that `cargo bench` must regenerate.
+//! numbers that `repro` must regenerate.
 
 pub mod dist;
 pub mod engine;

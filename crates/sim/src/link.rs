@@ -126,12 +126,6 @@ impl LinkSet {
         self.links.iter().map(|l| l.bytes_sent()).sum()
     }
 
-    /// Mean utilization across links over `[0, horizon]`.
-    pub fn mean_utilization(&self, horizon: SimTime) -> f64 {
-        let total: f64 = self.links.iter().map(|l| l.utilization(horizon)).sum();
-        total / self.links.len() as f64
-    }
-
     /// Aggregate capacity in megabits per second.
     pub fn aggregate_mbit_s(&self) -> f64 {
         self.links

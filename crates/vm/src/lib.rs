@@ -32,6 +32,3 @@ pub use mmap::MmapView;
 pub use pager::{PageClass, PageoutAction, PageoutDaemon};
 pub use physmem::{MemAccount, PhysMemory};
 pub use window::{AccessDenied, IoLiteWindow, MapStats, Perm};
-
-/// Pages per 64KB chunk at the 4KB page size.
-pub const PAGES_PER_CHUNK: u64 = (iolite_buf::DEFAULT_CHUNK_SIZE / iolite_buf::PAGE_SIZE) as u64;

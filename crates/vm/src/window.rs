@@ -85,11 +85,6 @@ impl IoLiteWindow {
         }
     }
 
-    /// Pages per chunk for cost accounting.
-    pub fn pages_per_chunk(&self) -> u64 {
-        (self.chunk_size / PAGE_SIZE) as u64
-    }
-
     /// Transfers buffers occupying `chunks` to `domain`, enforcing the
     /// pool ACL, and returns the number of **newly mapped pages** (zero
     /// for warm transfers).
@@ -248,6 +243,10 @@ mod tests {
         let pages = w.transfer([ChunkId(0), ChunkId(1)], d, &acl).unwrap();
         assert_eq!(pages, 0);
         assert_eq!(w.stats().warm_transfers, 1);
+        // §3.2: a recycled chunk rides its mapping, a fresh one pays
+        // again — a stream that never reuses chunks maps all of it.
+        assert_eq!(w.transfer([ChunkId(2)], d, &acl).unwrap(), 16);
+        assert_eq!(w.stats().pages_mapped, 48);
     }
 
     #[test]

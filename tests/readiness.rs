@@ -102,42 +102,46 @@ fn poll_epipe_readiness() {
 // ---- the acceptance bar: ≥1024-way multiplexing, CGI included ----------
 
 /// 1024 static connections plus a CGI contingent, all in flight at
-/// once, all served through `iol_poll` with zero busy-spin.
+/// once, all served through `iol_poll` with zero busy-spin — and again
+/// at 2048, the top of the concurrency sweep EXPERIMENTS.md tabulates.
 #[test]
 fn multiplexes_1024_connections_with_zero_busy_spin() {
-    let mut k = kernel();
-    let pid = k.spawn("server");
-    k.create_synthetic_file("/hot", 30_000, 5);
-    k.create_synthetic_file("/warm", 8_000, 6);
-    let cgi = CgiProcess::new(&mut k, pid, 12_000, PipeMode::ZeroCopy);
-    let mut scripts: Vec<Vec<String>> = (0..1024)
-        .map(|i| {
-            vec![if i % 3 == 0 { "/warm" } else { "/hot" }.to_string()]
-        })
-        .collect();
-    for _ in 0..8 {
-        scripts.push(vec![format!("{CGI_PREFIX}doc")]);
-    }
-    let cfg = EventLoopConfig {
-        drain_per_tick: 16 * 1024,
-        ..EventLoopConfig::default()
-    };
-    let (report, kernel) = EventLoopServer::new(k, pid, scripts, Some(cgi), cfg).run();
-    assert_eq!(report.stats.completed, 1032);
-    assert_eq!(report.stats.failed, 0);
-    assert_eq!(
-        report.stats.blocked_io, 0,
-        "readiness-driven multiplexing must never spin on WouldBlock"
-    );
-    assert!(
-        report.stats.max_inflight >= 1032,
-        "all connections in flight at once, got {}",
-        report.stats.max_inflight
-    );
-    // Documents went through the cache; every transmission pin drained.
-    for path in ["/hot", "/warm"] {
-        let file = kernel.store.lookup(path).unwrap();
-        assert_eq!(kernel.cache.pins(&CacheKey::whole(file)), 0);
+    for statics in [1024usize, 2048] {
+        let mut k = kernel();
+        let pid = k.spawn("server");
+        k.create_synthetic_file("/hot", 30_000, 5);
+        k.create_synthetic_file("/warm", 8_000, 6);
+        let cgi = CgiProcess::new(&mut k, pid, 12_000, PipeMode::ZeroCopy);
+        let mut scripts: Vec<Vec<String>> = (0..statics)
+            .map(|i| {
+                vec![if i % 3 == 0 { "/warm" } else { "/hot" }.to_string()]
+            })
+            .collect();
+        for _ in 0..8 {
+            scripts.push(vec![format!("{CGI_PREFIX}doc")]);
+        }
+        let conns = scripts.len();
+        let cfg = EventLoopConfig {
+            drain_per_tick: 16 * 1024,
+            ..EventLoopConfig::default()
+        };
+        let (report, kernel) = EventLoopServer::new(k, pid, scripts, Some(cgi), cfg).run();
+        assert_eq!(report.stats.completed, conns as u64);
+        assert_eq!(report.stats.failed, 0);
+        assert_eq!(
+            report.stats.blocked_io, 0,
+            "readiness-driven multiplexing must never spin on WouldBlock"
+        );
+        assert!(
+            report.stats.max_inflight >= conns,
+            "all {conns} connections in flight at once, got {}",
+            report.stats.max_inflight
+        );
+        // Documents went through the cache; every transmission pin drained.
+        for path in ["/hot", "/warm"] {
+            let file = kernel.store.lookup(path).unwrap();
+            assert_eq!(kernel.cache.pins(&CacheKey::whole(file)), 0);
+        }
     }
 }
 

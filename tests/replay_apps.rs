@@ -222,7 +222,7 @@ fn cgi_request_replays_bit_identically() {
     }
 }
 
-/// Known hole, pinned (ROADMAP item 4): a copy-mode pipe digests its
+/// Known hole, pinned (ROADMAP item 1): a copy-mode pipe digests its
 /// queued bytes by scratch-buffer identity, and whether a scratch chunk
 /// is recycled depends on whether the *live* reader still holds the
 /// previous read — replay drops every read result at once. A run that
