@@ -4,8 +4,14 @@
 //! buffers allocated from it. The set is tiny in practice (a server
 //! process, maybe one CGI process, and the kernel), so a sorted `Vec`
 //! beats a hash set.
+//!
+//! Every buffer carries the ACL its pool had when it was allocated, so
+//! an [`Acl`] is a shared handle: cloning one is a reference-count
+//! bump, and [`Acl::grant`]/[`Acl::revoke`] copy on write — snapshots
+//! taken earlier never see a later change.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ids::DomainId;
 
@@ -27,7 +33,10 @@ use crate::ids::DomainId;
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct Acl {
-    domains: Vec<DomainId>,
+    /// Sorted. `None` — never an empty list — when only the kernel has
+    /// access, so the commonest ACL costs nothing to build or to
+    /// snapshot.
+    domains: Option<Arc<Vec<DomainId>>>,
 }
 
 impl Acl {
@@ -54,43 +63,47 @@ impl Acl {
 
     /// Adds a domain to the ACL. Idempotent.
     pub fn grant(&mut self, d: DomainId) {
-        if let Err(pos) = self.domains.binary_search(&d) {
-            self.domains.insert(pos, d);
+        if let Err(pos) = self.domains().binary_search(&d) {
+            Arc::make_mut(self.domains.get_or_insert_with(Arc::default)).insert(pos, d);
         }
     }
 
     /// Removes a domain from the ACL. Idempotent.
     pub fn revoke(&mut self, d: DomainId) {
-        if let Ok(pos) = self.domains.binary_search(&d) {
-            self.domains.remove(pos);
+        if let (Ok(pos), Some(list)) = (self.domains().binary_search(&d), &mut self.domains) {
+            let list = Arc::make_mut(list);
+            list.remove(pos);
+            if list.is_empty() {
+                self.domains = None;
+            }
         }
     }
 
     /// Whether `d` may read buffers allocated under this ACL.
     pub fn allows(&self, d: DomainId) -> bool {
-        d == DomainId::KERNEL || self.domains.binary_search(&d).is_ok()
+        d == DomainId::KERNEL || self.domains().binary_search(&d).is_ok()
     }
 
     /// The explicitly granted domains (the kernel is implicit).
     pub fn domains(&self) -> &[DomainId] {
-        &self.domains
+        self.domains.as_ref().map_or(&[], |list| list.as_slice())
     }
 
     /// Number of explicitly granted domains.
     pub fn len(&self) -> usize {
-        self.domains.len()
+        self.domains().len()
     }
 
     /// Whether no user domains are granted.
     pub fn is_empty(&self) -> bool {
-        self.domains.is_empty()
+        self.domains.is_none()
     }
 }
 
 impl fmt::Debug for Acl {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Acl{{kernel")?;
-        for d in &self.domains {
+        for d in self.domains() {
             write!(f, ",{d}")?;
         }
         write!(f, "}}")
@@ -119,6 +132,19 @@ mod tests {
         assert!(!acl.allows(DomainId(1)));
         acl.revoke(DomainId(1));
         assert!(acl.is_empty());
+    }
+
+    #[test]
+    fn clones_are_snapshots() {
+        let mut acl = Acl::with_domain(DomainId(1));
+        let before = acl.clone();
+        acl.grant(DomainId(2));
+        acl.revoke(DomainId(1));
+        assert_eq!(before.domains(), &[DomainId(1)]);
+        assert_eq!(acl.domains(), &[DomainId(2)]);
+        // Revoking the last domain is the kernel-only ACL again.
+        acl.revoke(DomainId(2));
+        assert_eq!(acl, Acl::kernel_only());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::aggregate::Aggregate;
 #[derive(Clone)]
 pub struct AggCursor<'a> {
     agg: &'a Aggregate,
-    /// Index of the current slice in the aggregate's deque.
+    /// Index of the current slice in the aggregate's list.
     idx: usize,
     /// Offset within the current slice; invariant: strictly less than
     /// the slice's length whenever `idx` is in bounds.
@@ -76,7 +76,7 @@ impl<'a> AggCursor<'a> {
     /// The unread part of the current byte run, without consuming it.
     /// `None` at the end.
     pub fn peek_chunk(&self) -> Option<&'a [u8]> {
-        let s = self.agg.slice_deque().get(self.idx)?;
+        let s = self.agg.get_slice(self.idx)?;
         Some(&s.as_bytes()[self.off..])
     }
 
@@ -95,7 +95,7 @@ impl<'a> AggCursor<'a> {
         self.pos += n;
         let mut left = n as usize;
         while left > 0 {
-            let slen = self.agg.slice_deque()[self.idx].len() - self.off;
+            let slen = self.agg.slice_at(self.idx).len() - self.off;
             if left < slen {
                 self.off += left;
                 return;

@@ -79,6 +79,7 @@ impl Default for Fnv64 {
 /// truncating an id (`id & 0xFF`) aliases structured id spaces, so all
 /// routing decisions must pass the *full* 64-bit id through this mixer
 /// first.
+#[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

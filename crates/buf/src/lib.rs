@@ -26,7 +26,10 @@
 //!
 //! # Fast-path guarantees
 //!
-//! Aggregates keep a cumulative-offset index over their slice deque, so
+//! An aggregate's slice list lives inside it up to
+//! [`Aggregate::INLINE_SLICES`] slices — passing a request, a header or
+//! a header plus ≤ 128 KB of body by value allocates nothing — and
+//! beyond that in a deque with a cumulative-offset index, so
 //! the structural operations match the cost model the paper argues from
 //! (§3.8) rather than degrading linearly with fragmentation: indexing
 //! ([`Aggregate::byte_at`]) is O(log n) in the slice count,
@@ -37,7 +40,9 @@
 //! once. Hot consumers iterate byte runs through the zero-alloc
 //! [`AggCursor`] / [`Aggregate::chunks`] / [`Aggregate::as_iovecs`]
 //! APIs instead of per-byte indexing or `to_vec` materialization; see
-//! the [`aggregate`] module docs for the full complexity table.
+//! the [`aggregate`] module docs for the full complexity and allocation
+//! table. Kernel tables keyed by ids the kernel minted itself probe
+//! through the seed-free [`FixedMap`] rather than std's SipHash.
 //!
 //! # Examples
 //!
@@ -57,7 +62,9 @@ pub mod cursor;
 pub mod digest;
 pub mod error;
 pub mod fork;
+pub mod hash;
 pub mod ids;
+mod list;
 pub mod pool;
 pub mod reader;
 pub mod slice;
@@ -68,6 +75,7 @@ pub use cursor::AggCursor;
 pub use digest::{digest_aggregate, splitmix64, Fnv64};
 pub use error::BufError;
 pub use fork::PoolForker;
+pub use hash::{FixedHasher, FixedMap, FixedState};
 pub use ids::{BufferId, ChunkId, DomainId, Generation, PoolId};
 pub use pool::{AllocEvent, BufMut, BufferPool, PoolStats};
 pub use reader::AggReader;

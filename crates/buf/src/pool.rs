@@ -57,9 +57,7 @@ pub struct PoolStats {
 }
 
 struct PoolInner {
-    id: PoolId,
     acl: Acl,
-    chunk_size: usize,
     next_chunk: u64,
     /// The chunk currently being bump-allocated, and its fill offset.
     open: Option<(Arc<ChunkState>, usize)>,
@@ -79,6 +77,9 @@ struct PoolInner {
 #[derive(Clone)]
 pub struct BufferPool {
     inner: Arc<Mutex<PoolInner>>,
+    // Fixed at construction, so reading them takes no lock.
+    id: PoolId,
+    chunk_size: usize,
 }
 
 impl BufferPool {
@@ -91,21 +92,21 @@ impl BufferPool {
         assert!(chunk_size > 0, "chunk size must be positive");
         BufferPool {
             inner: Arc::new(Mutex::new(PoolInner {
-                id,
                 acl,
-                chunk_size,
                 next_chunk: 0,
                 open: None,
                 free: Vec::new(),
                 registry: Vec::new(),
                 stats: PoolStats::default(),
             })),
+            id,
+            chunk_size,
         }
     }
 
     /// The pool's identity.
     pub fn id(&self) -> PoolId {
-        self.inner.lock().unwrap().id
+        self.id
     }
 
     /// The pool's access-control list.
@@ -113,8 +114,8 @@ impl BufferPool {
         self.inner.lock().unwrap().acl.clone()
     }
 
-    /// Grants an additional domain read access to future *and existing*
-    /// buffers of this pool.
+    /// Grants an additional domain read access to buffers allocated
+    /// from this pool from now on.
     ///
     /// Existing slices snapshot the ACL at allocation time, so this only
     /// affects future allocations; the paper's servers set ACLs up front
@@ -125,7 +126,7 @@ impl BufferPool {
 
     /// The pool's chunk size.
     pub fn chunk_size(&self) -> usize {
-        self.inner.lock().unwrap().chunk_size
+        self.chunk_size
     }
 
     /// Allocates `len` writable bytes.
@@ -154,14 +155,14 @@ impl BufferPool {
     }
 
     fn alloc_inner(&self, len: usize, align: usize) -> Result<BufMut, BufError> {
-        let mut inner = self.inner.lock().unwrap();
-        let chunk_size = inner.chunk_size;
+        let chunk_size = self.chunk_size;
         if len > chunk_size {
             return Err(BufError::TooLarge {
                 requested: len,
                 max: chunk_size,
             });
         }
+        let mut inner = self.inner.lock().unwrap();
         // Try to pack into the open chunk.
         let mut placed: Option<(Arc<ChunkState>, usize, AllocEvent)> = None;
         if let Some((chunk, fill)) = inner.open.take() {
@@ -187,7 +188,7 @@ impl BufferPool {
                 } else {
                     let id = ChunkId(inner.next_chunk);
                     inner.next_chunk += 1;
-                    let chunk = Arc::new(ChunkState::new(id, inner.id, chunk_size));
+                    let chunk = Arc::new(ChunkState::new(id, self.id, chunk_size));
                     inner.registry.push(Arc::clone(&chunk));
                     inner.stats.chunks_created += 1;
                     (chunk, 0, AllocEvent::FreshChunk)
@@ -203,7 +204,7 @@ impl BufferPool {
                 offset: offset as u32,
             },
             generation: chunk.generation(),
-            pool: inner.id,
+            pool: self.id,
             acl: inner.acl.clone(),
         };
         Ok(BufMut {
@@ -237,7 +238,7 @@ impl BufferPool {
     /// mapping (§4.5).
     pub fn resident_bytes(&self) -> u64 {
         let inner = self.inner.lock().unwrap();
-        (inner.registry.len() * inner.chunk_size) as u64
+        (inner.registry.len() * self.chunk_size) as u64
     }
 
     /// Number of chunks currently drained and reusable.
@@ -258,9 +259,7 @@ impl BufferPool {
     pub fn fork(&self, forker: &mut crate::PoolForker) -> BufferPool {
         let inner = self.inner.lock().unwrap();
         let forked = PoolInner {
-            id: inner.id,
             acl: inner.acl.clone(),
-            chunk_size: inner.chunk_size,
             next_chunk: inner.next_chunk,
             open: inner
                 .open
@@ -276,6 +275,8 @@ impl BufferPool {
         };
         BufferPool {
             inner: Arc::new(Mutex::new(forked)),
+            id: self.id,
+            chunk_size: self.chunk_size,
         }
     }
 
@@ -285,7 +286,7 @@ impl BufferPool {
         let mut inner = self.inner.lock().unwrap();
         scavenge(&mut inner);
         let mut released = 0u64;
-        let chunk_size = inner.chunk_size as u64;
+        let chunk_size = self.chunk_size as u64;
         while released + chunk_size <= max_bytes {
             let Some(chunk) = inner.free.pop() else { break };
             inner.registry.retain(|c| !Arc::ptr_eq(c, &chunk));
@@ -331,7 +332,7 @@ impl fmt::Debug for BufferPool {
         write!(
             f,
             "BufferPool({}, acl={:?}, chunks={})",
-            inner.id,
+            self.id,
             inner.acl,
             inner.registry.len()
         )

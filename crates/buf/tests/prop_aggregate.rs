@@ -267,6 +267,123 @@ proptest! {
     }
 }
 
+// ---- the inline ↔ spilled boundary ------------------------------------------
+
+/// Slices an aggregate holds inline; one more spills the list to its
+/// deque, and shrinking back to this many returns it inline.
+const N: usize = Aggregate::INLINE_SLICES;
+
+/// `slices` equal cuts of `len` bytes each, by reference out of one
+/// buffer — fragmentation without allocation.
+fn cut(data: &[u8], len: usize) -> Aggregate {
+    let whole = agg_from(data, data.len().max(1));
+    let mut agg = Aggregate::empty();
+    for off in (0..data.len()).step_by(len) {
+        agg.append_slice(whole.slice_at(0).sub(off, len.min(data.len() - off)).unwrap());
+    }
+    agg
+}
+
+/// Every access path agrees with the model bytes.
+fn assert_reads_as(agg: &Aggregate, model: &[u8]) {
+    assert_eq!(agg.len(), model.len() as u64);
+    assert_eq!(agg.to_vec(), model);
+    assert_eq!(agg.chunks().map(<[u8]>::len).sum::<usize>(), model.len());
+    assert_eq!(agg.slices().rev().map(|s| s.len()).sum::<usize>(), model.len());
+    assert!(agg.slices().all(|s| !s.is_empty()));
+    for (i, &b) in model.iter().enumerate() {
+        assert_eq!(agg.byte_at(i as u64), Some(b), "byte {i}");
+    }
+    assert_eq!(agg.byte_at(model.len() as u64), None);
+    for at in [0, model.len() / 2, model.len().saturating_sub(1)] {
+        let mut buf = vec![0u8; model.len() - at];
+        assert_eq!(agg.cursor_at(at as u64).copy_to(&mut buf), buf.len());
+        assert_eq!(buf, &model[at..]);
+    }
+}
+
+/// Every operation, with the operand at N−1, N and N+1 slices (and a
+/// little beyond), so each is exercised inline, at the brim, and
+/// spilled — and across the boundary in both directions.
+#[test]
+fn every_operation_crosses_the_inline_boundary_both_ways() {
+    const LEN: usize = 5;
+    for slices in N - 1..=N + 3 {
+        let data: Vec<u8> = (0..slices * LEN).map(|i| (i * 37 + slices) as u8).collect();
+        let agg = cut(&data, LEN);
+        assert_eq!(agg.num_slices(), slices);
+        assert_reads_as(&agg, &data);
+        assert_reads_as(&agg.clone(), &data);
+
+        // Grow across the boundary from either end, one slice at a time.
+        let extra = agg_from(b"xyz", 3);
+        let (mut back, mut front) = (agg.clone(), agg.clone());
+        let (mut back_model, mut front_model) = (data.clone(), data.clone());
+        for _ in 0..3 {
+            back.append_slice(extra.slice_at(0).clone());
+            back_model.extend_from_slice(b"xyz");
+            assert_reads_as(&back, &back_model);
+            front.prepend_slice(extra.slice_at(0).clone());
+            front_model.splice(0..0, *b"xyz");
+            assert_reads_as(&front, &front_model);
+        }
+        assert_reads_as(&agg.concat(&agg), &[&data[..], &data[..]].concat());
+        let mut pre = agg.clone();
+        pre.prepend(&agg);
+        assert_reads_as(&pre, &[&data[..], &data[..]].concat());
+
+        // Shrink across it from either end, to every length: whole
+        // slices dropped, boundary slices trimmed, then regrown.
+        for keep in 0..=data.len() {
+            let mut head = back.clone();
+            head.truncate(keep as u64);
+            assert_reads_as(&head, &back_model[..keep]);
+            head.append(&extra);
+            assert_eq!(head.to_vec(), [&back_model[..keep], b"xyz"].concat());
+            let mut tail = front.clone();
+            tail.advance((front_model.len() - keep) as u64);
+            assert_reads_as(&tail, &front_model[front_model.len() - keep..]);
+            tail.prepend(&extra);
+            assert_eq!(tail.to_vec(), [b"xyz", &front_model[front_model.len() - keep..]].concat());
+        }
+
+        // Ranges out of a (possibly spilled) aggregate into a (possibly
+        // inline) one, and splices that put it back together.
+        for start in 0..data.len() {
+            for len in [0, 1, LEN, LEN + 1, N * LEN, data.len() - start] {
+                let len = len.min(data.len() - start);
+                let r = agg.range(start as u64, len as u64).unwrap();
+                assert!(r.num_slices() <= len.div_ceil(LEN) + 1);
+                assert_reads_as(&r, &data[start..start + len]);
+                let spliced = agg.splice_agg(start as u64, len as u64, &extra).unwrap();
+                let mut model = data.clone();
+                model.splice(start..start + len, *b"xyz");
+                assert_eq!(spliced.to_vec(), model);
+            }
+        }
+        let whole = agg.whole_slices(1, (N * LEN) as u64);
+        assert_reads_as(&whole, &data[LEN..LEN + (slices - 1).min(N) * LEN]);
+    }
+}
+
+/// §3.3: a buffer's ACL is the pool's *at allocation time*. The ACL is
+/// a shared handle now, so this pins the copy-on-write: a later grant
+/// must not reach buffers that already exist.
+#[test]
+fn acl_snapshot_survives_later_grant() {
+    let p = pool(64);
+    let d = DomainId(9);
+    let before = Aggregate::from_bytes(&p, b"allocated before the grant");
+    p.grant(d);
+    let after = Aggregate::from_bytes(&p, b"allocated after it");
+    assert!(before.slices().all(|s| !s.acl().allows(d) && s.acl().allows(DomainId(1))));
+    assert!(after.slices().all(|s| s.acl().allows(d) && s.acl().allows(DomainId(1))));
+    assert!(p.acl().allows(d));
+    // Views and clones of the old buffer keep the old answer.
+    let view = before.range(3, 5).unwrap();
+    assert!(!view.slice_at(0).acl().allows(d));
+}
+
 // ---- complexity guards ----------------------------------------------------
 
 /// 2^18 slices of 16 bytes: §3.8's fragmentation regime, well past

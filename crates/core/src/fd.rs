@@ -44,8 +44,9 @@
 //! None of them depends on how many descriptors are open.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
+use iolite_buf::FixedMap;
 use iolite_fs::FileId;
 
 use crate::error::IolError;
@@ -191,7 +192,7 @@ pub struct FdRegistry {
     free_descs: Vec<u32>,
     /// Live descriptions per pipe end and socket. Files are not
     /// counted: they have no last-close action. Probed, never iterated.
-    live: HashMap<FdObject, u32>,
+    live: FixedMap<FdObject, u32>,
 }
 
 impl FdRegistry {

@@ -9,7 +9,7 @@
 //! fork), and [`KernelState::state_hash`] (a stable digest used to prove
 //! replay equivalence).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use iolite_buf::{digest_aggregate, Acl, Aggregate, BufferPool, Fnv64, PoolForker, PoolId};
 use iolite_fs::{
@@ -39,7 +39,7 @@ use super::effect::Effect;
 pub struct MappedFileCache {
     capacity: usize,
     clock: u64,
-    entries: HashMap<FileId, u64>,
+    entries: iolite_buf::FixedMap<FileId, u64>,
     /// `entries` by stamp (unique, monotonic): the LRU victim is first.
     by_stamp: BTreeMap<u64, FileId>,
 }

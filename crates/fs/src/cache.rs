@@ -50,9 +50,9 @@
 //! would steal the pin of a newer in-flight request on the same key,
 //! leaving data the network still references evictable.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use iolite_buf::Aggregate;
+use iolite_buf::{Aggregate, FixedMap};
 
 use crate::disk::FileId;
 use crate::policy::Policy;
@@ -134,7 +134,7 @@ struct Entry {
 pub struct UnifiedCache {
     policy: Policy,
     budget: u64,
-    entries: HashMap<CacheKey, Entry>,
+    entries: FixedMap<CacheKey, Entry>,
     /// Eviction order over entries with no outside references.
     unpinned: BTreeSet<(u64, CacheKey)>,
     /// Eviction order over referenced entries — the §3.7 last-resort
@@ -142,7 +142,7 @@ pub struct UnifiedCache {
     pinned: BTreeSet<(u64, CacheKey)>,
     /// Outstanding outside references per key; absent means zero.
     /// Survives entry replacement and eviction (see module docs).
-    pin_counts: HashMap<CacheKey, u32>,
+    pin_counts: FixedMap<CacheKey, u32>,
     /// Keys whose entries are dirty, in key order — the deterministic
     /// flush order the write-back scheduler batches from.
     dirty: BTreeSet<CacheKey>,
@@ -153,7 +153,7 @@ pub struct UnifiedCache {
     /// consumers' (host-side) clones, so pool chunk release — and thus
     /// every later allocation offset — replays identically. Dropped
     /// when the key's pin count returns to zero.
-    limbo: HashMap<CacheKey, Vec<Aggregate>>,
+    limbo: FixedMap<CacheKey, Vec<Aggregate>>,
     /// Total bytes held by dirty entries (the CAWL threshold input).
     dirty_bytes: u64,
     clock: u64,
@@ -168,12 +168,12 @@ impl UnifiedCache {
         UnifiedCache {
             policy,
             budget,
-            entries: HashMap::new(),
+            entries: FixedMap::default(),
             unpinned: BTreeSet::new(),
             pinned: BTreeSet::new(),
-            pin_counts: HashMap::new(),
+            pin_counts: FixedMap::default(),
             dirty: BTreeSet::new(),
-            limbo: HashMap::new(),
+            limbo: FixedMap::default(),
             dirty_bytes: 0,
             clock: 0,
             gds_l: 0,

@@ -13,8 +13,9 @@
 //! walks the entry set; `crates/fs/tests/prop_meta_equiv.rs` holds the
 //! cache to the scan-for-the-oldest-stamp model it replaced.
 
-use std::collections::HashMap;
 use std::sync::Arc;
+
+use iolite_buf::FixedMap;
 
 use crate::disk::FileId;
 
@@ -51,7 +52,7 @@ pub struct MetadataCache {
     clock: u64,
     /// Name → index into `slots`. Probed, never iterated on the lookup
     /// path.
-    index: HashMap<Arc<str>, usize>,
+    index: FixedMap<Arc<str>, usize>,
     slots: Vec<Slot>,
     /// Slots vacated by [`MetadataCache::invalidate`], reused before
     /// `slots` grows.
@@ -75,7 +76,7 @@ impl MetadataCache {
         MetadataCache {
             capacity,
             clock: 0,
-            index: HashMap::new(),
+            index: FixedMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,

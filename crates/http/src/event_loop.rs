@@ -68,7 +68,7 @@ use iolite_net::BufferMode;
 use iolite_sim::SimTime;
 
 use crate::cgi::CgiProcess;
-use crate::message::{created, not_found, parse_lines, response_header, Method};
+use crate::message::{created_head, not_found, ok_head, parse_lines, Method};
 
 /// Tuning knobs for one event-loop run.
 #[derive(Debug, Clone, Copy)]
@@ -737,7 +737,7 @@ impl EventLoopServer {
         let Some(req) = parsed else {
             // Malformed request: a 404/400-style short response.
             conn.req.path = String::from("<bad-request>");
-            return self.respond(i, &not_found(), &Aggregate::empty());
+            return self.respond(i, &[not_found()], &Aggregate::empty());
         };
         conn.req.path = req.path;
         conn.req.keep_alive = req.keep_alive;
@@ -766,7 +766,7 @@ impl EventLoopServer {
             }
             // POST parses, but no handler is mounted: the 404 route
             // answers (the body, if any, is left on the wire).
-            Method::Post => self.respond(i, &not_found(), &Aggregate::empty()),
+            Method::Post => self.respond(i, &[not_found()], &Aggregate::empty()),
         }
     }
 
@@ -834,15 +834,15 @@ impl EventLoopServer {
     /// Queues the short 201 response acknowledging a completed PUT.
     fn respond_created(&mut self, i: usize) {
         self.stats.puts += 1;
-        let head = created(self.conns[i].req.keep_alive);
+        let head = created_head(self.conns[i].req.keep_alive);
         self.respond(i, &head, &Aggregate::empty());
     }
 
-    /// Frames `head ++ body` by reference — the header allocated in the
-    /// server's IO-Lite pool, the body's slices appended untouched —
-    /// and starts streaming it. Every route answers through here.
-    fn respond(&mut self, i: usize, head: &[u8], body: &Aggregate) {
-        let mut response = Aggregate::from_bytes(self.kernel.process(self.pid).pool(), head);
+    /// Frames `head ++ body` by reference — the head's parts copied
+    /// into the server's IO-Lite pool, the body's slices appended
+    /// untouched — and starts streaming it. Every route answers here.
+    fn respond(&mut self, i: usize, head: &[&[u8]], body: &Aggregate) {
+        let mut response = Aggregate::from_parts(self.kernel.process(self.pid).pool(), head);
         response.append(body);
         self.conns[i].phase = Phase::Sending {
             response,
@@ -867,9 +867,9 @@ impl EventLoopServer {
                 self.kernel.cache_pin(key);
                 self.conns[i].req.pin = Some(key);
                 self.conns[i].req.cache_hit = cache_hit;
-                self.respond(i, &response_header(body.len(), true), &body);
+                self.respond(i, &ok_head(body.len(), true, &mut [0; 20]), &body);
             }
-            Ok(None) => self.respond(i, &not_found(), &Aggregate::empty()),
+            Ok(None) => self.respond(i, &[not_found()], &Aggregate::empty()),
             // A descriptor operation failed mid-snapshot: the request
             // cannot be answered, but the server lives on.
             Err(_) => self.fail_conn(i),
@@ -921,18 +921,8 @@ impl EventLoopServer {
         else {
             unreachable!("dispatch sends only Sending connections here");
         };
-        let mut window = Aggregate::empty();
-        let mut take = 0usize;
-        while *next_slice + take < response.num_slices() {
-            let s = response.slice_at(*next_slice + take);
-            if window.len() + s.len() as u64 > space {
-                break;
-            }
-            // lint:allow(hot-path-alloc) — slice-handle clone (offsets
-            // + a refcounted chunk pointer); the bytes stay put.
-            window.append_slice(s.clone());
-            take += 1;
-        }
+        let window = response.whole_slices(*next_slice, space);
+        let take = window.num_slices();
         if take == 0 {
             // Writable, but not by a whole slice yet: let the wire
             // drain further. No syscall was spent — no busy-spin.
@@ -1030,7 +1020,7 @@ impl EventLoopServer {
         // Transfer complete: answer the client and release the pipe.
         if received.len() == doc_len {
             let body = std::mem::take(received);
-            self.respond(owner, &response_header(doc_len, true), &body);
+            self.respond(owner, &ok_head(doc_len, true, &mut [0; 20]), &body);
             self.release_cgi();
         }
     }
@@ -1337,7 +1327,7 @@ impl EventLoopServer {
                 self.open_static(i);
             } else {
                 let body = self.land_copied(bytes);
-                self.respond(i, &response_header(body.len(), true), &body);
+                self.respond(i, &ok_head(body.len(), true, &mut [0; 20]), &body);
             }
         }
     }
@@ -1491,11 +1481,7 @@ mod tests {
             let flen = kernel.store.len(file).unwrap();
             let expected = kernel.store.read(file, 0, flen).unwrap();
             assert!(body.ends_with(&expected), "{} body intact", req.path);
-            assert_eq!(
-                body.len() as u64,
-                response_header(expected.len() as u64, true).len() as u64
-                    + expected.len() as u64
-            );
+            assert_eq!(body.len(), crate::message::response_header(flen, true).len() + expected.len());
         }
         // Pins released once drained: the corpus is evictable again.
         for path in ["/a", "/b"] {

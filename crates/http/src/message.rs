@@ -251,30 +251,44 @@ pub fn parse_request_head_agg(agg: &Aggregate) -> Option<(Request, u64)> {
     Some((req?, body_at?))
 }
 
+const OK_TO_LENGTH: &[u8] = b"HTTP/1.1 200 OK\r\nServer: Flash/IO-Lite\r\nDate: Thu, 01 Jan 1998 00:00:00 GMT\r\nContent-Type: text/html\r\nContent-Length: ";
+/// The `Connection` header and the blank line that ends a head.
+const CONNECTION: [&[u8]; 2] = [b"Connection: close\r\n\r\n", b"Connection: keep-alive\r\n\r\n"];
+
+/// The 200 head as the parts the server copies straight into its
+/// IO-Lite buffer: constant text around one decimal number, written by
+/// hand from the right of `digits` (`u64::MAX` has 20) — no `fmt`
+/// machinery, no intermediate `String`.
+pub(crate) fn ok_head(content_len: u64, keep_alive: bool, digits: &mut [u8; 20]) -> [&[u8]; 4] {
+    let (mut at, mut n) = (digits.len(), content_len);
+    while at == digits.len() || n > 0 {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    [OK_TO_LENGTH, &digits[at..], b"\r\n", CONNECTION[keep_alive as usize]]
+}
+
+/// The 201 head, in parts like [`ok_head`].
+pub(crate) fn created_head(keep_alive: bool) -> [&'static [u8]; 2] {
+    [b"HTTP/1.1 201 Created\r\nContent-Length: 0\r\n", CONNECTION[keep_alive as usize]]
+}
+
 /// Formats a 200 response header for a body of `content_len` bytes.
-///
 /// Sized realistically (~170 bytes): headers ride in their own buffer
 /// and are checksummed per response even under checksum caching.
 pub fn response_header(content_len: u64, keep_alive: bool) -> Vec<u8> {
-    let conn = if keep_alive { "keep-alive" } else { "close" };
-    format!(
-        "HTTP/1.1 200 OK\r\nServer: Flash/IO-Lite\r\nDate: Thu, 01 Jan 1998 00:00:00 GMT\r\nContent-Type: text/html\r\nContent-Length: {content_len}\r\nConnection: {conn}\r\n\r\n"
-    )
-    .into_bytes()
+    ok_head(content_len, keep_alive, &mut [0; 20]).concat()
 }
 
-/// Formats a 404 response.
-pub fn not_found() -> Vec<u8> {
-    // lint:allow(hot-path-alloc) — 45-byte constant on the error
-    // path; not a document copy.
-    b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n".to_vec()
+/// The 404 response.
+pub fn not_found() -> &'static [u8] {
+    b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
 }
 
 /// Formats the 201 response acknowledging a completed PUT.
 pub fn created(keep_alive: bool) -> Vec<u8> {
-    let conn = if keep_alive { "keep-alive" } else { "close" };
-    format!("HTTP/1.1 201 Created\r\nContent-Length: 0\r\nConnection: {conn}\r\n\r\n")
-        .into_bytes()
+    created_head(keep_alive).concat()
 }
 
 #[cfg(test)]
@@ -386,13 +400,13 @@ mod tests {
 
     #[test]
     fn response_header_contains_length() {
-        let h = response_header(12345, true);
-        let text = String::from_utf8(h).unwrap();
-        assert!(text.contains("Content-Length: 12345"));
-        assert!(text.contains("keep-alive"));
-        assert!(text.ends_with("\r\n\r\n"));
-        let h2 = String::from_utf8(response_header(1, false)).unwrap();
-        assert!(h2.contains("close"));
+        // Byte for byte the `format!` string the hand-written head replaced.
+        for (keep_alive, conn) in [(true, "keep-alive"), (false, "close")] {
+            for len in [0, 9, 10, 12345, u64::MAX] {
+                let want = format!("HTTP/1.1 200 OK\r\nServer: Flash/IO-Lite\r\nDate: Thu, 01 Jan 1998 00:00:00 GMT\r\nContent-Type: text/html\r\nContent-Length: {len}\r\nConnection: {conn}\r\n\r\n");
+                assert_eq!(response_header(len, keep_alive), want.as_bytes());
+            }
+        }
     }
 
     #[test]
@@ -409,9 +423,9 @@ mod tests {
 
     #[test]
     fn created_parses_as_http() {
-        let c = created(true);
-        assert!(c.starts_with(b"HTTP/1.1 201"));
-        assert!(String::from_utf8(c).unwrap().ends_with("\r\n\r\n"));
-        assert!(String::from_utf8(created(false)).unwrap().contains("close"));
+        for (keep_alive, conn) in [(true, "keep-alive"), (false, "close")] {
+            let want = format!("HTTP/1.1 201 Created\r\nContent-Length: 0\r\nConnection: {conn}\r\n\r\n");
+            assert_eq!(created(keep_alive), want.as_bytes());
+        }
     }
 }

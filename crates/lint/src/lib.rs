@@ -13,7 +13,7 @@
 //!
 //! | rule | kind | contract |
 //! |------|------|----------|
-//! | `purity` | `scan` | `crates/core/src/pure/` is deterministic: no `std::io`/`std::time`/`std::fs`, no RNG, no wall-clock — journal replay (PR 6) depends on it. Robust to `use … as` renames (the `use` line spells the banned path) and immune to comment/string false positives (the old grep was not). |
+//! | `purity` | `scan` | `crates/core/src/pure/` is deterministic: no `std::io`/`std::time`/`std::fs`, no RNG, no wall-clock, no default-hasher `HashMap`/`HashSet` (their seed is OS entropy drawn implicitly) — journal replay (PR 6) depends on it. Robust to `use … as` renames (the `use` line spells the banned path) and immune to comment/string false positives (the old grep was not). |
 //! | `no-lock` | `scan` | No `Mutex`/`RwLock` in the kernel, cache, or serving crates — the sharded design (PR 7) is shared-nothing; cross-shard communication goes over the fabric. |
 //! | `hot-path-alloc` | `scan` | No `.to_vec()`/`.clone()`/`Vec::new`/`vec!` in the designated hot serving modules — the zero-copy aggregate discipline (PR 2). Deliberate copies carry an annotation. |
 //! | `panic` | `scan` + budget | No `.unwrap()`/`.expect()`/`panic!` in the event loop or shard fabric (PR 5: a request must never kill the server). Justified sites are annotated and *budgeted*: the committed count may only shrink. |

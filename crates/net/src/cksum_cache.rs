@@ -35,9 +35,8 @@
 //!   [`ChecksumCache::digest`] (and the kernel's `state_hash` above
 //!   it) repeats exactly for the same calls.
 
-use std::collections::HashMap;
 
-use iolite_buf::{BufferId, Generation, PoolId, Slice};
+use iolite_buf::{BufferId, FixedMap, Generation, PoolId, Slice};
 
 use crate::checksum::{slice_sum, PartialSum};
 
@@ -153,9 +152,9 @@ pub struct ChecksumCache {
     capacity: usize,
     enabled: bool,
     /// Buffer identity → slot index of the head of that buffer's
-    /// chain. Probed only; iterating it would leak `RandomState` order
-    /// into the slot layout.
-    heads: HashMap<BufKey, u32>,
+    /// chain. Probed only: the slot layout must not depend on table
+    /// order.
+    heads: FixedMap<BufKey, u32>,
     slots: Vec<Slot>,
     hand: usize,
     stats: CksumCacheStats,
@@ -170,7 +169,7 @@ impl ChecksumCache {
             enabled: true,
             // Grows lazily alongside `slots`: the kernel default is
             // 2¹⁶ entries, which would be megabytes if preallocated.
-            heads: HashMap::new(),
+            heads: FixedMap::default(),
             slots: Vec::new(),
             hand: 0,
             stats: CksumCacheStats::default(),

@@ -9,10 +9,9 @@
 //! shared-memory pages" of §3.2 — so recycled chunks transfer at shared-
 //! memory cost, and only first-time transfers pay page-mapping cost.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use iolite_buf::{Acl, ChunkId, DomainId, PAGE_SIZE};
+use iolite_buf::{Acl, ChunkId, DomainId, FixedMap, PAGE_SIZE};
 
 /// Access-control violation: the receiving domain is not on the ACL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +70,7 @@ pub struct MapStats {
 #[derive(Debug, Default, Clone)]
 pub struct IoLiteWindow {
     chunk_size: usize,
-    maps: HashMap<DomainId, HashMap<ChunkId, Perm>>,
+    maps: FixedMap<DomainId, FixedMap<ChunkId, Perm>>,
     stats: MapStats,
 }
 
@@ -80,7 +79,7 @@ impl IoLiteWindow {
     pub fn new(chunk_size: usize) -> Self {
         IoLiteWindow {
             chunk_size,
-            maps: HashMap::new(),
+            maps: FixedMap::default(),
             stats: MapStats::default(),
         }
     }
