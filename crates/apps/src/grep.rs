@@ -181,8 +181,7 @@ pub fn run_cat_grep(
     // Charge the split-line contiguity copies (IO-Lite conversion cost).
     if state.split_copied > 0 {
         let c = kernel.cost.cached_copy(state.split_copied);
-        kernel.charge(CostCategory::Copy, c);
-        kernel.metrics.bytes_copied += state.split_copied;
+        kernel.charge_copied(CostCategory::Copy, c, state.split_copied);
     }
     kernel.close_fd(cat_pid, in_fd).expect("close cat input");
     kernel.close_fd(cat_pid, wfd).expect("close pipe write end");

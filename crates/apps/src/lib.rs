@@ -44,7 +44,7 @@ pub enum ApiMode {
 
 impl ApiMode {
     /// The pipe mode this API implies.
-    pub fn pipe_mode(self) -> iolite_ipc::PipeMode {
+    pub(crate) fn pipe_mode(self) -> iolite_ipc::PipeMode {
         match self {
             ApiMode::Posix => iolite_ipc::PipeMode::Copy,
             ApiMode::IoLite => iolite_ipc::PipeMode::ZeroCopy,

@@ -1,34 +1,18 @@
 //! `repro`: regenerates every figure of the IO-Lite paper's evaluation.
 //!
-//! Usage: `repro [all|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|check|scale] [--fast]`
+//! Usage: `repro [all|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|check|scale]`
 //!
 //! Output is designed to sit next to the paper: each figure prints the
 //! measured series plus the claims the paper makes about it, so
 //! EXPERIMENTS.md can record paper-vs-measured directly. `check` and
 //! `scale` are gates: they exit non-zero unless every claim (resp. the
-//! sharded speedup bar) holds. `--fast` shortens a single figure's run;
-//! the gates, and `all`, which ends in `check`, refuse it.
+//! sharded speedup bar) holds; `all` ends in `check`.
 
 use iolite_bench::figures::{self, Scale};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let scale = if fast { Scale::fast() } else { Scale::full() };
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all")
-        .to_string();
-
-    if fast && matches!(what.as_str(), "all" | "check" | "scale") {
-        eprintln!(
-            "`{what}` refuses --fast: the reduced scale is for a look at one figure and \
-             does not carry the paper's claims; `scale` has one size"
-        );
-        std::process::exit(2);
-    }
+    let scale = Scale::full();
+    let what = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
 
     let mut failed = false;
     match what.as_str() {

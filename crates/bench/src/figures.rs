@@ -6,8 +6,9 @@ use iolite_fs::Policy;
 use iolite_http::{Experiment, ExperimentConfig, ServerKind, WorkloadKind};
 use iolite_trace::{cdf::cdf_series, TraceSpec, Workload};
 
-/// Run-length control: `full` approximates the paper's run lengths;
-/// `fast` is for a quick look at one figure and for smoke tests.
+/// Run lengths per data point. [`Scale::full`] is the one set `repro`
+/// runs: shorter runs do not carry the paper's claims (fig. 11's
+/// disk-bound point and fig. 12's delay sweep need these lengths).
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Measured requests per data point.
@@ -36,24 +37,11 @@ impl Scale {
             permute_n: 10,
         }
     }
-
-    /// Short runs for a look at a single figure. Too short to carry the
-    /// paper's claims (fig. 11's disk-bound point and fig. 12's delay
-    /// sweep need the full run length), so `repro check` refuses it.
-    pub fn fast() -> Self {
-        Scale {
-            requests: 600,
-            warmup: 100,
-            trace_requests: 6_000,
-            trace_warmup: 3_000,
-            permute_n: 7,
-        }
-    }
 }
 
 /// The document sizes of Figs. 3–6 ("the data points below 20KB are
 /// 500 bytes, 1KB, 2KB, 3KB, 5KB, 7KB, 10KB, and 15KB").
-pub fn figure_sizes() -> Vec<u64> {
+pub(crate) fn figure_sizes() -> Vec<u64> {
     vec![
         500,
         1 << 10,
@@ -74,7 +62,7 @@ pub fn figure_sizes() -> Vec<u64> {
 }
 
 /// The three servers in figure order.
-pub fn servers() -> [ServerKind; 3] {
+pub(crate) fn servers() -> [ServerKind; 3] {
     [ServerKind::FlashLite, ServerKind::Flash, ServerKind::Apache]
 }
 
@@ -225,7 +213,7 @@ pub fn fig08(scale: Scale) -> Vec<TraceBandwidthRow> {
 }
 
 /// The Fig. 10 / Fig. 11 data-set sizes (MB).
-pub fn dataset_sizes_mb() -> Vec<u64> {
+pub(crate) fn dataset_sizes_mb() -> Vec<u64> {
     vec![30, 60, 90, 120, 150]
 }
 
@@ -314,7 +302,7 @@ pub fn fig11(scale: Scale) -> Vec<BandwidthRow> {
 
 /// The Fig. 12 delay points: (RTT ms, client count), scaling clients
 /// linearly from 64 (LAN) to 900 (150ms) as §5.7 describes.
-pub fn wan_points() -> Vec<(f64, usize)> {
+pub(crate) fn wan_points() -> Vec<(f64, usize)> {
     [0.0f64, 5.0, 50.0, 100.0, 150.0]
         .into_iter()
         .map(|d| (d, (64.0 + (900.0 - 64.0) * d / 150.0).round() as usize))
@@ -467,9 +455,20 @@ mod tests {
         assert_eq!(pts.last().unwrap().1, 900);
     }
 
+    /// Shapes and directions hold well below the paper's run lengths;
+    /// the magnitudes `repro check` gates do not.
+    fn short() -> Scale {
+        Scale {
+            requests: 600,
+            warmup: 100,
+            permute_n: 7,
+            ..Scale::full()
+        }
+    }
+
     #[test]
     fn fig03_fast_has_correct_shape() {
-        let rows = fig03(Scale::fast());
+        let rows = fig03(short());
         assert_eq!(rows.len(), figure_sizes().len());
         let last = rows.last().unwrap();
         // Flash-Lite > Flash > Apache at 200KB.
@@ -479,7 +478,7 @@ mod tests {
 
     #[test]
     fn fig13_fast_directions() {
-        let rows = fig13(Scale::fast());
+        let rows = fig13(short());
         let by_name = |n: &str| rows.iter().find(|r| r.name == n).unwrap().reduction_pct();
         assert!(by_name("wc") > 20.0);
         assert!(by_name("grep") > 30.0);

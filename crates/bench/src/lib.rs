@@ -3,8 +3,8 @@
 //! sharded scaling table in [`scale`]. (Wall clock is `perf/`'s job.)
 //!
 //! Every function returns printable rows so EXPERIMENTS.md can record
-//! paper-vs-measured numbers; `Scale` trades run length for fidelity
-//! (`repro` defaults to `Scale::full()`; `--fast` is `Scale::fast()`).
+//! paper-vs-measured numbers; `Scale::full()` is the one set of run
+//! lengths `repro` uses.
 
 pub mod figures;
 pub mod scale;

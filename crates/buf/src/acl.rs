@@ -85,7 +85,7 @@ impl Acl {
     }
 
     /// The explicitly granted domains (the kernel is implicit).
-    pub fn domains(&self) -> &[DomainId] {
+    pub(crate) fn domains(&self) -> &[DomainId] {
         self.domains.as_ref().map_or(&[], |list| list.as_slice())
     }
 

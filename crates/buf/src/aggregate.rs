@@ -33,7 +33,7 @@
 //! | [`Aggregate::append_slice`], [`Aggregate::prepend_slice`] | O(1) amortized | 0 |
 //! | [`Aggregate::append`], [`Aggregate::prepend`] | O(other's n) | 0 |
 //! | `clone` | O(n) reference-count bumps | 0 |
-//! | [`Aggregate::pack`], [`Aggregate::copy_from_agg`] | O(bytes), exactly one copy | 0 (the buffers are the allocations) |
+//! | [`Aggregate::pack`] | O(bytes), exactly one copy | 0 (the buffers are the allocations) |
 //! | [`Aggregate::from_bytes_aligned`], [`Aggregate::fill_aligned`] | O(bytes): one copy in, or the producer writing in place | 0 (likewise) |
 //! | [`Aggregate::cursor`], [`Aggregate::chunks`] | O(1) to create, zero-alloc to iterate | 0 |
 
@@ -75,13 +75,6 @@ impl Aggregate {
     /// Creates an empty aggregate.
     pub fn empty() -> Self {
         Aggregate::default()
-    }
-
-    /// Creates an aggregate viewing a single slice.
-    pub fn from_slice(s: Slice) -> Self {
-        let mut agg = Aggregate::empty();
-        agg.append_slice(s);
-        agg
     }
 
     /// Allocates buffers from `pool` and copies `data` into them.
@@ -471,15 +464,6 @@ impl Aggregate {
         true
     }
 
-    /// Iterates over the aggregate's bytes.
-    ///
-    /// Prefer [`Aggregate::chunks`] or [`Aggregate::cursor`] on hot
-    /// paths: run-wise access lets the consumer use slice operations
-    /// instead of paying per-byte iterator overhead.
-    pub fn iter_bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        self.chunks().flat_map(|c| c.iter().copied())
-    }
-
     /// A `std::io::Read` adapter over the aggregate.
     pub fn reader(&self) -> AggReader<'_> {
         AggReader::new(self)
@@ -560,7 +544,7 @@ impl Aggregate {
 
     /// Appends a *deep copy* of `src`'s value, allocated from `pool`,
     /// copying each byte exactly once (no intermediate `Vec`).
-    pub fn copy_from_agg(&mut self, pool: &BufferPool, src: &Aggregate) {
+    pub(crate) fn copy_from_agg(&mut self, pool: &BufferPool, src: &Aggregate) {
         self.append(&Self::gather(pool, src.len(), 1, src.chunks()));
     }
 
@@ -902,7 +886,8 @@ mod tests {
         let p = pool();
         let a = Aggregate::from_bytes(&p, b"abcd");
         let s = a.slice_at(0).clone();
-        let mut dup = Aggregate::from_slice(s.clone());
+        let mut dup = Aggregate::empty();
+        dup.append_slice(s.clone());
         dup.append_slice(s);
         assert_eq!(dup.len(), 8);
         assert_eq!(dup.distinct_buffer_bytes(), 4);
@@ -915,7 +900,8 @@ mod tests {
         let s = a.slice_at(0);
         // Two disjoint partial views of one 8-byte buffer: the buffer is
         // pinned once, at its full size.
-        let mut views = Aggregate::from_slice(s.sub(0, 2).unwrap());
+        let mut views = Aggregate::empty();
+        views.append_slice(s.sub(0, 2).unwrap());
         views.append_slice(s.sub(5, 3).unwrap());
         assert_eq!(views.len(), 5);
         assert_eq!(views.distinct_buffer_bytes(), 8);

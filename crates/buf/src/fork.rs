@@ -69,7 +69,7 @@ impl PoolForker {
     /// Forks one slice: rebinds it onto a twin buffer if its chunk
     /// belongs to a pool forked earlier with [`crate::BufferPool::fork`],
     /// otherwise shares the original buffer.
-    pub fn fork_slice(&mut self, s: &Slice) -> Slice {
+    pub(crate) fn fork_slice(&mut self, s: &Slice) -> Slice {
         let (inner, off, len) = s.parts();
         let chunk_key = Arc::as_ptr(inner.chunk()) as usize;
         let Some(forked_chunk) = self.chunks.get(&chunk_key).map(Arc::clone) else {

@@ -19,10 +19,9 @@
 //! checksum cache of §3.9 (⟨address, generation⟩ uniquely identifies
 //! contents system-wide).
 //!
-//! This crate is pure data-plane: it moves real bytes and reports
-//! allocation events ([`AllocEvent`]) that the kernel layer converts into
-//! simulated VM-mapping cost. It is deliberately single-threaded (`Rc`);
-//! the enclosing simulation is deterministic and sequential.
+//! This crate is pure data-plane: it moves real bytes; what a chunk's
+//! first sight costs a domain in VM mappings is the `iolite-vm` window's
+//! bookkeeping. The enclosing simulation is deterministic and sequential.
 //!
 //! # Fast-path guarantees
 //!
@@ -75,9 +74,9 @@ pub use cursor::AggCursor;
 pub use digest::{digest_aggregate, splitmix64, Fnv64};
 pub use error::BufError;
 pub use fork::PoolForker;
-pub use hash::{FixedHasher, FixedMap, FixedState};
+pub use hash::{FixedMap, FixedState};
 pub use ids::{BufferId, ChunkId, DomainId, Generation, PoolId};
-pub use pool::{AllocEvent, BufMut, BufferPool, PoolStats};
+pub use pool::{BufMut, BufferPool, PoolStats};
 pub use reader::AggReader;
 pub use slice::Slice;
 

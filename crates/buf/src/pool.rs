@@ -6,9 +6,6 @@
 //! next use bumps its generation number and — crucially for the IPC cost
 //! model of §3.2 — requires **no** new VM mappings in the domains that
 //! already saw it, because read-only mappings persist after deallocation.
-//!
-//! The pool reports an [`AllocEvent`] per allocation so the kernel layer
-//! can charge page-mapping cost only for *fresh* chunks.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -17,22 +14,6 @@ use crate::acl::Acl;
 use crate::error::BufError;
 use crate::ids::{BufferId, ChunkId, DomainId, Generation, PoolId};
 use crate::slice::{BufferInner, ChunkState, Slice};
-
-/// How the chunk backing an allocation was obtained.
-///
-/// The kernel layer converts this into simulated VM cost: only
-/// [`AllocEvent::FreshChunk`] requires establishing mappings; recycled
-/// and already-open chunks ride on lazily persisting mappings (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocEvent {
-    /// A brand-new chunk was created; receiving domains will need VM maps.
-    FreshChunk,
-    /// A fully-drained chunk was reused; its generation was bumped and
-    /// existing mappings remain valid.
-    RecycledChunk,
-    /// The allocation was packed into the pool's currently open chunk.
-    OpenChunk,
-}
 
 /// Counters describing a pool's allocation behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,15 +26,6 @@ pub struct PoolStats {
     pub chunks_created: u64,
     /// Chunks reused after draining.
     pub chunks_recycled: u64,
-    /// Chunks released back to the VM system by [`BufferPool::release_free_chunks`].
-    pub chunks_released: u64,
-    /// Reads whose placement was billed to this pool (`IOL_read` with an
-    /// explicit allocation pool, §3.4). The data may physically live in
-    /// the file cache; attribution records which pool the caller asked
-    /// the placement to be accounted against.
-    pub reads_attributed: u64,
-    /// Bytes covered by attributed reads.
-    pub bytes_attributed: u64,
 }
 
 struct PoolInner {
@@ -63,7 +35,7 @@ struct PoolInner {
     open: Option<(Arc<ChunkState>, usize)>,
     /// Chunks known to be fully drained and ready for reuse.
     free: Vec<Arc<ChunkState>>,
-    /// Every chunk this pool has created and not released.
+    /// Every chunk this pool has created.
     registry: Vec<Arc<ChunkState>>,
     stats: PoolStats,
 }
@@ -125,7 +97,7 @@ impl BufferPool {
     }
 
     /// The pool's chunk size.
-    pub fn chunk_size(&self) -> usize {
+    pub(crate) fn chunk_size(&self) -> usize {
         self.chunk_size
     }
 
@@ -150,7 +122,7 @@ impl BufferPool {
     ///
     /// Returns [`BufError::TooLarge`] if the aligned allocation cannot fit
     /// in a single chunk.
-    pub fn alloc_aligned(&self, len: usize, align: usize) -> Result<BufMut, BufError> {
+    pub(crate) fn alloc_aligned(&self, len: usize, align: usize) -> Result<BufMut, BufError> {
         self.alloc_inner(len, align.max(1))
     }
 
@@ -164,16 +136,16 @@ impl BufferPool {
         }
         let mut inner = self.inner.lock().unwrap();
         // Try to pack into the open chunk.
-        let mut placed: Option<(Arc<ChunkState>, usize, AllocEvent)> = None;
+        let mut placed: Option<(Arc<ChunkState>, usize)> = None;
         if let Some((chunk, fill)) = inner.open.take() {
             let aligned = fill.div_ceil(align) * align;
             if aligned + len <= chunk_size {
-                placed = Some((chunk, aligned, AllocEvent::OpenChunk));
+                placed = Some((chunk, aligned));
             }
             // Else: the open chunk is abandoned to the registry; it will
             // recycle once its allocations drain.
         }
-        let (chunk, offset, event) = match placed {
+        let (chunk, offset) = match placed {
             Some(p) => p,
             None => {
                 // Prefer a recycled chunk; scavenge the registry for
@@ -184,14 +156,14 @@ impl BufferPool {
                 if let Some(chunk) = inner.free.pop() {
                     chunk.bump_generation();
                     inner.stats.chunks_recycled += 1;
-                    (chunk, 0, AllocEvent::RecycledChunk)
+                    (chunk, 0)
                 } else {
                     let id = ChunkId(inner.next_chunk);
                     inner.next_chunk += 1;
                     let chunk = Arc::new(ChunkState::new(id, self.id, chunk_size));
                     inner.registry.push(Arc::clone(&chunk));
                     inner.stats.chunks_created += 1;
-                    (chunk, 0, AllocEvent::FreshChunk)
+                    (chunk, 0)
                 }
             }
         };
@@ -212,23 +184,12 @@ impl BufferPool {
             capacity: len,
             meta,
             chunk,
-            event,
         })
     }
 
     /// Snapshot of the pool's counters.
     pub fn stats(&self) -> PoolStats {
         self.inner.lock().unwrap().stats
-    }
-
-    /// Bills a pool-directed read of `bytes` to this pool's counters
-    /// (§3.4: "a version of IOL_read allows applications to specify an
-    /// allocation pool"). Cached file data stays in the cache's physical
-    /// buffers, so attribution is an accounting act, not an allocation.
-    pub fn attribute_read(&self, bytes: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.stats.reads_attributed += 1;
-        inner.stats.bytes_attributed += bytes;
     }
 
     /// Bytes of chunk storage currently resident (live + free chunks).
@@ -239,13 +200,6 @@ impl BufferPool {
     pub fn resident_bytes(&self) -> u64 {
         let inner = self.inner.lock().unwrap();
         (inner.registry.len() * self.chunk_size) as u64
-    }
-
-    /// Number of chunks currently drained and reusable.
-    pub fn free_chunks(&self) -> usize {
-        let mut inner = self.inner.lock().unwrap();
-        scavenge(&mut inner);
-        inner.free.len()
     }
 
     /// Deep-forks the pool into an independent allocator for kernel-state
@@ -278,22 +232,6 @@ impl BufferPool {
             id: self.id,
             chunk_size: self.chunk_size,
         }
-    }
-
-    /// Releases up to `max_bytes` of drained chunk storage back to the
-    /// system (the pageout path of §3.7), returning the bytes released.
-    pub fn release_free_chunks(&self, max_bytes: u64) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
-        scavenge(&mut inner);
-        let mut released = 0u64;
-        let chunk_size = self.chunk_size as u64;
-        while released + chunk_size <= max_bytes {
-            let Some(chunk) = inner.free.pop() else { break };
-            inner.registry.retain(|c| !Arc::ptr_eq(c, &chunk));
-            inner.stats.chunks_released += 1;
-            released += chunk_size;
-        }
-        released
     }
 }
 
@@ -357,23 +295,12 @@ pub struct BufMut {
     capacity: usize,
     meta: BufMeta,
     chunk: Arc<ChunkState>,
-    event: AllocEvent,
 }
 
 impl BufMut {
-    /// How the backing chunk was obtained (for VM cost accounting).
-    pub fn event(&self) -> AllocEvent {
-        self.event
-    }
-
     /// Total writable capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Bytes written so far.
-    pub fn written(&self) -> usize {
-        self.bytes.len()
     }
 
     /// Remaining writable capacity.
@@ -405,21 +332,6 @@ impl BufMut {
             self.remaining()
         );
         self.bytes.extend_from_slice(data);
-    }
-
-    /// Appends `len` bytes produced by `f(index)`.
-    ///
-    /// Used by synthetic data generators (CGI content, test patterns).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` exceeds the remaining capacity.
-    pub fn put_with(&mut self, len: usize, mut f: impl FnMut(usize) -> u8) {
-        assert!(len <= self.remaining());
-        let base = self.bytes.len();
-        for i in 0..len {
-            self.bytes.push(f(base + i));
-        }
     }
 
     /// Appends `len` bytes written in place by `f`, which receives
@@ -472,7 +384,6 @@ mod tests {
     fn first_alloc_uses_fresh_chunk() {
         let p = pool();
         let b = p.alloc(100).unwrap();
-        assert_eq!(b.event(), AllocEvent::FreshChunk);
         assert_eq!(b.capacity(), 100);
         assert_eq!(p.stats().chunks_created, 1);
     }
@@ -482,7 +393,6 @@ mod tests {
         let p = pool();
         let _a = p.alloc(100).unwrap();
         let b = p.alloc(100).unwrap();
-        assert_eq!(b.event(), AllocEvent::OpenChunk);
         assert_eq!(p.stats().chunks_created, 1);
         // Packed at sequential offsets in the same chunk.
         assert_eq!(b.id().offset, 100);
@@ -520,7 +430,6 @@ mod tests {
         // Force a new chunk decision: the open chunk is full, the old one
         // is drained.
         let s2 = p.alloc(1024).unwrap();
-        assert_eq!(s2.event(), AllocEvent::RecycledChunk);
         assert_eq!(s2.id().chunk, id1.chunk);
         assert_eq!(s2.generation(), gen1.next());
         assert_eq!(p.stats().chunks_created, 1);
@@ -531,19 +440,10 @@ mod tests {
     fn live_slices_prevent_recycling() {
         let p = pool();
         let live = p.alloc(1024).unwrap().freeze();
-        let b = p.alloc(1024).unwrap();
-        assert_eq!(b.event(), AllocEvent::FreshChunk);
+        let _b = p.alloc(1024).unwrap();
         assert_eq!(p.stats().chunks_created, 2);
+        assert_eq!(p.stats().chunks_recycled, 0);
         drop(live);
-    }
-
-    #[test]
-    fn put_with_generates_bytes() {
-        let p = pool();
-        let mut b = p.alloc(4).unwrap();
-        b.put_with(4, |i| i as u8 * 2);
-        let s = b.freeze();
-        assert_eq!(s.as_bytes(), &[0, 2, 4, 6]);
     }
 
     #[test]
@@ -576,13 +476,8 @@ mod tests {
         let s = p.alloc(10).unwrap().freeze();
         assert_eq!(p.resident_bytes(), 1024);
         drop(s);
-        // Chunk is drained but still resident until released.
+        // A drained chunk stays resident: it is recycled, never unmapped.
         assert_eq!(p.resident_bytes(), 1024);
-        assert_eq!(p.free_chunks(), 1);
-        let released = p.release_free_chunks(u64::MAX);
-        assert_eq!(released, 1024);
-        assert_eq!(p.resident_bytes(), 0);
-        assert_eq!(p.stats().chunks_released, 1);
     }
 
     #[test]

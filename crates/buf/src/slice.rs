@@ -62,12 +62,10 @@ impl ChunkState {
         self.generation.fetch_add(1, Ordering::Relaxed);
     }
 
-    #[allow(dead_code)]
     pub(crate) fn pool(&self) -> PoolId {
         self.pool
     }
 
-    #[allow(dead_code)]
     pub(crate) fn size(&self) -> usize {
         self.size
     }
@@ -212,7 +210,7 @@ impl Slice {
 
     /// Total byte count of the underlying buffer (the whole allocation,
     /// not just this view) — what memory accounting bills per buffer.
-    pub fn buffer_len(&self) -> usize {
+    pub(crate) fn buffer_len(&self) -> usize {
         self.inner.bytes.len()
     }
 
@@ -220,11 +218,6 @@ impl Slice {
     /// clones and sub-views, distinct across generations).
     pub(crate) fn buffer_key(&self) -> usize {
         Arc::as_ptr(&self.inner) as usize
-    }
-
-    /// Number of live references to the underlying buffer.
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.inner)
     }
 
     /// Attempts the §3.1-footnote optimization: modify the buffer in
@@ -243,11 +236,10 @@ impl Slice {
         &mut self,
         mutate: impl FnOnce(&mut [u8]),
     ) -> Result<(), crate::BufError> {
-        if Arc::strong_count(&self.inner) != 1 || self.off != 0 || self.len != self.inner.bytes.len()
-        {
+        if self.off != 0 || self.len != self.inner.bytes.len() {
             return Err(crate::BufError::Shared);
         }
-        // A sole, whole-buffer reference: safe to view mutably.
+        // `get_mut` succeeds only for the sole reference.
         let inner = Arc::get_mut(&mut self.inner).ok_or(crate::BufError::Shared)?;
         mutate(&mut inner.bytes);
         Ok(())
@@ -337,15 +329,5 @@ mod tests {
             part.try_mutate_in_place(|_| unreachable!()),
             Err(BufError::Shared)
         );
-    }
-
-    #[test]
-    fn ref_count_reflects_clones() {
-        let s = slice_of(b"x");
-        assert_eq!(s.ref_count(), 1);
-        let c = s.clone();
-        assert_eq!(s.ref_count(), 2);
-        drop(c);
-        assert_eq!(s.ref_count(), 1);
     }
 }

@@ -60,11 +60,6 @@ impl Charge {
         time: SimTime::ZERO,
     };
 
-    /// A charge of the given time.
-    pub fn of(time: SimTime) -> Charge {
-        Charge { time }
-    }
-
     /// A charge of `us` microseconds.
     pub fn us(us: f64) -> Charge {
         Charge {
@@ -261,11 +256,6 @@ impl CostModel {
         Charge::us(bytes as f64 * ns / 1000.0)
     }
 
-    /// Time for `n` system calls.
-    pub fn syscalls(&self, n: u64) -> Charge {
-        Charge::us(n as f64 * self.syscall_us)
-    }
-
     /// Time to establish `pages` new page mappings.
     pub fn page_maps(&self, pages: u64) -> Charge {
         Charge::us(pages as f64 * self.page_map_us)
@@ -346,7 +336,7 @@ mod tests {
     #[test]
     fn fixed_costs_positive() {
         let m = CostModel::pentium_ii_333();
-        assert!(m.syscalls(1).time > SimTime::ZERO);
+        assert!(m.syscall_us > 0.0);
         assert!(m.page_maps(1).time > SimTime::ZERO);
         assert!(m.context_switches(1).time > SimTime::ZERO);
         assert!(m.packets(1).time > SimTime::ZERO);

@@ -1,6 +1,6 @@
 //! [`IdTable`]: a dense table indexed by a kernel-minted id.
 //!
-//! [`crate::IdAlloc`] mints pids, pipe ids and connection ids
+//! `pure::IdAlloc` mints pids, pipe ids and connection ids
 //! sequentially from 1 and the kernel never deletes an object, so a map
 //! keyed by such an id already *is* an array: slot `id − 1` holds the
 //! value. Lookup is one bounds-checked index — O(1), no comparisons, no

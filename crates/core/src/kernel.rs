@@ -45,7 +45,7 @@ use crate::poll::{PollFd, Readiness};
 use crate::process::Pid;
 use crate::pure::{Command, Effect, Journal, KernelState};
 
-pub use crate::pure::{ConnId, IoOutcome, MappedFileCache, PipeEnd, PipeId};
+pub use crate::pure::{ConnId, IoOutcome, MappedFileCache, PipeId};
 
 /// The simulated operating system: the imperative shell.
 ///
@@ -180,11 +180,18 @@ impl Kernel {
 
     /// Adds CPU time to the sequential clock and the metrics breakdown.
     pub fn charge(&mut self, cat: CostCategory, c: Charge) {
+        self.charge_copied(cat, c, 0)
+    }
+
+    /// [`Kernel::charge`] for a copy the application made in its own
+    /// memory: `copied` bytes also count in [`Metrics::bytes_copied`].
+    pub fn charge_copied(&mut self, cat: CostCategory, c: Charge, copied: u64) {
         self.run(
-            |s, fx| s.op_charge(cat, c, fx),
+            |s, fx| s.op_charge(cat, c, copied, fx),
             || Command::Charge {
                 category: cat,
                 charge: c,
+                copied,
             },
         )
     }

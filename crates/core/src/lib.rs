@@ -27,13 +27,66 @@
 //!   [`Kernel::dup_fd`]/[`Kernel::dup2_fd`], [`Kernel::close_fd`] — the
 //!   "unchanged" descriptor plumbing, with POSIX lowest-free numbering.
 //!
+//! # The paper's API, call by call
+//!
+//! Figure 2 and §3.4, mapped to this crate — there is no wrapper layer;
+//! the paper's calls *are* [`Kernel`] methods on descriptors:
+//!
+//! | paper (Fig. 2 / §3.4) | here |
+//! |---|---|
+//! | `IOL_Agg` | [`iolite_buf::Aggregate`] |
+//! | `IOL_read(fd, size)` | [`Kernel::iol_read_fd`] → [`IoResult`]`<Aggregate>`; "may always return less data than requested" |
+//! | `IOL_write(fd, agg)` | [`Kernel::iol_write_fd`] → [`IoResult`]`<u64>`; "replaces the data in an external data object" |
+//! | create/delete allocation pools | [`Kernel::create_pool`]; dropping the handle deletes the pool once its buffers drain |
+//! | aggregate create/dup/concat/trunc | methods on [`iolite_buf::Aggregate`] |
+//! | `mmap` | [`Kernel::mmap_fd`] |
+//! | "all other file-descriptor-related UNIX system calls" | [`Kernel::open`], [`Kernel::lseek`], [`Kernel::dup_fd`]/[`Kernel::dup2_fd`], [`Kernel::close_fd`], `pipe(2)` via [`Kernel::pipe_fds`]/[`Kernel::pipe_between`], sockets via [`Kernel::socket_create`] |
+//!
+//! Misuse (`NotOpen`, `BadFdKind`, ACL denial, EOF vs `WouldBlock`,
+//! short writes) is an [`IolError`] value, never a panic. The table,
+//! run end to end:
+//!
+//! ```
+//! use iolite_buf::{Acl, Aggregate};
+//! use iolite_core::{CostModel, Kernel, Whence};
+//!
+//! let mut k = Kernel::new(CostModel::pentium_ii_333());
+//! let pid = k.spawn("app");
+//! k.create_file("/f", b"0123456789");
+//! let (fd, _) = k.open(pid, "/f").unwrap();
+//!
+//! // IOL_read may return less than asked: two bytes are left at EOF.
+//! k.lseek(pid, fd, 8, Whence::Set).unwrap();
+//! let (tail, _) = k.iol_read_fd(pid, fd, 100).unwrap();
+//! assert_eq!(tail.to_vec(), b"89");
+//!
+//! // IOL_write replaces the object's data; an earlier IOL_read is a
+//! // snapshot and keeps its bytes.
+//! k.lseek(pid, fd, 0, Whence::Set).unwrap();
+//! let (snapshot, _) = k.iol_read_fd(pid, fd, 100).unwrap();
+//! let patch = Aggregate::from_bytes(k.process(pid).pool(), b"ABC");
+//! k.lseek(pid, fd, 0, Whence::Set).unwrap();
+//! k.iol_write_fd(pid, fd, &patch).unwrap();
+//! assert_eq!(snapshot.to_vec(), b"0123456789");
+//!
+//! // An allocation pool carries the ACL of everything allocated from it.
+//! let peer = k.spawn("peer");
+//! let shared = k.create_pool(Acl::with_domains(&[pid.domain(), peer.domain()]));
+//! assert!(shared.acl().allows(peer.domain()));
+//!
+//! // mmap: the contiguous view sees the replaced bytes.
+//! let (mut view, _) = k.mmap_fd(pid, fd).unwrap();
+//! assert_eq!(view.read_all(), b"ABC3456789");
+//! ```
+//!
+//! # Cost accounting
+//!
 //! Every operation does its real data-plane work *and* returns a
 //! [`Charge`] — the simulated CPU time it would have cost on the paper's
 //! 333MHz Pentium II testbed, per the calibrated [`CostModel`]. Drivers
 //! submit charges to a simulated CPU; sequential programs accumulate
 //! them on the kernel clock.
 
-pub mod api;
 pub mod cost;
 pub mod error;
 pub mod fd;
@@ -44,16 +97,13 @@ pub mod poll;
 pub mod process;
 pub mod pure;
 pub mod shard;
-pub mod stdio;
 
-pub use api::IolAgg;
 pub use cost::{Charge, CostCategory, CostModel};
 pub use error::{short_ok, IoResult, IolError};
 pub use fd::{Fd, FdObject, FdTable, Whence, FD_LIMIT};
-pub use kernel::{ConnId, IoOutcome, Kernel, MappedFileCache, PipeEnd, PipeId};
+pub use kernel::{ConnId, IoOutcome, Kernel, MappedFileCache, PipeId};
 pub use metrics::Metrics;
 pub use poll::{Interest, PollFd, Readiness};
 pub use process::{Pid, Process};
-pub use pure::{replay, step, Command, Effect, IdAlloc, Journal, KernelState};
+pub use pure::{replay, step, Command, Effect, Journal, KernelState};
 pub use shard::{shard_of_conn, ShardFabric, ShardMailbox, ShardMsg, FABRIC_SLACK};
-pub use stdio::{StdioIn, StdioMode, StdioOut};

@@ -58,15 +58,8 @@ impl Metrics {
     }
 
     /// Adds simulated time under a category.
-    pub fn charge(&mut self, cat: CostCategory, t: SimTime) {
+    pub(crate) fn charge(&mut self, cat: CostCategory, t: SimTime) {
         *self.time_by_category.entry(cat).or_insert(SimTime::ZERO) += t;
-    }
-
-    /// Total simulated CPU time across categories.
-    pub fn total_time(&self) -> SimTime {
-        self.time_by_category
-            .values()
-            .fold(SimTime::ZERO, |acc, &t| acc + t)
     }
 
     /// Merges another accumulation into this one — per-shard metrics
@@ -153,7 +146,7 @@ mod tests {
         m.charge(CostCategory::Copy, SimTime::from_us(5.0));
         m.charge(CostCategory::Checksum, SimTime::from_us(2.0));
         assert_eq!(m.time_in(CostCategory::Copy), SimTime::from_us(15.0));
-        assert_eq!(m.total_time(), SimTime::from_us(17.0));
+        assert_eq!(m.time_in(CostCategory::Checksum), SimTime::from_us(2.0));
         assert_eq!(m.time_in(CostCategory::Packet), SimTime::ZERO);
     }
 

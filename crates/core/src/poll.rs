@@ -44,12 +44,12 @@ pub enum Interest {
 
 impl Interest {
     /// Whether this interest includes reads.
-    pub fn wants_read(self) -> bool {
+    pub(crate) fn wants_read(self) -> bool {
         matches!(self, Interest::Readable | Interest::Both)
     }
 
     /// Whether this interest includes writes.
-    pub fn wants_write(self) -> bool {
+    pub(crate) fn wants_write(self) -> bool {
         matches!(self, Interest::Writable | Interest::Both)
     }
 }

@@ -38,13 +38,8 @@ impl Process {
         }
     }
 
-    /// The process id.
-    pub fn pid(&self) -> Pid {
-        self.pid
-    }
-
     /// The process name (diagnostics).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -79,6 +74,5 @@ mod tests {
         assert!(p.pool().acl().allows(DomainId(3)));
         assert!(!p.pool().acl().allows(DomainId(4)));
         assert_eq!(p.name(), "srv");
-        assert_eq!(p.pid(), Pid(3));
     }
 }

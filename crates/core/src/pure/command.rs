@@ -30,7 +30,7 @@ pub enum Command {
     CreatePool { acl: Acl },
     Advance { t: SimTime },
     ResetClock,
-    Charge { category: CostCategory, charge: Charge },
+    Charge { category: CostCategory, charge: Charge, copied: u64 },
     ContextSwitch { n: u64 },
 
     // -- file system and cache --
@@ -107,12 +107,12 @@ pub struct Journal {
 
 impl Journal {
     /// Creates an empty journal.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Journal::default()
     }
 
     /// Appends a command.
-    pub fn push(&mut self, cmd: Command) {
+    pub(crate) fn push(&mut self, cmd: Command) {
         self.commands.push(cmd);
     }
 

@@ -46,14 +46,6 @@ pub enum Effect {
         /// Device service time for the transfer.
         time: SimTime,
     },
-    /// A pageout flush to backing stores (§3.7): `writes` store writes
-    /// covering `bytes` in total.
-    PageoutFlush {
-        /// Backing-store writes issued.
-        writes: u64,
-        /// Bytes written across those stores.
-        bytes: u64,
-    },
     /// A PUT body installed as a dirty cache entry (PR 10 write path);
     /// persistence is deferred to write-back.
     DirtyInstalled {
@@ -110,9 +102,6 @@ impl crate::metrics::Metrics {
                 self.disk_ops += 1;
                 self.disk_bytes += bytes;
             }
-            // Backing-store flushes are tracked by the pageout daemon's
-            // own counters inside the state; nothing to fold here.
-            Effect::PageoutFlush { .. } => {}
             Effect::DirtyInstalled { bytes } => self.bytes_dirty_installed += bytes,
             Effect::WritebackFlushed { entries, bytes } => {
                 self.writeback_flushes += 1;

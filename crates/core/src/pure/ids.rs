@@ -28,7 +28,7 @@ pub struct ConnId(pub u64);
 /// scratch pools (application-side pipes draw from a separate
 /// descending band at the top of the space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IdAlloc {
+pub(crate) struct IdAlloc {
     next_pid: u32,
     next_pool: u32,
     next_pipe: u32,
@@ -46,7 +46,7 @@ const SCRATCH_LIMIT: u32 = u32::MAX - (1 << 20);
 
 impl IdAlloc {
     /// Creates the allocator with every counter at its starting value.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         IdAlloc {
             next_pid: 1,
             next_pool: 1,
@@ -61,7 +61,7 @@ impl IdAlloc {
     /// # Panics
     ///
     /// Panics on exhaustion of the pid space.
-    pub fn alloc_pid(&mut self) -> Pid {
+    pub(crate) fn alloc_pid(&mut self) -> Pid {
         let id = self.next_pid;
         self.next_pid = id.checked_add(1).expect("pid space exhausted");
         Pid(id)
@@ -73,7 +73,7 @@ impl IdAlloc {
     ///
     /// Panics when the ascending band would cross into the scratch-pool
     /// half of the id space.
-    pub fn alloc_pool(&mut self) -> PoolId {
+    pub(crate) fn alloc_pool(&mut self) -> PoolId {
         let id = self.next_pool;
         assert!(id < SCRATCH_BASE, "pool id space exhausted");
         self.next_pool += 1;
@@ -85,7 +85,7 @@ impl IdAlloc {
     /// # Panics
     ///
     /// Panics on exhaustion of the pipe id space.
-    pub fn alloc_pipe(&mut self) -> PipeId {
+    pub(crate) fn alloc_pipe(&mut self) -> PipeId {
         let id = self.next_pipe;
         self.next_pipe = id.checked_add(1).expect("pipe id space exhausted");
         PipeId(id)
@@ -96,7 +96,7 @@ impl IdAlloc {
     /// # Panics
     ///
     /// Panics on exhaustion of the connection id space.
-    pub fn alloc_conn(&mut self) -> ConnId {
+    pub(crate) fn alloc_conn(&mut self) -> ConnId {
         let id = self.next_conn;
         self.next_conn = id.checked_add(1).expect("connection id space exhausted");
         ConnId(id)
@@ -109,7 +109,7 @@ impl IdAlloc {
     ///
     /// Panics when the kernel band would run into the IPC layer's
     /// application-side band at the top of the space.
-    pub fn alloc_scratch_pool(&mut self) -> PoolId {
+    pub(crate) fn alloc_scratch_pool(&mut self) -> PoolId {
         let id = self.next_scratch;
         assert!(id < SCRATCH_LIMIT, "scratch pool id space exhausted");
         self.next_scratch += 1;
@@ -117,7 +117,7 @@ impl IdAlloc {
     }
 
     /// Folds the counters into a stable digest.
-    pub fn digest(&self, h: &mut iolite_buf::Fnv64) {
+    pub(crate) fn digest(&self, h: &mut iolite_buf::Fnv64) {
         h.write_u32(self.next_pid);
         h.write_u32(self.next_pool);
         h.write_u32(self.next_pipe);

@@ -59,6 +59,6 @@ mod step;
 
 pub use command::{Command, Journal};
 pub use effect::Effect;
-pub use ids::{ConnId, IdAlloc, PipeId};
-pub use state::{IoOutcome, KernelState, MappedFileCache, PipeEnd};
+pub use ids::{ConnId, PipeId};
+pub use state::{IoOutcome, KernelState, MappedFileCache};
 pub use step::{replay, step};

@@ -17,7 +17,7 @@ impl KernelState {
     /// pool's ACL, §3.10).
     ///
     /// Copy-mode staging buffers draw their scratch-pool id from the
-    /// central [`super::IdAlloc`] so two kernels replaying the same
+    /// central `IdAlloc` so two kernels replaying the same
     /// commands mint identical pool ids.
     pub(crate) fn op_pipe_create(&mut self, mode: PipeMode, acl: Option<Acl>) -> PipeId {
         let id = self.ids.alloc_pipe();

@@ -17,7 +17,7 @@ use iolite_fs::{
     WritebackConfig, WritebackScheduler,
 };
 use iolite_ipc::Pipe;
-use iolite_net::{ChecksumCache, PacketFilter, SendOutcome, TcpConn};
+use iolite_net::{ChecksumCache, SendOutcome, TcpConn};
 use iolite_sim::SimTime;
 use iolite_vm::{IoLiteWindow, MemAccount, PageoutDaemon, PhysMemory};
 
@@ -98,15 +98,6 @@ impl MappedFileCache {
             h.write_u64(self.entries[&f]);
         }
     }
-}
-
-/// Which end of a pipe a file descriptor refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipeEnd {
-    /// The reading end.
-    Read,
-    /// The writing end.
-    Write,
 }
 
 /// The outcome of one kernel operation: simulated CPU cost plus any
@@ -236,11 +227,12 @@ pub(crate) struct Console {
 
 /// The complete simulated-kernel state as a pure value.
 ///
-/// Subsystem fields are public by design, mirroring the shell's
-/// historical surface: experiment drivers reach directly into the
-/// checksum cache, the memory accountant, the packet filter — the same
-/// way kernel subsystems reach each other. (Direct field mutation is
-/// shell-side convenience; only `op_*` mutations are journaled.)
+/// Subsystem fields are public for *reading*: experiment drivers and
+/// tests look directly into the checksum cache, the memory accountant,
+/// the unified cache — the same way kernel subsystems reach each other.
+/// Nothing outside this crate can mutate them: [`crate::Kernel`] derefs
+/// to the state read-only, and every mutation is a journaled `op_*`
+/// behind a [`super::Command`].
 pub struct KernelState {
     /// The machine/cost model.
     pub cost: CostModel,
@@ -260,8 +252,6 @@ pub struct KernelState {
     pub writeback: WritebackScheduler,
     /// The Internet checksum cache (§3.9).
     pub cksum: ChecksumCache,
-    /// The early-demux packet filter (§3.6).
-    pub filter: PacketFilter,
     /// Disk timing model.
     pub disk: DiskModel,
     /// Flash's mapped-file cache (conventional servers only).
@@ -303,7 +293,6 @@ impl KernelState {
             cache: UnifiedCache::new(policy, budget),
             writeback: WritebackScheduler::new(WritebackConfig::default_tuning()),
             cksum: ChecksumCache::new(1 << 16),
-            filter: PacketFilter::new(),
             disk,
             mapped_files: MappedFileCache::new(cost.flash_mapped_cache_files),
             cache_pool: BufferPool::new(
@@ -330,14 +319,24 @@ impl KernelState {
         self.clock
     }
 
-    /// Adds CPU time to the sequential clock, reporting the charge as
-    /// an effect (the shell folds it into the metrics breakdown).
-    pub(crate) fn op_charge(&mut self, cat: CostCategory, c: Charge, fx: &mut Vec<Effect>) {
+    /// Adds CPU time to the sequential clock, reporting the charge —
+    /// and the `copied` bytes it paid for, if any — as effects (the
+    /// shell folds them into the metrics).
+    pub(crate) fn op_charge(
+        &mut self,
+        cat: CostCategory,
+        c: Charge,
+        copied: u64,
+        fx: &mut Vec<Effect>,
+    ) {
         self.clock += c.time;
         fx.push(Effect::Charge {
             category: cat,
             time: c.time,
         });
+        if copied > 0 {
+            fx.push(Effect::BytesCopied(copied));
+        }
     }
 
     /// Advances the sequential clock by non-CPU time (e.g. disk waits).
@@ -582,7 +581,6 @@ impl KernelState {
             cache,
             writeback: self.writeback.clone(),
             cksum: self.cksum.clone(),
-            filter: self.filter.clone(),
             disk: self.disk,
             mapped_files: self.mapped_files.clone(),
             cache_pool,
@@ -615,7 +613,6 @@ impl KernelState {
         self.cache.digest(&mut h);
         self.writeback.digest(&mut h);
         self.cksum.digest(&mut h);
-        self.filter.digest(&mut h);
         self.mapped_files.digest(&mut h);
         h.write_usize(self.processes.len());
         for (pid, p) in self.processes.iter() {

@@ -39,7 +39,9 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
         }
         Command::Advance { t } => state.op_advance(*t),
         Command::ResetClock => state.op_reset_clock(),
-        Command::Charge { category, charge } => state.op_charge(*category, *charge, fx),
+        Command::Charge { category, charge, copied } => {
+            state.op_charge(*category, *charge, *copied, fx)
+        }
         Command::ContextSwitch { n } => state.op_context_switch(*n, fx),
 
         // -- file system and cache --

@@ -134,11 +134,6 @@ impl ShardMailbox {
             .try_send(msg)
             .expect("cross-shard inbox full or gone: capacity contract violated");
     }
-
-    /// Number of shards in the fabric.
-    pub fn shards(&self) -> usize {
-        self.peers.len()
-    }
 }
 
 /// The whole fabric: per-shard mailboxes plus a coordinator's set of

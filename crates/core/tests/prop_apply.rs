@@ -153,6 +153,7 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
         Op::Charge(us) => Command::Charge {
             category: CostCategory::Syscall,
             charge: iolite_core::Charge::us(f64::from(*us) / 16.0),
+            copied: u64::from(*us % 3),
         },
         Op::Advance(us) => Command::Advance {
             t: SimTime::from_us(f64::from(*us) / 16.0),

@@ -36,7 +36,7 @@
 //!   already-pinned entries; O(log n) on the 0↔1 transitions that move
 //!   an entry between the two indexes.
 //! * [`UnifiedCache::insert`] / [`UnifiedCache::remove`] — O(log n)
-//!   plus whatever [`UnifiedCache::enforce_budget`] evicts.
+//!   plus whatever enforcing the budget evicts.
 //!
 //! # Pin accounting
 //!
@@ -180,11 +180,6 @@ impl UnifiedCache {
             resident: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// The active replacement policy.
-    pub fn policy(&self) -> Policy {
-        self.policy
     }
 
     /// Bytes of file data currently cached.
@@ -447,7 +442,7 @@ impl UnifiedCache {
     }
 
     /// Evicts entries until residency fits the budget.
-    pub fn enforce_budget(&mut self) -> Vec<(CacheKey, Aggregate)> {
+    pub(crate) fn enforce_budget(&mut self) -> Vec<(CacheKey, Aggregate)> {
         let mut evicted = Vec::new();
         while self.resident > self.budget {
             match self.evict_one() {

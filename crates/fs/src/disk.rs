@@ -39,16 +39,11 @@ pub enum FileContent {
 
 impl FileContent {
     /// The file's length.
-    pub fn len(&self) -> u64 {
+    fn len(&self) -> u64 {
         match self {
             FileContent::Synthetic { len, .. } => *len,
             FileContent::Explicit(v) => v.len() as u64,
         }
-    }
-
-    /// Whether the file is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -123,16 +118,6 @@ impl FileStore {
     /// The file's length, or `None` if it does not exist.
     pub fn len(&self, id: FileId) -> Option<u64> {
         self.files.get(&id).map(|c| c.len())
-    }
-
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
-    /// Total bytes across all files.
-    pub fn total_bytes(&self) -> u64 {
-        self.files.values().map(|c| c.len()).sum()
     }
 
     /// Reads the file's bytes at `offset` straight into `dst`, clamped to
@@ -363,8 +348,6 @@ mod tests {
         assert_eq!(fs.lookup("/docs/index.html"), Some(id));
         assert_eq!(fs.lookup("/nope"), None);
         assert_eq!(fs.len(id), Some(512));
-        assert_eq!(fs.file_count(), 1);
-        assert_eq!(fs.total_bytes(), 512);
     }
 
     #[test]

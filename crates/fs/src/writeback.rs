@@ -137,7 +137,7 @@ impl WritebackScheduler {
     }
 
     /// Remaining NVM capacity.
-    pub fn nvm_free(&self) -> u64 {
+    pub(crate) fn nvm_free(&self) -> u64 {
         self.cfg.nvm_capacity_bytes.saturating_sub(self.nvm_used)
     }
 

@@ -138,7 +138,7 @@ pub struct Experiment {
 
 impl Experiment {
     /// Builds the testbed for a configuration.
-    pub fn new(cfg: ExperimentConfig) -> Self {
+    pub(crate) fn new(cfg: ExperimentConfig) -> Self {
         let cost = cfg.cost;
         let policy = cfg.policy.unwrap_or(match cfg.server {
             ServerKind::FlashLite => Policy::Gds,
@@ -148,7 +148,7 @@ impl Experiment {
         kernel.set_checksum_cache(cfg.checksum_cache);
         kernel.mem_reserve(MemAccount::Server, cost.server_reserve_bytes);
         let server_pid = kernel.spawn("server");
-        let mut rng = SimRng::new(cfg.seed);
+        let rng = SimRng::new(cfg.seed);
 
         // Materialize the file set.
         let mut files = Vec::new();
@@ -200,14 +200,13 @@ impl Experiment {
         }
 
         let links = LinkSet::new(cost.net_links, cost.link_mbit_s);
-        let _ = &mut rng;
         Experiment {
             cfg,
             kernel,
             server_pid,
             socks,
-            cpu: FifoResource::new("cpu"),
-            disk: FifoResource::new("disk"),
+            cpu: FifoResource::new(),
+            disk: FifoResource::new(),
             links,
             files,
             cgi,
@@ -217,7 +216,7 @@ impl Experiment {
     }
 
     /// Runs the experiment to completion.
-    pub fn run(mut self) -> ExperimentResult {
+    pub(crate) fn run(mut self) -> ExperimentResult {
         let rtt = SimTime::from_ms(self.cfg.rtt_ms);
         let one_way = SimTime::from_ms(self.cfg.rtt_ms / 2.0);
         let total_requests = self.cfg.warmup + self.cfg.requests;
@@ -436,7 +435,7 @@ impl Experiment {
             mbit_s: meter.mbit_per_sec(),
             requests: measured,
             bytes: measured_bytes,
-            sim_seconds: meter.total() / meter.per_second().max(1e-12) / 1.0,
+            sim_seconds: meter.total() / meter.per_second().max(1e-12),
             hit_rate: if measured > 0 {
                 hits as f64 / measured as f64
             } else {
@@ -467,10 +466,6 @@ struct ConstantStream;
 impl RequestStream for ConstantStream {
     fn next_request(&mut self, _rng: &mut SimRng) -> Option<usize> {
         Some(0)
-    }
-
-    fn remaining(&self) -> Option<u64> {
-        None
     }
 }
 

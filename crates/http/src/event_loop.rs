@@ -160,12 +160,6 @@ pub struct LoopStats {
 }
 
 impl LoopStats {
-    /// Completed requests per simulated CPU second — the throughput
-    /// axis of the concurrency sweep in EXPERIMENTS.md.
-    pub fn requests_per_cpu_sec(&self) -> f64 {
-        self.completed as f64 / self.cpu.as_secs().max(1e-12)
-    }
-
     /// Bills simulated CPU to the run.
     fn bill(&mut self, c: Charge) {
         self.cpu += c.time;
@@ -298,7 +292,7 @@ pub struct EventLoopServer {
 }
 
 /// One shard's view of the fleet, attached via
-/// [`EventLoopServer::run_shard`].
+/// [`EventLoopServer::attach_shard`] (or by `run_sharded`'s threads).
 pub struct ShardContext {
     /// This shard's fabric endpoint (inbox + senders to every shard).
     pub mailbox: ShardMailbox,
@@ -428,15 +422,13 @@ impl EventLoopServer {
         )
     }
 
-    /// Installs a shard context without entering [`run_shard`]'s
-    /// blocking service loop. A deterministic driver (the storm
+    /// Installs a shard context without entering `run_sharded`'s
+    /// blocking per-thread service loop. A deterministic driver (the storm
     /// harness) holds every shard of the fleet on **one** thread and
     /// interleaves [`tick`](Self::tick) with
     /// [`pump_fabric`](Self::pump_fabric) in a fixed order — real
     /// threads would reintroduce scheduling nondeterminism, which a
     /// seed-replayable run cannot tolerate.
-    ///
-    /// [`run_shard`]: Self::run_shard
     pub fn attach_shard(&mut self, ctx: ShardContext) {
         self.shard = Some(ctx);
     }
@@ -1369,7 +1361,7 @@ impl EventLoopServer {
     ///
     /// Panics if [`EventLoopConfig::max_ticks`] elapses, or if the
     /// fabric disconnects before `Shutdown` (both protocol bugs).
-    pub fn run_shard(mut self, ctx: ShardContext) -> (LoopReport, Kernel) {
+    pub(crate) fn run_shard(mut self, ctx: ShardContext) -> (LoopReport, Kernel) {
         self.shard = Some(ctx);
         let mut reported = false;
         loop {

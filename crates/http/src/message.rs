@@ -282,7 +282,7 @@ pub fn response_header(content_len: u64, keep_alive: bool) -> Vec<u8> {
 }
 
 /// The 404 response.
-pub fn not_found() -> &'static [u8] {
+pub(crate) fn not_found() -> &'static [u8] {
     b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
 }
 

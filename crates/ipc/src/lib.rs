@@ -1,12 +1,12 @@
 #![warn(missing_docs)]
-//! Interprocess communication: pipes and UNIX-domain sockets (paper
-//! §3.2, §4.4).
+//! Interprocess communication: pipes (paper §3.2, §4.4).
 //!
 //! "If the processes on both ends of a pipe or UNIX domain socket-pair
 //! use the IO-Lite API, then the data transfer proceeds copy-free by
 //! passing the associated IO-Lite buffers by reference."
 //!
-//! [`Pipe`] implements both worlds over real data:
+//! [`Pipe`] implements both worlds over real data (a socket pair is two
+//! of them):
 //!
 //! * [`PipeMode::Copy`] — conventional BSD: the writer copies bytes into
 //!   a bounded kernel buffer, the reader copies them out again (two
@@ -295,25 +295,6 @@ fn next_scratch_pool_id() -> PoolId {
     PoolId(id)
 }
 
-/// A bidirectional UNIX-domain socket pair: two pipes.
-#[derive(Debug)]
-pub struct UnixSocketPair {
-    /// Direction A→B.
-    pub a_to_b: Pipe,
-    /// Direction B→A.
-    pub b_to_a: Pipe,
-}
-
-impl UnixSocketPair {
-    /// Creates a socket pair in the given mode.
-    pub fn new(mode: PipeMode, capacity: u64) -> Self {
-        UnixSocketPair {
-            a_to_b: Pipe::new(mode, capacity),
-            b_to_a: Pipe::new(mode, capacity),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,15 +438,6 @@ mod tests {
         let mut p = Pipe::new(PipeMode::Copy, 16);
         p.close();
         p.write(&agg(b"x"));
-    }
-
-    #[test]
-    fn socket_pair_is_bidirectional() {
-        let mut sp = UnixSocketPair::new(PipeMode::ZeroCopy, 1024);
-        sp.a_to_b.write(&agg(b"request"));
-        sp.b_to_a.write(&agg(b"response"));
-        assert_eq!(sp.a_to_b.read(100).unwrap().to_vec(), b"request");
-        assert_eq!(sp.b_to_a.read(100).unwrap().to_vec(), b"response");
     }
 
     #[test]

@@ -658,7 +658,8 @@ mod tests {
         let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 4096);
         let doc = Aggregate::from_bytes(&pool, b"one buffer, two windows");
         let s = doc.slice_at(0);
-        let mut two_windows = Aggregate::from_slice(s.sub(0, 5).unwrap());
+        let mut two_windows = Aggregate::empty();
+        two_windows.append_slice(s.sub(0, 5).unwrap());
         two_windows.append_slice(s.sub(12, 6).unwrap());
         assert_eq!(two_windows.slices().count(), 2);
 

@@ -66,7 +66,7 @@ pub struct PacketFilter {
 
 impl PacketFilter {
     /// Creates an enabled, empty filter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PacketFilter {
             rules: Vec::new(),
             enabled: true,
@@ -100,7 +100,7 @@ impl PacketFilter {
     }
 
     /// Classifies one packet header, most-specific rule first.
-    pub fn demux(&mut self, h: &SegmentHeader) -> Option<StreamId> {
+    pub(crate) fn demux(&mut self, h: &SegmentHeader) -> Option<StreamId> {
         if !self.enabled {
             self.stats.unmatched += 1;
             return None;
@@ -125,23 +125,6 @@ impl PacketFilter {
     /// Demux counters.
     pub fn stats(&self) -> FilterStats {
         self.stats
-    }
-
-    /// Folds the filter's state into a stable digest (rules in install
-    /// order).
-    pub fn digest(&self, h: &mut iolite_buf::Fnv64) {
-        h.write_bool(self.enabled);
-        h.write_u64(self.stats.matched);
-        h.write_u64(self.stats.unmatched);
-        h.write_u64(self.rules.len() as u64);
-        for r in &self.rules {
-            h.write_u32(r.dst_port as u32);
-            h.write_u32(r.src_ip.map_or(u32::MAX, |ip| ip));
-            h.write_bool(r.src_ip.is_some());
-            h.write_u32(r.src_port.map_or(0, u32::from));
-            h.write_bool(r.src_port.is_some());
-            h.write_u64(r.stream.0);
-        }
     }
 }
 

@@ -30,34 +30,29 @@ pub struct Mbuf {
 impl Mbuf {
     /// Creates an inline mbuf (copies `data`, as the real stack does for
     /// headers).
-    pub fn inline(data: &[u8]) -> Self {
+    pub(crate) fn inline(data: &[u8]) -> Self {
         Mbuf {
             data: MbufData::Inline(data.to_vec()),
         }
     }
 
     /// Creates an external mbuf referencing an IO-Lite slice (no copy).
-    pub fn ext(slice: Slice) -> Self {
+    pub(crate) fn ext(slice: Slice) -> Self {
         Mbuf {
             data: MbufData::Ext(slice),
         }
     }
 
     /// Payload length.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.data {
             MbufData::Inline(v) => v.len(),
             MbufData::Ext(s) => s.len(),
         }
     }
 
-    /// Whether the mbuf is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The payload bytes.
-    pub fn bytes(&self) -> &[u8] {
+    pub(crate) fn bytes(&self) -> &[u8] {
         match &self.data {
             MbufData::Inline(v) => v,
             MbufData::Ext(s) => s.as_bytes(),
@@ -71,7 +66,7 @@ impl Mbuf {
 
     /// Bytes of *owned* storage this mbuf holds (inline only; external
     /// references share IO-Lite memory).
-    pub fn owned_bytes(&self) -> usize {
+    pub(crate) fn owned_bytes(&self) -> usize {
         match &self.data {
             MbufData::Inline(v) => v.len(),
             MbufData::Ext(_) => 0,
@@ -87,13 +82,13 @@ pub struct MbufChain {
 
 impl MbufChain {
     /// Creates an empty chain.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MbufChain::default()
     }
 
     /// Builds a packet chain: inline header followed by zero-copy
     /// references to the payload aggregate's slices.
-    pub fn packet(header: &[u8], payload: &Aggregate) -> Self {
+    pub(crate) fn packet(header: &[u8], payload: &Aggregate) -> Self {
         let mut chain = MbufChain::new();
         chain.push(Mbuf::inline(header));
         for s in payload.slices() {
@@ -115,7 +110,7 @@ impl MbufChain {
     /// Like [`MbufChain::packet_copied`] but sourcing the payload from an
     /// aggregate: the materialized `Vec` *is* the owned cluster, so the
     /// copy into it is the only copy the conventional path pays.
-    pub fn packet_copied_from_agg(header: &[u8], payload: &Aggregate) -> Self {
+    pub(crate) fn packet_copied_from_agg(header: &[u8], payload: &Aggregate) -> Self {
         let mut chain = MbufChain::new();
         chain.push(Mbuf::inline(header));
         chain.push(Mbuf {
@@ -125,7 +120,7 @@ impl MbufChain {
     }
 
     /// Appends one mbuf.
-    pub fn push(&mut self, m: Mbuf) {
+    pub(crate) fn push(&mut self, m: Mbuf) {
         self.mbufs.push(m);
     }
 
@@ -135,7 +130,7 @@ impl MbufChain {
     }
 
     /// Total payload length.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.mbufs.iter().map(Mbuf::len).sum()
     }
 

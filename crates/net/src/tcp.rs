@@ -84,7 +84,7 @@ impl TcpConn {
     /// any run) get distinct `(src_ip, dst_ip, src_port, dst_port)`
     /// tuples. (The previous `id & 0xFF` / `id % 60000` derivation
     /// collided from a few hundred concurrent connections up, aliasing
-    /// demux filter rules and receive-path streams at `serve_scale`
+    /// demux filter rules and receive-path streams at `repro scale`
     /// connection counts.)
     ///
     /// `mss` is capped at [`MAX_SEGMENT_PAYLOAD`] so every segment's
@@ -262,11 +262,6 @@ impl TcpConn {
         chains
     }
 
-    /// Lifetime totals: (segments, payload bytes).
-    pub fn totals(&self) -> (u64, u64) {
-        (self.total_segments, self.total_payload)
-    }
-
     /// Folds the connection's state into a stable digest.
     pub fn digest(&self, h: &mut iolite_buf::Fnv64) {
         h.write_u64(self.id);
@@ -384,12 +379,12 @@ mod tests {
     #[test]
     fn four_tuples_are_unique_per_connection_id() {
         use std::collections::HashSet;
-        // Regression: `id & 0xFF` / `id % 60000` collided at serve_scale
+        // Regression: `id & 0xFF` / `id % 60000` collided at `repro scale`
         // connection counts — e.g. ids 1 and 480001 shared a 4-tuple
         // (480000 = lcm(256, 60000)).
         let tuple = |id| TcpConn::new(id, BufferMode::ZeroCopy, 1460, 64 * 1024).four_tuple();
         assert_ne!(tuple(1), tuple(480_001));
-        // Every id in a serve_scale-sized (and beyond) range is unique.
+        // Every id in a `repro scale`-sized (and beyond) range is unique.
         let mut seen = HashSet::new();
         for id in 0..100_000u64 {
             assert!(seen.insert(tuple(id)), "4-tuple collision at id {id}");

@@ -184,7 +184,8 @@ proptest! {
                 Op::InvalidateTwoWindows { doc, slice } => {
                     let agg = &docs[doc as usize % DOCS];
                     let s = agg.slice_at(slice as usize % agg.slices().count());
-                    let mut twice = Aggregate::from_slice(window(s, 1));
+                    let mut twice = Aggregate::empty();
+                    twice.append_slice(window(s, 1));
                     twice.append_slice(window(s, 4));
                     prop_assert_eq!(real.invalidate_aggregate(&twice), model.invalidate(&twice));
                 }

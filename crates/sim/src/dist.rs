@@ -1,8 +1,8 @@
 //! Sampling distributions for workload synthesis.
 //!
 //! The trace generator (Fig. 7 / Fig. 9 reproduction) needs Zipf-like
-//! request popularity, log-normal file sizes, and empirical resampling.
-//! All samplers draw from [`SimRng`] so experiments stay deterministic.
+//! request popularity and log-normal file sizes. Both samplers draw
+//! from [`SimRng`] so experiments stay deterministic.
 
 use crate::rng::SimRng;
 
@@ -73,16 +73,6 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the distribution is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Probability mass of rank `k` (1-based).
     pub fn pmf(&self, k: usize) -> f64 {
         assert!(k >= 1 && k <= self.cdf.len());
@@ -123,89 +113,9 @@ impl LogNormal {
         LogNormal { mu, sigma }
     }
 
-    /// Creates a log-normal from a target mean and median.
-    ///
-    /// For a log-normal, `median = exp(mu)` and
-    /// `mean = exp(mu + sigma^2 / 2)`, so both parameters are recoverable
-    /// when `mean >= median`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean < median` or either is non-positive.
-    pub fn from_mean_median(mean: f64, median: f64) -> Self {
-        assert!(median > 0.0 && mean >= median, "need mean >= median > 0");
-        let mu = median.ln();
-        let sigma = (2.0 * (mean.ln() - mu)).max(0.0).sqrt();
-        LogNormal { mu, sigma }
-    }
-
-    /// Theoretical mean `exp(mu + sigma^2/2)`.
-    pub fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-
     /// Samples one value.
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         (self.mu + self.sigma * rng.next_gaussian()).exp()
-    }
-}
-
-/// Exponential distribution with the given rate (events per unit time).
-#[derive(Debug, Clone, Copy)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with rate `lambda`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is not strictly positive and finite.
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda.is_finite() && lambda > 0.0);
-        Exponential { rate: lambda }
-    }
-
-    /// Samples one inter-arrival value.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        -rng.next_f64_open().ln() / self.rate
-    }
-}
-
-/// Empirical distribution: uniform resampling from observed values.
-///
-/// The SpecWeb96-style subtrace experiment (§5.5) picks entries uniformly
-/// at random from a fixed log; this sampler is that mechanism.
-#[derive(Debug, Clone)]
-pub struct Empirical<T: Clone> {
-    values: Vec<T>,
-}
-
-impl<T: Clone> Empirical<T> {
-    /// Wraps a non-empty set of observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    pub fn new(values: Vec<T>) -> Self {
-        assert!(!values.is_empty(), "empirical distribution needs data");
-        Empirical { values }
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the sampler is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Samples one observation uniformly.
-    pub fn sample(&self, rng: &mut SimRng) -> T {
-        self.values[rng.next_index(self.values.len())].clone()
     }
 }
 
@@ -245,30 +155,12 @@ mod tests {
 
     #[test]
     fn lognormal_matches_moments() {
-        let d = LogNormal::from_mean_median(50.0, 10.0);
+        // median = exp(mu), mean = exp(mu + sigma^2 / 2): mean 50, median 10.
+        let mu = 10f64.ln();
+        let d = LogNormal::new(mu, (2.0 * (50f64.ln() - mu)).sqrt());
         let mut rng = SimRng::new(12);
         let n = 200_000;
         let mean = (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 50.0).abs() / 50.0 < 0.05, "mean {mean}");
-        assert!((d.mean() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exponential_mean_is_inverse_rate() {
-        let d = Exponential::new(4.0);
-        let mut rng = SimRng::new(13);
-        let n = 100_000;
-        let mean = (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64;
-        assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn empirical_resamples_observed_values() {
-        let d = Empirical::new(vec![3, 5, 9]);
-        let mut rng = SimRng::new(14);
-        for _ in 0..1000 {
-            let v = d.sample(&mut rng);
-            assert!(v == 3 || v == 5 || v == 9);
-        }
     }
 }

@@ -22,10 +22,10 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dist::{Empirical, Exponential, LogNormal, Zipf};
+pub use dist::{LogNormal, Zipf};
 pub use engine::EventQueue;
 pub use link::{Link, LinkSet};
 pub use resource::FifoResource;
 pub use rng::SimRng;
-pub use stats::{Counter, RateMeter, Summary};
+pub use stats::{RateMeter, Summary};
 pub use time::SimTime;

@@ -17,24 +17,20 @@ use crate::time::SimTime;
 pub struct Link {
     rate_bytes_per_sec: f64,
     next_free: SimTime,
-    bytes_sent: u64,
-    busy: SimTime,
 }
 
 impl Link {
     /// Creates a link with the given effective data rate in megabits per
     /// second.
-    pub fn new(rate_mbit_s: f64) -> Self {
+    fn new(rate_mbit_s: f64) -> Self {
         Link {
             rate_bytes_per_sec: rate_mbit_s * 1_000_000.0 / 8.0,
             next_free: SimTime::ZERO,
-            bytes_sent: 0,
-            busy: SimTime::ZERO,
         }
     }
 
     /// Time the link needs to serialize `bytes`.
-    pub fn wire_time(&self, bytes: u64) -> SimTime {
+    fn wire_time(&self, bytes: u64) -> SimTime {
         SimTime::from_secs(bytes as f64 / self.rate_bytes_per_sec)
     }
 
@@ -54,8 +50,6 @@ impl Link {
         let start = self.next_free.max(now);
         let occupy = self.wire_time(bytes);
         self.next_free = start + occupy;
-        self.busy += occupy;
-        self.bytes_sent += bytes;
         let window_time =
             if window_rate_bytes_per_sec.is_finite() && window_rate_bytes_per_sec > 0.0 {
                 SimTime::from_secs(bytes as f64 / window_rate_bytes_per_sec)
@@ -65,25 +59,6 @@ impl Link {
         // The receiver sees the slower of wire serialization and window
         // pacing, plus propagation.
         start + occupy.max(window_time) + one_way_delay
-    }
-
-    /// Total bytes ever transmitted.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Total serialization time accumulated.
-    pub fn busy_time(&self) -> SimTime {
-        self.busy
-    }
-
-    /// Link utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            0.0
-        } else {
-            (self.busy.as_secs() / horizon.as_secs()).min(1.0)
-        }
     }
 }
 
@@ -110,29 +85,6 @@ impl LinkSet {
         let n = self.links.len();
         &mut self.links[client % n]
     }
-
-    /// Number of links.
-    pub fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Whether the set is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
-    }
-
-    /// Aggregate bytes sent over all links.
-    pub fn total_bytes(&self) -> u64 {
-        self.links.iter().map(|l| l.bytes_sent()).sum()
-    }
-
-    /// Aggregate capacity in megabits per second.
-    pub fn aggregate_mbit_s(&self) -> f64 {
-        self.links
-            .iter()
-            .map(|l| l.rate_bytes_per_sec * 8.0 / 1_000_000.0)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +104,6 @@ mod tests {
         let b = l.transmit(SimTime::ZERO, 10_000_000, f64::INFINITY, SimTime::ZERO);
         assert_eq!(a, SimTime::from_secs(1.0));
         assert_eq!(b, SimTime::from_secs(2.0));
-        assert_eq!(l.bytes_sent(), 20_000_000);
     }
 
     #[test]
@@ -161,8 +112,10 @@ mod tests {
         // Window rate 1 MB/s is slower than the 10 MB/s wire.
         let done = l.transmit(SimTime::ZERO, 1_000_000, 1_000_000.0, SimTime::ZERO);
         assert_eq!(done, SimTime::from_secs(1.0));
-        // But capacity accounting only charges the wire time.
-        assert_eq!(l.busy_time(), SimTime::from_secs(0.1));
+        // But capacity accounting only charges the wire time: the link
+        // is free again after 0.1 s.
+        let next = l.transmit(SimTime::ZERO, 0, f64::INFINITY, SimTime::ZERO);
+        assert_eq!(next, SimTime::from_secs(0.1));
     }
 
     #[test]
@@ -179,17 +132,18 @@ mod tests {
 
     #[test]
     fn linkset_assigns_round_robin() {
-        let mut s = LinkSet::new(5, 84.0);
-        assert!((s.aggregate_mbit_s() - 420.0).abs() < 1e-9);
-        s.link_for_client(0)
-            .transmit(SimTime::ZERO, 1000, f64::INFINITY, SimTime::ZERO);
-        s.link_for_client(5)
-            .transmit(SimTime::ZERO, 1000, f64::INFINITY, SimTime::ZERO);
-        s.link_for_client(1)
-            .transmit(SimTime::ZERO, 1000, f64::INFINITY, SimTime::ZERO);
-        assert_eq!(s.total_bytes(), 3000);
-        // Clients 0 and 5 share link 0.
-        assert_eq!(s.links[0].bytes_sent(), 2000);
-        assert_eq!(s.links[1].bytes_sent(), 1000);
+        let mut s = LinkSet::new(5, 80.0);
+        let mut send = |client| {
+            s.link_for_client(client).transmit(
+                SimTime::ZERO,
+                10_000_000,
+                f64::INFINITY,
+                SimTime::ZERO,
+            )
+        };
+        assert_eq!(send(0), SimTime::from_secs(1.0));
+        // Clients 0 and 5 share link 0; client 1 has link 1 to itself.
+        assert_eq!(send(5), SimTime::from_secs(2.0));
+        assert_eq!(send(1), SimTime::from_secs(1.0));
     }
 }

@@ -9,38 +9,31 @@ use crate::time::SimTime;
 
 /// A FIFO single-server queueing resource.
 ///
-/// Tracks when the server next becomes free, total busy time, and job
-/// counts, so drivers can report utilization.
+/// Tracks when the server next becomes free and total busy time, so
+/// drivers can report utilization.
 ///
 /// # Examples
 ///
 /// ```
 /// use iolite_sim::{FifoResource, SimTime};
 ///
-/// let mut cpu = FifoResource::new("cpu");
+/// let mut cpu = FifoResource::new();
 /// let done1 = cpu.submit(SimTime::ZERO, SimTime::from_us(10.0));
 /// let done2 = cpu.submit(SimTime::ZERO, SimTime::from_us(5.0));
 /// assert_eq!(done1, SimTime::from_us(10.0));
 /// // The second job queues behind the first.
 /// assert_eq!(done2, SimTime::from_us(15.0));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FifoResource {
-    name: &'static str,
     next_free: SimTime,
     busy: SimTime,
-    jobs: u64,
 }
 
 impl FifoResource {
     /// Creates an idle resource.
-    pub fn new(name: &'static str) -> Self {
-        FifoResource {
-            name,
-            next_free: SimTime::ZERO,
-            busy: SimTime::ZERO,
-            jobs: 0,
-        }
+    pub fn new() -> Self {
+        FifoResource::default()
     }
 
     /// Submits a job at `now` with the given service demand and returns
@@ -50,7 +43,6 @@ impl FifoResource {
         let done = start + service;
         self.next_free = done;
         self.busy += service;
-        self.jobs += 1;
         done
     }
 
@@ -64,16 +56,6 @@ impl FifoResource {
         self.next_free.saturating_sub(now)
     }
 
-    /// Total service time accumulated.
-    pub fn busy_time(&self) -> SimTime {
-        self.busy
-    }
-
-    /// Number of jobs served.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
     /// Utilization over `[0, horizon]`.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         if horizon == SimTime::ZERO {
@@ -83,16 +65,9 @@ impl FifoResource {
         }
     }
 
-    /// The resource's diagnostic name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Resets the resource to idle, clearing statistics.
     pub fn reset(&mut self) {
-        self.next_free = SimTime::ZERO;
-        self.busy = SimTime::ZERO;
-        self.jobs = 0;
+        *self = FifoResource::default();
     }
 }
 
@@ -102,14 +77,14 @@ mod tests {
 
     #[test]
     fn idle_server_starts_immediately() {
-        let mut r = FifoResource::new("t");
+        let mut r = FifoResource::new();
         let done = r.submit(SimTime::from_us(100.0), SimTime::from_us(10.0));
         assert_eq!(done, SimTime::from_us(110.0));
     }
 
     #[test]
     fn jobs_queue_fifo() {
-        let mut r = FifoResource::new("t");
+        let mut r = FifoResource::new();
         let a = r.submit(SimTime::ZERO, SimTime::from_us(10.0));
         let b = r.submit(SimTime::from_us(2.0), SimTime::from_us(10.0));
         let c = r.submit(SimTime::from_us(25.0), SimTime::from_us(10.0));
@@ -121,17 +96,15 @@ mod tests {
 
     #[test]
     fn utilization_accounts_busy_time() {
-        let mut r = FifoResource::new("t");
+        let mut r = FifoResource::new();
         r.submit(SimTime::ZERO, SimTime::from_us(30.0));
         r.submit(SimTime::ZERO, SimTime::from_us(20.0));
-        assert_eq!(r.busy_time(), SimTime::from_us(50.0));
         assert!((r.utilization(SimTime::from_us(100.0)) - 0.5).abs() < 1e-12);
-        assert_eq!(r.jobs(), 2);
     }
 
     #[test]
     fn backlog_reports_wait() {
-        let mut r = FifoResource::new("t");
+        let mut r = FifoResource::new();
         r.submit(SimTime::ZERO, SimTime::from_us(10.0));
         assert_eq!(r.backlog(SimTime::from_us(4.0)), SimTime::from_us(6.0));
         assert_eq!(r.backlog(SimTime::from_us(40.0)), SimTime::ZERO);
@@ -139,11 +112,10 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut r = FifoResource::new("t");
+        let mut r = FifoResource::new();
         r.submit(SimTime::ZERO, SimTime::from_us(10.0));
         r.reset();
-        assert_eq!(r.jobs(), 0);
-        assert_eq!(r.busy_time(), SimTime::ZERO);
+        assert_eq!(r.utilization(SimTime::from_us(10.0)), 0.0);
         assert_eq!(r.next_free(), SimTime::ZERO);
     }
 }

@@ -1,51 +1,12 @@
 //! Statistics collectors used by the experiment harness.
 
-use std::fmt;
-
 use crate::time::SimTime;
 
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// Online summary of a stream of samples: count, mean, min, max and an
-/// exact quantile over retained samples.
-///
-/// Retains every sample; experiments produce at most a few hundred
-/// thousand samples per run, so exact quantiles are affordable and keep
-/// EXPERIMENTS.md reproducible to the digit.
+/// Online mean of a stream of samples.
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
-    samples: Vec<f64>,
-    sorted: bool,
+    sum: f64,
+    count: u64,
 }
 
 impl Summary {
@@ -56,63 +17,17 @@ impl Summary {
 
     /// Records one sample.
     pub fn record(&mut self, v: f64) {
-        self.samples.push(v);
-        self.sorted = false;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        self.samples.len()
+        self.sum += v;
+        self.count += 1;
     }
 
     /// Arithmetic mean, or 0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             0.0
         } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
+            self.sum / self.count as f64
         }
-    }
-
-    /// Smallest sample, or 0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().copied().fold(f64::INFINITY, f64::min)
-        }
-    }
-
-    /// Largest sample, or 0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max)
-        }
-    }
-
-    /// Exact `q`-quantile (0 ≤ q ≤ 1) by nearest-rank, or 0 when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.samples.len() as f64 - 1.0) * q).round() as usize;
-        self.samples[idx]
-    }
-
-    /// Sum of all samples.
-    pub fn total(&self) -> f64 {
-        self.samples.iter().sum()
     }
 }
 
@@ -171,37 +86,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(format!("{c}"), "5");
-    }
-
-    #[test]
     fn summary_statistics() {
         let mut s = Summary::new();
         for v in [4.0, 1.0, 3.0, 2.0, 5.0] {
             s.record(v);
         }
-        assert_eq!(s.count(), 5);
         assert!((s.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 5.0);
-        assert_eq!(s.quantile(0.5), 3.0);
-        assert_eq!(s.quantile(0.0), 1.0);
-        assert_eq!(s.quantile(1.0), 5.0);
-        assert!((s.total() - 15.0).abs() < 1e-12);
     }
 
     #[test]
     fn summary_empty_is_zero() {
-        let mut s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.quantile(0.5), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
+        assert_eq!(Summary::new().mean(), 0.0);
     }
 
     #[test]

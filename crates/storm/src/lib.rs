@@ -46,7 +46,7 @@
 //!        TcpReceiver (the real iolite-net reorder queue)
 //! ```
 //!
-//! Layering: the wire model ([`WireSender`]) holds **no payloads and no
+//! Layering: the wire model (`wire::WireSender`) holds **no payloads and no
 //! clocks** — request bytes live in one append-only stream per client,
 //! response bytes are a deterministic pattern keyed by (connection,
 //! offset), and all timing flows through `iolite-sim`'s
@@ -70,8 +70,7 @@
 
 pub mod config;
 pub mod run;
-pub mod wire;
+mod wire;
 
 pub use config::StormConfig;
-pub use run::{campaign, pattern_byte, plan, run_storm, StormPlan, StormReport, WireStats};
-pub use wire::WireSender;
+pub use run::{campaign, plan, run_storm, StormPlan, StormReport, WireStats};

@@ -151,7 +151,7 @@ pub fn plan(cfg: &StormConfig) -> StormPlan {
 /// pattern instead; the client-side reassembly queue must reproduce it
 /// byte-for-byte in order, which [`run_storm`] verifies on every
 /// in-order delivery.
-pub fn pattern_byte(conn: u64, seq: u64) -> u8 {
+pub(crate) fn pattern_byte(conn: u64, seq: u64) -> u8 {
     (splitmix64(conn ^ (seq >> 3).wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> ((seq & 7) * 8)) as u8
 }
 

@@ -36,7 +36,7 @@ impl WireSender {
     /// # Panics
     ///
     /// Panics if `mss` or `window` is zero.
-    pub fn new(mss: u64, window: u64) -> WireSender {
+    pub(crate) fn new(mss: u64, window: u64) -> WireSender {
         assert!(mss > 0 && window > 0, "degenerate wire");
         WireSender {
             mss,
@@ -50,18 +50,18 @@ impl WireSender {
 
     /// Extends the stream: bytes `[0, total)` now exist. Monotone —
     /// offering less than before is ignored.
-    pub fn offer(&mut self, total: u64) {
+    pub(crate) fn offer(&mut self, total: u64) {
         self.offered = self.offered.max(total);
     }
 
     /// Total bytes offered so far.
-    pub fn offered(&self) -> u64 {
+    pub(crate) fn offered(&self) -> u64 {
         self.offered
     }
 
     /// Cumulative ACK processing; returns `true` on progress (the
     /// caller then re-arms the retransmission timer and may emit more).
-    pub fn on_ack(&mut self, ack: u64) -> bool {
+    pub(crate) fn on_ack(&mut self, ack: u64) -> bool {
         if ack > self.acked {
             self.acked = ack.min(self.offered);
             // ACKs are cumulative: anything the cursor already passed
@@ -76,7 +76,7 @@ impl WireSender {
 
     /// The next segment to put on the wire, `(seq, len)`, advancing the
     /// cursor; `None` when the window is full or nothing is unsent.
-    pub fn next_segment(&mut self) -> Option<(u64, u64)> {
+    pub(crate) fn next_segment(&mut self) -> Option<(u64, u64)> {
         if self.next >= self.offered || self.in_flight() >= self.window {
             return None;
         }
@@ -92,7 +92,7 @@ impl WireSender {
     /// Like [`next_segment`](Self::next_segment) with the segment size
     /// capped at `max` — slowloris dribble uses this to put single
     /// bytes on the wire.
-    pub fn next_segment_capped(&mut self, max: u64) -> Option<(u64, u64)> {
+    pub(crate) fn next_segment_capped(&mut self, max: u64) -> Option<(u64, u64)> {
         if max == 0 || self.next >= self.offered || self.in_flight() >= self.window {
             return None;
         }
@@ -109,45 +109,45 @@ impl WireSender {
     /// Go-back-N: the retransmission timer fired, so the send cursor
     /// rewinds to the last cumulative ACK and the whole unacknowledged
     /// window is re-sent.
-    pub fn rewind(&mut self) {
+    pub(crate) fn rewind(&mut self) {
         self.next = self.acked;
     }
 
     /// Bytes on the wire (sent past the last cumulative ACK).
-    pub fn in_flight(&self) -> u64 {
+    pub(crate) fn in_flight(&self) -> u64 {
         self.next - self.acked
     }
 
     /// Cumulative bytes acknowledged.
-    pub fn acked(&self) -> u64 {
+    pub(crate) fn acked(&self) -> u64 {
         self.acked
     }
 
     /// Offered bytes the cursor has not yet put on the wire.
-    pub fn unsent(&self) -> u64 {
+    pub(crate) fn unsent(&self) -> u64 {
         self.offered - self.next
     }
 
     /// Whether every offered byte has been acknowledged.
-    pub fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.acked == self.offered
     }
 
     /// Arms (or re-arms) the retransmission timer: returns the new
     /// epoch to stamp on the scheduled timer event. Any previously
     /// scheduled timer becomes stale.
-    pub fn arm(&mut self) -> u64 {
+    pub(crate) fn arm(&mut self) -> u64 {
         self.epoch += 1;
         self.epoch
     }
 
     /// Whether a timer event stamped `epoch` is the live one.
-    pub fn timer_live(&self, epoch: u64) -> bool {
+    pub(crate) fn timer_live(&self, epoch: u64) -> bool {
         self.epoch == epoch
     }
 
     /// Invalidates any outstanding timer (connection retired).
-    pub fn disarm(&mut self) {
+    pub(crate) fn disarm(&mut self) {
         self.epoch += 1;
     }
 }

@@ -10,9 +10,6 @@ use crate::workload::Workload;
 pub trait RequestStream {
     /// The next request's file index.
     fn next_request(&mut self, rng: &mut SimRng) -> Option<usize>;
-
-    /// Total requests this stream will produce (`None` if unbounded).
-    fn remaining(&self) -> Option<u64>;
 }
 
 /// The §5.4 methodology: "the clients share the access log, and as each
@@ -36,16 +33,6 @@ impl SharedLogReplay {
             .collect();
         SharedLogReplay { log, cursor: 0 }
     }
-
-    /// Entries in the log.
-    pub fn len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
-    }
 }
 
 impl RequestStream for SharedLogReplay {
@@ -53,10 +40,6 @@ impl RequestStream for SharedLogReplay {
         let entry = self.log.get(self.cursor)?;
         self.cursor += 1;
         Some(*entry as usize)
-    }
-
-    fn remaining(&self) -> Option<u64> {
-        Some((self.log.len() - self.cursor) as u64)
     }
 }
 
@@ -66,40 +49,18 @@ impl RequestStream for SharedLogReplay {
 #[derive(Debug)]
 pub struct RandomSampler {
     workload: Workload,
-    budget: Option<u64>,
 }
 
 impl RandomSampler {
     /// An unbounded sampler over the workload.
     pub fn new(workload: Workload) -> Self {
-        RandomSampler {
-            workload,
-            budget: None,
-        }
-    }
-
-    /// A sampler that stops after `n` requests.
-    pub fn with_budget(workload: Workload, n: u64) -> Self {
-        RandomSampler {
-            workload,
-            budget: Some(n),
-        }
+        RandomSampler { workload }
     }
 }
 
 impl RequestStream for RandomSampler {
     fn next_request(&mut self, rng: &mut SimRng) -> Option<usize> {
-        if let Some(b) = &mut self.budget {
-            if *b == 0 {
-                return None;
-            }
-            *b -= 1;
-        }
         Some(self.workload.sample_request(rng))
-    }
-
-    fn remaining(&self) -> Option<u64> {
-        self.budget
     }
 }
 
@@ -122,19 +83,6 @@ mod tests {
             assert_eq!(a.next_request(&mut rng), b.next_request(&mut rng));
         }
         assert_eq!(a.next_request(&mut rng), None);
-        assert_eq!(a.remaining(), Some(0));
-    }
-
-    #[test]
-    fn random_sampler_budget() {
-        let w = workload();
-        let mut s = RandomSampler::with_budget(w, 5);
-        let mut rng = SimRng::new(2);
-        let mut n = 0;
-        while s.next_request(&mut rng).is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 5);
     }
 
     #[test]
@@ -147,6 +95,5 @@ mod tests {
             let idx = s.next_request(&mut rng).unwrap();
             assert!(idx < files);
         }
-        assert_eq!(s.remaining(), None);
     }
 }

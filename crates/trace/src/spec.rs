@@ -83,7 +83,7 @@ impl TraceSpec {
     }
 
     /// Mean file size implied by the spec.
-    pub fn mean_file_bytes(&self) -> u64 {
+    pub(crate) fn mean_file_bytes(&self) -> u64 {
         self.total_bytes / self.files as u64
     }
 }

@@ -90,11 +90,6 @@ impl Workload {
         self.files.iter().map(|f| f.bytes).sum()
     }
 
-    /// The number of requests in the original log (for replay sizing).
-    pub fn requests_in_log(&self) -> u64 {
-        self.requests_in_log
-    }
-
     /// Samples one request: returns the file index (popularity rank).
     pub fn sample_request(&self, rng: &mut SimRng) -> usize {
         self.popularity.sample(rng) - 1

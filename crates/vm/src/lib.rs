@@ -8,10 +8,9 @@
 //! eviction, and `mmap` provides contiguous in-place views with lazy
 //! copying. This crate models those mechanisms as real data structures:
 //!
-//! * [`IoLiteWindow`] — per-domain chunk mapping tables with
-//!   read/read-write permissions; reports how many *new* page mappings a
-//!   transfer required (the §3.2 cost driver: recycled buffers need
-//!   none).
+//! * [`IoLiteWindow`] — per-domain chunk mapping tables; reports how
+//!   many *new* page mappings a transfer required (the §3.2 cost
+//!   driver: recycled buffers need none).
 //! * [`PhysMemory`] — a named-account physical memory budget for the
 //!   128MB testbed; the file cache, socket buffers, and per-process
 //!   overheads compete here, which is what the WAN experiment (§5.7)
@@ -31,4 +30,4 @@ pub mod window;
 pub use mmap::MmapView;
 pub use pager::{PageClass, PageoutAction, PageoutDaemon};
 pub use physmem::{MemAccount, PhysMemory};
-pub use window::{AccessDenied, IoLiteWindow, MapStats, Perm};
+pub use window::{AccessDenied, IoLiteWindow, MapStats};

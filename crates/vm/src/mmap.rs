@@ -195,17 +195,6 @@ impl MmapView {
         }
         self.data[off..off + src.len()].copy_from_slice(src);
     }
-
-    /// The mapping's current value as an aggregate-independent vector
-    /// (used when writing a modified mapping back to a file).
-    pub fn snapshot(&mut self) -> Vec<u8> {
-        self.read_all()
-    }
-
-    /// The source aggregate this view maps.
-    pub fn source(&self) -> &Aggregate {
-        &self.source
-    }
 }
 
 #[cfg(test)]

@@ -82,7 +82,7 @@ impl PageoutDaemon {
     /// True when more than half of the pages replaced since the previous
     /// eviction held cached I/O data. Callers that evict must then call
     /// [`PageoutDaemon::eviction_performed`].
-    pub fn should_evict_cache_entry(&self) -> bool {
+    pub(crate) fn should_evict_cache_entry(&self) -> bool {
         let total = self.cached_io_since_evict + self.other_since_evict;
         total > 0 && self.cached_io_since_evict * 2 > total
     }
@@ -136,11 +136,6 @@ impl PageoutDaemon {
     /// Lifetime count of cached-I/O page replacements.
     pub fn total_cached_io(&self) -> u64 {
         self.total_cached_io
-    }
-
-    /// Lifetime count of other page replacements.
-    pub fn total_other(&self) -> u64 {
-        self.total_other
     }
 
     /// Number of cache-entry evictions signalled.

@@ -25,8 +25,6 @@ pub enum MemAccount {
     /// The unified/file cache (informational; the cache sizes itself to
     /// the remainder).
     FileCache,
-    /// Anything else an experiment wants to pin.
-    Other,
 }
 
 /// Tracks reservations against a fixed physical-memory budget.
@@ -149,7 +147,7 @@ mod tests {
         m.reserve(MemAccount::Server, 100);
         m.release(MemAccount::Server, 500);
         assert_eq!(m.held(MemAccount::Server), 0);
-        m.release(MemAccount::Other, 10);
+        m.release(MemAccount::ProcessOverhead, 10);
         assert_eq!(m.used(), 0);
     }
 

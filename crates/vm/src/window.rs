@@ -9,9 +9,10 @@
 //! shared-memory pages" of §3.2 — so recycled chunks transfer at shared-
 //! memory cost, and only first-time transfers pay page-mapping cost.
 
+use std::collections::HashSet;
 use std::fmt;
 
-use iolite_buf::{Acl, ChunkId, DomainId, FixedMap, PAGE_SIZE};
+use iolite_buf::{Acl, ChunkId, DomainId, FixedMap, FixedState, PAGE_SIZE};
 
 /// Access-control violation: the receiving domain is not on the ACL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,16 +29,6 @@ impl fmt::Display for AccessDenied {
 
 impl std::error::Error for AccessDenied {}
 
-/// Access permission a domain holds on a chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Perm {
-    /// Read-only mapping (consumers).
-    Read,
-    /// Read-write mapping (the producer while filling; §3.2's "temporary
-    /// write permissions").
-    ReadWrite,
-}
-
 /// Counters describing mapping activity (drives simulated VM cost).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MapStats {
@@ -47,8 +38,6 @@ pub struct MapStats {
     pub pages_mapped: u64,
     /// Transfers that required no new mapping (recycled/warm chunks).
     pub warm_transfers: u64,
-    /// Write-permission toggles for untrusted producers.
-    pub write_toggles: u64,
     /// Access-control denials.
     pub denials: u64,
 }
@@ -70,7 +59,7 @@ pub struct MapStats {
 #[derive(Debug, Default, Clone)]
 pub struct IoLiteWindow {
     chunk_size: usize,
-    maps: FixedMap<DomainId, FixedMap<ChunkId, Perm>>,
+    maps: FixedMap<DomainId, HashSet<ChunkId, FixedState>>,
     stats: MapStats,
 }
 
@@ -111,12 +100,10 @@ impl IoLiteWindow {
         let table = self.maps.entry(domain).or_default();
         let mut new_pages = 0;
         for c in chunks {
-            if table.contains_key(&c) {
-                continue;
+            if table.insert(c) {
+                self.stats.chunk_maps += 1;
+                new_pages += (self.chunk_size / PAGE_SIZE) as u64;
             }
-            table.insert(c, Perm::Read);
-            self.stats.chunk_maps += 1;
-            new_pages += (self.chunk_size / PAGE_SIZE) as u64;
         }
         if new_pages == 0 {
             self.stats.warm_transfers += 1;
@@ -126,66 +113,13 @@ impl IoLiteWindow {
         Ok(new_pages)
     }
 
-    /// Grants the producer temporary write permission on a chunk while it
-    /// fills buffers (§3.2). Trusted (kernel) producers skip this.
-    ///
-    /// Returns the number of newly mapped pages (a fresh writable chunk
-    /// needs a map; toggling an existing read mapping is cheaper and is
-    /// counted in [`MapStats::write_toggles`]).
-    pub fn grant_write(&mut self, chunk: ChunkId, domain: DomainId) -> u64 {
-        if domain == DomainId::KERNEL {
-            return 0;
-        }
-        let pages = (self.chunk_size / PAGE_SIZE) as u64;
-        let table = self.maps.entry(domain).or_default();
-        match table.get(&chunk) {
-            Some(Perm::ReadWrite) => 0,
-            Some(Perm::Read) => {
-                table.insert(chunk, Perm::ReadWrite);
-                self.stats.write_toggles += 1;
-                0
-            }
-            None => {
-                table.insert(chunk, Perm::ReadWrite);
-                self.stats.chunk_maps += 1;
-                self.stats.pages_mapped += pages;
-                pages
-            }
-        }
-    }
-
-    /// Revokes write permission after the producer seals its buffers.
-    pub fn revoke_write(&mut self, chunk: ChunkId, domain: DomainId) {
-        if domain == DomainId::KERNEL {
-            return;
-        }
-        if let Some(table) = self.maps.get_mut(&domain) {
-            if let Some(p) = table.get_mut(&chunk) {
-                if *p == Perm::ReadWrite {
-                    *p = Perm::Read;
-                    self.stats.write_toggles += 1;
-                }
-            }
-        }
-    }
-
     /// Whether `domain` currently maps `chunk`.
     pub fn is_mapped(&self, chunk: ChunkId, domain: DomainId) -> bool {
         domain == DomainId::KERNEL
             || self
                 .maps
                 .get(&domain)
-                .is_some_and(|t| t.contains_key(&chunk))
-    }
-
-    /// Number of chunks mapped in `domain`.
-    pub fn mapped_chunks(&self, domain: DomainId) -> usize {
-        self.maps.get(&domain).map_or(0, |t| t.len())
-    }
-
-    /// Drops all of `domain`'s mappings (process exit).
-    pub fn unmap_domain(&mut self, domain: DomainId) {
-        self.maps.remove(&domain);
+                .is_some_and(|t| t.contains(&chunk))
     }
 
     /// Mapping-activity counters.
@@ -201,7 +135,6 @@ impl IoLiteWindow {
             self.stats.chunk_maps,
             self.stats.pages_mapped,
             self.stats.warm_transfers,
-            self.stats.write_toggles,
             self.stats.denials,
         ] {
             h.write_u64(v);
@@ -212,12 +145,11 @@ impl IoLiteWindow {
         for d in domains {
             h.write_u32(d.0);
             let table = &self.maps[&d];
-            let mut chunks: Vec<ChunkId> = table.keys().copied().collect();
+            let mut chunks: Vec<ChunkId> = table.iter().copied().collect();
             chunks.sort_unstable();
             h.write_u64(chunks.len() as u64);
             for c in chunks {
                 h.write_u64(c.0);
-                h.write_bool(matches!(table[&c], Perm::ReadWrite));
             }
         }
     }
@@ -267,21 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn write_grant_and_revoke_toggle() {
-        let mut w = IoLiteWindow::new(64 * 1024);
-        let d = DomainId(1);
-        // Fresh writable chunk pays the map.
-        assert_eq!(w.grant_write(ChunkId(0), d), 16);
-        // Re-granting is free.
-        assert_eq!(w.grant_write(ChunkId(0), d), 0);
-        w.revoke_write(ChunkId(0), d);
-        // Upgrading an existing read mapping only toggles.
-        assert_eq!(w.grant_write(ChunkId(0), d), 0);
-        assert_eq!(w.stats().write_toggles, 2);
-        assert_eq!(w.stats().chunk_maps, 1);
-    }
-
-    #[test]
     fn mappings_persist_per_domain() {
         let mut w = IoLiteWindow::new(64 * 1024);
         let d1 = DomainId(1);
@@ -291,10 +208,7 @@ mod tests {
         assert!(w.is_mapped(ChunkId(7), d1));
         assert!(!w.is_mapped(ChunkId(7), d2));
         w.transfer([ChunkId(7)], d2, &acl).unwrap();
-        assert_eq!(w.mapped_chunks(d1), 1);
-        assert_eq!(w.mapped_chunks(d2), 1);
-        w.unmap_domain(d1);
-        assert!(!w.is_mapped(ChunkId(7), d1));
+        assert!(w.is_mapped(ChunkId(7), d1));
         assert!(w.is_mapped(ChunkId(7), d2));
     }
 }

@@ -70,6 +70,22 @@ fn apps_pipelines_replay_bit_identically() {
         &costs,
     );
     assert_eq!(found.matches, 4000);
+    // The same pipeline through the IO-Lite API over a zero-copy pipe:
+    // the 36-byte line pairs straddle every 64 KB buffer boundary, and
+    // the contiguity copy grep makes of each split line must reach
+    // `Metrics` through the journal like every other charge.
+    let copied = k.metrics.bytes_copied;
+    let (found_iol, _) = run_cat_grep(
+        &mut k,
+        cat,
+        grep,
+        prose,
+        b"zwaenepoel",
+        ApiMode::IoLite,
+        &costs,
+    );
+    assert_eq!(found_iol.matches, 4000);
+    assert!(k.metrics.bytes_copied > copied, "no line was split");
     let permute = k.spawn("permute");
     let (streamed, _) = run_permute_wc(&mut k, permute, wc, 6, ApiMode::IoLite, &costs);
     assert!(streamed.bytes > 0);

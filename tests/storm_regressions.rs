@@ -58,7 +58,7 @@ fn writes_seed_1009_pinned_replacement_replays() {
 /// chunks alive in the live run that replay (whose journal references
 /// the live pool, not its own) let drain — in-op chunk scavenging
 /// keyed off ambient refcounts could never replay. Fixed by making the
-/// cache pool append-only: no `release_free_chunks` from pure ops.
+/// cache pool append-only: no chunk release from pure ops.
 #[test]
 fn writes_seed_1015_journal_held_chunks_replay() {
     let minimized = StormConfig {
