@@ -13,7 +13,7 @@ use iolite_core::{short_ok, Charge, CostCategory, IolError, Kernel, Pid};
 use iolite_sim::SimTime;
 
 use crate::costs::AppCosts;
-use crate::wc::WcCounts;
+use crate::wc::{count_chunk, WcCounts};
 use crate::ApiMode;
 
 /// Generates all permutations of `n` four-character words ("aaa ",
@@ -51,24 +51,6 @@ fn generate_permutations(n: usize, mut emit: impl FnMut(&[u8])) {
         } else {
             c[i] = 0;
             i += 1;
-        }
-    }
-}
-
-/// Counts words/lines/bytes in a chunk (shared with `wc`; permute output
-/// has no newlines, only space-separated words).
-fn count_chunk(data: &[u8], counts: &mut WcCounts, in_word: &mut bool) {
-    for &b in data {
-        counts.bytes += 1;
-        if b == b'\n' {
-            counts.lines += 1;
-        }
-        let is_space = b.is_ascii_whitespace();
-        if *in_word && is_space {
-            *in_word = false;
-        } else if !*in_word && !is_space {
-            *in_word = true;
-            counts.words += 1;
         }
     }
 }

@@ -22,8 +22,8 @@ pub struct WcCounts {
 }
 
 /// Counts words in `data`, continuing from `in_word` state across chunk
-/// boundaries.
-fn count_chunk(data: &[u8], counts: &mut WcCounts, in_word: &mut bool) {
+/// boundaries (`permute | wc` runs the same scan on its pipe reads).
+pub(crate) fn count_chunk(data: &[u8], counts: &mut WcCounts, in_word: &mut bool) {
     for &b in data {
         counts.bytes += 1;
         if b == b'\n' {

@@ -7,8 +7,8 @@
 //!
 //! Every buffer carries the ACL its pool had when it was allocated, so
 //! an [`Acl`] is a shared handle: cloning one is a reference-count
-//! bump, and [`Acl::grant`]/[`Acl::revoke`] copy on write — snapshots
-//! taken earlier never see a later change.
+//! bump, and [`Acl::grant`] copies on write — snapshots taken earlier
+//! never see a later change.
 
 use std::fmt;
 use std::sync::Arc;
@@ -68,17 +68,6 @@ impl Acl {
         }
     }
 
-    /// Removes a domain from the ACL. Idempotent.
-    pub fn revoke(&mut self, d: DomainId) {
-        if let (Ok(pos), Some(list)) = (self.domains().binary_search(&d), &mut self.domains) {
-            let list = Arc::make_mut(list);
-            list.remove(pos);
-            if list.is_empty() {
-                self.domains = None;
-            }
-        }
-    }
-
     /// Whether `d` may read buffers allocated under this ACL.
     pub fn allows(&self, d: DomainId) -> bool {
         d == DomainId::KERNEL || self.domains().binary_search(&d).is_ok()
@@ -121,17 +110,14 @@ mod tests {
     }
 
     #[test]
-    fn grant_and_revoke() {
+    fn grant_is_idempotent() {
         let mut acl = Acl::kernel_only();
+        assert!(acl.is_empty());
         assert!(!acl.allows(DomainId(1)));
         acl.grant(DomainId(1));
         assert!(acl.allows(DomainId(1)));
         acl.grant(DomainId(1));
         assert_eq!(acl.len(), 1);
-        acl.revoke(DomainId(1));
-        assert!(!acl.allows(DomainId(1)));
-        acl.revoke(DomainId(1));
-        assert!(acl.is_empty());
     }
 
     #[test]
@@ -139,12 +125,8 @@ mod tests {
         let mut acl = Acl::with_domain(DomainId(1));
         let before = acl.clone();
         acl.grant(DomainId(2));
-        acl.revoke(DomainId(1));
         assert_eq!(before.domains(), &[DomainId(1)]);
-        assert_eq!(acl.domains(), &[DomainId(2)]);
-        // Revoking the last domain is the kernel-only ACL again.
-        acl.revoke(DomainId(2));
-        assert_eq!(acl, Acl::kernel_only());
+        assert_eq!(acl.domains(), &[DomainId(1), DomainId(2)]);
     }
 
     #[test]

@@ -209,14 +209,6 @@ impl Aggregate {
         self.slices().map(Slice::as_bytes)
     }
 
-    /// Fills `out` with the aggregate's byte runs (an `iovec` array for
-    /// vectored I/O). `out` is cleared first; reusing one `Vec` across
-    /// calls keeps the steady state allocation-free.
-    pub fn as_iovecs<'a>(&'a self, out: &mut Vec<&'a [u8]>) {
-        out.clear();
-        out.extend(self.chunks());
-    }
-
     /// A borrowing cursor positioned at `offset` (clamped to the end).
     ///
     /// Creation is O(log n); all traversal from there is zero-alloc.
@@ -796,20 +788,6 @@ mod tests {
         assert_eq!(a.find_byte(0, b'\r'), Some(15));
         assert_eq!(a.find_byte(0, b'Z'), None);
         assert_eq!(a.find_byte(100, b'G'), None);
-    }
-
-    #[test]
-    fn as_iovecs_reuses_scratch() {
-        let p = BufferPool::new(PoolId(4), Acl::kernel_only(), 4);
-        let a = Aggregate::from_bytes(&p, b"0123456789");
-        let mut iov = Vec::new();
-        a.as_iovecs(&mut iov);
-        assert_eq!(iov.len(), a.num_slices());
-        let flat: Vec<u8> = iov.concat();
-        assert_eq!(flat, b"0123456789");
-        // Second call clears rather than appends.
-        a.as_iovecs(&mut iov);
-        assert_eq!(iov.len(), a.num_slices());
     }
 
     #[test]

@@ -37,9 +37,8 @@
 //! in place (amortized O(1) per dropped slice), prepending is O(1)
 //! amortized per slice, and [`Aggregate::pack`] copies each byte exactly
 //! once. Hot consumers iterate byte runs through the zero-alloc
-//! [`AggCursor`] / [`Aggregate::chunks`] / [`Aggregate::as_iovecs`]
-//! APIs instead of per-byte indexing or `to_vec` materialization; see
-//! the [`aggregate`] module docs for the full complexity and allocation
+//! [`AggCursor`] / [`Aggregate::chunks`] APIs instead of per-byte
+//! indexing or `to_vec` materialization; see the [`aggregate`] module docs for the full complexity and allocation
 //! table. Kernel tables keyed by ids the kernel minted itself probe
 //! through the seed-free [`FixedMap`] rather than std's SipHash.
 //!

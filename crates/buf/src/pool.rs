@@ -237,31 +237,13 @@ impl BufferPool {
 
 /// Moves drained chunks from the registry to the free list.
 ///
-/// A chunk is drained when the only outstanding `Arc`s are the registry's
-/// own, i.e. no `BufferInner` (live slice) and no open-chunk handle
-/// reference it.
+/// A chunk is drained when the registry's own `Arc` is the only one
+/// outstanding: no `BufferInner` (live slice), open-chunk handle or
+/// free-list entry references it. (The one caller has just taken
+/// `open` and found `free` empty, so those two never hold one here.)
 fn scavenge(inner: &mut PoolInner) {
-    // A drained open chunk (registry Arc + open Arc only) can be closed and
-    // recycled like any other.
-    if let Some((chunk, _)) = &inner.open {
-        if Arc::strong_count(chunk) == 2 {
-            inner.open = None;
-        }
-    }
-    let open_chunk = inner.open.as_ref().map(|(c, _)| Arc::clone(c));
-    let mut moved = Vec::new();
-    for chunk in &inner.registry {
-        let is_open = open_chunk.as_ref().is_some_and(|o| Arc::ptr_eq(o, chunk));
-        let already_free = inner.free.iter().any(|f| Arc::ptr_eq(f, chunk));
-        // Expected counts: 1 for the registry, +1 for `open`, +1 if on
-        // the free list, +1 for the probe we are not taking. Any count
-        // beyond registry/open/free handles means live allocations.
-        let baseline = 1 + usize::from(is_open) + usize::from(already_free);
-        if !is_open && !already_free && Arc::strong_count(chunk) == baseline {
-            moved.push(Arc::clone(chunk));
-        }
-    }
-    inner.free.extend(moved);
+    let drained = inner.registry.iter().filter(|c| Arc::strong_count(c) == 1);
+    inner.free.extend(drained.cloned());
 }
 
 impl fmt::Debug for BufferPool {

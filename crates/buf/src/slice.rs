@@ -189,9 +189,13 @@ impl Slice {
     /// Returns [`crate::BufError::OutOfRange`] if `off + len` exceeds this
     /// slice's length.
     pub fn sub(&self, off: usize, len: usize) -> Result<Slice, crate::BufError> {
-        if off + len > self.len {
+        let end = off.checked_add(len).ok_or(crate::BufError::OutOfRange {
+            requested: u64::MAX,
+            available: self.len as u64,
+        })?;
+        if end > self.len {
             return Err(crate::BufError::OutOfRange {
-                requested: (off + len) as u64,
+                requested: end as u64,
                 available: self.len as u64,
             });
         }
@@ -288,6 +292,18 @@ mod tests {
     fn sub_out_of_range_errors() {
         let s = slice_of(b"abc");
         assert!(matches!(s.sub(2, 5), Err(BufError::OutOfRange { .. })));
+    }
+
+    #[test]
+    fn sub_overflowing_range_errors() {
+        let s = slice_of(b"abc");
+        // off + len wraps around usize: must be OutOfRange, not a panic
+        // on the add (debug) or a wrapped view that panics later (release).
+        assert!(matches!(
+            s.sub(usize::MAX, 2),
+            Err(BufError::OutOfRange { .. })
+        ));
+        assert!(matches!(s.sub(2, usize::MAX), Err(BufError::OutOfRange { .. })));
     }
 
     #[test]

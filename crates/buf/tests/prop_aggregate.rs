@@ -185,8 +185,8 @@ proptest! {
             prop_assert_eq!(&via_cursor, &model);
             prop_assert_eq!(&agg.to_vec(), &model);
             // The iovec view flattens to the same value.
-            let mut iov = Vec::new();
-            agg.as_iovecs(&mut iov);
+            let iov: Vec<&[u8]> = agg.chunks().collect();
+            prop_assert_eq!(iov.len(), agg.num_slices());
             prop_assert_eq!(iov.concat(), model.clone());
             if !model.is_empty() {
                 // Interior cursor: copy the tail from a random offset.

@@ -44,10 +44,12 @@ pub enum CostCategory {
     AppCompute,
 }
 
-/// A simulated CPU time charge with its dominant category.
+/// An amount of simulated CPU time. Kept distinct from [`SimTime`]
+/// instants and device times so disk or wire time cannot be added to
+/// CPU time by accident; its category is named where it is billed
+/// ([`CostCategory`]), not carried here.
 ///
-/// Charges compose with `+`; composition keeps the first non-default
-/// category for reporting and sums the time.
+/// Charges compose with `+`, which sums the time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Charge {
     /// Total simulated CPU time.
@@ -270,17 +272,6 @@ impl CostModel {
     pub fn packets(&self, packets: u64) -> Charge {
         Charge::us(packets as f64 * self.per_packet_us)
     }
-
-    /// Disk service time for one access of `bytes`.
-    pub fn disk_access(&self, bytes: u64) -> SimTime {
-        SimTime::from_ms(self.disk_position_ms)
-            + SimTime::from_secs(bytes as f64 / (self.disk_mb_s * 1e6))
-    }
-
-    /// Aggregate network capacity in Mb/s.
-    pub fn net_aggregate_mbit_s(&self) -> f64 {
-        self.net_links as f64 * self.link_mbit_s
-    }
 }
 
 impl Default for CostModel {
@@ -317,20 +308,6 @@ mod tests {
         c += a;
         c += b;
         assert_eq!(c.time, SimTime::from_us(15.0));
-    }
-
-    #[test]
-    fn disk_access_includes_positioning() {
-        let m = CostModel::pentium_ii_333();
-        let t = m.disk_access(14_000_000);
-        // 14MB at 14MB/s = 1s, plus 8.5ms positioning.
-        assert!((t.as_secs() - 1.0085).abs() < 0.001, "{t}");
-    }
-
-    #[test]
-    fn network_aggregate() {
-        let m = CostModel::pentium_ii_333();
-        assert!((m.net_aggregate_mbit_s() - 420.0).abs() < 1e-9);
     }
 
     #[test]

@@ -299,13 +299,10 @@ impl Kernel {
         )
     }
 
-    /// Demotes up to `max_bytes` (0 ⇒ the configured drain chunk) from
-    /// the NVM staging tier to disk. Returns bytes moved.
-    pub fn nvm_demote(&mut self, max_bytes: u64) -> u64 {
-        self.run(
-            |s, fx| s.op_nvm_demote(max_bytes, fx),
-            || Command::NvmDemote { max_bytes },
-        )
+    /// Demotes one configured drain chunk from the NVM staging tier to
+    /// disk. Returns bytes moved.
+    pub fn nvm_demote(&mut self) -> u64 {
+        self.run(|s, fx| s.op_nvm_demote(fx), || Command::NvmDemote {})
     }
 
     /// Replaces the write-back tuning (journaled: replay sees the same
@@ -1089,7 +1086,7 @@ mod tests {
             assert_eq!(k.metrics.nvm_absorbed_bytes, body.len());
             assert_eq!(k.metrics.writeback_flushes, 1);
             // Background demotion drains the tier to disk.
-            let moved = k.nvm_demote(0);
+            let moved = k.nvm_demote();
             assert_eq!(moved, body.len());
             assert_eq!(k.metrics.disk_write_bytes, body.len());
             assert_eq!(k.writeback.nvm_used(), 0);

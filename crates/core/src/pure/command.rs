@@ -45,7 +45,8 @@ pub enum Command {
     CacheInvalidate { key: CacheKey },
     PutInstall { pid: Pid, file: FileId, agg: Aggregate },
     WriteBack { max_bytes: u64 },
-    NvmDemote { max_bytes: u64 },
+    // Braced: readers match it as `NvmDemote { .. }` beside `WriteBack`.
+    NvmDemote {},
     SetWriteback { cfg: iolite_fs::WritebackConfig },
     MappedFileTouch { file: FileId },
     MemReserve { account: MemAccount, bytes: u64 },

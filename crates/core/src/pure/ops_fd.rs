@@ -262,11 +262,7 @@ impl KernelState {
             .and_then(|t| u64::try_from(t).ok())
             .ok_or(IolError::InvalidSeek { requested: offset })?;
         self.fds.set_pos(pid, fd, target);
-        fx.push(Effect::Syscalls(1));
-        let out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us),
-            ..IoOutcome::default()
-        };
+        let out = IoOutcome::trap(&self.cost, fx);
         Ok((target, out))
     }
 
@@ -348,11 +344,7 @@ impl KernelState {
                 // everything, as before.
                 let len = agg.len();
                 let space = sock.send_space();
-                fx.push(Effect::Syscalls(1));
-                let out_base = IoOutcome {
-                    charge: Charge::us(self.cost.syscall_us),
-                    ..IoOutcome::default()
-                };
+                let out_base = IoOutcome::trap(&self.cost, fx);
                 if space == 0 {
                     return Err(IolError::WouldBlock { outcome: out_base });
                 }

@@ -134,11 +134,7 @@ impl KernelState {
         data: &[u8],
         fx: &mut Vec<Effect>,
     ) -> IoOutcome {
-        let mut out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us),
-            ..IoOutcome::default()
-        };
-        fx.push(Effect::Syscalls(1));
+        let mut out = IoOutcome::trap(&self.cost, fx);
         let agg = Aggregate::from_bytes_aligned(&self.cache_pool, data, iolite_buf::PAGE_SIZE);
         fx.push(Effect::BytesCopied(data.len() as u64));
         out.charge += self.cost.copy(data.len() as u64);
@@ -185,11 +181,7 @@ impl KernelState {
         agg: &Aggregate,
         fx: &mut Vec<Effect>,
     ) -> IoOutcome {
-        let mut out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us),
-            ..IoOutcome::default()
-        };
-        fx.push(Effect::Syscalls(1));
+        let out = IoOutcome::trap(&self.cost, fx);
         // Store-write-early: vectored, run by run, no materialization.
         let mut run_offset = 0u64;
         for chunk in agg.chunks() {
@@ -206,7 +198,6 @@ impl KernelState {
         fx.push(Effect::DirtyInstalled { bytes: agg.len() });
         self.cache.insert_dirty(key, agg.clone());
         self.op_rebalance_cache();
-        out.charge += Charge::ZERO;
         out
     }
 
@@ -261,11 +252,11 @@ impl KernelState {
         bytes
     }
 
-    /// Demotes up to `max_bytes` (0 ⇒ the configured drain chunk) from
-    /// the NVM staging tier to disk — the background drain that keeps
-    /// the tier able to absorb the next burst. Returns bytes moved.
-    pub(crate) fn op_nvm_demote(&mut self, max_bytes: u64, fx: &mut Vec<Effect>) -> u64 {
-        let moved = self.writeback.demote(max_bytes);
+    /// Demotes one configured drain chunk from the NVM staging tier to
+    /// disk — the background drain that keeps the tier able to absorb
+    /// the next burst. Returns bytes moved.
+    pub(crate) fn op_nvm_demote(&mut self, fx: &mut Vec<Effect>) -> u64 {
+        let moved = self.writeback.demote();
         if moved > 0 {
             fx.push(Effect::NvmDemoted { bytes: moved });
             fx.push(Effect::DiskWrite {
@@ -314,11 +305,7 @@ impl KernelState {
         len: u64,
         fx: &mut Vec<Effect>,
     ) -> (Aggregate, IoOutcome) {
-        let mut out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us),
-            ..IoOutcome::default()
-        };
-        fx.push(Effect::Syscalls(1));
+        let mut out = IoOutcome::trap(&self.cost, fx);
         let whole = self.op_read_whole_cached(file, &mut out, fx);
         let flen = whole.len();
         let start = offset.min(flen);
@@ -348,11 +335,7 @@ impl KernelState {
         agg: &Aggregate,
         fx: &mut Vec<Effect>,
     ) -> IoOutcome {
-        let mut out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us),
-            ..IoOutcome::default()
-        };
-        fx.push(Effect::Syscalls(1));
+        let out = IoOutcome::trap(&self.cost, fx);
         // Update the backing store vectored, run by run (write-back
         // happens off the critical path; no device time charged here,
         // and no materialization of the aggregate).
@@ -382,7 +365,6 @@ impl KernelState {
             self.cache.insert(key, rebuilt);
             self.op_rebalance_cache();
         }
-        out.charge += Charge::ZERO;
         out
     }
 
@@ -397,11 +379,7 @@ impl KernelState {
         len: u64,
         fx: &mut Vec<Effect>,
     ) -> (Vec<u8>, IoOutcome) {
-        let mut out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us),
-            ..IoOutcome::default()
-        };
-        fx.push(Effect::Syscalls(1));
+        let mut out = IoOutcome::trap(&self.cost, fx);
         let whole = self.op_read_whole_cached(file, &mut out, fx);
         let flen = whole.len();
         let start = offset.min(flen);
@@ -437,11 +415,7 @@ impl KernelState {
         file: FileId,
         fx: &mut Vec<Effect>,
     ) -> (MmapView, IoOutcome) {
-        let mut out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us),
-            ..IoOutcome::default()
-        };
-        fx.push(Effect::Syscalls(1));
+        let mut out = IoOutcome::trap(&self.cost, fx);
         let whole = self.op_read_whole_cached(file, &mut out, fx);
         let pages = self.op_transfer_to(&whole, pid.domain(), fx);
         out.mapped_pages += pages;

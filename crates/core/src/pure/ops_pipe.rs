@@ -6,7 +6,6 @@ use iolite_ipc::{Pipe, PipeMode};
 use super::effect::Effect;
 use super::ids::PipeId;
 use super::state::{Console, IoOutcome, KernelState, PipeSlot};
-use crate::cost::Charge;
 use crate::error::{IoResult, IolError};
 use crate::fd::Fd;
 use crate::process::Pid;
@@ -49,11 +48,7 @@ impl KernelState {
             // drain it, is EPIPE.
             return Err(IolError::Closed);
         }
-        let mut out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us),
-            ..IoOutcome::default()
-        };
-        fx.push(Effect::Syscalls(1));
+        let mut out = IoOutcome::trap(&self.cost, fx);
         let before = slot.pipe.stats().bytes_copied;
         let accepted = slot.pipe.write(data);
         let copied = slot.pipe.stats().bytes_copied - before;
@@ -87,11 +82,7 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> IoResult<Aggregate> {
         let slot = self.pipes.get_mut(id).ok_or(IolError::NotOpen { fd })?;
-        let mut out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us),
-            ..IoOutcome::default()
-        };
-        fx.push(Effect::Syscalls(1));
+        let mut out = IoOutcome::trap(&self.cost, fx);
         // ACL'd pipes refuse unauthorized readers *before* any byte is
         // dequeued: a denial must not destroy data still in flight to
         // the legitimate reader.

@@ -74,14 +74,10 @@ impl KernelState {
             return Err(IolError::Closed);
         }
         let send = sock.conn.send_accounted(len);
-        fx.push(Effect::Syscalls(1));
+        let mut out = IoOutcome::trap(&self.cost, fx);
         fx.push(Effect::BytesCopied(send.bytes_copied));
         fx.push(Effect::BytesChecksummed(send.csum_bytes_computed));
-        let out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us),
-            net: Some(send),
-            ..IoOutcome::default()
-        };
+        out.net = Some(send);
         Ok((send, out))
     }
 
@@ -171,11 +167,7 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> IoResult<Aggregate> {
         let sock = self.sockets.get_mut(id).ok_or(IolError::NotOpen { fd })?;
-        let mut out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us),
-            ..IoOutcome::default()
-        };
-        fx.push(Effect::Syscalls(1));
+        let mut out = IoOutcome::trap(&self.cost, fx);
         let mode = sock.conn.mode();
         let mut agg = Aggregate::empty();
         while agg.len() < len {

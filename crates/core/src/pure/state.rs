@@ -121,6 +121,18 @@ pub struct IoOutcome {
     pub net: Option<SendOutcome>,
 }
 
+impl IoOutcome {
+    /// What every system call opens with: the trap's CPU charge on a
+    /// fresh outcome, and its `Syscalls(1)` effect.
+    pub(super) fn trap(cost: &CostModel, fx: &mut Vec<Effect>) -> IoOutcome {
+        fx.push(Effect::Syscalls(1));
+        IoOutcome {
+            charge: Charge::us(cost.syscall_us),
+            ..IoOutcome::default()
+        }
+    }
+}
+
 /// A kernel-owned TCP socket: the connection state plus an inbound
 /// byte queue fed by the receive path (or test harnesses).
 #[derive(Debug)]

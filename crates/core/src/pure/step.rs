@@ -74,8 +74,8 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
         Command::WriteBack { max_bytes } => {
             state.op_write_back(*max_bytes, fx);
         }
-        Command::NvmDemote { max_bytes } => {
-            state.op_nvm_demote(*max_bytes, fx);
+        Command::NvmDemote {} => {
+            state.op_nvm_demote(fx);
         }
         Command::SetWriteback { cfg } => state.op_set_writeback(*cfg),
         Command::MappedFileTouch { file } => {

@@ -51,13 +51,11 @@ pub fn shard_of_conn(conn: ConnId, shards: usize) -> usize {
 #[derive(Debug, Clone)]
 pub enum ShardMsg {
     /// Shard `from` asks the receiving (home) shard for `file`'s whole
-    /// contents; `token` correlates the eventual [`ShardMsg::RemoteData`]
-    /// reply with the waiting connection.
+    /// contents. The eventual [`ShardMsg::RemoteData`] reply is matched
+    /// to its waiters by `file` (fetches are single-flight per file).
     RemoteRead {
         /// Requesting shard (where the reply goes).
         from: usize,
-        /// Correlation token chosen by the requester.
-        token: u64,
         /// The file whose bytes are wanted.
         file: FileId,
     },
@@ -65,8 +63,6 @@ pub enum ShardMsg {
     /// the file's bytes, with `home_hit` reporting whether the home
     /// shard's unified cache satisfied the read.
     RemoteData {
-        /// The requester's correlation token, echoed back.
-        token: u64,
         /// The file the bytes belong to.
         file: FileId,
         /// The file's whole contents (copied across the shard boundary).
@@ -92,8 +88,6 @@ pub enum ShardMsg {
     RemoteWriteAck {
         /// The requester's correlation token, echoed back.
         token: u64,
-        /// The file that was written.
-        file: FileId,
     },
     /// Home-shard broadcast after a write commits: every replica of the
     /// file cached under `Replicate` ownership is now stale and must be
@@ -220,17 +214,15 @@ mod tests {
             1,
             ShardMsg::RemoteRead {
                 from: 0,
-                token: 7,
                 file: FileId(42),
             },
         );
         match b1.inbox.try_recv().unwrap() {
-            ShardMsg::RemoteRead { from, token, file } => {
-                assert_eq!((from, token, file), (0, 7, FileId(42)));
+            ShardMsg::RemoteRead { from, file } => {
+                assert_eq!((from, file), (0, FileId(42)));
                 b1.send(
                     from,
                     ShardMsg::RemoteData {
-                        token,
                         file,
                         bytes: vec![1, 2, 3],
                         home_hit: true,
@@ -240,8 +232,8 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match b0.inbox.try_recv().unwrap() {
-            ShardMsg::RemoteData { token, bytes, .. } => {
-                assert_eq!(token, 7);
+            ShardMsg::RemoteData { file, bytes, .. } => {
+                assert_eq!(file, FileId(42));
                 assert_eq!(bytes, vec![1, 2, 3]);
             }
             other => panic!("unexpected {other:?}"),

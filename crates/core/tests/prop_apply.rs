@@ -54,7 +54,7 @@ enum Op {
     // The write path and socket ingest (PR 10).
     PutInstall(u8, u16),
     WriteBack(u16),
-    NvmDemote(u16),
+    NvmDemote,
     SetWriteback(u8),
     CacheInstall(u8, u16),
     CacheInvalidate(u8),
@@ -102,7 +102,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<u16>().prop_map(Op::ReadStdout),
         (any::<u8>(), any::<u16>()).prop_map(|(f, len)| Op::PutInstall(f, len)),
         any::<u16>().prop_map(Op::WriteBack),
-        any::<u16>().prop_map(Op::NvmDemote),
+        Just(Op::NvmDemote),
         any::<u8>().prop_map(Op::SetWriteback),
         (any::<u8>(), any::<u16>()).prop_map(|(f, len)| Op::CacheInstall(f, len)),
         any::<u8>().prop_map(Op::CacheInvalidate),
@@ -261,13 +261,11 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
             file: file(*n),
             agg: payload(state, pid, *len),
         },
-        // 0 means "the configured batch / drain chunk".
+        // 0 means "the configured batch".
         Op::WriteBack(max) => Command::WriteBack {
             max_bytes: u64::from(*max),
         },
-        Op::NvmDemote(max) => Command::NvmDemote {
-            max_bytes: u64::from(*max),
-        },
+        Op::NvmDemote => Command::NvmDemote {},
         // Small thresholds and tiers, so short sequences cross them:
         // armed flushes, NVM overflow to disk, and a disabled tier.
         Op::SetWriteback(n) => Command::SetWriteback {

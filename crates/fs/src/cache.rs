@@ -1,6 +1,6 @@
 //! The unified IO-Lite file cache (§3.5, §3.7).
 //!
-//! Maps ⟨file-id, offset⟩ → buffer aggregates. The cache "has no
+//! Maps file-id → buffer aggregates (entries are whole files). The cache "has no
 //! statically allocated storage": it holds references into pageable
 //! IO-Lite buffers, so an entry's memory is shared with every other
 //! subsystem referencing the same buffers.
@@ -57,19 +57,17 @@ use iolite_buf::{Aggregate, FixedMap};
 use crate::disk::FileId;
 use crate::policy::Policy;
 
-/// Cache entry key: which extent of which file.
+/// Cache entry key: which file (every entry is a whole file).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CacheKey {
     /// The file.
     pub file: FileId,
-    /// Byte offset of the extent (0 for whole-file entries).
-    pub offset: u64,
 }
 
 impl CacheKey {
     /// Key for a whole-file entry.
     pub fn whole(file: FileId) -> Self {
-        CacheKey { file, offset: 0 }
+        CacheKey { file }
     }
 }
 
@@ -103,7 +101,6 @@ struct Entry {
     agg: Aggregate,
     len: u64,
     ord: u64,
-    freq: u64,
     /// Which ordered index holds this entry — kept in lockstep with the
     /// key's presence in `pin_counts` by `pin`/`unpin`, so hot paths
     /// never re-derive it with a second hash probe.
@@ -246,8 +243,7 @@ impl UnifiedCache {
                     &mut self.unpinned
                 };
                 index.remove(&(entry.ord, *key));
-                entry.freq += 1;
-                entry.ord = policy.order_key(clock, gds_l, entry.len, entry.freq);
+                entry.ord = policy.order_key(clock, gds_l, entry.len);
                 index.insert((entry.ord, *key));
                 self.stats.hits += 1;
                 self.stats.bytes_hit += entry.len;
@@ -290,7 +286,7 @@ impl UnifiedCache {
         // Overwrite: the old entry's index/residency accounting unwinds
         // in `remove`; its buffers persist while referenced.
         self.remove(&key);
-        let ord = self.policy.order_key(self.clock, self.gds_l, len, 1);
+        let ord = self.policy.order_key(self.clock, self.gds_l, len);
         let pinned = self.pin_counts.contains_key(&key);
         self.entries.insert(
             key,
@@ -298,7 +294,6 @@ impl UnifiedCache {
                 agg,
                 len,
                 ord,
-                freq: 1,
                 pinned,
                 dirty,
             },
@@ -480,7 +475,7 @@ impl UnifiedCache {
                 victim
             }
         };
-        if matches!(self.policy, Policy::Gds | Policy::Gdsf) {
+        if self.policy == Policy::Gds {
             // The evicted entry's H becomes the new floor L.
             self.gds_l = ord;
         }
@@ -513,7 +508,6 @@ impl UnifiedCache {
                             agg: forker.fork_aggregate(&e.agg),
                             len: e.len,
                             ord: e.ord,
-                            freq: e.freq,
                             pinned: e.pinned,
                             dirty: e.dirty,
                         },
@@ -565,10 +559,8 @@ impl UnifiedCache {
         for k in keys {
             let e = &self.entries[&k];
             h.write_u64(k.file.0);
-            h.write_u64(k.offset);
             h.write_u64(e.len);
             h.write_u64(e.ord);
-            h.write_u64(e.freq);
             h.write_bool(e.pinned);
             h.write_bool(e.dirty);
             iolite_buf::digest_aggregate(&e.agg, h);
@@ -579,7 +571,6 @@ impl UnifiedCache {
         h.write_u64(pins.len() as u64);
         for (k, v) in pins {
             h.write_u64(k.file.0);
-            h.write_u64(k.offset);
             h.write_u32(v);
         }
         let mut limbo_keys: Vec<CacheKey> = self.limbo.keys().copied().collect();
@@ -587,7 +578,6 @@ impl UnifiedCache {
         h.write_u64(limbo_keys.len() as u64);
         for k in limbo_keys {
             h.write_u64(k.file.0);
-            h.write_u64(k.offset);
             let parked = &self.limbo[&k];
             h.write_u64(parked.len() as u64);
             for a in parked {
@@ -759,25 +749,6 @@ mod tests {
         let (victim, _) = c.evict_one().unwrap();
         assert_eq!(victim, k);
         assert_eq!(c.stats().pinned_evictions, 0);
-    }
-
-    #[test]
-    fn extent_keys_are_distinct() {
-        let p = pool();
-        let mut c = UnifiedCache::new(Policy::Lru, 1 << 20);
-        let a = CacheKey {
-            file: FileId(1),
-            offset: 0,
-        };
-        let b = CacheKey {
-            file: FileId(1),
-            offset: 4096,
-        };
-        c.insert(a, Aggregate::from_bytes(&p, b"first"));
-        c.insert(b, Aggregate::from_bytes(&p, b"second"));
-        assert_eq!(c.lookup(&a).unwrap().to_vec(), b"first");
-        assert_eq!(c.lookup(&b).unwrap().to_vec(), b"second");
-        assert_eq!(c.len(), 2);
     }
 
     /// Regression for the pin-steal interleaving: request A pins the

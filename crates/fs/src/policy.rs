@@ -25,11 +25,6 @@ pub enum Policy {
     /// Greedy Dual-Size with uniform miss cost: favors keeping small,
     /// popular documents, maximizing request hit ratio.
     Gds,
-    /// GDS-Frequency (Cao & Irani's refinement): `H = L + freq/size`,
-    /// weighting popularity explicitly. Included as a demonstration of
-    /// the §3.7 application-customizable policy hook beyond the paper's
-    /// own GDS choice.
-    Gdsf,
 }
 
 /// Fixed-point scale for GDS `H` values (1/size with sizes up to ~1GB
@@ -41,17 +36,15 @@ impl Policy {
     ///
     /// * LRU: the current logical clock.
     /// * GDS: `L + SCALE / size` (uniform cost).
-    /// * GDSF: `L + freq * SCALE / size`.
     ///
     /// Public but hidden: the cache-equivalence property suite shares
     /// this single implementation with its reference model so formula
     /// changes cannot silently diverge from the test's expectations.
     #[doc(hidden)]
-    pub fn order_key(self, clock: u64, gds_l: u64, size: u64, freq: u64) -> u64 {
+    pub fn order_key(self, clock: u64, gds_l: u64, size: u64) -> u64 {
         match self {
             Policy::Lru => clock,
             Policy::Gds => gds_l + GDS_SCALE / size.max(1),
-            Policy::Gdsf => gds_l + freq.max(1).saturating_mul(GDS_SCALE / size.max(1)),
         }
     }
 }
@@ -62,39 +55,27 @@ mod tests {
 
     #[test]
     fn lru_key_is_clock() {
-        assert_eq!(Policy::Lru.order_key(42, 0, 1000, 1), 42);
+        assert_eq!(Policy::Lru.order_key(42, 0, 1000), 42);
     }
 
     #[test]
     fn gds_prefers_small_files() {
-        let small = Policy::Gds.order_key(0, 0, 1_000, 1);
-        let large = Policy::Gds.order_key(0, 0, 1_000_000, 1);
+        let small = Policy::Gds.order_key(0, 0, 1_000);
+        let large = Policy::Gds.order_key(0, 0, 1_000_000);
         // Smaller files get higher H, so they are evicted later.
         assert!(small > large);
     }
 
     #[test]
     fn gds_floor_raises_priority() {
-        let early = Policy::Gds.order_key(0, 0, 1_000_000, 1);
-        let late = Policy::Gds.order_key(0, 500_000, 1_000_000, 1);
+        let early = Policy::Gds.order_key(0, 0, 1_000_000);
+        let late = Policy::Gds.order_key(0, 500_000, 1_000_000);
         assert!(late > early, "aging via L must raise fresh entries");
     }
 
     #[test]
     fn gds_zero_size_is_safe() {
         // Defensive: empty files never divide by zero.
-        assert_eq!(Policy::Gds.order_key(0, 7, 0, 1), 7 + GDS_SCALE);
-    }
-
-    #[test]
-    fn gdsf_rewards_frequency() {
-        let cold = Policy::Gdsf.order_key(0, 0, 10_000, 1);
-        let hot = Policy::Gdsf.order_key(0, 0, 10_000, 8);
-        assert!(hot > cold, "frequent entries must outrank one-hit ones");
-        // GDS ignores frequency entirely.
-        assert_eq!(
-            Policy::Gds.order_key(0, 0, 10_000, 1),
-            Policy::Gds.order_key(0, 0, 10_000, 8)
-        );
+        assert_eq!(Policy::Gds.order_key(0, 7, 0), 7 + GDS_SCALE);
     }
 }

@@ -168,16 +168,11 @@ impl WritebackScheduler {
         }
     }
 
-    /// Demotes up to `max_bytes` (0 ⇒ the configured drain chunk) from
-    /// the NVM tier to disk, returning the bytes moved. The caller
-    /// charges one disk access for a non-zero demotion.
-    pub fn demote(&mut self, max_bytes: u64) -> u64 {
-        let chunk = if max_bytes == 0 {
-            self.cfg.nvm_drain_bytes
-        } else {
-            max_bytes
-        };
-        let moved = self.nvm_used.min(chunk);
+    /// Demotes one configured drain chunk (or what is left) from the
+    /// NVM tier to disk, returning the bytes moved. The caller charges
+    /// one disk access for a non-zero demotion.
+    pub fn demote(&mut self) -> u64 {
+        let moved = self.nvm_used.min(self.cfg.nvm_drain_bytes);
         if moved == 0 {
             return 0;
         }
@@ -276,13 +271,14 @@ mod tests {
         let mut wb = WritebackScheduler::new(cfg(1000));
         wb.stage(1, 120);
         assert!(wb.should_demote());
-        assert_eq!(wb.demote(0), 50, "0 means the configured chunk");
-        assert_eq!(wb.demote(1000), 70, "clamped to occupancy");
-        assert_eq!(wb.demote(0), 0);
+        assert_eq!(wb.demote(), 50, "the configured chunk");
+        assert_eq!(wb.demote(), 50);
+        assert_eq!(wb.demote(), 20, "clamped to occupancy");
+        assert_eq!(wb.demote(), 0);
         assert!(!wb.should_demote());
         let st = wb.stats();
-        assert_eq!((st.nvm_demotions, st.nvm_demoted_bytes), (2, 120));
-        assert_eq!((st.disk_writes, st.disk_write_bytes), (2, 120));
+        assert_eq!((st.nvm_demotions, st.nvm_demoted_bytes), (3, 120));
+        assert_eq!((st.disk_writes, st.disk_write_bytes), (3, 120));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! linear scan past pinned entries — with the same key-scoped pin
 //! accounting. Under random operation sequences both must agree on
 //! victim choice, stats, and residency (the §3.7 two-level rule and
-//! the GDS/GDSF `L`-floor semantics are behaviour, not implementation
+//! the GDS `L`-floor semantics are behaviour, not implementation
 //! detail).
 
 use std::collections::{BTreeSet, HashMap};
@@ -21,7 +21,7 @@ use proptest::prelude::*;
 struct ScanCache {
     policy: Policy,
     budget: u64,
-    entries: HashMap<CacheKey, (u64 /* len */, u64 /* ord */, u64 /* freq */)>,
+    entries: HashMap<CacheKey, (u64 /* len */, u64 /* ord */)>,
     queue: BTreeSet<(u64, CacheKey)>,
     pin_counts: HashMap<CacheKey, u32>,
     clock: u64,
@@ -45,19 +45,18 @@ impl ScanCache {
         }
     }
 
-    fn order_key(&self, len: u64, freq: u64) -> u64 {
+    fn order_key(&self, len: u64) -> u64 {
         // The model shares the production priority formula — the
         // behaviour under test is the *victim search*, not the formula.
-        self.policy.order_key(self.clock, self.gds_l, len, freq)
+        self.policy.order_key(self.clock, self.gds_l, len)
     }
 
     fn lookup(&mut self, key: &CacheKey) -> Option<u64> {
         self.clock += 1;
-        if let Some((len, ord, freq)) = self.entries.get(key).copied() {
+        if let Some((len, ord)) = self.entries.get(key).copied() {
             self.queue.remove(&(ord, *key));
-            let freq = freq + 1;
-            let ord = self.order_key(len, freq);
-            self.entries.insert(*key, (len, ord, freq));
+            let ord = self.order_key(len);
+            self.entries.insert(*key, (len, ord));
             self.queue.insert((ord, *key));
             self.stats.hits += 1;
             self.stats.bytes_hit += len;
@@ -71,8 +70,8 @@ impl ScanCache {
     fn insert(&mut self, key: CacheKey, len: u64) -> Vec<CacheKey> {
         self.clock += 1;
         self.remove(&key);
-        let ord = self.order_key(len, 1);
-        self.entries.insert(key, (len, ord, 1));
+        let ord = self.order_key(len);
+        self.entries.insert(key, (len, ord));
         self.queue.insert((ord, key));
         self.resident += len;
         self.stats.insertions += 1;
@@ -80,7 +79,7 @@ impl ScanCache {
     }
 
     fn remove(&mut self, key: &CacheKey) -> Option<u64> {
-        let (len, ord, _) = self.entries.remove(key)?;
+        let (len, ord) = self.entries.remove(key)?;
         self.queue.remove(&(ord, *key));
         self.resident -= len;
         Some(len)
@@ -140,7 +139,7 @@ impl ScanCache {
         if self.pin_counts.contains_key(&key) {
             self.stats.pinned_evictions += 1;
         }
-        if matches!(self.policy, Policy::Gds | Policy::Gdsf) {
+        if self.policy == Policy::Gds {
             self.gds_l = ord;
         }
         self.stats.evictions += 1;
@@ -174,7 +173,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Entry sizes vary with key and version so GDS/GDSF priorities differ
+/// Entry sizes vary with key and version so GDS priorities differ
 /// across keys and across re-insertions of the same key.
 fn len_for(key: u8, version: u64) -> u64 {
     64 + (key as u64 % 13) * 100 + (version % 7) * 33
@@ -189,7 +188,7 @@ proptest! {
     #[test]
     fn segregated_index_matches_scan_model(
         ops in proptest::collection::vec(op_strategy(), 1..250),
-        policy in prop_oneof![Just(Policy::Lru), Just(Policy::Gds), Just(Policy::Gdsf)],
+        policy in prop_oneof![Just(Policy::Lru), Just(Policy::Gds)],
     ) {
         let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 64 * 1024);
         let mut real = UnifiedCache::new(policy, 1 << 18);

@@ -70,6 +70,11 @@ use iolite_sim::SimTime;
 use crate::cgi::CgiProcess;
 use crate::message::{created_head, not_found, ok_head, parse_lines, Method};
 
+/// Safety bound on the ticks of [`EventLoopServer::run`] and the
+/// sharded run loop; exceeding it panics with diagnostics (a
+/// correctness bug would otherwise spin forever).
+const MAX_TICKS: u64 = 10_000_000;
+
 /// Tuning knobs for one event-loop run.
 #[derive(Debug, Clone, Copy)]
 pub struct EventLoopConfig {
@@ -81,9 +86,6 @@ pub struct EventLoopConfig {
     /// Record every completed response's exact bytes (equivalence
     /// tests; off for benchmarks).
     pub capture_responses: bool,
-    /// Safety bound on ticks; exceeding it panics with diagnostics
-    /// (a correctness bug would otherwise spin forever).
-    pub max_ticks: u64,
     /// Most connections simultaneously mid-request (0 = unlimited).
     /// Idle connections with script left wait their turn, bounding
     /// in-flight response memory at very large connection counts
@@ -106,7 +108,6 @@ impl Default for EventLoopConfig {
         EventLoopConfig {
             drain_per_tick: 16 * 1024,
             capture_responses: false,
-            max_ticks: 10_000_000,
             admission_limit: 0,
             external_wire: false,
         }
@@ -469,8 +470,8 @@ impl EventLoopServer {
     ///
     /// # Panics
     ///
-    /// Panics if [`EventLoopConfig::max_ticks`] elapses first — a
-    /// stuck state machine, by construction a bug.
+    /// Panics if `MAX_TICKS` (10 M) elapse first — a stuck state
+    /// machine, by construction a bug.
     pub fn run(mut self) -> (LoopReport, Kernel) {
         while !self.is_done() {
             self.tick_checked();
@@ -478,11 +479,11 @@ impl EventLoopServer {
         self.into_report()
     }
 
-    /// One tick under the `max_ticks` backstop of the two `run` loops.
+    /// One tick under the `MAX_TICKS` backstop of the two `run` loops.
     fn tick_checked(&mut self) {
         self.tick();
         assert!(
-            self.stats.ticks <= self.cfg.max_ticks,
+            self.stats.ticks <= MAX_TICKS,
             "event loop stuck after {} ticks ({} completed, {} failed)",
             self.stats.ticks,
             self.stats.completed,
@@ -523,7 +524,7 @@ impl EventLoopServer {
             }
         }
         if self.kernel.nvm_demote_due() {
-            self.kernel.nvm_demote(0);
+            self.kernel.nvm_demote();
         }
     }
 
@@ -1135,7 +1136,6 @@ impl EventLoopServer {
                 home,
                 ShardMsg::RemoteRead {
                     from: mailbox.id,
-                    token: i as u64,
                     file,
                 },
             );
@@ -1202,7 +1202,7 @@ impl EventLoopServer {
         self.broadcast_invalidate(file);
         self.shard_ctx()
             .mailbox
-            .send(from, ShardMsg::RemoteWriteAck { token, file });
+            .send(from, ShardMsg::RemoteWriteAck { token });
     }
 
     /// Handles one inbound cross-shard message; returns `true` on
@@ -1210,14 +1210,11 @@ impl EventLoopServer {
     fn handle_shard_msg(&mut self, msg: ShardMsg) -> bool {
         match msg {
             ShardMsg::Shutdown => return true,
-            ShardMsg::RemoteRead { from, token, file } => {
-                self.serve_remote_read(from, token, file);
-            }
+            ShardMsg::RemoteRead { from, file } => self.serve_remote_read(from, file),
             ShardMsg::RemoteData {
                 file,
                 bytes,
                 home_hit,
-                ..
             } => self.finish_remote(file, &bytes, home_hit),
             ShardMsg::RemoteWrite {
                 from,
@@ -1228,7 +1225,7 @@ impl EventLoopServer {
             // Writer side: the home shard acknowledged the PUT; answer
             // the parked connection's client (unless the writer failed
             // while the ack was in flight).
-            ShardMsg::RemoteWriteAck { token, .. } => {
+            ShardMsg::RemoteWriteAck { token } => {
                 let i = token as usize;
                 if matches!(self.conns.get(i).map(|c| &c.phase), Some(Phase::PutWait)) {
                     self.respond_created(i);
@@ -1245,7 +1242,7 @@ impl EventLoopServer {
     /// this kernel's own (journaled) open/pread path — the only disk
     /// read the fleet ever does for this file — then copy the bytes
     /// out to the requester.
-    fn serve_remote_read(&mut self, from: usize, token: u64, file: FileId) {
+    fn serve_remote_read(&mut self, from: usize, file: FileId) {
         let fd = self.kernel.open_file(self.pid, file);
         // The RemoteRead protocol has no failure reply: a snapshot
         // error on the home shard would leave the requester's waiters
@@ -1281,7 +1278,6 @@ impl EventLoopServer {
         self.shard_ctx().mailbox.send(
             from,
             ShardMsg::RemoteData {
-                token,
                 file,
                 bytes,
                 home_hit,
@@ -1359,7 +1355,7 @@ impl EventLoopServer {
     ///
     /// # Panics
     ///
-    /// Panics if [`EventLoopConfig::max_ticks`] elapses, or if the
+    /// Panics if `MAX_TICKS` (10 M) elapse, or if the
     /// fabric disconnects before `Shutdown` (both protocol bugs).
     pub(crate) fn run_shard(mut self, ctx: ShardContext) -> (LoopReport, Kernel) {
         self.shard = Some(ctx);

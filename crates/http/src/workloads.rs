@@ -31,34 +31,3 @@ pub enum WorkloadKind {
         bytes: u64,
     },
 }
-
-impl WorkloadKind {
-    /// Short label for reports.
-    pub fn label(&self) -> String {
-        match self {
-            WorkloadKind::SingleFile { bytes } => format!("single-{}KB", bytes >> 10),
-            WorkloadKind::TraceReplay { workload, .. } => format!("replay-{}", workload.name()),
-            WorkloadKind::TraceSampled { workload } => format!("sampled-{}", workload.name()),
-            WorkloadKind::Cgi { bytes } => format!("cgi-{}KB", bytes >> 10),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use iolite_trace::TraceSpec;
-
-    #[test]
-    fn labels_are_descriptive() {
-        assert_eq!(
-            WorkloadKind::SingleFile { bytes: 20 << 10 }.label(),
-            "single-20KB"
-        );
-        assert_eq!(WorkloadKind::Cgi { bytes: 1 << 10 }.label(), "cgi-1KB");
-        let w = Workload::synthesize(&TraceSpec::subtrace_150mb(), 1);
-        assert!(WorkloadKind::TraceSampled { workload: w }
-            .label()
-            .contains("MERGED"));
-    }
-}

@@ -72,7 +72,7 @@ fn assert_no_pins(kernel: &Kernel) {
 /// Regression: `parse_request` accepts bare-LF line endings (RFC 9112
 /// §2.2), but the loop used to decide "has the head arrived" with a
 /// second scanner that only knew `\r\n\r\n` — so this request sat in
-/// the receive phase until `max_ticks`, never answered.
+/// the receive phase until the tick backstop, never answered.
 #[test]
 fn bare_lf_request_is_answered() {
     let (k, pid) = rig();

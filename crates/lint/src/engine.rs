@@ -1,24 +1,23 @@
-//! Orchestration: walk the configured paths once, lex each file once,
+//! Orchestration: walk the rules' paths once, lex each file once,
 //! run every rule over the shared [`SourceFile`] cache, and fold the
 //! results into one [`Report`].
 //!
 //! Two cross-cutting checks run here rather than in any single rule:
 //!
 //! * **annotation hygiene** — a `lint:allow(<rule>)` naming a rule that
-//!   isn't configured is dead weight (usually a typo silently
+//!   isn't in the table is dead weight (usually a typo silently
 //!   disabling nothing), and an annotation without a reason defeats
 //!   the point of annotations; both are diagnostics;
-//! * **baseline ratchets** — budgeted rules compare their count of
-//!   annotated sites to the committed baseline: growth is a failure,
-//!   shrinkage a note suggesting `--fix-baseline`.
+//! * **budgets** — a budgeted rule's count of annotated sites must
+//!   equal the number committed beside it in the table: growth is a
+//!   failure, and so is shrinkage until the number is lowered to match.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::Baseline;
-use crate::config::Config;
-use crate::rules::{scan, Diagnostic};
+use crate::rules::{scan, Diagnostic, ScanRule, RULES_FILE};
 use crate::source::SourceFile;
 
 /// Everything one lint run produced.
@@ -26,25 +25,17 @@ use crate::source::SourceFile;
 pub struct Report {
     /// Contract violations — any means a nonzero exit.
     pub diags: Vec<Diagnostic>,
-    /// Informational lines (baseline shrinkage, mostly).
-    pub notes: Vec<String>,
-    /// Observed counts for every ratcheted rule — what `--fix-baseline`
-    /// writes out.
-    pub observed: Baseline,
     /// Number of distinct files lexed and scanned.
     pub files_scanned: usize,
 }
 
-/// Runs every configured rule. `root` anchors the config-relative
-/// paths; `enforce_baseline = false` (the `--fix-baseline` path) skips
-/// ratchet comparisons while still running every other check, so a
-/// baseline can only be regenerated from an otherwise-clean tree.
-pub fn run(root: &Path, cfg: &Config, baseline: &Baseline, enforce_baseline: bool) -> Report {
+/// Runs every rule of `rules`; `root` anchors their relative paths.
+pub fn run(root: &Path, rules: &[ScanRule]) -> Report {
     let mut report = Report::default();
     let mut files: BTreeMap<String, SourceFile> = BTreeMap::new();
 
-    for (_, rule) in &cfg.rules {
-        for rel in &rule.paths {
+    for rule in rules {
+        for rel in rule.paths {
             collect(root, rel.trim_end_matches('/'), &mut files, &mut report.diags);
         }
     }
@@ -52,10 +43,9 @@ pub fn run(root: &Path, cfg: &Config, baseline: &Baseline, enforce_baseline: boo
 
     // Annotation hygiene. Every loaded file is in some rule's scope,
     // so every `lint:allow` seen here was meant to have an effect.
-    let rule_names = cfg.rule_names();
     for (rel, file) in &files {
         for allow in &file.allows {
-            if !rule_names.contains(&allow.rule.as_str()) {
+            if !rules.iter().any(|r| r.name == allow.rule) {
                 report.diags.push(Diagnostic {
                     path: rel.clone(),
                     line: allow.line,
@@ -80,24 +70,35 @@ pub fn run(root: &Path, cfg: &Config, baseline: &Baseline, enforce_baseline: boo
         }
     }
 
-    for (name, r) in &cfg.rules {
+    for r in rules {
         let mut outcome = scan::ScanOutcome::default();
         let mut in_scope_files = 0usize;
         for (rel, file) in &files {
-            if !in_scope(rel, &r.paths) {
+            if !in_scope(rel, r.paths) {
                 continue;
             }
             in_scope_files += 1;
-            scan::scan_file(name, r, file, &mut outcome);
+            scan::scan_file(r, file, &mut outcome);
         }
         if in_scope_files == 0 {
-            report.diags.push(config_rot(name, &r.paths));
+            report.diags.push(Diagnostic {
+                path: r.paths.first().copied().unwrap_or_default().to_string(),
+                line: 1,
+                rule: r.name.to_string(),
+                message: "configured paths match no .rs files — the rule polices \
+                          nothing (moved module? fix the rule table)"
+                    .to_string(),
+            });
         }
         report.diags.extend(outcome.diags);
-        if r.budget {
-            report.observed.set(name, "allowed", outcome.allowed_sites);
-            if enforce_baseline {
-                ratchet(name, outcome.allowed_sites, baseline.get(name, "allowed"), &mut report);
+        if let Some(budget) = r.budget {
+            if let Some(message) = off_budget(outcome.allowed_sites, budget) {
+                report.diags.push(Diagnostic {
+                    path: RULES_FILE.to_string(),
+                    line: 1,
+                    rule: r.name.to_string(),
+                    message,
+                });
             }
         }
     }
@@ -108,49 +109,25 @@ pub fn run(root: &Path, cfg: &Config, baseline: &Baseline, enforce_baseline: boo
     report
 }
 
-/// One ratchet comparison: observed vs committed annotated sites.
-fn ratchet(rule: &str, observed: u64, committed: Option<u64>, report: &mut Report) {
-    let what = "allowed sites";
-    let key_hint = "run `--fix-baseline` and commit the diff";
-    match committed {
-        None => report.diags.push(Diagnostic {
-            path: "lint-baseline.toml".to_string(),
-            line: 1,
-            rule: rule.to_string(),
-            message: format!("no baseline entry for {what} — {key_hint}"),
-        }),
-        Some(b) if observed > b => report.diags.push(Diagnostic {
-            path: "lint-baseline.toml".to_string(),
-            line: 1,
-            rule: rule.to_string(),
-            message: format!(
-                "{what} grew: {observed} observed vs {b} committed — the \
-                 ratchet only turns one way; remove the new site or justify \
-                 the increase in review and {key_hint}"
-            ),
-        }),
-        Some(b) if observed < b => report.notes.push(format!(
-            "[{rule}] {what} shrank: {observed} observed vs {b} committed — \
-             {key_hint} to bank the progress"
+/// One budget comparison: observed vs committed annotated sites.
+fn off_budget(observed: u64, budget: u64) -> Option<String> {
+    match observed.cmp(&budget) {
+        Ordering::Greater => Some(format!(
+            "allowed sites grew: {observed} observed vs {budget} committed — the \
+             ratchet only turns one way; remove the new site or justify \
+             the increase in review"
         )),
-        Some(_) => {}
-    }
-}
-
-fn config_rot(rule: &str, paths: &[String]) -> Diagnostic {
-    Diagnostic {
-        path: paths.first().cloned().unwrap_or_default(),
-        line: 1,
-        rule: rule.to_string(),
-        message: "configured paths match no .rs files — the rule polices \
-                  nothing (moved module? fix lint.toml)"
-            .to_string(),
+        Ordering::Less => Some(format!(
+            "allowed sites shrank: {observed} observed vs {budget} committed — \
+             lower the rule's `budget` to {observed} to bank the progress"
+        )),
+        Ordering::Equal => None,
     }
 }
 
 /// Whether `rel` is `p` or inside directory `p`, for any `p` in
 /// `paths`.
-fn in_scope(rel: &str, paths: &[String]) -> bool {
+fn in_scope(rel: &str, paths: &[&str]) -> bool {
     paths.iter().any(|p| {
         let p = p.trim_end_matches('/');
         rel == p || (rel.len() > p.len() && rel.starts_with(p) && rel.as_bytes()[p.len()] == b'/')

@@ -18,11 +18,11 @@
 //! | `hot-path-alloc` | `scan` | No `.to_vec()`/`.clone()`/`Vec::new`/`vec!` in the designated hot serving modules — the zero-copy aggregate discipline (PR 2). Deliberate copies carry an annotation. |
 //! | `panic` | `scan` + budget | No `.unwrap()`/`.expect()`/`panic!` in the event loop or shard fabric (PR 5: a request must never kill the server). Justified sites are annotated and *budgeted*: the committed count may only shrink. |
 //!
-//! All four are configurations of the one `scan` kind. What a compiler
-//! can check is left to it: `rustc` and clippy keep `pure::step`
-//! exhaustive over `pure::Command` (wildcard arms denied), and every
-//! state mutation journals a command by construction — the `Kernel`
-//! shell has one private door to its state.
+//! All four are rows of the one table, [`rules::RULES`], over the one
+//! `scan` kind. What a compiler can check is left to it: `rustc` and
+//! clippy keep `pure::step` exhaustive over `pure::Command` (wildcard
+//! arms denied), and every state mutation journals a command by
+//! construction — the `Kernel` shell has one private door to its state.
 //!
 //! # Annotation syntax
 //!
@@ -32,22 +32,20 @@
 //!
 //! The annotation exempts its own line and the next line from the
 //! named rule. The reason is **mandatory** — an annotation without one
-//! is itself a diagnostic, as is one naming an unconfigured rule.
+//! is itself a diagnostic, as is one naming a rule not in the table.
 //!
-//! # Configuration
+//! # Where a rule lives, how a budget is lowered
 //!
-//! Rules live in `lint.toml` at the repo root (schema in [`config`]);
-//! ratcheted counts live in `lint-baseline.toml`, regenerated only by
-//! `cargo run --release -p iolite-lint -- --fix-baseline` so every
-//! baseline change is a reviewable diff.
+//! [`rules::RULES`] is the whole configuration: each rule's paths,
+//! bans and — for the budgeted three — the exact number of annotated
+//! sites the tree may hold. The observed count must *equal* it, so
+//! removing an exemption fails the run until the number is lowered in
+//! the same diff, and the committed figure only ever goes down.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod baseline;
-pub mod config;
 pub mod engine;
 pub mod lexer;
 pub mod rules;
 pub mod source;
-pub mod toml;

@@ -1,103 +1,35 @@
-//! The `iolite-lint` binary. See the library docs for the rule
-//! catalog; see `lint.toml` for this repo's configuration.
-//!
-//! ```text
-//! iolite-lint [--config <lint.toml>] [--fix-baseline]
-//! ```
-//!
-//! Without `--config`, the config is found by walking from the current
-//! directory upward — so the binary works from any subdirectory of the
-//! repo. Exit status: 0 clean, 1 violations, 2 usage/config errors.
+//! The `iolite-lint` binary: runs the rule table
+//! ([`iolite_lint::rules::RULES`]) over the workspace it was started
+//! in. It takes no arguments; the workspace root is the nearest
+//! directory at or above the current one that holds this crate, so it
+//! works from any subdirectory of the repo. Exit status: 0 clean,
+//! 1 violations, 2 usage errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use iolite_lint::baseline::Baseline;
-use iolite_lint::config::Config;
 use iolite_lint::engine;
+use iolite_lint::rules::RULES;
 
 fn main() -> ExitCode {
-    let mut config_path: Option<PathBuf> = None;
-    let mut fix_baseline = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--config" => match args.next() {
-                Some(p) => config_path = Some(PathBuf::from(p)),
-                None => return usage("--config needs a path"),
-            },
-            "--fix-baseline" => fix_baseline = true,
-            "--help" | "-h" => {
-                println!("iolite-lint [--config <lint.toml>] [--fix-baseline]");
-                return ExitCode::SUCCESS;
-            }
-            other => return usage(&format!("unknown argument `{other}`")),
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        return usage(&format!("unexpected argument `{arg}` (it takes none)"));
     }
-
-    let config_path = match config_path.or_else(find_config) {
-        Some(p) => p,
-        None => return usage("no lint.toml found here or in any parent directory"),
-    };
-    let root = config_path
-        .parent()
-        .map(PathBuf::from)
-        .filter(|p| !p.as_os_str().is_empty())
-        .unwrap_or_else(|| PathBuf::from("."));
-
-    let config_text = match std::fs::read_to_string(&config_path) {
-        Ok(t) => t,
-        Err(e) => return usage(&format!("cannot read {}: {e}", config_path.display())),
-    };
-    let cfg = match Config::parse(&config_text) {
-        Ok(c) => c,
-        Err(e) => return usage(&e),
+    let Some(root) = find_root() else {
+        return usage("no crates/lint/Cargo.toml here or in any parent directory");
     };
 
-    let baseline_path = root.join(&cfg.baseline);
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => match Baseline::parse(&t) {
-            Ok(b) => b,
-            Err(e) => return usage(&e),
-        },
-        // A missing baseline is an empty one: enforce mode will then
-        // demand a `--fix-baseline` run via ratchet diagnostics.
-        Err(_) => Baseline::default(),
-    };
-
-    let report = engine::run(&root, &cfg, &baseline, !fix_baseline);
-
-    for note in &report.notes {
-        println!("note: {note}");
-    }
+    let report = engine::run(&root, &RULES);
     for diag in &report.diags {
         println!("{diag}");
     }
-    let rules = cfg.rules.len();
     println!(
-        "iolite-lint: {} files, {rules} rules, {} violation{}",
+        "iolite-lint: {} files, {} rules, {} violation{}",
         report.files_scanned,
+        RULES.len(),
         report.diags.len(),
         if report.diags.len() == 1 { "" } else { "s" },
     );
-
-    if fix_baseline {
-        if !report.diags.is_empty() {
-            eprintln!(
-                "iolite-lint: refusing to rewrite the baseline while the \
-                 tree has violations — a ratchet must not bank failures"
-            );
-            return ExitCode::FAILURE;
-        }
-        // The purity disallow-list is workspace-wide; the linter's own
-        // baseline rewrite is host tooling, not kernel state.
-        #[allow(clippy::disallowed_methods)]
-        if let Err(e) = std::fs::write(&baseline_path, report.observed.render()) {
-            return usage(&format!("cannot write {}: {e}", baseline_path.display()));
-        }
-        println!("iolite-lint: wrote {}", baseline_path.display());
-        return ExitCode::SUCCESS;
-    }
 
     if report.diags.is_empty() {
         ExitCode::SUCCESS
@@ -106,13 +38,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// Walks upward from the current directory looking for `lint.toml`.
-fn find_config() -> Option<PathBuf> {
+/// Walks upward from the current directory to the workspace root.
+fn find_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
     loop {
-        let candidate = dir.join("lint.toml");
-        if candidate.is_file() {
-            return Some(candidate);
+        if dir.join("crates/lint/Cargo.toml").is_file() {
+            return Some(dir);
         }
         if !dir.pop() {
             return None;

@@ -14,9 +14,8 @@
 //! literals can spell `std::fs` all day (this is the false-positive
 //! class the old CI grep suffered from).
 
-use crate::config::ScanRule;
 use crate::lexer::TokenKind;
-use crate::rules::Diagnostic;
+use crate::rules::{Diagnostic, ScanRule};
 use crate::source::SourceFile;
 
 /// The scanner's verdict on one file.
@@ -29,7 +28,7 @@ pub struct ScanOutcome {
 }
 
 /// Scans one file against `rule`, appending findings to `out`.
-pub fn scan_file(name: &str, rule: &ScanRule, file: &SourceFile, out: &mut ScanOutcome) {
+pub fn scan_file(rule: &ScanRule, file: &SourceFile, out: &mut ScanOutcome) {
     let code = file.code_indexes();
     for (pos, &i) in code.iter().enumerate() {
         if !rule.include_tests && file.test_mask[i] {
@@ -44,21 +43,20 @@ pub fn scan_file(name: &str, rule: &ScanRule, file: &SourceFile, out: &mut ScanO
             .map(|p| format!("reference to banned path `{p}`"))
             .or_else(|| {
                 rule.ban_idents
-                    .iter()
-                    .any(|b| b == text)
+                    .contains(&text)
                     .then(|| format!("banned identifier `{text}`"))
             })
             .or_else(|| {
-                (is_method_call(file, &code, pos) && rule.ban_methods.iter().any(|b| b == text))
+                (is_method_call(file, &code, pos) && rule.ban_methods.contains(&text))
                     .then(|| format!("banned call `.{text}()`"))
             })
             .or_else(|| {
                 (is_macro_invocation(file, &code, pos)
-                    && rule.ban_macros.iter().any(|b| b == text))
+                    && rule.ban_macros.contains(&text))
                 .then(|| format!("banned macro `{text}!`"))
             });
         let Some(what) = found else { continue };
-        if file.allowed(name, tok.line) {
+        if file.allowed(rule.name, tok.line) {
             out.allowed_sites += 1;
             continue;
         }
@@ -70,24 +68,24 @@ pub fn scan_file(name: &str, rule: &ScanRule, file: &SourceFile, out: &mut ScanO
         out.diags.push(Diagnostic {
             path: file.path.display().to_string(),
             line: tok.line,
-            rule: name.to_string(),
+            rule: rule.name.to_string(),
             message: format!("{what}{reason}"),
         });
     }
 }
 
 /// If the idents starting at code-index `pos` spell one of the rule's
-/// banned `a::b::c` paths, returns the matched path. Longest patterns
-/// are configured patterns, so first match wins.
+/// banned `a::b::c` paths, returns the matched path. First match wins.
 fn banned_path(
     rule: &ScanRule,
     file: &SourceFile,
     code: &[usize],
     pos: usize,
-) -> Option<String> {
-    'pattern: for pattern in &rule.ban_paths {
+) -> Option<&'static str> {
+    'pattern: for &pattern in rule.ban_paths {
         let mut c = pos;
-        for (seg_idx, seg) in pattern.iter().enumerate() {
+        let mut segs = pattern.split("::").peekable();
+        while let Some(seg) = segs.next() {
             if c >= code.len()
                 || file.tokens[code[c]].kind != TokenKind::Ident
                 || file.text(code[c]) != seg
@@ -95,7 +93,7 @@ fn banned_path(
                 continue 'pattern;
             }
             c += 1;
-            if seg_idx + 1 < pattern.len() {
+            if segs.peek().is_some() {
                 // Expect `::` between segments.
                 if !(punct_at(file, code, c, ":") && punct_at(file, code, c + 1, ":")) {
                     continue 'pattern;
@@ -103,7 +101,7 @@ fn banned_path(
                 c += 2;
             }
         }
-        return Some(pattern.join("::"));
+        return Some(pattern);
     }
     None
 }

@@ -1,21 +1,19 @@
 //! Rule semantics, driven end-to-end through the engine over the
 //! fixture tree: known-bad snippets flag, known-good (annotated or
-//! prose-only) snippets pass, ratchets turn one way.
+//! prose-only) snippets pass, budgets hold in both directions.
 
 use std::path::{Path, PathBuf};
 
-use iolite_lint::baseline::Baseline;
-use iolite_lint::config::Config;
 use iolite_lint::engine::{self, Report};
+use iolite_lint::rules::{ScanRule, RULES};
 
 fn fixtures() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
-/// Runs `config` over the fixture tree against `baseline`.
-fn run(config: &str, baseline: &Baseline, enforce: bool) -> Report {
-    let cfg = Config::parse(config).expect("test config parses");
-    engine::run(&fixtures(), &cfg, baseline, enforce)
+/// Runs `rule` over the fixture tree.
+fn run(rule: ScanRule) -> Report {
+    engine::run(&fixtures(), &[rule])
 }
 
 fn lines(report: &Report, rule: &str) -> Vec<(String, u32)> {
@@ -29,17 +27,13 @@ fn lines(report: &Report, rule: &str) -> Vec<(String, u32)> {
 
 #[test]
 fn purity_flags_code_but_never_comments_or_strings() {
-    let report = run(
-        r#"
-[rules.purity]
-kind = "scan"
-include-tests = true
-paths = ["purity_bad.rs", "purity_ok.rs"]
-ban-paths = ["std::io", "std::time", "std::fs"]
-"#,
-        &Baseline::default(),
-        true,
-    );
+    let report = run(ScanRule {
+        name: "purity",
+        include_tests: true,
+        paths: &["purity_bad.rs", "purity_ok.rs"],
+        ban_paths: &["std::io", "std::time", "std::fs"],
+        ..ScanRule::default()
+    });
     // One violation: the renamed `use std::time::Instant as Clock`.
     // The comments, string, and raw string spelling banned paths —
     // and the whole of purity_ok.rs — stay silent.
@@ -53,17 +47,15 @@ ban-paths = ["std::io", "std::time", "std::fs"]
 
 #[test]
 fn no_lock_flags_unannotated_and_exempts_annotated() {
-    let report = run(
-        r#"
-[rules.no-lock]
-kind = "scan"
-paths = ["lock_bad.rs", "lock_allowed.rs"]
-ban-idents = ["Mutex", "RwLock"]
-budget = true
-"#,
-        &Baseline::default(),
-        false,
-    );
+    let report = run(ScanRule {
+        name: "no-lock",
+        paths: &["lock_bad.rs", "lock_allowed.rs"],
+        ban_idents: &["Mutex", "RwLock"],
+        budget: Some(2),
+        ..ScanRule::default()
+    });
+    // Both annotated sites in lock_allowed.rs count toward the budget:
+    // at `Some(2)` no budget diagnostic joins the two violations.
     assert_eq!(
         lines(&report, "no-lock"),
         vec![
@@ -73,22 +65,16 @@ budget = true
         "{:?}",
         report.diags
     );
-    // Both annotated sites in lock_allowed.rs count toward the budget.
-    assert_eq!(report.observed.get("no-lock", "allowed"), Some(2));
 }
 
 #[test]
 fn broken_annotations_are_diagnostics() {
-    let report = run(
-        r#"
-[rules.no-lock]
-kind = "scan"
-paths = ["hygiene_bad.rs"]
-ban-idents = ["Mutex"]
-"#,
-        &Baseline::default(),
-        true,
-    );
+    let report = run(ScanRule {
+        name: "no-lock",
+        paths: &["hygiene_bad.rs"],
+        ban_idents: &["Mutex"],
+        ..ScanRule::default()
+    });
     let msgs: Vec<&str> = report.diags.iter().map(|d| d.message.as_str()).collect();
     assert!(
         msgs.iter().any(|m| m.contains("has no reason")),
@@ -105,18 +91,14 @@ ban-idents = ["Mutex"]
 
 #[test]
 fn hot_path_alloc_flags_each_shape_and_skips_test_scope() {
-    let report = run(
-        r#"
-[rules.hot-path-alloc]
-kind = "scan"
-paths = ["alloc_bad.rs", "alloc_test_scoped.rs"]
-ban-paths = ["Vec::new"]
-ban-methods = ["to_vec"]
-ban-macros = ["vec"]
-"#,
-        &Baseline::default(),
-        true,
-    );
+    let report = run(ScanRule {
+        name: "hot-path-alloc",
+        paths: &["alloc_bad.rs", "alloc_test_scoped.rs"],
+        ban_paths: &["Vec::new"],
+        ban_methods: &["to_vec"],
+        ban_macros: &["vec"],
+        ..ScanRule::default()
+    });
     assert_eq!(
         lines(&report, "hot-path-alloc"),
         vec![
@@ -131,17 +113,13 @@ ban-macros = ["vec"]
 
 #[test]
 fn panic_rule_flags_serving_code_not_tests() {
-    let report = run(
-        r#"
-[rules.panic]
-kind = "scan"
-paths = ["panic_bad.rs"]
-ban-methods = ["unwrap", "expect"]
-ban-macros = ["panic"]
-"#,
-        &Baseline::default(),
-        true,
-    );
+    let report = run(ScanRule {
+        name: "panic",
+        paths: &["panic_bad.rs"],
+        ban_methods: &["unwrap", "expect"],
+        ban_macros: &["panic"],
+        ..ScanRule::default()
+    });
     assert_eq!(
         lines(&report, "panic"),
         vec![
@@ -155,54 +133,40 @@ ban-macros = ["panic"]
 
 #[test]
 fn budget_ratchet_counts_annotated_sites() {
-    let config = r#"
-[rules.no-lock]
-kind = "scan"
-paths = ["lock_allowed.rs"]
-ban-idents = ["Mutex"]
-budget = true
-"#;
-    // No baseline entry: enforce mode demands a --fix-baseline run.
-    let report = run(config, &Baseline::default(), true);
-    assert!(
-        report
-            .diags
-            .iter()
-            .any(|d| d.message.contains("no baseline entry")),
-        "{:?}",
-        report.diags
-    );
+    // lock_allowed.rs holds exactly two annotated sites.
+    let at = |budget| {
+        run(ScanRule {
+            name: "no-lock",
+            paths: &["lock_allowed.rs"],
+            ban_idents: &["Mutex"],
+            budget: Some(budget),
+            ..ScanRule::default()
+        })
+    };
     // At the committed count: clean.
-    let mut at_two = Baseline::default();
-    at_two.set("no-lock", "allowed", 2);
-    let report = run(config, &at_two, true);
+    let report = at(2);
     assert!(report.diags.is_empty(), "{:?}", report.diags);
-    // Above the committed count: the ratchet only turns one way.
-    let mut at_one = Baseline::default();
-    at_one.set("no-lock", "allowed", 1);
-    let report = run(config, &at_one, true);
+    // An extra annotated site (above the committed count) fails: the
+    // ratchet only turns one way.
+    let report = at(1);
     assert_eq!(report.diags.len(), 1, "{:?}", report.diags);
     assert!(report.diags[0].message.contains("grew"));
-    // Below an inflated baseline: a note, not a violation.
-    let mut at_three = Baseline::default();
-    at_three.set("no-lock", "allowed", 3);
-    let report = run(config, &at_three, true);
-    assert!(report.diags.is_empty());
-    assert!(report.notes.iter().any(|n| n.contains("shrank")));
+    // A removed site (below the committed count) fails too, until the
+    // number is lowered — so the table never overstates the tree.
+    let report = at(3);
+    assert_eq!(report.diags.len(), 1, "{:?}", report.diags);
+    assert!(report.diags[0].message.contains("shrank"));
+    assert!(report.diags[0].message.contains("lower the rule's `budget` to 2"));
 }
 
 #[test]
 fn scan_scope_reports_config_rot() {
-    let report = run(
-        r#"
-[rules.purity]
-kind = "scan"
-paths = ["no/such/dir"]
-ban-idents = ["rand"]
-"#,
-        &Baseline::default(),
-        true,
-    );
+    let report = run(ScanRule {
+        name: "purity",
+        paths: &["no/such/dir"],
+        ban_idents: &["rand"],
+        ..ScanRule::default()
+    });
     assert!(
         report
             .diags
@@ -213,32 +177,50 @@ ban-idents = ["rand"]
     );
 }
 
+/// The shipped table is PR 8's catalog (minus the two rules PR 13
+/// retired): it cannot silently lose a rule, a path or a budget.
 #[test]
-fn baseline_render_parse_roundtrip() {
-    let mut b = Baseline::default();
-    b.set("panic", "allowed", 10);
-    b.set("hot-path-alloc", "allowed", 0);
-    b.set("no-lock", "allowed", 3);
-    let reparsed = Baseline::parse(&b.render()).expect("roundtrip parses");
-    assert_eq!(reparsed, b);
-}
-
-#[test]
-fn config_rejects_typos_loudly() {
-    for (cfg, needle) in [
-        ("[rules.x]\nkind = \"scna\"\npaths = [\"a\"]", "unknown kind"),
-        ("[rules.x]\npaths = [\"a\"]", "missing `kind`"),
-        (
-            "[rules.x]\nkind = \"scan\"\npaths = [\"a\"]",
-            "bans nothing",
-        ),
-        (
-            "[rules.x]\nkind = \"scan\"\nban-idents = [\"Mutex\"]",
-            "non-empty `paths`",
-        ),
-        ("", "no [rules.*]"),
-    ] {
-        let err = Config::parse(cfg).expect_err(cfg);
-        assert!(err.contains(needle), "{cfg:?} → {err}");
+fn shipped_rules_are_the_pr8_catalog() {
+    let shape: Vec<_> = RULES
+        .iter()
+        .map(|r| (r.name, r.paths, r.include_tests, r.budget))
+        .collect();
+    assert_eq!(
+        shape,
+        vec![
+            (
+                "purity",
+                &["crates/core/src/pure", "crates/storm"][..],
+                true,
+                None
+            ),
+            (
+                "no-lock",
+                &["crates/core/src", "crates/fs/src", "crates/http/src"][..],
+                false,
+                Some(0)
+            ),
+            (
+                "hot-path-alloc",
+                &[
+                    "crates/http/src/event_loop.rs",
+                    "crates/http/src/message.rs",
+                    "crates/core/src/shard.rs"
+                ][..],
+                false,
+                Some(8)
+            ),
+            (
+                "panic",
+                &["crates/http/src/event_loop.rs", "crates/http/src/sharded.rs"][..],
+                false,
+                Some(9)
+            ),
+        ]
+    );
+    for r in &RULES {
+        let bans = r.ban_paths.len() + r.ban_idents.len() + r.ban_methods.len() + r.ban_macros.len();
+        assert!(bans > 0, "[{}] bans nothing", r.name);
+        assert!(!r.reason.is_empty(), "[{}] states no contract", r.name);
     }
 }

@@ -84,21 +84,6 @@ impl PacketFilter {
         self.rules.push(rule);
     }
 
-    /// Removes all rules for a stream (connection teardown).
-    pub fn remove_stream(&mut self, stream: StreamId) {
-        self.rules.retain(|r| r.stream != stream);
-    }
-
-    /// Number of installed rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether no rules are installed.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     /// Classifies one packet header, most-specific rule first.
     pub(crate) fn demux(&mut self, h: &SegmentHeader) -> Option<StreamId> {
         if !self.enabled {
@@ -191,19 +176,5 @@ mod tests {
         f.set_enabled(false);
         assert_eq!(f.demux(&header(1, 1, 80)), None);
         assert_eq!(f.stats().unmatched, 1);
-    }
-
-    #[test]
-    fn remove_stream_uninstalls_rules() {
-        let mut f = PacketFilter::new();
-        f.add_rule(FilterRule {
-            dst_port: 80,
-            src_ip: Some(1),
-            src_port: Some(2),
-            stream: StreamId(7),
-        });
-        assert_eq!(f.len(), 1);
-        f.remove_stream(StreamId(7));
-        assert!(f.is_empty());
     }
 }

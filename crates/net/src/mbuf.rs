@@ -99,17 +99,9 @@ impl MbufChain {
 
     /// Builds a packet chain the conventional way: header plus payload
     /// *copied* into an owned cluster (what a non-IO-Lite stack does when
-    /// the application `write()`s).
-    pub fn packet_copied(header: &[u8], payload: &[u8]) -> Self {
-        let mut chain = MbufChain::new();
-        chain.push(Mbuf::inline(header));
-        chain.push(Mbuf::inline(payload));
-        chain
-    }
-
-    /// Like [`MbufChain::packet_copied`] but sourcing the payload from an
-    /// aggregate: the materialized `Vec` *is* the owned cluster, so the
-    /// copy into it is the only copy the conventional path pays.
+    /// the application `write()`s). The materialized `Vec` *is* the
+    /// owned cluster, so the copy into it is the only copy the
+    /// conventional path pays.
     pub(crate) fn packet_copied_from_agg(header: &[u8], payload: &Aggregate) -> Self {
         let mut chain = MbufChain::new();
         chain.push(Mbuf::inline(header));
@@ -175,7 +167,7 @@ mod tests {
 
     #[test]
     fn copied_packet_owns_everything() {
-        let chain = MbufChain::packet_copied(&[0xAA; 40], &[0x55; 1000]);
+        let chain = MbufChain::packet_copied_from_agg(&[0xAA; 40], &agg(&[0x55; 1000]));
         assert_eq!(chain.len(), 1040);
         assert_eq!(chain.owned_bytes(), 1040);
     }

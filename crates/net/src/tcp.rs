@@ -156,44 +156,31 @@ impl TcpConn {
     /// zero-copy mode) — this is the data-touching the figures measure.
     pub fn send(&mut self, payload: &Aggregate, cache: &mut ChecksumCache) -> SendOutcome {
         let len = payload.len();
-        let segments = len.div_ceil(self.mss as u64).max(1);
-        let mut out = SendOutcome {
-            segments,
-            payload_bytes: len,
-            header_bytes: segments * TCP_IP_HEADER_BYTES as u64,
-            ..SendOutcome::default()
-        };
-        match self.mode {
-            BufferMode::ZeroCopy => {
-                // Socket buffer holds references; checksums per slice
-                // through the cache (§3.9).
-                let before = cache.stats();
-                for s in payload.slices() {
-                    cache.sum_for(s);
-                }
-                let after = cache.stats();
-                out.csum_bytes_computed = after.bytes_computed - before.bytes_computed;
-                out.csum_bytes_cached = after.bytes_cached - before.bytes_cached;
-                // Owned memory: mbuf headers only (~2% of payload,
-                // rounded into the kernel account elsewhere).
-                out.owned_occupancy = segments * 128;
-            }
-            BufferMode::Copy => {
-                // Copy into socket buffer; fresh copies have no identity,
-                // so every byte is checksummed again. Occupancy is the
-                // full send-buffer reservation: "the amount of memory
-                // consumed by these buffers is related to the number of
-                // concurrent connections ... times the socket send
-                // buffer size Tss" (§5.7).
-                out.bytes_copied = len;
-                out.csum_bytes_computed = len;
-                out.owned_occupancy = self.tss as u64;
-            }
+        if self.mode == BufferMode::Copy {
+            return self.send_accounted(len);
         }
+        let segments = len.div_ceil(self.mss as u64).max(1);
+        // Socket buffer holds references; checksums per slice through
+        // the cache (§3.9).
+        let before = cache.stats();
+        for s in payload.slices() {
+            cache.sum_for(s);
+        }
+        let after = cache.stats();
         self.seq = self.seq.wrapping_add(len as u32);
         self.total_segments += segments;
         self.total_payload += len;
-        out
+        SendOutcome {
+            segments,
+            payload_bytes: len,
+            header_bytes: segments * TCP_IP_HEADER_BYTES as u64,
+            csum_bytes_computed: after.bytes_computed - before.bytes_computed,
+            csum_bytes_cached: after.bytes_cached - before.bytes_cached,
+            bytes_copied: 0,
+            // Owned memory: mbuf headers only (~2% of payload, rounded
+            // into the kernel account elsewhere).
+            owned_occupancy: segments * 128,
+        }
     }
 
     /// Accounting-only send of `len` bytes for the *conventional* path.
@@ -214,6 +201,11 @@ impl TcpConn {
         self.seq = self.seq.wrapping_add(len as u32);
         self.total_segments += segments;
         self.total_payload += len;
+        // Copied into the socket buffer; fresh copies have no identity,
+        // so every byte is checksummed again. Occupancy is the full
+        // send-buffer reservation: "the amount of memory consumed by
+        // these buffers is related to the number of concurrent
+        // connections ... times the socket send buffer size Tss" (§5.7).
         SendOutcome {
             segments,
             payload_bytes: len,

@@ -51,11 +51,6 @@ impl FifoResource {
         self.next_free
     }
 
-    /// Queueing delay a job submitted at `now` would experience.
-    pub fn backlog(&self, now: SimTime) -> SimTime {
-        self.next_free.saturating_sub(now)
-    }
-
     /// Utilization over `[0, horizon]`.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         if horizon == SimTime::ZERO {
@@ -63,11 +58,6 @@ impl FifoResource {
         } else {
             (self.busy.as_secs() / horizon.as_secs()).min(1.0)
         }
-    }
-
-    /// Resets the resource to idle, clearing statistics.
-    pub fn reset(&mut self) {
-        *self = FifoResource::default();
     }
 }
 
@@ -100,22 +90,5 @@ mod tests {
         r.submit(SimTime::ZERO, SimTime::from_us(30.0));
         r.submit(SimTime::ZERO, SimTime::from_us(20.0));
         assert!((r.utilization(SimTime::from_us(100.0)) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn backlog_reports_wait() {
-        let mut r = FifoResource::new();
-        r.submit(SimTime::ZERO, SimTime::from_us(10.0));
-        assert_eq!(r.backlog(SimTime::from_us(4.0)), SimTime::from_us(6.0));
-        assert_eq!(r.backlog(SimTime::from_us(40.0)), SimTime::ZERO);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut r = FifoResource::new();
-        r.submit(SimTime::ZERO, SimTime::from_us(10.0));
-        r.reset();
-        assert_eq!(r.utilization(SimTime::from_us(10.0)), 0.0);
-        assert_eq!(r.next_free(), SimTime::ZERO);
     }
 }

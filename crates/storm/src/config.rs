@@ -60,7 +60,8 @@ pub struct StormConfig {
     pub put: f64,
     /// Largest PUT body, bytes (lengths are drawn in `[1, max]`).
     pub max_put_bytes: u64,
-    /// Safety bound forwarded to the event loop.
+    /// Safety bound on the ticks of one storm (the harness drives
+    /// `tick()` itself, so this is its own wedge guard).
     pub max_ticks: u64,
     /// Record exact response bytes (equivalence suites; off for speed).
     pub capture_responses: bool,

@@ -321,7 +321,6 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
     let cost = CostModel::pentium_ii_333();
     let loop_cfg = EventLoopConfig {
         capture_responses: cfg.capture_responses,
-        max_ticks: cfg.max_ticks,
         external_wire: true,
         ..EventLoopConfig::default()
     };

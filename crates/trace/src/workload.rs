@@ -65,11 +65,6 @@ impl Workload {
         }
     }
 
-    /// The trace name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The files, most popular first.
     pub fn files(&self) -> &[WorkloadFile] {
         &self.files

@@ -176,14 +176,14 @@ impl MmapView {
         }
         match &self.backing {
             Backing::Direct(s) => {
-                // COW: pull each affected page out of the shared buffer
-                // into private storage before modifying it.
-                let bytes = s.as_bytes().to_vec();
+                // COW: pull each affected page into private storage before
+                // modifying it; the handle clone (a refcount) unborrows `self`.
+                let shared = s.clone();
                 for p in self.page_range(off, src.len()) {
                     if !self.valid[p] {
                         let start = p * PAGE_SIZE;
                         let end = (start + PAGE_SIZE).min(self.data.len());
-                        self.data[start..end].copy_from_slice(&bytes[start..end]);
+                        self.data[start..end].copy_from_slice(&shared.as_bytes()[start..end]);
                         self.valid[p] = true;
                         self.stats.cow_faults += 1;
                     }
