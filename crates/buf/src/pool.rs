@@ -6,6 +6,7 @@
 //! next use bumps its generation number and — crucially for the IPC cost
 //! model of §3.2 — requires **no** new VM mappings in the domains that
 //! already saw it, because read-only mappings persist after deallocation.
+#![expect(clippy::disallowed_types, reason = "ROADMAP item 1 replaces the pool's Mutex")]
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -148,8 +149,6 @@ impl BufferPool {
         let (chunk, offset) = match placed {
             Some(p) => p,
             None => {
-                // Prefer a recycled chunk; scavenge the registry for
-                // drained chunks if the free list is empty.
                 if inner.free.is_empty() {
                     scavenge(&mut inner);
                 }

@@ -42,10 +42,9 @@
 //! over a recorded [`Journal`] from the initial state reproduces the
 //! final [`KernelState::state_hash`] and metrics bit-for-bit.
 //!
-//! Purity is enforced in CI: nothing under `crates/core/src/pure/` may
-//! reach the host — the standard library's io/time/fs modules and any
-//! random-number source are banned by `clippy.toml` (disallowed types
-//! and methods) plus `iolite-lint`'s `purity` rule.
+//! Purity is enforced by clippy in CI: `crates/core/clippy.toml` bans
+//! clocks, the environment, threads, host files, sockets and processes,
+//! and OS-seeded hashing across this crate, tests included.
 
 mod command;
 mod effect;

@@ -446,15 +446,14 @@ impl KernelState {
             bytes: len,
             time: out.disk_time,
         });
-        // Admit, then shrink to budget. The cache pool is deliberately
-        // append-only: scavenging drained chunks from inside an op keys
-        // off `Arc` refcounts, and those count *ambient* holders (the
-        // recorded journal's command aggregates, a connection's
-        // in-flight response clone) that exist live but not under
-        // replay — releasing here would make every later allocation
-        // offset, and thus buffer identity, which §3.9 checksum keys
-        // and the state digest both observe, depend on who else
-        // happens to hold a buffer. Determinism over compaction.
+        // Admit, then shrink to budget. The cache pool is *not*
+        // append-only: `fill_aligned` above allocates through
+        // `BufferPool::alloc_inner`, which scavenges chunks whose `Arc`
+        // count says no one holds them once its free list is empty. So
+        // buffer identity, which §3.9 checksum keys and the state digest
+        // observe, depends on ambient holders (the journal, an in-flight
+        // response) — ROADMAP item 1's replay hole, pinned by
+        // `tests/semantics.rs::cache_pool_recycles_drained_chunks`.
         self.cache.insert(key, agg.clone());
         self.op_rebalance_cache();
         agg

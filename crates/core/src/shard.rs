@@ -153,8 +153,6 @@ impl ShardFabric {
             .map(|(id, inbox)| ShardMailbox {
                 id,
                 inbox,
-                // lint:allow(hot-path-alloc) — fabric construction,
-                // once per run: cloning sender handles, not buffers.
                 peers: senders.clone(),
             })
             .collect();

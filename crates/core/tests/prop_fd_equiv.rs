@@ -21,6 +21,10 @@
 //!   all-entries scan it replaced.
 //! * Two clock-free complexity guards: neither `open` nor a socket's
 //!   last `close` may scale with the number of open descriptors.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the reference models are the replaced code verbatim: the pre-PR-20 `Arc<Mutex>` registry and the `HashMap` scans"
+)]
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 

@@ -53,6 +53,11 @@
 //! panicking the server.
 //!
 //! [`serve_static`]: crate::server::serve_static
+// A bad request or a dead peer fails the connection, never the server
+// (PR 5). Each `#[expect]` below is a site no request input reaches;
+// `tests/contracts.rs` counts them.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{SyncSender, TryRecvError};
@@ -331,11 +336,9 @@ impl EventLoopServer {
                     kernel.cost.mss,
                     kernel.cost.tss,
                 );
+                #[expect(clippy::expect_used, reason = "the socket was created just above")]
                 kernel
                     .set_nonblocking(pid, sock, true)
-                    // lint:allow(panic) — constructor, before serving
-                    // starts: the socket was created two lines up, so
-                    // a failure here is harness miswiring, not input.
                     .expect("fresh socket");
                 Conn {
                     sock,
@@ -354,7 +357,6 @@ impl EventLoopServer {
             cgi_queue: VecDeque::new(),
             cfg,
             stats: LoopStats::default(),
-            // lint:allow(hot-path-alloc) — constructor, once per run.
             requests: Vec::new(),
             shard: None,
             remote_pending: HashMap::new(),
@@ -612,13 +614,8 @@ impl EventLoopServer {
 
     /// One `iol_poll` by `pid` over `entries`, counted and billed.
     fn poll_fds(&mut self, pid: Pid, entries: &[PollFd]) -> Vec<Readiness> {
-        let (events, out) = self
-            .kernel
-            .iol_poll(pid, entries)
-            // lint:allow(panic) — iol_poll is total over its interest
-            // set (readiness is a pure state read; no request input
-            // reaches it), per the PR 5 contract.
-            .expect("poll is total");
+        #[expect(clippy::expect_used, reason = "iol_poll is total over its interest set (PR 5)")]
+        let (events, out) = self.kernel.iol_poll(pid, entries).expect("poll is total");
         self.stats.polls += 1;
         self.stats.poll_entries += entries.len() as u64;
         self.stats.bill(out.charge);
@@ -629,10 +626,7 @@ impl EventLoopServer {
     /// transfer is active) the CGI process's own poll of its write end
     /// — each protection domain runs its own event loop.
     fn poll(&mut self) -> (ServerEvents, CgiEvents) {
-        // lint:allow(hot-path-alloc) — per-tick interest-set scratch
-        // (fd/index pairs, not request bytes).
         let mut entries = Vec::new();
-        // lint:allow(hot-path-alloc) — same per-tick scratch as above.
         let mut owners = Vec::new();
         for (i, conn) in self.conns.iter().enumerate() {
             let interest = match conn.phase {
@@ -923,10 +917,7 @@ impl EventLoopServer {
         }
         match self.kernel.iol_write_fd(self.pid, sock, &window) {
             Ok((_, out)) => {
-                // lint:allow(panic) — accounting invariant: every
-                // socket write carries a SendOutcome; billing zero
-                // wire cost on a breach would silently skew the
-                // simulation, so surface the modeling bug instead.
+                #[expect(clippy::expect_used, reason = "every socket write carries a SendOutcome")]
                 let send = out.net.expect("socket writes carry SendOutcome");
                 let cost = &self.kernel.cost;
                 self.stats.bill(
@@ -944,12 +935,7 @@ impl EventLoopServer {
         }
         *next_slice += take;
         if *next_slice == response.num_slices() {
-            let captured = self
-                .cfg
-                .capture_responses
-                // lint:allow(hot-path-alloc) — test-observability
-                // knob, off in every measured configuration.
-                .then(|| response.to_vec());
+            let captured = self.cfg.capture_responses.then(|| response.to_vec());
             self.conns[i].phase = Phase::Draining {
                 bytes: response.len(),
                 captured,
@@ -1089,10 +1075,8 @@ impl EventLoopServer {
     /// The shard context. Only called from the sharded paths, all of
     /// which are reachable solely once [`run_shard`](Self::run_shard)
     /// or [`attach_shard`](Self::attach_shard) installed the context.
+    #[expect(clippy::expect_used, reason = "installed before any sharded path runs")]
     fn shard_ctx(&self) -> &ShardContext {
-        // lint:allow(panic) — run_shard installs the context before
-        // any sharded path runs; absence is harness miswiring,
-        // unreachable from request input.
         self.shard.as_ref().expect("run_shard installs the context")
     }
 
@@ -1155,10 +1139,9 @@ impl EventLoopServer {
             return false;
         };
         self.stats.remote_writes += 1;
-        // lint:allow(hot-path-alloc) — the host-level channel copy
-        // (see serve_remote_read): an artifact of thread-confined
-        // pools, not a modeled cost (the home shard bills the copy
-        // where the bytes land).
+        // The host-level channel copy (see serve_remote_read): an
+        // artifact of thread-confined pools, not a modeled cost (the
+        // home shard bills the copy where the bytes land).
         let bytes = body.to_vec();
         let ctx = self.shard_ctx();
         let replicate = ctx.ownership == CacheOwnership::Replicate;
@@ -1248,9 +1231,8 @@ impl EventLoopServer {
         // error on the home shard would leave the requester's waiters
         // parked forever, a worse failure than surfacing the bug — and
         // the fd was just opened by FileId, so no error is reachable
-        // from request input. Hence the annotated expects below.
-        //
-        // lint:allow(panic) — see above: no failure reply exists.
+        // from request input. Hence the three expects below.
+        #[expect(clippy::expect_used, reason = "RemoteRead has no failure reply")]
         let len = self.kernel.fd_len(self.pid, fd).expect("open file");
         // IOL_read, not pread: IO-Lite aggregates are immutable, so
         // the home shard hands the requester a *reference* (syscall +
@@ -1260,20 +1242,17 @@ impl EventLoopServer {
         // bytes land (`cache_install` / `land_copied`). The `Vec`
         // crossing the host-level channel is an artifact of
         // thread-confined buffer pools, not a modeled cost.
+        #[expect(clippy::expect_used, reason = "RemoteRead has no failure reply")]
         let (body, out) = self
             .kernel
             .iol_read_fd(self.pid, fd, len)
-            // lint:allow(panic) — no failure reply exists (see above).
             .expect("document read");
         self.stats.bill(out.charge);
         let home_hit = out.cache_hit;
+        #[expect(clippy::expect_used, reason = "RemoteRead has no failure reply")]
         self.kernel
             .close_fd(self.pid, fd)
-            // lint:allow(panic) — no failure reply exists (see above).
             .expect("close after snapshot");
-        // lint:allow(hot-path-alloc) — the host-level channel copy
-        // documented above: an artifact of thread-confined pools, not
-        // a modeled cost (the modeled copy is billed requester-side).
         let bytes = body.to_vec();
         self.shard_ctx().mailbox.send(
             from,
@@ -1365,11 +1344,8 @@ impl EventLoopServer {
             match self.pump().1 {
                 None => break,
                 Some(TryRecvError::Empty) => {}
+                #[expect(clippy::panic, reason = "the documented protocol bug (`# Panics`)")]
                 Some(TryRecvError::Disconnected) => {
-                    // lint:allow(panic) — the documented protocol-bug
-                    // panic (see `# Panics`): a fabric that disconnects
-                    // before `Shutdown` is a coordinator bug, and
-                    // limping on would hang the fleet on join.
                     panic!("shard fabric disconnected before Shutdown")
                 }
             }

@@ -166,8 +166,6 @@ pub(crate) fn parse_lines<'a>(
     chunks: impl Iterator<Item = &'a [u8]>,
 ) -> (Option<Request>, Option<u64>) {
     let mut parser = LineParser::default();
-    // lint:allow(hot-path-alloc) — the documented carry buffer: only
-    // lines straddling a run boundary are copied (see fn docs).
     let mut carry: Vec<u8> = Vec::new();
     // Bytes scanned so far (lines and their terminators, carried
     // fragments included at carry time).

@@ -28,6 +28,8 @@
 //! 4-shard fleet does 4× the work per makespan second; skew (one shard
 //! homing the Zipf head) shows up directly as
 //! [`ShardedReport::imbalance`].
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use std::sync::mpsc::sync_channel;
 use std::thread;
@@ -214,10 +216,8 @@ where
             // real failure.
             let sent = tx.try_send(ShardMsg::Shutdown);
             if all_reported {
-                // lint:allow(panic) — capacity contract: FABRIC_SLACK
-                // reserves inbox room for Shutdown (see the capacity
-                // comment above); overflow here is a sizing bug that
-                // must not pass silently.
+                // A full inbox here is a sizing bug that must not pass silently.
+                #[expect(clippy::expect_used, reason = "FABRIC_SLACK reserves room for Shutdown")]
                 sent.expect("slack reserves room for Shutdown");
             }
         }

@@ -18,6 +18,7 @@
 //! I/O, never leak a buffer pin, and the whole run must be a pure
 //! function of the [`StormConfig`] — same seed, same everything, down
 //! to the kernel `state_hash` and [`Metrics`](iolite_core::Metrics).
+//! Clippy holds it to that: this crate's `clippy.toml` is `crates/core`'s.
 //!
 //! # Architecture map
 //!
@@ -48,9 +49,8 @@
 //!
 //! Layering: the wire model (`wire::WireSender`) holds **no payloads and no
 //! clocks** — request bytes live in one append-only stream per client,
-//! response bytes are a deterministic pattern keyed by (connection,
-//! offset), and all timing flows through `iolite-sim`'s
-//! [`EventQueue`](iolite_sim::EventQueue).
+//! response bytes are a deterministic pattern keyed by (connection, offset),
+//! and all timing flows through [`EventQueue`](iolite_sim::EventQueue).
 //! The server is in [`external_wire`] mode: the harness plays the
 //! remote peer for every socket, so bytes reach the kernel only
 //! through `socket_deliver` (after reassembly) and leave its send

@@ -58,12 +58,12 @@ impl PhysMemory {
         self.total
     }
 
-    /// Adds `bytes` to an account. Reservations may oversubscribe the
-    /// machine; [`PhysMemory::available`] then reports zero and the cache
-    /// shrinks to its floor (the paging behaviour of §3.7 under
-    /// pressure).
+    /// Adds `bytes` to an account, saturating. Reservations may
+    /// oversubscribe the machine; [`PhysMemory::available`] then reports
+    /// zero and the cache shrinks to its floor (the paging behaviour of
+    /// §3.7 under pressure).
     pub fn reserve(&mut self, account: MemAccount, bytes: u64) {
-        *self.accounts.entry(account).or_insert(0) += bytes;
+        self.set(account, self.held(account).saturating_add(bytes));
     }
 
     /// Removes up to `bytes` from an account.
@@ -83,9 +83,9 @@ impl PhysMemory {
         self.accounts.get(&account).copied().unwrap_or(0)
     }
 
-    /// Total reserved across all accounts.
+    /// Total reserved across all accounts, saturating.
     pub fn used(&self) -> u64 {
-        self.accounts.values().sum()
+        self.accounts.values().fold(0, |sum, &b| sum.saturating_add(b))
     }
 
     /// Bytes not reserved by any account.

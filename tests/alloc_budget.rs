@@ -1,5 +1,6 @@
 //! Hit-path host cost (PR 22): what a cached GET and a by-value
-//! aggregate hand-off ask of the heap, counted exactly.
+//! aggregate hand-off ask of the heap, counted exactly — and what the
+//! byte-moving paths (PUT ingest, a remote fetch) ask of it per byte.
 //!
 //! IO-Lite passes aggregates by value and buffers by reference (§3.1),
 //! so once the working set is resident a request should cost the host
@@ -7,31 +8,41 @@
 //! and the two buffers it allocates (request, response head) — not a
 //! slice-list allocation per hand-off. A counting `#[global_allocator]`
 //! local to this test binary turns that into an assertion; no clock is
-//! read.
+//! read. The per-byte slopes are what the retired `hot-path-alloc` lint
+//! stood in for: one more body-sized copy on the serving path moves them
+//! by a whole byte per byte.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::mpsc::sync_channel;
 
 use iolite::buf::{Acl, Aggregate, BufferPool, PoolId};
-use iolite::core::{CostModel, Kernel};
-use iolite::fs::Policy;
-use iolite::http::event_loop::{EventLoopConfig, EventLoopServer};
+use iolite::core::{CostModel, Kernel, ShardFabric, FABRIC_SLACK};
+use iolite::fs::{home_shard, CacheOwnership, Policy};
+use iolite::http::event_loop::{EventLoopConfig, EventLoopServer, ShardContext};
 
 thread_local! {
     /// Allocator calls (`alloc` + `realloc`) made by this thread. Per
     /// thread, so the tests of this binary can run in parallel.
     static HEAP_CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for (a `realloc` counts its new size).
+    static HEAP_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    HEAP_CALLS.with(|n| n.set(n.get() + 1));
+    HEAP_BYTES.with(|n| n.set(n.get() + bytes as u64));
 }
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// whose contract is the one the caller upholds; the only addition is a
-// thread-local counter bump, which neither allocates (const-initialised
-// `Cell`, no destructor) nor unwinds.
+// whose contract is the one the caller upholds; the only addition is two
+// thread-local counter bumps, which neither allocate (const-initialised
+// `Cell`s, no destructor) nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        HEAP_CALLS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -43,7 +54,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        HEAP_CALLS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -54,6 +65,10 @@ static ALLOCATOR: Counting = Counting;
 
 fn heap_calls() -> u64 {
     HEAP_CALLS.with(Cell::get)
+}
+
+fn heap_bytes() -> u64 {
+    HEAP_BYTES.with(Cell::get)
 }
 
 /// Allocator calls per cached GET, client included. The residue is the
@@ -126,4 +141,127 @@ fn small_aggregate_hand_offs_do_not_allocate() {
     let sent = response.whole_slices(0, u64::MAX);
     assert_eq!(heap_calls() - before, 0, "short slice lists live inline");
     assert_eq!((window.num_slices(), a.len(), b.len(), sent.len()), (3, 500, 519, 100_019));
+}
+
+/// Heap bytes per extra byte of a value, from runs at two sizes: what
+/// does not grow with the size (tables, scripts, per-request records)
+/// cancels, and what is left is the copies made of each byte.
+fn slope(small: (u64, u64), large: (u64, u64)) -> f64 {
+    (large.0 - small.0) as f64 / (large.1 - small.1) as f64
+}
+
+/// The two sizes both slopes are measured between: one 64 KB chunk
+/// holds either, head included, so the buffer count per value is the
+/// same at both.
+const SMALL: u64 = 8 * 1024;
+const LARGE: u64 = 40 * 1024;
+
+/// Heap bytes of `CONNS` × `PUTS` scripted PUTs of `len` body bytes
+/// each, through `tick()` (internal wire, journal off), and the body
+/// bytes the server ingested.
+fn put_ingest(len: u64) -> (u64, u64) {
+    const CONNS: usize = 8;
+    const PUTS: usize = 16;
+    let mut k = Kernel::with_policy(CostModel::pentium_ii_333(), Policy::Gds);
+    let pid = k.spawn("server");
+    let scripts = (0..CONNS)
+        .map(|c| (0..PUTS).map(|r| format!("PUT /u{} {len}", (c + r) % 8)).collect())
+        .collect();
+    let mut server = EventLoopServer::new(k, pid, scripts, None, EventLoopConfig::default());
+    let before = heap_bytes();
+    while !server.is_done() {
+        server.tick();
+    }
+    let bytes = heap_bytes() - before;
+    let stats = server.stats();
+    assert_eq!((stats.puts, stats.failed), ((CONNS * PUTS) as u64, 0));
+    (bytes, stats.put_bytes)
+}
+
+/// Heap bytes per PUT body byte, client included: the client's body and
+/// request bytes and their landing in the server's IO-Lite buffer (3),
+/// after which the body is split out and installed by reference. 3.0629
+/// measured at the parent commit; a `to_vec` of the receive aggregate
+/// in `try_complete_put` adds a whole byte per byte.
+const PUT_BYTES_PER_BODY_BYTE: f64 = 3.0629 + 0.5;
+
+#[test]
+fn put_ingest_copies_each_body_byte_a_fixed_number_of_times() {
+    let per_byte = slope(put_ingest(SMALL), put_ingest(LARGE));
+    assert!(
+        per_byte <= PUT_BYTES_PER_BODY_BYTE,
+        "{per_byte:.4} heap bytes per PUT body byte (budget {PUT_BYTES_PER_BODY_BYTE})"
+    );
+}
+
+/// Heap bytes of one connection on shard 0 of a 2-shard `HomeOnly`
+/// fleet fetching `len`-byte documents homed on shard 1, pumped from
+/// one thread as `crates/storm` drives a fleet, and the bytes fetched
+/// after a warm-up pass that brings every document into its home's
+/// cache.
+fn remote_fetch(len: u64) -> (u64, u64) {
+    const FILES: u64 = 24;
+    const PASSES: usize = 8;
+    let mut servers = Vec::new();
+    let mut remote: Vec<String> = Vec::new();
+    for shard in 0..2 {
+        let mut k = Kernel::with_policy(CostModel::pentium_ii_333(), Policy::Gds);
+        let pid = k.spawn("server");
+        // The same corpus, in the same order, on both shards.
+        remote = (0..FILES)
+            .filter_map(|f| {
+                let path = format!("/f{f}");
+                let file = k.create_synthetic_file(&path, len, f);
+                (home_shard(file, 2) == 1).then_some(path)
+            })
+            .collect();
+        let script = remote.iter().cycle().take(remote.len() * PASSES).cloned().collect();
+        let scripts = if shard == 0 { vec![script] } else { Vec::new() };
+        servers.push(EventLoopServer::new(k, pid, scripts, None, EventLoopConfig::default()));
+    }
+    let fabric = ShardFabric::new(2, 1 + FABRIC_SLACK);
+    let (done_tx, _done_rx) = sync_channel(2);
+    for (server, mailbox) in servers.iter_mut().zip(fabric.mailboxes) {
+        server.attach_shard(ShardContext {
+            mailbox,
+            shards: 2,
+            ownership: CacheOwnership::HomeOnly,
+            done_tx: done_tx.clone(),
+        });
+    }
+    let step = |servers: &mut Vec<EventLoopServer>| {
+        for server in servers.iter_mut() {
+            server.tick();
+        }
+        while servers.iter_mut().map(EventLoopServer::pump_fabric).sum::<usize>() > 0 {}
+    };
+    let fetches = remote.len() as u64;
+    while servers[0].stats().completed < fetches {
+        step(&mut servers);
+    }
+    let before = heap_bytes();
+    while !servers[0].is_done() {
+        step(&mut servers);
+    }
+    let bytes = heap_bytes() - before;
+    let stats = servers[0].stats();
+    let timed = fetches * (PASSES as u64 - 1);
+    assert_eq!((stats.completed, stats.failed), (fetches * PASSES as u64, 0));
+    assert_eq!((stats.remote_reads, stats.remote_hits), (fetches * PASSES as u64, timed));
+    (bytes, timed * len)
+}
+
+/// Heap bytes per remotely fetched byte: `serve_remote_read`'s `to_vec`
+/// onto the host channel and `land_copied` into the requester's pool —
+/// the fabric copy ROADMAP item 4 exists to delete. 2.0000 measured at
+/// the parent commit; a third copy adds a whole byte per byte.
+const FETCH_BYTES_PER_BYTE: f64 = 2.0 + 0.5;
+
+#[test]
+fn remote_fetch_copies_each_byte_a_fixed_number_of_times() {
+    let per_byte = slope(remote_fetch(SMALL), remote_fetch(LARGE));
+    assert!(
+        per_byte <= FETCH_BYTES_PER_BYTE,
+        "{per_byte:.4} heap bytes per remotely fetched byte (budget {FETCH_BYTES_PER_BYTE})"
+    );
 }

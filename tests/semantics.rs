@@ -106,6 +106,53 @@ fn memory_accounts_are_conserved() {
     assert_eq!(k.physmem.held(MemAccount::SocketCopies), 0);
 }
 
+/// An account past `u64::MAX` is a machine with nothing left for the
+/// cache (§5.7's squeeze at its limit), never a sum that wraps back to
+/// the kernel's own reservation and reports the cache ~116 MB free.
+#[test]
+fn oversubscription_saturates_instead_of_wrapping() {
+    let mut k = Kernel::new(CostModel::pentium_ii_333());
+    let pid = k.spawn("app");
+    let f = k.create_synthetic_file("/f", 1 << 20, 1);
+    let fd = k.open_file(pid, f);
+    k.iol_read_fd(pid, fd, 1 << 20).unwrap();
+    assert!(k.physmem.held(MemAccount::Kernel) > 0 && k.cache.resident_bytes() > 0);
+    k.mem_reserve(MemAccount::SocketCopies, u64::MAX);
+    k.mem_reserve(MemAccount::SocketCopies, 1);
+    k.rebalance_cache();
+    assert_eq!(k.physmem.held(MemAccount::SocketCopies), u64::MAX);
+    assert_eq!((k.physmem.used(), k.physmem.available()), (u64::MAX, 0));
+    assert_eq!(k.physmem.cache_budget(), 0);
+    assert_eq!(k.cache.resident_bytes(), 0, "the squeeze evicts everything");
+}
+
+/// The cache pool is not append-only: a miss after an eviction lands in
+/// chunks the eviction drained, under a new generation — so a buffer's
+/// identity depends on who else held it. ROADMAP item 1 flips this
+/// deliberately.
+#[test]
+fn cache_pool_recycles_drained_chunks() {
+    let mut k = Kernel::new(CostModel::pentium_ii_333());
+    let pid = k.spawn("app");
+    let mut keys = Vec::new();
+    for i in 0..2 {
+        let f = k.create_synthetic_file(&format!("/f{i}"), 1 << 20, i);
+        let fd = k.open_file(pid, f);
+        let (agg, _) = k.iol_pread(pid, fd, 0, 1 << 20).unwrap();
+        keys.push(agg.slices().map(|s| (s.id(), s.generation())).collect::<Vec<_>>());
+        // Squeeze the budget to nothing and back: the entry is evicted.
+        k.mem_reserve(MemAccount::SocketCopies, u64::MAX / 2);
+        k.rebalance_cache();
+        k.mem_release(MemAccount::SocketCopies, u64::MAX / 2);
+    }
+    assert_eq!(k.cache.resident_bytes(), 0);
+    let recycled = keys[1]
+        .iter()
+        .filter(|(id, generation)| keys[0].iter().any(|(old, g)| old == id && g != generation))
+        .count();
+    assert!(recycled > 0, "the second read reused none of the first read's chunks");
+}
+
 #[test]
 fn mmap_cow_preserves_cache_snapshot() {
     let mut k = Kernel::new(CostModel::pentium_ii_333());
