@@ -88,7 +88,6 @@ impl CompilePipeline {
                 let (bytes, out) = kernel
                     .posix_read_fd(self.driver, src_fd, len)
                     .expect("open source");
-                kernel.charge(CostCategory::Copy, out.charge);
                 kernel.advance(out.disk_time);
                 bytes
             }
@@ -96,7 +95,6 @@ impl CompilePipeline {
                 let (agg, out) = kernel
                     .iol_read_fd(self.driver, src_fd, len)
                     .expect("open source");
-                kernel.charge(CostCategory::PageMap, out.charge);
                 kernel.advance(out.disk_time);
                 agg.to_vec()
             }
@@ -147,13 +145,10 @@ impl CompilePipeline {
         let mut sent = 0u64;
         while sent < agg.len() {
             let rest = agg.range(sent, agg.len() - sent).expect("in range");
-            let (accepted, wout) = short_ok(kernel.iol_write_fd(producer, wfd, &rest))
+            sent += short_ok(kernel.iol_write_fd(producer, wfd, &rest))
                 .expect("consumer holds the read end");
-            kernel.charge(CostCategory::Copy, wout.charge);
-            sent += accepted;
             match kernel.iol_read_fd(consumer, rfd, u64::MAX) {
-                Ok((chunk, rout)) => {
-                    kernel.charge(CostCategory::Copy, rout.charge);
+                Ok((chunk, _)) => {
                     // Consumer copy into its own contiguous working
                     // memory: one copy per byte, no intermediate
                     // materialization.
@@ -161,13 +156,10 @@ impl CompilePipeline {
                         received.extend_from_slice(run);
                     }
                 }
-                Err(IolError::WouldBlock { outcome }) => {
-                    kernel.charge(CostCategory::Syscall, outcome.charge);
-                }
+                Err(IolError::WouldBlock) => {}
                 Err(e) => panic!("stage read failed: {e}"),
             }
             if sent < agg.len() {
-                kernel.charge(CostCategory::ContextSwitch, kernel.cost.context_switches(2));
                 kernel.context_switch(2);
             }
         }

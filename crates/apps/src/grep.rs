@@ -114,13 +114,11 @@ pub fn run_cat_grep(
         let data: Aggregate = match mode {
             ApiMode::Posix => {
                 let (bytes, out) = kernel.posix_read_fd(cat_pid, in_fd, want).expect("open file");
-                kernel.charge(CostCategory::Copy, out.charge);
                 kernel.advance(out.disk_time);
                 Aggregate::from_bytes(&scratch, &bytes)
             }
             ApiMode::IoLite => {
                 let (agg, out) = kernel.iol_read_fd(cat_pid, in_fd, want).expect("open file");
-                kernel.charge(CostCategory::PageMap, out.charge);
                 kernel.advance(out.disk_time);
                 agg
             }
@@ -133,13 +131,10 @@ pub fn run_cat_grep(
         let mut sent = 0u64;
         while sent < data.len() {
             let rest = data.range(sent, data.len() - sent).expect("in range");
-            let (accepted, wout) = short_ok(kernel.iol_write_fd(cat_pid, wfd, &rest))
+            sent += short_ok(kernel.iol_write_fd(cat_pid, wfd, &rest))
                 .expect("grep holds the read end");
-            kernel.charge(CostCategory::Copy, wout.charge);
-            sent += accepted;
             match kernel.iol_read_fd(grep_pid, rfd, u64::MAX) {
-                Ok((agg, rout)) => {
-                    kernel.charge(CostCategory::Copy, rout.charge);
+                Ok((agg, _)) => {
                     // grep processes what arrived.
                     kernel.charge(
                         CostCategory::AppCompute,
@@ -164,14 +159,11 @@ pub fn run_cat_grep(
                         }
                     }
                 }
-                Err(IolError::WouldBlock { outcome }) => {
-                    kernel.charge(CostCategory::Syscall, outcome.charge);
-                }
+                Err(IolError::WouldBlock) => {}
                 Err(e) => panic!("grep read failed: {e}"),
             }
             if sent < data.len() {
                 // Blocked on a full pipe: producer/consumer switch pair.
-                kernel.charge(CostCategory::ContextSwitch, kernel.cost.context_switches(2));
                 kernel.context_switch(2);
             }
         }

@@ -86,13 +86,10 @@ pub fn run_permute_wc(
         let mut sent = 0u64;
         while sent < agg.len() {
             let rest = agg.range(sent, agg.len() - sent).expect("in range");
-            let (accepted, wout) = short_ok(kernel.iol_write_fd(perm_pid, wfd, &rest))
-                .expect("wc holds the read end");
-            kernel.charge(CostCategory::Copy, wout.charge);
-            sent += accepted;
+            sent +=
+                short_ok(kernel.iol_write_fd(perm_pid, wfd, &rest)).expect("wc holds the read end");
             match kernel.iol_read_fd(wc_pid, rfd, u64::MAX) {
-                Ok((chunk, rout)) => {
-                    kernel.charge(CostCategory::Copy, rout.charge);
+                Ok((chunk, _)) => {
                     kernel.charge(
                         CostCategory::AppCompute,
                         Charge::us(chunk.len() as f64 * costs.wc_scan_ns_per_byte / 1000.0),
@@ -101,13 +98,10 @@ pub fn run_permute_wc(
                         count_chunk(run, &mut counts, &mut in_word);
                     }
                 }
-                Err(IolError::WouldBlock { outcome }) => {
-                    kernel.charge(CostCategory::Syscall, outcome.charge);
-                }
+                Err(IolError::WouldBlock) => {}
                 Err(e) => panic!("wc read failed: {e}"),
             }
             if sent < agg.len() {
-                kernel.charge(CostCategory::ContextSwitch, kernel.cost.context_switches(2));
                 kernel.context_switch(2);
             }
         }

@@ -40,8 +40,10 @@ pub(crate) fn count_chunk(data: &[u8], counts: &mut WcCounts, in_word: &mut bool
 }
 
 /// Runs `wc` on a file, returning the (real) counts and the simulated
-/// runtime. The program opens its own descriptor and reads
-/// sequentially, exactly like the real `wc` reading `stdin`-style.
+/// runtime — the kernel clock's advance: every read bills itself, the
+/// scan and the disk waits are added here. The program opens its own
+/// descriptor and reads sequentially, exactly like the real `wc`
+/// reading `stdin`-style.
 pub fn run_wc(
     kernel: &mut Kernel,
     pid: Pid,
@@ -61,13 +63,11 @@ pub fn run_wc(
         match mode {
             ApiMode::Posix => {
                 let (data, out) = kernel.posix_read_fd(pid, fd, want).expect("open file");
-                kernel.charge(CostCategory::Copy, out.charge);
                 kernel.advance(out.disk_time);
                 count_chunk(&data, &mut counts, &mut in_word);
             }
             ApiMode::IoLite => {
                 let (agg, out) = kernel.iol_read_fd(pid, fd, want).expect("open file");
-                kernel.charge(CostCategory::PageMap, out.charge);
                 kernel.advance(out.disk_time);
                 // Iterate the byte runs in place: no contiguity needed.
                 for run in agg.chunks() {

@@ -44,6 +44,22 @@ pub enum CostCategory {
     AppCompute,
 }
 
+impl CostCategory {
+    /// Every category, in declaration order (`ALL[c as usize] == c`).
+    pub const ALL: [CostCategory; 10] = [
+        CostCategory::Copy,
+        CostCategory::Checksum,
+        CostCategory::PageMap,
+        CostCategory::Syscall,
+        CostCategory::ContextSwitch,
+        CostCategory::Request,
+        CostCategory::TcpControl,
+        CostCategory::Packet,
+        CostCategory::ProcessModel,
+        CostCategory::AppCompute,
+    ];
+}
+
 /// An amount of simulated CPU time. Kept distinct from [`SimTime`]
 /// instants and device times so disk or wire time cannot be added to
 /// CPU time by accident; its category is named where it is billed

@@ -1,8 +1,9 @@
 //! The unified, fallible result type of the descriptor-based IOL API.
 //!
 //! Every I/O operation on a descriptor returns [`IoResult<T>`]: on
-//! success, the value plus the [`IoOutcome`] (simulated CPU charge,
-//! cache/disk/mapping accounting); on failure, a precise [`IolError`].
+//! success, the value plus the [`IoOutcome`] (cache, disk and mapping
+//! accounting — the CPU the call cost is already billed to the kernel's
+//! ledger); on failure, a precise [`IolError`].
 //! The errors map one-to-one onto the POSIX `errno`s a real IO-Lite
 //! kernel would return through the unchanged "file-descriptor-related
 //! UNIX system calls" of §3.4:
@@ -14,14 +15,14 @@
 //! | [`PermissionDenied`](IolError::PermissionDenied) | `EACCES` | the caller's domain is not on the governing ACL (§3.3) |
 //! | [`NotFound`](IolError::NotFound) | `ENOENT` | a path fails to resolve at `open` |
 //! | [`Closed`](IolError::Closed) | `EPIPE` | writing an object whose peer hung up |
-//! | [`WouldBlock`](IolError::WouldBlock) | `EAGAIN` | the operation made no progress and must wait for the peer (carries the trap's charge) |
+//! | [`WouldBlock`](IolError::WouldBlock) | `EAGAIN` | the operation made no progress and must wait for the peer (the refused trap is billed all the same) |
 //! | [`InvalidSeek`](IolError::InvalidSeek) | `EINVAL` | the resolved seek position is negative or past `i64::MAX` (`off_t`) |
 //! | [`ShortIo`](IolError::ShortIo) | partial `write(2)` | the object filled mid-write; partial progress is carried |
 //!
 //! `ShortIo` deserves a note: a pipe that accepts *some* bytes before
-//! filling reports the accepted count and the charge for the work done,
-//! exactly like a short POSIX `write`. Producer/consumer loops treat it
-//! as flow control via [`short_ok`].
+//! filling reports the accepted count (the work done is billed like any
+//! other), exactly like a short POSIX `write`. Producer/consumer loops
+//! treat it as flow control via [`short_ok`].
 
 use std::fmt;
 
@@ -34,7 +35,7 @@ use crate::kernel::IoOutcome;
 ///
 /// Carries enough context to act on: the offending descriptor, the
 /// denied domain, or the partial progress of a short write.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IolError {
     /// The descriptor is not open in the calling process's table
     /// (`EBADF`): never opened, closed then used, installed over an
@@ -66,13 +67,9 @@ pub enum IolError {
     Closed,
     /// No progress is possible without blocking (`EAGAIN`): reading an
     /// empty pipe whose writer is still open, or writing a full one.
-    /// The blocked call still trapped into the kernel, so its
-    /// accounting rides along — pollers bill `outcome.charge` exactly
-    /// like a successful call's.
-    WouldBlock {
-        /// Accounting for the refused attempt (the syscall charge).
-        outcome: IoOutcome,
-    },
+    /// The blocked call still trapped into the kernel, and the kernel
+    /// billed the trap like a successful call's.
+    WouldBlock,
     /// The resolved seek position would be negative or beyond
     /// `i64::MAX`, the end of `off_t` (`EINVAL`).
     InvalidSeek {
@@ -80,41 +77,13 @@ pub enum IolError {
         requested: i64,
     },
     /// The write made partial progress before the object filled: `done`
-    /// bytes were accepted and `outcome` charges for them. The caller
-    /// advances past `done`, lets the consumer drain, and retries — the
-    /// §4.4 producer/consumer fill/drain round.
+    /// bytes were accepted (and billed). The caller advances past
+    /// `done`, lets the consumer drain, and retries — the §4.4
+    /// producer/consumer fill/drain round.
     ShortIo {
         /// Bytes accepted before the object filled.
         done: u64,
-        /// Accounting for the partial work (charge, copies, mappings).
-        outcome: IoOutcome,
     },
-}
-
-impl PartialEq for IolError {
-    fn eq(&self, other: &Self) -> bool {
-        use IolError::*;
-        match (self, other) {
-            (NotOpen { fd: a }, NotOpen { fd: b }) => a == b,
-            (
-                BadFdKind {
-                    fd: a,
-                    operation: oa,
-                },
-                BadFdKind {
-                    fd: b,
-                    operation: ob,
-                },
-            ) => a == b && oa == ob,
-            (PermissionDenied { domain: a }, PermissionDenied { domain: b }) => a == b,
-            (NotFound, NotFound) | (Closed, Closed) => true,
-            (InvalidSeek { requested: a }, InvalidSeek { requested: b }) => a == b,
-            // Outcomes are accounting, not identity.
-            (WouldBlock { .. }, WouldBlock { .. }) => true,
-            (ShortIo { done: a, .. }, ShortIo { done: b, .. }) => a == b,
-            _ => false,
-        }
-    }
 }
 
 impl fmt::Display for IolError {
@@ -129,11 +98,11 @@ impl fmt::Display for IolError {
             }
             IolError::NotFound => write!(f, "no such file (ENOENT)"),
             IolError::Closed => write!(f, "peer closed (EPIPE)"),
-            IolError::WouldBlock { .. } => write!(f, "operation would block (EAGAIN)"),
+            IolError::WouldBlock => write!(f, "operation would block (EAGAIN)"),
             IolError::InvalidSeek { requested } => {
                 write!(f, "seek by {requested} leaves the file offset range (EINVAL)")
             }
-            IolError::ShortIo { done, .. } => {
+            IolError::ShortIo { done } => {
                 write!(f, "short write: {done} bytes accepted before the object filled")
             }
         }
@@ -147,12 +116,13 @@ impl std::error::Error for IolError {}
 /// precise [`IolError`].
 pub type IoResult<T> = Result<(T, IoOutcome), IolError>;
 
-/// Folds [`IolError::ShortIo`] partial progress into the success value.
+/// Folds [`IolError::ShortIo`] partial progress into the success value:
+/// the bytes accepted.
 ///
 /// Producer loops that alternate with their consumer (the §4.4
 /// fill/drain round structure) treat a short write as normal flow
-/// control: take the accepted count and its charge, let the reader
-/// drain, continue. All other errors pass through.
+/// control: take the accepted count, let the reader drain, continue.
+/// All other errors pass through.
 ///
 /// # Examples
 ///
@@ -160,18 +130,15 @@ pub type IoResult<T> = Result<(T, IoOutcome), IolError>;
 /// use iolite_core::error::{short_ok, IolError, IoResult};
 /// use iolite_core::IoOutcome;
 ///
-/// let short: IoResult<u64> = Err(IolError::ShortIo {
-///     done: 10,
-///     outcome: IoOutcome::default(),
-/// });
-/// assert_eq!(short_ok(short).unwrap().0, 10);
-/// let blocked = IolError::WouldBlock { outcome: IoOutcome::default() };
-/// assert_eq!(short_ok(Err(blocked)), Err(blocked));
+/// let short: IoResult<u64> = Err(IolError::ShortIo { done: 10 });
+/// assert_eq!(short_ok(short), Ok(10));
+/// assert_eq!(short_ok(Ok((9, IoOutcome::default()))), Ok(9));
+/// assert_eq!(short_ok(Err(IolError::WouldBlock)), Err(IolError::WouldBlock));
 /// ```
-pub fn short_ok(res: IoResult<u64>) -> IoResult<u64> {
+pub fn short_ok(res: IoResult<u64>) -> Result<u64, IolError> {
     match res {
-        Err(IolError::ShortIo { done, outcome }) => Ok((done, outcome)),
-        other => other,
+        Ok((done, _)) | Err(IolError::ShortIo { done }) => Ok(done),
+        Err(e) => Err(e),
     }
 }
 
@@ -180,56 +147,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn equality_ignores_outcomes() {
-        let a = IolError::ShortIo {
-            done: 5,
-            outcome: IoOutcome::default(),
-        };
-        let b = IolError::ShortIo {
-            done: 5,
-            outcome: IoOutcome {
-                cache_hit: true,
-                ..IoOutcome::default()
-            },
-        };
-        assert_eq!(a, b);
-        assert_ne!(
-            a,
-            IolError::ShortIo {
-                done: 6,
-                outcome: IoOutcome::default()
-            }
-        );
-        assert_ne!(
-            IolError::Closed,
-            IolError::WouldBlock {
-                outcome: IoOutcome::default()
-            }
-        );
-    }
-
-    #[test]
     fn display_is_informative() {
         let msg = IolError::NotOpen { fd: Fd(7) }.to_string();
         assert!(msg.contains('7') && msg.contains("EBADF"));
-        let blocked = IolError::WouldBlock {
-            outcome: IoOutcome::default(),
-        };
-        assert!(blocked.to_string().contains("EAGAIN"));
+        assert!(IolError::WouldBlock.to_string().contains("EAGAIN"));
     }
 
     #[test]
     fn short_ok_unwraps_progress_only() {
-        assert_eq!(
-            short_ok(Err(IolError::ShortIo {
-                done: 3,
-                outcome: IoOutcome::default()
-            }))
-            .unwrap()
-            .0,
-            3
-        );
+        assert_eq!(short_ok(Err(IolError::ShortIo { done: 3 })), Ok(3));
         assert!(short_ok(Err(IolError::Closed)).is_err());
-        assert_eq!(short_ok(Ok((9, IoOutcome::default()))).unwrap().0, 9);
+        assert_eq!(short_ok(Ok((9, IoOutcome::default()))), Ok(9));
     }
 }

@@ -178,7 +178,10 @@ impl Kernel {
 
     // ---- clock and charging --------------------------------------------
 
-    /// Adds CPU time to the sequential clock and the metrics breakdown.
+    /// Bills CPU for work the kernel does not do itself — request
+    /// parsing, CGI dispatch, the process model, application compute —
+    /// to the sequential clock and the metrics breakdown. (Every kernel
+    /// operation bills its own CPU where it incurs it.)
     pub fn charge(&mut self, cat: CostCategory, c: Charge) {
         self.charge_copied(cat, c, 0)
     }
@@ -206,8 +209,9 @@ impl Kernel {
         self.run(|s, _| s.op_reset_clock(), || Command::ResetClock)
     }
 
-    /// Accounts `n` process context switches (scheduling hand-offs the
-    /// drivers previously tallied by hand).
+    /// Switches processes `n` times (scheduling hand-offs between
+    /// producer and consumer), billing each switch — the one place
+    /// context switches are charged.
     pub fn context_switch(&mut self, n: u64) {
         self.run(
             |s, fx| s.op_context_switch(n, fx),
@@ -240,16 +244,6 @@ impl Kernel {
         )
     }
 
-    /// Resolves a path through the metadata cache.
-    pub fn lookup(&mut self, name: &str) -> (Option<FileId>, Charge) {
-        self.run(
-            |s, fx| s.op_lookup(name, fx),
-            || Command::Lookup {
-                name: name.to_string(),
-            },
-        )
-    }
-
     /// Re-syncs the file-cache budget with the memory accountant and
     /// returns entries evicted by the shrink.
     ///
@@ -278,7 +272,7 @@ impl Kernel {
     /// by reference (zero-copy ingest; §3.5 snapshot semantics).
     /// Persistence is deferred to [`Kernel::write_back`]; checksums
     /// cached over the replaced version are invalidated.
-    pub fn put_install(&mut self, pid: Pid, file: FileId, agg: &Aggregate) -> IoOutcome {
+    pub fn put_install(&mut self, pid: Pid, file: FileId, agg: &Aggregate) {
         self.run(
             |s, fx| s.op_put_install(pid, file, agg, fx),
             || Command::PutInstall {
@@ -336,7 +330,7 @@ impl Kernel {
     /// Installs a replica of `data` as `file`'s whole-file cache entry
     /// (sharded serving: a remote read's payload becomes a local cache
     /// entry so later requests for the file hit this shard).
-    pub fn cache_install(&mut self, file: FileId, data: &[u8]) -> IoOutcome {
+    pub fn cache_install(&mut self, file: FileId, data: &[u8]) {
         self.run(
             |s, fx| s.op_cache_install(file, data, fx),
             || Command::CacheInstall {
@@ -361,15 +355,6 @@ impl Kernel {
     /// the companion query to [`Kernel::writeback_due`].
     pub fn nvm_demote_due(&self) -> bool {
         self.writeback.should_demote()
-    }
-
-    /// Touches Flash's mapped-file cache; returns whether the file was
-    /// already mapped (a miss models an `mmap`/`munmap` cycle).
-    pub fn mapped_file_touch(&mut self, file: FileId) -> bool {
-        self.run(
-            |s, _| s.op_mapped_file_touch(file),
-            || Command::MappedFileTouch { file },
-        )
     }
 
     /// Reserves memory on an account in the physical-memory accountant.
@@ -473,8 +458,8 @@ impl Kernel {
     /// Accounting-only send on a *copy-mode* socket descriptor: the
     /// conventional `write(2)` path, whose costs depend only on the
     /// byte count (copies have no identity, so no cache can apply).
-    /// Updates the copy/checksum metrics centrally and returns the
-    /// [`SendOutcome`] in both the value and `outcome.net`.
+    /// Bills the trap, the socket copy, the checksum and the packets,
+    /// and returns the [`SendOutcome`].
     pub fn socket_send_accounted(&mut self, pid: Pid, fd: Fd, len: u64) -> IoResult<SendOutcome> {
         self.run(
             |s, fx| s.op_socket_send_accounted(pid, fd, len, fx),
@@ -492,7 +477,7 @@ impl Kernel {
         payload: &Aggregate,
     ) -> IoResult<Vec<MbufChain>> {
         self.run(
-            |s, _| s.op_socket_transmit_segments(pid, fd, payload),
+            |s, fx| s.op_socket_transmit_segments(pid, fd, payload, fx),
             || Command::SocketTransmitSegments {
                 pid,
                 fd,
@@ -565,16 +550,11 @@ impl Kernel {
     /// an entry that fails to resolve reports `invalid` (`POLLNVAL`)
     /// without failing the scan.
     ///
-    /// The call is charged as one trap plus a per-entry scan cost
+    /// The call is billed as one trap plus a per-entry scan cost
     /// ([`CostModel::poll_fd_us`]) — the select/poll overhead that made
     /// event-driven servers sensitive to poll-set size long before the
-    /// payload moved.
-    ///
-    /// # Errors
-    ///
-    /// None today — the result is total; the `IoResult` shape carries
-    /// the accounting like every other descriptor operation.
-    pub fn iol_poll(&mut self, pid: Pid, fds: &[PollFd]) -> IoResult<Vec<Readiness>> {
+    /// payload moved. It cannot fail.
+    pub fn iol_poll(&mut self, pid: Pid, fds: &[PollFd]) -> Vec<Readiness> {
         self.run(
             |s, fx| s.op_iol_poll(pid, fds, fx),
             || Command::Poll {
@@ -586,8 +566,8 @@ impl Kernel {
 
     // ---- file descriptors (§3.4: the IOL calls act on any fd) -----------
 
-    /// Opens a file by path, returning a descriptor with offset 0. The
-    /// outcome carries the metadata-lookup plus syscall charge.
+    /// Opens a file by path, returning a descriptor with offset 0, and
+    /// bills the metadata lookup plus the syscall.
     ///
     /// # Errors
     ///
@@ -774,8 +754,8 @@ impl Kernel {
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual;
     /// [`IolError::Closed`] when writing a closed pipe or socket;
     /// [`IolError::WouldBlock`] when a full pipe accepts nothing;
-    /// [`IolError::ShortIo`] (carrying the partial count and its
-    /// charge) when a pipe fills mid-write.
+    /// [`IolError::ShortIo`] (carrying the partial count) when a pipe
+    /// fills mid-write.
     pub fn iol_write_fd(&mut self, pid: Pid, fd: Fd, agg: &Aggregate) -> IoResult<u64> {
         self.run(
             |s, fx| s.op_iol_write_fd(pid, fd, agg, fx),
@@ -866,6 +846,23 @@ impl Kernel {
         )
     }
 
+    /// Reads the whole document behind `fd` through a mapping, as Flash
+    /// and Apache serve it: no trap (a mapped access is a memory
+    /// reference), first-time page mappings billed. With `cached`
+    /// (Flash) a touch of the bounded mapped-file cache decides whether
+    /// an `mmap`/`munmap` cycle is paid; without it (Apache maps and
+    /// unmaps per request) every read pays one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Kernel::iol_pread`].
+    pub fn mapped_read(&mut self, pid: Pid, fd: Fd, cached: bool) -> IoResult<Aggregate> {
+        self.run(
+            |s, fx| s.op_mapped_read(pid, fd, cached, fx),
+            || Command::MappedRead { pid, fd, cached },
+        )
+    }
+
     // ---- the stdio console (harness side of fds 0/1/2) ------------------
 
     /// Writes `data` into `pid`'s stdin console pipe (the harness
@@ -943,10 +940,7 @@ mod tests {
         // STDERR is distinct from STDOUT.
         let err = Aggregate::from_bytes(&pool, b"oops");
         k.iol_write_fd(pid, Fd::STDERR, &err).unwrap();
-        assert!(matches!(
-            k.read_stdout(pid, 100),
-            Err(IolError::WouldBlock { .. })
-        ));
+        assert!(matches!(k.read_stdout(pid, 100), Err(IolError::WouldBlock)));
         assert_eq!(k.read_stderr(pid, 100).unwrap().0.to_vec(), b"oops");
     }
 
@@ -970,11 +964,11 @@ mod tests {
         let f = k.create_synthetic_file("/f", 100_000, 1);
         let fd = k.open_file(pid, f);
         let (a1, o1) = k.iol_pread(pid, fd, 0, 100_000).unwrap();
-        assert!(!o1.cache_hit);
-        assert!(o1.disk_bytes == 100_000 && o1.disk_time > SimTime::ZERO);
+        assert!(!o1.cache_hit && o1.disk_time > SimTime::ZERO);
+        assert_eq!(k.metrics.disk_bytes, 100_000);
         let (a2, o2) = k.iol_pread(pid, fd, 0, 100_000).unwrap();
         assert!(o2.cache_hit);
-        assert_eq!(o2.disk_bytes, 0);
+        assert_eq!(k.metrics.disk_bytes, 100_000, "the hit read no disk");
         assert!(a1.content_eq(&a2));
         // Same physical copy.
         assert!(a1.slice_at(0).same_buffer(a2.slice_at(0)));
@@ -998,11 +992,15 @@ mod tests {
         let pid = k.spawn("app");
         let f = k.create_synthetic_file("/f", 64 * 1024, 1);
         let fd = k.open_file(pid, f);
-        let (_, o1) = k.iol_pread(pid, fd, 0, 64 * 1024).unwrap();
-        assert!(o1.mapped_pages > 0);
-        let (_, o2) = k.iol_pread(pid, fd, 0, 64 * 1024).unwrap();
-        assert_eq!(o2.mapped_pages, 0, "second read rides warm mappings");
-        assert!(o2.charge.time < o1.charge.time);
+        k.iol_pread(pid, fd, 0, 64 * 1024).unwrap();
+        let (mapped, cold) = (k.metrics.pages_mapped, k.now());
+        assert!(mapped > 0);
+        k.iol_pread(pid, fd, 0, 64 * 1024).unwrap();
+        assert_eq!(
+            k.metrics.pages_mapped, mapped,
+            "second read rides warm mappings"
+        );
+        assert!(k.now() - cold < cold, "and bills less");
     }
 
     #[test]
@@ -1064,8 +1062,8 @@ mod tests {
             assert_eq!(k.cksum.len(), 2 * windows.len());
             // PUT: the body aggregate is installed by reference.
             let body = Aggregate::from_bytes(&pool, b"generation-two!");
-            let out = k.put_install(pid, f, &body);
-            assert_eq!(out.disk_bytes, 0, "persistence is deferred");
+            k.put_install(pid, f, &body);
+            assert_eq!(k.metrics.disk_write_ops, 0, "persistence is deferred");
             assert_eq!(k.metrics.bytes_dirty_installed, body.len());
             assert!(k.cache.is_dirty(&CacheKey::whole(f)));
             assert_eq!(k.cksum.stats().invalidations, windows.len() as u64);
@@ -1132,12 +1130,16 @@ mod tests {
     #[test]
     fn lookup_uses_metadata_cache() {
         let mut k = kernel();
+        let pid = k.spawn("app");
         k.create_file("/x", b"1");
-        let (id1, c1) = k.lookup("/x");
-        let (id2, c2) = k.lookup("/x");
-        assert_eq!(id1, id2);
-        assert!(c2.time < c1.time, "metadata hit is cheaper");
-        assert_eq!(k.lookup("/missing").0, None);
+        let (a, _) = k.open(pid, "/x").unwrap();
+        let miss = k.now();
+        let (b, _) = k.open(pid, "/x").unwrap();
+        assert_eq!(k.fd_file(pid, a), k.fd_file(pid, b));
+        assert!(k.now() - miss < miss, "metadata hit is cheaper");
+        let t = k.now();
+        assert_eq!(k.open(pid, "/missing"), Err(IolError::NotFound));
+        assert_eq!(k.now(), t, "a failed open bills nothing");
     }
 
     /// Regression (pin-steal interleaving across the kernel surface):
@@ -1199,16 +1201,17 @@ mod tests {
         let m1 = Aggregate::from_bytes(&pool, &[1u8; 64 * 1024]);
         k.iol_write_fd(a, w, &m1).unwrap();
         drop(m1);
-        let (got, o1) = k.iol_read_fd(b, r, u64::MAX).unwrap();
+        let (got, _) = k.iol_read_fd(b, r, u64::MAX).unwrap();
         assert_eq!(got.len(), 64 * 1024);
-        assert!(o1.mapped_pages > 0);
+        let mapped = k.metrics.pages_mapped;
+        assert!(mapped > 0);
         drop(got);
         // Recycled chunk: no new mappings (the §3.2 fast path).
         let m2 = Aggregate::from_bytes(&pool, &[2u8; 64 * 1024]);
         k.iol_write_fd(a, w, &m2).unwrap();
         drop(m2);
-        let (_, o2) = k.iol_read_fd(b, r, u64::MAX).unwrap();
-        assert_eq!(o2.mapped_pages, 0);
+        k.iol_read_fd(b, r, u64::MAX).unwrap();
+        assert_eq!(k.metrics.pages_mapped, mapped);
         assert_eq!(k.metrics.bytes_copied, 0);
     }
 
@@ -1220,12 +1223,15 @@ mod tests {
         let (w, r) = k.pipe_between(a, b, PipeMode::Copy);
         let pool = k.process(a).pool().clone();
         let msg = Aggregate::from_bytes(&pool, &[1u8; 1000]);
-        let (n, wout) = k.iol_write_fd(a, w, &msg).unwrap();
+        let (n, _) = k.iol_write_fd(a, w, &msg).unwrap();
         assert_eq!(n, 1000);
-        assert!(wout.charge.time > Charge::us(5.0).time);
-        let (_, rout) = k.iol_read_fd(b, r, u64::MAX).unwrap();
-        assert!(rout.charge.time > Charge::us(5.0).time);
+        let trap = Charge::us(5.0).time;
+        assert!(k.now() > trap, "a trap plus the copy in");
+        let t = k.now();
+        k.iol_read_fd(b, r, u64::MAX).unwrap();
+        assert!(k.now() - t > trap, "a trap plus the copy out");
         assert_eq!(k.metrics.bytes_copied, 2000);
+        assert_eq!(k.metrics.cpu(), k.now(), "one ledger");
     }
 
     #[test]
@@ -1238,17 +1244,11 @@ mod tests {
         // 100KB into a 64KB pipe: partial progress is carried.
         let big = Aggregate::from_bytes(&pool, &[7u8; 100 * 1024]);
         let err = k.iol_write_fd(a, w, &big).unwrap_err();
-        let IolError::ShortIo { done, outcome } = err else {
-            panic!("expected ShortIo, got {err:?}");
-        };
-        assert_eq!(done, 64 * 1024);
-        assert!(outcome.charge.time > SimTime::ZERO);
-        // Full pipe accepts nothing: EAGAIN, still charged as a trap.
-        let blocked = k.iol_write_fd(a, w, &big).unwrap_err();
-        let IolError::WouldBlock { outcome } = blocked else {
-            panic!("expected WouldBlock, got {blocked:?}");
-        };
-        assert!(outcome.charge.time > SimTime::ZERO);
+        assert_eq!(err, IolError::ShortIo { done: 64 * 1024 });
+        // Full pipe accepts nothing: EAGAIN, still billed as a trap.
+        let t = k.now();
+        assert_eq!(k.iol_write_fd(a, w, &big), Err(IolError::WouldBlock));
+        assert_eq!(k.now() - t, Charge::us(k.cost.syscall_us).time);
         // Drain, close the write end; the reader sees data then EOF.
         let (first, _) = k.iol_read_fd(b, r, u64::MAX).unwrap();
         assert_eq!(first.len(), 64 * 1024);
@@ -1272,10 +1272,7 @@ mod tests {
         let w_dup = k.dup_fd(a, w).unwrap();
         k.close_fd(a, w).unwrap();
         // A write end remains: the empty pipe is EAGAIN, not EOF.
-        assert!(matches!(
-            k.iol_read_fd(b, r, 10),
-            Err(IolError::WouldBlock { .. })
-        ));
+        assert!(matches!(k.iol_read_fd(b, r, 10), Err(IolError::WouldBlock)));
         k.close_fd(a, w_dup).unwrap();
         let (eof, _) = k.iol_read_fd(b, r, 10).unwrap();
         assert!(eof.is_empty());
@@ -1287,9 +1284,9 @@ mod tests {
         let pid = k.spawn("app");
         let f = k.create_synthetic_file("/f", 10_000, 3);
         let fd = k.open_file(pid, f);
-        let (mut view, o) = k.mmap_fd(pid, fd).unwrap();
+        let (mut view, _) = k.mmap_fd(pid, fd).unwrap();
         assert_eq!(view.len(), 10_000);
-        assert!(o.mapped_pages > 0);
+        assert!(k.metrics.pages_mapped > 0);
         let direct = k.store.read(f, 0, 10_000).unwrap();
         assert_eq!(view.read_all(), direct);
     }
@@ -1381,7 +1378,7 @@ mod tests {
         let patch = Aggregate::from_bytes(&pool, b"XY");
         let (n, _) = k.iol_write_fd(pid, fd, &patch).unwrap();
         assert_eq!(n, 2);
-        let file = k.lookup("/f").0.unwrap();
+        let file = k.fd_file(pid, fd).unwrap();
         assert_eq!(k.store.read(file, 0, 20).unwrap(), b"0123XY6789");
         // The offset advanced past the write.
         let (rest, _) = k.iol_read_fd(pid, fd, 10).unwrap();
@@ -1420,7 +1417,7 @@ mod tests {
         // Nothing delivered yet: EAGAIN.
         assert!(matches!(
             k.iol_read_fd(pid, sock, 10),
-            Err(IolError::WouldBlock { .. })
+            Err(IolError::WouldBlock)
         ));
         let pool = k.process(pid).pool().clone();
         k.socket_deliver(pid, sock, Aggregate::from_bytes(&pool, b"GET / HTTP/1.0"))
@@ -1564,18 +1561,18 @@ mod tests {
         // 100KB into a 64KB send buffer: partial progress is carried.
         let big = Aggregate::from_bytes(&pool, &[3u8; 100 * 1024]);
         let err = k.iol_write_fd(pid, sock, &big).unwrap_err();
-        let IolError::ShortIo { done, outcome } = err else {
+        let IolError::ShortIo { done } = err else {
             panic!("expected ShortIo, got {err:?}");
         };
         assert_eq!(done, 64 * 1024);
-        let send = outcome.net.expect("partial sends still carry accounting");
-        assert_eq!(send.payload_bytes, 64 * 1024);
+        assert_eq!(
+            k.metrics.bytes_checksummed,
+            64 * 1024,
+            "the partial send was billed"
+        );
         assert_eq!(k.socket_space(pid, sock).unwrap(), 0);
-        // Full buffer accepts nothing: EAGAIN, still charged as a trap.
-        assert!(matches!(
-            k.iol_write_fd(pid, sock, &big),
-            Err(IolError::WouldBlock { .. })
-        ));
+        // Full buffer accepts nothing: EAGAIN, still billed as a trap.
+        assert_eq!(k.iol_write_fd(pid, sock, &big), Err(IolError::WouldBlock));
         // The wire ACKs half: exactly that much fits again.
         assert_eq!(k.socket_drain(pid, sock, 32 * 1024).unwrap(), 32 * 1024);
         assert_eq!(k.socket_space(pid, sock).unwrap(), 32 * 1024);
@@ -1597,28 +1594,27 @@ mod tests {
         let b = k.spawn("consumer");
         let (w, r) = k.pipe_between(a, b, PipeMode::ZeroCopy);
         // Empty pipe: writer writable, reader pending.
-        let (ev, out) = k.iol_poll(a, &[PollFd::writable(w)]).unwrap();
+        let t = k.now();
+        let ev = k.iol_poll(a, &[PollFd::writable(w)]);
         assert!(ev[0].writable && !ev[0].epipe);
-        assert!(out.charge.time > SimTime::ZERO, "poll is charged");
-        let (ev, _) = k.iol_poll(b, &[PollFd::readable(r)]).unwrap();
+        assert!(k.now() > t, "poll is billed");
+        let ev = k.iol_poll(b, &[PollFd::readable(r)]);
         assert!(!ev[0].readable && !ev[0].eof);
         // Data buffered: reader readable.
         let pool = k.process(a).pool().clone();
         k.iol_write_fd(a, w, &Aggregate::from_bytes(&pool, b"x")).unwrap();
-        let (ev, _) = k.iol_poll(b, &[PollFd::readable(r)]).unwrap();
+        let ev = k.iol_poll(b, &[PollFd::readable(r)]);
         assert!(ev[0].readable);
         // Sockets: pending until delivery, readable after.
         let sock = k.socket_create(a, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
-        let (ev, _) = k.iol_poll(a, &[PollFd::readable(sock)]).unwrap();
+        let ev = k.iol_poll(a, &[PollFd::readable(sock)]);
         assert!(!ev[0].readable && ev[0].writable);
         k.socket_deliver(a, sock, Aggregate::from_bytes(&pool, b"req"))
             .unwrap();
-        let (ev, _) = k.iol_poll(a, &[PollFd::readable(sock)]).unwrap();
+        let ev = k.iol_poll(a, &[PollFd::readable(sock)]);
         assert!(ev[0].readable);
         // Unknown fds report POLLNVAL without failing the scan.
-        let (ev, _) = k
-            .iol_poll(a, &[PollFd::readable(Fd(999)), PollFd::writable(w)])
-            .unwrap();
+        let ev = k.iol_poll(a, &[PollFd::readable(Fd(999)), PollFd::writable(w)]);
         assert!(ev[0].invalid && ev[1].writable);
     }
 
@@ -1633,11 +1629,11 @@ mod tests {
             .unwrap();
         k.socket_peer_close(pid, sock).unwrap();
         // Undrained data is still readable; EOF only after the drain.
-        let (ev, _) = k.iol_poll(pid, &[PollFd::readable(sock)]).unwrap();
+        let ev = k.iol_poll(pid, &[PollFd::readable(sock)]);
         assert!(ev[0].readable && !ev[0].eof && ev[0].epipe);
         let (got, _) = k.iol_read_fd(pid, sock, 100).unwrap();
         assert_eq!(got.to_vec(), b"bye");
-        let (ev, _) = k.iol_poll(pid, &[PollFd::readable(sock)]).unwrap();
+        let ev = k.iol_poll(pid, &[PollFd::readable(sock)]);
         assert!(ev[0].eof && !ev[0].readable);
         let (eof, _) = k.iol_read_fd(pid, sock, 100).unwrap();
         assert!(eof.is_empty(), "peer-closed socket reads EOF after drain");

@@ -81,11 +81,15 @@
 //!
 //! # Cost accounting
 //!
-//! Every operation does its real data-plane work *and* returns a
-//! [`Charge`] — the simulated CPU time it would have cost on the paper's
-//! 333MHz Pentium II testbed, per the calibrated [`CostModel`]. Drivers
-//! submit charges to a simulated CPU; sequential programs accumulate
-//! them on the kernel clock.
+//! Every operation does its real data-plane work *and* bills the
+//! simulated CPU time it would have cost on the paper's 333MHz Pentium
+//! II testbed, per the calibrated [`CostModel`], where it incurs it: the
+//! kernel clock advances and the [`Charge`] lands in [`Metrics`] under
+//! its [`CostCategory`] — one ledger. Work the kernel does not do
+//! (request parsing, application compute) enters through
+//! [`Kernel::charge`]. Sequential programs read their runtime off the
+//! clock; drivers read what a request cost as the ledger's change
+//! across it ([`Metrics::cpu`]).
 
 pub mod cost;
 pub mod error;

@@ -5,7 +5,6 @@
 //! EXPERIMENTS.md reports these next to throughput so the *cause* of
 //! each speedup is visible, not just the effect.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use iolite_sim::SimTime;
@@ -47,8 +46,11 @@ pub struct Metrics {
     pub disk_write_ops: u64,
     /// Bytes written to disk.
     pub disk_write_bytes: u64,
-    /// Simulated CPU time by category.
-    pub time_by_category: BTreeMap<CostCategory, SimTime>,
+    /// Simulated CPU time by category, indexed by `CostCategory as
+    /// usize` — the one CPU ledger: every kernel op bills here where it
+    /// incurs the time, and work the kernel does not do enters through
+    /// `Kernel::charge`.
+    pub time_by_category: [SimTime; CostCategory::ALL.len()],
 }
 
 impl Metrics {
@@ -59,7 +61,7 @@ impl Metrics {
 
     /// Adds simulated time under a category.
     pub(crate) fn charge(&mut self, cat: CostCategory, t: SimTime) {
-        *self.time_by_category.entry(cat).or_insert(SimTime::ZERO) += t;
+        self.time_by_category[cat as usize] += t;
     }
 
     /// Merges another accumulation into this one — per-shard metrics
@@ -83,17 +85,21 @@ impl Metrics {
         self.nvm_demoted_bytes += other.nvm_demoted_bytes;
         self.disk_write_ops += other.disk_write_ops;
         self.disk_write_bytes += other.disk_write_bytes;
-        for (cat, t) in &other.time_by_category {
-            self.charge(*cat, *t);
+        for cat in CostCategory::ALL {
+            self.charge(cat, other.time_in(cat));
         }
     }
 
     /// Time recorded under one category.
     pub fn time_in(&self, cat: CostCategory) -> SimTime {
+        self.time_by_category[cat as usize]
+    }
+
+    /// Simulated CPU time across every category.
+    pub fn cpu(&self) -> SimTime {
         self.time_by_category
-            .get(&cat)
-            .copied()
-            .unwrap_or(SimTime::ZERO)
+            .iter()
+            .fold(SimTime::ZERO, |acc, t| acc + *t)
     }
 }
 
@@ -128,8 +134,11 @@ impl fmt::Display for Metrics {
                 self.disk_write_bytes >> 10,
             )?;
         }
-        for (cat, t) in &self.time_by_category {
-            writeln!(f, "  {cat:?}: {t}")?;
+        for cat in CostCategory::ALL {
+            let t = self.time_in(cat);
+            if t > SimTime::ZERO {
+                writeln!(f, "  {cat:?}: {t}")?;
+            }
         }
         Ok(())
     }
@@ -148,6 +157,7 @@ mod tests {
         assert_eq!(m.time_in(CostCategory::Copy), SimTime::from_us(15.0));
         assert_eq!(m.time_in(CostCategory::Checksum), SimTime::from_us(2.0));
         assert_eq!(m.time_in(CostCategory::Packet), SimTime::ZERO);
+        assert_eq!(m.cpu(), SimTime::from_us(17.0));
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub enum Command {
     // -- file system and cache --
     CreateFile { name: String, data: Vec<u8> },
     CreateSyntheticFile { name: String, len: u64, seed: u64 },
-    Lookup { name: String },
     RebalanceCache,
     VmPressure { other_pages: u64 },
     CachePin { key: CacheKey },
@@ -48,7 +47,6 @@ pub enum Command {
     // Braced: readers match it as `NvmDemote { .. }` beside `WriteBack`.
     NvmDemote {},
     SetWriteback { cfg: iolite_fs::WritebackConfig },
-    MappedFileTouch { file: FileId },
     MemReserve { account: MemAccount, bytes: u64 },
     MemRelease { account: MemAccount, bytes: u64 },
 
@@ -87,6 +85,7 @@ pub enum Command {
     PosixReadFd { pid: Pid, fd: Fd, len: u64 },
     PosixWriteFd { pid: Pid, fd: Fd, data: Vec<u8> },
     MmapFd { pid: Pid, fd: Fd },
+    MappedRead { pid: Pid, fd: Fd, cached: bool },
 
     // -- stdio console --
     FeedStdin { pid: Pid, data: Aggregate },

@@ -9,7 +9,7 @@ use iolite_vm::MmapView;
 
 use super::effect::Effect;
 use super::state::{IoOutcome, KernelState};
-use crate::cost::Charge;
+use crate::cost::{Charge, CostCategory};
 use crate::error::{IoResult, IolError};
 use crate::fd::{Fd, FdObject, Whence};
 use crate::poll::{PollFd, Readiness};
@@ -24,32 +24,26 @@ impl KernelState {
     /// an entry that fails to resolve reports `invalid` (`POLLNVAL`)
     /// without failing the scan.
     ///
-    /// The call is charged as one trap plus a per-entry scan cost —
+    /// The call is billed as one trap plus a per-entry scan cost —
     /// the select/poll overhead that made event-driven servers
     /// sensitive to poll-set size long before the payload moved.
-    ///
-    /// # Errors
-    ///
-    /// None today — the result is total; the `IoResult` shape carries
-    /// the accounting like every other descriptor operation.
     pub(crate) fn op_iol_poll(
-        &self,
+        &mut self,
         pid: Pid,
         fds: &[PollFd],
         fx: &mut Vec<Effect>,
-    ) -> IoResult<Vec<Readiness>> {
-        let out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us + fds.len() as f64 * self.cost.poll_fd_us),
-            ..IoOutcome::default()
-        };
+    ) -> Vec<Readiness> {
         fx.push(Effect::Syscalls(1));
+        let scan = Charge::us(self.cost.syscall_us + fds.len() as f64 * self.cost.poll_fd_us);
+        self.bill(CostCategory::Syscall, scan, fx);
         let invalid = Readiness {
             invalid: true,
             ..Readiness::PENDING
         };
         let poll_one = |fd| self.object_readiness(self.fds.get(pid, fd)?.object);
-        let events = fds.iter().map(|e| poll_one(e.fd).unwrap_or(invalid)).collect();
-        Ok((events, out))
+        fds.iter()
+            .map(|e| poll_one(e.fd).unwrap_or(invalid))
+            .collect()
     }
 
     /// The current readiness of one descriptor object; `None` when the
@@ -98,21 +92,26 @@ impl KernelState {
 
     // ---- opening, duplicating, closing ----------------------------------
 
-    /// Opens a file by path, returning a descriptor with offset 0. The
-    /// outcome carries the metadata-lookup plus syscall charge.
+    /// Opens a file by path, resolved through the metadata cache,
+    /// returning a descriptor with offset 0, and bills the lookup plus
+    /// the syscall (a path that does not resolve bills nothing).
     ///
     /// # Errors
     ///
     /// [`IolError::NotFound`] when the path does not resolve.
     pub(crate) fn op_open(&mut self, pid: Pid, path: &str, fx: &mut Vec<Effect>) -> IoResult<Fd> {
-        let (id, charge) = self.op_lookup(path, fx);
-        let file = id.ok_or(IolError::NotFound)?;
+        fx.push(Effect::Syscalls(1));
+        let store = &self.store;
+        let found = self.meta.lookup(path, || store.lookup(path));
+        let (file, hit) = found.ok_or(IolError::NotFound)?;
+        // A metadata miss costs an extra metadata-cache fill; the paper
+        // keeps metadata in the old buffer cache, so no device time is
+        // charged for the common in-memory case.
+        let lookup = Charge::us(self.cost.syscall_us * if hit { 1.0 } else { 3.0 });
         let fd = self.fds.install(pid, FdObject::File(file));
-        let out = IoOutcome {
-            charge: charge + Charge::us(self.cost.syscall_us),
-            ..IoOutcome::default()
-        };
-        Ok((fd, out))
+        let charge = lookup + Charge::us(self.cost.syscall_us);
+        self.bill(CostCategory::Syscall, charge, fx);
+        Ok((fd, IoOutcome::default()))
     }
 
     /// Installs a descriptor (offset 0) for an already-resolved file —
@@ -262,8 +261,7 @@ impl KernelState {
             .and_then(|t| u64::try_from(t).ok())
             .ok_or(IolError::InvalidSeek { requested: offset })?;
         self.fds.set_pos(pid, fd, target);
-        let out = IoOutcome::trap(&self.cost, fx);
-        Ok((target, out))
+        Ok((target, IoOutcome::trap(self, fx)))
     }
 
     // ---- descriptor I/O --------------------------------------------------
@@ -314,8 +312,8 @@ impl KernelState {
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual;
     /// [`IolError::Closed`] when writing a closed pipe or socket;
     /// [`IolError::WouldBlock`] when a full pipe accepts nothing;
-    /// [`IolError::ShortIo`] (carrying the partial count and its
-    /// charge) when a pipe fills mid-write.
+    /// [`IolError::ShortIo`] (carrying the partial count) when a pipe
+    /// fills mid-write.
     pub(crate) fn op_iol_write_fd(
         &mut self,
         pid: Pid,
@@ -343,35 +341,29 @@ impl KernelState {
                 // synchronous write-until-drained path and accept
                 // everything, as before.
                 let len = agg.len();
-                let space = sock.send_space();
-                let out_base = IoOutcome::trap(&self.cost, fx);
-                if space == 0 {
-                    return Err(IolError::WouldBlock { outcome: out_base });
-                }
-                let accept = len.min(space);
-                let window = if accept == len {
-                    None
-                } else {
-                    Some(agg.range(0, accept).expect("clamped send window"))
+                let accept = len.min(sock.send_space());
+                let send = (accept > 0).then(|| {
+                    let window =
+                        (accept < len).then(|| agg.range(0, accept).expect("clamped send window"));
+                    if sock.nonblocking {
+                        sock.sndbuf_used += accept;
+                    }
+                    let payload = window.as_ref().unwrap_or(agg);
+                    sock.conn.send(payload, &mut self.cksum)
+                });
+                IoOutcome::trap(self, fx);
+                let Some(send) = send else {
+                    return Err(IolError::WouldBlock);
                 };
-                let send = sock.conn.send(window.as_ref().unwrap_or(agg), &mut self.cksum);
-                if sock.nonblocking {
-                    sock.sndbuf_used += accept;
-                }
-                fx.push(Effect::BytesChecksummed(send.csum_bytes_computed));
-                fx.push(Effect::BytesChecksumCached(send.csum_bytes_cached));
-                fx.push(Effect::BytesCopied(send.bytes_copied));
-                let out = IoOutcome {
-                    net: Some(send),
-                    ..out_base
-                };
+                self.bill_send(&send, fx);
                 if accept == len {
+                    let out = IoOutcome {
+                        net: Some(send),
+                        ..IoOutcome::default()
+                    };
                     Ok((accept, out))
                 } else {
-                    Err(IolError::ShortIo {
-                        done: accept,
-                        outcome: out,
-                    })
+                    Err(IolError::ShortIo { done: accept })
                 }
             }
             FdObject::PipeRead(_) => Err(IolError::BadFdKind {

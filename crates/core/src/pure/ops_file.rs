@@ -4,7 +4,8 @@
 //! Bodies are the former `Kernel` methods with one mechanical change:
 //! metric mutations became [`Effect`] pushes into the caller-supplied
 //! buffer, and device time is reported as [`Effect::DiskRead`] data
-//! instead of being accumulated in place.
+//! instead of being accumulated in place. CPU is billed where it is
+//! incurred (`KernelState::bill`).
 
 use iolite_buf::{Acl, Aggregate, DomainId};
 use iolite_fs::{CacheKey, FileContent, FileId};
@@ -12,7 +13,9 @@ use iolite_vm::{MemAccount, MmapView};
 
 use super::effect::Effect;
 use super::state::{IoOutcome, KernelState};
-use crate::cost::Charge;
+use crate::cost::{Charge, CostCategory};
+use crate::error::IoResult;
+use crate::fd::Fd;
 use crate::process::Pid;
 
 impl KernelState {
@@ -27,21 +30,6 @@ impl KernelState {
     /// Creates a synthetic (pattern-generated) file.
     pub(crate) fn op_create_synthetic_file(&mut self, name: &str, len: u64, seed: u64) -> FileId {
         self.store.create_synthetic(name, len, seed)
-    }
-
-    /// Resolves a path through the metadata cache.
-    pub(crate) fn op_lookup(&mut self, name: &str, fx: &mut Vec<Effect>) -> (Option<FileId>, Charge) {
-        let store = &self.store;
-        let result = self.meta.lookup(name, || store.lookup(name));
-        let charge = match result {
-            Some((_, true)) => Charge::us(self.cost.syscall_us),
-            // A metadata miss costs an extra metadata-cache fill; the
-            // paper keeps metadata in the old buffer cache, so no device
-            // time is charged for the common in-memory case.
-            _ => Charge::us(self.cost.syscall_us * 3.0),
-        };
-        fx.push(Effect::Syscalls(1));
-        (result.map(|(id, _)| id), charge)
     }
 
     // ---- cache budget and VM pressure ----------------------------------
@@ -128,19 +116,13 @@ impl KernelState {
     /// locally). The bytes arrived over a cross-shard channel, not from
     /// this shard's disk, so copy cost is charged and no disk time
     /// accrues.
-    pub(crate) fn op_cache_install(
-        &mut self,
-        file: FileId,
-        data: &[u8],
-        fx: &mut Vec<Effect>,
-    ) -> IoOutcome {
-        let mut out = IoOutcome::trap(&self.cost, fx);
+    pub(crate) fn op_cache_install(&mut self, file: FileId, data: &[u8], fx: &mut Vec<Effect>) {
+        IoOutcome::trap(self, fx);
         let agg = Aggregate::from_bytes_aligned(&self.cache_pool, data, iolite_buf::PAGE_SIZE);
         fx.push(Effect::BytesCopied(data.len() as u64));
-        out.charge += self.cost.copy(data.len() as u64);
+        self.bill(CostCategory::Copy, self.cost.copy(data.len() as u64), fx);
         self.cache.insert(CacheKey::whole(file), agg);
         self.op_rebalance_cache();
-        out
     }
 
     /// Drops a cache entry outright (sharded writes: a local replica
@@ -180,8 +162,8 @@ impl KernelState {
         file: FileId,
         agg: &Aggregate,
         fx: &mut Vec<Effect>,
-    ) -> IoOutcome {
-        let out = IoOutcome::trap(&self.cost, fx);
+    ) {
+        IoOutcome::trap(self, fx);
         // Store-write-early: vectored, run by run, no materialization.
         let mut run_offset = 0u64;
         for chunk in agg.chunks() {
@@ -198,7 +180,6 @@ impl KernelState {
         fx.push(Effect::DirtyInstalled { bytes: agg.len() });
         self.cache.insert_dirty(key, agg.clone());
         self.op_rebalance_cache();
-        out
     }
 
     /// Flushes one write-back batch: dirty entries (in deterministic
@@ -273,12 +254,6 @@ impl KernelState {
         self.writeback.set_config(cfg);
     }
 
-    /// Touches Flash's mapped-file cache; returns whether the file was
-    /// already mapped.
-    pub(crate) fn op_mapped_file_touch(&mut self, file: FileId) -> bool {
-        self.mapped_files.touch(file)
-    }
-
     /// Reserves memory on an account in the physical-memory accountant.
     pub(crate) fn op_mem_reserve(&mut self, account: MemAccount, bytes: u64) {
         self.physmem.reserve(account, bytes);
@@ -305,17 +280,22 @@ impl KernelState {
         len: u64,
         fx: &mut Vec<Effect>,
     ) -> (Aggregate, IoOutcome) {
-        let mut out = IoOutcome::trap(&self.cost, fx);
+        let mut out = IoOutcome::trap(self, fx);
         let whole = self.op_read_whole_cached(file, &mut out, fx);
         let flen = whole.len();
         let start = offset.min(flen);
         let take = len.min(flen - start);
         let agg = whole.range(start, take).expect("clamped range");
         // Transfer: make the aggregate's chunks readable in the caller.
-        let pages = self.op_transfer_to(&agg, pid.domain(), fx);
-        out.mapped_pages += pages;
-        out.charge += self.cost.page_maps(pages);
+        self.map_into(pid, &agg, fx);
         (agg, out)
+    }
+
+    /// Makes `agg` readable in `pid`'s domain, billing first-time page
+    /// mappings (§3.2).
+    pub(super) fn map_into(&mut self, pid: Pid, agg: &Aggregate, fx: &mut Vec<Effect>) {
+        let pages = self.op_transfer_to(agg, pid.domain(), fx);
+        self.bill(CostCategory::PageMap, self.cost.page_maps(pages), fx);
     }
 
     /// Replaces a file extent with the contents of `agg` (`IOL_write`,
@@ -335,7 +315,7 @@ impl KernelState {
         agg: &Aggregate,
         fx: &mut Vec<Effect>,
     ) -> IoOutcome {
-        let out = IoOutcome::trap(&self.cost, fx);
+        let out = IoOutcome::trap(self, fx);
         // Update the backing store vectored, run by run (write-back
         // happens off the critical path; no device time charged here,
         // and no materialization of the aggregate).
@@ -379,7 +359,7 @@ impl KernelState {
         len: u64,
         fx: &mut Vec<Effect>,
     ) -> (Vec<u8>, IoOutcome) {
-        let mut out = IoOutcome::trap(&self.cost, fx);
+        let mut out = IoOutcome::trap(self, fx);
         let whole = self.op_read_whole_cached(file, &mut out, fx);
         let flen = whole.len();
         let start = offset.min(flen);
@@ -387,7 +367,7 @@ impl KernelState {
         let mut dst = vec![0u8; take as usize];
         whole.copy_to(start, &mut dst);
         fx.push(Effect::BytesCopied(take));
-        out.charge += self.cost.cached_copy(take);
+        self.bill(CostCategory::Copy, self.cost.cached_copy(take), fx);
         (dst, out)
     }
 
@@ -402,8 +382,8 @@ impl KernelState {
     ) -> IoOutcome {
         let agg = Aggregate::from_bytes(&self.cache_pool, data);
         fx.push(Effect::BytesCopied(data.len() as u64));
-        let mut out = self.op_write_file_at(pid, file, offset, &agg, fx);
-        out.charge += self.cost.copy(data.len() as u64);
+        let out = self.op_write_file_at(pid, file, offset, &agg, fx);
+        self.bill(CostCategory::Copy, self.cost.copy(data.len() as u64), fx);
         out
     }
 
@@ -415,12 +395,31 @@ impl KernelState {
         file: FileId,
         fx: &mut Vec<Effect>,
     ) -> (MmapView, IoOutcome) {
-        let mut out = IoOutcome::trap(&self.cost, fx);
+        let mut out = IoOutcome::trap(self, fx);
         let whole = self.op_read_whole_cached(file, &mut out, fx);
-        let pages = self.op_transfer_to(&whole, pid.domain(), fx);
-        out.mapped_pages += pages;
-        out.charge += self.cost.page_maps(pages);
+        self.map_into(pid, &whole, fx);
         (MmapView::new(whole), out)
+    }
+
+    /// Reads the whole file behind `fd` through a mapping (see
+    /// `Kernel::mapped_read`): no trap; an `mmap`/`munmap` cycle unless
+    /// `cached` and the mapped-file cache already holds the file.
+    pub(crate) fn op_mapped_read(
+        &mut self,
+        pid: Pid,
+        fd: Fd,
+        cached: bool,
+        fx: &mut Vec<Effect>,
+    ) -> IoResult<Aggregate> {
+        let file = self.resolve_file(pid, fd, "mapped read")?;
+        if !(cached && self.mapped_files.touch(file)) {
+            let cycle = Charge::us(self.cost.mmap_cycle_us);
+            self.bill(CostCategory::PageMap, cycle, fx);
+        }
+        let mut out = IoOutcome::default();
+        let whole = self.op_read_whole_cached(file, &mut out, fx);
+        self.map_into(pid, &whole, fx);
+        Ok((whole, out))
     }
 
     /// Cache-or-disk read of the whole file, maintaining budgets.
@@ -439,7 +438,6 @@ impl KernelState {
         let agg = Aggregate::fill_aligned(&self.cache_pool, len, iolite_buf::PAGE_SIZE, |at, dst| {
             self.store.read_into(file, at, dst);
         });
-        out.disk_bytes = len;
         out.disk_time = self.disk.access_time(len);
         fx.push(Effect::DiskRead {
             file,

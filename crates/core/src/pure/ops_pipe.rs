@@ -6,6 +6,7 @@ use iolite_ipc::{Pipe, PipeMode};
 use super::effect::Effect;
 use super::ids::PipeId;
 use super::state::{Console, IoOutcome, KernelState, PipeSlot};
+use crate::cost::CostCategory;
 use crate::error::{IoResult, IolError};
 use crate::fd::Fd;
 use crate::process::Pid;
@@ -48,23 +49,20 @@ impl KernelState {
             // drain it, is EPIPE.
             return Err(IolError::Closed);
         }
-        let mut out = IoOutcome::trap(&self.cost, fx);
         let before = slot.pipe.stats().bytes_copied;
         let accepted = slot.pipe.write(data);
         let copied = slot.pipe.stats().bytes_copied - before;
+        let out = IoOutcome::trap(self, fx);
         if copied > 0 {
             fx.push(Effect::BytesCopied(copied));
-            out.charge += self.cost.copy(copied);
+            self.bill(CostCategory::Copy, self.cost.copy(copied), fx);
         }
         if accepted == data.len() {
             Ok((accepted, out))
         } else if accepted == 0 {
-            Err(IolError::WouldBlock { outcome: out })
+            Err(IolError::WouldBlock)
         } else {
-            Err(IolError::ShortIo {
-                done: accepted,
-                outcome: out,
-            })
+            Err(IolError::ShortIo { done: accepted })
         }
     }
 
@@ -81,18 +79,19 @@ impl KernelState {
         max: u64,
         fx: &mut Vec<Effect>,
     ) -> IoResult<Aggregate> {
-        let slot = self.pipes.get_mut(id).ok_or(IolError::NotOpen { fd })?;
-        let mut out = IoOutcome::trap(&self.cost, fx);
+        let slot = self.pipes.get(id).ok_or(IolError::NotOpen { fd })?;
         // ACL'd pipes refuse unauthorized readers *before* any byte is
         // dequeued: a denial must not destroy data still in flight to
-        // the legitimate reader.
-        if let Some(acl) = &slot.acl {
-            if !acl.allows(pid.domain()) {
-                return Err(IolError::PermissionDenied {
-                    domain: pid.domain(),
-                });
-            }
+        // the legitimate reader (the refused call has trapped all the
+        // same).
+        let denied = slot.acl.as_ref().is_some_and(|a| !a.allows(pid.domain()));
+        let out = IoOutcome::trap(self, fx);
+        if denied {
+            return Err(IolError::PermissionDenied {
+                domain: pid.domain(),
+            });
         }
+        let slot = self.pipes.get_mut(id).ok_or(IolError::NotOpen { fd })?;
         let mode = slot.pipe.mode();
         let acl = slot.acl.clone();
         let before = slot.pipe.stats().bytes_copied;
@@ -101,7 +100,7 @@ impl KernelState {
         let copied = slot.pipe.stats().bytes_copied - before;
         if copied > 0 {
             fx.push(Effect::BytesCopied(copied));
-            out.charge += self.cost.copy(copied);
+            self.bill(CostCategory::Copy, self.cost.copy(copied), fx);
         }
         if let (Some(agg), PipeMode::ZeroCopy) = (&got, mode) {
             // Pass-by-reference: the reader needs (at most first-time)
@@ -116,15 +115,14 @@ impl KernelState {
                     })?,
                 None => self.op_transfer_to(agg, pid.domain(), fx),
             };
-            out.mapped_pages += pages;
-            out.charge += self.cost.page_maps(pages);
+            self.bill(CostCategory::PageMap, self.cost.page_maps(pages), fx);
         }
         match got {
             Some(agg) => Ok((agg, out)),
             // Empty + closed is EOF (an empty read); empty + open
-            // writer is EAGAIN, charged like any trap.
+            // writer is EAGAIN, billed like any trap.
             None if closed => Ok((Aggregate::empty(), out)),
-            None => Err(IolError::WouldBlock { outcome: out }),
+            None => Err(IolError::WouldBlock),
         }
     }
 

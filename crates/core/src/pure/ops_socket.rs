@@ -8,7 +8,7 @@ use iolite_net::{BufferMode, MbufChain, SendOutcome, TcpConn};
 use super::effect::Effect;
 use super::ids::ConnId;
 use super::state::{IoOutcome, KernelSocket, KernelState};
-use crate::cost::Charge;
+use crate::cost::CostCategory;
 use crate::error::{IoResult, IolError};
 use crate::fd::{Fd, FdObject};
 use crate::process::Pid;
@@ -74,11 +74,24 @@ impl KernelState {
             return Err(IolError::Closed);
         }
         let send = sock.conn.send_accounted(len);
-        let mut out = IoOutcome::trap(&self.cost, fx);
-        fx.push(Effect::BytesCopied(send.bytes_copied));
-        fx.push(Effect::BytesChecksummed(send.csum_bytes_computed));
-        out.net = Some(send);
+        let out = IoOutcome::trap(self, fx);
+        self.bill_send(&send, fx);
         Ok((send, out))
+    }
+
+    /// Bills a TCP send where the socket layer incurs it — the copy into
+    /// socket buffers (none for a zero-copy send), the wire checksum of
+    /// whatever the §3.9 cache did not supply, per-segment packet work —
+    /// and reports its byte counts.
+    pub(super) fn bill_send(&mut self, send: &SendOutcome, fx: &mut Vec<Effect>) {
+        fx.push(Effect::BytesChecksummed(send.csum_bytes_computed));
+        fx.push(Effect::BytesChecksumCached(send.csum_bytes_cached));
+        fx.push(Effect::BytesCopied(send.bytes_copied));
+        let copy = self.cost.socket_copy(send.bytes_copied);
+        self.bill(CostCategory::Copy, copy, fx);
+        let checksum = self.cost.wire_checksum(send.csum_bytes_computed);
+        self.bill(CostCategory::Checksum, checksum, fx);
+        self.bill(CostCategory::Packet, self.cost.packets(send.segments), fx);
     }
 
     /// Materializes the actual TCP segment chains a descriptor write of
@@ -89,17 +102,14 @@ impl KernelState {
         pid: Pid,
         fd: Fd,
         payload: &Aggregate,
+        fx: &mut Vec<Effect>,
     ) -> IoResult<Vec<MbufChain>> {
         let sock = self.resolve_socket_mut(pid, fd, "segment materialization")?;
         if sock.write_dead() {
             return Err(IolError::Closed);
         }
         let chains = sock.conn.build_segments(payload);
-        let out = IoOutcome {
-            charge: Charge::us(self.cost.syscall_us),
-            ..IoOutcome::default()
-        };
-        Ok((chains, out))
+        Ok((chains, IoOutcome::trap(self, fx)))
     }
 
     /// Sets a socket descriptor's `O_NONBLOCK` flag.
@@ -167,7 +177,6 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> IoResult<Aggregate> {
         let sock = self.sockets.get_mut(id).ok_or(IolError::NotOpen { fd })?;
-        let mut out = IoOutcome::trap(&self.cost, fx);
         let mode = sock.conn.mode();
         let mut agg = Aggregate::empty();
         while agg.len() < len {
@@ -184,27 +193,27 @@ impl KernelState {
                 agg.append(&head);
             }
         }
+        // Local teardown or a remote hang-up both end the stream: once
+        // the queue is drained, reads return empty (EOF).
+        let ended = sock.closed || sock.peer_closed || len == 0;
+        let out = IoOutcome::trap(self, fx);
         if agg.is_empty() {
-            // Local teardown or a remote hang-up both end the stream:
-            // once the queue is drained, reads return empty (EOF).
-            return if sock.closed || sock.peer_closed || len == 0 {
+            return if ended {
                 Ok((agg, out))
             } else {
-                Err(IolError::WouldBlock { outcome: out })
+                Err(IolError::WouldBlock)
             };
         }
         match mode {
             BufferMode::ZeroCopy => {
                 // recv by reference: first-time chunk mappings only.
-                let pages = self.op_transfer_to(&agg, pid.domain(), fx);
-                out.mapped_pages += pages;
-                out.charge += self.cost.page_maps(pages);
+                self.map_into(pid, &agg, fx);
             }
             BufferMode::Copy => {
                 // Conventional recv copies socket-buffer data out.
                 let copied = agg.len();
                 fx.push(Effect::BytesCopied(copied));
-                out.charge += self.cost.copy(copied);
+                self.bill(CostCategory::Copy, self.cost.copy(copied), fx);
             }
         }
         Ok((agg, out))

@@ -100,21 +100,17 @@ impl MappedFileCache {
     }
 }
 
-/// The outcome of one kernel operation: simulated CPU cost plus any
-/// device time the caller must schedule.
+/// The outcome of one kernel operation: what a caller acts on beyond
+/// the returned value. What the operation cost — CPU, copies, checksums,
+/// page mappings, disk traffic — is not here: it billed all of it to
+/// the kernel's ledger ([`crate::Metrics`]) as it went.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IoOutcome {
-    /// CPU time consumed by the operation.
-    pub charge: Charge,
     /// Whether the file cache satisfied the request.
     pub cache_hit: bool,
-    /// Bytes read from the disk device (0 on hits).
-    pub disk_bytes: u64,
-    /// Device service time for those bytes (not CPU; schedule on the
-    /// disk resource).
+    /// Device service time of a cache miss's disk read (not CPU;
+    /// schedule on the disk resource).
     pub disk_time: SimTime,
-    /// New page mappings this operation established.
-    pub mapped_pages: u64,
     /// Network send accounting when the descriptor was a socket
     /// (segments, checksum bytes computed vs cached, copies, socket
     /// buffer occupancy). `None` for files and pipes.
@@ -122,14 +118,12 @@ pub struct IoOutcome {
 }
 
 impl IoOutcome {
-    /// What every system call opens with: the trap's CPU charge on a
-    /// fresh outcome, and its `Syscalls(1)` effect.
-    pub(super) fn trap(cost: &CostModel, fx: &mut Vec<Effect>) -> IoOutcome {
+    /// What every system call opens with: the trap, billed, with its
+    /// `Syscalls(1)` effect, on a fresh outcome.
+    pub(super) fn trap(state: &mut KernelState, fx: &mut Vec<Effect>) -> IoOutcome {
         fx.push(Effect::Syscalls(1));
-        IoOutcome {
-            charge: Charge::us(cost.syscall_us),
-            ..IoOutcome::default()
-        }
+        state.bill(CostCategory::Syscall, Charge::us(state.cost.syscall_us), fx);
+        IoOutcome::default()
     }
 }
 
@@ -325,15 +319,27 @@ impl KernelState {
 
     // ---- clock ---------------------------------------------------------
 
-    /// The kernel's sequential clock (used by the application harness;
-    /// the Web driver uses an external event clock instead).
+    /// The kernel's sequential clock: every CPU charge billed so far
+    /// plus [`crate::Kernel::advance`]d device waits, since the last
+    /// reset (the application harness reads it; the Web driver
+    /// schedules on an external event clock instead).
     pub fn now(&self) -> SimTime {
         self.clock
     }
 
-    /// Adds CPU time to the sequential clock, reporting the charge —
-    /// and the `copied` bytes it paid for, if any — as effects (the
-    /// shell folds them into the metrics).
+    /// Bills CPU where it is incurred — the one ledger: the sequential
+    /// clock advances and the charge leaves as an [`Effect::Charge`]
+    /// (the shell folds it into the metrics).
+    pub(super) fn bill(&mut self, category: CostCategory, c: Charge, fx: &mut Vec<Effect>) {
+        self.clock += c.time;
+        fx.push(Effect::Charge {
+            category,
+            time: c.time,
+        });
+    }
+
+    /// Bills CPU the kernel did not do itself (parsing, application
+    /// compute, …), plus the `copied` bytes it paid for, if any.
     pub(crate) fn op_charge(
         &mut self,
         cat: CostCategory,
@@ -341,11 +347,7 @@ impl KernelState {
         copied: u64,
         fx: &mut Vec<Effect>,
     ) {
-        self.clock += c.time;
-        fx.push(Effect::Charge {
-            category: cat,
-            time: c.time,
-        });
+        self.bill(cat, c, fx);
         if copied > 0 {
             fx.push(Effect::BytesCopied(copied));
         }
@@ -361,9 +363,11 @@ impl KernelState {
         self.clock = SimTime::ZERO;
     }
 
-    /// Reports `n` process context switches as an effect.
-    pub(crate) fn op_context_switch(&self, n: u64, fx: &mut Vec<Effect>) {
+    /// Switches processes `n` times, billing each switch.
+    pub(crate) fn op_context_switch(&mut self, n: u64, fx: &mut Vec<Effect>) {
         fx.push(Effect::ContextSwitches(n));
+        let switches = self.cost.context_switches(n);
+        self.bill(CostCategory::ContextSwitch, switches, fx);
     }
 
     // ---- processes and pools -------------------------------------------

@@ -51,9 +51,6 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
         Command::CreateSyntheticFile { name, len, seed } => {
             state.op_create_synthetic_file(name, *len, *seed);
         }
-        Command::Lookup { name } => {
-            state.op_lookup(name, fx);
-        }
         Command::RebalanceCache => {
             state.op_rebalance_cache();
         }
@@ -78,9 +75,6 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
             state.op_nvm_demote(fx);
         }
         Command::SetWriteback { cfg } => state.op_set_writeback(*cfg),
-        Command::MappedFileTouch { file } => {
-            state.op_mapped_file_touch(*file);
-        }
         Command::MemReserve { account, bytes } => state.op_mem_reserve(*account, *bytes),
         Command::MemRelease { account, bytes } => state.op_mem_release(*account, *bytes),
 
@@ -107,7 +101,7 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
             state.op_socket_send_accounted(*pid, *fd, *len, fx)?;
         }
         Command::SocketTransmitSegments { pid, fd, payload } => {
-            state.op_socket_transmit_segments(*pid, *fd, payload)?;
+            state.op_socket_transmit_segments(*pid, *fd, payload, fx)?;
         }
         Command::SetNonblocking { pid, fd, nonblocking } => {
             state.op_set_nonblocking(*pid, *fd, *nonblocking)?;
@@ -148,7 +142,7 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
             state.op_lseek(*pid, *fd, *offset, *whence, fx)?;
         }
         Command::Poll { pid, fds } => {
-            state.op_iol_poll(*pid, fds, fx)?;
+            state.op_iol_poll(*pid, fds, fx);
         }
 
         // -- descriptor I/O --
@@ -172,6 +166,9 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
         }
         Command::MmapFd { pid, fd } => {
             state.op_mmap_fd(*pid, *fd, fx)?;
+        }
+        Command::MappedRead { pid, fd, cached } => {
+            state.op_mapped_read(*pid, *fd, *cached, fx)?;
         }
 
         // -- stdio console --

@@ -27,7 +27,6 @@ enum Op {
     Advance(u16),
     ContextSwitch(u8),
     CreateFile(u8, u16),
-    Lookup(u8),
     Open(u8),
     OpenMissing(u8),
     CloseFd(u8),
@@ -43,7 +42,7 @@ enum Op {
     SocketDrain(u8, u16),
     CachePin(u8),
     CacheUnpin(u8),
-    MappedFileTouch(u8),
+    MappedRead(u8, bool),
     MemReserve(u16),
     MemRelease(u16),
     VmPressure(u8),
@@ -76,7 +75,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<u16>().prop_map(Op::Advance),
         any::<u8>().prop_map(Op::ContextSwitch),
         (any::<u8>(), any::<u16>()).prop_map(|(n, len)| Op::CreateFile(n, len)),
-        any::<u8>().prop_map(Op::Lookup),
         any::<u8>().prop_map(Op::Open),
         any::<u8>().prop_map(Op::OpenMissing),
         any::<u8>().prop_map(Op::CloseFd),
@@ -92,7 +90,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u8>(), any::<u16>()).prop_map(|(fd, max)| Op::SocketDrain(fd, max)),
         any::<u8>().prop_map(Op::CachePin),
         any::<u8>().prop_map(Op::CacheUnpin),
-        any::<u8>().prop_map(Op::MappedFileTouch),
+        (any::<u8>(), any::<bool>()).prop_map(|(fd, cached)| Op::MappedRead(fd, cached)),
         any::<u16>().prop_map(Op::MemReserve),
         any::<u16>().prop_map(Op::MemRelease),
         any::<u8>().prop_map(Op::VmPressure),
@@ -164,9 +162,6 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
             len: u64::from(*len),
             seed: u64::from(*n),
         },
-        Op::Lookup(n) => Command::Lookup {
-            name: format!("/seed{}", n % 5),
-        },
         Op::Open(n) => Command::Open {
             pid,
             path: format!("/seed{}", n % 4),
@@ -234,7 +229,11 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
         Op::CacheUnpin(n) => Command::CacheUnpin {
             key: CacheKey::whole(file(*n)),
         },
-        Op::MappedFileTouch(n) => Command::MappedFileTouch { file: file(*n) },
+        Op::MappedRead(n, cached) => Command::MappedRead {
+            pid,
+            fd: fd(*n),
+            cached: *cached,
+        },
         Op::MemReserve(b) => Command::MemReserve {
             account: MemAccount::SocketCopies,
             bytes: u64::from(*b),

@@ -80,8 +80,8 @@ impl CgiProcess {
     }
 
     /// Handles one request end-to-end: pipe transfer into the server,
-    /// then transmission on the client's socket descriptor. Returns the
-    /// request's cost decomposition.
+    /// then transmission on the client's socket descriptor. Returns what
+    /// the request cost (the kernel's CPU ledger across the call).
     ///
     /// # Errors
     ///
@@ -98,62 +98,48 @@ impl CgiProcess {
         sock: Fd,
         server_pid: Pid,
     ) -> Result<RequestCosts, IolError> {
+        let before = kernel.metrics.cpu();
         let mut rc = RequestCosts::default();
         // Server: parse + bookkeeping + CGI dispatch (forward the
         // request, wake the CGI process: two context switches).
-        rc.parts.push((
-            CostCategory::Request,
-            Charge::us(kernel.cost.http_parse_us + kernel.cost.server_fixed_us),
-        ));
-        rc.parts.push((
-            CostCategory::Request,
-            Charge::us(kernel.cost.cgi_dispatch_us),
-        ));
+        let parse = Charge::us(kernel.cost.http_parse_us + kernel.cost.server_fixed_us);
+        kernel.charge(CostCategory::Request, parse);
+        let dispatch = Charge::us(kernel.cost.cgi_dispatch_us);
+        kernel.charge(CostCategory::Request, dispatch);
         if kind == ServerKind::FlashLite {
-            rc.parts.push((
-                CostCategory::Request,
-                Charge::us(kernel.cost.iol_request_extra_us),
-            ));
+            let extra = Charge::us(kernel.cost.iol_request_extra_us);
+            kernel.charge(CostCategory::Request, extra);
         }
-        rc.parts
-            .push((CostCategory::ContextSwitch, kernel.cost.context_switches(2)));
         kernel.context_switch(2);
 
         // Transfer the document through the pipe in fill/drain rounds:
         // the CGI writes its descriptor, the server reads its own, and
-        // every charge (syscalls, copies, ACL-gated first-time
-        // mappings) arrives in the IoOutcomes.
+        // each call bills its syscalls, copies and ACL-gated first-time
+        // mappings.
         let mut received = Aggregate::empty();
         let mut offset = 0u64;
         let total = self.doc.len();
-        let mut pipe_cpu = Charge::ZERO;
         while offset < total {
             let remaining = self.doc.range(offset, total - offset).expect("in range");
             // A short write is flow control; a closed pipe (the server
             // hung up its read end) is a failed request, not a panic.
-            let (accepted, wout) = short_ok(kernel.iol_write_fd(self.pid, self.wfd, &remaining))?;
-            pipe_cpu += wout.charge;
-            offset += accepted;
+            offset += short_ok(kernel.iol_write_fd(self.pid, self.wfd, &remaining))?;
             // Reader drains what the writer queued.
             match kernel.iol_read_fd(server_pid, self.server_rfd, u64::MAX) {
-                Ok((chunk, rout)) => {
-                    pipe_cpu += rout.charge;
-                    received.append(&chunk);
-                }
-                Err(IolError::WouldBlock { outcome }) => pipe_cpu += outcome.charge,
+                Ok((chunk, _)) => received.append(&chunk),
+                Err(IolError::WouldBlock) => {}
                 Err(e) => return Err(e),
             }
             if offset < total {
                 // The producer blocked on a full pipe: switch back and
                 // forth.
-                pipe_cpu += kernel.cost.context_switches(2);
                 kernel.context_switch(2);
             }
         }
-        rc.parts.push((CostCategory::Copy, pipe_cpu));
 
         // Server sends the received data on the client's socket.
         send_response(kernel, kind, sock, server_pid, &received, &mut rc)?;
+        rc.cpu = kernel.metrics.cpu() - before;
         Ok(rc)
     }
 }
@@ -186,20 +172,23 @@ mod tests {
         let (k, _, warm) = run(ServerKind::Flash, 100_000);
         // At least 3 copies of the 100KB document.
         assert!(k.metrics.bytes_copied >= 2 * 3 * 100_000);
-        assert!(warm.cpu_total() > k.cost.copy(300_000).time);
+        assert!(warm.cpu > k.cost.copy(300_000).time);
     }
 
     #[test]
     fn iolite_cgi_is_copy_free_and_checksum_cached() {
-        let (k, _, warm) = run(ServerKind::FlashLite, 100_000);
+        let mut k = Kernel::new(CostModel::pentium_ii_333());
+        let server = k.spawn("server");
+        let mut cgi = CgiProcess::new(&mut k, server, 100_000, PipeMode::ZeroCopy);
+        let sock = k.socket_create(server, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
+        cgi.serve(&mut k, ServerKind::FlashLite, sock, server)
+            .expect("healthy pipe");
+        let summed = k.metrics.time_in(CostCategory::Checksum);
+        cgi.serve(&mut k, ServerKind::FlashLite, sock, server)
+            .expect("healthy pipe");
         assert_eq!(k.metrics.bytes_copied, 0, "no copies anywhere");
         // Second request: body checksum cached; only headers computed.
-        let csum: iolite_sim::SimTime = warm
-            .parts
-            .iter()
-            .filter(|(c, _)| *c == CostCategory::Checksum)
-            .map(|(_, c)| c.time)
-            .fold(iolite_sim::SimTime::ZERO, |a, b| a + b);
+        let csum = k.metrics.time_in(CostCategory::Checksum) - summed;
         assert!(csum < k.cost.checksum(1000).time, "{csum}");
         assert!(k.metrics.bytes_checksum_cached >= 100_000);
     }
@@ -222,7 +211,7 @@ mod tests {
     fn iolite_cgi_cheaper_than_conventional() {
         let (_, _, warm_fl) = run(ServerKind::FlashLite, 200_000);
         let (_, _, warm_f) = run(ServerKind::Flash, 200_000);
-        assert!(warm_fl.cpu_total().as_us() * 1.5 < warm_f.cpu_total().as_us());
+        assert!(warm_fl.cpu.as_us() * 1.5 < warm_f.cpu.as_us());
     }
 
     #[test]

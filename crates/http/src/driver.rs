@@ -15,7 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use iolite_core::{CostModel, Fd, Kernel, Pid};
+use iolite_core::{Charge, CostCategory, CostModel, Fd, Kernel, Pid};
 use iolite_fs::{CacheKey, Policy};
 use iolite_ipc::PipeMode;
 use iolite_sim::{FifoResource, LinkSet, RateMeter, SimRng, SimTime, Summary};
@@ -284,20 +284,23 @@ impl Experiment {
             };
 
             // --- connection setup (non-persistent: handshake RTT plus
-            // server-side accept/close CPU) ---
-            let mut pre = iolite_core::Charge::ZERO;
+            // server-side accept/close CPU), billed like the rest ---
+            let mut pre = Charge::ZERO;
             if self.cfg.access_logging {
-                pre += iolite_core::Charge::us(match self.cfg.server {
+                let log = Charge::us(match self.cfg.server {
                     ServerKind::Apache => self.kernel.cost.apache_log_us,
                     _ => self.kernel.cost.event_log_us,
                 });
+                self.kernel.charge(CostCategory::Request, log);
+                pre += log;
             }
             let mut arrive = now + one_way; // Request propagation.
             if !self.cfg.persistent {
                 arrive += rtt; // SYN/SYN-ACK round trip first.
-                pre += iolite_core::Charge::us(
-                    self.kernel.cost.tcp_accept_us + self.kernel.cost.tcp_close_us,
-                );
+                let cost = &self.kernel.cost;
+                let setup = Charge::us(cost.tcp_accept_us + cost.tcp_close_us);
+                self.kernel.charge(CostCategory::TcpControl, setup);
+                pre += setup;
             }
 
             // --- serve ---
@@ -345,18 +348,10 @@ impl Experiment {
 
             // --- thread through resources: CPU (pre+parse) → disk
             // (miss) → CPU (rest) → link ---
-            let cpu_total = rc.cpu_total();
-            let parse_charge = pre
-                + iolite_core::Charge::us(
-                    self.kernel.cost.http_parse_us + self.kernel.cost.server_fixed_us,
-                );
-            let after_parse = self.cpu.submit(arrive, parse_charge.time);
-            let send_cpu = cpu_total.saturating_sub(
-                iolite_core::Charge::us(
-                    self.kernel.cost.http_parse_us + self.kernel.cost.server_fixed_us,
-                )
-                .time,
-            );
+            let cost = &self.kernel.cost;
+            let parse = Charge::us(cost.http_parse_us + cost.server_fixed_us);
+            let after_parse = self.cpu.submit(arrive, (pre + parse).time);
+            let send_cpu = rc.cpu.saturating_sub(parse.time);
             let ready = if rc.disk_time > SimTime::ZERO {
                 self.disk.submit(after_parse, rc.disk_time)
             } else {

@@ -65,8 +65,8 @@ use std::time::Duration;
 
 use iolite_buf::Aggregate;
 use iolite_core::{
-    short_ok, Charge, CostCategory, Fd, Interest, IoOutcome, IolError, Kernel, Pid, PollFd,
-    Readiness, ShardMailbox, ShardMsg,
+    short_ok, Charge, CostCategory, Fd, Interest, IolError, Kernel, Pid, PollFd, Readiness,
+    ShardMailbox, ShardMsg,
 };
 use iolite_fs::{home_shard, CacheKey, CacheOwnership, FileId};
 use iolite_net::BufferMode;
@@ -160,24 +160,12 @@ pub struct LoopStats {
     /// PUT bodies routed to their file's home shard over the fabric
     /// (sharded runs only).
     pub remote_writes: u64,
-    /// Simulated CPU consumed (polls, syscalls, checksums, packet
-    /// work, page mappings — everything the outcomes billed).
+    /// Simulated CPU the server's kernel consumed since
+    /// [`EventLoopServer::new`] — polls, syscalls, checksums, packet
+    /// work, page mappings, parsing: the kernel's one ledger
+    /// ([`iolite_core::Metrics::cpu`]) less its value at construction.
+    /// Current as of the last `tick`, `pump_fabric` or report.
     pub cpu: SimTime,
-}
-
-impl LoopStats {
-    /// Bills simulated CPU to the run.
-    fn bill(&mut self, c: Charge) {
-        self.cpu += c.time;
-    }
-
-    /// An I/O call on a descriptor the kernel reported ready refused
-    /// anyway: counted (so the suite can prove it never happens), and
-    /// the refused trap still billed.
-    fn blocked(&mut self, outcome: IoOutcome) {
-        self.blocked_io += 1;
-        self.bill(outcome.charge);
-    }
 }
 
 /// One completed request's record.
@@ -286,6 +274,9 @@ pub struct EventLoopServer {
     cgi_queue: VecDeque<usize>,
     cfg: EventLoopConfig,
     stats: LoopStats,
+    /// The kernel's CPU ledger when the server was built (`stats.cpu`
+    /// counts from here).
+    cpu_base: SimTime,
     requests: Vec<CompletedRequest>,
     /// Cross-shard serving context; `None` outside sharded runs (and
     /// for single-shard fleets, which never route remotely).
@@ -349,6 +340,7 @@ impl EventLoopServer {
             })
             .collect();
         EventLoopServer {
+            cpu_base: kernel.metrics.cpu(),
             kernel,
             pid,
             conns,
@@ -415,7 +407,8 @@ impl EventLoopServer {
 
     /// Finishes an externally driven run: the report and the kernel,
     /// exactly what [`run`](Self::run) returns.
-    pub fn into_report(self) -> (LoopReport, Kernel) {
+    pub fn into_report(mut self) -> (LoopReport, Kernel) {
+        self.sync_cpu();
         (
             LoopReport {
                 stats: self.stats,
@@ -446,7 +439,14 @@ impl EventLoopServer {
         }
         // Disconnection outside run_shard means the driver already
         // dropped its senders (end of run): quiesce like an empty inbox.
-        self.pump().0
+        let handled = self.pump().0;
+        self.sync_cpu();
+        handled
+    }
+
+    /// Brings `stats.cpu` up to the kernel's ledger.
+    fn sync_cpu(&mut self) {
+        self.stats.cpu = self.kernel.metrics.cpu() - self.cpu_base;
     }
 
     /// Drains the inbox, nonblocking: how many messages were handled,
@@ -510,6 +510,7 @@ impl EventLoopServer {
         self.dispatch(&server_events, cgi_events);
         self.tick_writeback();
         self.stats.max_inflight = self.stats.max_inflight.max(self.inflight());
+        self.sync_cpu();
     }
 
     /// Background persistence between request events: when accumulated
@@ -612,13 +613,11 @@ impl EventLoopServer {
         }
     }
 
-    /// One `iol_poll` by `pid` over `entries`, counted and billed.
+    /// One `iol_poll` by `pid` over `entries`, counted.
     fn poll_fds(&mut self, pid: Pid, entries: &[PollFd]) -> Vec<Readiness> {
-        #[expect(clippy::expect_used, reason = "iol_poll is total over its interest set (PR 5)")]
-        let (events, out) = self.kernel.iol_poll(pid, entries).expect("poll is total");
+        let events = self.kernel.iol_poll(pid, entries);
         self.stats.polls += 1;
         self.stats.poll_entries += entries.len() as u64;
-        self.stats.bill(out.charge);
         events
     }
 
@@ -697,11 +696,11 @@ impl EventLoopServer {
         }
         let conn = &mut self.conns[i];
         let chunk = match self.kernel.iol_read_fd(self.pid, conn.sock, u64::MAX) {
-            Ok((chunk, out)) => {
-                self.stats.bill(out.charge);
-                chunk
+            Ok((chunk, _)) => chunk,
+            Err(IolError::WouldBlock) => {
+                self.stats.blocked_io += 1;
+                return;
             }
-            Err(IolError::WouldBlock { outcome }) => return self.stats.blocked(outcome),
             Err(_) => return self.fail_conn(i),
         };
         let Phase::Receiving { buf, body } = &mut conn.phase else {
@@ -718,9 +717,9 @@ impl EventLoopServer {
         // Request parse + per-request bookkeeping + the IOL API's extra
         // (the serve_static cost structure).
         let cost = &self.kernel.cost;
-        self.stats.bill(Charge::us(
-            cost.http_parse_us + cost.server_fixed_us + cost.iol_request_extra_us,
-        ));
+        let parse =
+            Charge::us(cost.http_parse_us + cost.server_fixed_us + cost.iol_request_extra_us);
+        self.kernel.charge(CostCategory::Request, parse);
         let Some(req) = parsed else {
             // Malformed request: a 404/400-style short response.
             conn.req.path = String::from("<bad-request>");
@@ -731,8 +730,8 @@ impl EventLoopServer {
         match req.method {
             Method::Get if conn.req.path.starts_with(CGI_PREFIX) && self.cgi.is_some() => {
                 // CGI dispatch: forward + wake the CGI process.
-                self.stats
-                    .bill(Charge::us(cost.cgi_dispatch_us) + cost.context_switches(2));
+                let dispatch = Charge::us(self.kernel.cost.cgi_dispatch_us);
+                self.kernel.charge(CostCategory::Request, dispatch);
                 self.kernel.context_switch(2);
                 if self.cgi_owner.is_none() {
                     self.cgi_owner = Some(i);
@@ -789,8 +788,7 @@ impl EventLoopServer {
             // exists to install under.
             None => self.kernel.create_file(path, &[]),
         };
-        let out = self.kernel.put_install(self.pid, file, &body);
-        self.stats.bill(out.charge);
+        self.kernel.put_install(self.pid, file, &body);
         self.broadcast_invalidate(file);
         self.respond_created(i);
     }
@@ -870,14 +868,12 @@ impl EventLoopServer {
         &mut self,
         i: usize,
     ) -> Result<Option<(FileId, Aggregate, bool)>, IolError> {
-        let Ok((file_fd, oout)) = self.kernel.open(self.pid, &self.conns[i].req.path) else {
+        let Ok((file_fd, _)) = self.kernel.open(self.pid, &self.conns[i].req.path) else {
             return Ok(None);
         };
-        self.stats.bill(oout.charge);
         let len = self.kernel.fd_len(self.pid, file_fd)?;
         let file = self.kernel.fd_file(self.pid, file_fd)?;
         let (body, rout) = self.kernel.iol_pread(self.pid, file_fd, 0, len)?;
-        self.stats.bill(rout.charge);
         self.kernel.close_fd(self.pid, file_fd)?;
         Ok(Some((file, body, rout.cache_hit)))
     }
@@ -916,20 +912,12 @@ impl EventLoopServer {
             return;
         }
         match self.kernel.iol_write_fd(self.pid, sock, &window) {
-            Ok((_, out)) => {
-                #[expect(clippy::expect_used, reason = "every socket write carries a SendOutcome")]
-                let send = out.net.expect("socket writes carry SendOutcome");
-                let cost = &self.kernel.cost;
-                self.stats.bill(
-                    out.charge
-                        + cost.wire_checksum(send.csum_bytes_computed)
-                        + cost.packets(send.segments),
-                );
-            }
+            Ok(_) => {}
             // Cannot happen: the window was sized to the space the
             // kernel reported. Counted so the suite can prove it.
-            Err(IolError::WouldBlock { outcome } | IolError::ShortIo { outcome, .. }) => {
-                return self.stats.blocked(outcome);
+            Err(IolError::WouldBlock | IolError::ShortIo { .. }) => {
+                self.stats.blocked_io += 1;
+                return;
             }
             Err(_) => return self.fail_conn(i),
         }
@@ -977,22 +965,16 @@ impl EventLoopServer {
                 return self.fail_cgi_owner();
             };
             match short_ok(self.kernel.iol_write_fd(cgi_pid, wfd, &remaining)) {
-                Ok((accepted, out)) => {
-                    self.stats.bill(out.charge);
-                    *sent += accepted;
-                }
-                Err(IolError::WouldBlock { outcome }) => self.stats.blocked(outcome),
+                Ok(accepted) => *sent += accepted,
+                Err(IolError::WouldBlock) => self.stats.blocked_io += 1,
                 Err(_) => return self.fail_cgi_owner(),
             }
         }
         // Reader side (the server's loop).
         if rfd_ready.readable {
             match self.kernel.iol_read_fd(self.pid, rfd, u64::MAX) {
-                Ok((chunk, out)) => {
-                    self.stats.bill(out.charge);
-                    received.append(&chunk);
-                }
-                Err(IolError::WouldBlock { outcome }) => self.stats.blocked(outcome),
+                Ok((chunk, _)) => received.append(&chunk),
+                Err(IolError::WouldBlock) => self.stats.blocked_io += 1,
                 Err(_) => return self.fail_cgi_owner(),
             }
         }
@@ -1171,7 +1153,6 @@ impl EventLoopServer {
     fn land_copied(&mut self, bytes: &[u8]) -> Aggregate {
         let c = self.kernel.cost.copy(bytes.len() as u64);
         self.kernel.charge(CostCategory::Copy, c);
-        self.stats.bill(c);
         Aggregate::from_bytes(self.kernel.process(self.pid).pool(), bytes)
     }
 
@@ -1180,8 +1161,7 @@ impl EventLoopServer {
     /// then the ack releases the writer's connection.
     fn serve_remote_write(&mut self, from: usize, token: u64, file: FileId, bytes: Vec<u8>) {
         let body = self.land_copied(&bytes);
-        let out = self.kernel.put_install(self.pid, file, &body);
-        self.stats.bill(out.charge);
+        self.kernel.put_install(self.pid, file, &body);
         self.broadcast_invalidate(file);
         self.shard_ctx()
             .mailbox
@@ -1247,7 +1227,6 @@ impl EventLoopServer {
             .kernel
             .iol_read_fd(self.pid, fd, len)
             .expect("document read");
-        self.stats.bill(out.charge);
         let home_hit = out.cache_hit;
         #[expect(clippy::expect_used, reason = "RemoteRead has no failure reply")]
         self.kernel
@@ -1276,8 +1255,7 @@ impl EventLoopServer {
         self.stats.remote_hits += u64::from(home_hit);
         let mut replica_resident = false;
         if self.shard_ctx().ownership == CacheOwnership::Replicate {
-            let out = self.kernel.cache_install(file, bytes);
-            self.stats.bill(out.charge);
+            self.kernel.cache_install(file, bytes);
             // When the budget evicts the replica on admission (entry
             // larger than this shard's share), fall back to serving
             // the copy directly instead of re-requesting forever.

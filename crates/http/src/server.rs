@@ -3,9 +3,11 @@
 //! One request = one call to [`serve_static`] (or
 //! [`crate::cgi::CgiProcess::serve`]): the function drives the *real*
 //! kernel data structures (unified cache, window, checksum cache) and
-//! returns the request's cost decomposition for the event driver to
-//! schedule. Servers differ only in the mechanisms the paper names —
-//! the cost model itself is shared.
+//! returns what the request cost for the event driver to schedule — the
+//! kernel's CPU ledger across the call, since every kernel operation
+//! bills itself and the server bills only the work the kernel does not
+//! do. Servers differ only in the mechanisms the paper names — the cost
+//! model itself is shared.
 //!
 //! All I/O is descriptor-based: the document arrives as a file [`Fd`]
 //! (the server's open-file set) and the client connection as a socket
@@ -51,11 +53,13 @@ impl ServerKind {
     }
 }
 
-/// The cost decomposition of one served request.
+/// What one served request cost and produced.
 #[derive(Debug, Default)]
 pub struct RequestCosts {
-    /// CPU charges by category, in execution order.
-    pub parts: Vec<(CostCategory, Charge)>,
+    /// Simulated CPU the request consumed: the kernel's ledger
+    /// ([`iolite_core::Metrics::cpu`]) after the request less before it
+    /// — one kernel, driven in sequence, so the change is the request's.
+    pub cpu: SimTime,
     /// Device time for a cache miss (schedule on the disk resource).
     pub disk_time: SimTime,
     /// Whether the file cache hit.
@@ -73,21 +77,6 @@ pub struct RequestCosts {
     pub pin_key: Option<CacheKey>,
 }
 
-impl RequestCosts {
-    /// Total CPU time across parts.
-    pub fn cpu_total(&self) -> SimTime {
-        self.parts
-            .iter()
-            .fold(SimTime::ZERO, |acc, (_, c)| acc + c.time)
-    }
-
-    fn push(&mut self, cat: CostCategory, c: Charge) {
-        if c.time > SimTime::ZERO {
-            self.parts.push((cat, c));
-        }
-    }
-}
-
 /// Serves one static-file request on the socket descriptor `sock`,
 /// returning its costs.
 ///
@@ -103,16 +92,16 @@ pub fn serve_static(
     server_pid: Pid,
     file_fd: Fd,
 ) -> RequestCosts {
+    let before = kernel.metrics.cpu();
     let mut rc = RequestCosts::default();
     // Request parse + event-loop bookkeeping (all servers).
-    rc.push(
-        CostCategory::Request,
-        Charge::us(kernel.cost.http_parse_us + kernel.cost.server_fixed_us),
-    );
+    let parse = Charge::us(kernel.cost.http_parse_us + kernel.cost.server_fixed_us);
+    kernel.charge(CostCategory::Request, parse);
     match kind {
         ServerKind::FlashLite => serve_iolite(kernel, sock, server_pid, file_fd, &mut rc),
         _ => serve_conventional(kernel, kind, sock, server_pid, file_fd, &mut rc),
     }
+    rc.cpu = kernel.metrics.cpu() - before;
     rc
 }
 
@@ -121,10 +110,8 @@ pub fn serve_static(
 fn serve_iolite(kernel: &mut Kernel, sock: Fd, server_pid: Pid, file_fd: Fd, rc: &mut RequestCosts) {
     // The IOL API's own per-request bookkeeping (aggregate and pool
     // management; see cost-model docs).
-    rc.push(
-        CostCategory::Request,
-        Charge::us(kernel.cost.iol_request_extra_us),
-    );
+    let extra = Charge::us(kernel.cost.iol_request_extra_us);
+    kernel.charge(CostCategory::Request, extra);
     let file = kernel
         .fd_file(server_pid, file_fd)
         .expect("document descriptor");
@@ -138,13 +125,6 @@ fn serve_iolite(kernel: &mut Kernel, sock: Fd, server_pid: Pid, file_fd: Fd, rc:
         .expect("document read");
     rc.cache_hit = outcome.cache_hit;
     rc.disk_time = outcome.disk_time;
-    rc.push(CostCategory::Syscall, Charge::us(kernel.cost.syscall_us));
-    if outcome.mapped_pages > 0 {
-        rc.push(
-            CostCategory::PageMap,
-            kernel.cost.page_maps(outcome.mapped_pages),
-        );
-    }
     send_response(kernel, ServerKind::FlashLite, sock, server_pid, &body, rc)
         .expect("socket write");
     // The network now references the cached entry: pin until drained.
@@ -165,39 +145,23 @@ fn serve_conventional(
     file_fd: Fd,
     rc: &mut RequestCosts,
 ) {
-    let file = kernel
-        .fd_file(server_pid, file_fd)
-        .expect("document descriptor");
-    let len = kernel
-        .fd_len(server_pid, file_fd)
-        .expect("document descriptor");
-    // mmap the document. Flash keeps a bounded mapped-file cache; a
-    // miss (tail files) costs an mmap/munmap cycle. Apache maps and
-    // unmaps per request (its cache capacity is zero here).
-    let mapped = kind != ServerKind::Apache && kernel.mapped_file_touch(file);
-    if !mapped {
-        rc.push(CostCategory::PageMap, Charge::us(kernel.cost.mmap_cycle_us));
-    }
-    // mmap-backed read through the page cache: the file cache is
-    // consulted for real; mapping cost amortizes via the mapped-file
-    // cache (the window remembers per-domain chunk mappings).
+    // The mmap-backed read through the page cache: the file cache is
+    // consulted for real. Flash keeps a bounded mapped-file cache, and
+    // only a miss (tail files) costs an mmap/munmap cycle; Apache maps
+    // and unmaps per request. Mapping cost amortizes via the window's
+    // per-domain chunk mappings.
     let (body, outcome) = kernel
-        .iol_pread(server_pid, file_fd, 0, len)
+        .mapped_read(server_pid, file_fd, kind != ServerKind::Apache)
         .expect("document read");
     rc.cache_hit = outcome.cache_hit;
     rc.disk_time = outcome.disk_time;
-    if outcome.mapped_pages > 0 {
-        rc.push(
-            CostCategory::PageMap,
-            kernel.cost.page_maps(outcome.mapped_pages),
-        );
-    }
     send_response(kernel, kind, sock, server_pid, &body, rc).expect("socket write");
 }
 
 /// Frames `header ++ body` and transmits it on `sock` — the one send
-/// tail every server and the CGI path share — pushing the send's cost
-/// parts and filling `rc`'s response/wire/occupancy fields.
+/// tail every server and the CGI path share — filling `rc`'s
+/// response/wire/occupancy fields. The socket bills the send itself;
+/// Apache's process model is billed here.
 ///
 /// Flash-Lite allocates the header in IO-Lite space ("allocating memory
 /// for response headers ... is handled with memory allocation from
@@ -220,7 +184,6 @@ pub(crate) fn send_response(
 ) -> Result<(), IolError> {
     let header = response_header(body.len(), true);
     rc.response_bytes = header.len() as u64 + body.len();
-    rc.push(CostCategory::Syscall, Charge::us(kernel.cost.syscall_us));
     let send = if kind == ServerKind::FlashLite {
         let mut response = Aggregate::from_bytes(kernel.process(server_pid).pool(), &header);
         response.append(body);
@@ -228,17 +191,8 @@ pub(crate) fn send_response(
         wout.net.expect("socket writes carry SendOutcome")
     } else {
         let (send, _) = kernel.socket_send_accounted(server_pid, sock, rc.response_bytes)?;
-        rc.push(
-            CostCategory::Copy,
-            kernel.cost.socket_copy(send.bytes_copied),
-        );
         send
     };
-    rc.push(
-        CostCategory::Checksum,
-        kernel.cost.wire_checksum(send.csum_bytes_computed),
-    );
-    rc.push(CostCategory::Packet, kernel.cost.packets(send.segments));
     rc.wire_bytes = rc.response_bytes + send.header_bytes;
     rc.owned_sock_bytes = send.owned_occupancy;
     if kind == ServerKind::Apache {
@@ -246,13 +200,11 @@ pub(crate) fn send_response(
         // select, per-request process work (§5.1: Apache trails Flash
         // even on identical data paths), plus slower internal buffer
         // management per byte.
-        rc.push(
-            CostCategory::ProcessModel,
-            Charge::us(
-                kernel.cost.apache_request_extra_us
-                    + rc.response_bytes as f64 * kernel.cost.apache_extra_ns_per_byte / 1000.0,
-            ),
+        let model = Charge::us(
+            kernel.cost.apache_request_extra_us
+                + rc.response_bytes as f64 * kernel.cost.apache_extra_ns_per_byte / 1000.0,
         );
+        kernel.charge(CostCategory::ProcessModel, model);
     }
     Ok(())
 }
@@ -286,35 +238,29 @@ mod tests {
         let first = serve_static(&mut k, ServerKind::FlashLite, sock, pid, f);
         assert!(!first.cache_hit);
         k.cache_unpin(first.pin_key.unwrap());
+        let before = k.metrics.clone();
         let warm = serve_static(&mut k, ServerKind::FlashLite, sock, pid, f);
         assert!(warm.cache_hit);
         // Only the fresh response header is checksummed; the body rides
         // the checksum cache. No copies at all.
-        let csum: SimTime = warm
-            .parts
-            .iter()
-            .filter(|(c, _)| *c == CostCategory::Checksum)
-            .map(|(_, c)| c.time)
-            .fold(SimTime::ZERO, |a, b| a + b);
+        let billed = |cat| k.metrics.time_in(cat) - before.time_in(cat);
+        let csum = billed(CostCategory::Checksum);
         assert!(
             csum < k.cost.checksum(1000).time,
             "body checksum must be cached: {csum}"
         );
-        assert!(warm.parts.iter().all(|(c, _)| *c != CostCategory::Copy));
+        assert_eq!(billed(CostCategory::Copy), SimTime::ZERO);
+        assert_eq!(k.metrics.bytes_copied, 0);
     }
 
     #[test]
     fn flash_hot_request_copies_and_checksums_everything() {
         let (mut k, pid, f, sock) = setup(ServerKind::Flash);
         serve_static(&mut k, ServerKind::Flash, sock, pid, f);
+        let copied_before = k.metrics.time_in(CostCategory::Copy);
         let warm = serve_static(&mut k, ServerKind::Flash, sock, pid, f);
         assert!(warm.cache_hit);
-        let copy_time: SimTime = warm
-            .parts
-            .iter()
-            .filter(|(c, _)| *c == CostCategory::Copy)
-            .map(|(_, c)| c.time)
-            .fold(SimTime::ZERO, |a, b| a + b);
+        let copy_time = k.metrics.time_in(CostCategory::Copy) - copied_before;
         assert!(copy_time >= k.cost.socket_copy(100_000).time);
     }
 
@@ -326,7 +272,7 @@ mod tests {
         let (mut k2, pid2, f2, sock2) = setup(ServerKind::Flash);
         serve_static(&mut k2, ServerKind::Flash, sock2, pid2, f2);
         let flash_warm = serve_static(&mut k2, ServerKind::Flash, sock2, pid2, f2);
-        assert!(warm.cpu_total() > flash_warm.cpu_total());
+        assert!(warm.cpu > flash_warm.cpu);
     }
 
     #[test]
@@ -339,7 +285,7 @@ mod tests {
                 k.cache_unpin(key);
             }
             let warm = serve_static(&mut k, kind, sock, pid, f);
-            totals.push((kind.label(), warm.cpu_total()));
+            totals.push((kind.label(), warm.cpu));
         }
         assert!(totals[0].1 < totals[1].1, "{totals:?}");
         assert!(totals[1].1 < totals[2].1, "{totals:?}");

@@ -1,4 +1,4 @@
-//! Parser totality (ROADMAP item 4): whatever bytes the wire delivers,
+//! Parser totality: whatever bytes the wire delivers,
 //! however it fragments them, the request parser never panics, and the
 //! aggregate-run entry points the event loop feeds agree with the
 //! contiguous ones — so "has the header arrived" has one answer no

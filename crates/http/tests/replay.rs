@@ -4,7 +4,10 @@
 //!
 //! This is the PR 6 acceptance test for the functional-core split: the
 //! imperative shell's only state mutations go through `Command`s, so
-//! the journal plus the initial `KernelState` *is* the run.
+//! the journal plus the initial `KernelState` *is* the run — simulated
+//! CPU included: every charge is an effect of a journaled command, so
+//! the replayed ledger holds the loop's `LoopStats::cpu` plus whatever
+//! the kernel had billed before the loop was built.
 
 use iolite_core::{replay, CostModel, Kernel, KernelState};
 use iolite_fs::Policy;
@@ -49,8 +52,12 @@ fn event_loop_run_replays_to_identical_state_and_metrics() {
         drain_per_tick: 8 * 1024,
         ..EventLoopConfig::default()
     };
+    let base = kernel.metrics.cpu();
     let (report, mut kernel) = EventLoopServer::new(kernel, pid, scripts, None, cfg).run();
     assert_eq!(report.stats.completed, 256 * 4);
+    // What this run cost when the loop summed every outcome's charge by
+    // hand, to the nanosecond.
+    assert_eq!(report.stats.cpu.as_nanos(), 263_872_685);
     assert_eq!(report.stats.failed, 0);
     assert_eq!(report.stats.blocked_io, 0, "readiness-driven, no spin");
     assert_eq!(
@@ -76,6 +83,11 @@ fn event_loop_run_replays_to_identical_state_and_metrics() {
         "replayed state digest must match the live run"
     );
     assert_eq!(metrics, live_metrics, "replayed metrics must match");
+    assert_eq!(
+        metrics.cpu(),
+        base + report.stats.cpu,
+        "the replayed ledger is the loop's CPU plus the base at construction"
+    );
 }
 
 #[test]

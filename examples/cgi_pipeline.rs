@@ -41,8 +41,8 @@ fn main() {
         );
         println!(
             "  request CPU: first {:.2}ms, steady-state {:.2}ms",
-            first.cpu_total().as_ms(),
-            second.cpu_total().as_ms()
+            first.cpu.as_ms(),
+            second.cpu.as_ms()
         );
         println!(
             "  bytes copied total: {} ({} per request steady-state)",

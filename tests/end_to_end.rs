@@ -81,8 +81,7 @@ fn cgi_document_reaches_server_byte_exact_via_both_pipe_modes() {
                 .document()
                 .range(offset, expected.len() as u64 - offset)
                 .unwrap();
-            let (n, _) = iolite::core::short_ok(k.iol_write_fd(cgi.pid, wfd, &rest)).unwrap();
-            offset += n;
+            offset += iolite::core::short_ok(k.iol_write_fd(cgi.pid, wfd, &rest)).unwrap();
             if let Ok((chunk, _)) = k.iol_read_fd(server, rfd, u64::MAX) {
                 received.extend_from_slice(&chunk.to_vec());
             }
@@ -124,7 +123,7 @@ fn serve_static_is_deterministic_across_kernels() {
             let sock = k.socket_create(pid, kind.buffer_mode(), DEFAULT_MSS, DEFAULT_TSS);
             let a = iolite::http::server::serve_static(&mut k, kind, sock, pid, fd);
             let b = iolite::http::server::serve_static(&mut k, kind, sock, pid, fd);
-            (a.cpu_total(), b.cpu_total(), a.response_bytes)
+            (a.cpu, b.cpu, a.response_bytes)
         };
         assert_eq!(run(), run(), "{kind:?}");
     }

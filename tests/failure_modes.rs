@@ -97,9 +97,8 @@ fn unknown_descriptors_and_paths_fail_precisely() {
     ));
     assert!(k.dup_fd(pid, ghost).is_err());
     assert!(k.close_fd(pid, ghost).is_err());
-    // A missing path is ENOENT at open; the raw lookup agrees.
+    // A missing path is ENOENT at open.
     assert_eq!(k.open(pid, "/no/such/file"), Err(IolError::NotFound));
-    assert_eq!(k.lookup("/no/such/file").0, None);
     // A descriptor opened on a file that was never stored reads empty
     // (the store treats unknown ids as empty objects), not fatally.
     let fd = k.open_file(pid, iolite::fs::FileId(9999));

@@ -31,18 +31,18 @@ fn poll_eof_on_empty_closed_pipe() {
     let a = k.spawn("producer");
     let b = k.spawn("consumer");
     let (w, r) = k.pipe_between(a, b, PipeMode::ZeroCopy);
-    let (ev, _) = k.iol_poll(b, &[PollFd::readable(r)]).unwrap();
+    let ev = k.iol_poll(b, &[PollFd::readable(r)]);
     assert!(!ev[0].readable && !ev[0].eof, "open writer: just pending");
     let pool = k.process(a).pool().clone();
     k.iol_write_fd(a, w, &Aggregate::from_bytes(&pool, b"tail")).unwrap();
     k.close_fd(a, w).unwrap();
     // Closed but not yet drained: readable, not EOF.
-    let (ev, _) = k.iol_poll(b, &[PollFd::readable(r)]).unwrap();
+    let ev = k.iol_poll(b, &[PollFd::readable(r)]);
     assert!(ev[0].readable && !ev[0].eof);
     let (got, _) = k.iol_read_fd(b, r, 100).unwrap();
     assert_eq!(got.to_vec(), b"tail");
     // Empty + closed: EOF, and the read agrees.
-    let (ev, _) = k.iol_poll(b, &[PollFd::readable(r)]).unwrap();
+    let ev = k.iol_poll(b, &[PollFd::readable(r)]);
     assert!(ev[0].eof && !ev[0].readable);
     assert!(k.iol_read_fd(b, r, 100).unwrap().0.is_empty());
 }
@@ -58,19 +58,19 @@ fn poll_writable_after_drain() {
     let pool = k.process(a).pool().clone();
     let fill = Aggregate::from_bytes(&pool, &[1u8; 64 * 1024]);
     k.iol_write_fd(a, w, &fill).unwrap();
-    let (ev, _) = k.iol_poll(a, &[PollFd::writable(w)]).unwrap();
+    let ev = k.iol_poll(a, &[PollFd::writable(w)]);
     assert!(!ev[0].writable, "full pipe is not writable");
     k.iol_read_fd(b, r, 1024).unwrap();
-    let (ev, _) = k.iol_poll(a, &[PollFd::writable(w)]).unwrap();
+    let ev = k.iol_poll(a, &[PollFd::writable(w)]);
     assert!(ev[0].writable, "reader drained: writable again");
     // Same transition on a nonblocking socket's send buffer.
     let sock = k.socket_create(a, BufferMode::ZeroCopy, 1460, 64 * 1024);
     k.set_nonblocking(a, sock, true).unwrap();
     iolite::core::short_ok(k.iol_write_fd(a, sock, &fill)).unwrap();
-    let (ev, _) = k.iol_poll(a, &[PollFd::writable(sock)]).unwrap();
+    let ev = k.iol_poll(a, &[PollFd::writable(sock)]);
     assert!(!ev[0].writable, "Tss exhausted");
     k.socket_drain(a, sock, 16 * 1024).unwrap();
-    let (ev, _) = k.iol_poll(a, &[PollFd::writable(sock)]).unwrap();
+    let ev = k.iol_poll(a, &[PollFd::writable(sock)]);
     assert!(ev[0].writable, "ACKed bytes free the buffer");
 }
 
@@ -83,16 +83,16 @@ fn poll_epipe_readiness() {
     let a = k.spawn("producer");
     let b = k.spawn("consumer");
     let (w, r) = k.pipe_between(a, b, PipeMode::ZeroCopy);
-    let (ev, _) = k.iol_poll(a, &[PollFd::writable(w)]).unwrap();
+    let ev = k.iol_poll(a, &[PollFd::writable(w)]);
     assert!(ev[0].writable && !ev[0].epipe);
     k.close_fd(b, r).unwrap();
-    let (ev, _) = k.iol_poll(a, &[PollFd::writable(w)]).unwrap();
+    let ev = k.iol_poll(a, &[PollFd::writable(w)]);
     assert!(ev[0].epipe && !ev[0].writable, "no reader left");
     assert!(ev[0].wakes(iolite::core::Interest::Writable));
     // Socket peer close reports epipe the same way.
     let sock = k.socket_create(a, BufferMode::ZeroCopy, 1460, 64 * 1024);
     k.socket_peer_close(a, sock).unwrap();
-    let (ev, _) = k.iol_poll(a, &[PollFd::writable(sock)]).unwrap();
+    let ev = k.iol_poll(a, &[PollFd::writable(sock)]);
     assert!(ev[0].epipe && ev[0].eof);
     let pool = k.process(a).pool().clone();
     let msg = Aggregate::from_bytes(&pool, b"late");
