@@ -33,7 +33,7 @@ use std::ops::Deref;
 use iolite_buf::{Acl, Aggregate, BufferPool, DomainId};
 use iolite_fs::{CacheKey, FileId, Policy};
 use iolite_ipc::PipeMode;
-use iolite_net::{BufferMode, MbufChain, SendOutcome};
+use iolite_net::{BufferMode, SendOutcome};
 use iolite_sim::SimTime;
 use iolite_vm::{MemAccount, MmapView};
 
@@ -383,20 +383,10 @@ impl Kernel {
 
     // ---- window transfers ----------------------------------------------
 
-    /// Makes an aggregate's chunks readable in `domain`, charging only
-    /// first-time mappings (§3.2). Returns newly mapped pages.
-    pub fn transfer_to(&mut self, agg: &Aggregate, domain: DomainId) -> u64 {
-        self.run(
-            |s, fx| s.op_transfer_to(agg, domain, fx),
-            || Command::TransferTo {
-                agg: agg.clone(),
-                domain,
-            },
-        )
-    }
-
-    /// Like [`Kernel::transfer_to`] but enforcing an explicit ACL
-    /// (pipe transfers between mutually untrusting processes).
+    /// Makes an aggregate's chunks readable in `domain` if `acl` admits
+    /// it (transfers between mutually untrusting processes, §3.10),
+    /// billing only first-time page mappings (§3.2). Returns newly
+    /// mapped pages.
     ///
     /// # Errors
     ///
@@ -437,9 +427,9 @@ impl Kernel {
         )
     }
 
-    /// Delivers inbound payload to a socket (the receive path's
-    /// hand-off after demux/reassembly, or a test harness playing the
-    /// remote peer). The data becomes readable through
+    /// Delivers inbound payload — already in the receiving process's
+    /// pool, as §3.6's early demultiplexing leaves it, and in stream
+    /// order — to a socket. The data becomes readable through
     /// [`Kernel::iol_read_fd`].
     pub fn socket_deliver(&mut self, pid: Pid, fd: Fd, payload: Aggregate) -> IoResult<u64> {
         // The payload moves into the socket's inbound queue; only a
@@ -464,25 +454,6 @@ impl Kernel {
         self.run(
             |s, fx| s.op_socket_send_accounted(pid, fd, len, fx),
             || Command::SocketSendAccounted { pid, fd, len },
-        )
-    }
-
-    /// Materializes the actual TCP segment chains a descriptor write of
-    /// `payload` would emit (end-to-end byte-exactness tests; the hot
-    /// path only needs [`Kernel::iol_write_fd`]'s accounting).
-    pub fn socket_transmit_segments(
-        &mut self,
-        pid: Pid,
-        fd: Fd,
-        payload: &Aggregate,
-    ) -> IoResult<Vec<MbufChain>> {
-        self.run(
-            |s, fx| s.op_socket_transmit_segments(pid, fd, payload, fx),
-            || Command::SocketTransmitSegments {
-                pid,
-                fd,
-                payload: payload.clone(),
-            },
         )
     }
 
@@ -1216,6 +1187,24 @@ mod tests {
     }
 
     #[test]
+    fn acl_transfers_bill_first_time_mappings_once() {
+        let mut k = kernel();
+        let pid = k.spawn("reader");
+        let acl = Acl::with_domain(pid.domain());
+        let pool = k.create_pool(acl.clone());
+        let data = Aggregate::from_bytes(&pool, &[9u8; 3 * 4096]);
+        let (before, t) = (k.metrics.time_in(CostCategory::PageMap), k.now());
+        let pages = k.transfer_with_acl(&data, pid.domain(), &acl).unwrap();
+        assert!(pages > 0);
+        let billed = k.metrics.time_in(CostCategory::PageMap);
+        assert_eq!(billed - before, k.cost.page_maps(pages).time);
+        assert_eq!(k.now() - t, billed - before, "on the clock too");
+        // A warm transfer maps nothing and bills nothing.
+        assert_eq!(k.transfer_with_acl(&data, pid.domain(), &acl).unwrap(), 0);
+        assert_eq!(k.metrics.time_in(CostCategory::PageMap), billed);
+    }
+
+    #[test]
     fn copy_pipe_charges_copies() {
         let mut k = kernel();
         let a = k.spawn("producer");
@@ -1645,9 +1634,8 @@ mod tests {
             k.socket_deliver(pid, sock, Aggregate::from_bytes(&pool, b"?")),
             Err(IolError::Closed)
         );
-        // The conventional accounting-only send path and segment
-        // materialization refuse a peer-closed socket the same way the
-        // descriptor write does.
+        // The conventional accounting-only send path refuses a
+        // peer-closed socket the same way the descriptor write does.
         let copy_sock = k.socket_create(pid, BufferMode::Copy, DEFAULT_MSS, DEFAULT_TSS);
         k.socket_peer_close(pid, copy_sock).unwrap();
         assert_eq!(
@@ -1657,10 +1645,6 @@ mod tests {
         // And a dead peer never ACKs: drains fail rather than
         // pretending the buffer emptied.
         assert_eq!(k.socket_drain(pid, sock, 10), Err(IolError::Closed));
-        assert!(matches!(
-            k.socket_transmit_segments(pid, copy_sock, &msg),
-            Err(IolError::Closed)
-        ));
     }
 
     #[test]

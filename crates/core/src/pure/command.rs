@@ -51,14 +51,12 @@ pub enum Command {
     MemRelease { account: MemAccount, bytes: u64 },
 
     // -- window transfers --
-    TransferTo { agg: Aggregate, domain: DomainId },
     TransferWithAcl { agg: Aggregate, domain: DomainId, acl: Acl },
 
     // -- sockets --
     SocketCreate { pid: Pid, mode: BufferMode, mss: usize, tss: usize },
     SocketDeliver { pid: Pid, fd: Fd, payload: Aggregate },
     SocketSendAccounted { pid: Pid, fd: Fd, len: u64 },
-    SocketTransmitSegments { pid: Pid, fd: Fd, payload: Aggregate },
     SetNonblocking { pid: Pid, fd: Fd, nonblocking: bool },
     SocketDrain { pid: Pid, fd: Fd, max: u64 },
     SocketPeerClose { pid: Pid, fd: Fd },

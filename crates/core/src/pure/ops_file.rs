@@ -292,9 +292,15 @@ impl KernelState {
     }
 
     /// Makes `agg` readable in `pid`'s domain, billing first-time page
-    /// mappings (§3.2).
+    /// mappings (§3.2), under the cache pool's ACL, which admits every
+    /// spawned process.
     pub(super) fn map_into(&mut self, pid: Pid, agg: &Aggregate, fx: &mut Vec<Effect>) {
-        let pages = self.op_transfer_to(agg, pid.domain(), fx);
+        let chunks = agg.slices().map(|s| s.id().chunk);
+        let pages = self
+            .window
+            .transfer(chunks, pid.domain(), &self.cache_pool_acl)
+            .unwrap_or(0);
+        fx.push(Effect::PagesMapped(pages));
         self.bill(CostCategory::PageMap, self.cost.page_maps(pages), fx);
     }
 
@@ -459,25 +465,10 @@ impl KernelState {
 
     // ---- window transfers ----------------------------------------------
 
-    /// Makes an aggregate's chunks readable in `domain`, charging only
-    /// first-time mappings (§3.2). Returns newly mapped pages.
-    pub(crate) fn op_transfer_to(
-        &mut self,
-        agg: &Aggregate,
-        domain: DomainId,
-        fx: &mut Vec<Effect>,
-    ) -> u64 {
-        let chunks = agg.slices().map(|s| s.id().chunk);
-        let pages = self
-            .window
-            .transfer(chunks, domain, &self.cache_pool_acl)
-            .unwrap_or(0);
-        fx.push(Effect::PagesMapped(pages));
-        pages
-    }
-
-    /// Like [`KernelState::op_transfer_to`] but enforcing an explicit
-    /// ACL (pipe transfers between mutually untrusting processes).
+    /// [`KernelState::map_into`] gated by an explicit ACL (transfers
+    /// between mutually untrusting processes, §3.10): makes `agg`
+    /// readable in `domain`, billing first-time page mappings. Returns
+    /// newly mapped pages.
     ///
     /// # Errors
     ///
@@ -493,6 +484,7 @@ impl KernelState {
         let chunks = agg.slices().map(|s| s.id().chunk);
         let pages = self.window.transfer(chunks, domain, acl)?;
         fx.push(Effect::PagesMapped(pages));
+        self.bill(CostCategory::PageMap, self.cost.page_maps(pages), fx);
         Ok(pages)
     }
 }

@@ -107,15 +107,15 @@ impl KernelState {
             // read mappings, gated by the pipe's ACL when it carries one
             // (pipes between mutually untrusting processes); plain pipes
             // rely on pool ACLs at allocation sites.
-            let pages = match &acl {
-                Some(acl) => self
-                    .op_transfer_with_acl(agg, pid.domain(), acl, fx)
-                    .map_err(|denied| IolError::PermissionDenied {
-                        domain: denied.domain,
-                    })?,
-                None => self.op_transfer_to(agg, pid.domain(), fx),
-            };
-            self.bill(CostCategory::PageMap, self.cost.page_maps(pages), fx);
+            match &acl {
+                Some(acl) => {
+                    self.op_transfer_with_acl(agg, pid.domain(), acl, fx)
+                        .map_err(|denied| IolError::PermissionDenied {
+                            domain: denied.domain,
+                        })?;
+                }
+                None => self.map_into(pid, agg, fx),
+            }
         }
         match got {
             Some(agg) => Ok((agg, out)),

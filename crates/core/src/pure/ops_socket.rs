@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use iolite_buf::Aggregate;
-use iolite_net::{BufferMode, MbufChain, SendOutcome, TcpConn};
+use iolite_net::{BufferMode, SendOutcome, TcpConn};
 
 use super::effect::Effect;
 use super::ids::ConnId;
@@ -41,9 +41,10 @@ impl KernelState {
         self.fds.install(pid, FdObject::Socket(id))
     }
 
-    /// Delivers inbound payload to a socket (the receive path's
-    /// hand-off after demux/reassembly, or a test harness playing the
-    /// remote peer). The data becomes readable through `iol_read_fd`.
+    /// Delivers inbound payload — already in the receiving process's
+    /// pool, as §3.6's early demultiplexing leaves it, and in stream
+    /// order — to a socket. The data becomes readable through
+    /// `iol_read_fd`.
     pub(crate) fn op_socket_deliver(
         &mut self,
         pid: Pid,
@@ -92,24 +93,6 @@ impl KernelState {
         let checksum = self.cost.wire_checksum(send.csum_bytes_computed);
         self.bill(CostCategory::Checksum, checksum, fx);
         self.bill(CostCategory::Packet, self.cost.packets(send.segments), fx);
-    }
-
-    /// Materializes the actual TCP segment chains a descriptor write of
-    /// `payload` would emit (end-to-end byte-exactness tests; the hot
-    /// path only needs `iol_write_fd`'s accounting).
-    pub(crate) fn op_socket_transmit_segments(
-        &mut self,
-        pid: Pid,
-        fd: Fd,
-        payload: &Aggregate,
-        fx: &mut Vec<Effect>,
-    ) -> IoResult<Vec<MbufChain>> {
-        let sock = self.resolve_socket_mut(pid, fd, "segment materialization")?;
-        if sock.write_dead() {
-            return Err(IolError::Closed);
-        }
-        let chains = sock.conn.build_segments(payload);
-        Ok((chains, IoOutcome::trap(self, fx)))
     }
 
     /// Sets a socket descriptor's `O_NONBLOCK` flag.

@@ -128,7 +128,7 @@ impl IoOutcome {
 }
 
 /// A kernel-owned TCP socket: the connection state plus an inbound
-/// byte queue fed by the receive path (or test harnesses).
+/// byte queue fed by `socket_deliver`.
 #[derive(Debug)]
 pub(crate) struct KernelSocket {
     pub(crate) conn: TcpConn,
@@ -424,7 +424,7 @@ impl KernelState {
     }
 
     /// Read-only access to the connection behind a socket descriptor
-    /// (window rates, lifetime totals).
+    /// (window rates, the segments its next send would emit).
     ///
     /// # Errors
     ///

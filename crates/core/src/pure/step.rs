@@ -79,9 +79,6 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
         Command::MemRelease { account, bytes } => state.op_mem_release(*account, *bytes),
 
         // -- window transfers --
-        Command::TransferTo { agg, domain } => {
-            state.op_transfer_to(agg, *domain, fx);
-        }
         Command::TransferWithAcl { agg, domain, acl } => {
             state
                 .op_transfer_with_acl(agg, *domain, acl, fx)
@@ -99,9 +96,6 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
         }
         Command::SocketSendAccounted { pid, fd, len } => {
             state.op_socket_send_accounted(*pid, *fd, *len, fx)?;
-        }
-        Command::SocketTransmitSegments { pid, fd, payload } => {
-            state.op_socket_transmit_segments(*pid, *fd, payload, fx)?;
         }
         Command::SetNonblocking { pid, fd, nonblocking } => {
             state.op_set_nonblocking(*pid, *fd, *nonblocking)?;

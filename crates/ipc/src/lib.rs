@@ -281,10 +281,9 @@ impl Pipe {
 }
 
 /// Allocates a unique id for a pipe's kernel-side scratch pool. Ids
-/// descend from just below the top of the id space: the kernel assigns
-/// process/user pool ids ascending from 1, and the topmost ids are
-/// reserved for fixed kernel sentinels (the rx path's anonymous pool
-/// is `u32::MAX - 1`), so the bands never meet.
+/// descend from just below the top of the id space (the topmost 256
+/// stay reserved) while the kernel assigns process/user pool ids
+/// ascending from 1, so the bands never meet.
 fn next_scratch_pool_id() -> PoolId {
     use std::sync::atomic::{AtomicU32, Ordering};
     static NEXT: AtomicU32 = AtomicU32::new(u32::MAX - 256);
@@ -377,8 +376,7 @@ mod tests {
         assert_eq!(a.slice_at(0).id(), b.slice_at(0).id());
         assert_eq!(a.slice_at(0).generation(), b.slice_at(0).generation());
         assert_ne!(a.slice_at(0).pool(), b.slice_at(0).pool());
-        // Scratch ids stay clear of the fixed kernel sentinels at the
-        // very top of the id space (e.g. the rx path's anonymous pool).
+        // Scratch ids stay clear of the reserved top of the id space.
         assert!(a.slice_at(0).pool().0 <= u32::MAX - 256);
         assert!(b.slice_at(0).pool().0 <= u32::MAX - 256);
         // Zero-copy pipes never allocate a scratch pool at all.

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! Network subsystem: mbufs over IO-Lite buffers, Internet checksum
-//! caching, early demultiplexing, and a TCP connection model (paper
-//! §3.6, §3.9, §4.1).
+//! caching, and a TCP connection model with by-reference receive
+//! reassembly (paper §3.6, §3.9, §4.1).
 //!
 //! The paper adapts the BSD network stack by pointing mbufs' out-of-line
 //! data at IO-Lite buffers: "small data items such as network packet
@@ -14,9 +14,11 @@
 //!   document costs no data-touching at all. The cache is bounded by
 //!   per-entry second-chance (CLOCK) eviction, so the hot-document
 //!   working set survives cold-tail traffic.
-//! * **Early demultiplexing** (§3.6): a packet filter maps incoming
-//!   packets to their I/O stream *before* the payload is stored, so it
-//!   can be placed directly into a buffer with the right ACL.
+//! * **Receiving into the right pool** (§3.6): early demultiplexing lets
+//!   a driver store an arriving payload straight into a buffer of the
+//!   *receiving* process's pool. The model assumes it: every payload the
+//!   kernel's `socket_deliver` accepts already lives in that pool, and
+//!   [`TcpReceiver`] reassembles such payloads by reference.
 //!
 //! [`TcpConn`] models a connection's send path: real segment
 //! construction over mbuf chains, checksum computation (cache-aware in
@@ -26,20 +28,16 @@
 
 pub mod checksum;
 pub mod cksum_cache;
-pub mod filter;
 pub mod mbuf;
 pub mod packet;
 pub mod reassembly;
-pub mod rx;
 pub mod tcp;
 
 pub use checksum::{combine, internet_checksum, slice_sum};
 pub use cksum_cache::{ChecksumCache, CksumCacheStats};
-pub use filter::{FilterRule, PacketFilter, StreamId};
 pub use mbuf::{Mbuf, MbufChain, MbufData};
 pub use packet::{SegmentHeader, MAX_SEGMENT_PAYLOAD, TCP_IP_HEADER_BYTES};
 pub use reassembly::{ReassemblyStats, TcpReceiver};
-pub use rx::{RxPath, RxStats};
 pub use tcp::{BufferMode, SendOutcome, TcpConn};
 
 /// Default TCP maximum segment size on the paper's Fast Ethernet.

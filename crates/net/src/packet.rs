@@ -69,7 +69,7 @@ impl SegmentHeader {
         b
     }
 
-    /// Parses wire bytes back into header fields (tests, demux).
+    /// Parses wire bytes back into header fields (byte-exactness tests).
     ///
     /// Returns `None` when the buffer is too short or malformed.
     pub fn parse(b: &[u8]) -> Option<SegmentHeader> {

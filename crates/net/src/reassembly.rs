@@ -1,11 +1,12 @@
 //! TCP receive-side stream reassembly over buffer aggregates.
 //!
-//! The receive path (§3.6) places each packet's payload in an IO-Lite
-//! buffer of the right pool; this module assembles those payloads into
-//! the in-order byte stream **by reference** — out-of-order segments
-//! wait in a reorder queue as aggregates and are concatenated with
-//! pointer manipulation when their turn comes, never copied. This is
-//! the receive-side counterpart of the zero-copy send path.
+//! Early demultiplexing (§3.6, assumed by the model) leaves each
+//! packet's payload in an IO-Lite buffer of the receiver's pool; this
+//! module assembles those payloads into the in-order byte stream **by
+//! reference** — out-of-order segments wait in a reorder queue as
+//! aggregates and are concatenated with pointer manipulation when their
+//! turn comes, never copied. This is the receive-side counterpart of
+//! the zero-copy send path.
 
 use std::collections::BTreeMap;
 

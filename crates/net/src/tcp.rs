@@ -67,8 +67,6 @@ pub struct TcpConn {
     src_port: u16,
     dst_port: u16,
     established: bool,
-    total_segments: u64,
-    total_payload: u64,
 }
 
 /// Client ports span the non-reserved range 1024..=65535.
@@ -83,9 +81,7 @@ impl TcpConn {
     /// ids below `CLIENT_PORT_SPAN << 32` (≈ 2⁴⁸ connections — far past
     /// any run) get distinct `(src_ip, dst_ip, src_port, dst_port)`
     /// tuples. (The previous `id & 0xFF` / `id % 60000` derivation
-    /// collided from a few hundred concurrent connections up, aliasing
-    /// demux filter rules and receive-path streams at `repro scale`
-    /// connection counts.)
+    /// collided from a few hundred concurrent connections up.)
     ///
     /// `mss` is capped at [`MAX_SEGMENT_PAYLOAD`] so every segment's
     /// length fits the IP total-length field.
@@ -105,8 +101,6 @@ impl TcpConn {
             src_port: 80,
             dst_port: 1024 + (id % CLIENT_PORT_SPAN) as u16,
             established: false,
-            total_segments: 0,
-            total_payload: 0,
         }
     }
 
@@ -168,8 +162,6 @@ impl TcpConn {
         }
         let after = cache.stats();
         self.seq = self.seq.wrapping_add(len as u32);
-        self.total_segments += segments;
-        self.total_payload += len;
         SendOutcome {
             segments,
             payload_bytes: len,
@@ -199,8 +191,6 @@ impl TcpConn {
         );
         let segments = len.div_ceil(self.mss as u64).max(1);
         self.seq = self.seq.wrapping_add(len as u32);
-        self.total_segments += segments;
-        self.total_payload += len;
         // Copied into the socket buffer; fresh copies have no identity,
         // so every byte is checksummed again. Occupancy is the full
         // send-buffer reservation: "the amount of memory consumed by
@@ -217,10 +207,10 @@ impl TcpConn {
         }
     }
 
-    /// Materializes the actual segment chains for `payload` (used by
-    /// end-to-end tests; the hot path only needs [`TcpConn::send`]'s
-    /// accounting).
-    pub fn build_segments(&mut self, payload: &Aggregate) -> Vec<MbufChain> {
+    /// Materializes the segment chains a send of `payload` would put on
+    /// the wire next, without sending it (end-to-end byte-exactness
+    /// tests; the hot path only needs [`TcpConn::send`]'s accounting).
+    pub fn build_segments(&self, payload: &Aggregate) -> Vec<MbufChain> {
         let mut chains = Vec::new();
         let mut offset = 0u64;
         let len = payload.len();
@@ -262,8 +252,6 @@ impl TcpConn {
         h.write_u64(self.tss as u64);
         h.write_u32(self.seq);
         h.write_bool(self.established);
-        h.write_u64(self.total_segments);
-        h.write_u64(self.total_payload);
     }
 }
 
@@ -334,7 +322,7 @@ mod tests {
 
     #[test]
     fn built_segments_carry_exact_bytes() {
-        let mut c = TcpConn::new(1, BufferMode::ZeroCopy, 100, 64 * 1024);
+        let c = TcpConn::new(1, BufferMode::ZeroCopy, 100, 64 * 1024);
         let data: Vec<u8> = (0..250u32).map(|i| i as u8).collect();
         let payload = agg(&data);
         let chains = c.build_segments(&payload);
@@ -351,7 +339,7 @@ mod tests {
 
     #[test]
     fn zero_copy_segments_own_only_headers() {
-        let mut c = TcpConn::new(1, BufferMode::ZeroCopy, 1460, 64 * 1024);
+        let c = TcpConn::new(1, BufferMode::ZeroCopy, 1460, 64 * 1024);
         let payload = agg(&vec![0u8; 5000]);
         let owned: usize = c
             .build_segments(&payload)
@@ -359,7 +347,7 @@ mod tests {
             .map(|ch| ch.owned_bytes())
             .sum();
         assert_eq!(owned, 4 * 40, "four headers, zero payload copies");
-        let mut c2 = TcpConn::new(2, BufferMode::Copy, 1460, 64 * 1024);
+        let c2 = TcpConn::new(2, BufferMode::Copy, 1460, 64 * 1024);
         let owned2: usize = c2
             .build_segments(&payload)
             .iter()
@@ -389,7 +377,7 @@ mod tests {
     #[test]
     fn oversize_mss_is_capped_to_a_representable_segment() {
         use crate::packet::MAX_SEGMENT_PAYLOAD;
-        let mut c = TcpConn::new(1, BufferMode::ZeroCopy, usize::MAX, 64 * 1024);
+        let c = TcpConn::new(1, BufferMode::ZeroCopy, usize::MAX, 64 * 1024);
         // A payload larger than the IP total-length limit must be split
         // into representable segments, and each must round-trip.
         let data = vec![0xA5u8; MAX_SEGMENT_PAYLOAD as usize + 4096];

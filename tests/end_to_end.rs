@@ -37,7 +37,7 @@ fn static_file_reaches_client_byte_exact_zero_copy() {
     response.append(&body);
 
     let sock = k.socket_create(pid, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
-    let (segments, _) = k.socket_transmit_segments(pid, sock, &response).unwrap();
+    let segments = k.socket(pid, sock).unwrap().build_segments(&response);
     let received = reassemble(&segments);
     assert_eq!(&received[..header.len()], &header[..]);
     assert_eq!(&received[header.len()..], &disk_bytes[..]);
@@ -56,7 +56,7 @@ fn static_file_reaches_client_byte_exact_copy_mode() {
     let (body, _) = k.iol_read_fd(pid, fd, 80_000).unwrap();
 
     let sock = k.socket_create(pid, BufferMode::Copy, DEFAULT_MSS, DEFAULT_TSS);
-    let (segments, _) = k.socket_transmit_segments(pid, sock, &body).unwrap();
+    let segments = k.socket(pid, sock).unwrap().build_segments(&body);
     assert_eq!(reassemble(&segments), disk_bytes);
     // Copy mode: the segments own the payload too.
     let owned: usize = segments.iter().map(|c| c.owned_bytes()).sum();

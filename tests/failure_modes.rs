@@ -160,7 +160,7 @@ fn writing_a_closed_pipe_panics_like_epipe() {
 }
 
 #[test]
-fn malformed_packets_do_not_demux() {
+fn malformed_headers_do_not_parse() {
     assert!(SegmentHeader::parse(&[]).is_none());
     assert!(SegmentHeader::parse(&[0u8; 39]).is_none());
     let mut ok = SegmentHeader {

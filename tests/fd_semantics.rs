@@ -6,7 +6,8 @@
 
 use iolite::buf::{Acl, Aggregate, BufferPool, PoolId};
 use iolite::core::{
-    ConnId, CostModel, Fd, FdObject, IolError, Kernel, PipeId, PollFd, Whence, FD_LIMIT,
+    ConnId, CostCategory, CostModel, Fd, FdObject, IolError, Kernel, PipeId, PollFd, Whence,
+    FD_LIMIT,
 };
 use iolite::ipc::PipeMode;
 use iolite::net::{
@@ -63,7 +64,7 @@ fn socket_fds_round_trip_through_the_tcp_send_path() {
     assert_eq!(send.payload_bytes, 20_000);
     assert_eq!(send.bytes_copied, 0, "zero-copy mode");
     // The materialized segments carry the exact file bytes.
-    let (segments, _) = k.socket_transmit_segments(pid, sock, &body).unwrap();
+    let segments = k.socket(pid, sock).unwrap().build_segments(&body);
     let mut payload = Vec::new();
     for chain in &segments {
         let wire = chain.to_vec();
@@ -147,6 +148,34 @@ fn close_then_use_returns_not_open() {
     ));
 }
 
+/// §3.6 as the model has it: a payload delivered in the receiver's own
+/// pool is read back by reference on a zero-copy socket (same buffer,
+/// same generation, nothing copied), while a conventional socket's
+/// `recv` bills the copy-out: exactly the payload's length.
+#[test]
+fn socket_reads_hand_over_delivered_buffers_or_bill_the_copy() {
+    let mut k = kernel();
+    let pid = k.spawn("server");
+    let payload = Aggregate::from_bytes(k.process(pid).pool(), &[5u8; 3000]);
+    let zero_copy = k.socket_create(pid, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
+    k.socket_deliver(pid, zero_copy, payload.clone()).unwrap();
+    let (got, _) = k.iol_read_fd(pid, zero_copy, u64::MAX).unwrap();
+    let (sent, read) = (payload.slice_at(0), got.slice_at(0));
+    assert_eq!((read.id(), read.generation()), (sent.id(), sent.generation()));
+    assert_eq!(k.metrics.bytes_copied, 0);
+
+    let copying = k.socket_create(pid, BufferMode::Copy, DEFAULT_MSS, DEFAULT_TSS);
+    k.socket_deliver(pid, copying, payload.clone()).unwrap();
+    let copy_time = k.metrics.time_in(CostCategory::Copy);
+    let (got, _) = k.iol_read_fd(pid, copying, u64::MAX).unwrap();
+    assert_eq!(got.to_vec(), payload.to_vec());
+    assert_eq!(k.metrics.bytes_copied, payload.len());
+    assert_eq!(
+        k.metrics.time_in(CostCategory::Copy) - copy_time,
+        k.cost.copy(payload.len()).time
+    );
+}
+
 /// Regression: `install_fd` takes any object id, minted or not, and is
 /// journaled. A descriptor over a pipe id the kernel never created used
 /// to panic the poll scan (`self.pipes[&id]`) — the scan is total: it
@@ -199,7 +228,6 @@ fn a_dangling_socket_id_is_not_open_to_every_socket_call() {
     assert_eq!(k.iol_read_fd(pid, fd, 8).unwrap_err(), bad);
     assert_eq!(k.socket_deliver(pid, fd, msg.clone()).unwrap_err(), bad);
     assert_eq!(k.socket_send_accounted(pid, fd, 8).unwrap_err(), bad);
-    assert_eq!(k.socket_transmit_segments(pid, fd, &msg).unwrap_err(), bad);
     assert_eq!(k.set_nonblocking(pid, fd, true).unwrap_err(), bad);
     assert_eq!(k.socket_drain(pid, fd, 8).unwrap_err(), bad);
     assert_eq!(k.socket_peer_close(pid, fd).unwrap_err(), bad);
@@ -300,7 +328,7 @@ proptest! {
         let sock = k.socket_create(pid, BufferMode::ZeroCopy, mss, DEFAULT_TSS);
         let (_, first) = k.iol_write_fd(pid, sock, &payload).unwrap();
         let (_, second) = k.iol_write_fd(pid, sock, &payload).unwrap();
-        let (fd_chains, _) = k.socket_transmit_segments(pid, sock, &payload).unwrap();
+        let fd_chains = k.socket(pid, sock).unwrap().build_segments(&payload);
 
         // Path B: a hand-driven connection with the same identity (the
         // kernel numbers connections from 1) and its own cache.

@@ -1,68 +1,17 @@
-//! The full inbound pipeline: wire segments → early demux → per-pool
-//! placement → zero-copy reassembly → HTTP parsing; plus multi-CGI
-//! pool isolation (§3.6, §3.10).
+//! The receive side of the stack: the segments a send puts on the wire
+//! reassemble, by reference and in any arrival order, into exactly the
+//! bytes sent; and the pool isolation between CGI instances that
+//! decides which process may map received data (§3.6, §3.10).
+//!
+//! §3.6's early demultiplexing is assumed rather than simulated: every
+//! payload handed to `Kernel::socket_deliver` already lives in the
+//! receiving process's pool (`tests/fd_semantics.rs` reads one back).
 
-use iolite::buf::{Acl, Aggregate, BufferPool, DomainId, PoolId};
+use iolite::buf::{Acl, Aggregate, BufferPool, PoolId};
 use iolite::core::{CostModel, Kernel};
-use iolite::http::{parse_request_agg, request_bytes, CgiProcess, ServerKind};
+use iolite::http::{CgiProcess, ServerKind};
 use iolite::ipc::PipeMode;
-use iolite::net::{BufferMode, DEFAULT_MSS, DEFAULT_TSS};
-use iolite::net::{FilterRule, RxPath, SegmentHeader, StreamId, TcpReceiver};
-
-fn server_header(src_port: u16, seq: u32, len: u16) -> SegmentHeader {
-    SegmentHeader {
-        src_ip: 0x0A00_0001,
-        dst_ip: 0x0A00_0002,
-        src_port,
-        dst_port: 80,
-        seq,
-        ack: 0,
-        flags: 0x18,
-        payload_len: len,
-    }
-}
-
-#[test]
-fn request_travels_wire_to_parser_zero_copy() {
-    // A client's HTTP request arrives as out-of-order TCP segments; the
-    // driver demuxes each into the server's pool, the receiver
-    // reassembles by reference, and the parser sees the exact bytes.
-    let mut rx = RxPath::new();
-    rx.filter_mut().add_rule(FilterRule {
-        dst_port: 80,
-        src_ip: None,
-        src_port: None,
-        stream: StreamId(7),
-    });
-    let server_pool = BufferPool::new(PoolId(3), Acl::with_domain(DomainId(1)), 64 * 1024);
-    rx.bind_stream(StreamId(7), server_pool);
-
-    let request = request_bytes("/f00042", true);
-    let mid = request.len() / 2;
-    let mut receiver = TcpReceiver::new(0);
-
-    // Second half first.
-    let (agg2, copied2) = rx.receive(
-        &server_header(5000, mid as u32, (request.len() - mid) as u16),
-        &request[mid..],
-    );
-    assert!(!copied2);
-    receiver.on_segment(mid as u64, agg2);
-    assert!(receiver.read_available().is_none(), "hole before it");
-
-    let (agg1, copied1) = rx.receive(&server_header(5000, 0, mid as u16), &request[..mid]);
-    assert!(!copied1);
-    receiver.on_segment(0, agg1);
-
-    let assembled = receiver.read_available().unwrap();
-    assert_eq!(assembled.to_vec(), request);
-    // Header scan straight off the fragmented aggregate: no
-    // materialization between the wire and the parser.
-    let parsed = parse_request_agg(&assembled).unwrap();
-    assert_eq!(parsed.path, "/f00042");
-    assert!(parsed.keep_alive);
-    assert_eq!(rx.stats().bytes_copied, 0, "nothing copied end to end");
-}
+use iolite::net::{BufferMode, SegmentHeader, TcpReceiver, DEFAULT_MSS, DEFAULT_TSS};
 
 #[test]
 fn send_and_receive_compose_byte_exact() {
@@ -76,7 +25,7 @@ fn send_and_receive_compose_byte_exact() {
     let (body, _) = k.iol_read_fd(pid, fd, 10_000).unwrap();
 
     let sock = k.socket_create(pid, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
-    let (mut segments, _) = k.socket_transmit_segments(pid, sock, &body).unwrap();
+    let mut segments = k.socket(pid, sock).unwrap().build_segments(&body);
     segments.reverse(); // Worst-case delivery order.
 
     let mut receiver = TcpReceiver::new(1); // build_segments starts at seq 1.

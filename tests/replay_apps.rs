@@ -190,7 +190,8 @@ fn shell_plumbing_and_posix_veneer_replay_bit_identically() {
     let secret = Aggregate::from_bytes(&private, b"for c only");
     assert!(k.transfer_with_acl(&secret, a.domain(), &acl).is_err());
     k.transfer_with_acl(&secret, c.domain(), &acl).unwrap();
-    k.transfer_to(&line, b.domain());
+    k.transfer_with_acl(&line, b.domain(), &Acl::with_domain(b.domain()))
+        .unwrap();
     k.context_switch(1);
     k.mapped_read(c, fd, true).unwrap();
     k.mapped_read(c, fd, false).unwrap();
@@ -242,8 +243,10 @@ fn cgi_request_replays_bit_identically() {
 /// previous read — replay drops every read result at once. A run that
 /// ends with bytes queued in a copy-mode pipe behind a still-held read
 /// therefore replays to a different `state_hash` (the suites above
-/// drain their copy pipes). Un-ignore when the scratch pool is made
-/// append-only under pure ops, as PR 10 did for the cache pool.
+/// drain their copy pipes). Un-ignore when buffer lifetime stops
+/// depending on who holds an `Arc`. The cache pool is no different: it
+/// recycles drained chunks too (`tests/semantics.rs::
+/// cache_pool_recycles_drained_chunks`).
 #[test]
 #[ignore = "known replay hole: copy-pipe scratch recycling depends on caller-held reads"]
 fn copy_pipe_scratch_recycling_diverges_on_replay() {

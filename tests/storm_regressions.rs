@@ -57,8 +57,10 @@ fn writes_seed_1009_pinned_replacement_replays() {
 /// `IolWriteFd` command's response aggregate, so its `Arc`s kept cache
 /// chunks alive in the live run that replay (whose journal references
 /// the live pool, not its own) let drain — in-op chunk scavenging
-/// keyed off ambient refcounts could never replay. Fixed by making the
-/// cache pool append-only: no chunk release from pure ops.
+/// keyed off ambient refcounts could never replay. The fix then was an
+/// append-only cache pool; the pool no longer is one (a miss allocates
+/// through `BufferPool::alloc_inner`, which recycles chunks nobody
+/// holds), and both runs below must still replay.
 #[test]
 fn writes_seed_1015_journal_held_chunks_replay() {
     let minimized = StormConfig {
