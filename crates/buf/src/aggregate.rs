@@ -34,7 +34,7 @@
 //! | [`Aggregate::append`], [`Aggregate::prepend`] | O(other's n) | 0 |
 //! | `clone` | O(n) reference-count bumps | 0 |
 //! | [`Aggregate::pack`] | O(bytes), exactly one copy | 0 (the buffers are the allocations) |
-//! | [`Aggregate::from_bytes_aligned`], [`Aggregate::fill_aligned`] | O(bytes): one copy in, or the producer writing in place | 0 (likewise) |
+//! | [`Aggregate::from_bytes_aligned`], [`Aggregate::fill_aligned`] | O(bytes): one copy in, or each byte written once by the producer | 0 (likewise) |
 //! | [`Aggregate::cursor`], [`Aggregate::chunks`] | O(1) to create, zero-alloc to iterate | 0 |
 
 use std::collections::HashSet;
@@ -112,7 +112,7 @@ impl Aggregate {
         mut runs: impl Iterator<Item = &'a [u8]>,
     ) -> Self {
         let mut run: &[u8] = &[];
-        Self::build(pool, len, align, |_, b| {
+        Self::fill_aligned(pool, len, align, |_, b| {
             while b.remaining() > 0 {
                 if run.is_empty() {
                     run = runs.next().expect("length accounted");
@@ -125,34 +125,21 @@ impl Aggregate {
     }
 
     /// Allocates `len` bytes of `align`-aligned buffers from `pool` and
-    /// has `fill(offset, dst)` write each one in place, `offset` being
-    /// where `dst` starts within the `len` bytes.
+    /// has `fill(offset, buf)` fill each to capacity, `offset` being
+    /// where `buf` starts within the `len` bytes, before it is frozen
+    /// and appended.
     ///
-    /// This is how disk data lands (§3.5): the producer writes straight
-    /// into the IO-Lite buffers, with no staging vector in between. The
-    /// allocation sequence — chunking, alignment, buffer ids and
-    /// generations — is exactly [`Aggregate::from_bytes_aligned`]'s for
-    /// `len` bytes (both run the same loop), so which of the two built
-    /// an aggregate is invisible to buffer identity.
+    /// This is the one allocation loop — every constructor that takes
+    /// bytes runs it, so the allocation sequence (chunking, alignment,
+    /// buffer ids and generations) is [`Aggregate::from_bytes_aligned`]'s
+    /// for `len` bytes whoever fills the buffers. It is how disk data
+    /// lands (§3.5): the producer streams straight into the IO-Lite
+    /// buffers, each byte written once, with no staging vector.
     pub fn fill_aligned(
         pool: &BufferPool,
         len: u64,
         align: usize,
-        mut fill: impl FnMut(u64, &mut [u8]),
-    ) -> Self {
-        Self::build(pool, len, align, |offset, b| {
-            b.fill(b.capacity(), |dst| fill(offset, dst));
-        })
-    }
-
-    /// The one allocation loop: carves `len` bytes into chunk-size-bounded
-    /// `align`-aligned buffers and has `write(offset, buf)` fill each to
-    /// capacity before it is frozen and appended.
-    fn build(
-        pool: &BufferPool,
-        len: u64,
-        align: usize,
-        mut write: impl FnMut(u64, &mut BufMut),
+        mut fill: impl FnMut(u64, &mut BufMut),
     ) -> Self {
         let mut agg = Aggregate::empty();
         let max = pool.chunk_size() as u64;
@@ -162,7 +149,8 @@ impl Aggregate {
             let mut b = pool
                 .alloc_aligned(take as usize, align)
                 .expect("chunk-size-bounded allocation cannot fail");
-            write(offset, &mut b);
+            fill(offset, &mut b);
+            assert_eq!(b.remaining(), 0, "a producer fills its buffer to capacity");
             agg.append_slice(b.freeze());
             offset += take;
         }

@@ -315,21 +315,6 @@ impl BufMut {
         self.bytes.extend_from_slice(data);
     }
 
-    /// Appends `len` bytes written in place by `f`, which receives
-    /// exactly that (zeroed) region — the way a producer that can
-    /// generate or copy straight into its destination (a disk read,
-    /// §3.5) fills a buffer without staging the bytes anywhere else.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` exceeds the remaining capacity.
-    pub fn fill(&mut self, len: usize, f: impl FnOnce(&mut [u8])) {
-        assert!(len <= self.remaining());
-        let base = self.bytes.len();
-        self.bytes.resize(base + len, 0);
-        f(&mut self.bytes[base..]);
-    }
-
     /// Seals the buffer: contents become immutable and shareable.
     pub fn freeze(self) -> Slice {
         let inner = Arc::new(BufferInner::new(
@@ -425,19 +410,6 @@ mod tests {
         assert_eq!(p.stats().chunks_created, 2);
         assert_eq!(p.stats().chunks_recycled, 0);
         drop(live);
-    }
-
-    #[test]
-    fn fill_appends_in_place() {
-        let p = pool();
-        let mut b = p.alloc(6).unwrap();
-        b.put(b"ab");
-        b.fill(3, |dst| {
-            assert_eq!(dst, [0, 0, 0]);
-            dst.copy_from_slice(b"cde");
-        });
-        assert_eq!(b.remaining(), 1);
-        assert_eq!(b.freeze().as_bytes(), b"abcde");
     }
 
     #[test]

@@ -229,7 +229,8 @@ proptest! {
     /// `fill_aligned` is `from_bytes_aligned` minus the staging vector:
     /// on twin pools, through fresh, open and recycled chunks alike, it
     /// yields slice for slice the same buffer ids, generations, offsets,
-    /// lengths and bytes, and the callback sees each byte's offset once.
+    /// lengths and bytes, and the producer is handed each buffer once,
+    /// in order, to fill to capacity.
     #[test]
     fn fill_aligned_allocates_like_from_bytes_aligned(
         chunk in 1usize..300,
@@ -242,10 +243,11 @@ proptest! {
             let data: Vec<u8> = (0..len).map(|j| (i * 131 + j * 7) as u8).collect();
             let copied = Aggregate::from_bytes_aligned(&copied_pool, &data, align);
             let mut next = 0u64;
-            let filled = Aggregate::fill_aligned(&filled_pool, len as u64, align, |offset, dst| {
+            let filled = Aggregate::fill_aligned(&filled_pool, len as u64, align, |offset, b| {
                 assert_eq!(offset, next, "fills arrive in order, without gaps");
-                next += dst.len() as u64;
-                dst.copy_from_slice(&data[offset as usize..][..dst.len()]);
+                assert_eq!(b.remaining(), b.capacity(), "each buffer arrives empty");
+                next += b.capacity() as u64;
+                b.put(&data[offset as usize..][..b.capacity()]);
             });
             prop_assert_eq!(next, len as u64);
             prop_assert_eq!(filled.num_slices(), copied.num_slices());

@@ -164,13 +164,8 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) {
         IoOutcome::trap(self, fx);
-        // Store-write-early: vectored, run by run, no materialization.
-        let mut run_offset = 0u64;
-        for chunk in agg.chunks() {
-            self.store.write(file, run_offset, chunk);
-            run_offset += chunk.len() as u64;
-        }
-        self.store.truncate(file, agg.len());
+        // Store-write-early, run by run; the old bytes are never generated.
+        self.store.replace(file, agg);
         let key = CacheKey::whole(file);
         if let Some(old) = self.cache.replace_for_write(&key) {
             // A PUT replaces the whole entry: every checksum cached over
@@ -441,8 +436,8 @@ impl KernelState {
             return agg;
         }
         let len = self.store.len(file).unwrap_or(0);
-        let agg = Aggregate::fill_aligned(&self.cache_pool, len, iolite_buf::PAGE_SIZE, |at, dst| {
-            self.store.read_into(file, at, dst);
+        let agg = Aggregate::fill_aligned(&self.cache_pool, len, iolite_buf::PAGE_SIZE, |at, b| {
+            self.store.stream(file, at, b.remaining() as u64, |run| b.put(run));
         });
         out.disk_time = self.disk.access_time(len);
         fx.push(Effect::DiskRead {

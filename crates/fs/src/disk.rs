@@ -5,15 +5,16 @@
 //! deterministically on demand (`FileContent::Synthetic`) so trace data
 //! sets of hundreds of megabytes cost no host memory until read.
 //!
-//! Reads land where the caller says: [`FileStore::read_into`] writes a
-//! file extent straight into a caller-owned destination (the file cache
-//! hands it IO-Lite buffers, §3.5), and one generator, `fill_synthetic`,
-//! produces every synthetic byte — for reads, for materialization on
-//! first write and for zero-extension alike. [`FileStore::read`] is the
-//! same call into a fresh `Vec`.
+//! Reads land where the caller says: [`FileStore::stream`] hands a file
+//! extent, run by run, to a caller-owned sink (the file cache appends
+//! each run to the IO-Lite buffer it is filling, §3.5), and one
+//! generator, `stream_synthetic`, produces every synthetic byte — for
+//! reads and for materialization on first write alike.
+//! [`FileStore::read`] is the same call into a fresh `Vec`.
 
 use std::collections::BTreeMap;
 
+use iolite_buf::Aggregate;
 use iolite_sim::SimTime;
 
 /// A file identifier (inode-number analog).
@@ -47,36 +48,33 @@ impl FileContent {
     }
 }
 
-/// The 8 bytes of synthetic block `block`: a SplitMix64 hash of the
-/// block index. Cheap and deterministic.
-fn synthetic_block(seed: u64, block: u64) -> [u8; 8] {
-    let mut z = seed ^ block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    z.to_le_bytes()
-}
+/// Bytes `8b..8b + 8` of a synthetic file: SplitMix64 of `seed ^ b·PHI`, little-endian.
+const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Writes bytes `offset..offset + dst.len()` of the synthetic file
-/// `seed` into `dst` — the one generator every read, materialization
-/// and extension goes through. Whole 8-byte blocks are stored with one
-/// `copy_from_slice` each; only an unaligned head and tail are partial.
-fn fill_synthetic(seed: u64, offset: u64, dst: &mut [u8]) {
-    let mut block = offset / 8;
-    let skew = (offset % 8) as usize;
-    // Unaligned head: the rest of the block `offset` falls inside.
-    let (head, body) = dst.split_at_mut(((8 - skew) % 8).min(dst.len()));
-    if !head.is_empty() {
-        head.copy_from_slice(&synthetic_block(seed, block)[skew..skew + head.len()]);
-        block += 1;
+/// Bytes generated per [`stream_synthetic`] batch: a stack buffer that stays in L1.
+const BATCH: usize = 1024;
+
+/// Streams bytes `offset..offset + len` of the synthetic file `seed`
+/// into `sink`, a batch of whole blocks at a time — the one generator
+/// every read and materialization goes through. `b·PHI` is a running
+/// sum, which leaves SplitMix64's two multiplies per block.
+fn stream_synthetic(seed: u64, offset: u64, len: u64, sink: &mut impl FnMut(&[u8])) {
+    let mut batch = [0u8; BATCH];
+    let mut weyl = (offset / 8).wrapping_mul(PHI);
+    let (mut skip, mut left) = ((offset % 8) as usize, len);
+    while left > 0 {
+        let take = left.min((BATCH - skip) as u64) as usize;
+        let blocks = &mut batch[..(skip + take).next_multiple_of(8)];
+        for block in blocks.chunks_exact_mut(8) {
+            let mut z = seed ^ weyl;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            block.copy_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+            weyl = weyl.wrapping_add(PHI);
+        }
+        sink(&blocks[skip..skip + take]);
+        (skip, left) = (0, left - take as u64);
     }
-    let mut blocks = body.chunks_exact_mut(8);
-    for b in &mut blocks {
-        b.copy_from_slice(&synthetic_block(seed, block));
-        block += 1;
-    }
-    let tail = blocks.into_remainder();
-    tail.copy_from_slice(&synthetic_block(seed, block)[..tail.len()]);
 }
 
 /// The server's file store: names, sizes, contents.
@@ -120,40 +118,40 @@ impl FileStore {
         self.files.get(&id).map(|c| c.len())
     }
 
-    /// Reads the file's bytes at `offset` straight into `dst`, clamped to
-    /// the file end, and returns how many bytes were written (the
-    /// prefix of `dst`; the rest is left untouched).
+    /// Streams the file's bytes `offset..offset + len`, clamped to the
+    /// file end, into `sink` as consecutive runs, and returns how many
+    /// bytes that was; `None` for unknown files.
     ///
-    /// This is the primitive disk reads land through: the caller owns
-    /// the destination (an IO-Lite buffer being filled, §3.5), so no
-    /// staging copy exists. Synthetic content is generated a whole
-    /// 8-byte block per store, explicit content is one
-    /// `copy_from_slice`. Returns `None` for unknown files.
-    pub fn read_into(&self, id: FileId, offset: u64, dst: &mut [u8]) -> Option<usize> {
+    /// This is the producer disk reads land through: the file cache
+    /// streams into the IO-Lite buffer it is filling (§3.5), so each
+    /// byte is written once and no staging copy exists. Explicit content
+    /// is one run, synthetic content a run per generated batch.
+    pub fn stream(
+        &self,
+        id: FileId,
+        offset: u64,
+        len: u64,
+        mut sink: impl FnMut(&[u8]),
+    ) -> Option<u64> {
         let content = self.files.get(&id)?;
         let start = offset.min(content.len());
-        let avail = usize::try_from(content.len() - start).unwrap_or(usize::MAX);
-        let n = dst.len().min(avail);
-        let dst = &mut dst[..n];
+        let n = len.min(content.len() - start);
         match content {
-            FileContent::Synthetic { seed, .. } => fill_synthetic(*seed, start, dst),
-            FileContent::Explicit(v) => {
-                let start = start as usize;
-                dst.copy_from_slice(&v[start..start + n]);
-            }
+            FileContent::Synthetic { seed, .. } => stream_synthetic(*seed, start, n, &mut sink),
+            FileContent::Explicit(v) => sink(&v[start as usize..][..n as usize]),
         }
         Some(n)
     }
 
     /// Reads `len` bytes at `offset`, clamped to the file end, into a
-    /// fresh vector ([`FileStore::read_into`] for callers without a
+    /// fresh vector ([`FileStore::stream`] for callers without a
     /// destination of their own).
     ///
     /// Returns `None` for unknown files.
     pub fn read(&self, id: FileId, offset: u64, len: u64) -> Option<Vec<u8>> {
         let avail = self.len(id)?.saturating_sub(offset);
-        let mut out = vec![0; len.min(avail) as usize];
-        self.read_into(id, offset, &mut out)?;
+        let mut out = Vec::with_capacity(len.min(avail) as usize);
+        self.stream(id, offset, len, |run| out.extend_from_slice(run));
         Some(out)
     }
 
@@ -191,28 +189,26 @@ impl FileStore {
         true
     }
 
-    /// Truncates the file to `len` bytes, or zero-extends it to `len`.
-    ///
-    /// Shrinking a synthetic file keeps it synthetic (a prefix of a
-    /// synthetic file is the same pure function of `(seed, i)`), so a
-    /// PUT that replaces a huge trace file never materializes the old
-    /// bytes just to discard them. Returns `false` for unknown files.
-    pub fn truncate(&mut self, id: FileId, new_len: u64) -> bool {
-        if let Some(FileContent::Synthetic { len, .. }) = self.files.get_mut(&id) {
-            if new_len <= *len {
-                *len = new_len;
-                return true;
-            }
-        }
-        // Zero-extension breaks the synthetic generator contract:
-        // materialize the real prefix, then grow.
-        if !self.materialize(id) {
+    /// Makes `body` (a PUT body) the file's whole content, storing each
+    /// byte once: an explicit file keeps its buffer, and a synthetic
+    /// file's old bytes are never generated. Returns `false` for unknown
+    /// files.
+    pub fn replace(&mut self, id: FileId, body: &Aggregate) -> bool {
+        let Some(content) = self.files.get_mut(&id) else {
             return false;
-        }
-        let Some(FileContent::Explicit(v)) = self.files.get_mut(&id) else {
-            unreachable!()
         };
-        v.resize(new_len as usize, 0);
+        match content {
+            // Empty, a synthetic file stays synthetic: a prefix of it is
+            // still the same pure function of `(seed, i)`.
+            FileContent::Synthetic { len, .. } if body.is_empty() => *len = 0,
+            FileContent::Synthetic { .. } => {
+                *content = FileContent::Explicit(Vec::with_capacity(body.len() as usize))
+            }
+            FileContent::Explicit(v) => v.clear(),
+        }
+        if let FileContent::Explicit(v) = content {
+            body.chunks().for_each(|run| v.extend_from_slice(run));
+        }
         true
     }
 
@@ -266,6 +262,7 @@ impl DiskModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iolite_buf::{Acl, BufferPool, PoolId};
 
     #[test]
     fn synthetic_reads_are_deterministic() {
@@ -319,26 +316,26 @@ mod tests {
     }
 
     #[test]
-    fn truncate_shrinks_and_extends() {
+    fn replace_installs_the_whole_body() {
+        let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 4);
+        let body = Aggregate::from_bytes(&pool, b"new body");
         let mut fs = FileStore::new();
-        let id = fs.create_synthetic("f", 100, 7);
-        let before = fs.read(id, 0, 100).unwrap();
-        // Shrinking stays synthetic: no materialization, same prefix.
-        assert!(fs.truncate(id, 40));
+        let huge = fs.create_synthetic("huge", 1 << 40, 7);
+        let old = fs.create("old", FileContent::Explicit(b"a longer old body".to_vec()));
+        for id in [huge, old] {
+            assert!(fs.replace(id, &body));
+            assert_eq!(fs.read(id, 0, u64::MAX).unwrap(), b"new body");
+        }
+        // The explicit file kept its buffer.
+        assert!(matches!(&fs.files[&old], FileContent::Explicit(v) if v.capacity() >= 17));
+        // An empty body leaves a synthetic file synthetic.
+        let s = fs.create_synthetic("s", 100, 7);
+        assert!(fs.replace(s, &Aggregate::empty()));
         assert!(matches!(
-            fs.read(id, 0, 100).as_deref(),
-            Some(b) if b == &before[..40]
+            fs.files[&s],
+            FileContent::Synthetic { len: 0, seed: 7 }
         ));
-        assert_eq!(fs.len(id), Some(40));
-        // Zero-extension materializes.
-        assert!(fs.truncate(id, 50));
-        let after = fs.read(id, 0, 50).unwrap();
-        assert_eq!(&after[..40], &before[..40]);
-        assert_eq!(&after[40..], &[0u8; 10]);
-        // Explicit shrink.
-        assert!(fs.truncate(id, 3));
-        assert_eq!(fs.read(id, 0, 50).unwrap(), &before[..3]);
-        assert!(!fs.truncate(FileId(99), 0));
+        assert!(!fs.replace(FileId(99), &body));
     }
 
     #[test]

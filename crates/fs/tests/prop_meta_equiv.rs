@@ -7,9 +7,9 @@
 //!   `invalidate` sequences both must return the same `(id, hit)` per
 //!   call and end with the same counters and the same digest bytes: the
 //!   hit/miss sequence is what every simulated charge hangs off.
-//! * `FileStore::read_into` against `FileStore::read`, for arbitrary
-//!   extents and arbitrary cuts of the destination, synthetic and
-//!   explicit content.
+//! * `FileStore::stream` against `FileStore::read`, for arbitrary
+//!   extents and arbitrary cuts of the range, synthetic and explicit
+//!   content; and the synthetic generator against its definition.
 //! * A complexity guard: eviction cost must not scale with capacity.
 
 use std::collections::HashMap;
@@ -88,6 +88,23 @@ fn digest_of(write: impl FnOnce(&mut Fnv64)) -> u64 {
     h.finish()
 }
 
+/// The synthetic content's definition: bytes `8·block..8·block + 8` of
+/// the file seeded `seed` are the SplitMix64 hash of `seed ^ block·φ`.
+fn synthetic_block(seed: u64, block: u64) -> [u8; 8] {
+    let mut z = seed ^ block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)).to_le_bytes()
+}
+
+/// Everything `stream` hands the sink for one call, concatenated, with
+/// the count it returns.
+fn streamed(fs: &FileStore, id: FileId, offset: u64, len: u64) -> Option<(Vec<u8>, u64)> {
+    let mut out = Vec::new();
+    let n = fs.stream(id, offset, len, |run| out.extend_from_slice(run))?;
+    Some((out, n))
+}
+
 /// A store holding the same bytes twice: once as a synthetic file, once
 /// as its explicit materialization.
 fn twin_store(len: u64, seed: u64) -> (FileStore, FileId, FileId) {
@@ -141,35 +158,52 @@ proptest! {
         prop_assert_eq!(digest_of(|h| snap.digest(h)), digest_of(|h| real.digest(h)));
     }
 
-    /// `read_into` over any cut of the destination writes the bytes
+    /// `stream` over any cut of a range yields, concatenated, the bytes
     /// `read` returns — block-aligned or not, across EOF or not.
     #[test]
-    fn read_into_matches_read(
+    fn stream_matches_read(
         len in 0u64..600,
         seed in any::<u64>(),
         offset in 0u64..640,
-        want in 0usize..640,
-        cuts in proptest::collection::vec(1usize..40, 0..12),
+        want in 0u64..640,
+        cuts in proptest::collection::vec(1u64..40, 0..12),
     ) {
         let (fs, synthetic, explicit) = twin_store(len, seed);
         for id in [synthetic, explicit] {
-            let expected = fs.read(id, offset, want as u64).unwrap();
-            prop_assert_eq!(expected.len() as u64, (want as u64).min(len.saturating_sub(offset)));
-            // One call: the prefix is filled, the rest is left alone.
-            let mut whole = vec![0xA5u8; want];
-            prop_assert_eq!(fs.read_into(id, offset, &mut whole), Some(expected.len()));
-            prop_assert_eq!(&whole[..expected.len()], &expected[..]);
-            prop_assert!(whole[expected.len()..].iter().all(|&b| b == 0xA5));
-            // Many calls: the destination cut into arbitrary pieces.
-            let mut pieces = vec![0xA5u8; want];
-            let (mut at, mut filled) = (0usize, 0usize);
+            let expected = fs.read(id, offset, want).unwrap();
+            prop_assert_eq!(expected.len() as u64, want.min(len.saturating_sub(offset)));
+            let (whole, n) = streamed(&fs, id, offset, want).unwrap();
+            prop_assert_eq!((&whole, n), (&expected, expected.len() as u64));
+            // Many calls: the range cut into arbitrary pieces.
+            let mut pieces = Vec::new();
+            let mut at = 0;
             for cut in cuts.iter().copied().chain(std::iter::once(want)) {
                 let end = (at + cut).min(want);
-                filled += fs.read_into(id, offset + at as u64, &mut pieces[at..end]).unwrap();
+                pieces.extend(streamed(&fs, id, offset + at, end - at).unwrap().0);
                 at = end;
             }
-            prop_assert_eq!(filled, expected.len());
-            prop_assert_eq!(&pieces[..], &whole[..]);
+            prop_assert_eq!(&pieces, &expected);
+        }
+    }
+
+    /// The streaming generator yields byte `i` of a synthetic file as
+    /// byte `i mod 8` of `synthetic_block(seed, ⌊i/8⌋)`, for any extent:
+    /// unaligned heads and tails, runs across the generator's batch
+    /// boundaries, offsets far into a file too large to hold.
+    #[test]
+    fn synthetic_stream_matches_the_block_definition(
+        seed in any::<u64>(),
+        base in 0u64..(1 << 40),
+        skew in 0u64..4096,
+        len in 0u64..5000,
+    ) {
+        let mut fs = FileStore::new();
+        let id = fs.create_synthetic("huge", 1 << 41, seed);
+        let offset = base + skew;
+        let (bytes, n) = streamed(&fs, id, offset, len).unwrap();
+        prop_assert_eq!((bytes.len() as u64, n), (len, len));
+        for (i, &b) in (offset..).zip(&bytes) {
+            prop_assert_eq!(b, synthetic_block(seed, i / 8)[(i % 8) as usize], "byte {}", i);
         }
     }
 }
@@ -183,9 +217,11 @@ fn read_clamps_huge_extents() {
         assert_eq!(fs.read(id, 3, u64::MAX).unwrap(), &all[3..]);
         assert_eq!(fs.read(id, 10, u64::MAX).unwrap(), b"");
         assert_eq!(fs.read(id, u64::MAX, u64::MAX).unwrap(), b"");
-        assert_eq!(fs.read_into(id, u64::MAX, &mut [0u8; 4]), Some(0));
+        // Past EOF a stream yields nothing.
+        assert_eq!(streamed(&fs, id, u64::MAX, 4), Some((Vec::new(), 0)));
+        assert_eq!(streamed(&fs, id, 11, u64::MAX), Some((Vec::new(), 0)));
     }
-    assert_eq!(fs.read_into(FileId(99), 0, &mut [0u8; 4]), None);
+    assert_eq!(streamed(&fs, FileId(99), 0, 4), None);
 }
 
 /// 2^20 evicting misses against a 2^16-entry cache: about a second of

@@ -1,12 +1,60 @@
 //! Property tests for the Internet checksum algebra and the checksum
-//! cache's generation discipline.
+//! cache's generation discipline, and the word-parallel kernel against
+//! the byte-serial reference.
 
-use iolite_buf::{Acl, Aggregate, BufferPool, PoolId};
+use iolite_buf::{splitmix64, Acl, Aggregate, BufferPool, PoolId};
 use iolite_net::checksum::{bytes_sum, combine, finalize, reference_checksum};
 use iolite_net::{internet_checksum, ChecksumCache};
 use proptest::prelude::*;
 
+/// `len` bytes of one of four shapes: seeded noise, all `0x00`, all
+/// `0xFF`, or words followed by their ones complements — a nonzero sum
+/// ≡ 0 mod 0xFFFF, which must fold to `0xFFFF`, never to 0.
+fn shaped(shape: u8, len: usize, seed: u64) -> Vec<u8> {
+    let noise = (0..len as u64).map(|i| splitmix64(seed ^ i) as u8);
+    match shape {
+        0 => noise.collect(),
+        1 => vec![0x00; len],
+        2 => vec![0xFF; len],
+        _ => {
+            let words: Vec<u8> = noise.take(len / 4 * 2).collect();
+            let complements = words.iter().map(|b| !b);
+            words
+                .iter()
+                .copied()
+                .chain(complements)
+                .chain([0; 3])
+                .take(len)
+                .collect()
+        }
+    }
+}
+
 proptest! {
+    /// The word-parallel kernel is the byte-serial RFC 1071 sum, at
+    /// every length up to two fold blocks, starting at either address
+    /// parity: an odd last byte is a high half, the native-order sum is
+    /// swapped back to network order, and a nonzero sum ≡ 0 folds to
+    /// `0xFFFF` while only zeros sum to 0.
+    #[test]
+    fn bytes_sum_is_the_byte_serial_reference(
+        len in 0usize..(1 << 17),
+        parity in 0usize..2,
+        shape in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        let buf = shaped(shape, len + parity, seed);
+        let data = &buf[parity..];
+        let sum = bytes_sum(data);
+        prop_assert_eq!(sum.len, data.len() as u64);
+        prop_assert_eq!(finalize(sum), reference_checksum(data));
+        if data.iter().all(|&b| b == 0) {
+            prop_assert_eq!(sum.sum, 0);
+        } else if shape == 3 && parity == 0 {
+            prop_assert_eq!(sum.sum, 0xFFFF);
+        }
+    }
+
     /// Splitting a message anywhere and folding partial sums equals the
     /// whole-message checksum (the property per-slice caching needs).
     #[test]

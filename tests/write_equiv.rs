@@ -140,6 +140,25 @@ fn stale_checksum_is_never_served_after_put() {
     assert_replays(k);
 }
 
+/// A PUT replaces the whole file without generating the old bytes: over
+/// a synthetic file of 2^40 bytes, far too large to materialize, the
+/// body becomes the file's only content in the store and the cache, and
+/// the journal replays.
+#[test]
+fn put_over_a_huge_synthetic_file_never_materializes_it() {
+    let mut k = journaled_kernel();
+    let pid = k.spawn("server");
+    let file = k.create_synthetic_file("/huge", 1 << 40, 5);
+    let pool = k.process(pid).pool().clone();
+    k.put_install(pid, file, &Aggregate::from_bytes(&pool, b"small"));
+    assert_eq!(k.store.len(file), Some(5));
+    assert_eq!(k.store.read(file, 0, 1 << 40).unwrap(), b"small");
+    let (fd, _) = k.open(pid, "/huge").unwrap();
+    let (agg, _) = k.iol_pread(pid, fd, 0, 1 << 40).unwrap();
+    assert_eq!(agg.to_vec(), b"small");
+    assert_replays(k);
+}
+
 /// Pinned regression: a replica read on a non-home shard must be sized
 /// by the replica, not the local store. A remote write that changed
 /// `/f1` from 7136 to 13608 bytes committed at home; the writer's
