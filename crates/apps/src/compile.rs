@@ -14,12 +14,12 @@
 //! data copying has been eliminated."
 
 use iolite_buf::Aggregate;
-use iolite_core::{short_ok, Charge, CostCategory, IolError, Kernel, Pid};
+use iolite_core::{Charge, CostCategory, Kernel, Pid};
 use iolite_fs::FileId;
 use iolite_sim::SimTime;
 
 use crate::costs::AppCosts;
-use crate::ApiMode;
+use crate::{push_through_pipe, ApiMode};
 
 /// The compiler pipeline.
 pub struct CompilePipeline {
@@ -142,27 +142,13 @@ impl CompilePipeline {
         let pool = kernel.process(producer).pool().clone();
         let agg = Aggregate::from_bytes(&pool, input);
         let mut received = Vec::with_capacity(input.len());
-        let mut sent = 0u64;
-        while sent < agg.len() {
-            let rest = agg.range(sent, agg.len() - sent).expect("in range");
-            sent += short_ok(kernel.iol_write_fd(producer, wfd, &rest))
-                .expect("consumer holds the read end");
-            match kernel.iol_read_fd(consumer, rfd, u64::MAX) {
-                Ok((chunk, _)) => {
-                    // Consumer copy into its own contiguous working
-                    // memory: one copy per byte, no intermediate
-                    // materialization.
-                    for run in chunk.chunks() {
-                        received.extend_from_slice(run);
-                    }
-                }
-                Err(IolError::WouldBlock) => {}
-                Err(e) => panic!("stage read failed: {e}"),
+        push_through_pipe(kernel, (producer, wfd), (consumer, rfd), &agg, |_, chunk| {
+            // Consumer copy into its own contiguous working memory: one
+            // copy per byte, no intermediate materialization.
+            for run in chunk.chunks() {
+                received.extend_from_slice(run);
             }
-            if sent < agg.len() {
-                kernel.context_switch(2);
-            }
-        }
+        });
         kernel.close_fd(producer, wfd).expect("close stage write end");
         kernel.close_fd(consumer, rfd).expect("close stage read end");
         transform(&received)

@@ -7,12 +7,12 @@
 //! buffers were copied into dynamically allocated contiguous memory."
 
 use iolite_buf::Aggregate;
-use iolite_core::{short_ok, Charge, CostCategory, IolError, Kernel, Pid};
+use iolite_core::{Charge, CostCategory, Kernel, Pid};
 use iolite_fs::FileId;
 use iolite_sim::SimTime;
 
 use crate::costs::AppCosts;
-use crate::ApiMode;
+use crate::{push_through_pipe, ApiMode};
 
 /// What `grep` found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,45 +128,20 @@ pub fn run_cat_grep(
             Charge::us(want as f64 * costs.cat_ns_per_byte / 1000.0),
         );
         // --- cat writes, grep drains (alternating on one CPU) ---
-        let mut sent = 0u64;
-        while sent < data.len() {
-            let rest = data.range(sent, data.len() - sent).expect("in range");
-            sent += short_ok(kernel.iol_write_fd(cat_pid, wfd, &rest))
-                .expect("grep holds the read end");
-            match kernel.iol_read_fd(grep_pid, rfd, u64::MAX) {
-                Ok((agg, _)) => {
-                    // grep processes what arrived.
-                    kernel.charge(
-                        CostCategory::AppCompute,
-                        Charge::us(agg.len() as f64 * costs.grep_scan_ns_per_byte / 1000.0),
-                    );
-                    match mode {
-                        ApiMode::Posix => {
-                            // The copied-out data is contiguous user
-                            // memory; the copy itself is already charged
-                            // by the pipe, so scan the runs without
-                            // re-materializing.
-                            for run in agg.chunks() {
-                                state.feed_contiguous(run, false);
-                            }
-                        }
-                        ApiMode::IoLite => {
-                            // Process run by run; split lines get copied
-                            // (and charged below).
-                            for run in agg.chunks() {
-                                state.feed_contiguous(run, true);
-                            }
-                        }
-                    }
-                }
-                Err(IolError::WouldBlock) => {}
-                Err(e) => panic!("grep read failed: {e}"),
+        push_through_pipe(kernel, (cat_pid, wfd), (grep_pid, rfd), &data, |kernel, agg| {
+            // grep processes what arrived.
+            kernel.charge(
+                CostCategory::AppCompute,
+                Charge::us(agg.len() as f64 * costs.grep_scan_ns_per_byte / 1000.0),
+            );
+            // POSIX: the copied-out data is contiguous user memory, and
+            // the pipe already charged the copy, so the runs are scanned
+            // without re-materializing. IO-Lite: run by run, split lines
+            // get copied (and charged below).
+            for run in agg.chunks() {
+                state.feed_contiguous(run, mode == ApiMode::IoLite);
             }
-            if sent < data.len() {
-                // Blocked on a full pipe: producer/consumer switch pair.
-                kernel.context_switch(2);
-            }
-        }
+        });
         offset += want;
     }
     state.finish();

@@ -33,6 +33,43 @@ pub use grep::{run_cat_grep, GrepResult};
 pub use permute::run_permute_wc;
 pub use wc::{run_wc, WcCounts};
 
+use iolite_buf::Aggregate;
+use iolite_core::{short_ok, Fd, IolError, Kernel, Pid};
+
+/// Pushes `data` from the `producer` end of a pipe to the `consumer`
+/// end, the two alternating on one CPU. Each round is one write (short
+/// once the pipe fills), one read by the consumer (which may find the
+/// pipe empty) handing what arrived to `consume`, and, while data is
+/// left, a producer/consumer context-switch pair.
+///
+/// # Panics
+///
+/// Panics if the consumer's read fails other than by `WouldBlock`, or
+/// the write finds no reader: every caller holds both ends for the run.
+fn push_through_pipe(
+    kernel: &mut Kernel,
+    (producer, wfd): (Pid, Fd),
+    (consumer, rfd): (Pid, Fd),
+    data: &Aggregate,
+    mut consume: impl FnMut(&mut Kernel, &Aggregate),
+) {
+    let mut sent = 0u64;
+    while sent < data.len() {
+        let rest = data.range(sent, data.len() - sent).expect("in range");
+        sent += short_ok(kernel.iol_write_fd(producer, wfd, &rest))
+            .expect("the consumer holds the read end");
+        match kernel.iol_read_fd(consumer, rfd, u64::MAX) {
+            Ok((chunk, _)) => consume(kernel, &chunk),
+            Err(IolError::WouldBlock) => {}
+            Err(e) => panic!("pipe read failed: {e}"),
+        }
+        if sent < data.len() {
+            // Blocked on a full pipe: producer/consumer switch pair.
+            kernel.context_switch(2);
+        }
+    }
+}
+
 /// Which I/O API an application run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApiMode {

@@ -9,12 +9,12 @@
 //! cost.
 
 use iolite_buf::Aggregate;
-use iolite_core::{short_ok, Charge, CostCategory, IolError, Kernel, Pid};
+use iolite_core::{Charge, CostCategory, Kernel, Pid};
 use iolite_sim::SimTime;
 
 use crate::costs::AppCosts;
 use crate::wc::{count_chunk, WcCounts};
-use crate::ApiMode;
+use crate::{push_through_pipe, ApiMode};
 
 /// Generates all permutations of `n` four-character words ("aaa ",
 /// "bbb ", ...) via Heap's algorithm, streaming each 4n-byte string to
@@ -83,28 +83,15 @@ pub fn run_permute_wc(
             Charge::us(stage.len() as f64 * costs.permute_gen_ns_per_byte / 1000.0),
         );
         let agg = Aggregate::from_bytes(&pool, stage);
-        let mut sent = 0u64;
-        while sent < agg.len() {
-            let rest = agg.range(sent, agg.len() - sent).expect("in range");
-            sent +=
-                short_ok(kernel.iol_write_fd(perm_pid, wfd, &rest)).expect("wc holds the read end");
-            match kernel.iol_read_fd(wc_pid, rfd, u64::MAX) {
-                Ok((chunk, _)) => {
-                    kernel.charge(
-                        CostCategory::AppCompute,
-                        Charge::us(chunk.len() as f64 * costs.wc_scan_ns_per_byte / 1000.0),
-                    );
-                    for run in chunk.chunks() {
-                        count_chunk(run, &mut counts, &mut in_word);
-                    }
-                }
-                Err(IolError::WouldBlock) => {}
-                Err(e) => panic!("wc read failed: {e}"),
+        push_through_pipe(kernel, (perm_pid, wfd), (wc_pid, rfd), &agg, |kernel, chunk| {
+            kernel.charge(
+                CostCategory::AppCompute,
+                Charge::us(chunk.len() as f64 * costs.wc_scan_ns_per_byte / 1000.0),
+            );
+            for run in chunk.chunks() {
+                count_chunk(run, &mut counts, &mut in_word);
             }
-            if sent < agg.len() {
-                kernel.context_switch(2);
-            }
-        }
+        });
         stage.clear();
     };
     {

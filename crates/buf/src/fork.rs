@@ -2,7 +2,7 @@
 //!
 //! [`crate::BufferPool`]'s `Clone` **shares** the pool (one `Arc`'d
 //! allocator), which is the right semantics for handles but the wrong one
-//! for a pure `apply(state, command) -> state'`: a snapshot taken by
+//! for the pure core's `step(state, command)`: a snapshot taken by
 //! cloning would still mutate the original through the shared interior.
 //! [`PoolForker`] produces a genuinely independent copy of a set of pools
 //! and of every aggregate the kernel state holds into them.

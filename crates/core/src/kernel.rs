@@ -1049,15 +1049,15 @@ mod tests {
             assert_eq!(k.store.read(f, 0, 100).unwrap(), b"generation-two!");
             // Write-back cleans the entry; the small body fits the NVM tier.
             assert!(!k.writeback_due(), "one small body is under threshold");
-            let flushed = k.write_back(0);
-            assert_eq!(flushed, body.len());
+            assert_eq!(k.write_back(0), body.len());
             assert!(!k.cache.is_dirty(&CacheKey::whole(f)));
-            assert_eq!(k.metrics.nvm_absorbed_bytes, body.len());
-            assert_eq!(k.metrics.writeback_flushes, 1);
+            let (m, n) = (&k.metrics, body.len());
+            assert_eq!((m.writeback_flushes, m.writeback_entries, m.bytes_written_back), (1, 1, n));
+            assert_eq!((m.nvm_absorbed_bytes, m.disk_write_ops), (n, 0));
             // Background demotion drains the tier to disk.
-            let moved = k.nvm_demote();
-            assert_eq!(moved, body.len());
-            assert_eq!(k.metrics.disk_write_bytes, body.len());
+            assert_eq!(k.nvm_demote(), n);
+            let m = &k.metrics;
+            assert_eq!((m.nvm_demoted_bytes, m.disk_write_ops, m.disk_write_bytes), (n, 1, n));
             assert_eq!(k.writeback.nvm_used(), 0);
         }
         let mut k = kernel();

@@ -208,7 +208,7 @@ impl KernelState {
         for k in &keys {
             self.cache.mark_clean(k);
         }
-        let staged = self.writeback.stage(keys.len() as u64, bytes);
+        let staged = self.writeback.stage(bytes);
         fx.push(Effect::WritebackFlushed {
             entries: keys.len() as u64,
             bytes,

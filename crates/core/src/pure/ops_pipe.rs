@@ -49,14 +49,10 @@ impl KernelState {
             // drain it, is EPIPE.
             return Err(IolError::Closed);
         }
-        let before = slot.pipe.stats().bytes_copied;
+        let mode = slot.pipe.mode();
         let accepted = slot.pipe.write(data);
-        let copied = slot.pipe.stats().bytes_copied - before;
         let out = IoOutcome::trap(self, fx);
-        if copied > 0 {
-            fx.push(Effect::BytesCopied(copied));
-            self.bill(CostCategory::Copy, self.cost.copy(copied), fx);
-        }
+        self.bill_pipe_copy(mode, accepted, fx);
         if accepted == data.len() {
             Ok((accepted, out))
         } else if accepted == 0 {
@@ -94,14 +90,9 @@ impl KernelState {
         let slot = self.pipes.get_mut(id).ok_or(IolError::NotOpen { fd })?;
         let mode = slot.pipe.mode();
         let acl = slot.acl.clone();
-        let before = slot.pipe.stats().bytes_copied;
         let got = slot.pipe.read(max);
         let closed = slot.pipe.is_closed();
-        let copied = slot.pipe.stats().bytes_copied - before;
-        if copied > 0 {
-            fx.push(Effect::BytesCopied(copied));
-            self.bill(CostCategory::Copy, self.cost.copy(copied), fx);
-        }
+        self.bill_pipe_copy(mode, got.as_ref().map_or(0, Aggregate::len), fx);
         if let (Some(agg), PipeMode::ZeroCopy) = (&got, mode) {
             // Pass-by-reference: the reader needs (at most first-time)
             // read mappings, gated by the pipe's ACL when it carries one
@@ -123,6 +114,15 @@ impl KernelState {
             // writer is EAGAIN, billed like any trap.
             None if closed => Ok((Aggregate::empty(), out)),
             None => Err(IolError::WouldBlock),
+        }
+    }
+
+    /// Bills what a pipe call moved: a copy-mode pipe copies each byte it
+    /// accepts (copy-in) or returns (copy-out); a zero-copy one, none.
+    fn bill_pipe_copy(&mut self, mode: PipeMode, moved: u64, fx: &mut Vec<Effect>) {
+        if mode == PipeMode::Copy && moved > 0 {
+            fx.push(Effect::BytesCopied(moved));
+            self.bill(CostCategory::Copy, self.cost.copy(moved), fx);
         }
     }
 

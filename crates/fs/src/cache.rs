@@ -93,8 +93,6 @@ pub struct CacheStats {
     /// Dirty entries superseded by a newer write before they were ever
     /// flushed — the write coalescing CAWL counts on.
     pub dirty_coalesced: u64,
-    /// Dirty entries marked clean by the write-back scheduler.
-    pub cleaned: u64,
 }
 
 struct Entry {
@@ -432,7 +430,6 @@ impl UnifiedCache {
         let entry = self.entries.get_mut(key).expect("dirty set tracks entries");
         entry.dirty = false;
         self.dirty_bytes -= entry.len;
-        self.stats.cleaned += 1;
         Some(entry.len)
     }
 
@@ -549,7 +546,6 @@ impl UnifiedCache {
             self.stats.pinned_evictions,
             self.stats.dirty_installs,
             self.stats.dirty_coalesced,
-            self.stats.cleaned,
         ] {
             h.write_u64(v);
         }
@@ -864,7 +860,7 @@ mod tests {
         let (victim, _) = c.evict_one().unwrap();
         assert_eq!(victim, kd);
         let s = c.stats();
-        assert_eq!((s.dirty_installs, s.cleaned, s.dirty_coalesced), (1, 1, 0));
+        assert_eq!((s.dirty_installs, s.dirty_coalesced), (1, 0));
     }
 
     /// A dirty install over an existing dirty entry coalesces: the

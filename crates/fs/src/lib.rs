@@ -37,4 +37,4 @@ pub use disk::{DiskModel, FileContent, FileId, FileStore};
 pub use meta::MetadataCache;
 pub use ownership::{home_shard, CacheOwnership};
 pub use policy::Policy;
-pub use writeback::{Staged, WritebackConfig, WritebackScheduler, WritebackStats};
+pub use writeback::{Staged, WritebackConfig, WritebackScheduler};

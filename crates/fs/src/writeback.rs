@@ -17,11 +17,13 @@
 //!   tier back to disk in `nvm_drain_bytes` chunks, off the request
 //!   path.
 //!
-//! The scheduler is *pure bookkeeping*: it owns no buffers and touches
-//! no clock. The pure kernel core calls it from `apply` arms
-//! (`WriteBack`, `NvmDemote`) and charges the times it computes to
-//! [`iolite_sim::SimTime`]-based metrics, so journaled write-heavy runs
-//! replay bit-identically.
+//! The scheduler is *pure bookkeeping*: it owns no buffers, touches no
+//! clock and counts nothing — the flushes, demotions and bytes it
+//! decides are counted once, by the effects the pure kernel core's
+//! `op_write_back` and `op_nvm_demote` emit. Those effects carry the
+//! device times [`WritebackScheduler::nvm_time`] and the disk model
+//! compute, but no ledger reads them: write-back is off the request
+//! path, so it bills no simulated CPU.
 
 use iolite_sim::SimTime;
 
@@ -70,44 +72,18 @@ pub struct Staged {
     pub disk_bytes: u64,
 }
 
-/// Write-back counters, folded into kernel metrics and state digests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WritebackStats {
-    /// Flush batches executed.
-    pub flushes: u64,
-    /// Cache entries cleaned across all flushes.
-    pub entries_flushed: u64,
-    /// Bytes persisted across all flushes (NVM + disk).
-    pub bytes_flushed: u64,
-    /// Bytes the NVM tier absorbed on the flush path.
-    pub nvm_absorbed_bytes: u64,
-    /// Background NVM→disk demotions executed.
-    pub nvm_demotions: u64,
-    /// Bytes demoted from NVM to disk.
-    pub nvm_demoted_bytes: u64,
-    /// Disk write accesses (each pays one positioning cost).
-    pub disk_writes: u64,
-    /// Bytes written to disk (flush overflow + demotions).
-    pub disk_write_bytes: u64,
-}
-
 /// The write-back scheduler: dirty-threshold arming, flush batching,
 /// and NVM-tier occupancy. See the module docs for the model.
 #[derive(Debug, Clone)]
 pub struct WritebackScheduler {
     cfg: WritebackConfig,
     nvm_used: u64,
-    stats: WritebackStats,
 }
 
 impl WritebackScheduler {
     /// Creates a scheduler with the given tuning and an empty NVM tier.
     pub fn new(cfg: WritebackConfig) -> Self {
-        WritebackScheduler {
-            cfg,
-            nvm_used: 0,
-            stats: WritebackStats::default(),
-        }
+        WritebackScheduler { cfg, nvm_used: 0 }
     }
 
     /// The active tuning.
@@ -141,46 +117,25 @@ impl WritebackScheduler {
         self.cfg.nvm_capacity_bytes.saturating_sub(self.nvm_used)
     }
 
-    /// Counters so far.
-    pub fn stats(&self) -> WritebackStats {
-        self.stats
-    }
-
-    /// Stages one flush batch of `entries` cache entries totalling
-    /// `bytes`: the NVM tier absorbs what fits, the rest overflows to
-    /// disk. Returns the split; the caller charges timing (one disk
-    /// positioning per batch with a non-zero disk share).
-    pub fn stage(&mut self, entries: u64, bytes: u64) -> Staged {
+    /// Stages one flush batch of `bytes`: the NVM tier absorbs what
+    /// fits, the rest overflows to disk. Returns the split; the caller
+    /// reports it (one disk access per batch with a non-zero disk
+    /// share).
+    pub fn stage(&mut self, bytes: u64) -> Staged {
         let nvm_bytes = bytes.min(self.nvm_free());
-        let disk_bytes = bytes - nvm_bytes;
         self.nvm_used += nvm_bytes;
-        self.stats.flushes += 1;
-        self.stats.entries_flushed += entries;
-        self.stats.bytes_flushed += bytes;
-        self.stats.nvm_absorbed_bytes += nvm_bytes;
-        if disk_bytes > 0 {
-            self.stats.disk_writes += 1;
-            self.stats.disk_write_bytes += disk_bytes;
-        }
         Staged {
             nvm_bytes,
-            disk_bytes,
+            disk_bytes: bytes - nvm_bytes,
         }
     }
 
     /// Demotes one configured drain chunk (or what is left) from the
-    /// NVM tier to disk, returning the bytes moved. The caller charges
+    /// NVM tier to disk, returning the bytes moved. The caller reports
     /// one disk access for a non-zero demotion.
     pub fn demote(&mut self) -> u64 {
         let moved = self.nvm_used.min(self.cfg.nvm_drain_bytes);
-        if moved == 0 {
-            return 0;
-        }
         self.nvm_used -= moved;
-        self.stats.nvm_demotions += 1;
-        self.stats.nvm_demoted_bytes += moved;
-        self.stats.disk_writes += 1;
-        self.stats.disk_write_bytes += moved;
         moved
     }
 
@@ -198,18 +153,6 @@ impl WritebackScheduler {
         h.write_u64(self.cfg.nvm_drain_bytes);
         h.write_u64(self.cfg.nvm_transfer_mb_s.to_bits());
         h.write_u64(self.nvm_used);
-        for v in [
-            self.stats.flushes,
-            self.stats.entries_flushed,
-            self.stats.bytes_flushed,
-            self.stats.nvm_absorbed_bytes,
-            self.stats.nvm_demotions,
-            self.stats.nvm_demoted_bytes,
-            self.stats.disk_writes,
-            self.stats.disk_write_bytes,
-        ] {
-            h.write_u64(v);
-        }
     }
 }
 
@@ -245,23 +188,23 @@ mod tests {
     #[test]
     fn nvm_absorbs_then_overflows() {
         let mut wb = WritebackScheduler::new(cfg(150));
-        let s = wb.stage(2, 100);
+        let s = wb.stage(100);
         assert_eq!((s.nvm_bytes, s.disk_bytes), (100, 0));
         assert_eq!(wb.nvm_used(), 100);
         // The tier has 50 bytes free: a 120-byte batch splits.
-        let s = wb.stage(1, 120);
+        let s = wb.stage(120);
         assert_eq!((s.nvm_bytes, s.disk_bytes), (50, 70));
         assert_eq!((wb.nvm_used(), wb.nvm_free()), (150, 0));
-        let st = wb.stats();
-        assert_eq!((st.flushes, st.entries_flushed, st.bytes_flushed), (2, 3, 220));
-        assert_eq!(st.nvm_absorbed_bytes, 150);
-        assert_eq!((st.disk_writes, st.disk_write_bytes), (1, 70));
+        // A full tier sends the whole batch to disk.
+        let s = wb.stage(30);
+        assert_eq!((s.nvm_bytes, s.disk_bytes), (0, 30));
+        assert_eq!(wb.nvm_used(), 150);
     }
 
     #[test]
     fn zero_capacity_disables_tier() {
         let mut wb = WritebackScheduler::new(cfg(0));
-        let s = wb.stage(1, 80);
+        let s = wb.stage(80);
         assert_eq!((s.nvm_bytes, s.disk_bytes), (0, 80));
         assert!(!wb.should_demote());
     }
@@ -269,16 +212,14 @@ mod tests {
     #[test]
     fn demotion_drains_in_chunks() {
         let mut wb = WritebackScheduler::new(cfg(1000));
-        wb.stage(1, 120);
+        wb.stage(120);
         assert!(wb.should_demote());
         assert_eq!(wb.demote(), 50, "the configured chunk");
         assert_eq!(wb.demote(), 50);
         assert_eq!(wb.demote(), 20, "clamped to occupancy");
         assert_eq!(wb.demote(), 0);
         assert!(!wb.should_demote());
-        let st = wb.stats();
-        assert_eq!((st.nvm_demotions, st.nvm_demoted_bytes), (3, 120));
-        assert_eq!((st.disk_writes, st.disk_write_bytes), (3, 120));
+        assert_eq!(wb.nvm_used(), 0);
     }
 
     #[test]
@@ -295,7 +236,7 @@ mod tests {
         let mut wb = WritebackScheduler::new(cfg(1000));
         let mut h1 = iolite_buf::Fnv64::new();
         wb.digest(&mut h1);
-        wb.stage(1, 10);
+        wb.stage(10);
         let mut h2 = iolite_buf::Fnv64::new();
         wb.digest(&mut h2);
         assert_ne!(h1.finish(), h2.finish());

@@ -17,7 +17,9 @@
 //!   no byte is touched, and recycled buffers make the steady state
 //!   approach shared-memory cost (the `permute` result of §5.8).
 //!
-//! The crate reports copies/rounds; the kernel layer charges time.
+//! The crate counts nothing: a call returns what it moved, and the
+//! kernel bills a copy-mode pipe's copy-in and copy-out from its mode —
+//! every byte a copy-mode write accepts or a read returns is one copy.
 
 use std::collections::VecDeque;
 
@@ -30,24 +32,6 @@ pub enum PipeMode {
     Copy,
     /// IO-Lite pass-by-reference.
     ZeroCopy,
-}
-
-/// Pipe activity counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipeStats {
-    /// Bytes accepted from writers.
-    pub bytes_written: u64,
-    /// Bytes delivered to readers.
-    pub bytes_read: u64,
-    /// Bytes physically copied (0 in zero-copy mode).
-    pub bytes_copied: u64,
-    /// Write calls that found the pipe full (producer/consumer rounds;
-    /// each implies a context-switch pair in the timing model).
-    pub full_events: u64,
-    /// Write system calls.
-    pub writes: u64,
-    /// Read system calls.
-    pub reads: u64,
 }
 
 /// A bounded, unidirectional byte channel between two domains.
@@ -72,7 +56,6 @@ pub struct Pipe {
     queue: VecDeque<Aggregate>,
     buffered: u64,
     closed: bool,
-    stats: PipeStats,
     /// The kernel-buffer backing for copy mode, persistent across
     /// writes: drained copies return their chunks to this pool's free
     /// list, so the steady-state hot pipe path (the Fig. 5/6 CGI
@@ -95,7 +78,6 @@ impl Pipe {
             queue: VecDeque::new(),
             buffered: 0,
             closed: false,
-            stats: PipeStats::default(),
             // A kernel-side pool holding anonymous copies, allocated
             // only when the mode can copy. Its id must still be unique:
             // chunk ids and generations are per-pool counters, and the
@@ -133,7 +115,6 @@ impl Pipe {
             queue: VecDeque::new(),
             buffered: 0,
             closed: false,
-            stats: PipeStats::default(),
             scratch: (mode == PipeMode::Copy)
                 .then(|| BufferPool::new(scratch_id, Acl::kernel_only(), 64 * 1024)),
         }
@@ -149,7 +130,6 @@ impl Pipe {
             queue: self.queue.iter().map(|a| forker.fork_aggregate(a)).collect(),
             buffered: self.buffered,
             closed: self.closed,
-            stats: self.stats,
             scratch,
         }
     }
@@ -160,16 +140,6 @@ impl Pipe {
         h.write_u64(self.capacity);
         h.write_u64(self.buffered);
         h.write_bool(self.closed);
-        for v in [
-            self.stats.bytes_written,
-            self.stats.bytes_read,
-            self.stats.bytes_copied,
-            self.stats.full_events,
-            self.stats.writes,
-            self.stats.reads,
-        ] {
-            h.write_u64(v);
-        }
         h.write_u64(self.queue.len() as u64);
         for a in &self.queue {
             iolite_buf::digest_aggregate(a, h);
@@ -213,11 +183,7 @@ impl Pipe {
     /// Panics if the pipe is closed.
     pub fn write(&mut self, data: &Aggregate) -> u64 {
         assert!(!self.closed, "write to closed pipe");
-        self.stats.writes += 1;
         let take = data.len().min(self.space());
-        if take < data.len() {
-            self.stats.full_events += 1;
-        }
         if take == 0 {
             return 0;
         }
@@ -230,26 +196,23 @@ impl Pipe {
                 // scratch chunks — the conventional path pays one
                 // copy-in, not a materialize-then-copy double, and no
                 // allocation in the steady state.
-                self.stats.bytes_copied += take;
                 part.pack(self.scratch.as_ref().expect("copy mode has scratch"))
             }
         };
         self.queue.push_back(queued);
         self.buffered += take;
-        self.stats.bytes_written += take;
         take
     }
 
     /// Reads up to `max` bytes.
     ///
     /// Returns `None` when the pipe is empty (EAGAIN, or EOF if closed).
-    /// Copy mode charges the copy-out; zero-copy hands references
-    /// through.
+    /// In copy mode the returned bytes are the copy-out the caller
+    /// bills; zero-copy hands references through.
     pub fn read(&mut self, max: u64) -> Option<Aggregate> {
         if max == 0 || self.queue.is_empty() {
             return None;
         }
-        self.stats.reads += 1;
         let mut out = Aggregate::empty();
         while out.len() < max {
             let Some(front) = self.queue.front_mut() else {
@@ -266,17 +229,7 @@ impl Pipe {
             }
         }
         self.buffered -= out.len();
-        self.stats.bytes_read += out.len();
-        if self.mode == PipeMode::Copy {
-            // Copy-out into the reader's buffer.
-            self.stats.bytes_copied += out.len();
-        }
         Some(out)
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> PipeStats {
-        self.stats
     }
 }
 
@@ -314,7 +267,6 @@ mod tests {
         assert_eq!(p.write(&msg), 7);
         let got = p.read(100).unwrap();
         assert_eq!(got.to_vec(), b"payload");
-        assert_eq!(p.stats().bytes_copied, 0);
         // The reader's aggregate references the writer's buffer.
         assert!(got.slice_at(0).same_buffer(msg.slice_at(0)));
     }
@@ -323,11 +275,11 @@ mod tests {
     fn copy_mode_copies_twice() {
         let mut p = Pipe::new(PipeMode::Copy, 1024);
         let msg = agg(b"payload");
-        p.write(&msg);
+        // Copy-in + copy-out: the kernel bills one copy per byte each
+        // call moves.
+        assert_eq!(p.write(&msg), 7);
         let got = p.read(100).unwrap();
         assert_eq!(got.to_vec(), b"payload");
-        // Copy-in + copy-out.
-        assert_eq!(p.stats().bytes_copied, 14);
         assert!(!got.slice_at(0).same_buffer(msg.slice_at(0)));
     }
 
@@ -387,8 +339,7 @@ mod tests {
     fn capacity_forces_short_writes() {
         let mut p = Pipe::new(PipeMode::ZeroCopy, 10);
         let msg = agg(&[1u8; 25]);
-        assert_eq!(p.write(&msg), 10);
-        assert_eq!(p.stats().full_events, 1);
+        assert_eq!(p.write(&msg), 10, "a short write: the pipe is full");
         assert_eq!(p.space(), 0);
         // Drain and continue: the fill/drain round structure.
         let got = p.read(10).unwrap();
@@ -439,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_rounds() {
+    fn short_writes_track_rounds() {
         let mut p = Pipe::new(PipeMode::Copy, 8);
         let msg = agg(&[0u8; 64]);
         let mut offset = 0u64;
@@ -447,6 +398,7 @@ mod tests {
         while offset < 64 {
             let part = msg.range(offset, 64 - offset).unwrap();
             let n = p.write(&part);
+            assert_eq!(n, 8, "every write fills the pipe");
             offset += n;
             if offset < 64 {
                 p.read(8).unwrap();
@@ -454,6 +406,5 @@ mod tests {
             }
         }
         assert_eq!(rounds, 7, "64 bytes through an 8-byte pipe");
-        assert!(p.stats().full_events >= 7);
     }
 }

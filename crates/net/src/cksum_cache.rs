@@ -109,18 +109,14 @@ impl Slot {
     }
 }
 
-/// Cache effectiveness counters; the cost model charges data-touching
-/// time only for [`CksumCacheStats::bytes_computed`].
+/// Cache effectiveness counters. Byte counts belong to the caller:
+/// [`ChecksumCache::sum_for`] says whether each slice hit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CksumCacheStats {
     /// Slice sums served from cache.
     pub hits: u64,
     /// Slice sums computed (and inserted).
     pub misses: u64,
-    /// Bytes whose checksum came for free.
-    pub bytes_cached: u64,
-    /// Bytes actually touched by the checksum loop.
-    pub bytes_computed: u64,
     /// Entries replaced by the CLOCK hand to admit new slices.
     pub evictions: u64,
     /// Entries dropped because their underlying buffers were retired by
@@ -142,9 +138,9 @@ pub struct CksumCacheStats {
 /// let agg = Aggregate::from_bytes(&pool, b"hot document");
 /// let mut cache = ChecksumCache::new(1024);
 /// let s = &agg.slice_at(0);
-/// let first = cache.sum_for(s);
-/// let second = cache.sum_for(s);
-/// assert_eq!(first, second);
+/// let (first, hit) = cache.sum_for(s);
+/// assert!(!hit);
+/// assert_eq!(cache.sum_for(s), (first, true));
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -183,25 +179,24 @@ impl ChecksumCache {
         self.enabled = enabled;
     }
 
-    /// Returns the partial sum for a slice, from cache when possible.
-    pub fn sum_for(&mut self, s: &Slice) -> PartialSum {
+    /// Returns the partial sum for a slice, from cache when possible,
+    /// and whether it came from cache (`false`: the checksum loop
+    /// touched every byte of `s`).
+    pub fn sum_for(&mut self, s: &Slice) -> (PartialSum, bool) {
         if !self.enabled {
             self.stats.misses += 1;
-            self.stats.bytes_computed += s.len() as u64;
-            return slice_sum(s);
+            return (slice_sum(s), false);
         }
         let key = Key::of(s);
         if let Some(idx) = self.find(&key) {
             self.slots[idx].referenced = true;
             self.stats.hits += 1;
-            self.stats.bytes_cached += s.len() as u64;
-            return self.slots[idx].partial_sum();
+            return (self.slots[idx].partial_sum(), true);
         }
         let sum = slice_sum(s);
         self.stats.misses += 1;
-        self.stats.bytes_computed += s.len() as u64;
         self.admit(key, sum.sum);
-        sum
+        (sum, false)
     }
 
     /// Whether a sum for exactly this slice is resident. Read-only: the
@@ -414,8 +409,6 @@ impl ChecksumCache {
         for v in [
             self.stats.hits,
             self.stats.misses,
-            self.stats.bytes_cached,
-            self.stats.bytes_computed,
             self.stats.evictions,
             self.stats.invalidations,
         ] {
@@ -451,13 +444,12 @@ mod tests {
         let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 4096);
         let s = slice(&pool, b"document body");
         let mut c = ChecksumCache::new(16);
-        let a = c.sum_for(&s);
-        let b = c.sum_for(&s);
+        let (a, first_hit) = c.sum_for(&s);
+        let (b, second_hit) = c.sum_for(&s);
         assert_eq!(a, b);
+        assert_eq!((first_hit, second_hit), (false, true));
         let st = c.stats();
         assert_eq!((st.hits, st.misses), (1, 1));
-        assert_eq!(st.bytes_cached, 13);
-        assert_eq!(st.bytes_computed, 13);
     }
 
     #[test]
@@ -483,12 +475,12 @@ mod tests {
         // Fill the chunk completely so recycling reuses the same address.
         let s1 = slice(&pool, &[0x11; 64]);
         let id1 = (s1.id(), s1.generation());
-        let sum1 = c.sum_for(&s1);
+        let (sum1, _) = c.sum_for(&s1);
         drop(s1);
         let s2 = slice(&pool, &[0x22; 64]);
         assert_eq!(s2.id(), id1.0, "address must be reused for this test");
         assert_ne!(s2.generation(), id1.1);
-        let sum2 = c.sum_for(&s2);
+        let (sum2, _) = c.sum_for(&s2);
         assert_ne!(sum1.sum, sum2.sum);
         assert_eq!(c.stats().hits, 0, "no stale hit across generations");
     }
@@ -499,10 +491,9 @@ mod tests {
         let s = slice(&pool, b"body");
         let mut c = ChecksumCache::new(16);
         c.set_enabled(false);
-        c.sum_for(&s);
-        c.sum_for(&s);
+        assert!(!c.sum_for(&s).1);
+        assert!(!c.sum_for(&s).1);
         assert_eq!(c.stats().misses, 2);
-        assert_eq!(c.stats().bytes_computed, 8);
         assert!(c.is_empty());
     }
 
@@ -532,18 +523,12 @@ mod tests {
             c.sum_for(s);
             if i % 3 == 0 {
                 // Retransmission keeps the hot entry's reference bit set.
-                let computed = c.stats().bytes_computed;
-                c.sum_for(&hot);
-                assert_eq!(
-                    c.stats().bytes_computed,
-                    computed,
-                    "hot slice recomputed after {i} cold slices"
-                );
+                assert!(c.sum_for(&hot).1, "hot slice recomputed after {i} cold slices");
             }
         }
         assert!(c.len() <= 8);
         // Every hot access after the first was a hit.
-        assert_eq!(c.stats().bytes_computed as usize, 100 + 64 * 16);
+        assert_eq!(c.stats().misses, 1 + 64);
     }
 
     /// Regression: `Key` used to truncate `offset_in_buffer`/`len` to
@@ -610,8 +595,8 @@ mod tests {
         assert_eq!(sa.id(), sb.id(), "per-pool ids must coincide for this test");
         assert_eq!(sa.generation(), sb.generation());
         let mut c = ChecksumCache::new(16);
-        let sum_a = c.sum_for(&sa);
-        let sum_b = c.sum_for(&sb);
+        let (sum_a, _) = c.sum_for(&sa);
+        let (sum_b, _) = c.sum_for(&sb);
         assert_ne!(sum_a.sum, sum_b.sum, "no stale cross-pool checksum");
         assert_eq!(c.stats().hits, 0);
         assert_eq!(c.len(), 2);
@@ -639,12 +624,8 @@ mod tests {
         assert_eq!(c.stats().invalidations, 3);
         // The next access over the (now logically stale) slice must be
         // a recompute, not a hit.
-        let computed = c.stats().bytes_computed;
-        c.sum_for(s);
-        assert!(c.stats().bytes_computed > computed);
-        let hits = c.stats().hits;
-        c.sum_for(&other);
-        assert_eq!(c.stats().hits, hits + 1, "survivor still hits");
+        assert!(!c.sum_for(s).1);
+        assert!(c.sum_for(&other).1, "survivor still hits");
         // Invalidating an aggregate with no cached sums is a no-op.
         assert_eq!(c.invalidate_aggregate(&doc), 1, "re-admitted whole sum");
         assert_eq!(c.invalidate_aggregate(&doc), 0);
@@ -770,7 +751,6 @@ mod tests {
         }
         let st = c.stats();
         // 3 first-touch computes + 8 cold computes; every other access hit.
-        assert_eq!(st.misses, 11);
-        assert_eq!(st.bytes_computed as usize, 3 * 24 + 8 * 12);
+        assert_eq!((st.misses, st.hits), (11, 3 + 8 * 3));
     }
 }

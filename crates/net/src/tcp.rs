@@ -31,7 +31,8 @@ pub enum BufferMode {
 }
 
 /// Accounting for one `send` call; the cost model turns these counts
-/// into simulated time.
+/// into simulated time, charging data-touching checksum time only for
+/// [`SendOutcome::csum_bytes_computed`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SendOutcome {
     /// MSS-sized segments emitted.
@@ -156,18 +157,19 @@ impl TcpConn {
         let segments = len.div_ceil(self.mss as u64).max(1);
         // Socket buffer holds references; checksums per slice through
         // the cache (§3.9).
-        let before = cache.stats();
+        let mut cached = 0;
         for s in payload.slices() {
-            cache.sum_for(s);
+            if cache.sum_for(s).1 {
+                cached += s.len() as u64;
+            }
         }
-        let after = cache.stats();
         self.seq = self.seq.wrapping_add(len as u32);
         SendOutcome {
             segments,
             payload_bytes: len,
             header_bytes: segments * TCP_IP_HEADER_BYTES as u64,
-            csum_bytes_computed: after.bytes_computed - before.bytes_computed,
-            csum_bytes_cached: after.bytes_cached - before.bytes_cached,
+            csum_bytes_computed: len - cached,
+            csum_bytes_cached: cached,
             bytes_copied: 0,
             // Owned memory: mbuf headers only (~2% of payload, rounded
             // into the kernel account elsewhere).

@@ -98,7 +98,7 @@ proptest! {
         for (data, drop_after) in rounds {
             let agg = Aggregate::from_bytes(&pool, &data);
             for s in agg.slices() {
-                let cached = cache.sum_for(s);
+                let (cached, _) = cache.sum_for(s);
                 let fresh = iolite_net::slice_sum(s);
                 prop_assert_eq!(cached, fresh, "stale checksum served");
             }

@@ -6,8 +6,8 @@
 //! `invalidate_aggregate` costs O(entries removed). The model below is
 //! a flat slot vector searched linearly, whose invalidation scans the
 //! whole table per slice and retires the victims newest-first. Under
-//! random interleavings both must agree on every returned sum, every
-//! counter, the entry count, and which slices are resident — CLOCK
+//! random interleavings both must agree on every returned sum and hit
+//! flag, every counter, the entry count, and which slices are resident — CLOCK
 //! victim choice included, since a different victim shows up as a
 //! different hit/miss a few operations later.
 
@@ -39,19 +39,18 @@ struct ScanModel {
 }
 
 impl ScanModel {
-    fn sum_for(&mut self, key: Key) {
+    /// Whether `key` hits; a miss admits it.
+    fn sum_for(&mut self, key: Key) -> bool {
         if let Some(slot) = self.slots.iter_mut().find(|s| s.0 == key) {
             slot.2 = true;
             self.stats.hits += 1;
-            self.stats.bytes_cached += key.2;
-            return;
+            return true;
         }
         self.stats.misses += 1;
-        self.stats.bytes_computed += key.2;
         self.admitted += 1;
         if self.slots.len() < self.capacity {
             self.slots.push((key, self.admitted, false));
-            return;
+            return false;
         }
         while self.slots[self.hand].2 {
             self.slots[self.hand].2 = false;
@@ -60,6 +59,7 @@ impl ScanModel {
         self.slots[self.hand] = (key, self.admitted, false);
         self.stats.evictions += 1;
         self.hand = (self.hand + 1) % self.capacity;
+        false
     }
 
     fn invalidate(&mut self, agg: &Aggregate) -> u64 {
@@ -174,8 +174,10 @@ proptest! {
                 Op::Sum { doc, slice, window: w } => {
                     let agg = &docs[doc as usize % DOCS];
                     let s = window(agg.slice_at(slice as usize % agg.slices().count()), w);
-                    prop_assert_eq!(real.sum_for(&s), slice_sum(&s), "stale checksum served");
-                    model.sum_for(key_of(&s));
+                    let (sum, hit) = real.sum_for(&s);
+                    prop_assert_eq!(sum, slice_sum(&s), "stale checksum served");
+                    let key = key_of(&s);
+                    prop_assert_eq!(hit, model.sum_for(key), "hit or miss of {:?}", key);
                 }
                 Op::Invalidate { doc } => {
                     let agg = &docs[doc as usize % DOCS];

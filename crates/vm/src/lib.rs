@@ -30,4 +30,4 @@ pub mod window;
 pub use mmap::MmapView;
 pub use pager::{PageClass, PageoutAction, PageoutDaemon};
 pub use physmem::{MemAccount, PhysMemory};
-pub use window::{AccessDenied, IoLiteWindow, MapStats};
+pub use window::{AccessDenied, IoLiteWindow};

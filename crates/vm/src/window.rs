@@ -29,19 +29,6 @@ impl fmt::Display for AccessDenied {
 
 impl std::error::Error for AccessDenied {}
 
-/// Counters describing mapping activity (drives simulated VM cost).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MapStats {
-    /// Map operations that created a new chunk mapping.
-    pub chunk_maps: u64,
-    /// Pages covered by those new mappings.
-    pub pages_mapped: u64,
-    /// Transfers that required no new mapping (recycled/warm chunks).
-    pub warm_transfers: u64,
-    /// Access-control denials.
-    pub denials: u64,
-}
-
 /// Per-domain chunk mapping tables for the IO-Lite window.
 ///
 /// # Examples
@@ -60,7 +47,6 @@ pub struct MapStats {
 pub struct IoLiteWindow {
     chunk_size: usize,
     maps: FixedMap<DomainId, HashSet<ChunkId, FixedState>>,
-    stats: MapStats,
 }
 
 impl IoLiteWindow {
@@ -69,7 +55,6 @@ impl IoLiteWindow {
         IoLiteWindow {
             chunk_size,
             maps: FixedMap::default(),
-            stats: MapStats::default(),
         }
     }
 
@@ -82,8 +67,8 @@ impl IoLiteWindow {
     ///
     /// # Errors
     ///
-    /// Returns [`AccessDenied`] and counts a denial if `domain` is not
-    /// on the ACL; callers surface this as an access-control fault.
+    /// Returns [`AccessDenied`] if `domain` is not on the ACL; callers
+    /// surface this as an access-control fault.
     pub fn transfer(
         &mut self,
         chunks: impl IntoIterator<Item = ChunkId>,
@@ -94,23 +79,11 @@ impl IoLiteWindow {
             return Ok(0);
         }
         if !acl.allows(domain) {
-            self.stats.denials += 1;
             return Err(AccessDenied { domain });
         }
         let table = self.maps.entry(domain).or_default();
-        let mut new_pages = 0;
-        for c in chunks {
-            if table.insert(c) {
-                self.stats.chunk_maps += 1;
-                new_pages += (self.chunk_size / PAGE_SIZE) as u64;
-            }
-        }
-        if new_pages == 0 {
-            self.stats.warm_transfers += 1;
-        } else {
-            self.stats.pages_mapped += new_pages;
-        }
-        Ok(new_pages)
+        let new_chunks = chunks.into_iter().filter(|c| table.insert(*c)).count() as u64;
+        Ok(new_chunks * (self.chunk_size / PAGE_SIZE) as u64)
     }
 
     /// Whether `domain` currently maps `chunk`.
@@ -122,23 +95,10 @@ impl IoLiteWindow {
                 .is_some_and(|t| t.contains(&chunk))
     }
 
-    /// Mapping-activity counters.
-    pub fn stats(&self) -> MapStats {
-        self.stats
-    }
-
     /// Folds the window's mapping state into a stable digest (sorted
     /// iteration over both map levels).
     pub fn digest(&self, h: &mut iolite_buf::Fnv64) {
         h.write_u64(self.chunk_size as u64);
-        for v in [
-            self.stats.chunk_maps,
-            self.stats.pages_mapped,
-            self.stats.warm_transfers,
-            self.stats.denials,
-        ] {
-            h.write_u64(v);
-        }
         let mut domains: Vec<DomainId> = self.maps.keys().copied().collect();
         domains.sort_unstable();
         h.write_u64(domains.len() as u64);
@@ -170,14 +130,11 @@ mod tests {
         let acl = acl_for(d);
         let pages = w.transfer([ChunkId(0), ChunkId(1)], d, &acl).unwrap();
         assert_eq!(pages, 32);
-        assert_eq!(w.stats().chunk_maps, 2);
         let pages = w.transfer([ChunkId(0), ChunkId(1)], d, &acl).unwrap();
         assert_eq!(pages, 0);
-        assert_eq!(w.stats().warm_transfers, 1);
         // §3.2: a recycled chunk rides its mapping, a fresh one pays
         // again — a stream that never reuses chunks maps all of it.
-        assert_eq!(w.transfer([ChunkId(2)], d, &acl).unwrap(), 16);
-        assert_eq!(w.stats().pages_mapped, 48);
+        assert_eq!(w.transfer([ChunkId(1), ChunkId(2)], d, &acl).unwrap(), 16);
     }
 
     #[test]
@@ -185,16 +142,18 @@ mod tests {
         let mut w = IoLiteWindow::new(64 * 1024);
         let acl = Acl::kernel_only();
         assert_eq!(w.transfer([ChunkId(5)], DomainId::KERNEL, &acl), Ok(0));
-        assert_eq!(w.stats().chunk_maps, 0);
+        assert!(w.maps.is_empty(), "the kernel needs no mapping table");
         assert!(w.is_mapped(ChunkId(5), DomainId::KERNEL));
     }
 
     #[test]
-    fn acl_denial_counted() {
+    fn acl_denial_is_reported() {
         let mut w = IoLiteWindow::new(64 * 1024);
         let acl = acl_for(DomainId(1));
-        assert!(w.transfer([ChunkId(0)], DomainId(2), &acl).is_err());
-        assert_eq!(w.stats().denials, 1);
+        assert_eq!(
+            w.transfer([ChunkId(0)], DomainId(2), &acl),
+            Err(AccessDenied { domain: DomainId(2) })
+        );
         assert!(!w.is_mapped(ChunkId(0), DomainId(2)));
     }
 

@@ -60,7 +60,7 @@ fn main() {
         );
         println!(
             "  new page mappings: {} (amortized to zero after warm-up)",
-            kernel.window.stats().pages_mapped
+            kernel.metrics.pages_mapped
         );
         println!();
     }

@@ -348,10 +348,13 @@ proptest! {
         prop_assert_eq!(d_first.csum_bytes_computed, data.len() as u64);
         prop_assert_eq!(second.net.unwrap().csum_bytes_computed, 0);
         prop_assert_eq!(second.net.unwrap().csum_bytes_cached, data.len() as u64);
-        // And the kernel's cache saw exactly what the direct one did.
-        prop_assert_eq!(k.cksum.stats().bytes_computed, cache.stats().bytes_computed);
-        prop_assert_eq!(k.cksum.stats().bytes_cached, cache.stats().bytes_cached);
-        prop_assert_eq!(k.cksum.stats().hits, cache.stats().hits);
+        // And the kernel's cache saw exactly what the direct one did,
+        // and its ledger counted the bytes the direct sends report.
+        prop_assert_eq!(k.cksum.stats(), cache.stats());
+        let computed = d_first.csum_bytes_computed + d_second.csum_bytes_computed;
+        let cached = d_first.csum_bytes_cached + d_second.csum_bytes_cached;
+        prop_assert_eq!(k.metrics.bytes_checksummed, computed);
+        prop_assert_eq!(k.metrics.bytes_checksum_cached, cached);
     }
 
     /// Pipes behind descriptors preserve content under arbitrary

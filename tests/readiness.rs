@@ -279,5 +279,7 @@ proptest! {
         // exactly the slice keys a whole-response send would.
         prop_assert_eq!(k1.cksum.stats(), k2.cksum.stats());
         prop_assert_eq!(k1.cksum.len(), k2.cksum.len());
+        prop_assert_eq!(k1.metrics.bytes_checksummed, k2.metrics.bytes_checksummed);
+        prop_assert_eq!(k1.metrics.bytes_checksum_cached, k2.metrics.bytes_checksum_cached);
     }
 }

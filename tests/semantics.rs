@@ -4,7 +4,7 @@
 use iolite::buf::{Acl, Aggregate, DomainId};
 use iolite::core::{CostModel, Kernel};
 use iolite::net::{BufferMode, DEFAULT_MSS, DEFAULT_TSS};
-use iolite::vm::MemAccount;
+use iolite::vm::{AccessDenied, MemAccount};
 
 #[test]
 fn iol_read_snapshots_survive_writes_and_evictions() {
@@ -68,10 +68,12 @@ fn acl_denies_foreign_domains() {
     assert!(k
         .transfer_with_acl(&secret, owner.domain(), &private.acl())
         .is_ok());
-    assert!(k
-        .transfer_with_acl(&secret, stranger.domain(), &private.acl())
-        .is_err());
-    assert_eq!(k.window.stats().denials, 1);
+    assert_eq!(
+        k.transfer_with_acl(&secret, stranger.domain(), &private.acl()),
+        Err(AccessDenied {
+            domain: stranger.domain()
+        })
+    );
     // The kernel itself always has access (§3.10).
     assert!(k
         .transfer_with_acl(&secret, DomainId::KERNEL, &private.acl())
