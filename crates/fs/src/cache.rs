@@ -20,23 +20,18 @@
 //!
 //! # Complexity contract
 //!
-//! The cache is built for corpora of tens of thousands of entries with
-//! large pinned populations (thousands of in-flight transmissions).
-//! Pinned and unpinned entries live in *separate* ordered indexes, so
-//! the victim search never scans past pinned entries:
-//!
-//! * [`UnifiedCache::lookup`] — O(1) expected hash probe plus O(log n)
-//!   priority refresh.
-//! * [`UnifiedCache::evict_one`] — O(log n + D) regardless of how many
-//!   entries are pinned (`min` of the unpinned index, else `min` of the
-//!   pinned index; no O(#entries) scan). D is the number of *dirty*
-//!   entries ranked ahead of the victim — dirty entries are never
-//!   evicted, and the write-back scheduler's dirty threshold bounds D.
-//! * [`UnifiedCache::pin`] / [`UnifiedCache::unpin`] — O(1) on
-//!   already-pinned entries; O(log n) on the 0↔1 transitions that move
-//!   an entry between the two indexes.
-//! * [`UnifiedCache::insert`] / [`UnifiedCache::remove`] — O(log n)
-//!   plus whatever enforcing the budget evicts.
+//! Built for tens of thousands of entries, thousands of them pinned in
+//! flight. The policy order is read only by the victim search, so it is
+//! kept lazily: an unpinned and a pinned min-heap of `(ord, key, stamp)`
+//! ranks, each a lower bound on its entry's `ord`, live while the entry
+//! carries its stamp. `lookup`, `pin` and `unpin` are O(1); they push a
+//! rank only on a hit that lowers `ord` or an unpin whose live rank is
+//! in the pinned heap. `evict_one` is amortized O((1 + D) log n)
+//! however many entries are pinned, D being the dirty entries ranked
+//! ahead of the victim (bounded by the write-back threshold); stale and
+//! orphaned ranks are paid for by the hit or remove that made them, and
+//! the heaps are rebuilt once they hold over 2·entries + 64 ranks.
+//! `insert` and `remove` are O(log n) plus the evictions they cause.
 //!
 //! # Pin accounting
 //!
@@ -50,7 +45,8 @@
 //! would steal the pin of a newer in-flight request on the same key,
 //! leaving data the network still references evictable.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use iolite_buf::{Aggregate, FixedMap};
 
@@ -99,14 +95,10 @@ struct Entry {
     agg: Aggregate,
     len: u64,
     ord: u64,
-    /// Which ordered index holds this entry — kept in lockstep with the
-    /// key's presence in `pin_counts` by `pin`/`unpin`, so hot paths
-    /// never re-derive it with a second hash probe.
-    pinned: bool,
-    /// Whether the entry holds bytes the backing store does not: dirty
-    /// entries are invisible to the victim search (discarding one would
-    /// lose data) until the write-back scheduler marks them clean.
-    dirty: bool,
+    /// The stamp of the entry's live rank, and whether that rank is in
+    /// the pinned heap.
+    stamp: u64,
+    queued_pinned: bool,
 }
 
 /// The unified file cache.
@@ -130,16 +122,18 @@ pub struct UnifiedCache {
     policy: Policy,
     budget: u64,
     entries: FixedMap<CacheKey, Entry>,
-    /// Eviction order over entries with no outside references.
-    unpinned: BTreeSet<(u64, CacheKey)>,
-    /// Eviction order over referenced entries — the §3.7 last-resort
-    /// victims, segregated so the normal victim search never sees them.
-    pinned: BTreeSet<(u64, CacheKey)>,
+    /// Victim ranks by pin state: an unpinned entry's live rank is in
+    /// `heaps[0]`, a pinned one's in either (`heaps[1]` is §3.7's last
+    /// resort). Every pushed rank takes a fresh `stamp`.
+    heaps: [BinaryHeap<Reverse<(u64, CacheKey, u64)>>; 2],
+    stamp: u64,
     /// Outstanding outside references per key; absent means zero.
     /// Survives entry replacement and eviction (see module docs).
     pin_counts: FixedMap<CacheKey, u32>,
     /// Keys whose entries are dirty, in key order — the deterministic
-    /// flush order the write-back scheduler batches from.
+    /// flush order the write-back scheduler batches from. Dirty entries
+    /// hold bytes the backing store does not, so the victim search
+    /// passes over them until the write-back scheduler marks them clean.
     dirty: BTreeSet<CacheKey>,
     /// Aggregates displaced from a *pinned* key (write replacement or
     /// last-resort eviction) — §3.5 snapshots still referenced by the
@@ -164,8 +158,8 @@ impl UnifiedCache {
             policy,
             budget,
             entries: FixedMap::default(),
-            unpinned: BTreeSet::new(),
-            pinned: BTreeSet::new(),
+            heaps: Default::default(),
+            stamp: 0,
             pin_counts: FixedMap::default(),
             dirty: BTreeSet::new(),
             limbo: FixedMap::default(),
@@ -225,33 +219,28 @@ impl UnifiedCache {
         self.entries.get(key).map(|e| &e.agg)
     }
 
-    /// Looks up an extent, refreshing its replacement priority.
+    /// Looks up an extent, refreshing its replacement priority in place.
+    /// The LRU clock and GDS `L + c/size` stay above the queued rank
+    /// unless a last-resort eviction lowered `L`; only then is one pushed.
     ///
     /// The returned aggregate shares buffers with the cache entry — this
     /// is the single-physical-copy sharing of §3.1.
     pub fn lookup(&mut self, key: &CacheKey) -> Option<Aggregate> {
         self.clock += 1;
-        let (policy, clock, gds_l) = (self.policy, self.clock, self.gds_l);
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                // Refresh ordering within the entry's own index.
-                let index = if entry.pinned {
-                    &mut self.pinned
-                } else {
-                    &mut self.unpinned
-                };
-                index.remove(&(entry.ord, *key));
-                entry.ord = policy.order_key(clock, gds_l, entry.len);
-                index.insert((entry.ord, *key));
-                self.stats.hits += 1;
-                self.stats.bytes_hit += entry.len;
-                Some(entry.agg.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        let Some(entry) = self.entries.get_mut(key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        let ord = self.policy.order_key(self.clock, self.gds_l, entry.len);
+        let fell = ord < entry.ord;
+        entry.ord = ord;
+        self.stats.hits += 1;
+        self.stats.bytes_hit += entry.len;
+        let agg = entry.agg.clone();
+        if fell {
+            self.requeue(*key);
         }
+        Some(agg)
     }
 
     /// Inserts (or overwrites) an extent, then evicts to budget.
@@ -281,26 +270,21 @@ impl UnifiedCache {
     fn install(&mut self, key: CacheKey, agg: Aggregate, dirty: bool) -> Vec<(CacheKey, Aggregate)> {
         self.clock += 1;
         let len = agg.len();
-        // Overwrite: the old entry's index/residency accounting unwinds
-        // in `remove`; its buffers persist while referenced.
+        // Overwrite: `remove` unwinds the old entry's residency and
+        // orphans its rank; its buffers persist while referenced.
         self.remove(&key);
         let ord = self.policy.order_key(self.clock, self.gds_l, len);
-        let pinned = self.pin_counts.contains_key(&key);
         self.entries.insert(
             key,
             Entry {
                 agg,
                 len,
                 ord,
-                pinned,
-                dirty,
+                stamp: 0,
+                queued_pinned: false,
             },
         );
-        if pinned {
-            self.pinned.insert((ord, key));
-        } else {
-            self.unpinned.insert((ord, key));
-        }
+        self.requeue(key);
         self.resident += len;
         self.stats.insertions += 1;
         if dirty {
@@ -317,16 +301,10 @@ impl UnifiedCache {
     /// property of the key's consumers, not of one entry generation.
     pub fn remove(&mut self, key: &CacheKey) -> Option<Aggregate> {
         let entry = self.entries.remove(key)?;
-        if entry.pinned {
-            self.pinned.remove(&(entry.ord, *key));
-        } else {
-            self.unpinned.remove(&(entry.ord, *key));
-        }
-        if entry.dirty {
+        if self.dirty.remove(key) {
             // A dirty entry leaving the table was superseded before its
             // flush (the caller re-installs new bytes under the key):
             // its unflushed bytes no longer need writing — coalescing.
-            self.dirty.remove(key);
             self.dirty_bytes -= entry.len;
             self.stats.dirty_coalesced += 1;
         }
@@ -351,26 +329,19 @@ impl UnifiedCache {
     }
 
     /// Marks `key` as referenced outside the cache (network holds it,
-    /// an application holds it...). O(log n) on the 0→1 transition,
-    /// O(1) otherwise.
+    /// an application holds it...). O(1): the entry's rank stays where
+    /// it is queued until the victim search meets it.
     ///
     /// The count registers even when no entry is currently cached under
     /// `key` (it may have been evicted between the caller's read and
     /// its pin): a later insert under the key is then born referenced.
     pub fn pin(&mut self, key: &CacheKey) {
-        let count = self.pin_counts.entry(*key).or_insert(0);
-        *count += 1;
-        if *count == 1 {
-            if let Some(e) = self.entries.get_mut(key) {
-                e.pinned = true;
-                self.unpinned.remove(&(e.ord, *key));
-                self.pinned.insert((e.ord, *key));
-            }
-        }
+        *self.pin_counts.entry(*key).or_insert(0) += 1;
     }
 
-    /// Releases one outside reference. O(log n) on the 1→0 transition,
-    /// O(1) otherwise.
+    /// Releases one outside reference. O(1): the entry is re-queued
+    /// (O(log n)) only on the last release, and only if its live rank
+    /// sits in the pinned heap.
     pub fn unpin(&mut self, key: &CacheKey) {
         let Some(count) = self.pin_counts.get_mut(key) else {
             return;
@@ -379,10 +350,8 @@ impl UnifiedCache {
         if *count == 0 {
             self.pin_counts.remove(key);
             self.limbo.remove(key);
-            if let Some(e) = self.entries.get_mut(key) {
-                e.pinned = false;
-                self.pinned.remove(&(e.ord, *key));
-                self.unpinned.insert((e.ord, *key));
+            if self.entries.get(key).is_some_and(|e| e.queued_pinned) {
+                self.requeue(*key);
             }
         }
     }
@@ -427,10 +396,9 @@ impl UnifiedCache {
         if !self.dirty.remove(key) {
             return None;
         }
-        let entry = self.entries.get_mut(key).expect("dirty set tracks entries");
-        entry.dirty = false;
-        self.dirty_bytes -= entry.len;
-        Some(entry.len)
+        let len = self.entries[key].len;
+        self.dirty_bytes -= len;
+        Some(len)
     }
 
     /// Evicts entries until residency fits the budget.
@@ -452,22 +420,17 @@ impl UnifiedCache {
     /// remaining entries are all dirty returns `None` and the pageout
     /// arbiter must schedule write-back instead.
     ///
-    /// O(log n + D) where D is the number of dirty entries ranked ahead
-    /// of the victim; D is bounded by the write-back scheduler's dirty
-    /// threshold, so the complexity contract survives write bursts.
+    /// Amortized O((1 + D) log n) where D is the number of dirty entries
+    /// ranked ahead of the victim; D is bounded by the write-back
+    /// scheduler's dirty threshold, so the complexity contract survives
+    /// write bursts.
     ///
     /// Also used directly by the pageout-daemon trigger.
     pub fn evict_one(&mut self) -> Option<(CacheKey, Aggregate)> {
-        let clean_first = |index: &BTreeSet<(u64, CacheKey)>| {
-            index
-                .iter()
-                .find(|(_, k)| !self.dirty.contains(k))
-                .copied()
-        };
-        let (ord, key) = match clean_first(&self.unpinned) {
+        let (ord, key) = match self.best_clean(false) {
             Some(victim) => victim,
             None => {
-                let victim = clean_first(&self.pinned)?;
+                let victim = self.best_clean(true)?;
                 self.stats.pinned_evictions += 1;
                 victim
             }
@@ -479,6 +442,50 @@ impl UnifiedCache {
         self.stats.evictions += 1;
         let agg = self.remove(&key)?;
         Some((key, agg))
+    }
+
+    /// Pops the pinned heap if `pinned`, else the unpinned one, to its
+    /// least clean `(ord, key)`. Orphaned ranks are dropped, stale or
+    /// misplaced ones re-queued, dirty ones set aside and restored.
+    fn best_clean(&mut self, pinned: bool) -> Option<(u64, CacheKey)> {
+        let (heap, mut dirty, mut found) = (usize::from(pinned), Vec::new(), None);
+        while let Some(rank @ Reverse((ord, key, stamp))) = self.heaps[heap].pop() {
+            let Some(e) = self.entries.get(&key).filter(|e| e.stamp == stamp) else {
+                continue;
+            };
+            if e.ord > ord || self.pin_counts.contains_key(&key) != pinned {
+                self.requeue(key);
+            } else if self.dirty.contains(&key) {
+                dirty.push(rank);
+            } else {
+                found = Some((ord, key));
+                break;
+            }
+        }
+        self.heaps[heap].extend(dirty);
+        found
+    }
+
+    /// Queues a fresh rank at `key`'s current `ord`, in the heap of its
+    /// pin state, orphaning the one it had. Every push is made here, so
+    /// the heaps are rebuilt here once they exceed 2·entries + 64 ranks.
+    fn requeue(&mut self, key: CacheKey) {
+        let pinned = self.pin_counts.contains_key(&key);
+        let e = self.entries.get_mut(&key).expect("key is cached");
+        self.stamp += 1;
+        (e.stamp, e.queued_pinned) = (self.stamp, pinned);
+        self.heaps[usize::from(pinned)].push(Reverse((e.ord, key, self.stamp)));
+        if self.queued_ranks() > 2 * self.entries.len() + 64 {
+            self.heaps = Default::default();
+            let keys: Vec<CacheKey> = self.entries.keys().copied().collect();
+            keys.into_iter().for_each(|k| self.requeue(k));
+        }
+    }
+
+    /// Ranks queued in both heaps, live and orphaned (complexity tests).
+    #[doc(hidden)]
+    pub fn queued_ranks(&self) -> usize {
+        self.heaps[0].len() + self.heaps[1].len()
     }
 
     /// Iterates over cached keys (diagnostics, tests).
@@ -499,20 +506,12 @@ impl UnifiedCache {
                 .entries
                 .iter()
                 .map(|(k, e)| {
-                    (
-                        *k,
-                        Entry {
-                            agg: forker.fork_aggregate(&e.agg),
-                            len: e.len,
-                            ord: e.ord,
-                            pinned: e.pinned,
-                            dirty: e.dirty,
-                        },
-                    )
+                    let agg = forker.fork_aggregate(&e.agg);
+                    (*k, Entry { agg, ..*e })
                 })
                 .collect(),
-            unpinned: self.unpinned.clone(),
-            pinned: self.pinned.clone(),
+            heaps: self.heaps.clone(),
+            stamp: self.stamp,
             pin_counts: self.pin_counts.clone(),
             dirty: self.dirty.clone(),
             limbo: self
@@ -557,8 +556,8 @@ impl UnifiedCache {
             h.write_u64(k.file.0);
             h.write_u64(e.len);
             h.write_u64(e.ord);
-            h.write_bool(e.pinned);
-            h.write_bool(e.dirty);
+            h.write_bool(self.pin_counts.contains_key(&k));
+            h.write_bool(self.dirty.contains(&k));
             iolite_buf::digest_aggregate(&e.agg, h);
         }
         let mut pins: Vec<(CacheKey, u32)> =
@@ -806,9 +805,9 @@ mod tests {
         assert_eq!(victim, k);
     }
 
-    /// The ordered indexes stay consistent through pin/unpin/lookup
-    /// interleavings: exactly one index entry per cached key, in the
-    /// index matching its pin state.
+    /// The victim heaps stay consistent through pin/unpin/lookup
+    /// interleavings: a pinned entry met in the unpinned heap moves to
+    /// the pinned one, and its last unpin queues it back.
     #[test]
     fn pin_transitions_move_between_indexes() {
         let p = pool();
@@ -831,7 +830,7 @@ mod tests {
     }
 
     /// Dirty entries are never eviction victims — not from the unpinned
-    /// index, and not via the pinned-index fallback. Only `mark_clean`
+    /// heap, and not via the pinned-heap fallback. Only `mark_clean`
     /// re-enables eviction.
     #[test]
     fn dirty_entries_survive_eviction_until_clean() {

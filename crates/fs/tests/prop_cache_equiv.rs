@@ -1,14 +1,16 @@
-//! Observational equivalence of the segregated-index `UnifiedCache`
+//! Observational equivalence of the lazily ranked `UnifiedCache`
 //! against a scan-based reference model.
 //!
-//! The production cache keeps pinned and unpinned entries in separate
-//! ordered indexes so `evict_one` is O(log n); the model below is the
-//! pre-segregation implementation — one global priority queue and a
-//! linear scan past pinned entries — with the same key-scoped pin
-//! accounting. Under random operation sequences both must agree on
-//! victim choice, stats, and residency (the §3.7 two-level rule and
-//! the GDS `L`-floor semantics are behaviour, not implementation
-//! detail).
+//! The production cache keeps its policy order lazily: two min-heaps
+//! (unpinned, pinned) of lower-bound ranks, fixed up only when the victim
+//! search pops a stale, orphaned, misplaced or dirty one, so a hit, a pin
+//! and an unpin touch no heap. The model below is the pre-segregation
+//! implementation — one exact global priority queue, re-ranked on every
+//! hit, and a linear scan past pinned and dirty entries — with the same
+//! key-scoped pin accounting. Under random operation sequences both must
+//! agree on victim choice, stats, dirty accounting and residency (the
+//! §3.7 two-level rule, the GDS `L`-floor semantics and "a dirty entry is
+//! never a victim" are behaviour, not implementation detail).
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -17,13 +19,15 @@ use iolite_fs::{CacheKey, CacheStats, FileId, Policy, UnifiedCache};
 use proptest::prelude::*;
 
 /// The scan-based reference: a single priority queue over all entries;
-/// the victim search walks it linearly to skip pinned entries.
+/// the victim search walks it linearly to skip pinned and dirty entries.
 struct ScanCache {
     policy: Policy,
     budget: u64,
     entries: HashMap<CacheKey, (u64 /* len */, u64 /* ord */)>,
     queue: BTreeSet<(u64, CacheKey)>,
     pin_counts: HashMap<CacheKey, u32>,
+    dirty: BTreeSet<CacheKey>,
+    dirty_bytes: u64,
     clock: u64,
     gds_l: u64,
     resident: u64,
@@ -38,6 +42,8 @@ impl ScanCache {
             entries: HashMap::new(),
             queue: BTreeSet::new(),
             pin_counts: HashMap::new(),
+            dirty: BTreeSet::new(),
+            dirty_bytes: 0,
             clock: 0,
             gds_l: 0,
             resident: 0,
@@ -67,7 +73,7 @@ impl ScanCache {
         }
     }
 
-    fn insert(&mut self, key: CacheKey, len: u64) -> Vec<CacheKey> {
+    fn insert(&mut self, key: CacheKey, len: u64, dirty: bool) -> Vec<CacheKey> {
         self.clock += 1;
         self.remove(&key);
         let ord = self.order_key(len);
@@ -75,6 +81,11 @@ impl ScanCache {
         self.queue.insert((ord, key));
         self.resident += len;
         self.stats.insertions += 1;
+        if dirty {
+            self.dirty.insert(key);
+            self.dirty_bytes += len;
+            self.stats.dirty_installs += 1;
+        }
         self.enforce_budget()
     }
 
@@ -82,6 +93,19 @@ impl ScanCache {
         let (len, ord) = self.entries.remove(key)?;
         self.queue.remove(&(ord, *key));
         self.resident -= len;
+        if self.dirty.remove(key) {
+            self.dirty_bytes -= len;
+            self.stats.dirty_coalesced += 1;
+        }
+        Some(len)
+    }
+
+    fn mark_clean(&mut self, key: &CacheKey) -> Option<u64> {
+        if !self.dirty.remove(key) {
+            return None;
+        }
+        let len = self.entries[key].0;
+        self.dirty_bytes -= len;
         Some(len)
     }
 
@@ -126,14 +150,17 @@ impl ScanCache {
         evicted
     }
 
-    /// The pre-segregation victim search: O(n) scan for the first
-    /// unpinned entry in global priority order, else the global head.
+    /// The pre-segregation victim search: O(n) scan for the first clean
+    /// unpinned entry in global priority order, else the first clean one.
+    /// A dirty entry is never a victim, pinned or not.
     fn evict_one(&mut self) -> Option<CacheKey> {
+        let clean = |(_, k): &&(u64, CacheKey)| !self.dirty.contains(k);
         let victim = self
             .queue
             .iter()
+            .filter(clean)
             .find(|(_, k)| !self.pin_counts.contains_key(k))
-            .or_else(|| self.queue.iter().next())
+            .or_else(|| self.queue.iter().find(clean))
             .copied()?;
         let (ord, key) = victim;
         if self.pin_counts.contains_key(&key) {
@@ -151,6 +178,8 @@ impl ScanCache {
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u8),
+    InsertDirty(u8),
+    MarkClean(u8),
     Lookup(u8),
     Remove(u8),
     ReplaceForWrite(u8),
@@ -163,6 +192,8 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         any::<u8>().prop_map(Op::Insert),
+        any::<u8>().prop_map(Op::InsertDirty),
+        any::<u8>().prop_map(Op::MarkClean),
         any::<u8>().prop_map(Op::Lookup),
         any::<u8>().prop_map(Op::Remove),
         any::<u8>().prop_map(Op::ReplaceForWrite),
@@ -180,11 +211,11 @@ fn len_for(key: u8, version: u64) -> u64 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
 
-    /// The segregated-index cache and the scan-based model agree on
-    /// victim choice, stats, pin counts, and residency over arbitrary
-    /// operation sequences under every policy.
+    /// The lazily ranked cache and the scan-based model agree on victim
+    /// choice, stats, pin counts, dirty accounting and residency over
+    /// arbitrary operation sequences under every policy.
     #[test]
     fn segregated_index_matches_scan_model(
         ops in proptest::collection::vec(op_strategy(), 1..250),
@@ -197,17 +228,24 @@ proptest! {
 
         for op in &ops {
             match op {
-                Op::Insert(k) => {
+                Op::Insert(k) | Op::InsertDirty(k) => {
                     version += 1;
                     let key = CacheKey::whole(FileId(*k as u64 % 24));
                     let len = len_for(*k % 24, version);
-                    let evicted_real: Vec<CacheKey> = real
-                        .insert(key, Aggregate::from_bytes(&pool, &vec![0xC3; len as usize]))
-                        .into_iter()
-                        .map(|(k, _)| k)
-                        .collect();
-                    let evicted_model = model.insert(key, len);
-                    prop_assert_eq!(evicted_real, evicted_model);
+                    let agg = Aggregate::from_bytes(&pool, &vec![0xC3; len as usize]);
+                    let dirty = matches!(op, Op::InsertDirty(_));
+                    let evicted_real = if dirty {
+                        real.insert_dirty(key, agg)
+                    } else {
+                        real.insert(key, agg)
+                    };
+                    let evicted_real: Vec<CacheKey> =
+                        evicted_real.into_iter().map(|(k, _)| k).collect();
+                    prop_assert_eq!(evicted_real, model.insert(key, len, dirty));
+                }
+                Op::MarkClean(k) => {
+                    let key = CacheKey::whole(FileId(*k as u64 % 24));
+                    prop_assert_eq!(real.mark_clean(&key), model.mark_clean(&key));
                 }
                 Op::Lookup(k) => {
                     let key = CacheKey::whole(FileId(*k as u64 % 24));
@@ -253,6 +291,8 @@ proptest! {
             prop_assert_eq!(real.stats(), model.stats);
             prop_assert_eq!(real.resident_bytes(), model.resident);
             prop_assert_eq!(real.len(), model.entries.len());
+            prop_assert_eq!(real.dirty_bytes(), model.dirty_bytes);
+            prop_assert!(real.dirty_keys().eq(model.dirty.iter()));
         }
     }
 }
@@ -301,4 +341,96 @@ fn evict_cost_does_not_scale_with_pinned_entries() {
         Some(CacheKey::whole(FileId(0)))
     );
     assert_eq!(cache.stats().pinned_evictions, 1);
+}
+
+/// The one hit that must queue a rank. Under GDS a hit re-ranks an entry
+/// at `L + c/size`, which stays at or above its queued rank while `L`
+/// only rises; a last-resort eviction of a pinned entry ranked below `L`
+/// lowers it. Here X is ranked at `2·10^10` while `L` = 10^10, then the
+/// pinned P (10^9) is evicted as the last resort and `L` falls to 10^9.
+/// X's next hit gives it 1.1·10^10, under Y's 1.21·10^10: X must now be
+/// the victim, which it is only if the hit queued a fresh rank.
+#[test]
+fn a_hit_after_the_gds_floor_falls_is_re_ranked() {
+    let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 64 * 1024);
+    let body = |n: usize| Aggregate::from_bytes(&pool, &vec![0x5A; n]);
+    let key = |i| CacheKey::whole(FileId(i));
+    let (p, v, x, y) = (key(1), key(2), key(3), key(4));
+    let mut cache = UnifiedCache::new(Policy::Gds, u64::MAX);
+    cache.insert(p, body(1_000));
+    cache.pin(&p);
+    cache.insert(v, body(100));
+    assert_eq!(
+        cache.evict_one().map(|(k, _)| k),
+        Some(v),
+        "L rises to 10^10"
+    );
+    cache.insert(x, body(100));
+    cache.pin(&x);
+    assert_eq!(
+        cache.evict_one().map(|(k, _)| k),
+        Some(p),
+        "last resort: L falls"
+    );
+    assert_eq!(cache.stats().pinned_evictions, 1);
+    cache.unpin(&x);
+    cache.insert(y, body(90));
+    assert!(cache.lookup(&x).is_some());
+    assert_eq!(cache.evict_one().map(|(k, _)| k), Some(x));
+    assert_eq!(cache.evict_one().map(|(k, _)| k), Some(y));
+}
+
+/// A hit, a pin and an unpin queue nothing, and orphaned ranks are
+/// reclaimed. 2^20 rounds of pin/lookup/unpin (eight requests in flight)
+/// over 2^10 resident entries under each policy, with no eviction, leave
+/// exactly one queued rank per entry; then 2^16 write replacements, each
+/// orphaning a rank, keep the heaps within 2·entries + 64 ranks, and
+/// victims still leave in policy order. No clock: a heap that grew per
+/// hit shows in the count, not in a timing.
+#[test]
+fn heaps_do_not_grow_with_hits_pins_or_rewrites() {
+    const ENTRIES: u64 = 1 << 10;
+    const ROUNDS: u64 = 1 << 20;
+    const REWRITES: u64 = 1 << 16;
+    const IN_FLIGHT: u64 = 8;
+    let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 64 * 1024);
+    let body = |i: u64| Aggregate::from_bytes(&pool, &vec![0x3C; 16 + (i % 61) as usize]);
+    let key = |i: u64| CacheKey::whole(FileId(i));
+    let bound = |c: &UnifiedCache| 2 * c.len() + 64;
+    for policy in [Policy::Lru, Policy::Gds] {
+        let mut cache = UnifiedCache::new(policy, u64::MAX);
+        for i in 0..ENTRIES {
+            cache.insert(key(i), body(i));
+        }
+        let pick = |r: u64| key(r.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54);
+        for r in 0..ROUNDS {
+            cache.pin(&pick(r));
+            assert!(cache.lookup(&pick(r)).is_some());
+            if r >= IN_FLIGHT {
+                cache.unpin(&pick(r - IN_FLIGHT));
+            }
+            assert!(cache.queued_ranks() <= bound(&cache));
+        }
+        for r in ROUNDS - IN_FLIGHT..ROUNDS {
+            cache.unpin(&pick(r));
+        }
+        assert_eq!(
+            cache.queued_ranks(),
+            cache.len(),
+            "{policy:?}: a hit, pin or unpin queued a rank"
+        );
+        assert_eq!(cache.stats().evictions, 0);
+        for r in 0..REWRITES {
+            let k = key(r % ENTRIES);
+            cache.replace_for_write(&k);
+            cache.insert(k, body(r % ENTRIES));
+            assert!(cache.queued_ranks() <= bound(&cache));
+        }
+        if policy == Policy::Lru {
+            // Rewritten oldest-first, so they leave oldest-first.
+            for i in 0..ENTRIES {
+                assert_eq!(cache.evict_one().map(|(k, _)| k), Some(key(i)));
+            }
+        }
+    }
 }

@@ -147,7 +147,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn buffer_index_matches_scan_model(

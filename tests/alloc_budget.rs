@@ -75,9 +75,11 @@ fn heap_bytes() -> u64 {
 /// request's bytes (1), its parsed path (1) and two IO-Lite buffers —
 /// request and response head — at a data block and an `Arc` each (4);
 /// per-tick scratch and the growth of the completed-request log
-/// amortise over the 64 connections to the rest of the 6.57 measured.
-/// The parent commit spent 23.
-const GET_BUDGET: u64 = 7;
+/// amortise over the 64 connections to the rest of the 6.41 measured
+/// (6.57 while the unified cache re-ranked a B-tree, splitting and
+/// merging its nodes, on every hit, pin and unpin). The parent commit
+/// spent 23.
+const GET_BUDGET: f64 = 6.4066 + 0.5;
 
 #[test]
 fn cached_get_stays_within_the_allocation_budget() {
@@ -113,7 +115,7 @@ fn cached_get_stays_within_the_allocation_budget() {
     assert_eq!(server.stats().failed, 0);
     assert_eq!(server.stats().cache_hits, server.stats().completed - files.len() as u64);
     assert!(
-        per_request <= GET_BUDGET as f64,
+        per_request <= GET_BUDGET,
         "{per_request:.2} allocator calls per cached GET (budget {GET_BUDGET})"
     );
 }
