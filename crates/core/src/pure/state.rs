@@ -575,11 +575,11 @@ impl KernelState {
     /// One [`PoolForker`] spans the snapshot so buffer identity is
     /// preserved: pools fork before the aggregates that view them
     /// (cache pool and per-process pools first, then pipes — whose
-    /// scratch pools fork inside [`Pipe::fork`] — then cache entries
-    /// and socket queues). Aggregates viewing *application* pools that
-    /// are not kernel state (delivered payloads) share their original
-    /// buffers, which is sound: the kernel never mutates buffer
-    /// contents in place.
+    /// scratch pools fork inside [`Pipe::fork`] — then cache entries,
+    /// socket queues and the store's kept PUT bodies). Aggregates
+    /// viewing *application* pools that are not kernel state share
+    /// their original buffers, which is sound: the kernel never mutates
+    /// buffer contents in place.
     pub fn snapshot(&self) -> KernelState {
         let mut forker = PoolForker::new();
         let cache_pool = self.cache_pool.fork(&mut forker);
@@ -592,7 +592,7 @@ impl KernelState {
             window: self.window.clone(),
             physmem: self.physmem.clone(),
             pageout: self.pageout.clone(),
-            store: self.store.clone(),
+            store: self.store.fork(&mut forker),
             meta: self.meta.clone(),
             cache,
             writeback: self.writeback.clone(),

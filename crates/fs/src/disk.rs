@@ -3,7 +3,8 @@
 //! Contents are *real bytes* — the end-to-end tests verify byte equality
 //! through the whole server path — but large files are generated
 //! deterministically on demand (`FileContent::Synthetic`) so trace data
-//! sets of hundreds of megabytes cost no host memory until read.
+//! sets of hundreds of megabytes cost no host memory until read; a PUT
+//! body stays in the IO-Lite buffers it arrived in (`FileContent::Buffers`).
 //!
 //! Reads land where the caller says: [`FileStore::stream`] hands a file
 //! extent, run by run, to a caller-owned sink (the file cache appends
@@ -14,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use iolite_buf::Aggregate;
+use iolite_buf::{Aggregate, PoolForker};
 use iolite_sim::SimTime;
 
 /// A file identifier (inode-number analog).
@@ -36,6 +37,9 @@ pub enum FileContent {
     },
     /// Explicitly stored bytes (files written by tests/applications).
     Explicit(Vec<u8>),
+    /// A PUT body kept by reference in the buffers it arrived in, shared
+    /// with its cache entry (§3.5); boxed to keep the enum small.
+    Buffers(Box<Aggregate>),
 }
 
 impl FileContent {
@@ -44,6 +48,7 @@ impl FileContent {
         match self {
             FileContent::Synthetic { len, .. } => *len,
             FileContent::Explicit(v) => v.len() as u64,
+            FileContent::Buffers(body) => body.len(),
         }
     }
 }
@@ -79,8 +84,8 @@ fn stream_synthetic(seed: u64, offset: u64, len: u64, sink: &mut impl FnMut(&[u8
 
 /// The server's file store: names, sizes, contents.
 ///
-/// `Clone` is a true deep copy (plain owned data), used by kernel-state
-/// snapshots.
+/// `Clone` shares kept PUT bodies' immutable buffers; kernel-state
+/// snapshots take [`FileStore::fork`] instead.
 #[derive(Debug, Default, Clone)]
 pub struct FileStore {
     files: BTreeMap<FileId, FileContent>,
@@ -125,7 +130,7 @@ impl FileStore {
     /// This is the producer disk reads land through: the file cache
     /// streams into the IO-Lite buffer it is filling (§3.5), so each
     /// byte is written once and no staging copy exists. Explicit content
-    /// is one run, synthetic content a run per generated batch.
+    /// is one run, a kept body one per buffer, synthetic content one per batch.
     pub fn stream(
         &self,
         id: FileId,
@@ -139,6 +144,7 @@ impl FileStore {
         match content {
             FileContent::Synthetic { seed, .. } => stream_synthetic(*seed, start, n, &mut sink),
             FileContent::Explicit(v) => sink(&v[start as usize..][..n as usize]),
+            FileContent::Buffers(body) => body.range(start, n).expect("clamped").chunks().for_each(sink),
         }
         Some(n)
     }
@@ -155,14 +161,14 @@ impl FileStore {
         Some(out)
     }
 
-    /// Turns a synthetic file into explicit bytes (no-op for explicit
-    /// files). Returns `false` for unknown files.
+    /// Turns a synthetic file or a kept body into explicit bytes (no-op
+    /// for explicit files). Returns `false` for unknown files.
     fn materialize(&mut self, id: FileId) -> bool {
         match self.files.get(&id) {
             None => false,
             Some(FileContent::Explicit(_)) => true,
-            Some(FileContent::Synthetic { len, .. }) => {
-                let v = self.read(id, 0, *len).expect("file exists");
+            Some(_) => {
+                let v = self.read(id, 0, u64::MAX).expect("file exists");
                 self.files.insert(id, FileContent::Explicit(v));
                 true
             }
@@ -171,9 +177,9 @@ impl FileStore {
 
     /// Writes `data` at `offset`, growing the file if needed.
     ///
-    /// Synthetic files are materialized on first write (only small files
-    /// are written in the experiments). Returns `false` for unknown
-    /// files.
+    /// Synthetic files and kept bodies are materialized on first write
+    /// (only small files are written in the experiments). Returns
+    /// `false` for unknown files.
     pub fn write(&mut self, id: FileId, offset: u64, data: &[u8]) -> bool {
         if !self.materialize(id) {
             return false;
@@ -189,10 +195,10 @@ impl FileStore {
         true
     }
 
-    /// Makes `body` (a PUT body) the file's whole content, storing each
-    /// byte once: an explicit file keeps its buffer, and a synthetic
-    /// file's old bytes are never generated. Returns `false` for unknown
-    /// files.
+    /// Makes `body` (a PUT body) the file's whole content by reference:
+    /// the store keeps the body's buffers, copies no byte, and never
+    /// generates a synthetic file's old bytes. Returns `false` for
+    /// unknown files.
     pub fn replace(&mut self, id: FileId, body: &Aggregate) -> bool {
         let Some(content) = self.files.get_mut(&id) else {
             return false;
@@ -201,36 +207,40 @@ impl FileStore {
             // Empty, a synthetic file stays synthetic: a prefix of it is
             // still the same pure function of `(seed, i)`.
             FileContent::Synthetic { len, .. } if body.is_empty() => *len = 0,
-            FileContent::Synthetic { .. } => {
-                *content = FileContent::Explicit(Vec::with_capacity(body.len() as usize))
-            }
-            FileContent::Explicit(v) => v.clear(),
-        }
-        if let FileContent::Explicit(v) = content {
-            body.chunks().for_each(|run| v.extend_from_slice(run));
+            _ => *content = FileContent::Buffers(Box::new(body.clone())),
         }
         true
     }
 
+    /// Deep-forks the store for a kernel-state snapshot: kept bodies are
+    /// rebound through `forker` after the pools they view, so a held
+    /// snapshot pins no live buffer (a `Clone` would, stalling recycling).
+    pub fn fork(&self, forker: &mut PoolForker) -> FileStore {
+        let mut fork = self.clone();
+        for content in fork.files.values_mut() {
+            if let FileContent::Buffers(body) = content {
+                **body = forker.fork_aggregate(body);
+            }
+        }
+        fork
+    }
+
     /// Folds the store's state into a stable digest. Content digests use
-    /// the parameters (synthetic) or the bytes (explicit), so a
-    /// materialized-then-rewritten file digests by its actual contents.
+    /// the parameters (synthetic) or the bytes (explicit and kept alike),
+    /// so a materialized-then-rewritten file digests by its contents.
     pub fn digest(&self, h: &mut iolite_buf::Fnv64) {
         h.write_u64(self.next_id);
         h.write_u64(self.files.len() as u64);
         for (id, content) in &self.files {
             h.write_u64(id.0);
-            match content {
-                FileContent::Synthetic { len, seed } => {
-                    h.write_bytes(&[0]);
-                    h.write_u64(*len);
-                    h.write_u64(*seed);
-                }
-                FileContent::Explicit(v) => {
-                    h.write_bytes(&[1]);
-                    h.write_u64(v.len() as u64);
-                    h.write_bytes(v);
-                }
+            if let FileContent::Synthetic { len, seed } = content {
+                h.write_bytes(&[0]);
+                h.write_u64(*len);
+                h.write_u64(*seed);
+            } else {
+                h.write_bytes(&[1]);
+                h.write_u64(content.len());
+                self.stream(*id, 0, u64::MAX, |run| h.write_bytes(run));
             }
         }
         h.write_u64(self.names.len() as u64);
@@ -319,23 +329,26 @@ mod tests {
     fn replace_installs_the_whole_body() {
         let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 4);
         let body = Aggregate::from_bytes(&pool, b"new body");
-        let mut fs = FileStore::new();
-        let huge = fs.create_synthetic("huge", 1 << 40, 7);
-        let old = fs.create("old", FileContent::Explicit(b"a longer old body".to_vec()));
-        for id in [huge, old] {
+        let (mut fs, mut twin) = (FileStore::new(), FileStore::new());
+        fs.create_synthetic("huge", 1 << 40, 7);
+        fs.create("old", FileContent::Explicit(b"a longer old body".to_vec()));
+        fs.create_synthetic("s", 100, 7);
+        for id in [FileId(0), FileId(1)] {
             assert!(fs.replace(id, &body));
             assert_eq!(fs.read(id, 0, u64::MAX).unwrap(), b"new body");
+            assert_eq!(fs.read(id, 3, 4).unwrap(), b" bod");
         }
-        // The explicit file kept its buffer.
-        assert!(matches!(&fs.files[&old], FileContent::Explicit(v) if v.capacity() >= 17));
-        // An empty body leaves a synthetic file synthetic.
-        let s = fs.create_synthetic("s", 100, 7);
-        assert!(fs.replace(s, &Aggregate::empty()));
-        assert!(matches!(
-            fs.files[&s],
-            FileContent::Synthetic { len: 0, seed: 7 }
-        ));
+        assert!(fs.replace(FileId(2), &Aggregate::empty()));
         assert!(!fs.replace(FileId(99), &body));
+        // Kept bodies (two 4-byte buffers) digest as the same bytes held
+        // explicitly; an empty body leaves a synthetic file synthetic.
+        twin.create("huge", FileContent::Explicit(b"new body".to_vec()));
+        twin.create("old", FileContent::Explicit(b"new body".to_vec()));
+        twin.create_synthetic("s", 0, 7);
+        let [mut h, mut h_twin] = [iolite_buf::Fnv64::new(), iolite_buf::Fnv64::new()];
+        fs.digest(&mut h);
+        twin.digest(&mut h_twin);
+        assert_eq!(h.finish(), h_twin.finish());
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //!   call and end with the same counters and the same digest bytes: the
 //!   hit/miss sequence is what every simulated charge hangs off.
 //! * `FileStore::stream` against `FileStore::read`, for arbitrary
-//!   extents and arbitrary cuts of the range, synthetic and explicit
-//!   content; and the synthetic generator against its definition.
+//!   extents and arbitrary cuts of the range, synthetic, explicit and
+//!   kept-body content, all three holding the same bytes; and the
+//!   synthetic generator against its definition.
 //! * A complexity guard: eviction cost must not scale with capacity.
 
 use std::collections::HashMap;
 
-use iolite_buf::Fnv64;
+use iolite_buf::{Acl, Aggregate, BufferPool, Fnv64, PoolId};
 use iolite_fs::{FileContent, FileId, FileStore, MetadataCache};
 use proptest::prelude::*;
 
@@ -105,14 +106,18 @@ fn streamed(fs: &FileStore, id: FileId, offset: u64, len: u64) -> Option<(Vec<u8
     Some((out, n))
 }
 
-/// A store holding the same bytes twice: once as a synthetic file, once
-/// as its explicit materialization.
-fn twin_store(len: u64, seed: u64) -> (FileStore, FileId, FileId) {
+/// A store holding the same bytes three times: as a synthetic file, as
+/// its explicit materialization, and as a PUT body the store keeps in
+/// the 7-byte buffers it arrived in (so extents cross buffer runs).
+fn twin_store(len: u64, seed: u64) -> (FileStore, [FileId; 3]) {
     let mut fs = FileStore::new();
     let synthetic = fs.create_synthetic("s", len, seed);
     let bytes = fs.read(synthetic, 0, len).unwrap();
+    let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 7);
+    let kept = fs.create("k", FileContent::Explicit(Vec::new()));
+    assert!(fs.replace(kept, &Aggregate::from_bytes(&pool, &bytes)));
     let explicit = fs.create("e", FileContent::Explicit(bytes));
-    (fs, synthetic, explicit)
+    (fs, [synthetic, explicit, kept])
 }
 
 proptest! {
@@ -168,9 +173,10 @@ proptest! {
         want in 0u64..640,
         cuts in proptest::collection::vec(1u64..40, 0..12),
     ) {
-        let (fs, synthetic, explicit) = twin_store(len, seed);
-        for id in [synthetic, explicit] {
+        let (fs, ids) = twin_store(len, seed);
+        for id in ids {
             let expected = fs.read(id, offset, want).unwrap();
+            prop_assert_eq!(&expected, &fs.read(ids[0], offset, want).unwrap());
             prop_assert_eq!(expected.len() as u64, want.min(len.saturating_sub(offset)));
             let (whole, n) = streamed(&fs, id, offset, want).unwrap();
             prop_assert_eq!((&whole, n), (&expected, expected.len() as u64));
@@ -211,8 +217,8 @@ proptest! {
 /// Offsets and lengths near `u64::MAX` clamp instead of wrapping.
 #[test]
 fn read_clamps_huge_extents() {
-    let (fs, synthetic, explicit) = twin_store(10, 3);
-    for id in [synthetic, explicit] {
+    let (fs, ids) = twin_store(10, 3);
+    for id in ids {
         let all = fs.read(id, 0, 10).unwrap();
         assert_eq!(fs.read(id, 3, u64::MAX).unwrap(), &all[3..]);
         assert_eq!(fs.read(id, 10, u64::MAX).unwrap(), b"");

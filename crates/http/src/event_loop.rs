@@ -63,7 +63,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{SyncSender, TryRecvError};
 use std::time::Duration;
 
-use iolite_buf::Aggregate;
+use iolite_buf::{Aggregate, BufferPool};
 use iolite_core::{
     short_ok, Charge, CostCategory, Fd, Interest, IolError, Kernel, Pid, PollFd, Readiness,
     ShardMailbox, ShardMsg,
@@ -73,7 +73,7 @@ use iolite_net::BufferMode;
 use iolite_sim::SimTime;
 
 use crate::cgi::CgiProcess;
-use crate::message::{created_head, not_found, ok_head, parse_lines, Method};
+use crate::message::{created_head, not_found, ok_head, parse_lines, request_head, Method};
 
 /// Safety bound on the ticks of [`EventLoopServer::run`] and the
 /// sharded run loop; exceeding it panics with diagnostics (a
@@ -557,14 +557,8 @@ impl EventLoopServer {
                 // entry only counts the request against the script.
                 continue;
             }
-            let req = match parse_put_entry(&entry) {
-                Some((p, len)) => {
-                    crate::message::put_request_bytes(p, &synthetic_put_body(p, len), true)
-                }
-                None => crate::message::request_bytes(&entry, true),
-            };
             let sock = conn.sock;
-            let agg = Aggregate::from_bytes(self.kernel.process(self.pid).pool(), &req);
+            let agg = client_request(self.kernel.process(self.pid).pool(), &entry, true);
             // The peer hung up between requests: this client's
             // remaining script is unreachable — fail it, don't panic
             // the server.
@@ -899,13 +893,14 @@ impl EventLoopServer {
         else {
             unreachable!("dispatch sends only Sending connections here");
         };
-        let window = response.whole_slices(*next_slice, space);
-        let take = window.num_slices();
-        if take == 0 {
+        let next = (*next_slice < response.num_slices()).then(|| response.slice_at(*next_slice));
+        if next.is_none_or(|s| s.len() as u64 > space) {
             // Writable, but not by a whole slice yet: let the wire
-            // drain further. No syscall was spent — no busy-spin.
+            // drain further. No window built, no syscall — no busy-spin.
             return;
         }
+        let window = response.whole_slices(*next_slice, space);
+        let take = window.num_slices();
         match self.kernel.iol_write_fd(self.pid, sock, &window) {
             Ok(_) => {}
             // Cannot happen: the window was sized to the space the
@@ -1363,16 +1358,82 @@ pub fn parse_put_entry(entry: &str) -> Option<(&str, u64)> {
 
 /// The deterministic body a scripted `"PUT <path> <len>"` uploads —
 /// reproducible from the entry alone, so tests and external drivers
-/// can verify stored bytes without carrying payloads around.
+/// can verify stored bytes without carrying payloads around. Byte `i`
+/// is `(seed · (i | 1)) >> 24` (wrapping, truncated to a byte), `seed`
+/// being [`put_body_seed`]`(path)`.
 pub fn synthetic_put_body(path: &str, len: u64) -> Vec<u8> {
-    let seed = path
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-        });
-    (0..len)
-        .map(|i| (seed.wrapping_mul(i | 1) >> 24) as u8)
-        .collect()
+    let mut body = vec![0; len as usize];
+    synthetic_put_body_into(put_body_seed(path), 0, &mut body);
+    body
+}
+
+/// The seed of `path`'s [`synthetic_put_body`]: FNV-1a of the path.
+pub fn put_body_seed(path: &str) -> u64 {
+    path.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Writes bytes `offset..offset + dst.len()` of the [`synthetic_put_body`]
+/// seeded `seed` into `dst`. Bytes `2k` and `2k + 1` are both bits 24–31
+/// of `seed · (2k + 1)`, whose low 32 bits alone reach them, so the body
+/// is a `u32` progression stepping `2 · seed` per byte pair: sixteen
+/// lanes advance by `32 · seed` per 32 bytes, with no multiply.
+pub fn synthetic_put_body_into(seed: u64, offset: u64, dst: &mut [u8]) {
+    let seed = seed as u32;
+    let pair = |k: u64| seed.wrapping_mul((2 * k + 1) as u32);
+    let (mut k, mut dst) = (offset / 2, dst);
+    if offset % 2 == 1 {
+        if let Some((odd, rest)) = std::mem::take(&mut dst).split_first_mut() {
+            *odd = (pair(k) >> 24) as u8;
+            (k, dst) = (k + 1, rest);
+        }
+    }
+    let mut lanes: [u32; 16] = std::array::from_fn(|j| pair(k + j as u64));
+    let step = seed.wrapping_mul(32);
+    let mut blocks = dst.chunks_exact_mut(32);
+    for block in &mut blocks {
+        for (two, lane) in block.chunks_exact_mut(2).zip(&mut lanes) {
+            // The lane's top byte twice (this form vectorizes).
+            let top_twice = ((*lane >> 16) & 0xff00 | *lane >> 24) as u16;
+            two.copy_from_slice(&top_twice.to_le_bytes());
+            *lane = lane.wrapping_add(step);
+        }
+    }
+    for (i, byte) in blocks.into_remainder().iter_mut().enumerate() {
+        *byte = (lanes[i / 2] >> 24) as u8;
+    }
+}
+
+/// The built-in client's request for one script entry, built straight
+/// in `pool`: a GET's head parts, or a PUT's head parts followed by its
+/// [`synthetic_put_body`] streamed in batches — each byte written once,
+/// into buffers allocated exactly as [`Aggregate::from_bytes`] would
+/// allocate [`request_bytes`](crate::message::request_bytes) /
+/// [`put_request_bytes`](crate::message::put_request_bytes).
+pub fn client_request(pool: &BufferPool, entry: &str, keep_alive: bool) -> Aggregate {
+    let mut digits = [0; 20];
+    let Some((path, len)) = parse_put_entry(entry) else {
+        return Aggregate::from_parts(pool, &request_head(entry, None, keep_alive, &mut digits));
+    };
+    let mut head = request_head(path, Some(len), keep_alive, &mut digits);
+    let head_len: u64 = head.iter().map(|p| p.len() as u64).sum();
+    let (seed, mut batch) = (put_body_seed(path), [0; 1024]);
+    Aggregate::fill_aligned(pool, head_len + len, 1, |at, b| {
+        for part in &mut head {
+            let n = part.len().min(b.remaining());
+            b.put(&part[..n]);
+            *part = &part[n..];
+        }
+        // Room left means the head is written: the rest is body.
+        let mut body_at = (at + (b.capacity() - b.remaining()) as u64).saturating_sub(head_len);
+        while b.remaining() > 0 {
+            let n = b.remaining().min(batch.len());
+            synthetic_put_body_into(seed, body_at, &mut batch[..n]);
+            b.put(&batch[..n]);
+            body_at += n as u64;
+        }
+    })
 }
 
 #[cfg(test)]

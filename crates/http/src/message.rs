@@ -39,34 +39,41 @@ pub struct Request {
 
 /// Formats a GET request.
 pub fn request_bytes(path: &str, keep_alive: bool) -> Vec<u8> {
-    let version = if keep_alive { "1.1" } else { "1.0" };
-    let conn = if keep_alive {
-        "Connection: keep-alive\r\n"
-    } else {
-        ""
-    };
-    format!(
-        "GET {path} HTTP/{version}\r\nHost: server.rice.edu\r\nUser-Agent: iolite-client/1.0\r\n{conn}\r\n"
-    )
-    .into_bytes()
+    request_head(path, None, keep_alive, &mut [0; 20]).concat()
 }
 
 /// Formats a PUT request carrying `body` — the upload the write path
 /// ingests zero-copy on the server side.
 pub fn put_request_bytes(path: &str, body: &[u8], keep_alive: bool) -> Vec<u8> {
-    let version = if keep_alive { "1.1" } else { "1.0" };
-    let conn = if keep_alive {
-        "Connection: keep-alive\r\n"
-    } else {
-        ""
-    };
-    let mut req = format!(
-        "PUT {path} HTTP/{version}\r\nHost: server.rice.edu\r\nUser-Agent: iolite-client/1.0\r\nContent-Length: {len}\r\n{conn}\r\n",
-        len = body.len()
-    )
-    .into_bytes();
+    let mut req = request_head(path, Some(body.len() as u64), keep_alive, &mut [0; 20]).concat();
     req.extend_from_slice(body);
     req
+}
+
+/// What follows the path on a client's request line, and the headers
+/// every client request carries; HTTP/1.1 when keep-alive.
+const CLIENT_HEADERS: [&[u8]; 2] = [
+    b" HTTP/1.0\r\nHost: server.rice.edu\r\nUser-Agent: iolite-client/1.0\r\n",
+    b" HTTP/1.1\r\nHost: server.rice.edu\r\nUser-Agent: iolite-client/1.0\r\n",
+];
+
+/// A client request head as parts — the one spelling behind
+/// [`request_bytes`], [`put_request_bytes`] and the event loop's
+/// built-in client, which copies the parts straight into its IO-Lite
+/// buffer: a GET, or a PUT declaring `body_len` body bytes (written
+/// into `digits` by [`decimal`]).
+pub(crate) fn request_head<'a>(
+    path: &'a str,
+    body_len: Option<u64>,
+    keep_alive: bool,
+    digits: &'a mut [u8; 20],
+) -> [&'a [u8]; 7] {
+    let (verb, [label, len, crlf]): (&[u8], [&[u8]; 3]) = match body_len {
+        Some(n) => (b"PUT ", [b"Content-Length: ", decimal(n, digits), b"\r\n"]),
+        None => (b"GET ", [b""; 3]),
+    };
+    let end: &[u8] = if keep_alive { CONNECTION[1] } else { b"\r\n" };
+    [verb, path.as_bytes(), CLIENT_HEADERS[keep_alive as usize], label, len, crlf, end]
 }
 
 /// Incremental request parser fed one header line at a time.
@@ -253,18 +260,22 @@ const OK_TO_LENGTH: &[u8] = b"HTTP/1.1 200 OK\r\nServer: Flash/IO-Lite\r\nDate: 
 /// The `Connection` header and the blank line that ends a head.
 const CONNECTION: [&[u8]; 2] = [b"Connection: close\r\n\r\n", b"Connection: keep-alive\r\n\r\n"];
 
-/// The 200 head as the parts the server copies straight into its
-/// IO-Lite buffer: constant text around one decimal number, written by
-/// hand from the right of `digits` (`u64::MAX` has 20) — no `fmt`
-/// machinery, no intermediate `String`.
-pub(crate) fn ok_head(content_len: u64, keep_alive: bool, digits: &mut [u8; 20]) -> [&[u8]; 4] {
-    let (mut at, mut n) = (digits.len(), content_len);
+/// `n` in decimal, written by hand from the right of `digits`
+/// (`u64::MAX` has 20) — no `fmt` machinery, no intermediate `String`.
+fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &[u8] {
+    let mut at = digits.len();
     while at == digits.len() || n > 0 {
         at -= 1;
         digits[at] = b'0' + (n % 10) as u8;
         n /= 10;
     }
-    [OK_TO_LENGTH, &digits[at..], b"\r\n", CONNECTION[keep_alive as usize]]
+    &digits[at..]
+}
+
+/// The 200 head as the parts the server copies straight into its
+/// IO-Lite buffer: constant text around one [`decimal`] number.
+pub(crate) fn ok_head(content_len: u64, keep_alive: bool, digits: &mut [u8; 20]) -> [&[u8]; 4] {
+    [OK_TO_LENGTH, decimal(content_len, digits), b"\r\n", CONNECTION[keep_alive as usize]]
 }
 
 /// The 201 head, in parts like [`ok_head`].

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use iolite::buf::Aggregate;
-use iolite::core::{replay, CostModel, Kernel, KernelState, Pid};
+use iolite::core::{replay, CostModel, Kernel, KernelState, Pid, Whence};
 use iolite::fs::{home_shard, CacheKey, CacheOwnership, Policy};
 use iolite::http::event_loop::{EventLoopConfig, EventLoopServer};
 use iolite::http::sharded::{run_sharded, ShardedConfig};
@@ -156,6 +156,62 @@ fn put_over_a_huge_synthetic_file_never_materializes_it() {
     let (fd, _) = k.open(pid, "/huge").unwrap();
     let (agg, _) = k.iol_pread(pid, fd, 0, 1 << 40).unwrap();
     assert_eq!(agg.to_vec(), b"small");
+    assert_replays(k);
+}
+
+/// The store keeps a PUT body in the server's own buffers, so a
+/// snapshot must fork it rather than share it. Held across the rest of
+/// a PUT-heavy run, a snapshot leaves the live run's `state_hash` where
+/// an unsnapshotted twin's lands, and still digests as the state it
+/// took. (A store `clone` would keep the chunks under the snapshot's
+/// bodies alive, so the live pool would mint chunks its twin recycles.)
+#[test]
+fn a_held_snapshot_does_not_steer_the_live_run() {
+    let run = |snapshot_at: Option<u64>| {
+        let mut k = Kernel::with_policy(CostModel::pentium_ii_333(), Policy::Gds);
+        let pid = k.spawn("server");
+        let files: Vec<_> = (0..4).map(|f| k.create_file(&format!("/f{f}"), &[])).collect();
+        let pool = k.process(pid).pool().clone();
+        let mut held = None;
+        for round in 0..64 {
+            if snapshot_at == Some(round) {
+                held = Some((k.snapshot(), k.state_hash()));
+            }
+            let body = synthetic_put_body("/f", 20_000 + 97 * round);
+            k.put_install(pid, files[round as usize % 4], &Aggregate::from_bytes(&pool, &body));
+        }
+        (k.state_hash(), held)
+    };
+    let (twin, _) = run(None);
+    let (live, held) = run(Some(21));
+    assert_eq!(live, twin, "a held snapshot changed the live run");
+    let (snapshot, hash_when_taken) = held.unwrap();
+    assert_eq!(snapshot.state_hash(), hash_when_taken);
+}
+
+/// A POSIX `write` over a kept PUT body turns it into explicit bytes
+/// and patches them: the store and the cache read back the body with
+/// the patch in place, across the body's buffer boundaries and past its
+/// end, and the journal replays.
+#[test]
+fn a_posix_write_over_a_kept_body_reads_back() {
+    let mut k = journaled_kernel();
+    let pid = k.spawn("server");
+    let file = k.create_file("/doc", &[]);
+    let body = synthetic_put_body("/doc", 150_000);
+    let pool = k.process(pid).pool().clone();
+    k.put_install(pid, file, &Aggregate::from_bytes(&pool, &body));
+    let (fd, _) = k.open(pid, "/doc").unwrap();
+    let mut want = body;
+    for at in [65_530, 149_998] {
+        k.lseek(pid, fd, at, Whence::Set).unwrap();
+        k.posix_write_fd(pid, fd, b"patch").unwrap();
+        want.resize(want.len().max(at as usize + 5), 0);
+        want[at as usize..at as usize + 5].copy_from_slice(b"patch");
+    }
+    assert_eq!(k.store.read(file, 0, u64::MAX).unwrap(), want);
+    let (agg, _) = k.iol_pread(pid, fd, 0, u64::MAX).unwrap();
+    assert_eq!(agg.to_vec(), want);
     assert_replays(k);
 }
 
