@@ -70,7 +70,7 @@ impl KernelState {
         len: u64,
         fx: &mut Vec<Effect>,
     ) -> IoResult<SendOutcome> {
-        let sock = self.resolve_socket_mut(pid, fd, "accounted socket send")?;
+        let sock = self.resolve_socket(pid, fd, "accounted socket send")?;
         if sock.write_dead() {
             return Err(IolError::Closed);
         }

@@ -54,9 +54,6 @@ pub struct MetadataCache {
     /// path.
     index: FixedMap<Arc<str>, usize>,
     slots: Vec<Slot>,
-    /// Slots vacated by [`MetadataCache::invalidate`], reused before
-    /// `slots` grows.
-    free: Vec<usize>,
     /// Most recently used slot, or `NIL` when empty.
     head: usize,
     /// Least recently used slot — the next victim — or `NIL`.
@@ -78,7 +75,6 @@ impl MetadataCache {
             clock: 0,
             index: FixedMap::default(),
             slots: Vec::new(),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             hits: 0,
@@ -124,9 +120,6 @@ impl MetadataCache {
             self.index.remove(&*self.slots[victim].name);
             self.slots[victim] = slot;
             victim
-        } else if let Some(i) = self.free.pop() {
-            self.slots[i] = slot;
-            i
         } else {
             self.slots.push(slot);
             self.slots.len() - 1
@@ -134,14 +127,6 @@ impl MetadataCache {
         self.index.insert(name, i);
         self.link_front(i);
         Some((id, false))
-    }
-
-    /// Invalidates one name (file removal/rename). O(1).
-    pub fn invalidate(&mut self, name: &str) {
-        if let Some(i) = self.index.remove(name) {
-            self.unlink(i);
-            self.free.push(i);
-        }
     }
 
     /// Detaches slot `i` from the recency list.
@@ -245,14 +230,5 @@ mod tests {
         assert!(hit_a);
         let (_, hit_b) = c.lookup("/b", || Some(FileId(2))).unwrap();
         assert!(!hit_b);
-    }
-
-    #[test]
-    fn invalidate_forces_miss() {
-        let mut c = MetadataCache::new(4);
-        c.lookup("/a", || Some(FileId(1)));
-        c.invalidate("/a");
-        let (_, hit) = c.lookup("/a", || Some(FileId(9))).unwrap();
-        assert!(!hit);
     }
 }

@@ -19,7 +19,7 @@
 //! | [`buf`] | immutable buffers, slices, aggregates, ACL'd pools | §3.1, §3.3, §4.5 |
 //! | [`vm`] | the IO-Lite window, memory accounting, pageout, mmap | §3.7, §4.3 |
 //! | [`fs`] | disk model, unified file cache, LRU/GDS policies | §3.5, §4.2 |
-//! | [`net`] | mbufs, checksum cache, TCP send and reassembly model | §3.6, §3.9, §4.1 |
+//! | [`net`] | checksum cache, TCP send accounting and reassembly model (§4.1 mbufs assumed, not simulated) | §3.6, §3.9, §4.1 |
 //! | [`ipc`] | copy-mode and zero-copy pipes | §3.2, §4.4 |
 //! | [`core`] | the kernel facade, `IOL_read`/`IOL_write`, POSIX, costs | §3.4, §4 |
 //! | [`http`] | Flash / Flash-Lite / Apache models + experiment driver | §3.10, §5 |

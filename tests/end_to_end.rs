@@ -1,24 +1,25 @@
-//! End-to-end data-path integrity: the bytes a client reassembles from
-//! TCP segments must equal the bytes on disk, through every server
-//! model, the CGI path, and both pipe modes — all of it driven through
-//! the descriptor-based IOL API (files, pipes, and sockets behind fds).
+//! End-to-end data-path integrity: the bytes a server hands its socket
+//! must equal the bytes on disk, through every server model, the CGI
+//! path, and both pipe modes — all of it driven through the
+//! descriptor-based IOL API (files, pipes, and sockets behind fds).
+//!
+//! The wire itself is accounting (§4.1's mbufs are assumed, not built):
+//! a socket write is checked against the `SendOutcome` the kernel bills
+//! and the driver reserves as socket memory.
 
 use iolite::buf::Aggregate;
-use iolite::core::{CostModel, Kernel};
+use iolite::core::{CostModel, Kernel, Pid};
 use iolite::http::{parse_request, request_bytes, response_header, CgiProcess, ServerKind};
 use iolite::ipc::PipeMode;
-use iolite::net::{BufferMode, SegmentHeader, DEFAULT_MSS, DEFAULT_TSS};
+use iolite::net::{BufferMode, SendOutcome, DEFAULT_MSS, DEFAULT_TSS, TCP_IP_HEADER_BYTES};
 
-/// Reassembles the payload bytes of a segment stream.
-fn reassemble(chains: &[iolite::net::MbufChain]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for chain in chains {
-        let wire = chain.to_vec();
-        let h = SegmentHeader::parse(&wire).expect("valid header");
-        assert_eq!(h.payload_len as usize, wire.len() - 40);
-        out.extend_from_slice(&wire[40..]);
-    }
-    out
+/// Writes `payload` whole to a fresh blocking socket of `pid` in `mode`
+/// and returns the send accounting the write carries.
+fn socket_write(k: &mut Kernel, pid: Pid, mode: BufferMode, payload: &Aggregate) -> SendOutcome {
+    let sock = k.socket_create(pid, mode, DEFAULT_MSS, DEFAULT_TSS);
+    let (n, out) = k.iol_write_fd(pid, sock, payload).unwrap();
+    assert_eq!(n, payload.len(), "a blocking socket takes the whole write");
+    out.net.expect("socket writes carry SendOutcome")
 }
 
 #[test]
@@ -29,21 +30,30 @@ fn static_file_reaches_client_byte_exact_zero_copy() {
     let disk_bytes = k.store.read(file, 0, 150_000).unwrap();
 
     // The Flash-Lite path: IOL_read on the document fd, concat header,
-    // segment on the socket fd.
+    // IOL_write on the socket fd.
     let fd = k.open_file(pid, file);
     let (body, _) = k.iol_read_fd(pid, fd, 150_000).unwrap();
     let header = response_header(body.len(), false);
     let mut response = Aggregate::from_bytes(k.process(pid).pool(), &header);
     response.append(&body);
+    let sent = response.to_vec();
+    assert_eq!(&sent[..header.len()], &header[..]);
+    assert_eq!(&sent[header.len()..], &disk_bytes[..]);
 
-    let sock = k.socket_create(pid, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
-    let segments = k.socket(pid, sock).unwrap().build_segments(&response);
-    let received = reassemble(&segments);
-    assert_eq!(&received[..header.len()], &header[..]);
-    assert_eq!(&received[header.len()..], &disk_bytes[..]);
-    // Zero-copy: the segments own only their 40-byte headers.
-    let owned: usize = segments.iter().map(|c| c.owned_bytes()).sum();
-    assert_eq!(owned, segments.len() * 40);
+    // Zero-copy: nothing copied, every byte checksummed once, and the
+    // socket owns only each segment's 128-byte mbuf header.
+    let len = response.len();
+    let segments = len.div_ceil(DEFAULT_MSS as u64);
+    let expected = SendOutcome {
+        segments,
+        payload_bytes: len,
+        header_bytes: segments * TCP_IP_HEADER_BYTES as u64,
+        csum_bytes_computed: len,
+        csum_bytes_cached: 0,
+        bytes_copied: 0,
+        owned_occupancy: segments * 128,
+    };
+    assert_eq!(socket_write(&mut k, pid, BufferMode::ZeroCopy, &response), expected);
 }
 
 #[test]
@@ -54,13 +64,21 @@ fn static_file_reaches_client_byte_exact_copy_mode() {
     let disk_bytes = k.store.read(file, 0, 80_000).unwrap();
     let fd = k.open_file(pid, file);
     let (body, _) = k.iol_read_fd(pid, fd, 80_000).unwrap();
+    assert_eq!(body.to_vec(), disk_bytes);
 
-    let sock = k.socket_create(pid, BufferMode::Copy, DEFAULT_MSS, DEFAULT_TSS);
-    let segments = k.socket(pid, sock).unwrap().build_segments(&body);
-    assert_eq!(reassemble(&segments), disk_bytes);
-    // Copy mode: the segments own the payload too.
-    let owned: usize = segments.iter().map(|c| c.owned_bytes()).sum();
-    assert_eq!(owned, segments.len() * 40 + 80_000);
+    // Copy mode: the payload is copied and checksummed whole, and the
+    // socket reserves its full send buffer (Tss).
+    let segments = 80_000u64.div_ceil(DEFAULT_MSS as u64);
+    let expected = SendOutcome {
+        segments,
+        payload_bytes: 80_000,
+        header_bytes: segments * TCP_IP_HEADER_BYTES as u64,
+        csum_bytes_computed: 80_000,
+        csum_bytes_cached: 0,
+        bytes_copied: 80_000,
+        owned_occupancy: DEFAULT_TSS as u64,
+    };
+    assert_eq!(socket_write(&mut k, pid, BufferMode::Copy, &body), expected);
 }
 
 #[test]

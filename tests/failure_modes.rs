@@ -4,7 +4,6 @@
 use iolite::buf::{Acl, Aggregate, BufError, BufferPool, PoolId};
 use iolite::core::{CostModel, Fd, IolError, Kernel, Whence};
 use iolite::ipc::{Pipe, PipeMode};
-use iolite::net::SegmentHeader;
 
 #[test]
 fn oversized_allocation_is_rejected_not_truncated() {
@@ -156,25 +155,6 @@ fn writing_a_closed_pipe_panics_like_epipe() {
     p.close();
     let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 4096);
     p.write(&Aggregate::from_bytes(&pool, b"sigpipe"));
-}
-
-#[test]
-fn malformed_headers_do_not_parse() {
-    assert!(SegmentHeader::parse(&[]).is_none());
-    assert!(SegmentHeader::parse(&[0u8; 39]).is_none());
-    let mut ok = SegmentHeader {
-        src_ip: 1,
-        dst_ip: 2,
-        src_port: 3,
-        dst_port: 80,
-        seq: 0,
-        ack: 0,
-        flags: 0,
-        payload_len: 0,
-    }
-    .to_bytes();
-    ok[9] = 17; // UDP, not TCP.
-    assert!(SegmentHeader::parse(&ok).is_none());
 }
 
 #[test]

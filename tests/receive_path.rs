@@ -1,4 +1,4 @@
-//! The receive side of the stack: the segments a send puts on the wire
+//! The receive side of the stack: the segments a send is billed for
 //! reassemble, by reference and in any arrival order, into exactly the
 //! bytes sent; and the pool isolation between CGI instances that
 //! decides which process may map received data (§3.6, §3.10).
@@ -7,16 +7,17 @@
 //! payload handed to `Kernel::socket_deliver` already lives in the
 //! receiving process's pool (`tests/fd_semantics.rs` reads one back).
 
-use iolite::buf::{Acl, Aggregate, BufferPool, PoolId};
+use iolite::buf::Aggregate;
 use iolite::core::{CostModel, Kernel};
 use iolite::http::{CgiProcess, ServerKind};
 use iolite::ipc::PipeMode;
-use iolite::net::{BufferMode, SegmentHeader, TcpReceiver, DEFAULT_MSS, DEFAULT_TSS};
+use iolite::net::{BufferMode, TcpReceiver, DEFAULT_MSS, DEFAULT_TSS};
 
 #[test]
 fn send_and_receive_compose_byte_exact() {
-    // Serve a document, put its segments "on the wire", reassemble on
-    // the client side in reverse order: bytes must match the store.
+    // Serve a document, cut it at the MSS offsets its send bills
+    // segments for, reassemble on the client side in reverse order:
+    // bytes must match the store.
     let mut k = Kernel::new(CostModel::pentium_ii_333());
     let pid = k.spawn("server");
     let file = k.create_synthetic_file("/doc", 10_000, 4);
@@ -25,16 +26,18 @@ fn send_and_receive_compose_byte_exact() {
     let (body, _) = k.iol_read_fd(pid, fd, 10_000).unwrap();
 
     let sock = k.socket_create(pid, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
-    let mut segments = k.socket(pid, sock).unwrap().build_segments(&body);
+    let send = k.iol_write_fd(pid, sock, &body).unwrap().1.net.unwrap();
+    let len = body.len();
+    let mut segments: Vec<(u64, Aggregate)> = (0..len)
+        .step_by(DEFAULT_MSS)
+        .map(|seq| (seq, body.range(seq, (len - seq).min(DEFAULT_MSS as u64)).unwrap()))
+        .collect();
+    assert_eq!(segments.len() as u64, send.segments);
     segments.reverse(); // Worst-case delivery order.
 
-    let mut receiver = TcpReceiver::new(1); // build_segments starts at seq 1.
-    for chain in &segments {
-        let wire = chain.to_vec();
-        let h = SegmentHeader::parse(&wire).unwrap();
-        let pool = BufferPool::new(PoolId(9), Acl::kernel_only(), 64 * 1024);
-        let payload = Aggregate::from_bytes(&pool, &wire[40..]);
-        receiver.on_segment(h.seq as u64, payload);
+    let mut receiver = TcpReceiver::new(0);
+    for (seq, payload) in segments {
+        receiver.on_segment(seq, payload);
     }
     let got = receiver.read_available().unwrap();
     assert_eq!(got.to_vec(), expected);
