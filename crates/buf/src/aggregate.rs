@@ -37,7 +37,6 @@
 //! | [`Aggregate::from_bytes_aligned`], [`Aggregate::fill_aligned`] | O(bytes): one copy in, or each byte written once by the producer | 0 (likewise) |
 //! | [`Aggregate::cursor`], [`Aggregate::chunks`] | O(1) to create, zero-alloc to iterate | 0 |
 
-use std::collections::HashSet;
 use std::fmt;
 
 use crate::cursor::AggCursor;
@@ -425,25 +424,6 @@ impl Aggregate {
         self.cursor().starts_with(needle)
     }
 
-    /// Value equality (byte-wise), independent of fragmentation.
-    pub fn content_eq(&self, other: &Aggregate) -> bool {
-        if self.len != other.len {
-            return false;
-        }
-        // Compare run-by-run without materializing either side.
-        let mut a = self.cursor();
-        let mut b = other.cursor();
-        while let (Some(ca), Some(cb)) = (a.peek_chunk(), b.peek_chunk()) {
-            let n = ca.len().min(cb.len());
-            if ca[..n] != cb[..n] {
-                return false;
-            }
-            a.advance(n as u64);
-            b.advance(n as u64);
-        }
-        true
-    }
-
     /// A `std::io::Read` adapter over the aggregate.
     pub fn reader(&self) -> AggReader<'_> {
         AggReader::new(self)
@@ -480,39 +460,6 @@ impl Aggregate {
         Ok(out)
     }
 
-    /// The zero-copy variant of [`Aggregate::replace`]: returns a new
-    /// aggregate equal to `self` with `range` replaced by `patch`,
-    /// chaining *every* slice — head, patch, and tail — by reference.
-    /// No byte moves.
-    ///
-    /// This is the §3.5 copy-on-write write path for writers that
-    /// already own their new bytes as an aggregate (an upload body
-    /// reassembled from the wire): the patch is spliced over the cached
-    /// version while concurrent readers keep their references to the
-    /// old slices, so they observe only the complete old value — never
-    /// a torn mix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BufError::OutOfRange`] if `start + len` exceeds the
-    /// aggregate (including on arithmetic overflow).
-    pub fn splice_agg(&self, start: u64, len: u64, patch: &Aggregate) -> Result<Aggregate, BufError> {
-        let end = start.checked_add(len).ok_or(BufError::OutOfRange {
-            requested: u64::MAX,
-            available: self.len,
-        })?;
-        if end > self.len {
-            return Err(BufError::OutOfRange {
-                requested: end,
-                available: self.len,
-            });
-        }
-        let mut out = self.range(0, start).expect("validated");
-        out.append(patch);
-        out.append(&self.range(end, self.len - end).expect("validated"));
-        Ok(out)
-    }
-
     /// Defragments into a minimal number of contiguous buffers (the
     /// §3.8 "case 3" full copy, and the layout `mmap` needs). Each byte
     /// is copied exactly once, straight into the destination buffers.
@@ -526,27 +473,6 @@ impl Aggregate {
     /// copying each byte exactly once (no intermediate `Vec`).
     pub(crate) fn copy_from_agg(&mut self, pool: &BufferPool, src: &Aggregate) {
         self.append(&Self::gather(pool, src.len(), 1, src.chunks()));
-    }
-
-    /// Sum of distinct buffer bytes referenced, counting each underlying
-    /// buffer once at its **full** allocated size (used by memory
-    /// accounting: overlapping or repeated slices don't double-bill, and
-    /// a partial view still pins the whole buffer).
-    pub fn distinct_buffer_bytes(&self) -> u64 {
-        match self.num_slices() {
-            0 => 0,
-            1 => self.slice_at(0).buffer_len() as u64,
-            n => {
-                let mut seen = HashSet::with_capacity(n);
-                let mut total = 0u64;
-                for s in self.slices() {
-                    if seen.insert(s.buffer_key()) {
-                        total += s.buffer_len() as u64;
-                    }
-                }
-                total
-            }
-        }
     }
 }
 
@@ -751,17 +677,6 @@ mod tests {
         assert_eq!(a.copy_to(8, &mut buf), 0);
     }
 
-    #[test]
-    fn content_eq_ignores_fragmentation() {
-        let p = pool();
-        let a = Aggregate::from_bytes(&p, b"abcdef");
-        let b = Aggregate::from_bytes(&p, b"abc").concat(&Aggregate::from_bytes(&p, b"def"));
-        assert!(a.content_eq(&b));
-        let c = Aggregate::from_bytes(&p, b"abcdeX");
-        assert!(!a.content_eq(&c));
-        let d = Aggregate::from_bytes(&p, b"abcde");
-        assert!(!a.content_eq(&d));
-    }
 
     #[test]
     fn find_byte_and_starts_with() {
@@ -801,27 +716,6 @@ mod tests {
         assert!(a.replace(&p, 5, 5, b"!").is_err());
     }
 
-    #[test]
-    fn splice_agg_is_fully_by_reference() {
-        let p = pool();
-        let a = Aggregate::from_bytes(&p, b"GET /old.html HTTP/1.0");
-        let patch = Aggregate::from_bytes(&p, b"new");
-        let b = a.splice_agg(5, 3, &patch).unwrap();
-        assert_eq!(b.to_vec(), b"GET /new.html HTTP/1.0");
-        // Original is untouched (CoW: readers of `a` see the old value).
-        assert_eq!(a.to_vec(), b"GET /old.html HTTP/1.0");
-        // Head and tail share buffers with the original, and the patch
-        // region shares the patch's buffer — nothing was copied.
-        assert!(b.slice_at(0).same_buffer(a.slice_at(0)));
-        assert!(b.slice_at(1).same_buffer(patch.slice_at(0)));
-        assert!(b.slice_at(2).same_buffer(a.slice_at(0)));
-        // Whole-value splice: the result *is* the patch by reference.
-        let whole = a.splice_agg(0, a.len(), &patch).unwrap();
-        assert_eq!(whole.to_vec(), b"new");
-        assert!(whole.slice_at(0).same_buffer(patch.slice_at(0)));
-        // Bounds are still checked.
-        assert!(a.splice_agg(20, 5, &patch).is_err());
-    }
 
     #[test]
     fn pack_defragments() {
@@ -833,7 +727,7 @@ mod tests {
         assert_eq!(a.num_slices(), 10);
         let packed = a.pack(&p);
         assert_eq!(packed.num_slices(), 1);
-        assert!(packed.content_eq(&a));
+        assert_eq!(packed.to_vec(), a.to_vec());
     }
 
     #[test]
@@ -845,32 +739,6 @@ mod tests {
         let packed = frag.pack(&dst);
         assert_eq!(packed.to_vec(), data);
         assert_eq!(packed.num_slices(), 4, "200 bytes over 64-byte chunks");
-    }
-
-    #[test]
-    fn distinct_buffer_bytes_dedups() {
-        let p = pool();
-        let a = Aggregate::from_bytes(&p, b"abcd");
-        let s = a.slice_at(0).clone();
-        let mut dup = Aggregate::empty();
-        dup.append_slice(s.clone());
-        dup.append_slice(s);
-        assert_eq!(dup.len(), 8);
-        assert_eq!(dup.distinct_buffer_bytes(), 4);
-    }
-
-    #[test]
-    fn distinct_buffer_bytes_bills_whole_buffers() {
-        let p = pool();
-        let a = Aggregate::from_bytes(&p, b"abcdefgh");
-        let s = a.slice_at(0);
-        // Two disjoint partial views of one 8-byte buffer: the buffer is
-        // pinned once, at its full size.
-        let mut views = Aggregate::empty();
-        views.append_slice(s.sub(0, 2).unwrap());
-        views.append_slice(s.sub(5, 3).unwrap());
-        assert_eq!(views.len(), 5);
-        assert_eq!(views.distinct_buffer_bytes(), 8);
     }
 
     #[test]

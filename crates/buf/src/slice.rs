@@ -212,18 +212,6 @@ impl Slice {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Total byte count of the underlying buffer (the whole allocation,
-    /// not just this view) — what memory accounting bills per buffer.
-    pub(crate) fn buffer_len(&self) -> usize {
-        self.inner.bytes.len()
-    }
-
-    /// A key identifying the underlying buffer *instance* (stable across
-    /// clones and sub-views, distinct across generations).
-    pub(crate) fn buffer_key(&self) -> usize {
-        Arc::as_ptr(&self.inner) as usize
-    }
-
     /// Attempts the §3.1-footnote optimization: modify the buffer in
     /// place because nothing else can observe it.
     ///

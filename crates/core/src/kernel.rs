@@ -30,12 +30,12 @@
 
 use std::ops::Deref;
 
-use iolite_buf::{Acl, Aggregate, BufferPool, DomainId};
+use iolite_buf::{Acl, Aggregate, BufferPool};
 use iolite_fs::{CacheKey, FileId, Policy};
 use iolite_ipc::PipeMode;
 use iolite_net::{BufferMode, SendOutcome};
 use iolite_sim::SimTime;
-use iolite_vm::{MemAccount, MmapView};
+use iolite_vm::MemAccount;
 
 use crate::cost::{Charge, CostCategory, CostModel};
 use crate::error::{IoResult, IolError};
@@ -247,23 +247,10 @@ impl Kernel {
     /// Re-syncs the file-cache budget with the memory accountant and
     /// returns entries evicted by the shrink.
     ///
-    /// Evictions are reported to the pageout daemon as replaced
-    /// cached-I/O pages, feeding the §3.7 trigger statistics.
+    /// The cache holds what [`iolite_vm::PhysMemory::cache_budget`]
+    /// leaves it; §3.7's pageout trigger is assumed, not simulated.
     pub fn rebalance_cache(&mut self) -> usize {
         self.run(|s, _| s.op_rebalance_cache(), || Command::RebalanceCache)
-    }
-
-    /// Reports VM replacement pressure from non-cache pages (application
-    /// anonymous memory being paged) and applies the §3.7 rule through
-    /// the pageout arbiter: relieve armed pressure by evicting one
-    /// clean entry, or by flushing a write-back batch when the dirty
-    /// pool dominates (dirty entries are never discarded). Returns
-    /// whether the cache shrank or cleaned anything.
-    pub fn vm_pressure(&mut self, other_pages: u64) -> bool {
-        self.run(
-            |s, fx| s.op_vm_pressure(other_pages, fx),
-            || Command::VmPressure { other_pages },
-        )
     }
 
     // ---- the write path (PR 10) ----------------------------------------
@@ -378,33 +365,6 @@ impl Kernel {
         self.run(
             |s, _| s.op_set_checksum_cache(enabled),
             || Command::SetChecksumCache { enabled },
-        )
-    }
-
-    // ---- window transfers ----------------------------------------------
-
-    /// Makes an aggregate's chunks readable in `domain` if `acl` admits
-    /// it (transfers between mutually untrusting processes, §3.10),
-    /// billing only first-time page mappings (§3.2). Returns newly
-    /// mapped pages.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`iolite_vm::AccessDenied`] when `domain` is not on
-    /// `acl`.
-    pub fn transfer_with_acl(
-        &mut self,
-        agg: &Aggregate,
-        domain: DomainId,
-        acl: &Acl,
-    ) -> Result<u64, iolite_vm::AccessDenied> {
-        self.run(
-            |s, fx| s.op_transfer_with_acl(agg, domain, acl, fx),
-            || Command::TransferWithAcl {
-                agg: agg.clone(),
-                domain,
-                acl: acl.clone(),
-            },
         )
     }
 
@@ -805,18 +765,6 @@ impl Kernel {
         )
     }
 
-    /// Maps the whole file behind a descriptor (§3.8 `mmap`).
-    ///
-    /// # Errors
-    ///
-    /// As [`Kernel::iol_pread`].
-    pub fn mmap_fd(&mut self, pid: Pid, fd: Fd) -> IoResult<MmapView> {
-        self.run(
-            |s, fx| s.op_mmap_fd(pid, fd, fx),
-            || Command::MmapFd { pid, fd },
-        )
-    }
-
     /// Reads the whole document behind `fd` through a mapping, as Flash
     /// and Apache serve it: no trap (a mapped access is a memory
     /// reference), first-time page mappings billed. With `cached`
@@ -940,7 +888,7 @@ mod tests {
         let (a2, o2) = k.iol_pread(pid, fd, 0, 100_000).unwrap();
         assert!(o2.cache_hit);
         assert_eq!(k.metrics.disk_bytes, 100_000, "the hit read no disk");
-        assert!(a1.content_eq(&a2));
+        assert_eq!(a1.to_vec(), a2.to_vec());
         // Same physical copy.
         assert!(a1.slice_at(0).same_buffer(a2.slice_at(0)));
     }
@@ -1075,27 +1023,27 @@ mod tests {
         assert_eq!(metrics, k.metrics);
     }
 
-    /// Dirty entries survive memory pressure: the pageout arbiter
-    /// flushes them instead of discarding, and only then evicts.
+    /// A budget collapse evicts only clean entries: a dirty one stays
+    /// until write-back cleans it, and only then may it go.
     #[test]
-    fn vm_pressure_on_dirty_cache_writes_back() {
+    fn budget_collapse_keeps_dirty_entries_until_write_back() {
         let mut k = kernel();
         let pid = k.spawn("server");
         let f = k.create_file("/doc", b"x");
         let body = Aggregate::from_bytes(k.process(pid).pool(), &vec![7u8; 8192]);
         k.put_install(pid, f, &body);
-        // Make cached-I/O replacements dominate so §3.7 arms, with the
-        // only cache entry dirty: a clean 8-page neighbour is squeezed
-        // out by a budget collapse (dirty entries are never victims).
         let clean = k.create_synthetic_file("/clean", 8 * 4096, 1);
         let fd = k.open_file(pid, clean);
         k.iol_pread(pid, fd, 0, 8 * 4096).unwrap();
         k.mem_reserve(MemAccount::SocketCopies, u64::MAX / 2);
         assert_eq!(k.rebalance_cache(), 1, "only the clean entry can go");
-        assert!(k.vm_pressure(0), "armed pressure must act");
-        assert_eq!(k.pageout.dirty_writebacks(), 1);
-        assert!(!k.cache.is_dirty(&CacheKey::whole(f)), "flushed, not lost");
+        let doc = CacheKey::whole(f);
+        assert!(k.cache.is_dirty(&doc), "dirty entries are never victims");
+        assert_eq!(k.write_back(0), body.len());
+        assert!(!k.cache.is_dirty(&doc), "flushed, not lost");
         assert_eq!(k.store.read(f, 0, 1).unwrap(), b"\x07");
+        assert_eq!(k.rebalance_cache(), 1, "clean now, it may go");
+        assert!(!k.cache.contains(&doc));
     }
 
     #[test]
@@ -1187,21 +1135,25 @@ mod tests {
     }
 
     #[test]
-    fn acl_transfers_bill_first_time_mappings_once() {
+    fn acl_pipe_reads_bill_first_time_mappings_once() {
         let mut k = kernel();
-        let pid = k.spawn("reader");
-        let acl = Acl::with_domain(pid.domain());
-        let pool = k.create_pool(acl.clone());
+        let (writer, reader) = (k.spawn("writer"), k.spawn("reader"));
+        let acl = Acl::with_domains(&[writer.domain(), reader.domain()]);
+        let (w, r) = k.pipe_between_with_acl(writer, reader, PipeMode::ZeroCopy, acl.clone());
+        let pool = k.create_pool(acl);
         let data = Aggregate::from_bytes(&pool, &[9u8; 3 * 4096]);
-        let (before, t) = (k.metrics.time_in(CostCategory::PageMap), k.now());
-        let pages = k.transfer_with_acl(&data, pid.domain(), &acl).unwrap();
+        let map_time = |k: &Kernel| k.metrics.time_in(CostCategory::PageMap);
+        let read = |k: &mut Kernel| {
+            k.iol_write_fd(writer, w, &data).unwrap();
+            let (pages, time) = (k.metrics.pages_mapped, map_time(k));
+            k.iol_read_fd(reader, r, u64::MAX).unwrap();
+            (k.metrics.pages_mapped - pages, map_time(k) - time)
+        };
+        let (pages, billed) = read(&mut k);
         assert!(pages > 0);
-        let billed = k.metrics.time_in(CostCategory::PageMap);
-        assert_eq!(billed - before, k.cost.page_maps(pages).time);
-        assert_eq!(k.now() - t, billed - before, "on the clock too");
-        // A warm transfer maps nothing and bills nothing.
-        assert_eq!(k.transfer_with_acl(&data, pid.domain(), &acl).unwrap(), 0);
-        assert_eq!(k.metrics.time_in(CostCategory::PageMap), billed);
+        assert_eq!(billed, k.cost.page_maps(pages).time);
+        // A warm read maps nothing and bills nothing.
+        assert_eq!(read(&mut k), (0, SimTime::ZERO));
     }
 
     #[test]
@@ -1265,19 +1217,6 @@ mod tests {
         k.close_fd(a, w_dup).unwrap();
         let (eof, _) = k.iol_read_fd(b, r, 10).unwrap();
         assert!(eof.is_empty());
-    }
-
-    #[test]
-    fn mmap_returns_working_view() {
-        let mut k = kernel();
-        let pid = k.spawn("app");
-        let f = k.create_synthetic_file("/f", 10_000, 3);
-        let fd = k.open_file(pid, f);
-        let (mut view, _) = k.mmap_fd(pid, fd).unwrap();
-        assert_eq!(view.len(), 10_000);
-        assert!(k.metrics.pages_mapped > 0);
-        let direct = k.store.read(f, 0, 10_000).unwrap();
-        assert_eq!(view.read_all(), direct);
     }
 
     #[test]
@@ -1510,34 +1449,6 @@ mod tests {
         k.iol_write_fd(a, Fd::STDOUT, &msg).unwrap();
         let (got, _) = k.iol_read_fd(b, Fd::STDIN, 100).unwrap();
         assert_eq!(got.to_vec(), b"a | b");
-    }
-
-    #[test]
-    fn pageout_trigger_evicts_under_cache_heavy_replacement() {
-        let mut k = kernel();
-        let pid = k.spawn("app");
-        // Fill the cache, then squeeze it so replacements are dominated
-        // by cached-I/O pages.
-        for i in 0..8 {
-            let f = k.create_synthetic_file(&format!("/f{i}"), 1 << 20, i);
-            let fd = k.open_file(pid, f);
-            k.iol_pread(pid, fd, 0, 1 << 20).unwrap();
-        }
-        let resident_before = k.cache.resident_bytes();
-        assert!(resident_before > 0);
-        let squeeze = k.physmem.available() + resident_before / 2;
-        k.mem_reserve(MemAccount::SocketCopies, squeeze);
-        k.rebalance_cache();
-        // The daemon saw cached-I/O replacements; light "other" traffic
-        // must now trigger the half rule.
-        assert!(k.pageout.total_cached_io() > 0);
-        let evicted = k.vm_pressure(1);
-        assert!(evicted, "majority cached-I/O traffic must evict");
-        assert!(k.pageout.evictions() >= 1);
-        assert!(k.pageout.backing_writes() >= 1);
-        // Heavy non-cache pressure resets the balance: no more evictions.
-        let again = k.vm_pressure(10_000);
-        assert!(!again, "other-page traffic dominates now");
     }
 
     #[test]

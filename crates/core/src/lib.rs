@@ -22,7 +22,6 @@
 //!   backward-compatible copying interface ("a data copy operation is
 //!   used to move data between application buffers and IO-Lite
 //!   buffers", §4.2).
-//! * [`Kernel::mmap_fd`] — the contiguous-mapping escape hatch of §3.8.
 //! * [`Kernel::open`], [`Kernel::lseek`] (with [`Whence`]),
 //!   [`Kernel::dup_fd`]/[`Kernel::dup2_fd`], [`Kernel::close_fd`] — the
 //!   "unchanged" descriptor plumbing, with POSIX lowest-free numbering.
@@ -39,8 +38,11 @@
 //! | `IOL_write(fd, agg)` | [`Kernel::iol_write_fd`] → [`IoResult`]`<u64>`; "replaces the data in an external data object" |
 //! | create/delete allocation pools | [`Kernel::create_pool`]; dropping the handle deletes the pool once its buffers drain |
 //! | aggregate create/dup/concat/trunc | methods on [`iolite_buf::Aggregate`] |
-//! | `mmap` | [`Kernel::mmap_fd`] |
+//! | `mmap` | [`Kernel::mapped_read`] (a whole-document mapped read, as Flash and Apache serve) |
 //! | "all other file-descriptor-related UNIX system calls" | [`Kernel::open`], [`Kernel::lseek`], [`Kernel::dup_fd`]/[`Kernel::dup2_fd`], [`Kernel::close_fd`], `pipe(2)` via [`Kernel::pipe_fds`]/[`Kernel::pipe_between`], sockets via [`Kernel::socket_create`] |
+//!
+//! §3.7's pageout trigger and §3.8 case 3's lazy, copy-on-write `mmap`
+//! view are **assumed, not simulated** (see [`Kernel::rebalance_cache`]).
 //!
 //! Misuse (`NotOpen`, `BadFdKind`, ACL denial, EOF vs `WouldBlock`,
 //! short writes) is an [`IolError`] value, never a panic. The table,
@@ -74,9 +76,9 @@
 //! let shared = k.create_pool(Acl::with_domains(&[pid.domain(), peer.domain()]));
 //! assert!(shared.acl().allows(peer.domain()));
 //!
-//! // mmap: the contiguous view sees the replaced bytes.
-//! let (mut view, _) = k.mmap_fd(pid, fd).unwrap();
-//! assert_eq!(view.read_all(), b"ABC3456789");
+//! // mmap: a mapped read of the whole file sees the replaced bytes.
+//! let (mapped, _) = k.mapped_read(pid, fd, false).unwrap();
+//! assert_eq!(mapped.to_vec(), b"ABC3456789");
 //! ```
 //!
 //! # Cost accounting

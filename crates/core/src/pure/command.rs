@@ -1,7 +1,7 @@
 //! Commands: every kernel mutation as a value, plus the journal that
 //! records them for deterministic replay.
 
-use iolite_buf::{Acl, Aggregate, DomainId};
+use iolite_buf::{Acl, Aggregate};
 use iolite_fs::{CacheKey, FileId};
 use iolite_ipc::PipeMode;
 use iolite_net::BufferMode;
@@ -37,7 +37,6 @@ pub enum Command {
     CreateFile { name: String, data: Vec<u8> },
     CreateSyntheticFile { name: String, len: u64, seed: u64 },
     RebalanceCache,
-    VmPressure { other_pages: u64 },
     CachePin { key: CacheKey },
     CacheUnpin { key: CacheKey },
     CacheInstall { file: FileId, data: Vec<u8> },
@@ -49,9 +48,6 @@ pub enum Command {
     SetWriteback { cfg: iolite_fs::WritebackConfig },
     MemReserve { account: MemAccount, bytes: u64 },
     MemRelease { account: MemAccount, bytes: u64 },
-
-    // -- window transfers --
-    TransferWithAcl { agg: Aggregate, domain: DomainId, acl: Acl },
 
     // -- sockets --
     SocketCreate { pid: Pid, mode: BufferMode, mss: usize, tss: usize },
@@ -82,7 +78,6 @@ pub enum Command {
     IolPwrite { pid: Pid, fd: Fd, offset: u64, agg: Aggregate },
     PosixReadFd { pid: Pid, fd: Fd, len: u64 },
     PosixWriteFd { pid: Pid, fd: Fd, data: Vec<u8> },
-    MmapFd { pid: Pid, fd: Fd },
     MappedRead { pid: Pid, fd: Fd, cached: bool },
 
     // -- stdio console --

@@ -5,7 +5,6 @@
 use iolite_buf::{Acl, Aggregate};
 use iolite_fs::FileId;
 use iolite_ipc::PipeMode;
-use iolite_vm::MmapView;
 
 use super::effect::Effect;
 use super::state::{IoOutcome, KernelState};
@@ -449,15 +448,5 @@ impl KernelState {
         let out = self.op_posix_file_write(pid, file, pos, data, fx);
         self.fds.advance(pid, fd, data.len() as u64);
         Ok((data.len() as u64, out))
-    }
-
-    /// Maps the whole file behind a descriptor (§3.8 `mmap`).
-    ///
-    /// # Errors
-    ///
-    /// As [`KernelState::op_iol_pread`].
-    pub(crate) fn op_mmap_fd(&mut self, pid: Pid, fd: Fd, fx: &mut Vec<Effect>) -> IoResult<MmapView> {
-        let file = self.resolve_file(pid, fd, "mmap")?;
-        Ok(self.op_file_mmap(pid, file, fx))
     }
 }

@@ -9,7 +9,7 @@
 
 use iolite_buf::{Acl, Aggregate, DomainId};
 use iolite_fs::{CacheKey, FileContent, FileId};
-use iolite_vm::{MemAccount, MmapView};
+use iolite_vm::MemAccount;
 
 use super::effect::Effect;
 use super::state::{IoOutcome, KernelState};
@@ -32,72 +32,18 @@ impl KernelState {
         self.store.create_synthetic(name, len, seed)
     }
 
-    // ---- cache budget and VM pressure ----------------------------------
+    // ---- cache budget ------------------------------------------------
 
     /// Re-syncs the file-cache budget with the memory accountant and
-    /// returns entries evicted by the shrink.
-    ///
-    /// Evictions are reported to the pageout daemon as replaced
-    /// cached-I/O pages, feeding the §3.7 trigger statistics.
+    /// returns the number of entries the shrink evicted.
     pub(crate) fn op_rebalance_cache(&mut self) -> usize {
         self.physmem
             .set(MemAccount::FileCache, self.cache.resident_bytes());
         let budget = self.physmem.cache_budget();
-        let evicted = self.cache.set_budget(budget);
-        for (_, agg) in &evicted {
-            let pages = agg.len().div_ceil(iolite_buf::PAGE_SIZE as u64);
-            for _ in 0..pages.min(64) {
-                self.pageout.page_replaced(iolite_vm::PageClass::CachedIo);
-            }
-        }
+        let evicted = self.cache.set_budget(budget).len();
         self.physmem
             .set(MemAccount::FileCache, self.cache.resident_bytes());
-        evicted.len()
-    }
-
-    /// Reports VM replacement pressure from non-cache pages (application
-    /// anonymous memory being paged) and applies the §3.7 rule through
-    /// the pageout arbiter: when more than half of recently replaced
-    /// pages held cached I/O data, pressure is relieved either by
-    /// evicting one *clean* cache entry, or — when the dirty pool has
-    /// passed the write-back threshold or nothing clean remains — by
-    /// flushing a write-back batch first (cleaning mints new victims;
-    /// discarding dirty data would lose writes). Returns whether the
-    /// cache shrank or cleaned anything.
-    pub(crate) fn op_vm_pressure(&mut self, other_pages: u64, fx: &mut Vec<Effect>) -> bool {
-        for _ in 0..other_pages {
-            self.pageout.page_replaced(iolite_vm::PageClass::Other);
-        }
-        let has_clean_victim = self.cache.len() > self.cache.dirty_len();
-        match self.pageout.arbitrate(
-            self.cache.dirty_bytes(),
-            self.writeback.config().dirty_threshold_bytes,
-            has_clean_victim,
-        ) {
-            iolite_vm::PageoutAction::Idle => false,
-            iolite_vm::PageoutAction::WriteBack => {
-                let flushed = self.op_write_back(0, fx);
-                if flushed > 0 {
-                    self.pageout.eviction_performed();
-                }
-                flushed > 0
-            }
-            iolite_vm::PageoutAction::EvictClean => {
-                if let Some((_, agg)) = self.cache.evict_one() {
-                    // The evicted entry's pages would go to their
-                    // backing stores (paging space + the files they
-                    // cache).
-                    let pages = agg.len().div_ceil(iolite_buf::PAGE_SIZE as u64);
-                    self.pageout
-                        .backing_store_write(1, pages * iolite_buf::PAGE_SIZE as u64);
-                    self.pageout.eviction_performed();
-                    self.physmem
-                        .set(MemAccount::FileCache, self.cache.resident_bytes());
-                    return true;
-                }
-                false
-            }
-        }
+        evicted
     }
 
     /// Pins a cache entry's key (e.g. while the network transmits it).
@@ -386,20 +332,6 @@ impl KernelState {
         let out = self.op_write_file_at(pid, file, offset, &agg, fx);
         self.bill(CostCategory::Copy, self.cost.copy(data.len() as u64), fx);
         out
-    }
-
-    /// Maps a whole file (§3.8 `mmap`): contiguous view, lazy alignment
-    /// copies, COW against cached snapshots.
-    pub(crate) fn op_file_mmap(
-        &mut self,
-        pid: Pid,
-        file: FileId,
-        fx: &mut Vec<Effect>,
-    ) -> (MmapView, IoOutcome) {
-        let mut out = IoOutcome::trap(self, fx);
-        let whole = self.op_read_whole_cached(file, &mut out, fx);
-        self.map_into(pid, &whole, fx);
-        (MmapView::new(whole), out)
     }
 
     /// Reads the whole file behind `fd` through a mapping (see

@@ -19,7 +19,7 @@ use iolite_fs::{
 use iolite_ipc::Pipe;
 use iolite_net::{ChecksumCache, SendOutcome, TcpConn};
 use iolite_sim::SimTime;
-use iolite_vm::{IoLiteWindow, MemAccount, PageoutDaemon, PhysMemory};
+use iolite_vm::{IoLiteWindow, MemAccount, PhysMemory};
 
 use super::ids::{ConnId, IdAlloc, PipeId};
 use crate::cost::{Charge, CostCategory, CostModel};
@@ -246,8 +246,6 @@ pub struct KernelState {
     pub window: IoLiteWindow,
     /// Physical-memory accountant.
     pub physmem: PhysMemory,
-    /// The §3.7 pageout daemon.
-    pub pageout: PageoutDaemon,
     /// File contents.
     pub store: FileStore,
     /// The "old" metadata buffer cache.
@@ -293,7 +291,6 @@ impl KernelState {
             cost,
             window: IoLiteWindow::new(iolite_buf::DEFAULT_CHUNK_SIZE),
             physmem,
-            pageout: PageoutDaemon::new(),
             store: FileStore::new(),
             meta: MetadataCache::new(4096),
             cache: UnifiedCache::new(policy, budget),
@@ -591,7 +588,6 @@ impl KernelState {
             cost: self.cost,
             window: self.window.clone(),
             physmem: self.physmem.clone(),
-            pageout: self.pageout.clone(),
             store: self.store.fork(&mut forker),
             meta: self.meta.clone(),
             cache,
@@ -623,7 +619,6 @@ impl KernelState {
         self.ids.digest(&mut h);
         self.window.digest(&mut h);
         self.physmem.digest(&mut h);
-        self.pageout.digest(&mut h);
         self.store.digest(&mut h);
         self.meta.digest(&mut h);
         self.cache.digest(&mut h);

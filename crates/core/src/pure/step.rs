@@ -12,9 +12,9 @@ use crate::metrics::Metrics;
 /// transitions the imperative shell runs: deterministic, no I/O, no
 /// wall clock, no randomness.
 ///
-/// Typed return values (descriptors, aggregates, mmap views, send
-/// outcomes) are the shell's business — it calls the `op_*` methods
-/// directly; `step` reports only whether the command was rejected.
+/// Typed return values (descriptors, aggregates, send outcomes) are
+/// the shell's business — it calls the `op_*` methods directly; `step`
+/// reports only whether the command was rejected.
 /// The match is exhaustive by construction: a wildcard arm is a clippy
 /// error (two lints — clippy reports a wildcard standing in for exactly
 /// one variant under a different name), so a new [`Command`] variant
@@ -54,9 +54,6 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
         Command::RebalanceCache => {
             state.op_rebalance_cache();
         }
-        Command::VmPressure { other_pages } => {
-            state.op_vm_pressure(*other_pages, fx);
-        }
         Command::CachePin { key } => state.op_cache_pin(*key),
         Command::CacheUnpin { key } => state.op_cache_unpin(*key),
         Command::CacheInstall { file, data } => {
@@ -77,15 +74,6 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
         Command::SetWriteback { cfg } => state.op_set_writeback(*cfg),
         Command::MemReserve { account, bytes } => state.op_mem_reserve(*account, *bytes),
         Command::MemRelease { account, bytes } => state.op_mem_release(*account, *bytes),
-
-        // -- window transfers --
-        Command::TransferWithAcl { agg, domain, acl } => {
-            state
-                .op_transfer_with_acl(agg, *domain, acl, fx)
-                .map_err(|denied| IolError::PermissionDenied {
-                    domain: denied.domain,
-                })?;
-        }
 
         // -- sockets --
         Command::SocketCreate { pid, mode, mss, tss } => {
@@ -157,9 +145,6 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
         }
         Command::PosixWriteFd { pid, fd, data } => {
             state.op_posix_write_fd(*pid, *fd, data, fx)?;
-        }
-        Command::MmapFd { pid, fd } => {
-            state.op_mmap_fd(*pid, *fd, fx)?;
         }
         Command::MappedRead { pid, fd, cached } => {
             state.op_mapped_read(*pid, *fd, *cached, fx)?;

@@ -45,7 +45,6 @@ enum Op {
     MappedRead(u8, bool),
     MemReserve(u16),
     MemRelease(u16),
-    VmPressure(u8),
     RebalanceCache,
     SetChecksumCache(bool),
     FeedStdin(u8),
@@ -93,7 +92,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u8>(), any::<bool>()).prop_map(|(fd, cached)| Op::MappedRead(fd, cached)),
         any::<u16>().prop_map(Op::MemReserve),
         any::<u16>().prop_map(Op::MemRelease),
-        any::<u8>().prop_map(Op::VmPressure),
         Just(Op::RebalanceCache),
         any::<bool>().prop_map(Op::SetChecksumCache),
         any::<u8>().prop_map(Op::FeedStdin),
@@ -241,9 +239,6 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
         Op::MemRelease(b) => Command::MemRelease {
             account: MemAccount::SocketCopies,
             bytes: u64::from(*b),
-        },
-        Op::VmPressure(p) => Command::VmPressure {
-            other_pages: u64::from(*p),
         },
         Op::RebalanceCache => Command::RebalanceCache,
         Op::SetChecksumCache(on) => Command::SetChecksumCache { enabled: *on },

@@ -259,8 +259,8 @@ impl UnifiedCache {
     /// §3.5). Dirty entries are exempt from eviction until the
     /// write-back scheduler marks them clean — discarding one would
     /// lose the write — so the budget may be transiently exceeded when
-    /// only dirty entries remain; the pageout arbiter resolves that by
-    /// scheduling write-back, not eviction.
+    /// only dirty entries remain; the write-back scheduler's dirty
+    /// threshold relieves that between ticks, not eviction.
     ///
     /// Returns evicted (clean) entries, as [`UnifiedCache::insert`].
     pub fn insert_dirty(&mut self, key: CacheKey, agg: Aggregate) -> Vec<(CacheKey, Aggregate)> {
@@ -371,11 +371,6 @@ impl UnifiedCache {
         self.dirty_bytes
     }
 
-    /// Number of dirty entries.
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// Dirty keys in deterministic (key) order — the flush order the
     /// write-back scheduler batches from.
     pub fn dirty_keys(&self) -> impl Iterator<Item = &CacheKey> {
@@ -417,15 +412,13 @@ impl UnifiedCache {
     /// unpinned victim, else the best clean pinned one (the §3.7
     /// two-level rule). Dirty entries are never victims — discarding
     /// one would lose a write the store hasn't seen — so a cache whose
-    /// remaining entries are all dirty returns `None` and the pageout
-    /// arbiter must schedule write-back instead.
+    /// remaining entries are all dirty returns `None` until write-back
+    /// cleans one.
     ///
     /// Amortized O((1 + D) log n) where D is the number of dirty entries
     /// ranked ahead of the victim; D is bounded by the write-back
     /// scheduler's dirty threshold, so the complexity contract survives
     /// write bursts.
-    ///
-    /// Also used directly by the pageout-daemon trigger.
     pub fn evict_one(&mut self) -> Option<(CacheKey, Aggregate)> {
         let (ord, key) = match self.best_clean(false) {
             Some(victim) => victim,
@@ -841,7 +834,6 @@ mod tests {
         c.insert(kc, agg(&p, 100));
         assert!(c.is_dirty(&kd));
         assert_eq!(c.dirty_bytes(), 100);
-        assert_eq!(c.dirty_len(), 1);
         // The dirty entry is LRU-older, but the clean one is the victim.
         let (victim, _) = c.evict_one().unwrap();
         assert_eq!(victim, kc);
@@ -873,7 +865,6 @@ mod tests {
         c.insert_dirty(k, agg(&p, 100));
         c.insert_dirty(k, agg(&p, 300));
         assert_eq!(c.dirty_bytes(), 300);
-        assert_eq!(c.dirty_len(), 1);
         let s = c.stats();
         assert_eq!((s.dirty_installs, s.dirty_coalesced), (2, 1));
         // A clean install over a dirty entry also retires the dirty

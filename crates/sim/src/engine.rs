@@ -107,11 +107,6 @@ impl<E> EventQueue<E> {
         Some((entry.at, entry.event))
     }
 
-    /// Returns the timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// The current simulated time (timestamp of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
@@ -181,9 +176,7 @@ mod tests {
         assert!(q.is_empty());
         q.schedule(SimTime::ZERO, ());
         assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::ZERO));
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 }

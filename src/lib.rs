@@ -17,7 +17,7 @@
 //! | module | contents | paper |
 //! |---|---|---|
 //! | [`buf`] | immutable buffers, slices, aggregates, ACL'd pools | §3.1, §3.3, §4.5 |
-//! | [`vm`] | the IO-Lite window, memory accounting, pageout, mmap | §3.7, §4.3 |
+//! | [`vm`] | the IO-Lite window, memory accounting (§3.7 pageout and §3.8 `mmap` views assumed, not simulated) | §3.7, §3.8, §4.3 |
 //! | [`fs`] | disk model, unified file cache, LRU/GDS policies | §3.5, §4.2 |
 //! | [`net`] | checksum cache, TCP send accounting and reassembly model (§4.1 mbufs assumed, not simulated) | §3.6, §3.9, §4.1 |
 //! | [`ipc`] | copy-mode and zero-copy pipes | §3.2, §4.4 |

@@ -1,0 +1,141 @@
+//! Scenario fingerprints: fixed storms and paper-server experiments at
+//! small sizes, each reduced to one line of observable outputs and
+//! compared with the committed table `tests/golden_runs.txt`.
+//!
+//! A storm line holds its headline counts and an FNV-64 digest of
+//! everything the run shows from outside: per shard, the kernel's
+//! `Metrics` (`time_by_category` included), `CacheStats`,
+//! `CksumCacheStats`, `LoopStats` and every completed response (its
+//! connection, path, size, hit flag and exact bytes); per run, the wire
+//! counters, the violations and the quiesce time. An experiment line
+//! digests its `ExperimentResult`, which is what the figures read.
+//!
+//! The kernel's `state_hash` is left out on purpose. It digests internal
+//! layout, which moves when a deleted field leaves the digest while
+//! nothing observable moves; this table is the check that nothing did.
+//!
+//! On a mismatch the test prints the whole new table. A change that
+//! moves a line says why in its description and commits the new table.
+
+use std::fmt::{Debug, Write as _};
+
+use iolite::buf::Fnv64;
+use iolite::core::CostModel;
+use iolite::http::{Experiment, ExperimentConfig, ServerKind, WorkloadKind};
+use iolite::storm::{run_storm, StormConfig};
+use iolite::trace::{TraceSpec, Workload};
+
+const GOLDEN: &str = include_str!("golden_runs.txt");
+
+/// Folds a value's `Debug` rendering into `h`: every field, by name.
+fn fold(h: &mut Fnv64, value: &impl Debug) {
+    h.write_str(&format!("{value:?}"));
+}
+
+fn storm_line(name: &str, preset: StormConfig, shards: usize) -> String {
+    let cfg = StormConfig {
+        shards,
+        capture_responses: true,
+        ..preset
+    };
+    let report = run_storm(&cfg);
+    let mut h = Fnv64::new();
+    for (kernel, run) in report.kernels.iter().zip(&report.reports) {
+        fold(&mut h, &kernel.metrics);
+        fold(&mut h, &kernel.cache.stats());
+        fold(&mut h, &kernel.cksum.stats());
+        fold(&mut h, &run.stats);
+        for req in &run.requests {
+            fold(&mut h, &(req.conn, &req.path, req.bytes, req.cache_hit));
+            h.write_bytes(req.response.as_deref().unwrap_or_default());
+        }
+    }
+    fold(&mut h, &report.wire);
+    fold(&mut h, &report.violations);
+    fold(&mut h, &report.sim_time);
+    format!(
+        "storm {name} seed={} shards={shards} completed={} failed={} segments={} digest={:016x}",
+        cfg.seed,
+        report.completed(),
+        report.failed(),
+        report.wire.segments,
+        h.finish()
+    )
+}
+
+fn experiment_line(name: &str, server: ServerKind, workload: WorkloadKind) -> String {
+    let mut cfg = ExperimentConfig::new(server, workload);
+    cfg.clients = 16;
+    cfg.requests = 300;
+    cfg.warmup = 50;
+    cfg.seed = 1;
+    // A small machine: once the conventional servers reserve their
+    // socket copies, the file cache no longer holds the data set.
+    cfg.cost = CostModel {
+        ram_bytes: 5 << 20,
+        kernel_reserve_bytes: 2 << 20,
+        server_reserve_bytes: 1 << 20,
+        ..CostModel::pentium_ii_333()
+    };
+    let result = Experiment::run_config(cfg);
+    let mut h = Fnv64::new();
+    fold(&mut h, &result);
+    format!(
+        "experiment {name} requests={} failed={} evictions={} digest={:016x}",
+        result.requests,
+        result.failed_requests,
+        result.evictions,
+        h.finish()
+    )
+}
+
+fn table() -> String {
+    let presets = [
+        ("calm", StormConfig::calm(1)),
+        ("hostile", StormConfig::hostile(1)),
+        ("chaos", StormConfig::chaos(1)),
+        ("writes", StormConfig::writes(1)),
+        ("write_chaos", StormConfig::write_chaos(1)),
+    ];
+    let mut lines = Vec::new();
+    for (name, preset) in presets {
+        for shards in [1, 2] {
+            lines.push(storm_line(name, preset, shards));
+        }
+    }
+    let trace = Workload::synthesize(&TraceSpec::subtrace_150mb(), 1).stratified_subset(6 << 20);
+    for server in [ServerKind::FlashLite, ServerKind::Flash, ServerKind::Apache] {
+        let workload = WorkloadKind::TraceSampled {
+            workload: trace.clone(),
+        };
+        lines.push(experiment_line(server.label(), server, workload));
+    }
+    for server in [ServerKind::FlashLite, ServerKind::Flash] {
+        let workload = WorkloadKind::Cgi { bytes: 20_000 };
+        lines.push(experiment_line(
+            &format!("{}-cgi", server.label()),
+            server,
+            workload,
+        ));
+    }
+    lines.iter().fold(String::new(), |mut out, line| {
+        let _ = writeln!(out, "{line}");
+        out
+    })
+}
+
+#[test]
+fn scenario_fingerprints_match_the_committed_table() {
+    let got = table();
+    if got != GOLDEN {
+        let moved: Vec<&str> = got
+            .lines()
+            .filter(|l| !GOLDEN.lines().any(|g| g == *l))
+            .collect();
+        panic!(
+            "{} scenario line(s) moved:\n{}\n\nthe full new table (tests/golden_runs.txt):\n{got}",
+            moved.len(),
+            moved.join("\n")
+        );
+    }
+}

@@ -5,7 +5,7 @@
 //! `iol_pread`, `iol_write_fd`, `iol_poll`, the socket and cache
 //! calls). This suite journals everything else an application touches
 //! — the §5.8 programs over pipes, a shell-style `a | b` plumbed with
-//! `dup2` onto the stdio triple, the POSIX veneer, `lseek`, `mmap`, and
+//! `dup2` onto the stdio triple, the POSIX veneer, `lseek`, mapped reads, and
 //! a CGI request over the ACL pipe — and checks that folding the
 //! journal through `iolite_core::replay` from the same initial state
 //! reproduces the live run's `state_hash` and `Metrics`. A shell
@@ -164,7 +164,7 @@ fn shell_plumbing_and_posix_veneer_replay_bit_identically() {
     assert!(k.dup2_fd(c, Fd(77), Fd(5)).is_err());
 
     // Files: path open (hit and ENOENT), the copying veneer, seeks,
-    // positional I/O, mmap, a second pool, explicit transfers.
+    // positional I/O, mapped reads, a second pool, an ACL'd pipe.
     k.create_file("/notes", b"0123456789abcdef");
     let (fd, _) = k.open(c, "/notes").unwrap();
     assert_eq!(k.open(c, "/missing"), Err(IolError::NotFound));
@@ -182,16 +182,18 @@ fn shell_plumbing_and_posix_veneer_replay_bit_identically() {
         k.iol_pread(c, fd, 0, 100).unwrap().0.to_vec(),
         b"01xy456789ABCDEF"
     );
-    let (mut view, _) = k.mmap_fd(c, fd).unwrap();
-    assert_eq!(view.read_all(), b"01xy456789ABCDEF");
-    assert!(k.mmap_fd(c, pr).is_err());
+    let (mapped, _) = k.mapped_read(c, fd, false).unwrap();
+    assert_eq!(mapped.to_vec(), b"01xy456789ABCDEF");
+    assert!(k.mapped_read(c, pr, false).is_err());
     let acl = Acl::with_domain(c.domain());
     let private = k.create_pool(acl.clone());
     let secret = Aggregate::from_bytes(&private, b"for c only");
-    assert!(k.transfer_with_acl(&secret, a.domain(), &acl).is_err());
-    k.transfer_with_acl(&secret, c.domain(), &acl).unwrap();
-    k.transfer_with_acl(&line, b.domain(), &Acl::with_domain(b.domain()))
-        .unwrap();
+    let (sw, sr) = k.pipe_between_with_acl(c, c, PipeMode::ZeroCopy, acl);
+    k.iol_write_fd(c, sw, &secret).unwrap();
+    let read_end = k.fd_object(c, sr).unwrap();
+    let stolen = k.install_fd(a, read_end);
+    assert!(k.iol_read_fd(a, stolen, 100).is_err());
+    assert_eq!(k.iol_read_fd(c, sr, 100).unwrap().0.to_vec(), b"for c only");
     k.context_switch(1);
     k.mapped_read(c, fd, true).unwrap();
     k.mapped_read(c, fd, false).unwrap();

@@ -1,10 +1,10 @@
 //! Cross-crate semantic invariants: snapshot isolation, access control,
 //! unified-cache sharing, and memory-accounting conservation.
 
-use iolite::buf::{Acl, Aggregate, DomainId};
+use iolite::buf::Aggregate;
 use iolite::core::{CostModel, Kernel};
 use iolite::net::{BufferMode, DEFAULT_MSS, DEFAULT_TSS};
-use iolite::vm::{AccessDenied, MemAccount};
+use iolite::vm::MemAccount;
 
 #[test]
 fn iol_read_snapshots_survive_writes_and_evictions() {
@@ -55,29 +55,6 @@ fn concurrent_readers_share_one_physical_copy() {
     let (agg_c, out) = k.iol_pread(a, fd_a, 0, 100_000).unwrap();
     assert!(out.cache_hit);
     assert!(agg_c.slice_at(0).same_buffer(agg_a.slice_at(0)));
-}
-
-#[test]
-fn acl_denies_foreign_domains() {
-    let mut k = Kernel::new(CostModel::pentium_ii_333());
-    let owner = k.spawn("owner");
-    let stranger = k.spawn("stranger");
-    let private = k.create_pool(Acl::with_domain(owner.domain()));
-    let secret = Aggregate::from_bytes(&private, b"secret bytes");
-    // Transfer to the owner succeeds; to the stranger, denied.
-    assert!(k
-        .transfer_with_acl(&secret, owner.domain(), &private.acl())
-        .is_ok());
-    assert_eq!(
-        k.transfer_with_acl(&secret, stranger.domain(), &private.acl()),
-        Err(AccessDenied {
-            domain: stranger.domain()
-        })
-    );
-    // The kernel itself always has access (§3.10).
-    assert!(k
-        .transfer_with_acl(&secret, DomainId::KERNEL, &private.acl())
-        .is_ok());
 }
 
 #[test]
@@ -153,24 +130,6 @@ fn cache_pool_recycles_drained_chunks() {
         .filter(|(id, generation)| keys[0].iter().any(|(old, g)| old == id && g != generation))
         .count();
     assert!(recycled > 0, "the second read reused none of the first read's chunks");
-}
-
-#[test]
-fn mmap_cow_preserves_cache_snapshot() {
-    let mut k = Kernel::new(CostModel::pentium_ii_333());
-    let pid = k.spawn("app");
-    let f = k.create_file("/f", &vec![9u8; 8192]);
-    let fd = k.open_file(pid, f);
-    // Reader takes an IOL snapshot; a mapper stores through mmap.
-    let (snapshot, _) = k.iol_pread(pid, fd, 0, 8192).unwrap();
-    let (mut view, _) = k.mmap_fd(pid, fd).unwrap();
-    view.write(0, &[1, 2, 3]);
-    // The store hit private COW pages, not the shared buffer.
-    assert_eq!(snapshot.to_vec(), vec![9u8; 8192]);
-    let mut first = [0u8; 4];
-    view.read(0, &mut first);
-    assert_eq!(first, [1, 2, 3, 9]);
-    assert_eq!(view.stats().cow_faults, 1);
 }
 
 #[test]
