@@ -16,7 +16,7 @@
 //! | [`NotFound`](IolError::NotFound) | `ENOENT` | a path fails to resolve at `open` |
 //! | [`Closed`](IolError::Closed) | `EPIPE` | writing an object whose peer hung up |
 //! | [`WouldBlock`](IolError::WouldBlock) | `EAGAIN` | the operation made no progress and must wait for the peer (the refused trap is billed all the same) |
-//! | [`InvalidSeek`](IolError::InvalidSeek) | `EINVAL` | the resolved seek position is negative or past `i64::MAX` (`off_t`) |
+//! | [`InvalidSeek`](IolError::InvalidSeek) | `EINVAL` | the resolved seek position is negative or past `i64::MAX` (`off_t`), or a file write would end past it |
 //! | [`ShortIo`](IolError::ShortIo) | partial `write(2)` | the object filled mid-write; partial progress is carried |
 //!
 //! `ShortIo` deserves a note: a pipe that accepts *some* bytes before
@@ -71,7 +71,8 @@ pub enum IolError {
     /// billed the trap like a successful call's.
     WouldBlock,
     /// The resolved seek position would be negative or beyond
-    /// `i64::MAX`, the end of `off_t` (`EINVAL`).
+    /// `i64::MAX`, the end of `off_t`, or a file write would end beyond
+    /// it (`EINVAL`).
     InvalidSeek {
         /// The out-of-range position that was requested.
         requested: i64,

@@ -6,7 +6,7 @@
 //!
 //! # One door to kernel state
 //!
-//! Every state-changing method below is a single call to the private
+//! Every state-changing method is a single call to the crate-private
 //! `Kernel::run(op, make)`, the **only** place the state is borrowed
 //! mutably:
 //!
@@ -18,10 +18,13 @@
 //!    command and clones nothing),
 //! 5. return the operation's typed result.
 //!
-//! So every mutation names its journaled command by construction, and
-//! folding a recorded journal through [`crate::pure::replay`] from the
-//! same initial state reproduces both the final
-//! [`KernelState::state_hash`] and the metrics — deterministic replay.
+//! The methods come from the operation table in `pure/ops.rs`, whose row
+//! also generates the [`Command`] and [`crate::pure::step`]'s arm: live
+//! calls and replay dispatch alike by construction, and folding a
+//! recorded journal through [`crate::pure::replay`] from the same initial
+//! state reproduces the final [`KernelState::state_hash`] and the
+//! metrics. Written here: the constructors, the journal, the unjournaled
+//! queries, and five methods the table cannot express.
 //!
 //! The I/O surface is descriptor-only (§3.4: the `IOL_*` calls act on
 //! any descriptor). Subsystem state is *readable* through [`Deref`];
@@ -30,18 +33,14 @@
 
 use std::ops::Deref;
 
-use iolite_buf::{Acl, Aggregate, BufferPool};
-use iolite_fs::{CacheKey, FileId, Policy};
+use iolite_buf::{Acl, Aggregate};
+use iolite_fs::Policy;
 use iolite_ipc::PipeMode;
-use iolite_net::{BufferMode, SendOutcome};
-use iolite_sim::SimTime;
-use iolite_vm::MemAccount;
 
 use crate::cost::{Charge, CostCategory, CostModel};
-use crate::error::{IoResult, IolError};
-use crate::fd::{Fd, FdObject, Whence};
+use crate::error::IoResult;
+use crate::fd::Fd;
 use crate::metrics::Metrics;
-use crate::poll::{PollFd, Readiness};
 use crate::process::Pid;
 use crate::pure::{Command, Effect, Journal, KernelState};
 
@@ -116,7 +115,9 @@ impl Kernel {
     /// The one door (module docs): `op` on the state with a cleared
     /// effect buffer → effects into the metrics → `make()` journaled,
     /// lazily, so a disabled journal costs no clones on the hot path.
-    fn run<R>(
+    /// Called only by the operation table's methods and the few
+    /// hand-written ones below.
+    pub(crate) fn run<R>(
         &mut self,
         op: impl FnOnce(&mut KernelState, &mut Vec<Effect>) -> R,
         make: impl FnOnce() -> Command,
@@ -151,7 +152,7 @@ impl Kernel {
         self.journal.as_ref()
     }
 
-    // ---- processes and pools -------------------------------------------
+    // ---- journaled methods the operation table does not generate --------
 
     /// Spawns a process with a private default pool and the conventional
     /// stdio triple installed at fds 0/1/2 ([`Fd::STDIN`],
@@ -167,224 +168,12 @@ impl Kernel {
         )
     }
 
-    /// Creates an additional allocation pool (the `IOL_create_pool`
-    /// call of §3.4) with an explicit ACL.
-    pub fn create_pool(&mut self, acl: Acl) -> BufferPool {
-        self.run(
-            |s, _| s.op_create_pool(acl.clone()),
-            || Command::CreatePool { acl: acl.clone() },
-        )
-    }
-
-    // ---- clock and charging --------------------------------------------
-
     /// Bills CPU for work the kernel does not do itself — request
     /// parsing, CGI dispatch, the process model, application compute —
     /// to the sequential clock and the metrics breakdown. (Every kernel
     /// operation bills its own CPU where it incurs it.)
     pub fn charge(&mut self, cat: CostCategory, c: Charge) {
         self.charge_copied(cat, c, 0)
-    }
-
-    /// [`Kernel::charge`] for a copy the application made in its own
-    /// memory: `copied` bytes also count in [`Metrics::bytes_copied`].
-    pub fn charge_copied(&mut self, cat: CostCategory, c: Charge, copied: u64) {
-        self.run(
-            |s, fx| s.op_charge(cat, c, copied, fx),
-            || Command::Charge {
-                category: cat,
-                charge: c,
-                copied,
-            },
-        )
-    }
-
-    /// Advances the sequential clock by non-CPU time (e.g. disk waits).
-    pub fn advance(&mut self, t: SimTime) {
-        self.run(|s, _| s.op_advance(t), || Command::Advance { t })
-    }
-
-    /// Resets the sequential clock (metrics are kept).
-    pub fn reset_clock(&mut self) {
-        self.run(|s, _| s.op_reset_clock(), || Command::ResetClock)
-    }
-
-    /// Switches processes `n` times (scheduling hand-offs between
-    /// producer and consumer), billing each switch — the one place
-    /// context switches are charged.
-    pub fn context_switch(&mut self, n: u64) {
-        self.run(
-            |s, fx| s.op_context_switch(n, fx),
-            || Command::ContextSwitch { n },
-        )
-    }
-
-    // ---- file system ---------------------------------------------------
-
-    /// Creates a file with explicit contents.
-    pub fn create_file(&mut self, name: &str, data: &[u8]) -> FileId {
-        self.run(
-            |s, _| s.op_create_file(name, data),
-            || Command::CreateFile {
-                name: name.to_string(),
-                data: data.to_vec(),
-            },
-        )
-    }
-
-    /// Creates a synthetic (pattern-generated) file.
-    pub fn create_synthetic_file(&mut self, name: &str, len: u64, seed: u64) -> FileId {
-        self.run(
-            |s, _| s.op_create_synthetic_file(name, len, seed),
-            || Command::CreateSyntheticFile {
-                name: name.to_string(),
-                len,
-                seed,
-            },
-        )
-    }
-
-    /// Re-syncs the file-cache budget with the memory accountant and
-    /// returns entries evicted by the shrink.
-    ///
-    /// The cache holds what [`iolite_vm::PhysMemory::cache_budget`]
-    /// leaves it; §3.7's pageout trigger is assumed, not simulated.
-    pub fn rebalance_cache(&mut self) -> usize {
-        self.run(|s, _| s.op_rebalance_cache(), || Command::RebalanceCache)
-    }
-
-    // ---- the write path (PR 10) ----------------------------------------
-
-    /// Installs a PUT body as `file`'s whole-file cache entry, dirty,
-    /// by reference (zero-copy ingest; §3.5 snapshot semantics).
-    /// Persistence is deferred to [`Kernel::write_back`]; checksums
-    /// cached over the replaced version are invalidated.
-    pub fn put_install(&mut self, pid: Pid, file: FileId, agg: &Aggregate) {
-        self.run(
-            |s, fx| s.op_put_install(pid, file, agg, fx),
-            || Command::PutInstall {
-                pid,
-                file,
-                agg: agg.clone(),
-            },
-        )
-    }
-
-    /// Flushes one write-back batch (up to `max_bytes`; 0 ⇒ the
-    /// configured flush-batch size) through the NVM staging tier, disk
-    /// overflow included. Returns bytes flushed.
-    pub fn write_back(&mut self, max_bytes: u64) -> u64 {
-        self.run(
-            |s, fx| s.op_write_back(max_bytes, fx),
-            || Command::WriteBack { max_bytes },
-        )
-    }
-
-    /// Demotes one configured drain chunk from the NVM staging tier to
-    /// disk. Returns bytes moved.
-    pub fn nvm_demote(&mut self) -> u64 {
-        self.run(|s, fx| s.op_nvm_demote(fx), || Command::NvmDemote {})
-    }
-
-    /// Replaces the write-back tuning (journaled: replay sees the same
-    /// flush scheduling).
-    pub fn set_writeback(&mut self, cfg: iolite_fs::WritebackConfig) {
-        self.run(
-            |s, _| s.op_set_writeback(cfg),
-            || Command::SetWriteback { cfg },
-        )
-    }
-
-    /// Whether accumulated dirty bytes have armed a write-back flush —
-    /// a pure state read (not journaled); the event loop polls this
-    /// between request completions and issues the journaled
-    /// [`Kernel::write_back`] when it answers `true`.
-    pub fn writeback_due(&self) -> bool {
-        self.writeback.should_flush(self.cache.dirty_bytes())
-    }
-
-    /// Pins a cache key against eviction (e.g. while the network
-    /// transmits the entry).
-    pub fn cache_pin(&mut self, key: CacheKey) {
-        self.run(|s, _| s.op_cache_pin(key), || Command::CachePin { key })
-    }
-
-    /// Releases one pin on a cache key.
-    pub fn cache_unpin(&mut self, key: CacheKey) {
-        self.run(|s, _| s.op_cache_unpin(key), || Command::CacheUnpin { key })
-    }
-
-    /// Installs a replica of `data` as `file`'s whole-file cache entry
-    /// (sharded serving: a remote read's payload becomes a local cache
-    /// entry so later requests for the file hit this shard).
-    pub fn cache_install(&mut self, file: FileId, data: &[u8]) {
-        self.run(
-            |s, fx| s.op_cache_install(file, data, fx),
-            || Command::CacheInstall {
-                file,
-                data: data.to_vec(),
-            },
-        )
-    }
-
-    /// Drops a cache entry outright (sharded writes: a stale local
-    /// replica after a write routed to the file's home shard). Returns
-    /// whether an entry was dropped.
-    pub fn cache_invalidate(&mut self, key: CacheKey) -> bool {
-        self.run(
-            |s, _| s.op_cache_invalidate(key),
-            || Command::CacheInvalidate { key },
-        )
-    }
-
-    /// Whether the NVM staging tier holds bytes a background demotion
-    /// drain should move to disk — a pure state read (not journaled),
-    /// the companion query to [`Kernel::writeback_due`].
-    pub fn nvm_demote_due(&self) -> bool {
-        self.writeback.should_demote()
-    }
-
-    /// Reserves memory on an account in the physical-memory accountant.
-    pub fn mem_reserve(&mut self, account: MemAccount, bytes: u64) {
-        self.run(
-            |s, _| s.op_mem_reserve(account, bytes),
-            || Command::MemReserve { account, bytes },
-        )
-    }
-
-    /// Releases memory from an account.
-    pub fn mem_release(&mut self, account: MemAccount, bytes: u64) {
-        self.run(
-            |s, _| s.op_mem_release(account, bytes),
-            || Command::MemRelease { account, bytes },
-        )
-    }
-
-    /// Enables or disables the §3.9 checksum cache.
-    pub fn set_checksum_cache(&mut self, enabled: bool) {
-        self.run(
-            |s, _| s.op_set_checksum_cache(enabled),
-            || Command::SetChecksumCache { enabled },
-        )
-    }
-
-    // ---- sockets ---------------------------------------------------------
-
-    /// Creates a TCP connection in the kernel's socket registry and
-    /// installs a descriptor for it in `pid`'s table. The §3.4 promise
-    /// made real: the same `IOL_read`/`IOL_write` calls that act on
-    /// files and pipes drive the socket's zero-copy (or copying) send
-    /// path.
-    pub fn socket_create(&mut self, pid: Pid, mode: BufferMode, mss: usize, tss: usize) -> Fd {
-        self.run(
-            |s, _| s.op_socket_create(pid, mode, mss, tss),
-            || Command::SocketCreate {
-                pid,
-                mode,
-                mss,
-                tss,
-            },
-        )
     }
 
     /// Delivers inbound payload — already in the receiving process's
@@ -405,148 +194,11 @@ impl Kernel {
         )
     }
 
-    /// Accounting-only send on a *copy-mode* socket descriptor: the
-    /// conventional `write(2)` path, whose costs depend only on the
-    /// byte count (copies have no identity, so no cache can apply).
-    /// Bills the trap, the socket copy, the checksum and the packets,
-    /// and returns the [`SendOutcome`].
-    pub fn socket_send_accounted(&mut self, pid: Pid, fd: Fd, len: u64) -> IoResult<SendOutcome> {
-        self.run(
-            |s, fx| s.op_socket_send_accounted(pid, fd, len, fx),
-            || Command::SocketSendAccounted { pid, fd, len },
-        )
-    }
-
-    /// Sets a socket descriptor's `O_NONBLOCK` flag. Nonblocking
-    /// sockets bound their send buffer at Tss: writes accept only what
-    /// fits ([`IolError::ShortIo`] carries partial progress,
-    /// [`IolError::WouldBlock`] a full buffer) and the descriptor
-    /// becomes writable again as [`Kernel::socket_drain`] simulates the
-    /// wire acknowledging data.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
-    pub fn set_nonblocking(&mut self, pid: Pid, fd: Fd, nonblocking: bool) -> Result<(), IolError> {
-        self.run(
-            |s, _| s.op_set_nonblocking(pid, fd, nonblocking),
-            || Command::SetNonblocking {
-                pid,
-                fd,
-                nonblocking,
-            },
-        )
-    }
-
-    /// Acknowledges up to `max` bytes of a nonblocking socket's send
-    /// buffer (the wire drained them), returning the bytes freed. The
-    /// event driver calls this as simulated transmission completes;
-    /// no CPU is charged — per-packet and checksum work was already
-    /// billed at send time.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual, and
-    /// [`IolError::Closed`] once the peer hung up — a dead peer
-    /// acknowledges nothing, so unacknowledged bytes can never drain
-    /// and the in-flight response must be failed, not completed.
-    pub fn socket_drain(&mut self, pid: Pid, fd: Fd, max: u64) -> Result<u64, IolError> {
-        self.run(
-            |s, _| s.op_socket_drain(pid, fd, max),
-            || Command::SocketDrain { pid, fd, max },
-        )
-    }
-
-    /// Marks a socket's remote side as hung up (FIN/RST arrived): reads
-    /// drain the delivered data then return EOF, writes fail with
-    /// [`IolError::Closed`], and `iol_poll` reports `eof`/`epipe` — the
-    /// readiness transition an event loop must observe when a client
-    /// disconnects mid-response.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
-    pub fn socket_peer_close(&mut self, pid: Pid, fd: Fd) -> Result<(), IolError> {
-        self.run(
-            |s, _| s.op_socket_peer_close(pid, fd),
-            || Command::SocketPeerClose { pid, fd },
-        )
-    }
-
-    // ---- readiness (the event-driven servers' select/poll, §6) ----------
-
-    /// Reports readiness for a set of descriptors, `poll(2)`-style: one
-    /// [`Readiness`] per entry, in order. Pipe ends (stdio included),
-    /// kernel-registry sockets, and regular files are all supported;
-    /// an entry that fails to resolve reports `invalid` (`POLLNVAL`)
-    /// without failing the scan.
-    ///
-    /// The call is billed as one trap plus a per-entry scan cost
-    /// ([`CostModel::poll_fd_us`]) — the select/poll overhead that made
-    /// event-driven servers sensitive to poll-set size long before the
-    /// payload moved. It cannot fail.
-    pub fn iol_poll(&mut self, pid: Pid, fds: &[PollFd]) -> Vec<Readiness> {
-        self.run(
-            |s, fx| s.op_iol_poll(pid, fds, fx),
-            || Command::Poll {
-                pid,
-                fds: fds.to_vec(),
-            },
-        )
-    }
-
-    // ---- file descriptors (§3.4: the IOL calls act on any fd) -----------
-
-    /// Opens a file by path, returning a descriptor with offset 0, and
-    /// bills the metadata lookup plus the syscall.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotFound`] when the path does not resolve.
-    pub fn open(&mut self, pid: Pid, path: &str) -> IoResult<Fd> {
-        self.run(
-            |s, fx| s.op_open(pid, path, fx),
-            || Command::Open {
-                pid,
-                path: path.to_string(),
-            },
-        )
-    }
-
-    /// Installs a descriptor (offset 0) for an already-resolved file —
-    /// the bridge for layers that hold [`FileId`]s (workload setup,
-    /// benches) into the descriptor world.
-    pub fn open_file(&mut self, pid: Pid, file: FileId) -> Fd {
-        self.run(
-            |s, _| s.op_open_file(pid, file),
-            || Command::OpenFile { pid, file },
-        )
-    }
-
-    /// Creates a pipe and returns `(read_fd, write_fd)` in `pid`'s table
-    /// (both ends in one process, as after `pipe(2)` before `fork`;
-    /// hand the ends to other processes with [`Kernel::install_fd`] or
-    /// wire two processes directly with [`Kernel::pipe_between`]).
-    pub fn pipe_fds(&mut self, pid: Pid, mode: PipeMode) -> (Fd, Fd) {
-        self.run(
-            |s, _| s.op_pipe_fds(pid, mode),
-            || Command::PipeFds { pid, mode },
-        )
-    }
-
     /// Creates a pipe with its write end in `writer`'s table and its
     /// read end in `reader`'s (the post-`fork` shape of `a | b`).
     /// Returns `(write_fd, read_fd)`.
     pub fn pipe_between(&mut self, writer: Pid, reader: Pid, mode: PipeMode) -> (Fd, Fd) {
-        self.run(
-            |s, _| s.op_pipe_between(writer, reader, mode, None),
-            || Command::PipeBetween {
-                writer,
-                reader,
-                mode,
-                acl: None,
-            },
-        )
+        self.pipe(writer, reader, mode, None)
     }
 
     /// Like [`Kernel::pipe_between`], with zero-copy transfers governed
@@ -558,279 +210,42 @@ impl Kernel {
         mode: PipeMode,
         acl: Acl,
     ) -> (Fd, Fd) {
+        self.pipe(writer, reader, mode, Some(acl))
+    }
+
+    fn pipe(&mut self, writer: Pid, reader: Pid, mode: PipeMode, acl: Option<Acl>) -> (Fd, Fd) {
         self.run(
-            |s, _| s.op_pipe_between(writer, reader, mode, Some(acl.clone())),
-            || Command::PipeBetween {
-                writer,
-                reader,
-                mode,
-                acl: Some(acl.clone()),
-            },
+            |s, _| s.op_pipe_between(writer, reader, mode, acl.clone()),
+            || Command::PipeBetween { writer, reader, mode, acl: acl.clone() },
         )
     }
 
-    /// Installs an existing object in `pid`'s descriptor table (the
-    /// moral equivalent of inheriting an fd across `fork`/`exec`).
-    pub fn install_fd(&mut self, pid: Pid, object: FdObject) -> Fd {
-        self.run(
-            |s, _| s.op_install_fd(pid, object),
-            || Command::InstallFd { pid, object },
-        )
+    // ---- unjournaled queries -------------------------------------------
+
+    /// Whether accumulated dirty bytes have armed a write-back flush —
+    /// a pure state read (not journaled); the event loop polls this
+    /// between request completions and issues the journaled
+    /// [`Kernel::write_back`] when it answers `true`.
+    pub fn writeback_due(&self) -> bool {
+        self.writeback.should_flush(self.cache.dirty_bytes())
     }
 
-    /// Installs an existing object at exactly `at` (`dup2`-style
-    /// targeting for inherited objects — e.g. parking a pipe end on a
-    /// child's stdio number), displacing and (last-reference) closing
-    /// whatever was there.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] when `at` is [`crate::FD_LIMIT`] or more.
-    pub fn install_fd_at(&mut self, pid: Pid, at: Fd, object: FdObject) -> Result<Fd, IolError> {
-        self.run(
-            |s, _| s.op_install_fd_at(pid, at, object),
-            || Command::InstallFdAt { pid, at, object },
-        )
-    }
-
-    /// Duplicates a descriptor (`dup(2)`) onto the lowest free number:
-    /// both numbers share one file offset.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] if `fd` is not open.
-    pub fn dup_fd(&mut self, pid: Pid, fd: Fd) -> Result<Fd, IolError> {
-        self.run(|s, _| s.op_dup_fd(pid, fd), || Command::DupFd { pid, fd })
-    }
-
-    /// Duplicates `src` onto exactly `dst` (`dup2(2)`), displacing and
-    /// (last-reference) closing whatever was there. Re-plumbing the
-    /// stdio triple goes through here, shell-style.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] if `src` is not open or `dst` is
-    /// [`crate::FD_LIMIT`] or more.
-    pub fn dup2_fd(&mut self, pid: Pid, src: Fd, dst: Fd) -> Result<Fd, IolError> {
-        self.run(
-            |s, _| s.op_dup2_fd(pid, src, dst),
-            || Command::Dup2Fd { pid, src, dst },
-        )
-    }
-
-    /// Closes a descriptor (`close(2)`). When the last descriptor for a
-    /// pipe write end disappears (across *all* processes), the pipe is
-    /// closed for real and readers see EOF; a socket's last close tears
-    /// the connection down.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] if `fd` is not open (double close).
-    pub fn close_fd(&mut self, pid: Pid, fd: Fd) -> Result<(), IolError> {
-        self.run(
-            |s, _| s.op_close_fd(pid, fd),
-            || Command::CloseFd { pid, fd },
-        )
-    }
-
-    /// Repositions a file descriptor (`lseek(2)`), resolving
-    /// [`Whence::End`] against the file's metadata. Returns the new
-    /// absolute offset.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] for unknown descriptors,
-    /// [`IolError::BadFdKind`] for pipes/sockets (ESPIPE), and
-    /// [`IolError::InvalidSeek`] when the resolved position is negative
-    /// or beyond `i64::MAX` (`off_t`).
-    pub fn lseek(&mut self, pid: Pid, fd: Fd, offset: i64, whence: Whence) -> IoResult<u64> {
-        self.run(
-            |s, fx| s.op_lseek(pid, fd, offset, whence, fx),
-            || Command::Lseek {
-                pid,
-                fd,
-                offset,
-                whence,
-            },
-        )
-    }
-
-    /// `IOL_read` on a descriptor: files read at (and advance) the
-    /// shared offset; pipe read-ends drain the pipe; sockets drain the
-    /// inbound queue. Short (even empty) reads at end-of-stream are
-    /// part of the contract.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] for unknown descriptors;
-    /// [`IolError::BadFdKind`] for write-only objects;
-    /// [`IolError::WouldBlock`] when a pipe/socket is empty but its
-    /// writer is still open; [`IolError::PermissionDenied`] when an
-    /// ACL'd pipe refuses the reader's domain.
-    pub fn iol_read_fd(&mut self, pid: Pid, fd: Fd, len: u64) -> IoResult<Aggregate> {
-        self.run(
-            |s, fx| s.op_iol_read_fd(pid, fd, len, fx),
-            || Command::IolReadFd { pid, fd, len },
-        )
-    }
-
-    /// `IOL_write` on a descriptor: files replace at (and advance) the
-    /// shared offset; pipe write-ends enqueue; sockets run the TCP send
-    /// path (zero-copy with checksum caching, or copying — the
-    /// descriptor doesn't care, §3.4). Returns bytes accepted; socket
-    /// writes carry their [`SendOutcome`] in `outcome.net`.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual;
-    /// [`IolError::Closed`] when writing a closed pipe or socket;
-    /// [`IolError::WouldBlock`] when a full pipe accepts nothing;
-    /// [`IolError::ShortIo`] (carrying the partial count) when a pipe
-    /// fills mid-write.
-    pub fn iol_write_fd(&mut self, pid: Pid, fd: Fd, agg: &Aggregate) -> IoResult<u64> {
-        self.run(
-            |s, fx| s.op_iol_write_fd(pid, fd, agg, fx),
-            || Command::IolWriteFd {
-                pid,
-                fd,
-                agg: agg.clone(),
-            },
-        )
-    }
-
-    /// Positional `IOL_read` (`pread(2)`): reads a file descriptor at
-    /// an explicit offset without moving the shared offset.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] (pipes and
-    /// sockets have no positions).
-    pub fn iol_pread(&mut self, pid: Pid, fd: Fd, offset: u64, len: u64) -> IoResult<Aggregate> {
-        self.run(
-            |s, fx| s.op_iol_pread(pid, fd, offset, len, fx),
-            || Command::IolPread {
-                pid,
-                fd,
-                offset,
-                len,
-            },
-        )
-    }
-
-    /// Positional `IOL_write` (`pwrite(2)`).
-    ///
-    /// # Errors
-    ///
-    /// As [`Kernel::iol_pread`].
-    pub fn iol_pwrite(&mut self, pid: Pid, fd: Fd, offset: u64, agg: &Aggregate) -> IoResult<u64> {
-        self.run(
-            |s, fx| s.op_iol_pwrite(pid, fd, offset, agg, fx),
-            || Command::IolPwrite {
-                pid,
-                fd,
-                offset,
-                agg: agg.clone(),
-            },
-        )
-    }
-
-    /// Backward-compatible copying read on a file descriptor, advancing
-    /// the shared offset (§4.2's copy-in/copy-out POSIX veneer).
-    ///
-    /// # Errors
-    ///
-    /// As [`Kernel::iol_pread`] — pipes carry copy semantics through
-    /// their mode instead.
-    pub fn posix_read_fd(&mut self, pid: Pid, fd: Fd, len: u64) -> IoResult<Vec<u8>> {
-        self.run(
-            |s, fx| s.op_posix_read_fd(pid, fd, len, fx),
-            || Command::PosixReadFd { pid, fd, len },
-        )
-    }
-
-    /// Backward-compatible copying write on a file descriptor,
-    /// advancing the shared offset.
-    ///
-    /// # Errors
-    ///
-    /// As [`Kernel::posix_read_fd`].
-    pub fn posix_write_fd(&mut self, pid: Pid, fd: Fd, data: &[u8]) -> IoResult<u64> {
-        self.run(
-            |s, fx| s.op_posix_write_fd(pid, fd, data, fx),
-            || Command::PosixWriteFd {
-                pid,
-                fd,
-                data: data.to_vec(),
-            },
-        )
-    }
-
-    /// Reads the whole document behind `fd` through a mapping, as Flash
-    /// and Apache serve it: no trap (a mapped access is a memory
-    /// reference), first-time page mappings billed. With `cached`
-    /// (Flash) a touch of the bounded mapped-file cache decides whether
-    /// an `mmap`/`munmap` cycle is paid; without it (Apache maps and
-    /// unmaps per request) every read pays one.
-    ///
-    /// # Errors
-    ///
-    /// As [`Kernel::iol_pread`].
-    pub fn mapped_read(&mut self, pid: Pid, fd: Fd, cached: bool) -> IoResult<Aggregate> {
-        self.run(
-            |s, fx| s.op_mapped_read(pid, fd, cached, fx),
-            || Command::MappedRead { pid, fd, cached },
-        )
-    }
-
-    // ---- the stdio console (harness side of fds 0/1/2) ------------------
-
-    /// Writes `data` into `pid`'s stdin console pipe (the harness
-    /// playing the terminal); the process reads it at [`Fd::STDIN`].
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::WouldBlock`]/[`IolError::ShortIo`] as for any pipe
-    /// write when the console buffer fills.
-    pub fn feed_stdin(&mut self, pid: Pid, data: &Aggregate) -> IoResult<u64> {
-        self.run(
-            |s, fx| s.op_feed_stdin(pid, data, fx),
-            || Command::FeedStdin {
-                pid,
-                data: data.clone(),
-            },
-        )
-    }
-
-    /// Drains up to `max` bytes the process wrote to [`Fd::STDOUT`].
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::WouldBlock`] when nothing is buffered and the
-    /// process still holds its write end.
-    pub fn read_stdout(&mut self, pid: Pid, max: u64) -> IoResult<Aggregate> {
-        self.run(
-            |s, fx| s.op_read_stdout(pid, max, fx),
-            || Command::ReadStdout { pid, max },
-        )
-    }
-
-    /// Drains up to `max` bytes the process wrote to [`Fd::STDERR`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Kernel::read_stdout`].
-    pub fn read_stderr(&mut self, pid: Pid, max: u64) -> IoResult<Aggregate> {
-        self.run(
-            |s, fx| s.op_read_stderr(pid, max, fx),
-            || Command::ReadStderr { pid, max },
-        )
+    /// Whether the NVM staging tier holds bytes a background demotion
+    /// drain should move to disk — a pure state read (not journaled),
+    /// the companion query to [`Kernel::writeback_due`].
+    pub fn nvm_demote_due(&self) -> bool {
+        self.writeback.should_demote()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iolite_net::{DEFAULT_MSS, DEFAULT_TSS};
+    use crate::{FdObject, IolError, Whence};
+    use iolite_fs::CacheKey;
+    use iolite_net::{BufferMode, DEFAULT_MSS, DEFAULT_TSS};
+    use iolite_sim::SimTime;
+    use iolite_vm::MemAccount;
 
     fn kernel() -> Kernel {
         Kernel::new(CostModel::pentium_ii_333())

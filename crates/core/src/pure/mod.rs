@@ -14,16 +14,20 @@
 //!   │   • public syscall surface (unchanged)       │  absorbs Effects into
 //!   │   • Metrics, Journal, reused effect buffer   │  Metrics
 //!   └──────────────┬───────────────────────────────┘
-//!                  │  state.op(args, &mut fx)
+//!                  │  run(|state, fx| state.op(args, fx), make)
 //!                  ▼
 //!   ┌──────────────────────────────────────────────┐
 //!   │ functional core  crate::pure                 │
+//!   │   ops.rs      the operation table: one row   │
+//!   │               per operation generates its    │
+//!   │               Command, step arm and Kernel   │
+//!   │               method                         │
 //!   │   state.rs    KernelState: every byte of     │
 //!   │               kernel state as a value        │
 //!   │   ids.rs      IdAlloc: all id counters       │
-//!   │   command.rs  Command + Journal              │
+//!   │   command.rs  Journal                        │
 //!   │   effect.rs   Effect: side effects as data   │
-//!   │   step.rs     step / replay                  │
+//!   │   step.rs     replay                         │
 //!   │   ops_file.rs file + cache + VM ops          │
 //!   │   ops_pipe.rs pipe + console ops             │
 //!   │   ops_socket.rs TCP socket ops               │
@@ -33,8 +37,10 @@
 //!
 //! The contract: every mutation of [`KernelState`] is a [`Command`]:
 //! the shell's one door to the state (`Kernel::run`) names the command
-//! each call journals, and [`step`] ([`replay`]'s engine, exhaustive
-//! over [`Command`]) runs the same `op_*` transitions, which are
+//! each call journals, and [`step`] ([`replay`]'s engine) runs the same
+//! `op_*` transitions. One row of `ops.rs` declares the variant, its
+//! `step` arm and the method's `run` call together, so the live path and
+//! replay cannot dispatch an operation differently. The transitions are
 //! **deterministic** — no I/O, no wall-clock time, no randomness.
 //! Observable side effects (CPU charges, copies, checksums, page
 //! mappings, disk traffic) leave the core only as [`Effect`] values;
@@ -49,6 +55,7 @@
 mod command;
 mod effect;
 mod ids;
+mod ops;
 mod ops_fd;
 mod ops_file;
 mod ops_pipe;
@@ -56,8 +63,9 @@ mod ops_socket;
 mod state;
 mod step;
 
-pub use command::{Command, Journal};
+pub use command::Journal;
 pub use effect::Effect;
 pub use ids::{ConnId, PipeId};
+pub use ops::{step, Command};
 pub use state::{IoOutcome, KernelState, MappedFileCache};
-pub use step::{replay, step};
+pub use step::replay;

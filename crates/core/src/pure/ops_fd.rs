@@ -17,15 +17,7 @@ use crate::process::Pid;
 impl KernelState {
     // ---- readiness (the event-driven servers' select/poll, §6) ----------
 
-    /// Reports readiness for a set of descriptors, `poll(2)`-style: one
-    /// [`Readiness`] per entry, in order. Pipe ends (stdio included),
-    /// kernel-registry sockets, and regular files are all supported;
-    /// an entry that fails to resolve reports `invalid` (`POLLNVAL`)
-    /// without failing the scan.
-    ///
-    /// The call is billed as one trap plus a per-entry scan cost —
-    /// the select/poll overhead that made event-driven servers
-    /// sensitive to poll-set size long before the payload moved.
+    /// `Kernel::iol_poll`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_iol_poll(
         &mut self,
         pid: Pid,
@@ -91,13 +83,7 @@ impl KernelState {
 
     // ---- opening, duplicating, closing ----------------------------------
 
-    /// Opens a file by path, resolved through the metadata cache,
-    /// returning a descriptor with offset 0, and bills the lookup plus
-    /// the syscall (a path that does not resolve bills nothing).
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotFound`] when the path does not resolve.
+    /// `Kernel::open`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_open(&mut self, pid: Pid, path: &str, fx: &mut Vec<Effect>) -> IoResult<Fd> {
         fx.push(Effect::Syscalls(1));
         let store = &self.store;
@@ -113,16 +99,12 @@ impl KernelState {
         Ok((fd, IoOutcome::default()))
     }
 
-    /// Installs a descriptor (offset 0) for an already-resolved file —
-    /// the bridge for layers that hold [`FileId`]s (workload setup,
-    /// benches) into the descriptor world.
+    /// `Kernel::open_file`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_open_file(&mut self, pid: Pid, file: FileId) -> Fd {
         self.fds.install(pid, FdObject::File(file))
     }
 
-    /// Creates a pipe and returns `(read_fd, write_fd)` in `pid`'s
-    /// table (both ends in one process, as after `pipe(2)` before
-    /// `fork`).
+    /// `Kernel::pipe_fds`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_pipe_fds(&mut self, pid: Pid, mode: PipeMode) -> (Fd, Fd) {
         let id = self.op_pipe_create(mode, None);
         let r = self.fds.install(pid, FdObject::PipeRead(id));
@@ -130,9 +112,7 @@ impl KernelState {
         (r, w)
     }
 
-    /// Creates a pipe with its write end in `writer`'s table and its
-    /// read end in `reader`'s (the post-`fork` shape of `a | b`).
-    /// Returns `(write_fd, read_fd)`.
+    /// `Kernel::pipe_between`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_pipe_between(
         &mut self,
         writer: Pid,
@@ -146,19 +126,12 @@ impl KernelState {
         (w, r)
     }
 
-    /// Installs an existing object in `pid`'s descriptor table (the
-    /// moral equivalent of inheriting an fd across `fork`/`exec`).
+    /// `Kernel::install_fd`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_install_fd(&mut self, pid: Pid, object: FdObject) -> Fd {
         self.fds.install(pid, object)
     }
 
-    /// Installs an existing object at exactly `at` (`dup2`-style
-    /// targeting for inherited objects), displacing and
-    /// (last-reference) closing whatever was there.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] when `at` is [`crate::fd::FD_LIMIT`] or more.
+    /// `Kernel::install_fd_at`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_install_fd_at(
         &mut self,
         pid: Pid,
@@ -170,37 +143,19 @@ impl KernelState {
         Ok(at)
     }
 
-    /// Duplicates a descriptor (`dup(2)`) onto the lowest free number:
-    /// both numbers share one file offset.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] if `fd` is not open.
+    /// `Kernel::dup_fd`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_dup_fd(&mut self, pid: Pid, fd: Fd) -> Result<Fd, IolError> {
         self.fds.dup(pid, fd)
     }
 
-    /// Duplicates `src` onto exactly `dst` (`dup2(2)`), displacing and
-    /// (last-reference) closing whatever was there.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] if `src` is not open or `dst` is
-    /// [`crate::fd::FD_LIMIT`] or more.
+    /// `Kernel::dup2_fd`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_dup2_fd(&mut self, pid: Pid, src: Fd, dst: Fd) -> Result<Fd, IolError> {
         let orphan = self.fds.dup2(pid, src, dst)?;
         self.last_close(orphan);
         Ok(dst)
     }
 
-    /// Closes a descriptor (`close(2)`). When the last descriptor for a
-    /// pipe write end disappears (across *all* processes), the pipe is
-    /// closed for real and readers see EOF; a socket's last close tears
-    /// the connection down.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] if `fd` is not open (double close).
+    /// `Kernel::close_fd`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_close_fd(&mut self, pid: Pid, fd: Fd) -> Result<(), IolError> {
         let orphan = self.fds.close(pid, fd)?;
         self.last_close(orphan);
@@ -231,16 +186,7 @@ impl KernelState {
         }
     }
 
-    /// Repositions a file descriptor (`lseek(2)`), resolving
-    /// [`Whence::End`] against the file's metadata. Returns the new
-    /// absolute offset.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] for unknown descriptors,
-    /// [`IolError::BadFdKind`] for pipes/sockets (ESPIPE), and
-    /// [`IolError::InvalidSeek`] when the resolved position is negative
-    /// or beyond `i64::MAX` (`off_t`); the offset is then left alone.
+    /// `Kernel::lseek`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_lseek(
         &mut self,
         pid: Pid,
@@ -265,18 +211,7 @@ impl KernelState {
 
     // ---- descriptor I/O --------------------------------------------------
 
-    /// `IOL_read` on a descriptor: files read at (and advance) the
-    /// shared offset; pipe read-ends drain the pipe; sockets drain the
-    /// inbound queue. Short (even empty) reads at end-of-stream are
-    /// part of the contract.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] for unknown descriptors;
-    /// [`IolError::BadFdKind`] for write-only objects;
-    /// [`IolError::WouldBlock`] when a pipe/socket is empty but its
-    /// writer is still open; [`IolError::PermissionDenied`] when an
-    /// ACL'd pipe refuses the reader's domain.
+    /// `Kernel::iol_read_fd`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_iol_read_fd(
         &mut self,
         pid: Pid,
@@ -300,19 +235,7 @@ impl KernelState {
         }
     }
 
-    /// `IOL_write` on a descriptor: files replace at (and advance) the
-    /// shared offset; pipe write-ends enqueue; sockets run the TCP send
-    /// path (zero-copy with checksum caching, or copying — the
-    /// descriptor doesn't care, §3.4). Returns bytes accepted; socket
-    /// writes carry their `SendOutcome` in `outcome.net`.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual;
-    /// [`IolError::Closed`] when writing a closed pipe or socket;
-    /// [`IolError::WouldBlock`] when a full pipe accepts nothing;
-    /// [`IolError::ShortIo`] (carrying the partial count) when a pipe
-    /// fills mid-write.
+    /// `Kernel::iol_write_fd`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_iol_write_fd(
         &mut self,
         pid: Pid,
@@ -323,7 +246,7 @@ impl KernelState {
         let desc = self.resolve_fd(pid, fd)?;
         match desc.object {
             FdObject::File(file) => {
-                let out = self.op_write_file_at(pid, file, desc.pos, agg, fx);
+                let out = self.op_write_file_at(pid, file, desc.pos, agg, fx)?;
                 self.fds.advance(pid, fd, agg.len());
                 Ok((agg.len(), out))
             }
@@ -372,13 +295,7 @@ impl KernelState {
         }
     }
 
-    /// Positional `IOL_read` (`pread(2)`): reads a file descriptor at
-    /// an explicit offset without moving the shared offset.
-    ///
-    /// # Errors
-    ///
-    /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] (pipes and
-    /// sockets have no positions).
+    /// `Kernel::iol_pread`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_iol_pread(
         &mut self,
         pid: Pid,
@@ -391,11 +308,7 @@ impl KernelState {
         Ok(self.op_read_file_at(pid, file, offset, len, fx))
     }
 
-    /// Positional `IOL_write` (`pwrite(2)`).
-    ///
-    /// # Errors
-    ///
-    /// As [`KernelState::op_iol_pread`].
+    /// `Kernel::iol_pwrite`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_iol_pwrite(
         &mut self,
         pid: Pid,
@@ -405,17 +318,11 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> IoResult<u64> {
         let file = self.resolve_file(pid, fd, "positional file access")?;
-        let out = self.op_write_file_at(pid, file, offset, agg, fx);
+        let out = self.op_write_file_at(pid, file, offset, agg, fx)?;
         Ok((agg.len(), out))
     }
 
-    /// Backward-compatible copying read on a file descriptor, advancing
-    /// the shared offset (§4.2's copy-in/copy-out POSIX veneer).
-    ///
-    /// # Errors
-    ///
-    /// As [`KernelState::op_iol_pread`] — pipes carry copy semantics
-    /// through their mode instead.
+    /// `Kernel::posix_read_fd`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_posix_read_fd(
         &mut self,
         pid: Pid,
@@ -430,12 +337,7 @@ impl KernelState {
         Ok((bytes, out))
     }
 
-    /// Backward-compatible copying write on a file descriptor,
-    /// advancing the shared offset.
-    ///
-    /// # Errors
-    ///
-    /// As [`KernelState::op_posix_read_fd`].
+    /// `Kernel::posix_write_fd`'s transition, documented at its `ops.rs` row.
     pub(crate) fn op_posix_write_fd(
         &mut self,
         pid: Pid,
@@ -445,7 +347,7 @@ impl KernelState {
     ) -> IoResult<u64> {
         let file = self.resolve_file(pid, fd, "posix_write")?;
         let pos = self.resolve_fd(pid, fd)?.pos;
-        let out = self.op_posix_file_write(pid, file, pos, data, fx);
+        let out = self.op_posix_file_write(pid, file, pos, data, fx)?;
         self.fds.advance(pid, fd, data.len() as u64);
         Ok((data.len() as u64, out))
     }

@@ -14,7 +14,7 @@ use iolite_vm::MemAccount;
 use super::effect::Effect;
 use super::state::{IoOutcome, KernelState};
 use crate::cost::{Charge, CostCategory};
-use crate::error::IoResult;
+use crate::error::{IoResult, IolError};
 use crate::fd::Fd;
 use crate::process::Pid;
 
@@ -254,6 +254,9 @@ impl KernelState {
     /// [`CacheKey`], not by entry generation, so a deferred unpin from
     /// a pre-write transmission cannot strip the protection of a
     /// post-write one.
+    ///
+    /// A write whose offset or end passes `i64::MAX` is refused with
+    /// [`IolError::InvalidSeek`] before anything is billed or stored.
     pub(crate) fn op_write_file_at(
         &mut self,
         _pid: Pid,
@@ -261,7 +264,8 @@ impl KernelState {
         offset: u64,
         agg: &Aggregate,
         fx: &mut Vec<Effect>,
-    ) -> IoOutcome {
+    ) -> Result<IoOutcome, IolError> {
+        within_off_t(offset, agg.len())?;
         let out = IoOutcome::trap(self, fx);
         // Update the backing store vectored, run by run (write-back
         // happens off the critical path; no device time charged here,
@@ -292,7 +296,7 @@ impl KernelState {
             self.cache.insert(key, rebuilt);
             self.op_rebalance_cache();
         }
-        out
+        Ok(out)
     }
 
     /// Backward-compatible copying read at an explicit offset (§4.2:
@@ -326,12 +330,13 @@ impl KernelState {
         offset: u64,
         data: &[u8],
         fx: &mut Vec<Effect>,
-    ) -> IoOutcome {
+    ) -> Result<IoOutcome, IolError> {
+        within_off_t(offset, data.len() as u64)?;
         let agg = Aggregate::from_bytes(&self.cache_pool, data);
         fx.push(Effect::BytesCopied(data.len() as u64));
-        let out = self.op_write_file_at(pid, file, offset, &agg, fx);
+        let out = self.op_write_file_at(pid, file, offset, &agg, fx)?;
         self.bill(CostCategory::Copy, self.cost.copy(data.len() as u64), fx);
-        out
+        Ok(out)
     }
 
     /// Reads the whole file behind `fd` through a mapping (see
@@ -413,5 +418,15 @@ impl KernelState {
         fx.push(Effect::PagesMapped(pages));
         self.bill(CostCategory::PageMap, self.cost.page_maps(pages), fx);
         Ok(pages)
+    }
+}
+
+/// `off_t` ends at `i64::MAX`, the bound `lseek` enforces: a file write
+/// whose offset or end passes it is `EINVAL`, as `pwrite(2)` answers a
+/// negative `off_t`. `requested` is the offset read as an `off_t`.
+fn within_off_t(offset: u64, len: u64) -> Result<(), IolError> {
+    match offset.checked_add(len) {
+        Some(end) if end <= i64::MAX as u64 => Ok(()),
+        _ => Err(IolError::InvalidSeek { requested: offset as i64 }),
     }
 }

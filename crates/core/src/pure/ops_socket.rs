@@ -71,6 +71,10 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> IoResult<SendOutcome> {
         let sock = self.resolve_socket(pid, fd, "accounted socket send")?;
+        if sock.conn.mode() != BufferMode::Copy {
+            let operation = "accounted send on a zero-copy socket";
+            return Err(IolError::BadFdKind { fd, operation });
+        }
         if sock.write_dead() {
             return Err(IolError::Closed);
         }

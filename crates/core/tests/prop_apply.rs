@@ -6,8 +6,13 @@
 //! The commands deliberately include rejected ones (bad descriptors,
 //! reads past EOF, writes to closed pipes): [`iolite_core::step`] must
 //! be deterministic on the error paths too, because the journal records
-//! attempts and replay re-steps them.
+//! attempts and replay re-steps them. The generator reaches every
+//! [`Command`] variant; `the_generator_reaches_every_command` counts
+//! them.
 
+use std::mem::{discriminant, Discriminant};
+
+use iolite_buf::Acl;
 use iolite_core::{
     step, Command, ConnId, CostCategory, CostModel, Effect, Fd, FdObject, Kernel, KernelState, Pid,
     PipeId, PollFd,
@@ -26,7 +31,7 @@ enum Op {
     Charge(u16),
     Advance(u16),
     ContextSwitch(u8),
-    CreateFile(u8, u16),
+    CreateSyntheticFile(u8, u16),
     Open(u8),
     OpenMissing(u8),
     CloseFd(u8),
@@ -38,7 +43,7 @@ enum Op {
     PosixWrite(u8, u16),
     Pread(u8, u16, u16),
     PipeFds(bool),
-    SocketCreate,
+    SocketCreate(bool),
     SocketDrain(u8, u16),
     CachePin(u8),
     CacheUnpin(u8),
@@ -66,6 +71,19 @@ enum Op {
     // must fail the same way twice, never panic.
     InstallFd(u8, u16),
     InstallFdAt(u8, u8, u16),
+    // The rest of the table: processes and pools, explicit files,
+    // `pipe_between` (no ACL, one that admits the reader, one that
+    // refuses it), stderr, the clock reset, the nonblocking flag and the
+    // accounting-only send (copy-mode sockets come from `SocketCreate`).
+    Spawn(u8),
+    CreatePool(bool),
+    CreateFile(u8, u16),
+    OpenFile(u8),
+    PipeBetween(bool, Option<bool>),
+    ReadStderr(u16),
+    ResetClock,
+    SetNonblocking(u8, bool),
+    SocketSendAccounted(u8, u16),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -73,7 +91,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<u16>().prop_map(Op::Charge),
         any::<u16>().prop_map(Op::Advance),
         any::<u8>().prop_map(Op::ContextSwitch),
-        (any::<u8>(), any::<u16>()).prop_map(|(n, len)| Op::CreateFile(n, len)),
+        (any::<u8>(), any::<u16>()).prop_map(|(n, len)| Op::CreateSyntheticFile(n, len)),
         any::<u8>().prop_map(Op::Open),
         any::<u8>().prop_map(Op::OpenMissing),
         any::<u8>().prop_map(Op::CloseFd),
@@ -85,7 +103,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u8>(), any::<u16>()).prop_map(|(fd, len)| Op::PosixWrite(fd, len)),
         (any::<u8>(), any::<u16>(), any::<u16>()).prop_map(|(fd, o, l)| Op::Pread(fd, o, l)),
         any::<bool>().prop_map(Op::PipeFds),
-        Just(Op::SocketCreate),
+        any::<bool>().prop_map(Op::SocketCreate),
         (any::<u8>(), any::<u16>()).prop_map(|(fd, max)| Op::SocketDrain(fd, max)),
         any::<u8>().prop_map(Op::CachePin),
         any::<u8>().prop_map(Op::CacheUnpin),
@@ -109,6 +127,17 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u8>(), any::<u16>()).prop_map(|(kind, id)| Op::InstallFd(kind, id)),
         (any::<u8>(), any::<u8>(), any::<u16>()).prop_map(|(at, k, id)| Op::InstallFdAt(at, k, id)),
         any::<u8>().prop_map(Op::Poll),
+        any::<u8>().prop_map(Op::Spawn),
+        any::<bool>().prop_map(Op::CreatePool),
+        (any::<u8>(), any::<u16>()).prop_map(|(n, len)| Op::CreateFile(n, len)),
+        any::<u8>().prop_map(Op::OpenFile),
+        (any::<bool>(), any::<u8>()).prop_map(|(zero_copy, acl)| {
+            Op::PipeBetween(zero_copy, [None, Some(true), Some(false)][usize::from(acl % 3)])
+        }),
+        any::<u16>().prop_map(Op::ReadStderr),
+        Just(Op::ResetClock),
+        (any::<u8>(), any::<bool>()).prop_map(|(fd, on)| Op::SetNonblocking(fd, on)),
+        (any::<u8>(), any::<u16>()).prop_map(|(fd, len)| Op::SocketSendAccounted(fd, len)),
     ]
 }
 
@@ -145,6 +174,13 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
             _ => FdObject::Socket(ConnId(u64::from(id))),
         }
     };
+    let mode = |zero_copy: bool| {
+        if zero_copy {
+            PipeMode::ZeroCopy
+        } else {
+            PipeMode::Copy
+        }
+    };
     match op {
         Op::Charge(us) => Command::Charge {
             category: CostCategory::Syscall,
@@ -155,7 +191,7 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
             t: SimTime::from_us(f64::from(*us) / 16.0),
         },
         Op::ContextSwitch(n) => Command::ContextSwitch { n: u64::from(*n) },
-        Op::CreateFile(n, len) => Command::CreateSyntheticFile {
+        Op::CreateSyntheticFile(n, len) => Command::CreateSyntheticFile {
             name: format!("/gen{}", n % 8),
             len: u64::from(*len),
             seed: u64::from(*n),
@@ -204,15 +240,15 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
         },
         Op::PipeFds(zero_copy) => Command::PipeFds {
             pid,
-            mode: if *zero_copy {
-                PipeMode::ZeroCopy
-            } else {
-                PipeMode::Copy
-            },
+            mode: mode(*zero_copy),
         },
-        Op::SocketCreate => Command::SocketCreate {
+        Op::SocketCreate(zero_copy) => Command::SocketCreate {
             pid,
-            mode: BufferMode::ZeroCopy,
+            mode: if *zero_copy {
+                BufferMode::ZeroCopy
+            } else {
+                BufferMode::Copy
+            },
             mss: 1460,
             tss: 64 * 1024,
         },
@@ -308,6 +344,49 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
             at: fd(*at),
             object: object(*kind, *id),
         },
+        Op::Spawn(n) => Command::Spawn {
+            name: format!("spawned{n}"),
+        },
+        Op::CreatePool(shared) => Command::CreatePool {
+            acl: if *shared {
+                Acl::with_domain(pid.domain())
+            } else {
+                Acl::kernel_only()
+            },
+        },
+        Op::CreateFile(n, len) => Command::CreateFile {
+            name: format!("/explicit{}", n % 8),
+            data: vec![0x5A; usize::from(*len % 4096)],
+        },
+        Op::OpenFile(n) => Command::OpenFile { pid, file: file(*n) },
+        // `Some(false)`: an ACL that refuses the reader's domain.
+        Op::PipeBetween(zero_copy, acl) => Command::PipeBetween {
+            writer: pid,
+            reader: pid,
+            mode: mode(*zero_copy),
+            acl: acl.map(|admits| {
+                if admits {
+                    Acl::with_domain(pid.domain())
+                } else {
+                    Acl::kernel_only()
+                }
+            }),
+        },
+        Op::ReadStderr(max) => Command::ReadStderr {
+            pid,
+            max: u64::from(*max),
+        },
+        Op::ResetClock => Command::ResetClock,
+        Op::SetNonblocking(n, on) => Command::SetNonblocking {
+            pid,
+            fd: fd(*n),
+            nonblocking: *on,
+        },
+        Op::SocketSendAccounted(n, len) => Command::SocketSendAccounted {
+            pid,
+            fd: fd(*n),
+            len: u64::from(*len),
+        },
     }
 }
 
@@ -331,9 +410,78 @@ fn run(initial: &KernelState, cmds: &[Command]) -> (u64, Vec<(usize, Effect)>) {
     (state.state_hash(), all)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// One of each [`Op`], in declaration order.
+fn one_of_each() -> Vec<Op> {
+    vec![
+        Op::Charge(1),
+        Op::Advance(1),
+        Op::ContextSwitch(1),
+        Op::CreateSyntheticFile(1, 1),
+        Op::Open(1),
+        Op::OpenMissing(1),
+        Op::CloseFd(1),
+        Op::DupFd(1),
+        Op::Lseek(1, 1),
+        Op::IolRead(1, 1),
+        Op::IolWrite(1, 1),
+        Op::PosixRead(1, 1),
+        Op::PosixWrite(1, 1),
+        Op::Pread(1, 1, 1),
+        Op::PipeFds(true),
+        Op::SocketCreate(true),
+        Op::SocketDrain(1, 1),
+        Op::CachePin(1),
+        Op::CacheUnpin(1),
+        Op::MappedRead(1, true),
+        Op::MemReserve(1),
+        Op::MemRelease(1),
+        Op::RebalanceCache,
+        Op::SetChecksumCache(true),
+        Op::FeedStdin(1),
+        Op::ReadStdout(1),
+        Op::PutInstall(1, 1),
+        Op::WriteBack(1),
+        Op::NvmDemote,
+        Op::SetWriteback(1),
+        Op::CacheInstall(1, 1),
+        Op::CacheInvalidate(1),
+        Op::SocketDeliver(1, 1),
+        Op::SocketPeerClose(1),
+        Op::Pwrite(1, 1, 1),
+        Op::Dup2Fd(1, 1),
+        Op::Poll(1),
+        Op::InstallFd(1, 1),
+        Op::InstallFdAt(1, 1, 1),
+        Op::Spawn(1),
+        Op::CreatePool(true),
+        Op::CreateFile(1, 1),
+        Op::OpenFile(1),
+        Op::PipeBetween(true, Some(true)),
+        Op::ReadStderr(1),
+        Op::ResetClock,
+        Op::SetNonblocking(1, true),
+        Op::SocketSendAccounted(1, 1),
+    ]
+}
 
+/// The generator covers the whole operation table: one of each [`Op`]
+/// lowers to this many distinct [`Command`] variants, which is all of
+/// them. A new kernel operation moves this number once its `Op` is
+/// added.
+#[test]
+fn the_generator_reaches_every_command() {
+    let (state, pid) = fixture();
+    let mut seen: Vec<Discriminant<Command>> = Vec::new();
+    for op in one_of_each() {
+        let kind = discriminant(&lower(&state, pid, &op));
+        if !seen.contains(&kind) {
+            seen.push(kind);
+        }
+    }
+    assert_eq!(seen.len(), 47);
+}
+
+proptest! {
     /// `step` is a pure function of (state, command): two folds
     /// of the same sequence from the same state are indistinguishable.
     #[test]

@@ -282,6 +282,55 @@ fn lseek_refuses_offsets_past_off_t_max() {
     assert_eq!(k.lseek(pid, fd, -3, Whence::End).unwrap().0, 7);
 }
 
+/// Regression: a file write ending past `off_t` resized the store to
+/// its end and panicked the kernel ("attempt to add with overflow",
+/// "capacity overflow"). Every write path lands in one check: a write
+/// whose offset or end passes `i64::MAX` is `EINVAL`, the bound `lseek`
+/// enforces, refused before anything is billed or stored.
+#[test]
+fn file_writes_past_off_t_max_are_refused() {
+    let mut k = kernel();
+    let pid = k.spawn("app");
+    let f = k.create_file("/f", b"0123456789");
+    let (fd, _) = k.open(pid, "/f").unwrap();
+    let byte = Aggregate::from_bytes(k.process(pid).pool(), b"x");
+    let top = k.lseek(pid, fd, i64::MAX, Whence::Set).unwrap().0;
+    let (t, copied) = (k.now(), k.metrics.bytes_copied);
+    for offset in [u64::MAX, 1 << 63, top] {
+        assert_eq!(
+            k.iol_pwrite(pid, fd, offset, &byte).unwrap_err(),
+            IolError::InvalidSeek { requested: offset as i64 }
+        );
+    }
+    let refused = IolError::InvalidSeek { requested: i64::MAX };
+    assert_eq!(k.iol_write_fd(pid, fd, &byte).unwrap_err(), refused);
+    assert_eq!(k.posix_write_fd(pid, fd, b"x").unwrap_err(), refused);
+    // Nothing moved: not the clock, the copy count, the file or the offset.
+    assert_eq!((k.now(), k.metrics.bytes_copied), (t, copied));
+    assert_eq!(k.store.read(f, 0, 100).unwrap(), b"0123456789");
+    assert_eq!(k.lseek(pid, fd, 0, Whence::Cur).unwrap().0, top);
+    // The bound is inclusive: an empty write at `i64::MAX` is legal.
+    assert_eq!(k.iol_write_fd(pid, fd, &Aggregate::empty()).unwrap().0, 0);
+}
+
+/// Regression: the accounting-only send is the copy path's; on a
+/// zero-copy socket it tripped an assertion inside the TCP layer and
+/// panicked the kernel. It is `BadFdKind` now, billed nothing.
+#[test]
+fn accounted_send_on_a_zero_copy_socket_is_refused() {
+    let mut k = kernel();
+    let pid = k.spawn("app");
+    let sock = k.socket_create(pid, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
+    let t = k.now();
+    assert!(matches!(
+        k.socket_send_accounted(pid, sock, 1000),
+        Err(IolError::BadFdKind { fd, .. }) if fd == sock
+    ));
+    assert_eq!(k.now(), t);
+    let copy = k.socket_create(pid, BufferMode::Copy, DEFAULT_MSS, DEFAULT_TSS);
+    assert_eq!(k.socket_send_accounted(pid, copy, 1000).unwrap().0.payload_bytes, 1000);
+}
+
 /// `dup2_fd` and `install_fd_at` take the number from the caller; one
 /// at or past [`FD_LIMIT`] is `EBADF` (as past `RLIMIT_NOFILE`), not a
 /// slot table sized to reach it.

@@ -8,7 +8,9 @@
 //! `CksumCacheStats`, `LoopStats` and every completed response (its
 //! connection, path, size, hit flag and exact bytes); per run, the wire
 //! counters, the violations and the quiesce time. An experiment line
-//! digests its `ExperimentResult`, which is what the figures read.
+//! digests its `ExperimentResult`, which is what the figures read. The
+//! event-loop line is `crates/http/tests/replay.rs`'s journaled
+//! 256-connection run, digested the way a storm shard is.
 //!
 //! The kernel's `state_hash` is left out on purpose. It digests internal
 //! layout, which moves when a deleted field leaves the digest while
@@ -20,8 +22,11 @@
 use std::fmt::{Debug, Write as _};
 
 use iolite::buf::Fnv64;
-use iolite::core::CostModel;
-use iolite::http::{Experiment, ExperimentConfig, ServerKind, WorkloadKind};
+use iolite::core::{CostModel, Kernel};
+use iolite::fs::Policy;
+use iolite::http::{
+    EventLoopConfig, EventLoopServer, Experiment, ExperimentConfig, ServerKind, WorkloadKind,
+};
 use iolite::storm::{run_storm, StormConfig};
 use iolite::trace::{TraceSpec, Workload};
 
@@ -89,6 +94,55 @@ fn experiment_line(name: &str, server: ServerKind, workload: WorkloadKind) -> St
     )
 }
 
+/// `crates/http/tests/replay.rs`'s run: 256 closed-loop clients walk
+/// an eight-file corpus from staggered phases, with the journal on.
+fn event_loop_line() -> String {
+    const CORPUS: &[(&str, u64)] = &[
+        ("/index.html", 4_096),
+        ("/logo.gif", 1_337),
+        ("/styles.css", 2_048),
+        ("/app.js", 8_192),
+        ("/docs/a.html", 3_000),
+        ("/docs/b.html", 5_500),
+        ("/docs/c.html", 700),
+        ("/data/blob.bin", 16_384),
+    ];
+    let mut kernel = Kernel::with_policy(CostModel::pentium_ii_333(), Policy::Gds);
+    kernel.start_journal();
+    let pid = kernel.spawn("server");
+    for (name, bytes) in CORPUS {
+        kernel.create_synthetic_file(name, *bytes, 7);
+    }
+    let scripts: Vec<Vec<String>> = (0..256)
+        .map(|c| {
+            (0..4)
+                .map(|r| CORPUS[(c + r * 3) % CORPUS.len()].0.to_string())
+                .collect()
+        })
+        .collect();
+    let cfg = EventLoopConfig {
+        drain_per_tick: 8 * 1024,
+        capture_responses: true,
+        ..EventLoopConfig::default()
+    };
+    let (report, kernel) = EventLoopServer::new(kernel, pid, scripts, None, cfg).run();
+    let mut h = Fnv64::new();
+    fold(&mut h, &kernel.metrics);
+    fold(&mut h, &kernel.cache.stats());
+    fold(&mut h, &kernel.cksum.stats());
+    fold(&mut h, &report.stats);
+    for req in &report.requests {
+        fold(&mut h, &(req.conn, &req.path, req.bytes, req.cache_hit));
+        h.write_bytes(req.response.as_deref().unwrap_or_default());
+    }
+    format!(
+        "event_loop replay conns=256 completed={} failed={} digest={:016x}",
+        report.stats.completed,
+        report.stats.failed,
+        h.finish()
+    )
+}
+
 fn table() -> String {
     let presets = [
         ("calm", StormConfig::calm(1)),
@@ -118,6 +172,7 @@ fn table() -> String {
             workload,
         ));
     }
+    lines.push(event_loop_line());
     lines.iter().fold(String::new(), |mut out, line| {
         let _ = writeln!(out, "{line}");
         out
