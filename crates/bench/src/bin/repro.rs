@@ -6,288 +6,77 @@
 //! measured series plus the claims the paper makes about it, so
 //! EXPERIMENTS.md can record paper-vs-measured directly. `check` and
 //! `scale` are gates: they exit non-zero unless every claim (resp. the
-//! sharded speedup bar) holds; `all` ends in `check`.
+//! sharded speedup bar) holds; `all` prints every figure, then judges
+//! the claims over the rows it printed.
 
-use iolite_bench::figures::{self, Scale};
+use iolite_bench::figures::{Lab, Scale, FIGURES};
 
 fn main() {
-    let scale = Scale::full();
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-
-    let mut failed = false;
-    match what.as_str() {
-        "fig3" => fig3(scale),
-        "fig4" => fig4(scale),
-        "fig5" => fig5(scale),
-        "fig6" => fig6(scale),
-        "fig7" => fig7(),
-        "fig8" => fig8(scale),
-        "fig9" => fig9(),
-        "fig10" => fig10(scale),
-        "fig11" => fig11(scale),
-        "fig12" => fig12(scale),
-        "fig13" => fig13(scale),
-        "check" => failed = !check(scale),
-        "scale" => failed = !scale_table(),
+    let mut lab = Lab::new(Scale::full());
+    let ok = match what.as_str() {
         "all" => {
-            fig3(scale);
-            fig4(scale);
-            fig5(scale);
-            fig6(scale);
-            fig7();
-            fig8(scale);
-            fig9();
-            fig10(scale);
-            fig11(scale);
-            fig12(scale);
-            fig13(scale);
-            failed = !check(scale);
+            for figure in &FIGURES {
+                figure.print(lab.figure(figure));
+            }
+            check(&mut lab)
         }
-        other => {
-            eprintln!("unknown figure: {other}");
-            std::process::exit(2);
+        "check" => check(&mut lab),
+        "scale" => scale_table(),
+        key => {
+            let Some(figure) = FIGURES.iter().find(|f| f.key == key) else {
+                eprintln!("unknown figure: {key}");
+                std::process::exit(2);
+            };
+            figure.print(lab.figure(figure));
+            true
         }
-    }
-    if failed {
+    };
+    if !ok {
         std::process::exit(1);
     }
 }
 
-fn header(title: &str, claims: &[&str]) {
-    println!();
-    println!("==== {title} ====");
-    for c in claims {
-        println!("  paper: {c}");
+/// Judges every claim over `lab`'s figures (computing those not yet
+/// computed); prints PASS/FAIL per claim.
+fn check(lab: &mut Lab) -> bool {
+    let claims = lab.claims();
+    println!("\n==== claim checks ====");
+    for c in &claims {
+        let verdict = if c.pass { "PASS" } else { "FAIL" };
+        println!("  [{verdict}] {}: {}", c.name, c.detail);
     }
+    let ok = claims.iter().all(|c| c.pass);
+    let overall = if ok {
+        "ALL CLAIMS PASS"
+    } else {
+        "SOME CLAIMS FAILED"
+    };
+    println!("\noverall: {overall}");
+    ok
 }
 
-fn bandwidth_table(rows: &[figures::BandwidthRow], x_label: &str, cols: &[&str]) {
-    print!("{x_label:>10}");
-    for c in cols {
-        print!(" {c:>12}");
-    }
-    println!();
-    for row in rows {
-        print!("{:>10}", row.x);
-        for v in &row.mbps {
-            print!(" {:>10.1}Mb", v);
-        }
-        println!();
-    }
-}
-
-fn size_table(rows: &[figures::BandwidthRow], cols: &[&str]) {
-    print!("{:>10}", "size");
-    for c in cols {
-        print!(" {c:>12}");
-    }
-    println!();
-    for row in rows {
-        let label = if row.x >= 1024 {
-            format!("{}KB", row.x >> 10)
-        } else {
-            format!("{}B", row.x)
-        };
-        print!("{label:>10}");
-        for v in &row.mbps {
-            print!(" {:>10.1}Mb", v);
-        }
-        println!();
-    }
-}
-
-const SERVER_COLS: [&str; 3] = ["Flash-Lite", "Flash", "Apache"];
-
-fn fig3(scale: Scale) {
-    header(
-        "Figure 3: HTTP single-file test (non-persistent, 40 clients)",
-        &[
-            "Flash-Lite +38-43% over Flash for >=50KB; +73-94% over Apache",
-            "Flash and Flash-Lite roughly equal at <=5KB",
-            "Flash up to +71% over Apache around 20KB",
-        ],
-    );
-    size_table(&figures::fig03(scale), &SERVER_COLS);
-}
-
-fn fig4(scale: Scale) {
-    header(
-        "Figure 4: persistent-connection single-file test",
-        &[
-            "small-file rates rise strongly for Flash/Flash-Lite, little for Apache",
-            "Flash-Lite within 10% of network saturation at 17KB; saturates >=30KB",
-            "Flash-Lite up to +43% over Flash for >=20KB",
-        ],
-    );
-    size_table(&figures::fig04(scale), &SERVER_COLS);
-}
-
-fn fig5(scale: Scale) {
-    header(
-        "Figure 5: HTTP/FastCGI (non-persistent)",
-        &[
-            "Flash/Apache CGI bandwidth roughly half their static rates",
-            "Flash-Lite CGI approaches 87% of its static speed",
-            "Flash-Lite CGI beats Flash static",
-        ],
-    );
-    size_table(&figures::fig05(scale), &SERVER_COLS);
-}
-
-fn fig6(scale: Scale) {
-    header(
-        "Figure 6: persistent-HTTP/FastCGI",
-        &["Flash/Apache gain little from persistence (pipe-bound); Flash-Lite gains"],
-    );
-    size_table(&figures::fig06(scale), &SERVER_COLS);
-}
-
-fn fig7() {
-    header(
-        "Figure 7: trace characteristics (synthesized to published stats)",
-        &[
-            "ECE: 783529 reqs, 10195 files, 523MB; top 5000 files = 95% reqs / 39% bytes",
-            "CS: 3746842 reqs, 26948 files, 933MB",
-            "MERGED: 2290909 reqs, 37703 files, 1418MB",
-        ],
-    );
-    for row in figures::fig07() {
-        trace_row(&row);
-    }
-}
-
-fn fig9() {
-    header(
-        "Figure 9: 150MB MERGED subtrace",
-        &["28403 reqs, 5459 files, 150MB; top 1000 files = 74% reqs / 20% bytes"],
-    );
-    trace_row(&figures::fig09());
-}
-
-fn trace_row(row: &figures::TraceRow) {
-    println!(
-        "{:>14}: {} files, {} paper-log requests, {}MB, mean request {:.1}KB",
-        row.name, row.files, row.requests, row.total_mb, row.mean_request_kb
-    );
-    for (files, reqs, bytes) in &row.anchors {
-        println!(
-            "              top {files:>6} files: {:>5.1}% of requests, {:>5.1}% of bytes",
-            100.0 * reqs,
-            100.0 * bytes
-        );
-    }
-}
-
-fn fig8(scale: Scale) {
-    header(
-        "Figure 8: overall trace performance (64 clients, shared-log replay)",
-        &[
-            "Flash-Lite significantly outperforms Flash and Apache on ECE and CS",
-            "MERGED: poor locality, all servers disk-bound and close",
-        ],
-    );
-    println!(
-        "{:>10} {:>12} {:>12} {:>12}   (hit rates)",
-        "trace", SERVER_COLS[0], SERVER_COLS[1], SERVER_COLS[2]
-    );
-    for row in figures::fig08(scale) {
-        println!(
-            "{:>10} {:>10.1}Mb {:>10.1}Mb {:>10.1}Mb   ({:.2}/{:.2}/{:.2})",
-            row.name,
-            row.mbps[0],
-            row.mbps[1],
-            row.mbps[2],
-            row.hit_rates[0],
-            row.hit_rates[1],
-            row.hit_rates[2]
-        );
-    }
-}
-
-fn fig10(scale: Scale) {
-    header(
-        "Figure 10: MERGED subtrace, bandwidth vs data-set size (64 clients)",
-        &[
-            "in-memory region: Flash-Lite +34-50% over Flash",
-            "disk-bound region: +44-67% (GDS cache policy)",
-            "Flash +65-88% over Apache in-memory, +71-110% disk-bound",
-        ],
-    );
-    bandwidth_table(&figures::fig10(scale), "dataset MB", &SERVER_COLS);
-}
-
-fn fig11(scale: Scale) {
-    header(
-        "Figure 11: optimization contributions (Fig. 10 workload)",
-        &[
-            "copy elimination alone: 21-33% (FL-noCksum vs Flash, in-memory)",
-            "checksum caching: +10-15% on top",
-            "GDS vs LRU: +17-28% on disk-heavy workloads",
-        ],
-    );
-    bandwidth_table(
-        &figures::fig11(scale),
-        "dataset MB",
-        &figures::fig11_variants(),
-    );
-}
-
-fn fig12(scale: Scale) {
-    header(
-        "Figure 12: throughput vs WAN delay (120MB data set, clients 64->900)",
-        &[
-            "Flash drops ~33%, Apache ~50% as delay grows (socket copies squeeze cache)",
-            "Flash-Lite unaffected (references, not copies)",
-        ],
-    );
-    bandwidth_table(&figures::fig12(scale), "RTT ms", &SERVER_COLS);
-}
-
-fn fig13(scale: Scale) {
-    header(
-        "Figure 13: application runtimes (POSIX vs IO-Lite)",
-        &["wc -37%, permute -33%, grep -48%, gcc ~0%"],
-    );
-    println!(
-        "{:>10} {:>12} {:>12} {:>10} {:>10}",
-        "app", "POSIX", "IO-Lite", "measured", "paper"
-    );
-    for row in figures::fig13(scale) {
-        println!(
-            "{:>10} {:>10.1}ms {:>10.1}ms {:>9.1}% {:>9.1}%",
-            row.name,
-            row.posix_ms,
-            row.iolite_ms,
-            row.reduction_pct(),
-            row.paper_reduction_pct
-        );
-    }
-}
-
-/// Prints the sharded scaling table and holds it to the PR 7 bar:
-/// 2 shards >= 1.7x and 4 shards >= 3.0x one shard (per-core
-/// provisioned, replicated), no failed request, no busy-spin.
+/// Prints the sharded scaling table and holds each row to its bar
+/// ([`iolite_bench::scale::ScaleRow::min_speedup`]), with no failed
+/// request and no busy-spin.
 fn scale_table() -> bool {
-    header(
-        "Sharded scaling: 2^18 connections, SCALE-10K corpus, simulated CPU on the parallel makespan",
-        &[],
-    );
-    println!("  bar: 2 shards >= 1.7x and 4 shards >= 3.0x one shard (replicated, 128 MB/shard)");
-    println!(
-        "{:>6} {:>10} {:>9} {:>12} {:>8} {:>10} {:>9} {:>8} {:>9} {:>8} {:>8}",
-        "shards",
-        "ownership",
-        "MB/shard",
-        "req/cpu-sec",
-        "speedup",
-        "makespan",
-        "imbalance",
-        "hit rate",
-        "evictions",
-        "fetches",
-        "waits"
-    );
     let rows = iolite_bench::scale::sweep();
+    println!(
+        "\n==== Sharded scaling: 2^18 connections, SCALE-10K corpus, simulated CPU on the parallel makespan ===="
+    );
+    let barred: Vec<_> = rows.iter().filter(|r| r.min_speedup > 0.0).collect();
+    let bars: Vec<String> = barred
+        .iter()
+        .map(|r| format!("{} shards >= {:.1}x", r.shards, r.min_speedup))
+        .collect();
+    println!(
+        "  bar: {} one shard (replicated, {} MB/shard)",
+        bars.join(" and "),
+        barred[0].ram_per_shard >> 20
+    );
+    println!(
+        "shards  ownership  MB/shard  req/cpu-sec  speedup   makespan imbalance hit rate evictions  fetches    waits"
+    );
     let base = rows[0].report.requests_per_cpu_sec();
     let mut ok = true;
     for row in &rows {
@@ -310,177 +99,11 @@ fn scale_table() -> bool {
             if pass { "" } else { "  <- FAIL" },
         );
     }
-    println!();
-    println!(
-        "overall: {}",
-        if ok {
-            "SCALING BAR HELD"
-        } else {
-            "SCALING BAR MISSED (speedup below the bar, a failed request, or a shard that spun)"
-        }
-    );
-    ok
-}
-
-/// Asserts the direction of every headline claim; prints PASS/FAIL.
-fn check(scale: Scale) -> bool {
-    let mut ok = true;
-    let mut claim = |name: &str, pass: bool, detail: String| {
-        println!(
-            "  [{}] {name}: {detail}",
-            if pass { "PASS" } else { "FAIL" }
-        );
-        ok &= pass;
+    let overall = if ok {
+        "SCALING BAR HELD"
+    } else {
+        "SCALING BAR MISSED (speedup below the bar, a failed request, or a shard that spun)"
     };
-
-    println!();
-    println!("==== claim checks ====");
-
-    let f3 = figures::fig03(scale);
-    let at = |rows: &[figures::BandwidthRow], bytes: u64| -> Vec<f64> {
-        rows.iter().find(|r| r.x == bytes).unwrap().mbps.clone()
-    };
-    let big = at(&f3, 200 << 10);
-    claim(
-        "fig3 ordering at 200KB",
-        big[0] > big[1] && big[1] > big[2],
-        format!(
-            "FL {:.0} > Flash {:.0} > Apache {:.0}",
-            big[0], big[1], big[2]
-        ),
-    );
-    let gain = big[0] / big[1] - 1.0;
-    claim(
-        "fig3 FL/Flash gain at 200KB in 25-60% band (paper 38-43%)",
-        (0.25..=0.60).contains(&gain),
-        format!("{:.0}%", gain * 100.0),
-    );
-    let small = at(&f3, 2 << 10);
-    let small_gap = (small[0] / small[1] - 1.0).abs();
-    claim(
-        "fig3 convergence at 2KB (within 15%)",
-        small_gap < 0.15,
-        format!("gap {:.0}%", small_gap * 100.0),
-    );
-
-    let f4 = figures::fig04(scale);
-    let cap = 420.0;
-    let fl30 = at(&f4, 30 << 10)[0];
-    claim(
-        "fig4 FL near saturation at 30KB persistent",
-        fl30 > 0.9 * cap,
-        format!("{fl30:.0} of {cap:.0} Mb/s"),
-    );
-    let np10 = at(&f3, 10 << 10)[0];
-    let p10 = at(&f4, 10 << 10)[0];
-    claim(
-        "fig4 persistence helps small files",
-        p10 > 1.5 * np10,
-        format!("{np10:.0} -> {p10:.0} Mb/s at 10KB"),
-    );
-
-    let f5 = figures::fig05(scale);
-    let cgi100 = at(&f5, 100 << 10);
-    let static100 = at(&f3, 100 << 10);
-    let flash_ratio = cgi100[1] / static100[1];
-    claim(
-        "fig5 Flash CGI roughly halves",
-        (0.3..=0.7).contains(&flash_ratio),
-        format!("ratio {flash_ratio:.2}"),
-    );
-    let fl_ratio = cgi100[0] / static100[0];
-    claim(
-        "fig5 Flash-Lite CGI keeps most of its static speed",
-        fl_ratio > 0.75,
-        format!("ratio {fl_ratio:.2}"),
-    );
-    claim(
-        "fig5 FL CGI beats Flash static",
-        cgi100[0] > static100[1],
-        format!("{:.0} vs {:.0} Mb/s", cgi100[0], static100[1]),
-    );
-
-    let f10 = figures::fig10(scale);
-    let inmem = &f10[0].mbps;
-    let disk = &f10.last().unwrap().mbps;
-    claim(
-        "fig10 FL wins in-memory",
-        inmem[0] > inmem[1] && inmem[1] > inmem[2],
-        format!("{:.0} > {:.0} > {:.0}", inmem[0], inmem[1], inmem[2]),
-    );
-    claim(
-        "fig10 FL wins disk-bound",
-        disk[0] > disk[1],
-        format!("{:.0} > {:.0}", disk[0], disk[1]),
-    );
-
-    let f11 = figures::fig11(scale);
-    let disk11 = &f11.last().unwrap().mbps;
-    claim(
-        "fig11 GDS beats LRU disk-bound",
-        disk11[0] > disk11[1],
-        format!("GDS {:.0} vs LRU {:.0}", disk11[0], disk11[1]),
-    );
-    let inmem11 = &f11[0].mbps;
-    claim(
-        "fig11 checksum cache contributes in-memory",
-        inmem11[0] > inmem11[2],
-        format!("with {:.0} vs without {:.0}", inmem11[0], inmem11[2]),
-    );
-    claim(
-        "fig11 copy elimination alone beats Flash",
-        inmem11[2] > inmem11[4],
-        format!("FL-noCksum {:.0} vs Flash {:.0}", inmem11[2], inmem11[4]),
-    );
-
-    let f12 = figures::fig12(scale);
-    let lan = &f12[0].mbps;
-    let wan = &f12.last().unwrap().mbps;
-    let fl_drop = 1.0 - wan[0] / lan[0];
-    let flash_drop = 1.0 - wan[1] / lan[1];
-    let apache_drop = 1.0 - wan[2] / lan[2];
-    claim(
-        "fig12 Flash drops with delay (paper ~33%)",
-        (0.15..=0.70).contains(&flash_drop),
-        format!("{:.0}%", flash_drop * 100.0),
-    );
-    claim(
-        "fig12 Apache drops heavily (paper ~50%)",
-        (0.30..=0.75).contains(&apache_drop),
-        format!("{:.0}%", apache_drop * 100.0),
-    );
-    claim(
-        "fig12 Flash-Lite resilient (paper: flat)",
-        fl_drop < 0.12 && fl_drop < flash_drop - 0.10,
-        format!("{:.0}%", fl_drop * 100.0),
-    );
-
-    let f13 = figures::fig13(scale);
-    for row in &f13 {
-        let measured = row.reduction_pct();
-        let pass = if row.paper_reduction_pct == 0.0 {
-            measured.abs() < 5.0
-        } else {
-            (measured - row.paper_reduction_pct).abs() < 12.0
-        };
-        claim(
-            &format!(
-                "fig13 {} reduction (paper {:.0}%)",
-                row.name, row.paper_reduction_pct
-            ),
-            pass,
-            format!("{measured:.1}%"),
-        );
-    }
-
-    println!();
-    println!(
-        "overall: {}",
-        if ok {
-            "ALL CLAIMS PASS"
-        } else {
-            "SOME CLAIMS FAILED"
-        }
-    );
+    println!("\noverall: {overall}");
     ok
 }

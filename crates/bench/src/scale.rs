@@ -20,7 +20,7 @@
 
 use iolite_core::{CostModel, Kernel};
 use iolite_fs::{CacheOwnership, Policy};
-use iolite_http::{run_sharded, EventLoopConfig, ShardedConfig, ShardedReport};
+use iolite_http::{run_sharded, EventLoopConfig, ShardOutcome, ShardedConfig, ShardedReport};
 use iolite_sim::SimRng;
 use iolite_trace::{TraceSpec, Workload};
 use iolite_vm::MemAccount;
@@ -55,47 +55,38 @@ pub struct ScaleRow {
     pub ram_per_shard: u64,
     /// The PR 7 bar: least speedup over the one-shard row this row must
     /// show (0 for rows that measure a tax instead of clearing a bar).
+    /// `repro scale` prints its bar line from these.
     pub min_speedup: f64,
     /// The fleet's report (per-shard loop stats and kernels).
     pub report: ShardedReport,
 }
 
 impl ScaleRow {
+    /// `stat` summed over the fleet's shards.
+    fn sum(&self, stat: impl Fn(&ShardOutcome) -> u64) -> u64 {
+        self.report.shards.iter().map(stat).sum()
+    }
+
     /// Fleet-wide file-cache hit rate.
     pub fn hit_rate(&self) -> f64 {
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for s in &self.report.shards {
-            let cs = s.kernel.cache.stats();
-            hits += cs.hits;
-            misses += cs.misses;
-        }
+        let hits = self.sum(|s| s.kernel.cache.stats().hits);
+        let misses = self.sum(|s| s.kernel.cache.stats().misses);
         hits as f64 / (hits + misses).max(1) as f64
     }
 
     /// Fleet-wide file-cache evictions.
     pub fn evictions(&self) -> u64 {
-        self.report
-            .shards
-            .iter()
-            .map(|s| s.kernel.cache.stats().evictions)
-            .sum()
+        self.sum(|s| s.kernel.cache.stats().evictions)
     }
 
     /// Requests that parked behind another connection's remote fetch.
     pub fn remote_waits(&self) -> u64 {
-        self.report
-            .shards
-            .iter()
-            .map(|s| s.report.stats.remote_waits)
-            .sum()
+        self.sum(|s| s.report.stats.remote_waits)
     }
 
     /// Whether any shard issued an I/O call its poll did not justify.
     pub fn spun(&self) -> bool {
-        self.report
-            .shards
-            .iter()
-            .any(|s| s.report.stats.blocked_io != 0)
+        self.sum(|s| s.report.stats.blocked_io) != 0
     }
 }
 

@@ -12,10 +12,6 @@ pub enum BufError {
         /// Available length.
         available: u64,
     },
-    /// An in-place mutation was attempted on a buffer that other
-    /// references can observe (§3.1: in-place modification is only legal
-    /// when the data are not currently shared).
-    Shared,
     /// An allocation exceeded the pool's chunk size.
     TooLarge {
         /// Requested allocation size.
@@ -35,7 +31,6 @@ impl fmt::Display for BufError {
                 f,
                 "range end {requested} exceeds available length {available}"
             ),
-            BufError::Shared => write!(f, "buffer is shared; in-place modification refused"),
             BufError::TooLarge { requested, max } => {
                 write!(
                     f,
@@ -59,7 +54,6 @@ mod tests {
             available: 5,
         };
         assert!(e.to_string().contains("10"));
-        assert!(BufError::Shared.to_string().contains("shared"));
         let t = BufError::TooLarge {
             requested: 100,
             max: 64,

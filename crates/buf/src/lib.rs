@@ -8,7 +8,9 @@
 //! manipulate data through **buffer aggregates** — ordered lists of
 //! ⟨pointer, length⟩ *slices* into those buffers. Mutation allocates new
 //! buffers for the changed bytes and chains them with the unchanged
-//! slices.
+//! slices. §3.1's footnote — modifying a buffer in place when no other
+//! reference can observe it — is assumed, not simulated: nothing here
+//! writes into a buffer after it is filled, and no cost is billed for it.
 //!
 //! Buffers are allocated from per-ACL **pools** in 64KB **chunks** (the
 //! access-control granularity of §4.5). Chunks recycle: when every

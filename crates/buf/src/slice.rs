@@ -4,9 +4,9 @@
 //! contiguous range of one immutable IO-Lite buffer. Slices are cheap to
 //! clone (reference-counted) and may overlap arbitrarily. The underlying
 //! bytes can never change; the only mutation path is allocating new
-//! buffers and chaining aggregates (§3.8) — or the §3.1 footnote's
-//! in-place optimization when a buffer is provably unshared, exposed here
-//! as [`Slice::try_mutate_in_place`].
+//! buffers and chaining aggregates (§3.8). The §3.1 footnote's in-place
+//! modification of a provably unshared buffer is assumed, not simulated
+//! (see the crate docs).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,31 +211,6 @@ impl Slice {
     pub fn same_buffer(&self, other: &Slice) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
-
-    /// Attempts the §3.1-footnote optimization: modify the buffer in
-    /// place because nothing else can observe it.
-    ///
-    /// Succeeds only when this slice is the *sole* reference to its
-    /// buffer and views it entirely; then `mutate` receives the bytes
-    /// mutably. Generation is *not* bumped: logically this models
-    /// write-before-sharing, so no stale checksum can exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::BufError::Shared`] when other references exist or
-    /// the slice is a partial view.
-    pub fn try_mutate_in_place(
-        &mut self,
-        mutate: impl FnOnce(&mut [u8]),
-    ) -> Result<(), crate::BufError> {
-        if self.off != 0 || self.len != self.inner.bytes.len() {
-            return Err(crate::BufError::Shared);
-        }
-        // `get_mut` succeeds only for the sole reference.
-        let inner = Arc::get_mut(&mut self.inner).ok_or(crate::BufError::Shared)?;
-        mutate(&mut inner.bytes);
-        Ok(())
-    }
 }
 
 impl fmt::Debug for Slice {
@@ -308,30 +283,5 @@ mod tests {
         let s = slice_of(b"x");
         assert!(s.acl().allows(DomainId(2)));
         assert!(!s.acl().allows(DomainId(3)));
-    }
-
-    #[test]
-    fn in_place_mutation_requires_exclusivity() {
-        let mut s = slice_of(b"aaaa");
-        // Clone makes it shared: mutation refused.
-        let c = s.clone();
-        assert_eq!(
-            s.try_mutate_in_place(|_| unreachable!()),
-            Err(BufError::Shared)
-        );
-        drop(c);
-        s.try_mutate_in_place(|b| b[0] = b'z').unwrap();
-        assert_eq!(s.as_bytes(), b"zaaa");
-    }
-
-    #[test]
-    fn partial_view_cannot_mutate_in_place() {
-        let s = slice_of(b"abcd");
-        let mut part = s.sub(0, 2).unwrap();
-        drop(s);
-        assert_eq!(
-            part.try_mutate_in_place(|_| unreachable!()),
-            Err(BufError::Shared)
-        );
     }
 }

@@ -903,39 +903,37 @@ mod tests {
 
     #[test]
     fn poll_reports_pipe_and_socket_readiness() {
-        use crate::poll::PollFd;
         let mut k = kernel();
         let a = k.spawn("producer");
         let b = k.spawn("consumer");
         let (w, r) = k.pipe_between(a, b, PipeMode::ZeroCopy);
         // Empty pipe: writer writable, reader pending.
         let t = k.now();
-        let ev = k.iol_poll(a, &[PollFd::writable(w)]);
+        let ev = k.iol_poll(a, &[w]);
         assert!(ev[0].writable && !ev[0].epipe);
         assert!(k.now() > t, "poll is billed");
-        let ev = k.iol_poll(b, &[PollFd::readable(r)]);
+        let ev = k.iol_poll(b, &[r]);
         assert!(!ev[0].readable && !ev[0].eof);
         // Data buffered: reader readable.
         let pool = k.process(a).pool().clone();
         k.iol_write_fd(a, w, &Aggregate::from_bytes(&pool, b"x")).unwrap();
-        let ev = k.iol_poll(b, &[PollFd::readable(r)]);
+        let ev = k.iol_poll(b, &[r]);
         assert!(ev[0].readable);
         // Sockets: pending until delivery, readable after.
         let sock = k.socket_create(a, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
-        let ev = k.iol_poll(a, &[PollFd::readable(sock)]);
+        let ev = k.iol_poll(a, &[sock]);
         assert!(!ev[0].readable && ev[0].writable);
         k.socket_deliver(a, sock, Aggregate::from_bytes(&pool, b"req"))
             .unwrap();
-        let ev = k.iol_poll(a, &[PollFd::readable(sock)]);
+        let ev = k.iol_poll(a, &[sock]);
         assert!(ev[0].readable);
         // Unknown fds report POLLNVAL without failing the scan.
-        let ev = k.iol_poll(a, &[PollFd::readable(Fd(999)), PollFd::writable(w)]);
+        let ev = k.iol_poll(a, &[Fd(999), w]);
         assert!(ev[0].invalid && ev[1].writable);
     }
 
     #[test]
     fn poll_sees_peer_close_as_readiness() {
-        use crate::poll::PollFd;
         let mut k = kernel();
         let pid = k.spawn("server");
         let sock = k.socket_create(pid, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
@@ -944,11 +942,11 @@ mod tests {
             .unwrap();
         k.socket_peer_close(pid, sock).unwrap();
         // Undrained data is still readable; EOF only after the drain.
-        let ev = k.iol_poll(pid, &[PollFd::readable(sock)]);
+        let ev = k.iol_poll(pid, &[sock]);
         assert!(ev[0].readable && !ev[0].eof && ev[0].epipe);
         let (got, _) = k.iol_read_fd(pid, sock, 100).unwrap();
         assert_eq!(got.to_vec(), b"bye");
-        let ev = k.iol_poll(pid, &[PollFd::readable(sock)]);
+        let ev = k.iol_poll(pid, &[sock]);
         assert!(ev[0].eof && !ev[0].readable);
         let (eof, _) = k.iol_read_fd(pid, sock, 100).unwrap();
         assert!(eof.is_empty(), "peer-closed socket reads EOF after drain");

@@ -109,7 +109,7 @@ pub use error::{short_ok, IoResult, IolError};
 pub use fd::{Fd, FdObject, FdTable, Whence, FD_LIMIT};
 pub use kernel::{ConnId, IoOutcome, Kernel, MappedFileCache, PipeId};
 pub use metrics::Metrics;
-pub use poll::{Interest, PollFd, Readiness};
+pub use poll::Readiness;
 pub use process::{Pid, Process};
 pub use pure::{replay, step, Command, Effect, Journal, KernelState};
 pub use shard::{shard_of_conn, ShardFabric, ShardMailbox, ShardMsg, FABRIC_SLACK};

@@ -29,7 +29,7 @@ use crate::cost::{Charge, CostCategory};
 use crate::error::{IoResult, IolError};
 use crate::fd::{Fd, FdObject, Whence};
 use crate::kernel::Kernel;
-use crate::poll::{PollFd, Readiness};
+use crate::poll::Readiness;
 use crate::process::Pid;
 #[cfg(doc)] // Named only by the rows' doc links.
 use crate::{cost::CostModel, metrics::Metrics};
@@ -395,7 +395,6 @@ kernel_ops! {
     /// Reports readiness for a set of descriptors, `poll(2)`-style: one
     /// [`Readiness`] per entry, in order. Pipe ends (stdio included),
     /// kernel-registry sockets, and regular files are all supported;
-
     /// an entry that fails to resolve reports `invalid` (`POLLNVAL`)
     /// without failing the scan.
     ///
@@ -403,7 +402,7 @@ kernel_ops! {
     /// ([`CostModel::poll_fd_us`]) — the select/poll overhead that made
     /// event-driven servers sensitive to poll-set size long before the
     /// payload moved. It cannot fail.
-    pub fn iol_poll(pid: Pid, fds: &[PollFd] as Vec<PollFd>) -> Vec<Readiness> = Poll
+    pub fn iol_poll(pid: Pid, fds: &[Fd] as Vec<Fd>) -> Vec<Readiness> = Poll
         => op_iol_poll(*pid, fds; fx);
 
     // -- descriptor I/O --

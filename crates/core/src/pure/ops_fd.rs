@@ -11,7 +11,7 @@ use super::state::{IoOutcome, KernelState};
 use crate::cost::{Charge, CostCategory};
 use crate::error::{IoResult, IolError};
 use crate::fd::{Fd, FdObject, Whence};
-use crate::poll::{PollFd, Readiness};
+use crate::poll::Readiness;
 use crate::process::Pid;
 
 impl KernelState {
@@ -21,7 +21,7 @@ impl KernelState {
     pub(crate) fn op_iol_poll(
         &mut self,
         pid: Pid,
-        fds: &[PollFd],
+        fds: &[Fd],
         fx: &mut Vec<Effect>,
     ) -> Vec<Readiness> {
         fx.push(Effect::Syscalls(1));
@@ -33,7 +33,7 @@ impl KernelState {
         };
         let poll_one = |fd| self.object_readiness(self.fds.get(pid, fd)?.object);
         fds.iter()
-            .map(|e| poll_one(e.fd).unwrap_or(invalid))
+            .map(|&fd| poll_one(fd).unwrap_or(invalid))
             .collect()
     }
 

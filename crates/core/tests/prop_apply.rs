@@ -15,7 +15,7 @@ use std::mem::{discriminant, Discriminant};
 use iolite_buf::Acl;
 use iolite_core::{
     step, Command, ConnId, CostCategory, CostModel, Effect, Fd, FdObject, Kernel, KernelState, Pid,
-    PipeId, PollFd,
+    PipeId,
 };
 use iolite_fs::{CacheKey, FileId, WritebackConfig};
 use iolite_ipc::PipeMode;
@@ -333,7 +333,7 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
         },
         Op::Poll(n) => Command::Poll {
             pid,
-            fds: (0..12).map(|i| PollFd::readable(fd(n.wrapping_add(i)))).collect(),
+            fds: (0..12).map(|i| fd(n.wrapping_add(i))).collect(),
         },
         Op::InstallFd(kind, id) => Command::InstallFd {
             pid,

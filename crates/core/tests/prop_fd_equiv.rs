@@ -31,8 +31,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use iolite_buf::Fnv64;
 use iolite_core::fd::FdRegistry;
 use iolite_core::{
-    ConnId, CostModel, Fd, FdObject, IolError, Kernel, MappedFileCache, Pid, PipeId, PollFd,
-    FD_LIMIT,
+    ConnId, CostModel, Fd, FdObject, IolError, Kernel, MappedFileCache, Pid, PipeId, FD_LIMIT,
 };
 use iolite_fs::FileId;
 use iolite_ipc::PipeMode;
@@ -467,7 +466,7 @@ fn observe(k: &Kernel, probe: Pid, pipes: &[PipeId], socks: &[ConnId]) -> LastCl
     let mut k = Kernel::from_state(k.snapshot());
     let mut epipe = |object| {
         let fd = k.install_fd(probe, object);
-        k.iol_poll(probe, &[PollFd::writable(fd)])[0].epipe
+        k.iol_poll(probe, &[fd])[0].epipe
     };
     let mut seen = LastCloses::default();
     for &id in pipes {
@@ -676,7 +675,7 @@ fn close_cost_does_not_scale_with_open_descriptors() {
         k.open_file(server, file);
         k.open_file(other, file);
     }
-    let epipe = |k: &mut Kernel, pid, fd| k.iol_poll(pid, &[PollFd::writable(fd)])[0].epipe;
+    let epipe = |k: &mut Kernel, pid, fd| k.iol_poll(pid, &[fd])[0].epipe;
     for _ in 0..1 << 15 {
         let sock = k.socket_create(server, BufferMode::ZeroCopy, 1460, 64 * 1024);
         let object = k.fd_object(server, sock).unwrap();

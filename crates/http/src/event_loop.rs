@@ -8,8 +8,8 @@
 //! nonblocking descriptors behind `select`. [`EventLoopServer`] is that
 //! shape on the IO-Lite kernel: every client connection is a
 //! **nonblocking** socket whose send buffer is bounded at Tss, each tick
-//! issues **one `iol_poll`** over the interest set, and the loop acts
-//! only on descriptors the kernel reported ready — an I/O call
+//! issues **one `iol_poll`** over the sockets it waits on, and the loop
+//! acts only on descriptors the kernel reported ready — an I/O call
 //! returning [`IolError::WouldBlock`] is counted as a bug
 //! ([`LoopStats::blocked_io`], asserted zero in the test suite).
 //!
@@ -65,8 +65,7 @@ use std::time::Duration;
 
 use iolite_buf::{Aggregate, BufferPool};
 use iolite_core::{
-    short_ok, Charge, CostCategory, Fd, Interest, IolError, Kernel, Pid, PollFd, Readiness,
-    ShardMailbox, ShardMsg,
+    short_ok, Charge, CostCategory, Fd, IolError, Kernel, Pid, Readiness, ShardMailbox, ShardMsg,
 };
 use iolite_fs::{home_shard, CacheKey, CacheOwnership, FileId};
 use iolite_net::BufferMode;
@@ -602,31 +601,26 @@ impl EventLoopServer {
         }
     }
 
-    /// One `iol_poll` by `pid` over `entries`, counted.
-    fn poll_fds(&mut self, pid: Pid, entries: &[PollFd]) -> Vec<Readiness> {
-        let events = self.kernel.iol_poll(pid, entries);
+    /// One `iol_poll` by `pid` over `fds`, counted.
+    fn poll_fds(&mut self, pid: Pid, fds: &[Fd]) -> Vec<Readiness> {
+        let events = self.kernel.iol_poll(pid, fds);
         self.stats.polls += 1;
-        self.stats.poll_entries += entries.len() as u64;
+        self.stats.poll_entries += fds.len() as u64;
         events
     }
 
-    /// One `iol_poll` over the server's interest set, plus (when a CGI
-    /// transfer is active) the CGI process's own poll of its write end
-    /// — each protection domain runs its own event loop.
+    /// One `iol_poll` over every connection that waits on its socket,
+    /// plus (when a CGI transfer is active) the CGI process's own poll
+    /// of its write end — each protection domain runs its own event
+    /// loop.
     fn poll(&mut self) -> (ServerEvents, CgiEvents) {
         let mut entries = Vec::new();
         let mut owners = Vec::new();
         for (i, conn) in self.conns.iter().enumerate() {
-            let interest = match conn.phase {
-                Phase::Receiving { .. } => Interest::Readable,
-                Phase::Sending { .. } => Interest::Writable,
-                _ => continue,
-            };
-            entries.push(PollFd {
-                fd: conn.sock,
-                interest,
-            });
-            owners.push(i);
+            if let Phase::Receiving { .. } | Phase::Sending { .. } = conn.phase {
+                entries.push(conn.sock);
+                owners.push(i);
+            }
         }
         // An active CGI transfer adds the pipe's read end, last.
         let cgi = self
@@ -635,7 +629,7 @@ impl EventLoopServer {
             .filter(|_| self.cgi_owner.is_some())
             .map(|cgi| (cgi.pid, cgi.write_fd(), cgi.server_read_fd()));
         if let Some((_, _, rfd)) = cgi {
-            entries.push(PollFd::readable(rfd));
+            entries.push(rfd);
         }
         let mut rfd_ready = Readiness::PENDING;
         let mut server_events = Vec::with_capacity(owners.len());
@@ -648,7 +642,7 @@ impl EventLoopServer {
         }
         // The CGI process polls its own write end.
         let cgi_events = cgi.map(|(cgi_pid, wfd, _)| {
-            let events = self.poll_fds(cgi_pid, &[PollFd::writable(wfd)]);
+            let events = self.poll_fds(cgi_pid, &[wfd]);
             (events[0], rfd_ready)
         });
         (server_events, cgi_events)

@@ -242,9 +242,10 @@ pub fn parse_request_agg(agg: &Aggregate) -> Option<Request> {
 
 /// Parses just the request *head*, returning the request and the byte
 /// offset where the body starts. `None` until the header terminator
-/// has arrived (or on malformed headers) — the streaming server's
-/// entry point: it splits the body out of its receive aggregate at the
-/// returned offset, zero-copy, once `content_length` more bytes are in.
+/// has arrived (or on malformed headers). A caller splits the body out
+/// of its receive buffer at the returned offset once `content_length`
+/// more bytes are in; the event loop does the same through
+/// `parse_lines` over its receive aggregate's byte runs.
 pub fn parse_request_head(bytes: &[u8]) -> Option<(Request, u64)> {
     let (req, body_at) = parse_lines(std::iter::once(bytes));
     Some((req?, body_at?))

@@ -41,20 +41,6 @@ fn aggregate_range_errors_are_precise() {
 }
 
 #[test]
-fn shared_buffer_refuses_in_place_mutation() {
-    let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 4096);
-    let agg = Aggregate::from_bytes(&pool, b"shared");
-    let mut s1 = agg.slice_at(0).clone();
-    // The aggregate still holds a reference.
-    assert_eq!(
-        s1.try_mutate_in_place(|_| panic!("must not run")),
-        Err(BufError::Shared)
-    );
-    // Value untouched.
-    assert_eq!(agg.to_vec(), b"shared");
-}
-
-#[test]
 fn acl_denial_leaves_no_mapping_behind() {
     let mut k = Kernel::new(CostModel::pentium_ii_333());
     let owner = k.spawn("owner");

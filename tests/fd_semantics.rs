@@ -6,8 +6,7 @@
 
 use iolite::buf::{Acl, Aggregate, BufferPool, PoolId};
 use iolite::core::{
-    ConnId, CostCategory, CostModel, Fd, FdObject, IolError, Kernel, PipeId, PollFd, Whence,
-    FD_LIMIT,
+    ConnId, CostCategory, CostModel, Fd, FdObject, IolError, Kernel, PipeId, Whence, FD_LIMIT,
 };
 use iolite::ipc::PipeMode;
 use iolite::net::{
@@ -190,14 +189,7 @@ fn a_dangling_pipe_id_polls_invalid_and_fails_io_without_panicking() {
     let pid = k.spawn("app");
     let r = k.install_fd(pid, FdObject::PipeRead(PipeId(77)));
     let w = k.install_fd(pid, FdObject::PipeWrite(PipeId(77)));
-    let events = k.iol_poll(
-        pid,
-        &[
-            PollFd::readable(r),
-            PollFd::writable(w),
-            PollFd::readable(Fd::STDIN),
-        ],
-    );
+    let events = k.iol_poll(pid, &[r, w, Fd::STDIN]);
     assert!(events[0].invalid && events[1].invalid, "{events:?}");
     assert!(!events[2].invalid, "one stale entry does not fail the scan");
     assert_eq!(k.iol_read_fd(pid, r, 8).unwrap_err(), IolError::NotOpen { fd: r });
@@ -237,7 +229,7 @@ fn a_dangling_socket_id_is_not_open_to_every_socket_call() {
     assert_eq!(k.socket_unacked(pid, fd).unwrap_err(), bad);
     assert_eq!(k.socket_peer_closed(pid, fd).unwrap_err(), bad);
     assert_eq!(k.socket(pid, fd).unwrap_err(), bad);
-    let events = k.iol_poll(pid, &[PollFd::writable(fd)]);
+    let events = k.iol_poll(pid, &[fd]);
     assert!(events[0].invalid);
     // Still a descriptor: introspectable, closable, and its last close
     // (of a socket that never was) is a no-op.

@@ -6,7 +6,7 @@
 //! connections with zero busy-spin on `WouldBlock`.
 
 use iolite::buf::Aggregate;
-use iolite::core::{CostModel, Fd, IolError, Kernel, PollFd};
+use iolite::core::{CostModel, Fd, IolError, Kernel};
 use iolite::fs::{CacheKey, Policy};
 use iolite::http::event_loop::{EventLoopConfig, EventLoopServer, CGI_PREFIX};
 use iolite::http::server::{serve_static, ServerKind};
@@ -31,18 +31,18 @@ fn poll_eof_on_empty_closed_pipe() {
     let a = k.spawn("producer");
     let b = k.spawn("consumer");
     let (w, r) = k.pipe_between(a, b, PipeMode::ZeroCopy);
-    let ev = k.iol_poll(b, &[PollFd::readable(r)]);
+    let ev = k.iol_poll(b, &[r]);
     assert!(!ev[0].readable && !ev[0].eof, "open writer: just pending");
     let pool = k.process(a).pool().clone();
     k.iol_write_fd(a, w, &Aggregate::from_bytes(&pool, b"tail")).unwrap();
     k.close_fd(a, w).unwrap();
     // Closed but not yet drained: readable, not EOF.
-    let ev = k.iol_poll(b, &[PollFd::readable(r)]);
+    let ev = k.iol_poll(b, &[r]);
     assert!(ev[0].readable && !ev[0].eof);
     let (got, _) = k.iol_read_fd(b, r, 100).unwrap();
     assert_eq!(got.to_vec(), b"tail");
     // Empty + closed: EOF, and the read agrees.
-    let ev = k.iol_poll(b, &[PollFd::readable(r)]);
+    let ev = k.iol_poll(b, &[r]);
     assert!(ev[0].eof && !ev[0].readable);
     assert!(k.iol_read_fd(b, r, 100).unwrap().0.is_empty());
 }
@@ -58,41 +58,40 @@ fn poll_writable_after_drain() {
     let pool = k.process(a).pool().clone();
     let fill = Aggregate::from_bytes(&pool, &[1u8; 64 * 1024]);
     k.iol_write_fd(a, w, &fill).unwrap();
-    let ev = k.iol_poll(a, &[PollFd::writable(w)]);
+    let ev = k.iol_poll(a, &[w]);
     assert!(!ev[0].writable, "full pipe is not writable");
     k.iol_read_fd(b, r, 1024).unwrap();
-    let ev = k.iol_poll(a, &[PollFd::writable(w)]);
+    let ev = k.iol_poll(a, &[w]);
     assert!(ev[0].writable, "reader drained: writable again");
     // Same transition on a nonblocking socket's send buffer.
     let sock = k.socket_create(a, BufferMode::ZeroCopy, 1460, 64 * 1024);
     k.set_nonblocking(a, sock, true).unwrap();
     iolite::core::short_ok(k.iol_write_fd(a, sock, &fill)).unwrap();
-    let ev = k.iol_poll(a, &[PollFd::writable(sock)]);
+    let ev = k.iol_poll(a, &[sock]);
     assert!(!ev[0].writable, "Tss exhausted");
     k.socket_drain(a, sock, 16 * 1024).unwrap();
-    let ev = k.iol_poll(a, &[PollFd::writable(sock)]);
+    let ev = k.iol_poll(a, &[sock]);
     assert!(ev[0].writable, "ACKed bytes free the buffer");
 }
 
 /// EPIPE readiness: the peer disappearing is itself an event — the
 /// write end of a reader-less pipe and a peer-closed socket both
-/// report `epipe` (and wake pollers of any interest).
+/// report `epipe`, whatever direction the caller was waiting for.
 #[test]
 fn poll_epipe_readiness() {
     let mut k = kernel();
     let a = k.spawn("producer");
     let b = k.spawn("consumer");
     let (w, r) = k.pipe_between(a, b, PipeMode::ZeroCopy);
-    let ev = k.iol_poll(a, &[PollFd::writable(w)]);
+    let ev = k.iol_poll(a, &[w]);
     assert!(ev[0].writable && !ev[0].epipe);
     k.close_fd(b, r).unwrap();
-    let ev = k.iol_poll(a, &[PollFd::writable(w)]);
+    let ev = k.iol_poll(a, &[w]);
     assert!(ev[0].epipe && !ev[0].writable, "no reader left");
-    assert!(ev[0].wakes(iolite::core::Interest::Writable));
     // Socket peer close reports epipe the same way.
     let sock = k.socket_create(a, BufferMode::ZeroCopy, 1460, 64 * 1024);
     k.socket_peer_close(a, sock).unwrap();
-    let ev = k.iol_poll(a, &[PollFd::writable(sock)]);
+    let ev = k.iol_poll(a, &[sock]);
     assert!(ev[0].epipe && ev[0].eof);
     let pool = k.process(a).pool().clone();
     let msg = Aggregate::from_bytes(&pool, b"late");

@@ -15,7 +15,7 @@
 use iolite::apps::{run_cat_grep, run_permute_wc, run_wc, ApiMode, AppCosts, CompilePipeline};
 use iolite::buf::{Acl, Aggregate};
 use iolite::core::{
-    replay, short_ok, CostModel, Fd, FdObject, IolError, Kernel, KernelState, PollFd, Whence,
+    replay, short_ok, CostModel, Fd, FdObject, IolError, Kernel, KernelState, Whence,
 };
 use iolite::fs::Policy;
 use iolite::http::{CgiProcess, ServerKind};
@@ -130,7 +130,7 @@ fn shell_plumbing_and_posix_veneer_replay_bit_identically() {
         k.iol_write_fd(a, Fd::STDOUT, &flood),
         Err(IolError::WouldBlock)
     );
-    let ev = k.iol_poll(b, &[PollFd::readable(Fd::STDIN), PollFd::readable(Fd(99))]);
+    let ev = k.iol_poll(b, &[Fd::STDIN, Fd(99)]);
     assert!(ev[0].readable && ev[1].invalid);
     k.iol_read_fd(b, Fd::STDIN, u64::MAX).unwrap();
 
