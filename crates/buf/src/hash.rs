@@ -3,14 +3,15 @@
 //! std's `HashMap` defaults to SipHash-1-3 under a per-process random
 //! seed: protection against keys an adversary chose, paid on every
 //! probe, and a draw of OS entropy the pure core must not make. The
-//! kernel's hot tables — the unified cache, the checksum cache's
-//! buffer chains, the VM window, descriptor liveness — are keyed by
-//! file, chunk, pool, connection and domain ids that the kernel
-//! allocated, and the one string-keyed table (the §4.2 metadata
-//! cache) stores only names the file store already resolved, bounded
-//! by its capacity. For those, [`FixedHasher`] is a multiply–rotate
-//! fold per word with one avalanche at the end: a few cycles per key,
-//! no seed, the same table layout in every run.
+//! kernel's hot tables — the unified cache, the VM window, descriptor
+//! liveness (and the checksum cache's flat index, which is not a
+//! [`FixedMap`] but hashes with [`FixedState`]) — are keyed by file,
+//! chunk, pool, connection and domain ids that the kernel allocated,
+//! and the one string-keyed table (the §4.2 metadata cache) stores only
+//! names the file store already resolved, bounded by its capacity. For
+//! those, [`FixedHasher`] is a multiply–rotate fold per word with one
+//! avalanche at the end: a few cycles per key, no seed, the same table
+//! layout in every run.
 //!
 //! Not for keys from outside the program: it has no collision
 //! resistance.

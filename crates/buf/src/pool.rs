@@ -305,6 +305,7 @@ impl BufMut {
     ///
     /// Panics if `data` exceeds the remaining capacity; producers size
     /// allocations before filling them.
+    #[inline]
     pub fn put(&mut self, data: &[u8]) {
         assert!(
             data.len() <= self.remaining(),

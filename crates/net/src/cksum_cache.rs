@@ -15,28 +15,31 @@
 //!
 //! # Structure and complexity contract
 //!
-//! The one hash table is keyed by *buffer identity* ⟨pool, buffer,
-//! generation⟩ and maps to the head of that buffer's chain: the
-//! entries over one buffer (its whole-slice sum and its send-window
-//! sub-range sums, typically 1–3) are linked through the slot table by
-//! intrusive `prev`/`next` indices, and ⟨offset, len⟩ is compared while
-//! walking the chain.
+//! The index is keyed by *buffer identity* ⟨pool, buffer, generation⟩
+//! and maps to the head of that buffer's chain: the entries over one
+//! buffer (its whole-slice sum and its send-window sub-range sums,
+//! typically 1–3) are linked through the slot table by intrusive
+//! `prev`/`next` indices, and ⟨offset, len⟩ is compared while walking
+//! the chain. The index is one flat table of 8-byte entries (a fully
+//! mixed 32-bit hash and the head slot + 1; 1 MB for 2¹⁶ buffers),
+//! probed linearly, a tag match confirmed against the head slot's key;
+//! deletion shifts back (no tombstones), and it doubles at half load.
 //!
-//! * **Hit:** O(1) — one 24-byte hash plus a short chain walk.
+//! * **Hit:** O(1) expected — one hash, a short probe and chain walk.
 //! * **Replacement:** amortized O(1) — one hand sweep can clear up to a
 //!   full table of reference bits; unlinking the victim and linking the
-//!   newcomer touch only their chain neighbours.
+//!   newcomer touch only their chain neighbours and probe clusters.
 //! * **Invalidation** ([`ChecksumCache::invalidate_aggregate`]):
 //!   O(entries on the retired buffers), allocation-free — never a
 //!   function of how many unrelated sums are resident.
-//! * **Layout:** a pure function of the operation sequence. The hash
-//!   table is only ever probed, never iterated; victims leave in chain
+//! * **Layout:** a pure function of the operation sequence. The index
+//!   is only ever probed, never iterated; victims leave in chain
 //!   order and the hole is filled by the last slot, so
 //!   [`ChecksumCache::digest`] (and the kernel's `state_hash` above
 //!   it) repeats exactly for the same calls.
 
-
-use iolite_buf::{BufferId, FixedMap, Generation, PoolId, Slice};
+use std::hash::BuildHasher;
+use iolite_buf::{BufferId, FixedState, Generation, PoolId, Slice};
 
 use crate::checksum::{slice_sum, PartialSum};
 
@@ -44,12 +47,12 @@ use crate::checksum::{slice_sum, PartialSum};
 /// `u32`, so the table is bounded to `NIL` entries.
 const NIL: u32 = u32::MAX;
 
-/// Buffer identity (§3.9): what the hash table is keyed by, and what a
+/// Buffer identity (§3.9): what the index is keyed by, and what a
 /// write retires. The pool id is part of it because chunk ids and
 /// generations are per-pool counters — slices from two pools can
 /// otherwise share a ⟨buffer, generation⟩ pair while holding different
 /// bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct BufKey {
     pool: PoolId,
     buffer: BufferId,
@@ -71,7 +74,7 @@ impl BufKey {
 /// Offsets and lengths are kept at full `u64` width: two distinct
 /// slices ≥4 GiB apart in one buffer must never collide, since a
 /// collision serves a stale checksum on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     buf: BufKey,
     offset: u64,
@@ -105,6 +108,78 @@ impl Slot {
         PartialSum {
             sum: self.sum,
             len: self.key.len,
+        }
+    }
+}
+
+/// Buffer identity → head slot, one `hash << 32 | (slot + 1)` per bucket (0: empty).
+#[derive(Debug, Clone, Default)]
+struct HeadIndex {
+    buckets: Vec<u64>,
+    len: usize,
+}
+
+impl HeadIndex {
+    /// The fixed hasher's fold and `splitmix64` finalizer in 32 bits: tag, and home under the mask.
+    fn hash(buf: &BufKey) -> u32 {
+        FixedState::default().hash_one(buf) as u32
+    }
+
+    /// `Ok`: `buf`'s bucket (tag match confirmed by the head's key); `Err`: the empty one ending the probe.
+    fn probe(&self, slots: &[Slot], buf: &BufKey, tag: u32) -> Result<usize, usize> {
+        let mask = self.buckets.len().wrapping_sub(1);
+        let mut i = tag as usize & mask;
+        while let Some(&e @ 1..) = self.buckets.get(i) {
+            if (e >> 32) as u32 == tag && slots[e as u32 as usize - 1].key.buf == *buf {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+        Err(i)
+    }
+
+    fn head(&self, slots: &[Slot], buf: &BufKey) -> Option<u32> {
+        Some(self.buckets[self.probe(slots, buf, Self::hash(buf)).ok()?] as u32 - 1)
+    }
+
+    /// Makes `slot` the head of `buf`'s chain; returns the previous head.
+    fn set_head(&mut self, slots: &[Slot], buf: &BufKey, slot: u32) -> Option<u32> {
+        if self.len * 2 >= self.buckets.len() {
+            self.grow();
+        }
+        let tag = Self::hash(buf);
+        let (Ok(i) | Err(i)) = self.probe(slots, buf, tag);
+        let old = std::mem::replace(&mut self.buckets[i], (tag as u64) << 32 | (slot as u64 + 1));
+        self.len += (old == 0) as usize;
+        (old != 0).then(|| old as u32 - 1)
+    }
+
+    /// Drops `buf`'s entry (it must be indexed), shifting each later
+    /// member of its cluster into the hole if that keeps it on its path.
+    fn remove(&mut self, slots: &[Slot], buf: &BufKey) {
+        let (Ok(mut hole) | Err(mut hole)) = self.probe(slots, buf, Self::hash(buf));
+        let mask = self.buckets.len() - 1;
+        let mut i = (hole + 1) & mask;
+        while let e @ 1.. = self.buckets[i] {
+            if i.wrapping_sub((e >> 32) as usize) & mask >= i.wrapping_sub(hole) & mask {
+                self.buckets[hole] = e;
+                hole = i;
+            }
+            i = (i + 1) & mask;
+        }
+        self.buckets[hole] = 0;
+        self.len -= 1;
+    }
+
+    /// Doubles the table (first 64 buckets), reinserting every entry.
+    fn grow(&mut self) {
+        let mask = (self.buckets.len() * 2).max(64) - 1;
+        for e in std::mem::replace(&mut self.buckets, vec![0; mask + 1]).into_iter().filter(|&e| e != 0) {
+            let mut i = (e >> 32) as usize & mask;
+            while self.buckets[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.buckets[i] = e;
         }
     }
 }
@@ -150,7 +225,7 @@ pub struct ChecksumCache {
     /// Buffer identity → slot index of the head of that buffer's
     /// chain. Probed only: the slot layout must not depend on table
     /// order.
-    heads: FixedMap<BufKey, u32>,
+    heads: HeadIndex,
     slots: Vec<Slot>,
     hand: usize,
     stats: CksumCacheStats,
@@ -165,7 +240,7 @@ impl ChecksumCache {
             enabled: true,
             // Grows lazily alongside `slots`: the kernel default is
             // 2¹⁶ entries, which would be megabytes if preallocated.
-            heads: FixedMap::default(),
+            heads: HeadIndex::default(),
             slots: Vec::new(),
             hand: 0,
             stats: CksumCacheStats::default(),
@@ -207,7 +282,7 @@ impl ChecksumCache {
 
     /// Walks the chain of `key`'s buffer for its ⟨offset, len⟩.
     fn find(&self, key: &Key) -> Option<usize> {
-        let mut i = *self.heads.get(&key.buf)?;
+        let mut i = self.heads.head(&self.slots, &key.buf)?;
         while i != NIL {
             let slot = &self.slots[i as usize];
             if slot.key.offset == key.offset && slot.key.len == key.len {
@@ -222,13 +297,7 @@ impl ChecksumCache {
     /// table is full.
     fn admit(&mut self, key: Key, sum: u16) {
         let idx = if self.slots.len() < self.capacity {
-            self.slots.push(Slot {
-                key,
-                prev: NIL,
-                next: NIL,
-                sum,
-                referenced: false,
-            });
+            self.slots.push(Slot { key, prev: NIL, next: NIL, sum, referenced: false });
             self.slots.len() - 1
         } else {
             // Second chance: sweep the hand past recently referenced
@@ -254,10 +323,7 @@ impl ChecksumCache {
 
     /// Makes slot `idx` the head of its buffer's chain.
     fn link(&mut self, idx: usize) {
-        let next = self
-            .heads
-            .insert(self.slots[idx].key.buf, idx as u32)
-            .unwrap_or(NIL);
+        let next = self.heads.set_head(&self.slots, &self.slots[idx].key.buf, idx as u32).unwrap_or(NIL);
         self.slots[idx].prev = NIL;
         self.slots[idx].next = next;
         if next != NIL {
@@ -268,18 +334,16 @@ impl ChecksumCache {
     /// Takes slot `idx` out of its buffer's chain; the chain's head
     /// entry goes with its last member.
     fn unlink(&mut self, idx: usize) {
-        let Slot {
-            key, prev, next, ..
-        } = self.slots[idx];
+        let Slot { key, prev, next, .. } = self.slots[idx];
         if next != NIL {
             self.slots[next as usize].prev = prev;
         }
         if prev != NIL {
             self.slots[prev as usize].next = next;
         } else if next != NIL {
-            self.heads.insert(key.buf, next);
+            self.heads.set_head(&self.slots, &key.buf, next);
         } else {
-            self.heads.remove(&key.buf);
+            self.heads.remove(&self.slots, &key.buf);
         }
     }
 
@@ -288,18 +352,18 @@ impl ChecksumCache {
     /// its head) at its new index.
     fn remove_slot(&mut self, idx: usize) {
         self.unlink(idx);
+        let last = self.slots.len() - 1;
+        if idx != last && self.slots[last].prev == NIL {
+            // Re-pointed while the index can still read the moved key.
+            self.heads.set_head(&self.slots, &self.slots[last].key.buf, idx as u32);
+        }
         self.slots.swap_remove(idx);
-        if let Some(moved) = self.slots.get(idx) {
-            let Slot {
-                key, prev, next, ..
-            } = *moved;
+        if let Some(&Slot { prev, next, .. }) = self.slots.get(idx) {
             if next != NIL {
                 self.slots[next as usize].prev = idx as u32;
             }
             if prev != NIL {
                 self.slots[prev as usize].next = idx as u32;
-            } else {
-                self.heads.insert(key.buf, idx as u32);
             }
         }
     }
@@ -326,7 +390,7 @@ impl ChecksumCache {
             let buf = BufKey::of(s);
             // A second slice over an already-retired buffer finds no
             // head: an O(1) miss.
-            while let Some(&head) = self.heads.get(&buf) {
+            while let Some(head) = self.heads.head(&self.slots, &buf) {
                 self.remove_slot(head as usize);
                 removed += 1;
             }
@@ -334,11 +398,7 @@ impl ChecksumCache {
         if removed > 0 {
             self.stats.invalidations += removed;
             // The hand may now point past the shortened table.
-            if self.slots.is_empty() {
-                self.hand = 0;
-            } else {
-                self.hand %= self.slots.len();
-            }
+            self.hand %= self.slots.len().max(1);
             debug_assert!(self.chains_consistent());
         }
         removed
@@ -346,23 +406,23 @@ impl ChecksumCache {
 
     /// Debug-build structural check: `prev`/`next` are symmetric and
     /// stay within one buffer, every chain start is that buffer's head
-    /// (so no head exists for an empty chain), and walking from the
-    /// heads reaches every slot exactly once. A full walk, so it only
-    /// runs on tables small enough to keep debug-build serving tests at
-    /// O(1) per operation; the property suite lives below the limit.
+    /// (so no head exists for an empty chain), walking from the heads
+    /// reaches every slot exactly once, and the index holds just the
+    /// heads. A full walk, so it only runs on tables small enough to
+    /// keep debug-build serving tests at O(1) per operation; the
+    /// property suite lives below the limit.
     fn chains_consistent(&self) -> bool {
         const FULL_WALK_LIMIT: usize = 256;
         if self.slots.len() > FULL_WALK_LIMIT {
             return true;
         }
-        let mut starts = 0;
-        let mut reached = 0;
+        let (mut starts, mut reached) = (0, 0);
         for (i, slot) in self.slots.iter().enumerate() {
             if slot.prev != NIL {
                 continue;
             }
             starts += 1;
-            if self.heads.get(&slot.key.buf) != Some(&(i as u32)) {
+            if self.heads.head(&self.slots, &slot.key.buf) != Some(i as u32) {
                 return false;
             }
             // Cannot loop: re-entering a visited slot would need its
@@ -380,7 +440,15 @@ impl ChecksumCache {
                 }
             }
         }
-        starts == self.heads.len() && reached == self.slots.len()
+        // One index entry per chain, tagged with its head's hash, no empty bucket between it and home.
+        let (b, mask) = (&self.heads.buckets, self.heads.buckets.len().wrapping_sub(1));
+        let mut entries = b.iter().enumerate().filter(|&(_, &e)| e != 0);
+        let indexed = entries.clone().count() == starts && starts == self.heads.len;
+        indexed && reached == self.slots.len() && entries.all(|(i, &e)| {
+            let (tag, home) = ((e >> 32) as u32, (e >> 32) as usize & mask);
+            self.slots.get(e as u32 as usize - 1).is_some_and(|s| HeadIndex::hash(&s.key.buf) == tag)
+                && (0..=i.wrapping_sub(home) & mask).all(|d| b[(home + d) & mask] != 0)
+        })
     }
 
     /// Counters so far.
@@ -433,10 +501,16 @@ impl ChecksumCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iolite_buf::{Acl, Aggregate, BufferPool, ChunkId, PoolId};
+    use iolite_buf::{splitmix64, Acl, Aggregate, BufferPool, ChunkId, PoolId};
+    use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 
     fn slice(pool: &BufferPool, data: &[u8]) -> Slice {
         Aggregate::from_bytes(pool, data).slice_at(0).clone()
+    }
+
+    fn buf_key(chunk: u64, offset: u32, generation: u64) -> BufKey {
+        let buffer = BufferId { chunk: ChunkId(chunk), offset };
+        BufKey { pool: PoolId(1), buffer, generation: Generation(generation) }
     }
 
     #[test]
@@ -539,29 +613,10 @@ mod tests {
     /// property of the key arithmetic.
     #[test]
     fn distant_subranges_do_not_collide_under_truncation() {
-        let buf = BufKey {
-            pool: PoolId(1),
-            buffer: BufferId {
-                chunk: ChunkId(1),
-                offset: 0,
-            },
-            generation: Generation(1),
-        };
-        let near = Key {
-            buf,
-            offset: 0,
-            len: 1460,
-        };
-        let far = Key {
-            buf,
-            offset: 1 << 32,
-            len: 1460,
-        };
-        let long = Key {
-            buf,
-            offset: 0,
-            len: (1u64 << 32) + 1460,
-        };
+        let buf = buf_key(1, 0, 1);
+        let near = Key { buf, offset: 0, len: 1460 };
+        let far = Key { buf, offset: 1 << 32, len: 1460 };
+        let long = Key { buf, offset: 0, len: (1u64 << 32) + 1460 };
         // These are exactly the pairs `as u32` used to conflate.
         assert_eq!(near.offset as u32, far.offset as u32);
         assert_eq!(near.len as u32, long.len as u32);
@@ -752,5 +807,50 @@ mod tests {
         let st = c.stats();
         // 3 first-touch computes + 8 cold computes; every other access hit.
         assert_eq!((st.misses, st.hits), (11, 3 + 8 * 3));
+    }
+
+    /// The index against a `BTreeMap` model from 64 buckets through two doublings, over new
+    /// chains, head replacements and any slot's removal (the swapped-in last slot heading a
+    /// chain included); every buffer hashes to the top 24 of 256 buckets, so clusters wrap.
+    #[test]
+    fn index_matches_a_map_model() {
+        let bufs: Vec<_> = (0..).map(|j| buf_key(j, 0, 0)).filter(|b| HeadIndex::hash(b) as u8 >= 232).take(80).collect();
+        let (mut c, mut model) = (ChecksumCache::new(1024), BTreeMap::new());
+        let (mut r, mut moved_heads, mut wraps) = (0, 0, 0);
+        for _ in 0..5000 {
+            r = splitmix64(r);
+            let key = Key { buf: bufs[(r % 80) as usize], offset: r >> 63, len: 1 };
+            if r >> 32 & 7 == 0 && !c.is_empty() {
+                let (idx, last) = ((r >> 8) as usize % c.len(), c.len() - 1);
+                moved_heads += (idx != last && c.slots[last].prev == NIL) as u32;
+                model.remove(&c.slots[idx].key);
+                c.remove_slot(idx);
+            } else if let Entry::Vacant(vacant) = model.entry(key) {
+                c.admit(key, *vacant.insert(r as u16));
+            }
+            let chains: BTreeSet<BufKey> = model.keys().map(|k| k.buf).collect();
+            assert!(c.chains_consistent() && (c.len(), c.heads.len) == (model.len(), chains.len()));
+            assert!(model.iter().all(|(key, &sum)| c.find(key).map(|i| c.slots[i].sum) == Some(sum)));
+            let mask = c.heads.buckets.len() - 1;
+            wraps += c.heads.buckets.iter().enumerate().any(|(i, &e)| e != 0 && (e >> 32) as usize & mask > i) as u32;
+        }
+        assert!(moved_heads > 0 && wraps > 0 && c.heads.buckets.len() == 256);
+    }
+
+    /// The index hash spreads the identities pools mint (cf. `hash::tests::structured_keys_spread`):
+    /// 2^16 keys fill ≥ 55 % of 2^16 buckets (uniform: 1 − 1/e ≈ 63 %). A chunk-local hash puts
+    /// a chunk's buffers in neighbouring buckets and clusters the linear probes.
+    #[test]
+    fn index_hash_spreads_structured_keys() {
+        const N: usize = 1 << 16;
+        let shapes = [
+            ("sequential chunk ids", (|j| buf_key(j, 0, 0)) as fn(u64) -> BufKey),
+            ("page-strided offsets", |j| buf_key(j / 16, (j % 16) as u32 * 4096, 0)),
+            ("one chunk, 2^16 generations", |j| buf_key(7, 0, j)),
+        ];
+        for (shape, key) in shapes {
+            let homes: BTreeSet<usize> = (0..N as u64).map(|j| HeadIndex::hash(&key(j)) as usize % N).collect();
+            assert!(homes.len() * 100 >= 55 * N, "{shape}: {} of {N} buckets", homes.len());
+        }
     }
 }
