@@ -142,15 +142,25 @@ impl CompilePipeline {
         let pool = kernel.process(producer).pool().clone();
         let agg = Aggregate::from_bytes(&pool, input);
         let mut received = Vec::with_capacity(input.len());
-        push_through_pipe(kernel, (producer, wfd), (consumer, rfd), &agg, |_, chunk| {
-            // Consumer copy into its own contiguous working memory: one
-            // copy per byte, no intermediate materialization.
-            for run in chunk.chunks() {
-                received.extend_from_slice(run);
-            }
-        });
-        kernel.close_fd(producer, wfd).expect("close stage write end");
-        kernel.close_fd(consumer, rfd).expect("close stage read end");
+        push_through_pipe(
+            kernel,
+            (producer, wfd),
+            (consumer, rfd),
+            &agg,
+            |_, chunk| {
+                // Consumer copy into its own contiguous working memory: one
+                // copy per byte, no intermediate materialization.
+                for run in chunk.chunks() {
+                    received.extend_from_slice(run);
+                }
+            },
+        );
+        kernel
+            .close_fd(producer, wfd)
+            .expect("close stage write end");
+        kernel
+            .close_fd(consumer, rfd)
+            .expect("close stage read end");
         transform(&received)
     }
 }

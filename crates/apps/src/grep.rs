@@ -113,7 +113,9 @@ pub fn run_cat_grep(
         // --- cat: read one chunk sequentially off its descriptor ---
         let data: Aggregate = match mode {
             ApiMode::Posix => {
-                let (bytes, out) = kernel.posix_read_fd(cat_pid, in_fd, want).expect("open file");
+                let (bytes, out) = kernel
+                    .posix_read_fd(cat_pid, in_fd, want)
+                    .expect("open file");
                 kernel.advance(out.disk_time);
                 Aggregate::from_bytes(&scratch, &bytes)
             }
@@ -128,20 +130,26 @@ pub fn run_cat_grep(
             Charge::us(want as f64 * costs.cat_ns_per_byte / 1000.0),
         );
         // --- cat writes, grep drains (alternating on one CPU) ---
-        push_through_pipe(kernel, (cat_pid, wfd), (grep_pid, rfd), &data, |kernel, agg| {
-            // grep processes what arrived.
-            kernel.charge(
-                CostCategory::AppCompute,
-                Charge::us(agg.len() as f64 * costs.grep_scan_ns_per_byte / 1000.0),
-            );
-            // POSIX: the copied-out data is contiguous user memory, and
-            // the pipe already charged the copy, so the runs are scanned
-            // without re-materializing. IO-Lite: run by run, split lines
-            // get copied (and charged below).
-            for run in agg.chunks() {
-                state.feed_contiguous(run, mode == ApiMode::IoLite);
-            }
-        });
+        push_through_pipe(
+            kernel,
+            (cat_pid, wfd),
+            (grep_pid, rfd),
+            &data,
+            |kernel, agg| {
+                // grep processes what arrived.
+                kernel.charge(
+                    CostCategory::AppCompute,
+                    Charge::us(agg.len() as f64 * costs.grep_scan_ns_per_byte / 1000.0),
+                );
+                // POSIX: the copied-out data is contiguous user memory, and
+                // the pipe already charged the copy, so the runs are scanned
+                // without re-materializing. IO-Lite: run by run, split lines
+                // get copied (and charged below).
+                for run in agg.chunks() {
+                    state.feed_contiguous(run, mode == ApiMode::IoLite);
+                }
+            },
+        );
         offset += want;
     }
     state.finish();

@@ -83,15 +83,21 @@ pub fn run_permute_wc(
             Charge::us(stage.len() as f64 * costs.permute_gen_ns_per_byte / 1000.0),
         );
         let agg = Aggregate::from_bytes(&pool, stage);
-        push_through_pipe(kernel, (perm_pid, wfd), (wc_pid, rfd), &agg, |kernel, chunk| {
-            kernel.charge(
-                CostCategory::AppCompute,
-                Charge::us(chunk.len() as f64 * costs.wc_scan_ns_per_byte / 1000.0),
-            );
-            for run in chunk.chunks() {
-                count_chunk(run, &mut counts, &mut in_word);
-            }
-        });
+        push_through_pipe(
+            kernel,
+            (perm_pid, wfd),
+            (wc_pid, rfd),
+            &agg,
+            |kernel, chunk| {
+                kernel.charge(
+                    CostCategory::AppCompute,
+                    Charge::us(chunk.len() as f64 * costs.wc_scan_ns_per_byte / 1000.0),
+                );
+                for run in chunk.chunks() {
+                    count_chunk(run, &mut counts, &mut in_word);
+                }
+            },
+        );
         stage.clear();
     };
     {
@@ -104,7 +110,9 @@ pub fn run_permute_wc(
         generate_permutations(n, &mut emit);
     }
     flush(kernel, &mut stage);
-    kernel.close_fd(perm_pid, wfd).expect("close pipe write end");
+    kernel
+        .close_fd(perm_pid, wfd)
+        .expect("close pipe write end");
     kernel.close_fd(wc_pid, rfd).expect("close pipe read end");
     (counts, kernel.now().saturating_sub(start))
 }

@@ -507,13 +507,22 @@ mod tests {
     #[test]
     fn from_parts_allocates_like_from_bytes() {
         let (joined, gathered) = (pool(), pool());
-        let parts: [&[u8]; 5] = [b"HTTP/1.1 200 OK\r\n", b"", &[7u8; 150], b"12345", b"\r\n\r\n"];
+        let parts: [&[u8]; 5] = [
+            b"HTTP/1.1 200 OK\r\n",
+            b"",
+            &[7u8; 150],
+            b"12345",
+            b"\r\n\r\n",
+        ];
         let a = Aggregate::from_bytes(&joined, &parts.concat());
         let b = Aggregate::from_parts(&gathered, &parts);
         assert_eq!(a.to_vec(), b.to_vec());
         assert_eq!(a.num_slices(), 3, "176 bytes over 64-byte chunks");
         for (x, y) in a.slices().zip(b.slices()) {
-            assert_eq!((x.id(), x.generation(), x.len()), (y.id(), y.generation(), y.len()));
+            assert_eq!(
+                (x.id(), x.generation(), x.len()),
+                (y.id(), y.generation(), y.len())
+            );
         }
         assert_eq!(joined.stats(), gathered.stats());
         assert!(Aggregate::from_parts(&gathered, &[b"", b""]).is_empty());
@@ -677,7 +686,6 @@ mod tests {
         assert_eq!(a.copy_to(8, &mut buf), 0);
     }
 
-
     #[test]
     fn find_byte_and_starts_with() {
         let p = BufferPool::new(PoolId(4), Acl::kernel_only(), 4);
@@ -715,7 +723,6 @@ mod tests {
         assert_eq!(shrunk.to_vec(), b"af");
         assert!(a.replace(&p, 5, 5, b"!").is_err());
     }
-
 
     #[test]
     fn pack_defragments() {

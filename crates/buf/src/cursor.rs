@@ -111,7 +111,9 @@ impl<'a> AggCursor<'a> {
     pub fn copy_to(&mut self, dst: &mut [u8]) -> usize {
         let mut written = 0;
         while written < dst.len() {
-            let Some(chunk) = self.peek_chunk() else { break };
+            let Some(chunk) = self.peek_chunk() else {
+                break;
+            };
             let n = chunk.len().min(dst.len() - written);
             dst[written..written + n].copy_from_slice(&chunk[..n]);
             written += n;

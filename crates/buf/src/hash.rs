@@ -145,7 +145,11 @@ mod tests {
             (
                 "small-range ⟨pool, chunk, generation⟩",
                 spread((0..N).map(|j| {
-                    (PoolId((j % 8) as u32), ChunkId(j / 8 % 1024), Generation(j / 8192))
+                    (
+                        PoolId((j % 8) as u32),
+                        ChunkId(j / 8 % 1024),
+                        Generation(j / 8192),
+                    )
                 })),
             ),
         ];

@@ -6,7 +6,10 @@
 //! next use bumps its generation number and — crucially for the IPC cost
 //! model of §3.2 — requires **no** new VM mappings in the domains that
 //! already saw it, because read-only mappings persist after deallocation.
-#![expect(clippy::disallowed_types, reason = "ROADMAP item 1 replaces the pool's Mutex")]
+#![expect(
+    clippy::disallowed_types,
+    reason = "ROADMAP item 1 replaces the pool's Mutex"
+)]
 
 use std::fmt;
 use std::sync::{Arc, Mutex};

@@ -266,7 +266,10 @@ mod tests {
             s.sub(usize::MAX, 2),
             Err(BufError::OutOfRange { .. })
         ));
-        assert!(matches!(s.sub(2, usize::MAX), Err(BufError::OutOfRange { .. })));
+        assert!(matches!(
+            s.sub(2, usize::MAX),
+            Err(BufError::OutOfRange { .. })
+        ));
     }
 
     #[test]

@@ -273,7 +273,12 @@ fn cut(data: &[u8], len: usize) -> Aggregate {
     let whole = agg_from(data, data.len().max(1));
     let mut agg = Aggregate::empty();
     for off in (0..data.len()).step_by(len) {
-        agg.append_slice(whole.slice_at(0).sub(off, len.min(data.len() - off)).unwrap());
+        agg.append_slice(
+            whole
+                .slice_at(0)
+                .sub(off, len.min(data.len() - off))
+                .unwrap(),
+        );
     }
     agg
 }
@@ -283,7 +288,10 @@ fn assert_reads_as(agg: &Aggregate, model: &[u8]) {
     assert_eq!(agg.len(), model.len() as u64);
     assert_eq!(agg.to_vec(), model);
     assert_eq!(agg.chunks().map(<[u8]>::len).sum::<usize>(), model.len());
-    assert_eq!(agg.slices().rev().map(|s| s.len()).sum::<usize>(), model.len());
+    assert_eq!(
+        agg.slices().rev().map(|s| s.len()).sum::<usize>(),
+        model.len()
+    );
     assert!(agg.slices().all(|s| !s.is_empty()));
     for (i, &b) in model.iter().enumerate() {
         assert_eq!(agg.byte_at(i as u64), Some(b), "byte {i}");
@@ -338,7 +346,10 @@ fn every_operation_crosses_the_inline_boundary_both_ways() {
             tail.advance((front_model.len() - keep) as u64);
             assert_reads_as(&tail, &front_model[front_model.len() - keep..]);
             tail.prepend(&extra);
-            assert_eq!(tail.to_vec(), [b"xyz", &front_model[front_model.len() - keep..]].concat());
+            assert_eq!(
+                tail.to_vec(),
+                [b"xyz", &front_model[front_model.len() - keep..]].concat()
+            );
         }
 
         // Ranges out of a (possibly spilled) aggregate into a (possibly
@@ -366,8 +377,12 @@ fn acl_snapshot_survives_later_grant() {
     let before = Aggregate::from_bytes(&p, b"allocated before the grant");
     p.grant(d);
     let after = Aggregate::from_bytes(&p, b"allocated after it");
-    assert!(before.slices().all(|s| !s.acl().allows(d) && s.acl().allows(DomainId(1))));
-    assert!(after.slices().all(|s| s.acl().allows(d) && s.acl().allows(DomainId(1))));
+    assert!(before
+        .slices()
+        .all(|s| !s.acl().allows(d) && s.acl().allows(DomainId(1))));
+    assert!(after
+        .slices()
+        .all(|s| s.acl().allows(d) && s.acl().allows(DomainId(1))));
     assert!(p.acl().allows(d));
     // Views and clones of the old buffer keep the old answer.
     let view = before.range(3, 5).unwrap();

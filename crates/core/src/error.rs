@@ -101,10 +101,16 @@ impl fmt::Display for IolError {
             IolError::Closed => write!(f, "peer closed (EPIPE)"),
             IolError::WouldBlock => write!(f, "operation would block (EAGAIN)"),
             IolError::InvalidSeek { requested } => {
-                write!(f, "seek by {requested} leaves the file offset range (EINVAL)")
+                write!(
+                    f,
+                    "seek by {requested} leaves the file offset range (EINVAL)"
+                )
             }
             IolError::ShortIo { done } => {
-                write!(f, "short write: {done} bytes accepted before the object filled")
+                write!(
+                    f,
+                    "short write: {done} bytes accepted before the object filled"
+                )
             }
         }
     }

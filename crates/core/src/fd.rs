@@ -174,7 +174,9 @@ impl FdTable {
 
     /// The open numbers and their descriptions, ascending.
     fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        (0u32..).zip(&self.slots).filter_map(|(n, d)| Some((n, (*d)?)))
+        (0u32..)
+            .zip(&self.slots)
+            .filter_map(|(n, d)| Some((n, (*d)?)))
     }
 }
 
@@ -455,7 +457,10 @@ mod tests {
         // dup2 onto itself is a no-op.
         assert_eq!(reg.dup2(P, src, src), Ok(None));
         // dup2 from a closed source fails.
-        assert_eq!(reg.dup2(P, Fd(99), Fd(5)), Err(IolError::NotOpen { fd: Fd(99) }));
+        assert_eq!(
+            reg.dup2(P, Fd(99), Fd(5)),
+            Err(IolError::NotOpen { fd: Fd(99) })
+        );
     }
 
     #[test]
@@ -486,14 +491,25 @@ mod tests {
         let fd = reg.install(Pid(1), obj);
         let dup = reg.dup(Pid(1), fd).unwrap();
         let other = reg.install(Pid(2), obj);
-        assert_eq!(reg.close(Pid(1), fd), Ok(None), "dup + other process remain");
+        assert_eq!(
+            reg.close(Pid(1), fd),
+            Ok(None),
+            "dup + other process remain"
+        );
         assert_eq!(reg.close(Pid(1), dup), Ok(None), "other process remains");
-        assert_eq!(reg.close(Pid(2), other), Ok(Some(obj)), "the last reference");
+        assert_eq!(
+            reg.close(Pid(2), other),
+            Ok(Some(obj)),
+            "the last reference"
+        );
         // The read end of the same pipe is a different object, and files
         // never report a last close.
         let r = reg.install(Pid(1), FdObject::PipeRead(PipeId(3)));
         let f = reg.install(Pid(1), FdObject::File(FileId(3)));
-        assert_eq!(reg.close(Pid(1), r), Ok(Some(FdObject::PipeRead(PipeId(3)))));
+        assert_eq!(
+            reg.close(Pid(1), r),
+            Ok(Some(FdObject::PipeRead(PipeId(3))))
+        );
         assert_eq!(reg.close(Pid(1), f), Ok(None));
     }
 
@@ -503,7 +519,10 @@ mod tests {
         let obj = FdObject::Socket(ConnId(1));
         let src = reg.install(P, obj);
         for at in [Fd(FD_LIMIT), Fd(u32::MAX)] {
-            assert_eq!(reg.install_at(P, at, obj), Err(IolError::NotOpen { fd: at }));
+            assert_eq!(
+                reg.install_at(P, at, obj),
+                Err(IolError::NotOpen { fd: at })
+            );
             assert_eq!(reg.dup2(P, src, at), Err(IolError::NotOpen { fd: at }));
         }
         // A refused call leaves nothing behind: `src` still holds the
@@ -525,7 +544,11 @@ mod tests {
         let b = reg.dup(Pid(1), a).unwrap();
         let mut twin = reg.clone();
         twin.set_pos(Pid(1), a, 5);
-        assert_eq!(twin.get(Pid(1), b).unwrap().pos, 5, "sharing survives the fork");
+        assert_eq!(
+            twin.get(Pid(1), b).unwrap().pos,
+            5,
+            "sharing survives the fork"
+        );
         assert_eq!(pos(&reg, b), 0, "and the original is untouched");
     }
 }

@@ -216,7 +216,12 @@ impl Kernel {
     fn pipe(&mut self, writer: Pid, reader: Pid, mode: PipeMode, acl: Option<Acl>) -> (Fd, Fd) {
         self.run(
             |s, _| s.op_pipe_between(writer, reader, mode, acl.clone()),
-            || Command::PipeBetween { writer, reader, mode, acl: acl.clone() },
+            || Command::PipeBetween {
+                writer,
+                reader,
+                mode,
+                acl: acl.clone(),
+            },
         )
     }
 
@@ -415,12 +420,22 @@ mod tests {
             assert_eq!(k.write_back(0), body.len());
             assert!(!k.cache.is_dirty(&CacheKey::whole(f)));
             let (m, n) = (&k.metrics, body.len());
-            assert_eq!((m.writeback_flushes, m.writeback_entries, m.bytes_written_back), (1, 1, n));
+            assert_eq!(
+                (
+                    m.writeback_flushes,
+                    m.writeback_entries,
+                    m.bytes_written_back
+                ),
+                (1, 1, n)
+            );
             assert_eq!((m.nvm_absorbed_bytes, m.disk_write_ops), (n, 0));
             // Background demotion drains the tier to disk.
             assert_eq!(k.nvm_demote(), n);
             let m = &k.metrics;
-            assert_eq!((m.nvm_demoted_bytes, m.disk_write_ops, m.disk_write_bytes), (n, 1, n));
+            assert_eq!(
+                (m.nvm_demoted_bytes, m.disk_write_ops, m.disk_write_bytes),
+                (n, 1, n)
+            );
             assert_eq!(k.writeback.nvm_used(), 0);
         }
         let mut k = kernel();
@@ -823,7 +838,8 @@ mod tests {
         // style; the displaced console description closes cleanly.
         let r_pipe = pipe_of(&mut k, b, r);
         assert_eq!(
-            k.install_fd_at(b, Fd::STDIN, FdObject::PipeRead(r_pipe)).unwrap(),
+            k.install_fd_at(b, Fd::STDIN, FdObject::PipeRead(r_pipe))
+                .unwrap(),
             Fd::STDIN
         );
         let pool = k.process(a).pool().clone();
@@ -916,7 +932,8 @@ mod tests {
         assert!(!ev[0].readable && !ev[0].eof);
         // Data buffered: reader readable.
         let pool = k.process(a).pool().clone();
-        k.iol_write_fd(a, w, &Aggregate::from_bytes(&pool, b"x")).unwrap();
+        k.iol_write_fd(a, w, &Aggregate::from_bytes(&pool, b"x"))
+            .unwrap();
         let ev = k.iol_poll(b, &[r]);
         assert!(ev[0].readable);
         // Sockets: pending until delivery, readable after.

@@ -143,7 +143,10 @@ mod tests {
                 time: SimTime::from_us(9.0),
             },
             Effect::DirtyInstalled { bytes: 11 },
-            Effect::WritebackFlushed { entries: 2, bytes: 11 },
+            Effect::WritebackFlushed {
+                entries: 2,
+                bytes: 11,
+            },
             Effect::NvmAbsorbed {
                 bytes: 6,
                 time: SimTime::from_us(1.0),

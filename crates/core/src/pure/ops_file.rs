@@ -286,13 +286,14 @@ impl KernelState {
             // extent's buffers no longer describe the file. Invalidation
             // is by buffer identity, so head/tail slices on *other*
             // buffers keep their cached checksums.
-            let replaced = old
-                .range(head_len, tail_start - head_len)
-                .expect("clamped");
+            let replaced = old.range(head_len, tail_start - head_len).expect("clamped");
             self.cksum.invalidate_aggregate(&replaced);
             let mut rebuilt = old.range(0, head_len).expect("clamped");
             rebuilt.append(agg);
-            rebuilt.append(&old.range(tail_start, old.len() - tail_start).expect("clamped"));
+            rebuilt.append(
+                &old.range(tail_start, old.len() - tail_start)
+                    .expect("clamped"),
+            );
             self.cache.insert(key, rebuilt);
             self.op_rebalance_cache();
         }
@@ -374,7 +375,8 @@ impl KernelState {
         }
         let len = self.store.len(file).unwrap_or(0);
         let agg = Aggregate::fill_aligned(&self.cache_pool, len, iolite_buf::PAGE_SIZE, |at, b| {
-            self.store.stream(file, at, b.remaining() as u64, |run| b.put(run));
+            self.store
+                .stream(file, at, b.remaining() as u64, |run| b.put(run));
         });
         out.disk_time = self.disk.access_time(len);
         fx.push(Effect::DiskRead {
@@ -427,6 +429,8 @@ impl KernelState {
 fn within_off_t(offset: u64, len: u64) -> Result<(), IolError> {
     match offset.checked_add(len) {
         Some(end) if end <= i64::MAX as u64 => Ok(()),
-        _ => Err(IolError::InvalidSeek { requested: offset as i64 }),
+        _ => Err(IolError::InvalidSeek {
+            requested: offset as i64,
+        }),
     }
 }

@@ -13,8 +13,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use iolite_buf::{digest_aggregate, Acl, Aggregate, BufferPool, Fnv64, PoolForker, PoolId};
 use iolite_fs::{
-    CacheKey, DiskModel, FileId, FileStore, MetadataCache, Policy, UnifiedCache,
-    WritebackConfig, WritebackScheduler,
+    CacheKey, DiskModel, FileId, FileStore, MetadataCache, Policy, UnifiedCache, WritebackConfig,
+    WritebackScheduler,
 };
 use iolite_ipc::Pipe;
 use iolite_net::{ChecksumCache, SendOutcome, TcpConn};
@@ -171,7 +171,11 @@ impl KernelSocket {
     fn fork(&self, forker: &mut PoolForker) -> KernelSocket {
         KernelSocket {
             conn: self.conn.clone(),
-            inbound: self.inbound.iter().map(|a| forker.fork_aggregate(a)).collect(),
+            inbound: self
+                .inbound
+                .iter()
+                .map(|a| forker.fork_aggregate(a))
+                .collect(),
             closed: self.closed,
             peer_closed: self.peer_closed,
             nonblocking: self.nonblocking,
@@ -451,7 +455,9 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
     pub fn socket_unacked(&self, pid: Pid, fd: Fd) -> Result<u64, IolError> {
-        Ok(self.resolve_socket(pid, fd, "send-buffer occupancy")?.sndbuf_used)
+        Ok(self
+            .resolve_socket(pid, fd, "send-buffer occupancy")?
+            .sndbuf_used)
     }
 
     /// Whether a socket's remote side has hung up (a FIN/RST was

@@ -132,7 +132,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u8>(), any::<u16>()).prop_map(|(n, len)| Op::CreateFile(n, len)),
         any::<u8>().prop_map(Op::OpenFile),
         (any::<bool>(), any::<u8>()).prop_map(|(zero_copy, acl)| {
-            Op::PipeBetween(zero_copy, [None, Some(true), Some(false)][usize::from(acl % 3)])
+            Op::PipeBetween(
+                zero_copy,
+                [None, Some(true), Some(false)][usize::from(acl % 3)],
+            )
         }),
         any::<u16>().prop_map(Op::ReadStderr),
         Just(Op::ResetClock),
@@ -358,7 +361,10 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
             name: format!("/explicit{}", n % 8),
             data: vec![0x5A; usize::from(*len % 4096)],
         },
-        Op::OpenFile(n) => Command::OpenFile { pid, file: file(*n) },
+        Op::OpenFile(n) => Command::OpenFile {
+            pid,
+            file: file(*n),
+        },
         // `Some(false)`: an ACL that refuses the reader's domain.
         Op::PipeBetween(zero_copy, acl) => Command::PipeBetween {
             writer: pid,

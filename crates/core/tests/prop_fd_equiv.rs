@@ -114,7 +114,9 @@ mod model {
         }
 
         fn iter(&self) -> impl Iterator<Item = (Fd, FdObject)> + '_ {
-            self.entries.iter().map(|(fd, of)| (*fd, of.lock().unwrap().object))
+            self.entries
+                .iter()
+                .map(|(fd, of)| (*fd, of.lock().unwrap().object))
         }
 
         fn fork(&self, shared: &mut HashMap<usize, OpenFileRef>) -> FdTable {
@@ -240,7 +242,11 @@ impl Model {
     }
 
     fn close(&mut self, pid: Pid, fd: Fd) -> Result<Option<FdObject>, IolError> {
-        let removed = self.0.table(pid).close(fd).ok_or(IolError::NotOpen { fd })?;
+        let removed = self
+            .0
+            .table(pid)
+            .close(fd)
+            .ok_or(IolError::NotOpen { fd })?;
         Ok(self.orphaned(Some(removed)))
     }
 
@@ -317,7 +323,16 @@ fn object_of(kind: u8, id: u8) -> FdObject {
 
 /// Every number an op sequence can have made interesting.
 fn probed_fds() -> impl Iterator<Item = Fd> {
-    let far = [999, 1000, 1001, 1002, FD_LIMIT - 1, FD_LIMIT, FD_LIMIT + 1, u32::MAX];
+    let far = [
+        999,
+        1000,
+        1001,
+        1002,
+        FD_LIMIT - 1,
+        FD_LIMIT,
+        FD_LIMIT + 1,
+        u32::MAX,
+    ];
     (0..48).chain(far).map(Fd)
 }
 
@@ -594,7 +609,11 @@ impl ScanMapped {
             return true;
         }
         if self.entries.len() >= self.capacity {
-            let victim = self.entries.iter().min_by_key(|(_, &stamp)| stamp).map(|(&f, _)| f);
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(_, &stamp)| stamp)
+                .map(|(&f, _)| f);
             if let Some(victim) = victim {
                 self.entries.remove(&victim);
             }
@@ -654,7 +673,11 @@ fn open_cost_does_not_scale_with_open_descriptors() {
     }
     for _ in 0..HELD {
         let fd = k.open_file(pid, file);
-        assert_eq!(fd, Fd(3 + HELD), "the lowest free number, past the stdio triple");
+        assert_eq!(
+            fd,
+            Fd(3 + HELD),
+            "the lowest free number, past the stdio triple"
+        );
         k.close_fd(pid, fd).unwrap();
     }
     // A hole far below the top is still found first.

@@ -267,7 +267,12 @@ impl UnifiedCache {
         self.install(key, agg, true)
     }
 
-    fn install(&mut self, key: CacheKey, agg: Aggregate, dirty: bool) -> Vec<(CacheKey, Aggregate)> {
+    fn install(
+        &mut self,
+        key: CacheKey,
+        agg: Aggregate,
+        dirty: bool,
+    ) -> Vec<(CacheKey, Aggregate)> {
         self.clock += 1;
         let len = agg.len();
         // Overwrite: `remove` unwinds the old entry's residency and

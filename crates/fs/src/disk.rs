@@ -153,7 +153,11 @@ impl FileStore {
         match content {
             FileContent::Synthetic { seed, .. } => stream_synthetic(*seed, start, n, &mut sink),
             FileContent::Explicit(v) => sink(&v[start as usize..][..n as usize]),
-            FileContent::Buffers(body) => body.range(start, n).expect("clamped").chunks().for_each(sink),
+            FileContent::Buffers(body) => body
+                .range(start, n)
+                .expect("clamped")
+                .chunks()
+                .for_each(sink),
         }
         Some(n)
     }

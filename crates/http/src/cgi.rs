@@ -200,7 +200,9 @@ mod tests {
         let mut cgi = CgiProcess::new(&mut k, server, 10_000, PipeMode::ZeroCopy);
         let expected = cgi.document().to_vec();
         let sock = k.socket_create(server, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
-        let rc = cgi.serve(&mut k, ServerKind::FlashLite, sock, server).expect("healthy pipe");
+        let rc = cgi
+            .serve(&mut k, ServerKind::FlashLite, sock, server)
+            .expect("healthy pipe");
         assert_eq!(
             rc.response_bytes as usize,
             expected.len() + response_header(10_000, true).len()
@@ -220,12 +222,13 @@ mod tests {
         let server = k.spawn("server");
         let mut cgi = CgiProcess::new(&mut k, server, 100_000, PipeMode::ZeroCopy);
         let sock = k.socket_create(server, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
-        cgi.serve(&mut k, ServerKind::FlashLite, sock, server).expect("healthy pipe");
+        cgi.serve(&mut k, ServerKind::FlashLite, sock, server)
+            .expect("healthy pipe");
         let mapped_after_first = k.metrics.pages_mapped;
-        cgi.serve(&mut k, ServerKind::FlashLite, sock, server).expect("healthy pipe");
+        cgi.serve(&mut k, ServerKind::FlashLite, sock, server)
+            .expect("healthy pipe");
         assert_eq!(
-            k.metrics.pages_mapped,
-            mapped_after_first,
+            k.metrics.pages_mapped, mapped_after_first,
             "steady state rides persistent mappings"
         );
     }
@@ -248,7 +251,9 @@ mod tests {
         assert_eq!(err.unwrap_err(), IolError::Closed, "EPIPE, not a panic");
         // The CGI process itself survives to serve a healthy pipe later.
         let mut healthy = CgiProcess::new(&mut k, server, 10_000, PipeMode::ZeroCopy);
-        assert!(healthy.serve(&mut k, ServerKind::FlashLite, sock, server).is_ok());
+        assert!(healthy
+            .serve(&mut k, ServerKind::FlashLite, sock, server)
+            .is_ok());
     }
 
     /// The kernel pipe carries the CGI pool's ACL: the server's domain
@@ -261,7 +266,8 @@ mod tests {
         let server = k.spawn("server");
         let mut cgi = CgiProcess::new(&mut k, server, 5_000, PipeMode::ZeroCopy);
         let sock = k.socket_create(server, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
-        cgi.serve(&mut k, ServerKind::FlashLite, sock, server).expect("server admitted");
+        cgi.serve(&mut k, ServerKind::FlashLite, sock, server)
+            .expect("server admitted");
         assert!(cgi.pool.acl().allows(server.domain()));
     }
 }

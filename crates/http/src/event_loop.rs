@@ -57,7 +57,11 @@
 // (PR 5). Each `#[expect]` below is a site no request input reaches;
 // `tests/contracts.rs` counts them.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
-#![deny(clippy::unimplemented, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![deny(
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{SyncSender, TryRecvError};
@@ -1473,7 +1477,10 @@ mod tests {
             let flen = kernel.store.len(file).unwrap();
             let expected = kernel.store.read(file, 0, flen).unwrap();
             assert!(body.ends_with(&expected), "{} body intact", req.path);
-            assert_eq!(body.len(), crate::message::response_header(flen, true).len() + expected.len());
+            assert_eq!(
+                body.len(),
+                crate::message::response_header(flen, true).len() + expected.len()
+            );
         }
         // Pins released once drained: the corpus is evictable again.
         for path in ["/a", "/b"] {
@@ -1519,7 +1526,11 @@ mod tests {
         assert_eq!(report.stats.completed, 4);
         assert_eq!(report.stats.failed, 0);
         assert_eq!(report.stats.blocked_io, 0, "CGI included: no busy-spin");
-        for req in report.requests.iter().filter(|r| r.path.starts_with(CGI_PREFIX)) {
+        for req in report
+            .requests
+            .iter()
+            .filter(|r| r.path.starts_with(CGI_PREFIX))
+        {
             let body = req.response.as_ref().expect("captured");
             assert!(body.ends_with(&expected), "CGI bytes intact");
         }
@@ -1632,8 +1643,7 @@ mod tests {
     fn peer_close_while_idle_fails_cleanly_at_injection() {
         let (k, pid) = rig(&[("/doc", 5_000)]);
         let scripts = vec![vec!["/doc".to_string()], vec!["/doc".to_string()]];
-        let mut server =
-            EventLoopServer::new(k, pid, scripts, None, EventLoopConfig::default());
+        let mut server = EventLoopServer::new(k, pid, scripts, None, EventLoopConfig::default());
         // Client 0 disconnects before issuing its request: injection
         // must fail that connection, not panic the server.
         let sock0 = server.sock(0);

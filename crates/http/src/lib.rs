@@ -37,10 +37,10 @@ pub use event_loop::{
     parse_put_entry, synthetic_put_body, CompletedRequest, EventLoopConfig, EventLoopServer,
     LoopReport, LoopStats, ShardContext, CGI_PREFIX,
 };
-pub use sharded::{run_sharded, ShardOutcome, ShardedConfig, ShardedReport};
 pub use message::{
     created, parse_request, parse_request_agg, parse_request_head, parse_request_head_agg,
     put_request_bytes, request_bytes, response_header, Method, Request,
 };
 pub use server::{RequestCosts, ServerKind};
+pub use sharded::{run_sharded, ShardOutcome, ShardedConfig, ShardedReport};
 pub use workloads::WorkloadKind;

@@ -73,7 +73,15 @@ pub(crate) fn request_head<'a>(
         None => (b"GET ", [b""; 3]),
     };
     let end: &[u8] = if keep_alive { CONNECTION[1] } else { b"\r\n" };
-    [verb, path.as_bytes(), CLIENT_HEADERS[keep_alive as usize], label, len, crlf, end]
+    [
+        verb,
+        path.as_bytes(),
+        CLIENT_HEADERS[keep_alive as usize],
+        label,
+        len,
+        crlf,
+        end,
+    ]
 }
 
 /// Incremental request parser fed one header line at a time.
@@ -259,7 +267,10 @@ pub fn parse_request_head_agg(agg: &Aggregate) -> Option<(Request, u64)> {
 
 const OK_TO_LENGTH: &[u8] = b"HTTP/1.1 200 OK\r\nServer: Flash/IO-Lite\r\nDate: Thu, 01 Jan 1998 00:00:00 GMT\r\nContent-Type: text/html\r\nContent-Length: ";
 /// The `Connection` header and the blank line that ends a head.
-const CONNECTION: [&[u8]; 2] = [b"Connection: close\r\n\r\n", b"Connection: keep-alive\r\n\r\n"];
+const CONNECTION: [&[u8]; 2] = [
+    b"Connection: close\r\n\r\n",
+    b"Connection: keep-alive\r\n\r\n",
+];
 
 /// `n` in decimal, written by hand from the right of `digits`
 /// (`u64::MAX` has 20) — no `fmt` machinery, no intermediate `String`.
@@ -276,12 +287,20 @@ fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &[u8] {
 /// The 200 head as the parts the server copies straight into its
 /// IO-Lite buffer: constant text around one [`decimal`] number.
 pub(crate) fn ok_head(content_len: u64, keep_alive: bool, digits: &mut [u8; 20]) -> [&[u8]; 4] {
-    [OK_TO_LENGTH, decimal(content_len, digits), b"\r\n", CONNECTION[keep_alive as usize]]
+    [
+        OK_TO_LENGTH,
+        decimal(content_len, digits),
+        b"\r\n",
+        CONNECTION[keep_alive as usize],
+    ]
 }
 
 /// The 201 head, in parts like [`ok_head`].
 pub(crate) fn created_head(keep_alive: bool) -> [&'static [u8]; 2] {
-    [b"HTTP/1.1 201 Created\r\nContent-Length: 0\r\n", CONNECTION[keep_alive as usize]]
+    [
+        b"HTTP/1.1 201 Created\r\nContent-Length: 0\r\n",
+        CONNECTION[keep_alive as usize],
+    ]
 }
 
 /// Formats a 200 response header for a body of `content_len` bytes.
@@ -434,7 +453,8 @@ mod tests {
     #[test]
     fn created_parses_as_http() {
         for (keep_alive, conn) in [(true, "keep-alive"), (false, "close")] {
-            let want = format!("HTTP/1.1 201 Created\r\nContent-Length: 0\r\nConnection: {conn}\r\n\r\n");
+            let want =
+                format!("HTTP/1.1 201 Created\r\nContent-Length: 0\r\nConnection: {conn}\r\n\r\n");
             assert_eq!(created(keep_alive), want.as_bytes());
         }
     }

@@ -107,7 +107,13 @@ pub fn serve_static(
 
 /// The Flash-Lite path: `IOL_read`, aggregate concatenation, `IOL_write`
 /// on the socket descriptor (§3.10's walk-through).
-fn serve_iolite(kernel: &mut Kernel, sock: Fd, server_pid: Pid, file_fd: Fd, rc: &mut RequestCosts) {
+fn serve_iolite(
+    kernel: &mut Kernel,
+    sock: Fd,
+    server_pid: Pid,
+    file_fd: Fd,
+    rc: &mut RequestCosts,
+) {
     // The IOL API's own per-request bookkeeping (aggregate and pool
     // management; see cost-model docs).
     let extra = Charge::us(kernel.cost.iol_request_extra_us);

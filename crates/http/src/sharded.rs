@@ -29,7 +29,11 @@
 //! homing the Zipf head) shows up directly as
 //! [`ShardedReport::imbalance`].
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
-#![deny(clippy::unimplemented, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![deny(
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 use std::sync::mpsc::sync_channel;
 use std::thread;
@@ -89,7 +93,10 @@ impl ShardedReport {
 
     /// Total remote reads (requests served via the fabric).
     pub fn remote_reads(&self) -> u64 {
-        self.shards.iter().map(|s| s.report.stats.remote_reads).sum()
+        self.shards
+            .iter()
+            .map(|s| s.report.stats.remote_reads)
+            .sum()
     }
 
     /// The parallel makespan: the largest per-shard simulated CPU time.
@@ -140,7 +147,11 @@ impl ShardedReport {
 /// # Panics
 ///
 /// Panics if `cfg.shards` is zero or a shard thread panics.
-pub fn run_sharded<F>(cfg: &ShardedConfig, setup: F, conns: Vec<(u64, Vec<String>)>) -> ShardedReport
+pub fn run_sharded<F>(
+    cfg: &ShardedConfig,
+    setup: F,
+    conns: Vec<(u64, Vec<String>)>,
+) -> ShardedReport
 where
     F: Fn(&mut Kernel) -> Pid + Sync,
 {
@@ -157,7 +168,13 @@ where
     let limit = cfg.loop_cfg.admission_limit;
     let capacity: usize = per_shard
         .iter()
-        .map(|s| if limit == 0 { s.len() } else { s.len().min(limit) })
+        .map(|s| {
+            if limit == 0 {
+                s.len()
+            } else {
+                s.len().min(limit)
+            }
+        })
         .sum::<usize>()
         + FABRIC_SLACK;
     let fabric = ShardFabric::new(n, capacity);
@@ -217,7 +234,10 @@ where
             let sent = tx.try_send(ShardMsg::Shutdown);
             if all_reported {
                 // A full inbox here is a sizing bug that must not pass silently.
-                #[expect(clippy::expect_used, reason = "FABRIC_SLACK reserves room for Shutdown")]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "FABRIC_SLACK reserves room for Shutdown"
+                )]
                 sent.expect("slack reserves room for Shutdown");
             }
         }

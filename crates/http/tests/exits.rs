@@ -65,7 +65,11 @@ fn drive(mut server: EventLoopServer) -> (LoopReport, Kernel) {
 fn assert_no_pins(kernel: &Kernel) {
     for (name, _) in CORPUS {
         let file = kernel.store.lookup(name).expect("corpus file");
-        assert_eq!(kernel.cache.pins(&CacheKey::whole(file)), 0, "{name} still pinned");
+        assert_eq!(
+            kernel.cache.pins(&CacheKey::whole(file)),
+            0,
+            "{name} still pinned"
+        );
     }
 }
 
@@ -111,7 +115,11 @@ fn peer_close_mid_put_body_fails_only_that_upload() {
     assert_eq!(report.stats.puts, 0);
     assert_eq!(report.stats.blocked_io, 0);
     let file = kernel.store.lookup("/doc").unwrap();
-    assert_eq!(kernel.store.len(file), Some(40_000), "nothing was installed");
+    assert_eq!(
+        kernel.store.len(file),
+        Some(40_000),
+        "nothing was installed"
+    );
     assert_no_pins(&kernel);
 }
 
@@ -122,7 +130,10 @@ fn peer_close_mid_put_body_fails_only_that_upload() {
 fn absurd_content_length_waits_instead_of_wrapping() {
     let (k, pid) = rig();
     let mut server = external(k, pid, 1);
-    let head = format!("PUT /doc HTTP/1.1\r\nContent-Length: {}\r\n\r\nxyz", u64::MAX);
+    let head = format!(
+        "PUT /doc HTTP/1.1\r\nContent-Length: {}\r\n\r\nxyz",
+        u64::MAX
+    );
     deliver(&mut server, 0, head.as_bytes());
     for _ in 0..3 {
         server.tick();
@@ -165,9 +176,20 @@ fn peer_close_while_owning_the_cgi_pipe_serves_the_queued_waiter() {
         .expect("open socket");
     let (report, kernel) = server.run();
     assert_eq!(report.stats.failed, 1, "the dead owner's request fails");
-    assert_eq!(report.stats.completed, 2, "the waiter and the static GET finish");
+    assert_eq!(
+        report.stats.completed, 2,
+        "the waiter and the static GET finish"
+    );
     assert_eq!(report.stats.blocked_io, 0);
-    let waiter = report.requests.iter().find(|r| r.conn == 1).expect("served");
-    assert!(waiter.response.as_ref().expect("captured").ends_with(&expected));
+    let waiter = report
+        .requests
+        .iter()
+        .find(|r| r.conn == 1)
+        .expect("served");
+    assert!(waiter
+        .response
+        .as_ref()
+        .expect("captured")
+        .ends_with(&expected));
     assert_no_pins(&kernel);
 }

@@ -23,15 +23,16 @@ fn byte_serial(seed: u64, i: u64) -> u8 {
 
 /// `/` and up to 23 printable, non-space ASCII bytes.
 fn path() -> impl Strategy<Value = String> {
-    proptest::collection::vec(33u8..127, 0..24).prop_map(|b| {
-        format!("/{}", String::from_utf8(b).expect("ASCII"))
-    })
+    proptest::collection::vec(33u8..127, 0..24)
+        .prop_map(|b| format!("/{}", String::from_utf8(b).expect("ASCII")))
 }
 
 /// Every slice's identity, generation and length: the allocation a
 /// constructor made, which buffer ids and checksum keys hang off.
 fn layout(agg: &Aggregate) -> Vec<(BufferId, Generation, usize)> {
-    agg.slices().map(|s| (s.id(), s.generation(), s.len())).collect()
+    agg.slices()
+        .map(|s| (s.id(), s.generation(), s.len()))
+        .collect()
 }
 
 proptest! {

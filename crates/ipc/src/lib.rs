@@ -84,9 +84,8 @@ impl Pipe {
             // checksum cache keys on ⟨pool, buffer, generation⟩ — two
             // pools sharing one id would alias each other's slice
             // identities and could serve a stale checksum on the wire.
-            scratch: (mode == PipeMode::Copy).then(|| {
-                BufferPool::new(next_scratch_pool_id(), Acl::kernel_only(), 64 * 1024)
-            }),
+            scratch: (mode == PipeMode::Copy)
+                .then(|| BufferPool::new(next_scratch_pool_id(), Acl::kernel_only(), 64 * 1024)),
         }
     }
 
@@ -127,7 +126,11 @@ impl Pipe {
         Pipe {
             mode: self.mode,
             capacity: self.capacity,
-            queue: self.queue.iter().map(|a| forker.fork_aggregate(a)).collect(),
+            queue: self
+                .queue
+                .iter()
+                .map(|a| forker.fork_aggregate(a))
+                .collect(),
             buffered: self.buffered,
             closed: self.closed,
             scratch,

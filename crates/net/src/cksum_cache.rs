@@ -38,8 +38,8 @@
 //!   [`ChecksumCache::digest`] (and the kernel's `state_hash` above
 //!   it) repeats exactly for the same calls.
 
-use std::hash::BuildHasher;
 use iolite_buf::{BufferId, FixedState, Generation, PoolId, Slice};
+use std::hash::BuildHasher;
 
 use crate::checksum::{slice_sum, PartialSum};
 
@@ -174,7 +174,10 @@ impl HeadIndex {
     /// Doubles the table (first 64 buckets), reinserting every entry.
     fn grow(&mut self) {
         let mask = (self.buckets.len() * 2).max(64) - 1;
-        for e in std::mem::replace(&mut self.buckets, vec![0; mask + 1]).into_iter().filter(|&e| e != 0) {
+        for e in std::mem::replace(&mut self.buckets, vec![0; mask + 1])
+            .into_iter()
+            .filter(|&e| e != 0)
+        {
             let mut i = (e >> 32) as usize & mask;
             while self.buckets[i] != 0 {
                 i = (i + 1) & mask;
@@ -297,7 +300,13 @@ impl ChecksumCache {
     /// table is full.
     fn admit(&mut self, key: Key, sum: u16) {
         let idx = if self.slots.len() < self.capacity {
-            self.slots.push(Slot { key, prev: NIL, next: NIL, sum, referenced: false });
+            self.slots.push(Slot {
+                key,
+                prev: NIL,
+                next: NIL,
+                sum,
+                referenced: false,
+            });
             self.slots.len() - 1
         } else {
             // Second chance: sweep the hand past recently referenced
@@ -323,7 +332,10 @@ impl ChecksumCache {
 
     /// Makes slot `idx` the head of its buffer's chain.
     fn link(&mut self, idx: usize) {
-        let next = self.heads.set_head(&self.slots, &self.slots[idx].key.buf, idx as u32).unwrap_or(NIL);
+        let next = self
+            .heads
+            .set_head(&self.slots, &self.slots[idx].key.buf, idx as u32)
+            .unwrap_or(NIL);
         self.slots[idx].prev = NIL;
         self.slots[idx].next = next;
         if next != NIL {
@@ -334,7 +346,9 @@ impl ChecksumCache {
     /// Takes slot `idx` out of its buffer's chain; the chain's head
     /// entry goes with its last member.
     fn unlink(&mut self, idx: usize) {
-        let Slot { key, prev, next, .. } = self.slots[idx];
+        let Slot {
+            key, prev, next, ..
+        } = self.slots[idx];
         if next != NIL {
             self.slots[next as usize].prev = prev;
         }
@@ -355,7 +369,8 @@ impl ChecksumCache {
         let last = self.slots.len() - 1;
         if idx != last && self.slots[last].prev == NIL {
             // Re-pointed while the index can still read the moved key.
-            self.heads.set_head(&self.slots, &self.slots[last].key.buf, idx as u32);
+            self.heads
+                .set_head(&self.slots, &self.slots[last].key.buf, idx as u32);
         }
         self.slots.swap_remove(idx);
         if let Some(&Slot { prev, next, .. }) = self.slots.get(idx) {
@@ -441,14 +456,21 @@ impl ChecksumCache {
             }
         }
         // One index entry per chain, tagged with its head's hash, no empty bucket between it and home.
-        let (b, mask) = (&self.heads.buckets, self.heads.buckets.len().wrapping_sub(1));
+        let (b, mask) = (
+            &self.heads.buckets,
+            self.heads.buckets.len().wrapping_sub(1),
+        );
         let mut entries = b.iter().enumerate().filter(|&(_, &e)| e != 0);
         let indexed = entries.clone().count() == starts && starts == self.heads.len;
-        indexed && reached == self.slots.len() && entries.all(|(i, &e)| {
-            let (tag, home) = ((e >> 32) as u32, (e >> 32) as usize & mask);
-            self.slots.get(e as u32 as usize - 1).is_some_and(|s| HeadIndex::hash(&s.key.buf) == tag)
-                && (0..=i.wrapping_sub(home) & mask).all(|d| b[(home + d) & mask] != 0)
-        })
+        indexed
+            && reached == self.slots.len()
+            && entries.all(|(i, &e)| {
+                let (tag, home) = ((e >> 32) as u32, (e >> 32) as usize & mask);
+                self.slots
+                    .get(e as u32 as usize - 1)
+                    .is_some_and(|s| HeadIndex::hash(&s.key.buf) == tag)
+                    && (0..=i.wrapping_sub(home) & mask).all(|d| b[(home + d) & mask] != 0)
+            })
     }
 
     /// Counters so far.
@@ -509,8 +531,15 @@ mod tests {
     }
 
     fn buf_key(chunk: u64, offset: u32, generation: u64) -> BufKey {
-        let buffer = BufferId { chunk: ChunkId(chunk), offset };
-        BufKey { pool: PoolId(1), buffer, generation: Generation(generation) }
+        let buffer = BufferId {
+            chunk: ChunkId(chunk),
+            offset,
+        };
+        BufKey {
+            pool: PoolId(1),
+            buffer,
+            generation: Generation(generation),
+        }
     }
 
     #[test]
@@ -597,7 +626,10 @@ mod tests {
             c.sum_for(s);
             if i % 3 == 0 {
                 // Retransmission keeps the hot entry's reference bit set.
-                assert!(c.sum_for(&hot).1, "hot slice recomputed after {i} cold slices");
+                assert!(
+                    c.sum_for(&hot).1,
+                    "hot slice recomputed after {i} cold slices"
+                );
             }
         }
         assert!(c.len() <= 8);
@@ -614,9 +646,21 @@ mod tests {
     #[test]
     fn distant_subranges_do_not_collide_under_truncation() {
         let buf = buf_key(1, 0, 1);
-        let near = Key { buf, offset: 0, len: 1460 };
-        let far = Key { buf, offset: 1 << 32, len: 1460 };
-        let long = Key { buf, offset: 0, len: (1u64 << 32) + 1460 };
+        let near = Key {
+            buf,
+            offset: 0,
+            len: 1460,
+        };
+        let far = Key {
+            buf,
+            offset: 1 << 32,
+            len: 1460,
+        };
+        let long = Key {
+            buf,
+            offset: 0,
+            len: (1u64 << 32) + 1460,
+        };
         // These are exactly the pairs `as u32` used to conflate.
         assert_eq!(near.offset as u32, far.offset as u32);
         assert_eq!(near.len as u32, long.len as u32);
@@ -814,12 +858,20 @@ mod tests {
     /// chain included); every buffer hashes to the top 24 of 256 buckets, so clusters wrap.
     #[test]
     fn index_matches_a_map_model() {
-        let bufs: Vec<_> = (0..).map(|j| buf_key(j, 0, 0)).filter(|b| HeadIndex::hash(b) as u8 >= 232).take(80).collect();
+        let bufs: Vec<_> = (0..)
+            .map(|j| buf_key(j, 0, 0))
+            .filter(|b| HeadIndex::hash(b) as u8 >= 232)
+            .take(80)
+            .collect();
         let (mut c, mut model) = (ChecksumCache::new(1024), BTreeMap::new());
         let (mut r, mut moved_heads, mut wraps) = (0, 0, 0);
         for _ in 0..5000 {
             r = splitmix64(r);
-            let key = Key { buf: bufs[(r % 80) as usize], offset: r >> 63, len: 1 };
+            let key = Key {
+                buf: bufs[(r % 80) as usize],
+                offset: r >> 63,
+                len: 1,
+            };
             if r >> 32 & 7 == 0 && !c.is_empty() {
                 let (idx, last) = ((r >> 8) as usize % c.len(), c.len() - 1);
                 moved_heads += (idx != last && c.slots[last].prev == NIL) as u32;
@@ -830,9 +882,16 @@ mod tests {
             }
             let chains: BTreeSet<BufKey> = model.keys().map(|k| k.buf).collect();
             assert!(c.chains_consistent() && (c.len(), c.heads.len) == (model.len(), chains.len()));
-            assert!(model.iter().all(|(key, &sum)| c.find(key).map(|i| c.slots[i].sum) == Some(sum)));
+            assert!(model
+                .iter()
+                .all(|(key, &sum)| c.find(key).map(|i| c.slots[i].sum) == Some(sum)));
             let mask = c.heads.buckets.len() - 1;
-            wraps += c.heads.buckets.iter().enumerate().any(|(i, &e)| e != 0 && (e >> 32) as usize & mask > i) as u32;
+            wraps += c
+                .heads
+                .buckets
+                .iter()
+                .enumerate()
+                .any(|(i, &e)| e != 0 && (e >> 32) as usize & mask > i) as u32;
         }
         assert!(moved_heads > 0 && wraps > 0 && c.heads.buckets.len() == 256);
     }
@@ -844,13 +903,24 @@ mod tests {
     fn index_hash_spreads_structured_keys() {
         const N: usize = 1 << 16;
         let shapes = [
-            ("sequential chunk ids", (|j| buf_key(j, 0, 0)) as fn(u64) -> BufKey),
-            ("page-strided offsets", |j| buf_key(j / 16, (j % 16) as u32 * 4096, 0)),
+            (
+                "sequential chunk ids",
+                (|j| buf_key(j, 0, 0)) as fn(u64) -> BufKey,
+            ),
+            ("page-strided offsets", |j| {
+                buf_key(j / 16, (j % 16) as u32 * 4096, 0)
+            }),
             ("one chunk, 2^16 generations", |j| buf_key(7, 0, j)),
         ];
         for (shape, key) in shapes {
-            let homes: BTreeSet<usize> = (0..N as u64).map(|j| HeadIndex::hash(&key(j)) as usize % N).collect();
-            assert!(homes.len() * 100 >= 55 * N, "{shape}: {} of {N} buckets", homes.len());
+            let homes: BTreeSet<usize> = (0..N as u64)
+                .map(|j| HeadIndex::hash(&key(j)) as usize % N)
+                .collect();
+            assert!(
+                homes.len() * 100 >= 55 * N,
+                "{shape}: {} of {N} buckets",
+                homes.len()
+            );
         }
     }
 }

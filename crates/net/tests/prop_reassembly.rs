@@ -13,7 +13,13 @@ use proptest::prelude::*;
 fn segment(data: &[u8], cuts: &[usize]) -> Vec<(u64, Vec<u8>)> {
     let mut points: Vec<usize> = cuts
         .iter()
-        .map(|c| if data.is_empty() { 0 } else { c % (data.len() + 1) })
+        .map(|c| {
+            if data.is_empty() {
+                0
+            } else {
+                c % (data.len() + 1)
+            }
+        })
         .collect();
     points.push(0);
     points.push(data.len());

@@ -112,7 +112,9 @@ pub fn plan(cfg: &StormConfig) -> StormPlan {
         })
         .collect();
     let mut roles = root.fork(3);
-    let slow: Vec<bool> = (0..cfg.clients).map(|_| roles.chance(cfg.slowloris)).collect();
+    let slow: Vec<bool> = (0..cfg.clients)
+        .map(|_| roles.chance(cfg.slowloris))
+        .collect();
     let reset_after: Vec<Option<u64>> = (0..cfg.clients)
         .map(|_| {
             roles
@@ -220,7 +222,12 @@ enum Ev {
     /// Client `c` comes alive and issues its first request.
     Start { c: usize },
     /// A data segment arrives at its receiver.
-    Seg { c: usize, dir: Dir, seq: u64, len: u64 },
+    Seg {
+        c: usize,
+        dir: Dir,
+        seq: u64,
+        len: u64,
+    },
     /// A cumulative ACK arrives back at its sender.
     Ack { c: usize, dir: Dir, ack: u64 },
     /// A retransmission timer fires (stale unless `epoch` is live).
@@ -657,12 +664,14 @@ impl Storm {
                 self.wire.reordered += 1;
                 delay += self.faults.next_below(self.cfg.jitter_us + 1);
             }
-            self.q.schedule_after(us(delay), Ev::Seg { c, dir, seq, len });
+            self.q
+                .schedule_after(us(delay), Ev::Seg { c, dir, seq, len });
         }
         if self.faults.chance(self.cfg.dup) {
             self.wire.duplicated += 1;
             let delay = owd + self.faults.next_below(self.cfg.jitter_us + 1);
-            self.q.schedule_after(us(delay), Ev::Seg { c, dir, seq, len });
+            self.q
+                .schedule_after(us(delay), Ev::Seg { c, dir, seq, len });
         }
     }
 
@@ -795,9 +804,7 @@ impl Storm {
                         // kernel (dead peer) — ignored here, the
                         // server-side peer-close check fails the
                         // request on its own.
-                        if let Ok(n) =
-                            self.servers[s].kernel_mut().socket_drain(pid, sock, newly)
-                        {
+                        if let Ok(n) = self.servers[s].kernel_mut().socket_drain(pid, sock, newly) {
                             self.clients[c].resp_drained += n;
                             if n != newly {
                                 self.violations.push(format!(

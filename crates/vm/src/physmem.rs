@@ -85,7 +85,9 @@ impl PhysMemory {
 
     /// Total reserved across all accounts, saturating.
     pub fn used(&self) -> u64 {
-        self.accounts.values().fold(0, |sum, &b| sum.saturating_add(b))
+        self.accounts
+            .values()
+            .fold(0, |sum, &b| sum.saturating_add(b))
     }
 
     /// Bytes not reserved by any account.

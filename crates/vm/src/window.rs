@@ -88,11 +88,7 @@ impl IoLiteWindow {
 
     /// Whether `domain` currently maps `chunk`.
     pub fn is_mapped(&self, chunk: ChunkId, domain: DomainId) -> bool {
-        domain == DomainId::KERNEL
-            || self
-                .maps
-                .get(&domain)
-                .is_some_and(|t| t.contains(&chunk))
+        domain == DomainId::KERNEL || self.maps.get(&domain).is_some_and(|t| t.contains(&chunk))
     }
 
     /// Folds the window's mapping state into a stable digest (sorted
@@ -152,7 +148,9 @@ mod tests {
         let acl = acl_for(DomainId(1));
         assert_eq!(
             w.transfer([ChunkId(0)], DomainId(2), &acl),
-            Err(AccessDenied { domain: DomainId(2) })
+            Err(AccessDenied {
+                domain: DomainId(2)
+            })
         );
         assert!(!w.is_mapped(ChunkId(0), DomainId(2)));
     }

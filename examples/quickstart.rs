@@ -76,7 +76,10 @@ fn main() {
     let (fd, _) = k.open(pid, "/hello.txt").expect("path resolves");
     k.lseek(pid, fd, 6, Whence::Set).expect("files seek");
     let (tail, _) = k.iol_read_fd(pid, fd, 100).expect("open file");
-    println!("file fd {fd:?} read: {}", String::from_utf8_lossy(&tail.to_vec()));
+    println!(
+        "file fd {fd:?} read: {}",
+        String::from_utf8_lossy(&tail.to_vec())
+    );
 
     // The same call transmits on a TCP socket (zero-copy, checksummed).
     let sock = k.socket_create(pid, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
@@ -89,9 +92,13 @@ fn main() {
 
     // And the stdio triple is just descriptors 0/1/2.
     let stdout_msg = Aggregate::from_bytes(&pool, b"printed via fd 1");
-    k.iol_write_fd(pid, Fd::STDOUT, &stdout_msg).expect("stdout open");
+    k.iol_write_fd(pid, Fd::STDOUT, &stdout_msg)
+        .expect("stdout open");
     let (console, _) = k.read_stdout(pid, 100).expect("console drains");
-    println!("console saw: {}", String::from_utf8_lossy(&console.to_vec()));
+    println!(
+        "console saw: {}",
+        String::from_utf8_lossy(&console.to_vec())
+    );
 
     // Errors are values: close-then-use is EBADF, not a panic.
     k.close_fd(pid, fd).expect("first close");

@@ -29,7 +29,10 @@ pub mod test_runner {
     impl ProptestConfig {
         /// A config running exactly `cases` cases, ignoring `PROPTEST_CASES`.
         pub fn with_cases(cases: u32) -> Self {
-            ProptestConfig { cases, explicit: true }
+            ProptestConfig {
+                cases,
+                explicit: true,
+            }
         }
 
         /// The case count to run: an explicit `with_cases` wins, otherwise
@@ -50,7 +53,10 @@ pub mod test_runner {
 
     impl Default for ProptestConfig {
         fn default() -> Self {
-            ProptestConfig { cases: 64, explicit: false }
+            ProptestConfig {
+                cases: 64,
+                explicit: false,
+            }
         }
     }
 
@@ -161,7 +167,10 @@ pub mod strategy {
     impl<T> Union<T> {
         /// A union over `branches`; panics if empty.
         pub fn new(branches: Vec<BoxedStrategy<T>>) -> Self {
-            assert!(!branches.is_empty(), "prop_oneof! needs at least one branch");
+            assert!(
+                !branches.is_empty(),
+                "prop_oneof! needs at least one branch"
+            );
             Union { branches }
         }
     }

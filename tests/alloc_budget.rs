@@ -114,7 +114,10 @@ fn cached_get_stays_within_the_allocation_budget() {
     let per_request = (heap_calls() - calls) as f64 / requests as f64;
     assert!(requests >= 10_000, "timed {requests} requests");
     assert_eq!(server.stats().failed, 0);
-    assert_eq!(server.stats().cache_hits, server.stats().completed - files.len() as u64);
+    assert_eq!(
+        server.stats().cache_hits,
+        server.stats().completed - files.len() as u64
+    );
     assert!(
         per_request <= GET_BUDGET,
         "{per_request:.2} allocator calls per cached GET (budget {GET_BUDGET})"
@@ -129,7 +132,10 @@ fn small_aggregate_hand_offs_do_not_allocate() {
     let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 64 * 1024);
     let head = Aggregate::from_bytes(&pool, b"HTTP/1.1 200 OK\r\n\r\n");
     let body = Aggregate::from_bytes(&pool, &[7u8; 100_000]);
-    assert_eq!(head.num_slices() + body.num_slices(), Aggregate::INLINE_SLICES);
+    assert_eq!(
+        head.num_slices() + body.num_slices(),
+        Aggregate::INLINE_SLICES
+    );
     let before = heap_calls();
     let mut response = head.clone();
     response.append(&body);
@@ -143,7 +149,10 @@ fn small_aggregate_hand_offs_do_not_allocate() {
     let (a, b) = framed.split_at(500);
     let sent = response.whole_slices(0, u64::MAX);
     assert_eq!(heap_calls() - before, 0, "short slice lists live inline");
-    assert_eq!((window.num_slices(), a.len(), b.len(), sent.len()), (3, 500, 519, 100_019));
+    assert_eq!(
+        (window.num_slices(), a.len(), b.len(), sent.len()),
+        (3, 500, 519, 100_019)
+    );
 }
 
 /// Heap bytes per extra byte of a value, from runs at two sizes: what
@@ -168,7 +177,11 @@ fn put_ingest(len: u64) -> (u64, u64) {
     let mut k = Kernel::with_policy(CostModel::pentium_ii_333(), Policy::Gds);
     let pid = k.spawn("server");
     let scripts = (0..CONNS)
-        .map(|c| (0..PUTS).map(|r| format!("PUT /u{} {len}", (c + r) % 8)).collect())
+        .map(|c| {
+            (0..PUTS)
+                .map(|r| format!("PUT /u{} {len}", (c + r) % 8))
+                .collect()
+        })
         .collect();
     let mut server = EventLoopServer::new(k, pid, scripts, None, EventLoopConfig::default());
     let before = heap_bytes();
@@ -220,9 +233,20 @@ fn remote_fetch(len: u64) -> (u64, u64) {
                 (home_shard(file, 2) == 1).then_some(path)
             })
             .collect();
-        let script = remote.iter().cycle().take(remote.len() * PASSES).cloned().collect();
+        let script = remote
+            .iter()
+            .cycle()
+            .take(remote.len() * PASSES)
+            .cloned()
+            .collect();
         let scripts = if shard == 0 { vec![script] } else { Vec::new() };
-        servers.push(EventLoopServer::new(k, pid, scripts, None, EventLoopConfig::default()));
+        servers.push(EventLoopServer::new(
+            k,
+            pid,
+            scripts,
+            None,
+            EventLoopConfig::default(),
+        ));
     }
     let fabric = ShardFabric::new(2, 1 + FABRIC_SLACK);
     let (done_tx, _done_rx) = sync_channel(2);
@@ -238,7 +262,12 @@ fn remote_fetch(len: u64) -> (u64, u64) {
         for server in servers.iter_mut() {
             server.tick();
         }
-        while servers.iter_mut().map(EventLoopServer::pump_fabric).sum::<usize>() > 0 {}
+        while servers
+            .iter_mut()
+            .map(EventLoopServer::pump_fabric)
+            .sum::<usize>()
+            > 0
+        {}
     };
     let fetches = remote.len() as u64;
     while servers[0].stats().completed < fetches {
@@ -251,8 +280,14 @@ fn remote_fetch(len: u64) -> (u64, u64) {
     let bytes = heap_bytes() - before;
     let stats = servers[0].stats();
     let timed = fetches * (PASSES as u64 - 1);
-    assert_eq!((stats.completed, stats.failed), (fetches * PASSES as u64, 0));
-    assert_eq!((stats.remote_reads, stats.remote_hits), (fetches * PASSES as u64, timed));
+    assert_eq!(
+        (stats.completed, stats.failed),
+        (fetches * PASSES as u64, 0)
+    );
+    assert_eq!(
+        (stats.remote_reads, stats.remote_hits),
+        (fetches * PASSES as u64, timed)
+    );
     (bytes, timed * len)
 }
 

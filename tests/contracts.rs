@@ -11,14 +11,32 @@
 
 /// The files whose exemptions are counted, and their contents.
 const POLICED: [(&str, &str); 4] = [
-    ("crates/http/src/event_loop.rs", include_str!("../crates/http/src/event_loop.rs")),
-    ("crates/http/src/sharded.rs", include_str!("../crates/http/src/sharded.rs")),
-    ("crates/buf/src/pool.rs", include_str!("../crates/buf/src/pool.rs")),
-    ("crates/core/tests/prop_fd_equiv.rs", include_str!("../crates/core/tests/prop_fd_equiv.rs")),
+    (
+        "crates/http/src/event_loop.rs",
+        include_str!("../crates/http/src/event_loop.rs"),
+    ),
+    (
+        "crates/http/src/sharded.rs",
+        include_str!("../crates/http/src/sharded.rs"),
+    ),
+    (
+        "crates/buf/src/pool.rs",
+        include_str!("../crates/buf/src/pool.rs"),
+    ),
+    (
+        "crates/core/tests/prop_fd_equiv.rs",
+        include_str!("../crates/core/tests/prop_fd_equiv.rs"),
+    ),
 ];
 
 /// The panic family the serving modules deny (PR 5).
-const PANIC_LINTS: [&str; 5] = ["unwrap_used", "expect_used", "panic", "todo", "unimplemented"];
+const PANIC_LINTS: [&str; 5] = [
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "todo",
+    "unimplemented",
+];
 
 /// The clippy lints named by each `#[expect(…)]` / `#![expect(…)]`
 /// attribute in `src`, however the attribute is wrapped.
@@ -26,7 +44,9 @@ fn expected_lints(src: &str) -> Vec<&str> {
     src.match_indices("expect(")
         .filter(|(at, _)| src[..*at].ends_with("#[") || src[..*at].ends_with("#!["))
         .filter_map(|(at, open)| {
-            let lint = src[at + open.len()..].trim_start().strip_prefix("clippy::")?;
+            let lint = src[at + open.len()..]
+                .trim_start()
+                .strip_prefix("clippy::")?;
             let end = lint.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))?;
             Some(&lint[..end])
         })
@@ -45,8 +65,19 @@ fn count(files: &[&str], lints: &[&str]) -> usize {
 
 #[test]
 fn exemptions_match_the_ledger() {
-    let serving = ["crates/http/src/event_loop.rs", "crates/http/src/sharded.rs"];
-    assert_eq!(count(&serving, &PANIC_LINTS), 7, "panic-family exemptions in the serving path");
+    let serving = [
+        "crates/http/src/event_loop.rs",
+        "crates/http/src/sharded.rs",
+    ];
+    assert_eq!(
+        count(&serving, &PANIC_LINTS),
+        7,
+        "panic-family exemptions in the serving path"
+    );
     let all = POLICED.map(|(path, _)| path);
-    assert_eq!(count(&all, &["disallowed_types"]), 2, "`disallowed_types` exemptions");
+    assert_eq!(
+        count(&all, &["disallowed_types"]),
+        2,
+        "`disallowed_types` exemptions"
+    );
 }

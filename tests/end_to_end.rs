@@ -53,7 +53,10 @@ fn static_file_reaches_client_byte_exact_zero_copy() {
         bytes_copied: 0,
         owned_occupancy: segments * 128,
     };
-    assert_eq!(socket_write(&mut k, pid, BufferMode::ZeroCopy, &response), expected);
+    assert_eq!(
+        socket_write(&mut k, pid, BufferMode::ZeroCopy, &response),
+        expected
+    );
 }
 
 #[test]

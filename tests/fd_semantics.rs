@@ -97,7 +97,10 @@ fn stdio_fds_work_immediately_after_spawn() {
     assert_eq!(k.read_stderr(pid, 100).unwrap().0.to_vec(), b"to stderr");
     let input = Aggregate::from_bytes(&pool, b"from tty");
     k.feed_stdin(pid, &input).unwrap();
-    assert_eq!(k.iol_read_fd(pid, Fd::STDIN, 100).unwrap().0.to_vec(), b"from tty");
+    assert_eq!(
+        k.iol_read_fd(pid, Fd::STDIN, 100).unwrap().0.to_vec(),
+        b"from tty"
+    );
     // stdin is read-only, stdout write-only — the fd layer says so.
     assert!(matches!(
         k.iol_write_fd(pid, Fd::STDIN, &out_msg),
@@ -114,7 +117,10 @@ fn stdio_fds_work_immediately_after_spawn() {
     k.dup2_fd(sink, r, Fd::STDIN).unwrap();
     let piped = Aggregate::from_bytes(&pool, b"piped");
     k.iol_write_fd(pid, Fd::STDOUT, &piped).unwrap();
-    assert_eq!(k.iol_read_fd(sink, Fd::STDIN, 100).unwrap().0.to_vec(), b"piped");
+    assert_eq!(
+        k.iol_read_fd(sink, Fd::STDIN, 100).unwrap().0.to_vec(),
+        b"piped"
+    );
 }
 
 #[test]
@@ -162,7 +168,10 @@ fn socket_reads_hand_over_delivered_buffers_or_bill_the_copy() {
     k.socket_deliver(pid, zero_copy, payload.clone()).unwrap();
     let (got, _) = k.iol_read_fd(pid, zero_copy, u64::MAX).unwrap();
     let (sent, read) = (payload.slice_at(0), got.slice_at(0));
-    assert_eq!((read.id(), read.generation()), (sent.id(), sent.generation()));
+    assert_eq!(
+        (read.id(), read.generation()),
+        (sent.id(), sent.generation())
+    );
     assert_eq!(k.metrics.bytes_copied, 0);
 
     let copying = k.socket_create(pid, BufferMode::Copy, DEFAULT_MSS, DEFAULT_TSS);
@@ -192,9 +201,15 @@ fn a_dangling_pipe_id_polls_invalid_and_fails_io_without_panicking() {
     let events = k.iol_poll(pid, &[r, w, Fd::STDIN]);
     assert!(events[0].invalid && events[1].invalid, "{events:?}");
     assert!(!events[2].invalid, "one stale entry does not fail the scan");
-    assert_eq!(k.iol_read_fd(pid, r, 8).unwrap_err(), IolError::NotOpen { fd: r });
+    assert_eq!(
+        k.iol_read_fd(pid, r, 8).unwrap_err(),
+        IolError::NotOpen { fd: r }
+    );
     let msg = Aggregate::from_bytes(k.process(pid).pool(), b"x");
-    assert_eq!(k.iol_write_fd(pid, w, &msg).unwrap_err(), IolError::NotOpen { fd: w });
+    assert_eq!(
+        k.iol_write_fd(pid, w, &msg).unwrap_err(),
+        IolError::NotOpen { fd: w }
+    );
     // The numbers themselves are ordinary: they dup and close.
     let dup = k.dup_fd(pid, r).unwrap();
     for fd in [r, w, dup] {
@@ -251,7 +266,11 @@ fn lseek_refuses_offsets_past_off_t_max() {
     let (fd, _) = k.open(pid, "/f").unwrap();
     let top = i64::MAX as u64;
     assert_eq!(k.lseek(pid, fd, i64::MAX, Whence::Set).unwrap().0, top);
-    for (offset, whence) in [(i64::MAX, Whence::Cur), (10, Whence::Cur), (i64::MAX, Whence::End)] {
+    for (offset, whence) in [
+        (i64::MAX, Whence::Cur),
+        (10, Whence::Cur),
+        (i64::MAX, Whence::End),
+    ] {
         assert_eq!(
             k.lseek(pid, fd, offset, whence).unwrap_err(),
             IolError::InvalidSeek { requested: offset }
@@ -291,10 +310,14 @@ fn file_writes_past_off_t_max_are_refused() {
     for offset in [u64::MAX, 1 << 63, top] {
         assert_eq!(
             k.iol_pwrite(pid, fd, offset, &byte).unwrap_err(),
-            IolError::InvalidSeek { requested: offset as i64 }
+            IolError::InvalidSeek {
+                requested: offset as i64
+            }
         );
     }
-    let refused = IolError::InvalidSeek { requested: i64::MAX };
+    let refused = IolError::InvalidSeek {
+        requested: i64::MAX,
+    };
     assert_eq!(k.iol_write_fd(pid, fd, &byte).unwrap_err(), refused);
     assert_eq!(k.posix_write_fd(pid, fd, b"x").unwrap_err(), refused);
     // Nothing moved: not the clock, the copy count, the file or the offset.
@@ -320,7 +343,13 @@ fn accounted_send_on_a_zero_copy_socket_is_refused() {
     ));
     assert_eq!(k.now(), t);
     let copy = k.socket_create(pid, BufferMode::Copy, DEFAULT_MSS, DEFAULT_TSS);
-    assert_eq!(k.socket_send_accounted(pid, copy, 1000).unwrap().0.payload_bytes, 1000);
+    assert_eq!(
+        k.socket_send_accounted(pid, copy, 1000)
+            .unwrap()
+            .0
+            .payload_bytes,
+        1000
+    );
 }
 
 /// `dup2_fd` and `install_fd_at` take the number from the caller; one
@@ -334,13 +363,19 @@ fn caller_chosen_descriptor_numbers_stop_at_fd_limit() {
     let read_end = k.fd_object(pid, r).unwrap();
     for at in [Fd(FD_LIMIT), Fd(u32::MAX)] {
         assert_eq!(k.dup2_fd(pid, w, at), Err(IolError::NotOpen { fd: at }));
-        assert_eq!(k.install_fd_at(pid, at, read_end), Err(IolError::NotOpen { fd: at }));
+        assert_eq!(
+            k.install_fd_at(pid, at, read_end),
+            Err(IolError::NotOpen { fd: at })
+        );
         assert_eq!(k.fd_object(pid, at), Err(IolError::NotOpen { fd: at }));
     }
     // The refusals displaced and closed nothing: the pipe still flows.
     let msg = Aggregate::from_bytes(k.process(pid).pool(), b"still here");
     k.iol_write_fd(pid, w, &msg).unwrap();
-    assert_eq!(k.iol_read_fd(pid, r, 100).unwrap().0.to_vec(), b"still here");
+    assert_eq!(
+        k.iol_read_fd(pid, r, 100).unwrap().0.to_vec(),
+        b"still here"
+    );
     // Below the limit both calls work as ever.
     assert_eq!(k.dup2_fd(pid, w, Fd(4000)), Ok(Fd(4000)));
     assert_eq!(k.install_fd_at(pid, Fd(4001), read_end), Ok(Fd(4001)));

@@ -34,7 +34,8 @@ fn poll_eof_on_empty_closed_pipe() {
     let ev = k.iol_poll(b, &[r]);
     assert!(!ev[0].readable && !ev[0].eof, "open writer: just pending");
     let pool = k.process(a).pool().clone();
-    k.iol_write_fd(a, w, &Aggregate::from_bytes(&pool, b"tail")).unwrap();
+    k.iol_write_fd(a, w, &Aggregate::from_bytes(&pool, b"tail"))
+        .unwrap();
     k.close_fd(a, w).unwrap();
     // Closed but not yet drained: readable, not EOF.
     let ev = k.iol_poll(b, &[r]);
@@ -112,9 +113,7 @@ fn multiplexes_1024_connections_with_zero_busy_spin() {
         k.create_synthetic_file("/warm", 8_000, 6);
         let cgi = CgiProcess::new(&mut k, pid, 12_000, PipeMode::ZeroCopy);
         let mut scripts: Vec<Vec<String>> = (0..statics)
-            .map(|i| {
-                vec![if i % 3 == 0 { "/warm" } else { "/hot" }.to_string()]
-            })
+            .map(|i| vec![if i % 3 == 0 { "/warm" } else { "/hot" }.to_string()])
             .collect();
         for _ in 0..8 {
             scripts.push(vec![format!("{CGI_PREFIX}doc")]);

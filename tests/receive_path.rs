@@ -30,7 +30,13 @@ fn send_and_receive_compose_byte_exact() {
     let len = body.len();
     let mut segments: Vec<(u64, Aggregate)> = (0..len)
         .step_by(DEFAULT_MSS)
-        .map(|seq| (seq, body.range(seq, (len - seq).min(DEFAULT_MSS as u64)).unwrap()))
+        .map(|seq| {
+            (
+                seq,
+                body.range(seq, (len - seq).min(DEFAULT_MSS as u64))
+                    .unwrap(),
+            )
+        })
         .collect();
     assert_eq!(segments.len() as u64, send.segments);
     segments.reverse(); // Worst-case delivery order.

@@ -155,7 +155,8 @@ fn shell_plumbing_and_posix_veneer_replay_bit_identically() {
         panic!("write end resolves to a pipe");
     };
     let inherited = k.install_fd(a, FdObject::PipeWrite(pipe));
-    k.install_fd_at(a, Fd(9), FdObject::PipeWrite(pipe)).unwrap();
+    k.install_fd_at(a, Fd(9), FdObject::PipeWrite(pipe))
+        .unwrap();
     k.iol_write_fd(a, inherited, &line).unwrap();
     let dup = k.dup_fd(c, pr).unwrap();
     assert_eq!(k.iol_read_fd(c, dup, 100).unwrap().0.len(), line.len());

@@ -118,7 +118,11 @@ fn cache_pool_recycles_drained_chunks() {
         let f = k.create_synthetic_file(&format!("/f{i}"), 1 << 20, i);
         let fd = k.open_file(pid, f);
         let (agg, _) = k.iol_pread(pid, fd, 0, 1 << 20).unwrap();
-        keys.push(agg.slices().map(|s| (s.id(), s.generation())).collect::<Vec<_>>());
+        keys.push(
+            agg.slices()
+                .map(|s| (s.id(), s.generation()))
+                .collect::<Vec<_>>(),
+        );
         // Squeeze the budget to nothing and back: the entry is evicted.
         k.mem_reserve(MemAccount::SocketCopies, u64::MAX / 2);
         k.rebalance_cache();
@@ -129,7 +133,10 @@ fn cache_pool_recycles_drained_chunks() {
         .iter()
         .filter(|(id, generation)| keys[0].iter().any(|(old, g)| old == id && g != generation))
         .count();
-    assert!(recycled > 0, "the second read reused none of the first read's chunks");
+    assert!(
+        recycled > 0,
+        "the second read reused none of the first read's chunks"
+    );
 }
 
 #[test]

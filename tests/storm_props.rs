@@ -79,13 +79,11 @@ fn assert_storm_matches_clean(cfg: &StormConfig) {
         // wire changed *when* bytes moved, never *what* was checksummed
         // or how much of it the checksum cache absorbed.
         assert_eq!(
-            storm.metrics[s].bytes_checksummed,
-            clean_kernel.metrics.bytes_checksummed,
+            storm.metrics[s].bytes_checksummed, clean_kernel.metrics.bytes_checksummed,
             "shard {s}: checksummed bytes diverge"
         );
         assert_eq!(
-            storm.metrics[s].bytes_checksum_cached,
-            clean_kernel.metrics.bytes_checksum_cached,
+            storm.metrics[s].bytes_checksum_cached, clean_kernel.metrics.bytes_checksum_cached,
             "shard {s}: checksum-cache hits diverge"
         );
     }

@@ -170,7 +170,9 @@ fn a_held_snapshot_does_not_steer_the_live_run() {
     let run = |snapshot_at: Option<u64>| {
         let mut k = Kernel::with_policy(CostModel::pentium_ii_333(), Policy::Gds);
         let pid = k.spawn("server");
-        let files: Vec<_> = (0..4).map(|f| k.create_file(&format!("/f{f}"), &[])).collect();
+        let files: Vec<_> = (0..4)
+            .map(|f| k.create_file(&format!("/f{f}"), &[]))
+            .collect();
         let pool = k.process(pid).pool().clone();
         let mut held = None;
         for round in 0..64 {
@@ -178,7 +180,11 @@ fn a_held_snapshot_does_not_steer_the_live_run() {
                 held = Some((k.snapshot(), k.state_hash()));
             }
             let body = synthetic_put_body("/f", 20_000 + 97 * round);
-            k.put_install(pid, files[round as usize % 4], &Aggregate::from_bytes(&pool, &body));
+            k.put_install(
+                pid,
+                files[round as usize % 4],
+                &Aggregate::from_bytes(&pool, &body),
+            );
         }
         (k.state_hash(), held)
     };
@@ -257,8 +263,15 @@ fn replica_read_is_sized_by_the_replica_not_the_stale_local_store() {
     let report = run_sharded(&config, setup, conns);
     assert_eq!(report.failed(), 0);
     assert_eq!(report.completed(), 3);
-    let writes: u64 = report.shards.iter().map(|s| s.report.stats.remote_writes).sum();
-    assert_eq!(writes, 1, "the PUT must route over the fabric to mean anything");
+    let writes: u64 = report
+        .shards
+        .iter()
+        .map(|s| s.report.stats.remote_writes)
+        .sum();
+    assert_eq!(
+        writes, 1,
+        "the PUT must route over the fabric to mean anything"
+    );
     let new_body = synthetic_put_body("/f", 13_608);
     let mut want = response_header(new_body.len() as u64, true);
     want.extend_from_slice(&new_body);
