@@ -65,7 +65,6 @@ pub struct TcpConn {
     mode: BufferMode,
     mss: usize,
     tss: usize,
-    established: bool,
 }
 
 impl TcpConn {
@@ -80,13 +79,7 @@ impl TcpConn {
             mode,
             mss: mss.min(MAX_SEGMENT_PAYLOAD as usize),
             tss,
-            established: false,
         }
-    }
-
-    /// The connection id.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// The buffering mode.
@@ -99,15 +92,10 @@ impl TcpConn {
         self.tss
     }
 
-    /// Marks the three-way handshake complete.
-    pub fn establish(&mut self) {
-        self.established = true;
-    }
-
-    /// Whether the connection is established.
-    pub fn is_established(&self) -> bool {
-        self.established
-    }
+    /// Does nothing: a connection carries no handshake state. Kept
+    /// because `perf/src/layers.rs` calls it; it goes with the next
+    /// change to `perf/`.
+    pub fn establish(&mut self) {}
 
     /// The connection's window-limited throughput in bytes/second for a
     /// given round-trip time: `Tss / RTT` (infinite on a zero-RTT LAN).
@@ -185,7 +173,6 @@ impl TcpConn {
         h.write_bool(matches!(self.mode, BufferMode::ZeroCopy));
         h.write_u64(self.mss as u64);
         h.write_u64(self.tss as u64);
-        h.write_bool(self.established);
     }
 }
 
@@ -262,15 +249,5 @@ mod tests {
         let out = c.send_accounted(MAX_SEGMENT_PAYLOAD as u64 + 4096);
         assert_eq!(out.segments, 2);
         assert_eq!(out.header_bytes, 2 * TCP_IP_HEADER_BYTES as u64);
-    }
-
-    #[test]
-    fn establish_lifecycle() {
-        let mut c = TcpConn::new(5, BufferMode::Copy, 1460, 1024);
-        assert!(!c.is_established());
-        c.establish();
-        assert!(c.is_established());
-        assert_eq!(c.id(), 5);
-        assert_eq!(c.tss(), 1024);
     }
 }
