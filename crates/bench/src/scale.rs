@@ -1,5 +1,5 @@
-//! The PR 7 sharded scaling table: shared-nothing thread-per-core
-//! serving over 1/2/4/8 shards, in simulated CPU (`repro scale`).
+//! The PR 7 sharded scaling table: shared-nothing sharded serving over
+//! 1/2/4/8 shards, in simulated CPU (`repro scale`).
 //!
 //! 2^18 single-request connections over the SCALE-10K Zipf corpus.
 //! Headline rows are per-core provisioned — every shard is a stock
@@ -11,12 +11,10 @@
 //! budget *split* across 2 shards) prices replicating the Zipf head when
 //! adding shards cannot add memory.
 //!
-//! The clock is simulated but the fleet is threaded: which tick a
-//! remote fetch's reply lands in follows the host scheduler, and with it
-//! the order replicas install, what they evict and what is fetched
-//! again. Multi-shard rows therefore move between runs — a few percent
-//! in the eviction and fetch counts, well under 1 % in req/cpu-sec. The
-//! speedup bars have far more room than that.
+//! Every fleet is driven on one host thread in a fixed round order
+//! (`iolite_http::run_round`), so each row is a function of the sweep's
+//! constants: `repro scale` prints the same table on every run, and its
+//! stdout is committed as `crates/bench/repro_scale.txt`.
 
 use iolite_core::{CostModel, Kernel};
 use iolite_fs::{CacheOwnership, Policy};

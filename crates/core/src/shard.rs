@@ -1,11 +1,13 @@
-//! Shard routing and the cross-shard message fabric for
-//! thread-per-core serving.
+//! Shard routing and the cross-shard message fabric for sharded
+//! serving.
 //!
 //! The sharded serving layer is shared-nothing: each shard owns its own
-//! [`crate::Kernel`] (state, unified cache, fd tables, sockets) on its
-//! own thread, and the *only* inter-shard communication is typed
-//! messages over the bounded channels built here — never a lock on
-//! kernel state. Connections are assigned to shards by
+//! [`crate::Kernel`] (state, unified cache, fd tables, sockets), and
+//! the *only* inter-shard communication is typed messages over the
+//! bounded channels built here — never a lock on kernel state. Fleets
+//! are driven on one host thread in a fixed round order, so a run is a
+//! function of its inputs; the channels and `Kernel: Send` keep a
+//! parallel driver possible. Connections are assigned to shards by
 //! [`shard_of_conn`], which mixes the **full 64-bit** connection id
 //! through splitmix64 before reducing it: the PR 5 lesson (`id & 0xFF`
 //! aliased structured id spaces into 4-tuple collisions) applies
@@ -19,10 +21,10 @@
 //! The capacity contract makes fullness impossible: each in-flight
 //! connection has at most one outstanding remote read, so shard `s`
 //! can be the target of at most Σ(other shards' in-flight caps) read
-//! requests plus its own cap in replies plus one `Shutdown`. Sizing
-//! every inbox to the fleet-wide in-flight total plus slack (what
-//! [`ShardFabric::new`] callers pass) therefore bounds occupancy below
-//! capacity, and no send can ever block or fail.
+//! requests plus its own cap in replies. Sizing every inbox to the
+//! fleet-wide in-flight total plus slack (what [`ShardFabric::new`]
+//! callers pass) therefore bounds occupancy below capacity, and no send
+//! can ever block or fail.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
@@ -32,8 +34,8 @@ use iolite_fs::FileId;
 use crate::pure::ConnId;
 
 /// The slack of the capacity contract above: inbox headroom beyond the
-/// fleet-wide in-flight bound, covering the coordinator's `Shutdown`
-/// and ordering slop. Every [`ShardFabric::new`] caller adds it.
+/// fleet-wide in-flight bound. Every [`ShardFabric::new`] caller adds
+/// it.
 pub const FABRIC_SLACK: usize = 8;
 
 /// The shard a connection is served by: the full 64-bit conn id through
@@ -99,10 +101,6 @@ pub enum ShardMsg {
         /// The file whose replicas are stale.
         file: FileId,
     },
-    /// Coordinator order to leave the service loop. Sent only after
-    /// every shard has reported its own connections done, so no
-    /// `RemoteRead` can arrive after `Shutdown`.
-    Shutdown,
 }
 
 /// One shard's endpoint of the fabric: its own inbox plus senders to
@@ -130,13 +128,13 @@ impl ShardMailbox {
     }
 }
 
-/// The whole fabric: per-shard mailboxes plus a coordinator's set of
-/// senders (used for `Shutdown` broadcast after all shards report
-/// their own work done).
+/// The whole fabric: per-shard mailboxes plus a spare set of senders.
 pub struct ShardFabric {
-    /// One mailbox per shard, to be moved onto the shard threads.
+    /// One mailbox per shard, to be attached to the shard's server.
     pub mailboxes: Vec<ShardMailbox>,
-    /// Coordinator copies of every shard's sender.
+    /// A copy of every shard's sender, kept for callers outside the
+    /// workspace; nothing in the workspace reads it (each mailbox holds
+    /// its own senders).
     pub senders: Vec<SyncSender<ShardMsg>>,
 }
 
@@ -243,7 +241,7 @@ mod tests {
     fn overfilling_a_bounded_inbox_fails_loudly() {
         let fabric = ShardFabric::new(1, 1);
         let mb = &fabric.mailboxes[0];
-        mb.send(0, ShardMsg::Shutdown);
-        mb.send(0, ShardMsg::Shutdown);
+        mb.send(0, ShardMsg::Invalidate { file: FileId(0) });
+        mb.send(0, ShardMsg::Invalidate { file: FileId(0) });
     }
 }

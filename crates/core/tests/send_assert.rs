@@ -1,11 +1,12 @@
 //! Compile-time `Send` assertions for the sharded serving layer.
 //!
-//! Thread-per-core sharding moves each shard's `Kernel` onto its own
-//! thread, which requires the whole kernel-state object graph —
-//! buffer pools, slices, fd tables, caches — to be `Send`. These
-//! assertions fail at `cargo test` compile time if anyone reintroduces
-//! an `Rc`/`RefCell`/`Cell` anywhere inside that graph, instead of
-//! failing later at shard-integration time.
+//! Sharded fleets are driven on one host thread today, but shards share
+//! nothing and talk only by message, so a driver could move each
+//! shard's `Kernel` onto its own thread. That requires the whole
+//! kernel-state object graph — buffer pools, slices, fd tables, caches
+//! — to be `Send`. These assertions fail at `cargo test` compile time
+//! if anyone reintroduces an `Rc`/`RefCell`/`Cell` anywhere inside that
+//! graph, keeping a parallel driver possible.
 
 use iolite_core::{Journal, Kernel, KernelState, Metrics};
 

@@ -64,8 +64,7 @@
 )]
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{SyncSender, TryRecvError};
-use std::time::Duration;
+use std::sync::mpsc::SyncSender;
 
 use iolite_buf::{Aggregate, BufferPool};
 use iolite_core::{
@@ -78,8 +77,8 @@ use iolite_sim::SimTime;
 use crate::cgi::CgiProcess;
 use crate::message::{created_head, not_found, ok_head, parse_lines, request_head, Method};
 
-/// Safety bound on the ticks of [`EventLoopServer::run`] and the
-/// sharded run loop; exceeding it panics with diagnostics (a
+/// Safety bound on the ticks of [`EventLoopServer::run`] and of a
+/// sharded fleet's rounds; exceeding it panics with diagnostics (a
 /// correctness bug would otherwise spin forever).
 const MAX_TICKS: u64 = 10_000_000;
 
@@ -290,7 +289,8 @@ pub struct EventLoopServer {
 }
 
 /// One shard's view of the fleet, attached via
-/// [`EventLoopServer::attach_shard`] (or by `run_sharded`'s threads).
+/// [`EventLoopServer::attach_shard`] (the workspace's fleets do it
+/// through [`crate::sharded::attach_fabric`]).
 pub struct ShardContext {
     /// This shard's fabric endpoint (inbox + senders to every shard).
     pub mailbox: ShardMailbox,
@@ -298,8 +298,8 @@ pub struct ShardContext {
     pub shards: usize,
     /// What to do with bytes fetched from a home shard.
     pub ownership: CacheOwnership,
-    /// Coordinator notification, sent once when this shard's own
-    /// scripts are exhausted (it keeps answering remote reads after).
+    /// Kept for callers outside the workspace that build a context by
+    /// hand; nothing in the workspace sends on it or reads it.
     pub done_tx: SyncSender<usize>,
 }
 
@@ -419,28 +419,28 @@ impl EventLoopServer {
         )
     }
 
-    /// Installs a shard context without entering `run_sharded`'s
-    /// blocking per-thread service loop. A deterministic driver (the storm
-    /// harness) holds every shard of the fleet on **one** thread and
+    /// Installs a shard context. The fleet that holds this server then
     /// interleaves [`tick`](Self::tick) with
-    /// [`pump_fabric`](Self::pump_fabric) in a fixed order — real
-    /// threads would reintroduce scheduling nondeterminism, which a
-    /// seed-replayable run cannot tolerate.
+    /// [`pump_fabric`](Self::pump_fabric) on one thread in a fixed
+    /// order ([`crate::sharded::run_round`]), so a run is a function of
+    /// its inputs.
     pub fn attach_shard(&mut self, ctx: ShardContext) {
         self.shard = Some(ctx);
     }
 
     /// Handles every cross-shard message already queued on this shard's
-    /// inbox, nonblocking; returns how many were handled. The
-    /// deterministic sharded driver alternates this with
-    /// [`tick`](Self::tick) until the fleet quiesces.
+    /// inbox, nonblocking; returns how many were handled (0 without a
+    /// shard context). A fleet alternates this with
+    /// [`tick`](Self::tick) until it quiesces.
     pub fn pump_fabric(&mut self) -> usize {
         if self.shard.is_none() {
             return 0;
         }
-        // Disconnection outside run_shard means the driver already
-        // dropped its senders (end of run): quiesce like an empty inbox.
-        let handled = self.pump().0;
+        let mut handled = 0;
+        while let Ok(msg) = self.shard_ctx().mailbox.inbox.try_recv() {
+            handled += 1;
+            self.handle_shard_msg(msg);
+        }
         self.sync_cpu();
         handled
     }
@@ -448,24 +448,6 @@ impl EventLoopServer {
     /// Brings `stats.cpu` up to the kernel's ledger.
     fn sync_cpu(&mut self) {
         self.stats.cpu = self.kernel.metrics.cpu() - self.cpu_base;
-    }
-
-    /// Drains the inbox, nonblocking: how many messages were handled,
-    /// and what ended the drain — `None` for a `Shutdown` message, else
-    /// the receive error (inbox empty, or every sender gone).
-    fn pump(&mut self) -> (usize, Option<TryRecvError>) {
-        let mut handled = 0;
-        loop {
-            match self.shard_ctx().mailbox.inbox.try_recv() {
-                Ok(msg) => {
-                    handled += 1;
-                    if self.handle_shard_msg(msg) {
-                        return (handled, None);
-                    }
-                }
-                Err(end) => return (handled, Some(end)),
-            }
-        }
     }
 
     /// Runs the loop until every script is exhausted, returning the
@@ -482,8 +464,9 @@ impl EventLoopServer {
         self.into_report()
     }
 
-    /// One tick under the `MAX_TICKS` backstop of the two `run` loops.
-    fn tick_checked(&mut self) {
+    /// One tick under the `MAX_TICKS` backstop of [`run`](Self::run)
+    /// and of [`crate::sharded::run_round`].
+    pub(crate) fn tick_checked(&mut self) {
         self.tick();
         assert!(
             self.stats.ticks <= MAX_TICKS,
@@ -1038,16 +1021,18 @@ impl EventLoopServer {
     // ---- Sharded serving -------------------------------------------------
     //
     // The shared-nothing protocol: this shard's kernel is touched only
-    // by this thread; a document homed on another shard is fetched by a
+    // by this server; a document homed on another shard is fetched by a
     // `RemoteRead` message and the bytes come back copied. No lock on
     // any kernel or cache is ever taken on this path.
 
     /// The shard context. Only called from the sharded paths, all of
-    /// which are reachable solely once [`run_shard`](Self::run_shard)
-    /// or [`attach_shard`](Self::attach_shard) installed the context.
+    /// which are reachable solely once
+    /// [`attach_shard`](Self::attach_shard) installed the context.
     #[expect(clippy::expect_used, reason = "installed before any sharded path runs")]
     fn shard_ctx(&self) -> &ShardContext {
-        self.shard.as_ref().expect("run_shard installs the context")
+        self.shard
+            .as_ref()
+            .expect("attach_shard installs the context")
     }
 
     /// The file connection `i`'s request names and its home shard, when
@@ -1110,7 +1095,7 @@ impl EventLoopServer {
         };
         self.stats.remote_writes += 1;
         // The host-level channel copy (see serve_remote_read): an
-        // artifact of thread-confined pools, not a modeled cost (the
+        // artifact of per-shard pools, not a modeled cost (the
         // home shard bills the copy where the bytes land).
         let bytes = body.to_vec();
         let ctx = self.shard_ctx();
@@ -1156,11 +1141,9 @@ impl EventLoopServer {
             .send(from, ShardMsg::RemoteWriteAck { token });
     }
 
-    /// Handles one inbound cross-shard message; returns `true` on
-    /// `Shutdown`.
-    fn handle_shard_msg(&mut self, msg: ShardMsg) -> bool {
+    /// Handles one inbound cross-shard message.
+    fn handle_shard_msg(&mut self, msg: ShardMsg) {
         match msg {
-            ShardMsg::Shutdown => return true,
             ShardMsg::RemoteRead { from, file } => self.serve_remote_read(from, file),
             ShardMsg::RemoteData {
                 file,
@@ -1186,7 +1169,6 @@ impl EventLoopServer {
                 self.kernel.cache_invalidate(CacheKey::whole(file));
             }
         }
-        false
     }
 
     /// Home-shard side of a remote read: snapshot the document through
@@ -1209,7 +1191,7 @@ impl EventLoopServer {
         // remote fetch is billed on the requester side, where the
         // bytes land (`cache_install` / `land_copied`). The `Vec`
         // crossing the host-level channel is an artifact of
-        // thread-confined buffer pools, not a modeled cost.
+        // per-shard buffer pools, not a modeled cost.
         #[expect(clippy::expect_used, reason = "RemoteRead has no failure reply")]
         let (body, out) = self
             .kernel
@@ -1263,85 +1245,6 @@ impl EventLoopServer {
                 self.respond(i, &ok_head(body.len(), true, &mut [0; 20]), &body);
             }
         }
-    }
-
-    /// Whether a tick can make progress without any inbound message:
-    /// some connection is mid-request, retirable, or injectable under
-    /// the admission limit. When this is false (and the shard is not
-    /// done), every live connection is parked on the fabric — the
-    /// service loop then *blocks* on the inbox instead of spinning.
-    fn can_progress_locally(&self) -> bool {
-        let limit = self.cfg.admission_limit;
-        let mut inflight = 0usize;
-        let mut injectable = false;
-        let mut retirable = false;
-        let mut active = false;
-        for c in &self.conns {
-            match c.phase {
-                Phase::Done => {}
-                Phase::Idle if c.script.is_empty() => retirable = true,
-                Phase::Idle => injectable = true,
-                Phase::RemoteWait | Phase::PutWait => inflight += 1,
-                _ => {
-                    inflight += 1;
-                    active = true;
-                }
-            }
-        }
-        active || retirable || (injectable && (limit == 0 || inflight < limit))
-    }
-
-    /// Runs this shard's service loop: event-loop ticks interleaved
-    /// with fabric message handling. When only remote work can make
-    /// progress the loop blocks on the inbox (`recv_timeout`) rather
-    /// than burning ticks — idle shards consume no simulated or real
-    /// CPU. After its own scripts finish, the shard reports `done_tx`
-    /// and keeps answering other shards' reads until `Shutdown`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `MAX_TICKS` (10 M) elapse, or if the
-    /// fabric disconnects before `Shutdown` (both protocol bugs).
-    pub(crate) fn run_shard(mut self, ctx: ShardContext) -> (LoopReport, Kernel) {
-        self.shard = Some(ctx);
-        let mut reported = false;
-        loop {
-            // Drain everything already queued, nonblocking.
-            match self.pump().1 {
-                None => break,
-                Some(TryRecvError::Empty) => {}
-                #[expect(clippy::panic, reason = "the documented protocol bug (`# Panics`)")]
-                Some(TryRecvError::Disconnected) => {
-                    panic!("shard fabric disconnected before Shutdown")
-                }
-            }
-            if !self.is_done() {
-                if self.can_progress_locally() {
-                    self.tick_checked();
-                    continue;
-                }
-            } else if !reported {
-                reported = true;
-                let ctx = self.shard_ctx();
-                // A dead coordinator can never send Shutdown: treat
-                // it as one rather than panicking mid-serve.
-                if ctx.done_tx.send(ctx.mailbox.id).is_err() {
-                    break;
-                }
-            }
-            // Nothing to do until a message arrives (our data, a peer's
-            // read, or Shutdown). Block — the timeout is only a
-            // liveness fallback, not a poll interval.
-            let waited = self
-                .shard_ctx()
-                .mailbox
-                .inbox
-                .recv_timeout(Duration::from_millis(5));
-            if waited.is_ok_and(|msg| self.handle_shard_msg(msg)) {
-                break;
-            }
-        }
-        self.into_report()
     }
 }
 

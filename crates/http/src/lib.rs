@@ -42,5 +42,7 @@ pub use message::{
     put_request_bytes, request_bytes, response_header, Method, Request,
 };
 pub use server::{RequestCosts, ServerKind};
-pub use sharded::{run_sharded, ShardOutcome, ShardedConfig, ShardedReport};
+pub use sharded::{
+    attach_fabric, run_round, run_sharded, ShardOutcome, ShardedConfig, ShardedReport,
+};
 pub use workloads::WorkloadKind;

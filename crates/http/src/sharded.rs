@@ -1,22 +1,15 @@
-//! Shared-nothing thread-per-core serving: N shards, each owning its
-//! own [`Kernel`] (state, unified cache, fd table, sockets) and running
-//! its own [`EventLoopServer`] on its own OS thread.
+//! Shared-nothing sharded serving: N shards, each owning its own
+//! [`Kernel`] (state, unified cache, fd table, sockets) and its own
+//! [`EventLoopServer`], driven on one host thread in a fixed round
+//! order ([`run_round`]).
 //!
 //! Connections are routed to shards by mixing the **full 64-bit**
 //! connection id through [`shard_of_conn`]; documents have a single
 //! home shard ([`iolite_fs::home_shard`]) that owns their disk reads
 //! and authoritative cache entry. A shard that needs a remote document
-//! sends a typed [`ShardMsg`] over the bounded fabric and parks the
-//! connection — no shard ever takes a lock on another's state.
-//!
-//! # Termination protocol
-//!
-//! A shard that exhausts its own scripts reports to the coordinator and
-//! keeps answering other shards' remote reads (blocking on its inbox,
-//! never spinning). Once *every* shard has reported, the coordinator
-//! broadcasts [`ShardMsg::Shutdown`]. No `RemoteRead` can arrive after
-//! `Shutdown` because shutdown implies all connections everywhere are
-//! done.
+//! sends a typed [`ShardMsg`](iolite_core::ShardMsg) over the bounded
+//! fabric and parks the connection — no shard ever takes a lock on
+//! another's state.
 //!
 //! # The scaling metric
 //!
@@ -36,11 +29,8 @@
 )]
 
 use std::sync::mpsc::sync_channel;
-use std::thread;
 
-use iolite_core::{
-    shard_of_conn, ConnId, CostModel, Kernel, Pid, ShardFabric, ShardMsg, FABRIC_SLACK,
-};
+use iolite_core::{shard_of_conn, ConnId, CostModel, Kernel, Pid, ShardFabric, FABRIC_SLACK};
 use iolite_fs::{CacheOwnership, Policy};
 use iolite_sim::SimTime;
 
@@ -49,7 +39,7 @@ use crate::event_loop::{EventLoopConfig, EventLoopServer, LoopReport, ShardConte
 /// Configuration for one sharded run.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
-    /// Number of shards (threads, kernels). Must be ≥ 1.
+    /// Number of shards (kernels, event loops). Must be ≥ 1.
     pub shards: usize,
     /// What shards do with remotely fetched bytes.
     pub ownership: CacheOwnership,
@@ -144,9 +134,13 @@ impl ShardedReport {
 /// journal starts before `setup`, so replaying a shard's journal from a
 /// blank state reproduces its kernel bit-for-bit.
 ///
+/// The fleet is driven by [`run_round`] until every shard is done, so
+/// the report is a function of the arguments alone.
+///
 /// # Panics
 ///
-/// Panics if `cfg.shards` is zero or a shard thread panics.
+/// Panics if `cfg.shards` is zero or a shard's loop is stuck (see
+/// [`run_round`]).
 pub fn run_sharded<F>(
     cfg: &ShardedConfig,
     setup: F,
@@ -162,11 +156,8 @@ where
     for (id, script) in conns {
         per_shard[shard_of_conn(ConnId(id), n)].push(script);
     }
-    // Capacity contract: each in-flight connection has at most one
-    // outstanding remote read, so the fleet-wide in-flight cap bounds
-    // every inbox's occupancy (see `iolite_core::shard` module docs).
     let limit = cfg.loop_cfg.admission_limit;
-    let capacity: usize = per_shard
+    let in_flight = per_shard
         .iter()
         .map(|s| {
             if limit == 0 {
@@ -175,84 +166,84 @@ where
                 s.len().min(limit)
             }
         })
+        .sum();
+    let mut servers: Vec<EventLoopServer> = per_shard
+        .into_iter()
+        .map(|scripts| {
+            let mut kernel = Kernel::with_policy(cfg.cost, cfg.policy);
+            if cfg.journal {
+                kernel.start_journal();
+            }
+            let pid = setup(&mut kernel);
+            EventLoopServer::new(kernel, pid, scripts, None, cfg.loop_cfg)
+        })
+        .collect();
+    attach_fabric(&mut servers, cfg.ownership, in_flight);
+    while !servers.iter().all(EventLoopServer::is_done) {
+        run_round(&mut servers);
+    }
+    let shards = servers
+        .into_iter()
+        .enumerate()
+        .map(|(shard, server)| {
+            let (report, kernel) = server.into_report();
+            ShardOutcome {
+                shard,
+                report,
+                kernel,
+            }
+        })
+        .collect();
+    ShardedReport { shards }
+}
+
+/// Attaches a fabric to `servers`, `servers[i]` being shard `i`. Every
+/// inbox holds `in_flight` messages plus [`FABRIC_SLACK`]: each
+/// connection mid-request has at most one remote read outstanding, so
+/// a bound on the fleet's connections in flight bounds every inbox
+/// (the capacity contract of `iolite_core::shard`). A fleet of one
+/// never routes remotely and gets no fabric.
+pub fn attach_fabric(servers: &mut [EventLoopServer], ownership: CacheOwnership, in_flight: usize) {
+    let shards = servers.len();
+    if shards <= 1 {
+        return;
+    }
+    let fabric = ShardFabric::new(shards, in_flight + FABRIC_SLACK);
+    // Nothing reads `done_tx` (see `ShardContext`); its receiver drops here.
+    let (done_tx, _) = sync_channel(0);
+    for (server, mailbox) in servers.iter_mut().zip(fabric.mailboxes) {
+        server.attach_shard(ShardContext {
+            mailbox,
+            shards,
+            ownership,
+            done_tx: done_tx.clone(),
+        });
+    }
+}
+
+/// One round of a fleet driven on one thread: every server ticks in
+/// shard order, done ones included (a done or parked server's tick
+/// issues no I/O call and no poll), then every inbox is pumped in shard
+/// order until a full pass handles nothing. A `RemoteRead` sent during
+/// shard A's tick is answered in shard B's pump, and the `RemoteData`
+/// lands on A before A's next tick. This order decides a fleet's
+/// simulated outcome.
+///
+/// # Panics
+///
+/// Panics if a server passes the event loop's tick backstop (10 M
+/// ticks) — a stuck state machine — or a message overflows an inbox
+/// sized by [`attach_fabric`]; both are bugs by construction.
+pub fn run_round(servers: &mut [EventLoopServer]) {
+    for server in servers.iter_mut() {
+        server.tick_checked();
+    }
+    while servers
+        .iter_mut()
+        .map(EventLoopServer::pump_fabric)
         .sum::<usize>()
-        + FABRIC_SLACK;
-    let fabric = ShardFabric::new(n, capacity);
-    let senders = fabric.senders;
-    let (done_tx, done_rx) = sync_channel(n);
-    let setup = &setup;
-    let mut outcomes = thread::scope(|scope| {
-        let handles: Vec<_> = fabric
-            .mailboxes
-            .into_iter()
-            .zip(per_shard)
-            .map(|(mailbox, scripts)| {
-                let done_tx = done_tx.clone();
-                let cfg = *cfg;
-                scope.spawn(move || {
-                    let mut kernel = Kernel::with_policy(cfg.cost, cfg.policy);
-                    if cfg.journal {
-                        kernel.start_journal();
-                    }
-                    let pid = setup(&mut kernel);
-                    let shard = mailbox.id;
-                    let server = EventLoopServer::new(kernel, pid, scripts, None, cfg.loop_cfg);
-                    let ctx = ShardContext {
-                        mailbox,
-                        shards: n,
-                        ownership: cfg.ownership,
-                        done_tx,
-                    };
-                    let (report, kernel) = server.run_shard(ctx);
-                    ShardOutcome {
-                        shard,
-                        report,
-                        kernel,
-                    }
-                })
-            })
-            .collect();
-        // The spawn loop cloned one sender per shard; dropping the
-        // original lets `done_rx.recv()` actually report disconnection
-        // when a shard dies instead of blocking forever.
-        drop(done_tx);
-        // Coordinator: once every shard reports its own scripts done,
-        // no further RemoteRead can be generated — broadcast Shutdown.
-        // A recv error means a shard died without reporting; fall
-        // through to the join, which re-raises that shard's panic.
-        let mut all_reported = true;
-        for _ in 0..n {
-            if done_rx.recv().is_err() {
-                all_reported = false;
-                break;
-            }
-        }
-        for tx in &senders {
-            // Best-effort when a shard died (its inbox may be gone or
-            // full of undrained traffic); the join below surfaces the
-            // real failure.
-            let sent = tx.try_send(ShardMsg::Shutdown);
-            if all_reported {
-                // A full inbox here is a sizing bug that must not pass silently.
-                #[expect(
-                    clippy::expect_used,
-                    reason = "FABRIC_SLACK reserves room for Shutdown"
-                )]
-                sent.expect("slack reserves room for Shutdown");
-            }
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(outcome) => outcome,
-                // Re-raise the shard's own panic (with its message)
-                // instead of a generic join failure.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect::<Vec<_>>()
-    });
-    outcomes.sort_by_key(|o| o.shard);
-    ShardedReport { shards: outcomes }
+        > 0
+    {}
 }
 
 #[cfg(test)]

@@ -10,17 +10,14 @@
 //!
 //! [`EventLoopConfig::external_wire`]: iolite_http::EventLoopConfig
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-
 use iolite_buf::{splitmix64, Aggregate, BufferPool};
 use iolite_core::{
     replay, shard_of_conn, ConnId, CostModel, Journal, Kernel, KernelState, Metrics, Pid,
-    ShardFabric, ShardMsg, FABRIC_SLACK,
 };
 use iolite_fs::{CacheKey, CacheOwnership, Policy};
 use iolite_http::{
-    parse_put_entry, put_request_bytes, request_bytes, synthetic_put_body, EventLoopConfig,
-    EventLoopServer, LoopReport, ShardContext,
+    attach_fabric, parse_put_entry, put_request_bytes, request_bytes, run_round,
+    synthetic_put_body, EventLoopConfig, EventLoopServer, LoopReport,
 };
 use iolite_net::{TcpReceiver, DEFAULT_MSS, DEFAULT_TSS};
 use iolite_sim::{EventQueue, SimRng, SimTime};
@@ -306,9 +303,6 @@ struct Storm {
     ticks: u64,
     wire: WireStats,
     violations: Vec<String>,
-    /// Keeps every shard inbox connected for the whole run.
-    _senders: Vec<SyncSender<ShardMsg>>,
-    _done_rx: Option<Receiver<usize>>,
 }
 
 fn us(v: u64) -> SimTime {
@@ -361,25 +355,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         servers.push(server);
     }
 
-    // The fabric, attached without threads: the engine pumps each
-    // shard's inbox in a fixed round-robin order, keeping cross-shard
-    // traffic deterministic.
-    let mut senders = Vec::new();
-    let mut done_rx = None;
-    if cfg.shards > 1 {
-        let fabric = ShardFabric::new(cfg.shards, cfg.clients + FABRIC_SLACK);
-        let (done_tx, rx) = sync_channel(cfg.shards);
-        done_rx = Some(rx);
-        senders = fabric.senders;
-        for (server, mailbox) in servers.iter_mut().zip(fabric.mailboxes) {
-            server.attach_shard(ShardContext {
-                mailbox,
-                shards: cfg.shards,
-                ownership: CacheOwnership::Replicate,
-                done_tx: done_tx.clone(),
-            });
-        }
-    }
+    attach_fabric(&mut servers, CacheOwnership::Replicate, cfg.clients);
 
     let mut root = SimRng::new(cfg.seed);
     let faults = root.fork(4);
@@ -427,8 +403,6 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         ticks: 0,
         wire: WireStats::default(),
         violations: Vec::new(),
-        _senders: senders,
-        _done_rx: done_rx,
     };
     storm.q.schedule(SimTime::ZERO, Ev::Tick);
     for c in 0..storm.clients.len() {
@@ -477,24 +451,7 @@ impl Storm {
             }
             return;
         }
-        for server in &mut self.servers {
-            server.tick();
-        }
-        // Pump the fabric to quiescence in fixed shard order: a
-        // RemoteRead sent during shard A's tick is answered by shard
-        // B's pump, and the RemoteData lands back on A before the next
-        // tick — deterministic, no threads.
-        if self.servers.len() > 1 {
-            loop {
-                let mut handled = 0;
-                for server in &mut self.servers {
-                    handled += server.pump_fabric();
-                }
-                if handled == 0 {
-                    break;
-                }
-            }
-        }
+        run_round(&mut self.servers);
         self.harvest();
         if !self.all_done() {
             let dt = self.cfg.tick_us;

@@ -14,12 +14,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::mpsc::sync_channel;
 
 use iolite::buf::{Acl, Aggregate, BufferPool, PoolId};
-use iolite::core::{CostModel, Kernel, ShardFabric, FABRIC_SLACK};
+use iolite::core::{CostModel, Kernel};
 use iolite::fs::{home_shard, CacheOwnership, Policy};
-use iolite::http::event_loop::{EventLoopConfig, EventLoopServer, ShardContext};
+use iolite::http::event_loop::{EventLoopConfig, EventLoopServer};
+use iolite::http::sharded::{attach_fabric, run_round};
 
 thread_local! {
     /// Allocator calls (`alloc` + `realloc`) made by this thread. Per
@@ -213,10 +213,9 @@ fn put_ingest_copies_each_body_byte_a_fixed_number_of_times() {
 }
 
 /// Heap bytes of one connection on shard 0 of a 2-shard `HomeOnly`
-/// fleet fetching `len`-byte documents homed on shard 1, pumped from
-/// one thread as `crates/storm` drives a fleet, and the bytes fetched
-/// after a warm-up pass that brings every document into its home's
-/// cache.
+/// fleet fetching `len`-byte documents homed on shard 1, driven by
+/// `run_round` as every fleet is, and the bytes fetched after a
+/// warm-up pass that brings every document into its home's cache.
 fn remote_fetch(len: u64) -> (u64, u64) {
     const FILES: u64 = 24;
     const PASSES: usize = 8;
@@ -248,34 +247,14 @@ fn remote_fetch(len: u64) -> (u64, u64) {
             EventLoopConfig::default(),
         ));
     }
-    let fabric = ShardFabric::new(2, 1 + FABRIC_SLACK);
-    let (done_tx, _done_rx) = sync_channel(2);
-    for (server, mailbox) in servers.iter_mut().zip(fabric.mailboxes) {
-        server.attach_shard(ShardContext {
-            mailbox,
-            shards: 2,
-            ownership: CacheOwnership::HomeOnly,
-            done_tx: done_tx.clone(),
-        });
-    }
-    let step = |servers: &mut Vec<EventLoopServer>| {
-        for server in servers.iter_mut() {
-            server.tick();
-        }
-        while servers
-            .iter_mut()
-            .map(EventLoopServer::pump_fabric)
-            .sum::<usize>()
-            > 0
-        {}
-    };
+    attach_fabric(&mut servers, CacheOwnership::HomeOnly, 1);
     let fetches = remote.len() as u64;
     while servers[0].stats().completed < fetches {
-        step(&mut servers);
+        run_round(&mut servers);
     }
     let before = heap_bytes();
     while !servers[0].is_done() {
-        step(&mut servers);
+        run_round(&mut servers);
     }
     let bytes = heap_bytes() - before;
     let stats = servers[0].stats();

@@ -2,8 +2,9 @@
 //! counts, and both ownership modes, a shared-nothing sharded fleet
 //! serves **byte-identical responses** and **identical aggregate
 //! request counts** to a single-shard run of the same connections —
-//! and every shard's journal replays bit-identically through the pure
-//! core from a blank state.
+//! every shard's journal replays bit-identically through the pure core
+//! from a blank state, and a second run of the same fleet reproduces
+//! every shard's state digest, loop counters and simulated CPU.
 
 use std::collections::HashMap;
 
@@ -78,7 +79,7 @@ proptest! {
         }
 
         let base = run_sharded(&config(1, ownership, false), setup, conns.clone());
-        let fleet = run_sharded(&config(shards, ownership, true), setup, conns);
+        let fleet = run_sharded(&config(shards, ownership, true), setup, conns.clone());
 
         // Identical aggregate counts.
         prop_assert_eq!(base.failed(), 0);
@@ -113,6 +114,15 @@ proptest! {
                     );
                 }
             }
+        }
+
+        // Same inputs, same fleet: a multi-shard run is a function of
+        // its arguments, shard by shard.
+        let again = run_sharded(&config(shards, ownership, true), setup, conns);
+        for (a, b) in fleet.shards.iter().zip(&again.shards) {
+            prop_assert_eq!(a.kernel.state_hash(), b.kernel.state_hash(), "shard {}", a.shard);
+            prop_assert_eq!(a.report.stats, b.report.stats, "shard {}", a.shard);
+            prop_assert_eq!(a.kernel.metrics.cpu(), b.kernel.metrics.cpu(), "shard {}", a.shard);
         }
 
         // Every shard's journal replays bit-identically from a blank
