@@ -112,4 +112,4 @@ pub use metrics::Metrics;
 pub use poll::Readiness;
 pub use process::{Pid, Process};
 pub use pure::{replay, step, Command, Effect, Journal, KernelState};
-pub use shard::{shard_of_conn, ShardFabric, ShardMailbox, ShardMsg, FABRIC_SLACK};
+pub use shard::{shard_of_conn, ShardFabric, ShardMailbox, ShardMsg};

@@ -4,8 +4,8 @@
 //! The sharded serving layer is shared-nothing: each shard owns its own
 //! [`crate::Kernel`] (state, unified cache, fd tables, sockets), and
 //! the *only* inter-shard communication is typed messages over the
-//! bounded channels built here — never a lock on kernel state. Fleets
-//! are driven on one host thread in a fixed round order, so a run is a
+//! channels built here — never a lock on kernel state. Fleets are
+//! driven on one host thread in a fixed round order, so a run is a
 //! function of its inputs; the channels and `Kernel: Send` keep a
 //! parallel driver possible. Connections are assigned to shards by
 //! [`shard_of_conn`], which mixes the **full 64-bit** connection id
@@ -14,29 +14,20 @@
 //! verbatim to shard routing, where truncation would reappear as shard
 //! skew. A uniformity regression test below locks that in.
 //!
-//! # Deadlock-freedom of the bounded fabric
+//! # The fabric's queues
 //!
-//! Channel sends use [`std::sync::mpsc::SyncSender::try_send`] and
-//! treat a full inbox as a protocol violation rather than blocking.
-//! The capacity contract makes fullness impossible: each in-flight
-//! connection has at most one outstanding remote read, so shard `s`
-//! can be the target of at most Σ(other shards' in-flight caps) read
-//! requests plus its own cap in replies. Sizing every inbox to the
-//! fleet-wide in-flight total plus slack (what [`ShardFabric::new`]
-//! callers pass) therefore bounds occupancy below capacity, and no send
-//! can ever block or fail.
+//! Each shard's inbox is one unbounded FIFO, filled in send order, so
+//! the messages from one shard to another arrive in the order they were
+//! sent. A send is never refused. On one thread every inbox is empty at
+//! each `run_round` boundary (`iolite_http::sharded`), and `run_round`
+//! measures the deepest inbox it drained instead of bounding it here.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, Receiver, Sender, SyncSender};
 
 use iolite_buf::splitmix64;
 use iolite_fs::FileId;
 
 use crate::pure::ConnId;
-
-/// The slack of the capacity contract above: inbox headroom beyond the
-/// fleet-wide in-flight bound. Every [`ShardFabric::new`] caller adds
-/// it.
-pub const FABRIC_SLACK: usize = 8;
 
 /// The shard a connection is served by: the full 64-bit conn id through
 /// a full-avalanche mixer, reduced onto `shards`.
@@ -110,41 +101,35 @@ pub struct ShardMailbox {
     pub id: usize,
     /// Inbound cross-shard messages.
     pub inbox: Receiver<ShardMsg>,
-    peers: Vec<SyncSender<ShardMsg>>,
+    peers: Vec<Sender<ShardMsg>>,
 }
 
 impl ShardMailbox {
-    /// Sends `msg` to shard `to`.
+    /// Sends `msg` to shard `to`'s inbox.
     ///
-    /// # Panics
-    ///
-    /// Panics if the target inbox is full or disconnected — both are
-    /// protocol violations under the capacity contract (see module
-    /// docs), and failing loudly beats deadlocking a bounded fleet.
+    /// A send to a dropped inbox is ignored: only a fleet being torn
+    /// down has one, and nothing will read the message.
     pub fn send(&self, to: usize, msg: ShardMsg) {
-        self.peers[to]
-            .try_send(msg)
-            .expect("cross-shard inbox full or gone: capacity contract violated");
+        let _ = self.peers[to].send(msg);
     }
 }
 
-/// The whole fabric: per-shard mailboxes plus a spare set of senders.
+/// The whole fabric: one mailbox per shard.
 pub struct ShardFabric {
     /// One mailbox per shard, to be attached to the shard's server.
     pub mailboxes: Vec<ShardMailbox>,
-    /// A copy of every shard's sender, kept for callers outside the
-    /// workspace; nothing in the workspace reads it (each mailbox holds
-    /// its own senders).
+    /// Always empty: each mailbox holds its own senders. Kept, with its
+    /// type, only for `perf/src/engine.rs`, which moves it into its
+    /// fleet.
     pub senders: Vec<SyncSender<ShardMsg>>,
 }
 
 impl ShardFabric {
-    /// Builds a fabric of `shards` bounded inboxes, each with room for
-    /// `capacity` messages. Callers size `capacity` to the fleet-wide
-    /// in-flight connection total plus slack (see module docs).
-    pub fn new(shards: usize, capacity: usize) -> ShardFabric {
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..shards).map(|_| sync_channel(capacity)).unzip();
+    /// Builds a fabric of `shards` unbounded inboxes (see module docs).
+    /// `_capacity` is ignored; the parameter is kept only for
+    /// `perf/src/engine.rs`, which passes one.
+    pub fn new(shards: usize, _capacity: usize) -> ShardFabric {
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..shards).map(|_| channel()).unzip();
         let mailboxes = receivers
             .into_iter()
             .enumerate()
@@ -154,7 +139,10 @@ impl ShardFabric {
                 peers: senders.clone(),
             })
             .collect();
-        ShardFabric { mailboxes, senders }
+        ShardFabric {
+            mailboxes,
+            senders: Vec::new(),
+        }
     }
 }
 
@@ -234,14 +222,5 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity contract violated")]
-    fn overfilling_a_bounded_inbox_fails_loudly() {
-        let fabric = ShardFabric::new(1, 1);
-        let mb = &fabric.mailboxes[0];
-        mb.send(0, ShardMsg::Invalidate { file: FileId(0) });
-        mb.send(0, ShardMsg::Invalidate { file: FileId(0) });
     }
 }

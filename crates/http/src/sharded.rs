@@ -7,9 +7,9 @@
 //! connection id through [`shard_of_conn`]; documents have a single
 //! home shard ([`iolite_fs::home_shard`]) that owns their disk reads
 //! and authoritative cache entry. A shard that needs a remote document
-//! sends a typed [`ShardMsg`](iolite_core::ShardMsg) over the bounded
-//! fabric and parks the connection — no shard ever takes a lock on
-//! another's state.
+//! sends a typed [`ShardMsg`](iolite_core::ShardMsg) over the fabric's
+//! unbounded per-shard FIFOs and parks the connection — no shard ever
+//! takes a lock on another's state.
 //!
 //! # The scaling metric
 //!
@@ -30,7 +30,7 @@
 
 use std::sync::mpsc::sync_channel;
 
-use iolite_core::{shard_of_conn, ConnId, CostModel, Kernel, Pid, ShardFabric, FABRIC_SLACK};
+use iolite_core::{shard_of_conn, ConnId, CostModel, Kernel, Pid, ShardFabric};
 use iolite_fs::{CacheOwnership, Policy};
 use iolite_sim::SimTime;
 
@@ -68,6 +68,9 @@ pub struct ShardOutcome {
 pub struct ShardedReport {
     /// Per-shard outcomes, indexed by shard id.
     pub shards: Vec<ShardOutcome>,
+    /// The most messages any inbox held when [`run_round`] drained it,
+    /// over the whole run (0 for a fleet of one).
+    pub max_inbox_depth: usize,
 }
 
 impl ShardedReport {
@@ -147,7 +150,7 @@ pub fn run_sharded<F>(
     conns: Vec<(u64, Vec<String>)>,
 ) -> ShardedReport
 where
-    F: Fn(&mut Kernel) -> Pid + Sync,
+    F: Fn(&mut Kernel) -> Pid,
 {
     assert!(cfg.shards > 0, "at least one shard");
     let n = cfg.shards;
@@ -156,17 +159,6 @@ where
     for (id, script) in conns {
         per_shard[shard_of_conn(ConnId(id), n)].push(script);
     }
-    let limit = cfg.loop_cfg.admission_limit;
-    let in_flight = per_shard
-        .iter()
-        .map(|s| {
-            if limit == 0 {
-                s.len()
-            } else {
-                s.len().min(limit)
-            }
-        })
-        .sum();
     let mut servers: Vec<EventLoopServer> = per_shard
         .into_iter()
         .map(|scripts| {
@@ -178,9 +170,10 @@ where
             EventLoopServer::new(kernel, pid, scripts, None, cfg.loop_cfg)
         })
         .collect();
-    attach_fabric(&mut servers, cfg.ownership, in_flight);
+    attach_fabric(&mut servers, cfg.ownership);
+    let mut max_inbox_depth = 0;
     while !servers.iter().all(EventLoopServer::is_done) {
-        run_round(&mut servers);
+        max_inbox_depth = max_inbox_depth.max(run_round(&mut servers));
     }
     let shards = servers
         .into_iter()
@@ -194,21 +187,22 @@ where
             }
         })
         .collect();
-    ShardedReport { shards }
+    ShardedReport {
+        shards,
+        max_inbox_depth,
+    }
 }
 
-/// Attaches a fabric to `servers`, `servers[i]` being shard `i`. Every
-/// inbox holds `in_flight` messages plus [`FABRIC_SLACK`]: each
-/// connection mid-request has at most one remote read outstanding, so
-/// a bound on the fleet's connections in flight bounds every inbox
-/// (the capacity contract of `iolite_core::shard`). A fleet of one
-/// never routes remotely and gets no fabric.
-pub fn attach_fabric(servers: &mut [EventLoopServer], ownership: CacheOwnership, in_flight: usize) {
+/// Attaches a fabric to `servers`, `servers[i]` being shard `i`: one
+/// unbounded FIFO inbox per shard, so no send is ever refused. A fleet
+/// of one never routes remotely and gets no fabric.
+pub fn attach_fabric(servers: &mut [EventLoopServer], ownership: CacheOwnership) {
     let shards = servers.len();
     if shards <= 1 {
         return;
     }
-    let fabric = ShardFabric::new(shards, in_flight + FABRIC_SLACK);
+    // The capacity argument is ignored (see `ShardFabric::new`).
+    let fabric = ShardFabric::new(shards, 0);
     // Nothing reads `done_tx` (see `ShardContext`); its receiver drops here.
     let (done_tx, _) = sync_channel(0);
     for (server, mailbox) in servers.iter_mut().zip(fabric.mailboxes) {
@@ -227,23 +221,33 @@ pub fn attach_fabric(servers: &mut [EventLoopServer], ownership: CacheOwnership,
 /// order until a full pass handles nothing. A `RemoteRead` sent during
 /// shard A's tick is answered in shard B's pump, and the `RemoteData`
 /// lands on A before A's next tick. This order decides a fleet's
-/// simulated outcome.
+/// simulated outcome, and it leaves every inbox empty.
+///
+/// Returns the most messages one `pump_fabric` call handled in the
+/// round: the depth of that inbox when it was drained, since no shard
+/// sends to itself.
 ///
 /// # Panics
 ///
 /// Panics if a server passes the event loop's tick backstop (10 M
-/// ticks) — a stuck state machine — or a message overflows an inbox
-/// sized by [`attach_fabric`]; both are bugs by construction.
-pub fn run_round(servers: &mut [EventLoopServer]) {
+/// ticks): a stuck state machine, by construction a bug.
+pub fn run_round(servers: &mut [EventLoopServer]) -> usize {
     for server in servers.iter_mut() {
         server.tick_checked();
     }
-    while servers
-        .iter_mut()
-        .map(EventLoopServer::pump_fabric)
-        .sum::<usize>()
-        > 0
-    {}
+    let mut deepest = 0;
+    loop {
+        // A pass handled nothing exactly when its busiest inbox was empty.
+        let busiest = servers
+            .iter_mut()
+            .map(EventLoopServer::pump_fabric)
+            .max()
+            .unwrap_or(0);
+        if busiest == 0 {
+            return deepest;
+        }
+        deepest = deepest.max(busiest);
+    }
 }
 
 #[cfg(test)]

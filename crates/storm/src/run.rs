@@ -355,7 +355,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         servers.push(server);
     }
 
-    attach_fabric(&mut servers, CacheOwnership::Replicate, cfg.clients);
+    attach_fabric(&mut servers, CacheOwnership::Replicate);
 
     let mut root = SimRng::new(cfg.seed);
     let faults = root.fork(4);

@@ -247,7 +247,7 @@ fn remote_fetch(len: u64) -> (u64, u64) {
             EventLoopConfig::default(),
         ));
     }
-    attach_fabric(&mut servers, CacheOwnership::HomeOnly, 1);
+    attach_fabric(&mut servers, CacheOwnership::HomeOnly);
     let fetches = remote.len() as u64;
     while servers[0].stats().completed < fetches {
         run_round(&mut servers);

@@ -80,6 +80,7 @@ proptest! {
 
         let base = run_sharded(&config(1, ownership, false), setup, conns.clone());
         let fleet = run_sharded(&config(shards, ownership, true), setup, conns.clone());
+        prop_assert!(fleet.max_inbox_depth <= 2 * n_conns, "depth {}", fleet.max_inbox_depth);
 
         // Identical aggregate counts.
         prop_assert_eq!(base.failed(), 0);

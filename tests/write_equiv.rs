@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use iolite::buf::Aggregate;
-use iolite::core::{replay, CostModel, Kernel, KernelState, Pid, Whence};
+use iolite::core::{replay, shard_of_conn, ConnId, CostModel, Kernel, KernelState, Pid, Whence};
 use iolite::fs::{home_shard, CacheKey, CacheOwnership, Policy};
 use iolite::http::event_loop::{EventLoopConfig, EventLoopServer};
 use iolite::http::sharded::{run_sharded, ShardedConfig};
@@ -288,6 +288,67 @@ fn replica_read_is_sized_by_the_replica_not_the_stale_local_store() {
     }
 }
 
+/// `writers` connections on shard 1 of a 2-shard fleet each PUT a file
+/// homed on shard 0, all at once. A committed remote write puts two
+/// messages into the writer's inbox (`RemoteWriteAck` and, under
+/// `Replicate`, the home's `Invalidate`), so the writer's inbox can
+/// hold two messages per writer in flight. Every PUT completes, and the
+/// measured depth stays within that bound.
+fn remote_write_flood(ownership: CacheOwnership, writers: usize) {
+    let config = ShardedConfig {
+        shards: 2,
+        ownership,
+        cost: CostModel::pentium_ii_333(),
+        policy: Policy::Gds,
+        journal: false,
+        loop_cfg: EventLoopConfig::default(),
+    };
+    let setup = |k: &mut Kernel| -> Pid {
+        let pid = k.spawn("server");
+        for f in 0..16 {
+            k.create_synthetic_file(&format!("/f{f}"), 4_000, 0x8_0000 + f);
+        }
+        pid
+    };
+    let mut probe = Kernel::with_policy(config.cost, config.policy);
+    setup(&mut probe);
+    let homed: Vec<String> = (0..16)
+        .map(|f| format!("/f{f}"))
+        .filter(|path| home_shard(probe.store.lookup(path).expect("corpus"), 2) == 0)
+        .collect();
+    assert!(!homed.is_empty(), "some file must be homed on shard 0");
+    let conns: Vec<(u64, Vec<String>)> = (0u64..)
+        .filter(|&id| shard_of_conn(ConnId(id), 2) == 1)
+        .take(writers)
+        .enumerate()
+        .map(|(i, id)| (id, vec![format!("PUT {} 100", homed[i % homed.len()])]))
+        .collect();
+    let report = run_sharded(&config, setup, conns);
+    let case = format!("{ownership:?}, {writers} writers");
+    assert_eq!(report.completed(), writers as u64, "{case}");
+    assert_eq!(report.failed(), 0, "{case}");
+    let remote_writes: u64 = report
+        .shards
+        .iter()
+        .map(|s| s.report.stats.remote_writes)
+        .sum();
+    assert_eq!(remote_writes, writers as u64, "{case}: every PUT routes");
+    assert!(
+        report.max_inbox_depth <= 2 * writers,
+        "{case}: an inbox held {} messages",
+        report.max_inbox_depth
+    );
+}
+
+#[test]
+fn a_remote_write_flood_completes_within_the_inbox_bound() {
+    for ownership in [CacheOwnership::Replicate, CacheOwnership::HomeOnly] {
+        for writers in [256, 4_096] {
+            remote_write_flood(ownership, writers);
+        }
+    }
+}
+
 /// Acceptance criterion: a journaled 256-connection mixed GET/PUT run
 /// completes with `blocked_io == 0` and replays bit-identically
 /// (state digest + metrics) from a blank state.
@@ -467,8 +528,10 @@ proptest! {
             });
         }
 
+        let in_flight = conns.len();
         let base = run_sharded(&config(1, false), setup.clone(), conns.clone());
         let fleet = run_sharded(&config(shards, true), setup, conns);
+        prop_assert!(fleet.max_inbox_depth <= 2 * in_flight, "depth {}", fleet.max_inbox_depth);
 
         prop_assert_eq!(base.failed(), 0);
         prop_assert_eq!(fleet.failed(), 0);
