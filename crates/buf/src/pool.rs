@@ -100,6 +100,18 @@ impl BufferPool {
         self.inner.lock().unwrap().acl.grant(d);
     }
 
+    /// Places the chunks this pool mints from now on in namespace `ns`:
+    /// their ids carry `ns` in the top 16 bits above the pool's own
+    /// 48-bit chunk counter, so two pools that share a [`PoolId`] (one
+    /// per shard of a fleet) never mint the same ⟨pool, chunk⟩ and a
+    /// buffer keeps its identity wherever it is sent (§3.9). Chunks
+    /// already minted keep their ids; the counter keeps counting, so no
+    /// id recurs.
+    pub fn set_namespace(&self, ns: u16) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.next_chunk = (u64::from(ns) << 48) | (inner.next_chunk & ((1 << 48) - 1));
+    }
+
     /// The pool's chunk size.
     pub(crate) fn chunk_size(&self) -> usize {
         self.chunk_size
@@ -404,6 +416,17 @@ mod tests {
         assert_eq!(s2.generation(), gen1.next());
         assert_eq!(p.stats().chunks_created, 1);
         assert_eq!(p.stats().chunks_recycled, 1);
+    }
+
+    #[test]
+    fn a_namespace_prefixes_later_chunk_ids_and_never_repeats_one() {
+        let p = pool();
+        let _a = p.alloc(1024).unwrap();
+        p.set_namespace(3);
+        let b = p.alloc(1024).unwrap();
+        assert_eq!(b.id().chunk, ChunkId(3 << 48 | 1));
+        p.set_namespace(0);
+        assert_eq!(p.alloc(1024).unwrap().id().chunk, ChunkId(2));
     }
 
     #[test]

@@ -27,6 +27,10 @@ pub struct ConnId(pub u64);
 /// `u32::MAX / 2 + 1`, the private band `iolite_ipc::Pipe` reserves for
 /// scratch pools (application-side pipes draw from a separate
 /// descending band at the top of the space).
+///
+/// The chunk-id namespace of every ordinary pool the kernel mints
+/// ([`iolite_buf::BufferPool::set_namespace`]) is kept here too: 0 for
+/// a lone kernel, the shard index in a fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct IdAlloc {
     next_pid: u32,
@@ -34,6 +38,7 @@ pub(crate) struct IdAlloc {
     next_pipe: u32,
     next_conn: u64,
     next_scratch: u32,
+    pub(crate) namespace: u16,
 }
 
 /// First id of the kernel scratch-pool band (`> u32::MAX / 2`, as the
@@ -53,6 +58,7 @@ impl IdAlloc {
             next_pipe: 1,
             next_conn: 1,
             next_scratch: SCRATCH_BASE,
+            namespace: 0,
         }
     }
 
@@ -123,6 +129,10 @@ impl IdAlloc {
         h.write_u32(self.next_pipe);
         h.write_u64(self.next_conn);
         h.write_u32(self.next_scratch);
+        // Namespace 0 folds nothing: a lone kernel's digest predates it.
+        if self.namespace != 0 {
+            h.write_u32(u32::from(self.namespace));
+        }
     }
 }
 

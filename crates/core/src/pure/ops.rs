@@ -148,6 +148,14 @@ kernel_ops! {
     /// call of §3.4) with an explicit ACL.
     pub fn create_pool(acl: Acl) -> BufferPool = CreatePool => op_create_pool(acl.clone());
 
+    /// Places the cache pool, every process pool, and every pool minted
+    /// later (all but copy-pipe scratch pools, whose buffers never leave
+    /// the kernel) in shard `shard`'s chunk-id namespace, making buffer
+    /// identity unique across a fleet so buffers can cross the shard
+    /// fabric by reference. A fleet issues it as it attaches each
+    /// shard; for shard 0 it changes nothing.
+    pub fn id_namespace(shard: usize) = IdNamespace => op_id_namespace(*shard);
+
     /// Advances the sequential clock by non-CPU time (e.g. disk waits).
     pub fn advance(t: SimTime) = Advance => op_advance(*t);
 

@@ -381,6 +381,7 @@ impl KernelState {
         let proc = Process::new(pid, name, pool_id, iolite_buf::DEFAULT_CHUNK_SIZE);
         // File data read by this process becomes readable to it.
         self.cache_pool_acl.grant(pid.domain());
+        proc.pool().set_namespace(self.ids.namespace);
         self.processes.insert(pid, proc);
         // The stdio triple: three zero-copy console pipes, wired to the
         // conventional descriptor numbers.
@@ -401,7 +402,26 @@ impl KernelState {
     /// with an explicit ACL. The pool is returned to the caller, not
     /// retained — only the consumed pool id is kernel state.
     pub(crate) fn op_create_pool(&mut self, acl: Acl) -> BufferPool {
-        BufferPool::new(self.ids.alloc_pool(), acl, iolite_buf::DEFAULT_CHUNK_SIZE)
+        let pool = BufferPool::new(self.ids.alloc_pool(), acl, iolite_buf::DEFAULT_CHUNK_SIZE);
+        pool.set_namespace(self.ids.namespace);
+        pool
+    }
+
+    /// Places the pools whose buffers can cross the shard fabric — the
+    /// cache pool, every process's pool (a PUT body installed at home
+    /// lives in one), and every pool spawned or created from now on — in
+    /// shard `shard`'s chunk-id namespace, so their buffers' ⟨pool,
+    /// buffer, generation⟩ is unique across a fleet (§3.9) and they can
+    /// cross by reference. A copy-mode pipe's scratch buffers never
+    /// leave their shard and keep namespace 0. Shard 0's namespace is
+    /// every kernel's default, so for shard 0 this changes nothing.
+    pub(crate) fn op_id_namespace(&mut self, shard: usize) {
+        let ns = u16::try_from(shard).expect("at most 2^16 shards");
+        self.ids.namespace = ns;
+        let processes = self.processes.iter().map(|(_, p)| p.pool());
+        std::iter::once(&self.cache_pool)
+            .chain(processes)
+            .for_each(|pool| pool.set_namespace(ns));
     }
 
     // ---- read-only queries ---------------------------------------------

@@ -14,6 +14,18 @@
 //! verbatim to shard routing, where truncation would reappear as shard
 //! skew. A uniformity regression test below locks that in.
 //!
+//! # Buffers cross by reference
+//!
+//! IO-Lite passes immutable buffers between domains by reference, and
+//! so does the fabric: a [`ShardMsg::RemoteData`] carries the home
+//! shard's [`Aggregate`] itself, and the requester sends those buffers
+//! on its socket. That is sound because buffer identity is
+//! fleet-unique: attaching shard `s` places every pool of its kernel in
+//! chunk-id namespace `s` (the journaled `Kernel::id_namespace`), so
+//! ⟨pool, buffer, generation⟩ names one buffer's contents across the
+//! whole fleet and the requester's checksum cache (§3.9) can key on a
+//! home shard's buffers without aliasing its own.
+//!
 //! # The fabric's queues
 //!
 //! Each shard's inbox is one unbounded FIFO, filled in send order, so
@@ -24,7 +36,7 @@
 
 use std::sync::mpsc::{channel, Receiver, Sender, SyncSender};
 
-use iolite_buf::splitmix64;
+use iolite_buf::{splitmix64, Aggregate};
 use iolite_fs::FileId;
 
 use crate::pure::ConnId;
@@ -52,20 +64,24 @@ pub enum ShardMsg {
         /// The file whose bytes are wanted.
         file: FileId,
     },
-    /// The home shard's reply to a [`ShardMsg::RemoteRead`]: a copy of
-    /// the file's bytes, with `home_hit` reporting whether the home
+    /// The home shard's reply to a [`ShardMsg::RemoteRead`]: the file's
+    /// bytes, by reference, with `home_hit` reporting whether the home
     /// shard's unified cache satisfied the read.
     RemoteData {
         /// The file the bytes belong to.
         file: FileId,
-        /// The file's whole contents (copied across the shard boundary).
-        bytes: Vec<u8>,
+        /// The file's whole contents: the home shard's own buffers,
+        /// passed by reference (their identity is fleet-unique).
+        body: Aggregate,
         /// Whether the home shard served this from its cache.
         home_hit: bool,
     },
     /// Shard `from` routes a PUT body to the receiving (home) shard:
     /// only the home shard ever writes a file, so writes serialize
-    /// there without any cross-shard lock.
+    /// there without any cross-shard lock. The body travels by
+    /// reference; the home copies it into its own pool before
+    /// installing it, since the writer's buffers carry the writer's
+    /// ACL.
     RemoteWrite {
         /// Writing shard (where the ack goes).
         from: usize,
@@ -73,8 +89,8 @@ pub enum ShardMsg {
         token: u64,
         /// The file being replaced.
         file: FileId,
-        /// The new contents (copied across the shard boundary).
-        bytes: Vec<u8>,
+        /// The new contents: the writer's buffers, by reference.
+        body: Aggregate,
     },
     /// The home shard's acknowledgement of a [`ShardMsg::RemoteWrite`]:
     /// the dirty install completed; the writer may answer its client.
@@ -190,6 +206,12 @@ mod tests {
 
     #[test]
     fn fabric_routes_and_replies() {
+        let pool = iolite_buf::BufferPool::new(
+            iolite_buf::PoolId(1),
+            iolite_buf::Acl::kernel_only(),
+            4096,
+        );
+        let body = Aggregate::from_bytes(&pool, &[1, 2, 3]);
         let fabric = ShardFabric::new(2, 16);
         let mut boxes = fabric.mailboxes;
         let b1 = boxes.pop().unwrap();
@@ -208,7 +230,7 @@ mod tests {
                     from,
                     ShardMsg::RemoteData {
                         file,
-                        bytes: vec![1, 2, 3],
+                        body: body.clone(),
                         home_hit: true,
                     },
                 );
@@ -216,9 +238,13 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match b0.inbox.try_recv().unwrap() {
-            ShardMsg::RemoteData { file, bytes, .. } => {
+            ShardMsg::RemoteData {
+                file, body: got, ..
+            } => {
                 assert_eq!(file, FileId(42));
-                assert_eq!(bytes, vec![1, 2, 3]);
+                // The same buffer arrives, not a copy of it.
+                assert_eq!(got.slice_at(0).id(), body.slice_at(0).id());
+                assert_eq!(got.to_vec(), vec![1, 2, 3]);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -77,6 +77,7 @@ enum Op {
     // accounting-only send (copy-mode sockets come from `SocketCreate`).
     Spawn(u8),
     CreatePool(bool),
+    IdNamespace(u8),
     CreateFile(u8, u16),
     OpenFile(u8),
     PipeBetween(bool, Option<bool>),
@@ -129,6 +130,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(Op::Poll),
         any::<u8>().prop_map(Op::Spawn),
         any::<bool>().prop_map(Op::CreatePool),
+        any::<u8>().prop_map(Op::IdNamespace),
         (any::<u8>(), any::<u16>()).prop_map(|(n, len)| Op::CreateFile(n, len)),
         any::<u8>().prop_map(Op::OpenFile),
         (any::<bool>(), any::<u8>()).prop_map(|(zero_copy, acl)| {
@@ -357,6 +359,9 @@ fn lower(state: &KernelState, pid: Pid, op: &Op) -> Command {
                 Acl::kernel_only()
             },
         },
+        Op::IdNamespace(shard) => Command::IdNamespace {
+            shard: usize::from(shard % 4),
+        },
         Op::CreateFile(n, len) => Command::CreateFile {
             name: format!("/explicit{}", n % 8),
             data: vec![0x5A; usize::from(*len % 4096)],
@@ -460,6 +465,7 @@ fn one_of_each() -> Vec<Op> {
         Op::InstallFdAt(1, 1, 1),
         Op::Spawn(1),
         Op::CreatePool(true),
+        Op::IdNamespace(1),
         Op::CreateFile(1, 1),
         Op::OpenFile(1),
         Op::PipeBetween(true, Some(true)),
@@ -484,7 +490,7 @@ fn the_generator_reaches_every_command() {
             seen.push(kind);
         }
     }
-    assert_eq!(seen.len(), 47);
+    assert_eq!(seen.len(), 48);
 }
 
 proptest! {

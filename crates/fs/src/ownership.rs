@@ -9,16 +9,16 @@
 //! skew the partition. The home shard is the only shard that reads the
 //! file from disk and the only one whose cache entry is authoritative;
 //! a shard that needs a non-resident remote file messages the home
-//! shard and receives a copy of the bytes.
+//! shard and receives the home's buffers by reference.
 //!
-//! What the requesting shard does with that copy is the
+//! What the requesting shard does with them is the
 //! [`CacheOwnership`] policy:
 //!
-//! - [`CacheOwnership::HomeOnly`] serves the copy and discards it.
-//!   Aggregate cache residency stays exactly one entry per file (no
-//!   replica memory), but every remote request for a hot file pays a
-//!   round-trip and a copy — this mode *measures* hot-spot imbalance.
-//! - [`CacheOwnership::Replicate`] installs the copy into the local
+//! - [`CacheOwnership::HomeOnly`] sends the home's buffers as they are
+//!   and drops them. Aggregate cache residency stays exactly one entry
+//!   per file (no replica memory), but every remote request for a hot
+//!   file pays a round-trip — this mode *measures* hot-spot imbalance.
+//! - [`CacheOwnership::Replicate`] installs a copy into the local
 //!   cache (a journaled `CacheInstall`), so a shard's second and later
 //!   requests for a remote-homed file hit locally. Hot entries end up
 //!   replicated on the shards that want them, trading memory for
@@ -35,7 +35,7 @@ use crate::disk::FileId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOwnership {
     /// Only the home shard caches a file; remote shards re-request per
-    /// miss and serve the returned copy without caching it.
+    /// miss and serve the home's buffers without caching them.
     HomeOnly,
     /// Remote shards install fetched bytes as local cache replicas, so
     /// repeated access to a hot remote file becomes shard-local.

@@ -424,7 +424,12 @@ impl EventLoopServer {
     /// [`pump_fabric`](Self::pump_fabric) on one thread in a fixed
     /// order ([`crate::sharded::run_round`]), so a run is a function of
     /// its inputs.
+    ///
+    /// The kernel's pools enter the shard's id namespace first (a
+    /// journaled [`Kernel::id_namespace`]), so this shard's buffers can
+    /// cross the fabric by reference without aliasing another shard's.
     pub fn attach_shard(&mut self, ctx: ShardContext) {
+        self.kernel.id_namespace(ctx.mailbox.id);
         self.shard = Some(ctx);
     }
 
@@ -1022,8 +1027,9 @@ impl EventLoopServer {
     //
     // The shared-nothing protocol: this shard's kernel is touched only
     // by this server; a document homed on another shard is fetched by a
-    // `RemoteRead` message and the bytes come back copied. No lock on
-    // any kernel or cache is ever taken on this path.
+    // `RemoteRead` message and the home's buffers come back by
+    // reference (immutable, with fleet-unique identity). No lock on any
+    // kernel or cache is ever taken on this path.
 
     /// The shard context. Only called from the sharded paths, all of
     /// which are reachable solely once
@@ -1094,10 +1100,8 @@ impl EventLoopServer {
             return false;
         };
         self.stats.remote_writes += 1;
-        // The host-level channel copy (see serve_remote_read): an
-        // artifact of per-shard pools, not a modeled cost (the
-        // home shard bills the copy where the bytes land).
-        let bytes = body.to_vec();
+        // The body crosses by reference; the home shard copies it into
+        // its own pool and bills that copy (`serve_remote_write`).
         let ctx = self.shard_ctx();
         let replicate = ctx.ownership == CacheOwnership::Replicate;
         ctx.mailbox.send(
@@ -1106,7 +1110,7 @@ impl EventLoopServer {
                 from: ctx.mailbox.id,
                 token: i as u64,
                 file,
-                bytes,
+                body: body.clone(),
             },
         );
         // The writing shard's own replica is stale the moment the
@@ -1119,21 +1123,25 @@ impl EventLoopServer {
         true
     }
 
-    /// Lands bytes that crossed the fabric in this shard's pool — the
-    /// one real memcpy of a remote read or write, billed (and
-    /// journaled) here, where the bytes land, since the app-side
-    /// `from_bytes` is invisible to the kernel.
-    fn land_copied(&mut self, bytes: &[u8]) -> Aggregate {
-        let c = self.kernel.cost.copy(bytes.len() as u64);
+    /// Copies another shard's buffers into this shard's pool — a remote
+    /// write's body, or a `Replicate` fetch whose replica the cache
+    /// rejected — billed (and journaled) here, where the bytes land,
+    /// since the app-side `pack` is invisible to the kernel. A
+    /// `HomeOnly` fetch never lands: its waiters send the home's
+    /// buffers as they are.
+    fn land_copied(&mut self, body: &Aggregate) -> Aggregate {
+        let c = self.kernel.cost.copy(body.len());
         self.kernel.charge(CostCategory::Copy, c);
-        Aggregate::from_bytes(self.kernel.process(self.pid).pool(), bytes)
+        body.pack(self.kernel.process(self.pid).pool())
     }
 
     /// Home-shard side of a remote write: the body lands in this
-    /// shard's pool and installs through its own journaled put path,
-    /// then the ack releases the writer's connection.
-    fn serve_remote_write(&mut self, from: usize, token: u64, file: FileId, bytes: Vec<u8>) {
-        let body = self.land_copied(&bytes);
+    /// shard's pool (the writer's buffers carry the writer's ACL, so
+    /// they never enter this cache by reference) and installs through
+    /// this kernel's own journaled put path, then the ack releases the
+    /// writer's connection.
+    fn serve_remote_write(&mut self, from: usize, token: u64, file: FileId, body: &Aggregate) {
+        let body = self.land_copied(body);
         self.kernel.put_install(self.pid, file, &body);
         self.broadcast_invalidate(file);
         self.shard_ctx()
@@ -1147,15 +1155,15 @@ impl EventLoopServer {
             ShardMsg::RemoteRead { from, file } => self.serve_remote_read(from, file),
             ShardMsg::RemoteData {
                 file,
-                bytes,
+                body,
                 home_hit,
-            } => self.finish_remote(file, &bytes, home_hit),
+            } => self.finish_remote(file, &body, home_hit),
             ShardMsg::RemoteWrite {
                 from,
                 token,
                 file,
-                bytes,
-            } => self.serve_remote_write(from, token, file, bytes),
+                body,
+            } => self.serve_remote_write(from, token, file, &body),
             // Writer side: the home shard acknowledged the PUT; answer
             // the parked connection's client (unless the writer failed
             // while the ack was in flight).
@@ -1172,9 +1180,9 @@ impl EventLoopServer {
     }
 
     /// Home-shard side of a remote read: snapshot the document through
-    /// this kernel's own (journaled) open/pread path — the only disk
-    /// read the fleet ever does for this file — then copy the bytes
-    /// out to the requester.
+    /// this kernel's own (journaled) open/read path — the only disk
+    /// read the fleet ever does for this file — then hand the buffers
+    /// to the requester by reference.
     fn serve_remote_read(&mut self, from: usize, file: FileId) {
         let fd = self.kernel.open_file(self.pid, file);
         // The RemoteRead protocol has no failure reply: a snapshot
@@ -1187,11 +1195,10 @@ impl EventLoopServer {
         // IOL_read, not pread: IO-Lite aggregates are immutable, so
         // the home shard hands the requester a *reference* (syscall +
         // disk on a cold home + page maps — no byte copy, exactly
-        // like a local zero-copy serve). The one real memcpy of a
-        // remote fetch is billed on the requester side, where the
-        // bytes land (`cache_install` / `land_copied`). The `Vec`
-        // crossing the host-level channel is an artifact of
-        // per-shard buffer pools, not a modeled cost.
+        // like a local zero-copy serve), and the same buffers cross
+        // the fabric: no host copy either. Only a `Replicate` replica
+        // is a copy, billed where it lands (`cache_install` /
+        // `land_copied`).
         #[expect(clippy::expect_used, reason = "RemoteRead has no failure reply")]
         let (body, out) = self
             .kernel
@@ -1202,35 +1209,36 @@ impl EventLoopServer {
         self.kernel
             .close_fd(self.pid, fd)
             .expect("close after snapshot");
-        let bytes = body.to_vec();
         self.shard_ctx().mailbox.send(
             from,
             ShardMsg::RemoteData {
                 file,
-                bytes,
+                body,
                 home_hit,
             },
         );
     }
 
-    /// Requester side: the home shard's bytes arrived; serve every
-    /// connection waiting on this file. Under `Replicate` the bytes
-    /// are installed as a local cache replica and the waiters go
-    /// through the normal local path (a guaranteed hit, unless the
-    /// budget rejects the entry outright); under `HomeOnly` — and as
-    /// the replica-rejected fallback — the copy is landed, served
-    /// directly (no cache entry, no pin) and discarded.
-    fn finish_remote(&mut self, file: FileId, bytes: &[u8], home_hit: bool) {
+    /// Requester side: the home shard's buffers arrived; serve every
+    /// connection waiting on this file. Under `HomeOnly` every waiter
+    /// is answered with the home's buffers themselves — no copy, no
+    /// local cache entry, no pin — so a later fetch of the same file
+    /// sends the same buffers and hits this shard's checksum cache.
+    /// Under `Replicate` a replica is a local copy by definition: the
+    /// bytes are installed as a cache entry and the waiters go through
+    /// the normal local path (a guaranteed hit), unless the budget
+    /// rejects the entry outright, when each waiter lands a copy.
+    fn finish_remote(&mut self, file: FileId, body: &Aggregate, home_hit: bool) {
         let waiters = self.remote_pending.remove(&file).unwrap_or_default();
         self.stats.remote_hits += u64::from(home_hit);
-        let mut replica_resident = false;
-        if self.shard_ctx().ownership == CacheOwnership::Replicate {
-            self.kernel.cache_install(file, bytes);
-            // When the budget evicts the replica on admission (entry
-            // larger than this shard's share), fall back to serving
-            // the copy directly instead of re-requesting forever.
-            replica_resident = self.kernel.cache.contains(&CacheKey::whole(file));
+        let replicate = self.shard_ctx().ownership == CacheOwnership::Replicate;
+        if replicate {
+            self.kernel.cache_install(file, &body.to_vec());
         }
+        // When the budget evicts the replica on admission (entry larger
+        // than this shard's share), fall back to serving a copy
+        // directly instead of re-requesting forever.
+        let replica_resident = replicate && self.kernel.cache.contains(&CacheKey::whole(file));
         for i in waiters {
             if !matches!(self.conns.get(i).map(|c| &c.phase), Some(Phase::RemoteWait)) {
                 // This waiter failed while the read was in flight.
@@ -1241,8 +1249,9 @@ impl EventLoopServer {
                 // hit (and re-routing cannot recurse).
                 self.open_static(i);
             } else {
-                let body = self.land_copied(bytes);
-                self.respond(i, &ok_head(body.len(), true, &mut [0; 20]), &body);
+                let copy = replicate.then(|| self.land_copied(body));
+                let body = copy.as_ref().unwrap_or(body);
+                self.respond(i, &ok_head(body.len(), true, &mut [0; 20]), body);
             }
         }
     }

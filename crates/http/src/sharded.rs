@@ -133,9 +133,13 @@ impl ShardedReport {
 /// `setup` builds each shard's kernel contents and returns the server
 /// pid; it runs once per shard and **must be deterministic** (every
 /// shard needs the identical file store, in identical creation order,
-/// so `FileId`s agree fleet-wide). When `cfg.journal` is set the
-/// journal starts before `setup`, so replaying a shard's journal from a
-/// blank state reproduces its kernel bit-for-bit.
+/// so `FileId`s agree fleet-wide). It must not allocate buffers (warm
+/// the cache, say): each shard's pools enter its id namespace only when
+/// [`attach_fabric`] runs, after `setup`, so a chunk minted earlier has
+/// the same id on every shard and would alias across the fabric. When
+/// `cfg.journal` is set the journal starts before `setup`, so replaying
+/// a shard's journal from a blank state reproduces its kernel
+/// bit-for-bit.
 ///
 /// The fleet is driven by [`run_round`] until every shard is done, so
 /// the report is a function of the arguments alone.
@@ -195,7 +199,10 @@ where
 
 /// Attaches a fabric to `servers`, `servers[i]` being shard `i`: one
 /// unbounded FIFO inbox per shard, so no send is ever refused. A fleet
-/// of one never routes remotely and gets no fabric.
+/// of one never routes remotely and gets no fabric. Attaching places
+/// shard `i`'s pools in id namespace `i` (see
+/// [`EventLoopServer::attach_shard`]); chunks minted before then are
+/// not fleet-unique.
 pub fn attach_fabric(servers: &mut [EventLoopServer], ownership: CacheOwnership) {
     let shards = servers.len();
     if shards <= 1 {
@@ -377,6 +384,49 @@ mod tests {
         assert!(max.as_secs() <= sum);
         assert!(report.imbalance() >= 1.0);
         assert!(report.requests_per_cpu_sec() > 0.0);
+    }
+
+    /// Buffer identity is fleet-unique (§3.9). Shard 0 serves a local
+    /// document, then fetches a remote one of the same length; each is
+    /// the first read into its shard's cache pool, so without the
+    /// shards' id namespaces the home's buffer would carry the local
+    /// one's ⟨pool, chunk, offset, generation⟩, and the remote
+    /// payload's first send would hit the local document's checksum.
+    #[test]
+    fn a_remote_buffer_never_aliases_a_local_checksum() {
+        let mut servers = Vec::new();
+        for shard in 0..2 {
+            let mut k = Kernel::with_policy(CostModel::pentium_ii_333(), Policy::Gds);
+            let pid = k.spawn("server");
+            let files: Vec<_> = (0..8)
+                .map(|f| k.create_synthetic_file(&format!("/f{f}"), 4_000, f))
+                .collect();
+            // The first document homed on shard 0, then the first on 1.
+            let script = (0..2)
+                .filter_map(|home| files.iter().position(|&f| home_shard(f, 2) == home))
+                .map(|f| format!("/f{f}"))
+                .collect();
+            let scripts = if shard == 0 { vec![script] } else { Vec::new() };
+            servers.push(EventLoopServer::new(
+                k,
+                pid,
+                scripts,
+                None,
+                EventLoopConfig::default(),
+            ));
+        }
+        attach_fabric(&mut servers, CacheOwnership::HomeOnly);
+        while !servers.iter().all(EventLoopServer::is_done) {
+            run_round(&mut servers);
+        }
+        let stats = servers[0].stats();
+        assert_eq!((stats.completed, stats.remote_reads), (2, 1));
+        let sums = servers[0].kernel().cksum.stats();
+        assert_eq!(
+            (sums.hits, sums.misses),
+            (0, 4),
+            "two heads and two payloads, each checksummed once"
+        );
     }
 
     /// Every file's home shard serves it from disk exactly once

@@ -212,33 +212,31 @@ fn put_ingest_copies_each_body_byte_a_fixed_number_of_times() {
     );
 }
 
-/// Heap bytes of one connection on shard 0 of a 2-shard `HomeOnly`
-/// fleet fetching `len`-byte documents homed on shard 1, driven by
-/// `run_round` as every fleet is, and the bytes fetched after a
-/// warm-up pass that brings every document into its home's cache.
-fn remote_fetch(len: u64) -> (u64, u64) {
-    const FILES: u64 = 24;
-    const PASSES: usize = 8;
+/// A 2-shard `HomeOnly` fleet over one corpus of `len`-byte documents
+/// (`/f0` … `/f23`, the same on both shards): shard 0 has one
+/// connection, whose script `script` builds from the paths homed on
+/// shard 1; shard 1 has none. Returns the fleet and those paths.
+fn remote_fleet(
+    len: u64,
+    script: impl Fn(&[String]) -> Vec<String>,
+) -> (Vec<EventLoopServer>, Vec<String>) {
     let mut servers = Vec::new();
     let mut remote: Vec<String> = Vec::new();
     for shard in 0..2 {
         let mut k = Kernel::with_policy(CostModel::pentium_ii_333(), Policy::Gds);
         let pid = k.spawn("server");
-        // The same corpus, in the same order, on both shards.
-        remote = (0..FILES)
+        remote = (0..24)
             .filter_map(|f| {
                 let path = format!("/f{f}");
                 let file = k.create_synthetic_file(&path, len, f);
                 (home_shard(file, 2) == 1).then_some(path)
             })
             .collect();
-        let script = remote
-            .iter()
-            .cycle()
-            .take(remote.len() * PASSES)
-            .cloned()
-            .collect();
-        let scripts = if shard == 0 { vec![script] } else { Vec::new() };
+        let scripts = if shard == 0 {
+            vec![script(&remote)]
+        } else {
+            Vec::new()
+        };
         servers.push(EventLoopServer::new(
             k,
             pid,
@@ -248,10 +246,28 @@ fn remote_fetch(len: u64) -> (u64, u64) {
         ));
     }
     attach_fabric(&mut servers, CacheOwnership::HomeOnly);
+    (servers, remote)
+}
+
+/// Passes over the remote documents in [`remote_fetch`]: the first
+/// warms the home's cache, the rest are timed.
+const PASSES: usize = 8;
+
+/// Shard 0 of [`remote_fleet`] fetching every remote document
+/// [`PASSES`] times, driven by `run_round` as every fleet is. Returns
+/// the heap bytes of the passes after the first, which brings every
+/// document into its home's cache, and the bytes they fetched; and
+/// shard 0's checksum-cache hits and misses over those passes.
+fn remote_fetch(len: u64) -> ((u64, u64), (u64, u64)) {
+    let (mut servers, remote) = remote_fleet(len, |remote| {
+        let passes = remote.iter().cycle().take(remote.len() * PASSES);
+        passes.cloned().collect()
+    });
     let fetches = remote.len() as u64;
     while servers[0].stats().completed < fetches {
         run_round(&mut servers);
     }
+    let cksum = servers[0].kernel().cksum.stats();
     let before = heap_bytes();
     while !servers[0].is_done() {
         run_round(&mut servers);
@@ -267,20 +283,83 @@ fn remote_fetch(len: u64) -> (u64, u64) {
         (stats.remote_reads, stats.remote_hits),
         (fetches * PASSES as u64, timed)
     );
-    (bytes, timed * len)
+    let after = servers[0].kernel().cksum.stats();
+    let sums = (after.hits - cksum.hits, after.misses - cksum.misses);
+    ((bytes, timed * len), sums)
 }
 
-/// Heap bytes per remotely fetched byte: `serve_remote_read`'s `to_vec`
-/// onto the host channel and `land_copied` into the requester's pool —
-/// the fabric copy ROADMAP item 4 exists to delete. 2.0000 measured at
-/// the parent commit; a third copy adds a whole byte per byte.
-const FETCH_BYTES_PER_BYTE: f64 = 2.0 + 0.5;
+/// Heap bytes per remotely fetched byte: none. The home's buffers cross
+/// the fabric by reference and are sent as they are (0.0000 measured;
+/// 2.0000 while `serve_remote_read` copied the document onto the
+/// channel and `land_copied` copied it again into the requester's
+/// pool). One copy of the payload anywhere on the path adds a whole
+/// byte per byte.
+const FETCH_BYTES_PER_BYTE: f64 = 0.0 + 0.5;
 
 #[test]
 fn remote_fetch_copies_each_byte_a_fixed_number_of_times() {
-    let per_byte = slope(remote_fetch(SMALL), remote_fetch(LARGE));
+    let per_byte = slope(remote_fetch(SMALL).0, remote_fetch(LARGE).0);
     assert!(
         per_byte <= FETCH_BYTES_PER_BYTE,
         "{per_byte:.4} heap bytes per remotely fetched byte (budget {FETCH_BYTES_PER_BYTE})"
+    );
+}
+
+/// A document fetched again is the same home buffers sent again, so
+/// after the first pass every payload slice's checksum comes from the
+/// requester's cache (§3.9): the only sums computed are the response
+/// heads', one fresh buffer per response. (A landed copy is a fresh
+/// buffer too, and missed every time.) Both sizes fit one 64 KB chunk,
+/// so a payload is one slice.
+#[test]
+fn repeated_remote_fetches_hit_the_requesters_checksum_cache() {
+    for len in [SMALL, LARGE] {
+        let ((_, bytes), (hits, misses)) = remote_fetch(len);
+        let responses = bytes / len;
+        assert_eq!(
+            (hits, misses),
+            (responses, responses),
+            "{len}-byte documents: checksum hits and misses over passes 2..{PASSES}"
+        );
+    }
+}
+
+/// Heap bytes of shard 0 of [`remote_fleet`] PUTting a `len`-byte body
+/// to every remote document four times, and the body bytes it sent.
+fn remote_put(len: u64) -> (u64, u64) {
+    const PUTS: usize = 4;
+    let (mut servers, remote) = remote_fleet(len, |remote| {
+        let puts = remote.iter().cycle().take(remote.len() * PUTS);
+        puts.map(|path| format!("PUT {path} {len}")).collect()
+    });
+    let before = heap_bytes();
+    while !servers[0].is_done() {
+        run_round(&mut servers);
+    }
+    let bytes = heap_bytes() - before;
+    let stats = servers[0].stats();
+    let puts = (remote.len() * PUTS) as u64;
+    assert_eq!(
+        (stats.puts, stats.remote_writes, stats.failed),
+        (puts, puts, 0)
+    );
+    (bytes, stats.put_bytes)
+}
+
+/// Heap bytes per remotely PUT body byte: the pool buffer the client
+/// writes the body into (1), and the home shard's copy into its own
+/// pool (1) — the body crosses the fabric by reference, but it stays in
+/// the writer's pool, under the writer's ACL, until the home copies it.
+/// 2.0006 measured (3.0006 while the writer copied the body onto the
+/// channel first).
+const REMOTE_PUT_BYTES_PER_BODY_BYTE: f64 = 2.0006 + 0.5;
+
+#[test]
+fn remote_put_copies_each_body_byte_a_fixed_number_of_times() {
+    let per_byte = slope(remote_put(SMALL), remote_put(LARGE));
+    assert!(
+        per_byte <= REMOTE_PUT_BYTES_PER_BODY_BYTE,
+        "{per_byte:.4} heap bytes per remote PUT body byte \
+         (budget {REMOTE_PUT_BYTES_PER_BODY_BYTE})"
     );
 }

@@ -14,7 +14,6 @@ use iolite::http::{response_header, CgiProcess};
 use iolite::ipc::PipeMode;
 use iolite::net::BufferMode;
 use proptest::prelude::*;
-use proptest::test_runner::ProptestConfig;
 
 fn kernel() -> Kernel {
     Kernel::with_policy(CostModel::pentium_ii_333(), Policy::Gds)
@@ -190,8 +189,6 @@ fn corpus(sizes: &[u64]) -> (Kernel, iolite::core::Pid, Vec<String>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
     /// Over a random corpus and random per-connection scripts, the
     /// event loop's responses are byte-identical to `header ++ body`
     /// ground truth, and the checksum cache ends in exactly the state a

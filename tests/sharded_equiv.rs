@@ -8,13 +8,13 @@
 
 use std::collections::HashMap;
 
-use iolite::core::{replay, CostModel, Kernel, KernelState, Pid};
-use iolite::fs::{CacheOwnership, Policy};
+use iolite::core::{replay, shard_of_conn, ConnId, CostModel, Kernel, KernelState, Pid};
+use iolite::fs::{home_shard, CacheOwnership, Policy};
 use iolite::http::event_loop::EventLoopConfig;
 use iolite::http::response_header;
 use iolite::http::sharded::{run_sharded, ShardedConfig};
+use iolite::vm::MemAccount;
 use proptest::prelude::*;
-use proptest::test_runner::ProptestConfig;
 
 fn config(shards: usize, ownership: CacheOwnership, journal: bool) -> ShardedConfig {
     ShardedConfig {
@@ -43,8 +43,6 @@ fn assert_ground_truth(kernel: &Kernel, path: &str, response: &[u8]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
     #[test]
     fn sharded_serving_is_equivalent_to_single_shard(
         sizes in proptest::collection::vec(1u64..60_000, 2..6),
@@ -127,8 +125,9 @@ proptest! {
         }
 
         // Every shard's journal replays bit-identically from a blank
-        // state: remote installs are journaled commands, so a shard's
-        // journal is self-contained.
+        // state: remote installs are journaled commands, and this corpus
+        // never evicts, so no shard recycles a chunk another shard still
+        // holds (see `a_home_that_evicts_lent_buffers_does_not_replay_alone`).
         for outcome in fleet.shards {
             let mut kernel = outcome.kernel;
             let journal = kernel.take_journal().expect("journal was recording");
@@ -149,4 +148,63 @@ proptest! {
             );
         }
     }
+}
+
+/// The hole in the property's replay check, pinned. A `HomeOnly`
+/// requester answers its clients with the home's own buffers and keeps
+/// them in its journal, so when the home evicts a lent entry, its live
+/// cache pool cannot recycle those chunks while a replay of the home's
+/// journal alone can. From then on the home's chunk ids, generations and
+/// checksum keys depend on another shard's journal. A lone kernel
+/// serving the same requests already diverges under eviction (its own
+/// journal holds its buffers), so this is ROADMAP item 1's defect;
+/// making buffer lifetime a journaled fact flips the last assertion.
+#[test]
+fn a_home_that_evicts_lent_buffers_does_not_replay_alone() {
+    let setup = |k: &mut Kernel| -> Pid {
+        let pid = k.spawn("server");
+        // Leave the cache 60 KB: one or two documents.
+        let squeeze = k.physmem.cache_budget() - 60 * 1024;
+        k.mem_reserve(MemAccount::SocketCopies, squeeze);
+        for f in 0..16 {
+            k.create_synthetic_file(&format!("/f{f}"), 30_000 + f * 1_000, f);
+        }
+        pid
+    };
+    let mut probe = Kernel::with_policy(CostModel::pentium_ii_333(), Policy::Gds);
+    setup(&mut probe);
+    let remote: Vec<String> = (0..16)
+        .map(|f| format!("/f{f}"))
+        .filter(|path| home_shard(probe.store.lookup(path).unwrap(), 2) == 1)
+        .collect();
+    // Three connections on shard 0, each cycling the remote documents.
+    let script: Vec<String> = remote
+        .iter()
+        .cycle()
+        .take(4 * remote.len())
+        .cloned()
+        .collect();
+    let conns = (0..)
+        .filter(|&c| shard_of_conn(ConnId(c), 2) == 0)
+        .take(3)
+        .map(|c| (c, script.clone()))
+        .collect();
+    let fleet = run_sharded(&config(2, CacheOwnership::HomeOnly, true), setup, conns);
+    assert_eq!(fleet.failed(), 0);
+    assert!(fleet.remote_reads() > 0 && fleet.shards[1].kernel.cache.stats().evictions > 0);
+    let matches: Vec<bool> = fleet
+        .shards
+        .into_iter()
+        .map(|outcome| {
+            let mut kernel = outcome.kernel;
+            let journal = kernel.take_journal().expect("journal was recording");
+            let blank = KernelState::new(CostModel::pentium_ii_333(), Policy::Gds);
+            replay(blank, &journal).0.state_hash() == kernel.state_hash()
+        })
+        .collect();
+    assert!(matches[0], "the requester's journal replays alone");
+    assert!(
+        !matches[1],
+        "the home's replay no longer depends on the requester: flip this"
+    );
 }

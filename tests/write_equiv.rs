@@ -17,7 +17,6 @@ use iolite::http::{created, response_header, synthetic_put_body};
 use iolite::net::checksum::reference_checksum;
 use iolite::net::{internet_checksum, BufferMode, DEFAULT_MSS, DEFAULT_TSS};
 use proptest::prelude::*;
-use proptest::test_runner::ProptestConfig;
 
 /// A journaled write-capable kernel with the Flash-Lite configuration
 /// (GDS cache policy, §3.9 checksum cache on).
@@ -394,8 +393,6 @@ fn acceptance_256_connections_mixed_workload_replays() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
     /// Interleaved GETs and PUTs across concurrent connections: every
     /// GET serves an untorn version (the initial bytes or some
     /// complete PUT body — never a mix), the cache agrees with the
