@@ -34,7 +34,7 @@
 //! | [`Aggregate::append`], [`Aggregate::prepend`] | O(other's n) | 0 |
 //! | `clone` | O(n) reference-count bumps | 0 |
 //! | [`Aggregate::pack`] | O(bytes), exactly one copy | 0 (the buffers are the allocations) |
-//! | [`Aggregate::from_bytes_aligned`], [`Aggregate::fill_aligned`] | O(bytes): one copy in, or each byte written once by the producer | 0 (likewise) |
+//! | [`Aggregate::from_bytes_aligned`], [`Aggregate::fill_aligned`] | O(bytes): one copy in, or each byte written once by the producer (when first read, if sealed lazily) | 0 (likewise) |
 //! | [`Aggregate::cursor`], [`Aggregate::chunks`] | O(1) to create, zero-alloc to iterate | 0 |
 
 use std::fmt;
@@ -111,7 +111,7 @@ impl Aggregate {
         mut runs: impl Iterator<Item = &'a [u8]>,
     ) -> Self {
         let mut run: &[u8] = &[];
-        Self::fill_aligned(pool, len, align, |_, b| {
+        Self::fill_aligned(pool, len, align, |_, mut b| {
             while b.remaining() > 0 {
                 if run.is_empty() {
                     run = runs.next().expect("length accounted");
@@ -120,37 +120,40 @@ impl Aggregate {
                 b.put(&run[..n]);
                 run = &run[n..];
             }
+            b.freeze()
         })
     }
 
     /// Allocates `len` bytes of `align`-aligned buffers from `pool` and
-    /// has `fill(offset, buf)` fill each to capacity, `offset` being
-    /// where `buf` starts within the `len` bytes, before it is frozen
-    /// and appended.
+    /// has `seal(offset, buf)` seal each whole — fill it to capacity and
+    /// [`BufMut::freeze`] it, or [`BufMut::freeze_lazy`] it — before it
+    /// is appended; `offset` is where `buf` starts within the `len`
+    /// bytes.
     ///
     /// This is the one allocation loop — every constructor that takes
     /// bytes runs it, so the allocation sequence (chunking, alignment,
     /// buffer ids and generations) is [`Aggregate::from_bytes_aligned`]'s
-    /// for `len` bytes whoever fills the buffers. It is how disk data
-    /// lands (§3.5): the producer streams straight into the IO-Lite
-    /// buffers, each byte written once, with no staging vector.
+    /// for `len` bytes whoever fills the buffers, and whenever. It is how
+    /// disk data lands (§3.5): the producer streams straight into the
+    /// IO-Lite buffers, each byte written once, with no staging vector
+    /// — or, sealed lazily, on the buffer's first read.
     pub fn fill_aligned(
         pool: &BufferPool,
         len: u64,
         align: usize,
-        mut fill: impl FnMut(u64, &mut BufMut),
+        mut seal: impl FnMut(u64, BufMut) -> Slice,
     ) -> Self {
         let mut agg = Aggregate::empty();
         let max = pool.chunk_size() as u64;
         let mut offset = 0;
         while offset < len {
             let take = (len - offset).min(max);
-            let mut b = pool
+            let b = pool
                 .alloc_aligned(take as usize, align)
                 .expect("chunk-size-bounded allocation cannot fail");
-            fill(offset, &mut b);
-            assert_eq!(b.remaining(), 0, "a producer fills its buffer to capacity");
-            agg.append_slice(b.freeze());
+            let s = seal(offset, b);
+            assert_eq!(s.len() as u64, take, "a buffer is sealed full");
+            agg.append_slice(s);
             offset += take;
         }
         agg

@@ -89,7 +89,8 @@ pub fn splitmix64(mut x: u64) -> u64 {
 
 /// Folds an aggregate's identity and contents into a digest: length, then
 /// per slice the ⟨pool, buffer, generation, view offset, view length⟩
-/// tuple followed by the viewed bytes.
+/// tuple followed by the viewed bytes. A lazily sealed buffer's bytes
+/// are streamed from its producer, so digesting leaves it unread.
 pub fn digest_aggregate(agg: &Aggregate, h: &mut Fnv64) {
     h.write_u64(agg.len());
     h.write_u64(agg.num_slices() as u64);
@@ -100,7 +101,8 @@ pub fn digest_aggregate(agg: &Aggregate, h: &mut Fnv64) {
         h.write_u64(s.generation().0);
         h.write_u64(s.offset_in_buffer() as u64);
         h.write_u64(s.len() as u64);
-        h.write_bytes(s.as_bytes());
+        let (inner, off, len) = s.parts();
+        inner.stream(off, len, &mut |run| h.write_bytes(run));
     }
 }
 
@@ -126,9 +128,13 @@ mod tests {
         assert_eq!(Fnv64::new().finish(), 0xcbf2_9ce4_8422_2325);
     }
 
+    fn pool() -> BufferPool {
+        BufferPool::new(PoolId(1), Acl::with_domain(DomainId(1)), 4096)
+    }
+
     #[test]
     fn aggregate_digest_depends_on_identity_and_bytes() {
-        let pool = BufferPool::new(PoolId(1), Acl::with_domain(DomainId(1)), 4096);
+        let pool = pool();
         let a = Aggregate::from_bytes(&pool, b"hello");
         let b = Aggregate::from_bytes(&pool, b"hello");
         let mut ha = Fnv64::new();
@@ -141,5 +147,33 @@ mod tests {
         let mut ha2 = Fnv64::new();
         digest_aggregate(&a, &mut ha2);
         assert_eq!(ha.finish(), ha2.finish());
+    }
+
+    fn ramp(seed: u64, offset: u64, len: u64, sink: &mut dyn FnMut(&[u8])) {
+        let bytes: Vec<u8> = (offset..offset + len).map(|i| (seed + i) as u8).collect();
+        sink(&bytes);
+    }
+
+    #[test]
+    fn a_lazy_aggregate_digests_like_its_eager_twin_without_being_read() {
+        let digest = |agg: &Aggregate| {
+            let mut h = Fnv64::new();
+            digest_aggregate(agg, &mut h);
+            h.finish()
+        };
+        let (eager_pool, lazy_pool) = (pool(), pool());
+        let eager = Aggregate::fill_aligned(&eager_pool, 10_000, 64, |at, mut b| {
+            ramp(5, at, b.capacity() as u64, &mut |run| b.put(run));
+            b.freeze()
+        });
+        let lazy =
+            Aggregate::fill_aligned(&lazy_pool, 10_000, 64, |at, b| b.freeze_lazy(ramp, 5, at));
+        // A view that starts and ends inside buffers streams its range.
+        let (eager_mid, lazy_mid) = (eager.range(100, 9_000), lazy.range(100, 9_000));
+        assert_eq!(digest(&lazy), digest(&eager));
+        assert_eq!(digest(&lazy_mid.unwrap()), digest(&eager_mid.unwrap()));
+        assert!(lazy.slices().all(|s| !s.is_produced()));
+        assert_eq!(lazy.to_vec(), eager.to_vec());
+        assert_eq!(digest(&lazy), digest(&eager), "produced, same digest");
     }
 }

@@ -79,11 +79,7 @@ impl PoolForker {
         let forked_inner = match self.buffers.get(&buf_key) {
             Some(b) => Arc::clone(b),
             None => {
-                let b = Arc::new(BufferInner::new(
-                    inner.bytes().to_vec().into_boxed_slice(),
-                    inner.meta().clone(),
-                    forked_chunk,
-                ));
+                let b = Arc::new(inner.twin(forked_chunk));
                 self.buffers.insert(buf_key, Arc::clone(&b));
                 b
             }
@@ -152,6 +148,42 @@ mod tests {
         let _p2 = p.fork(&mut f);
         let a2 = f.fork_aggregate(&a);
         assert!(a2.slice_at(0).same_buffer(a.slice_at(0)));
+    }
+
+    fn ramp(seed: u64, offset: u64, len: u64, sink: &mut dyn FnMut(&[u8])) {
+        let bytes: Vec<u8> = (offset..offset + len).map(|i| (seed + i) as u8).collect();
+        sink(&bytes);
+    }
+
+    #[test]
+    fn a_lazy_buffer_forks_with_its_producer_and_stays_unread() {
+        let (eager_pool, lazy_pool) = (pool(), pool());
+        let eager = Aggregate::fill_aligned(&eager_pool, 10_000, 64, |at, mut b| {
+            ramp(3, at, b.capacity() as u64, &mut |run| b.put(run));
+            b.freeze()
+        });
+        let lazy =
+            Aggregate::fill_aligned(&lazy_pool, 10_000, 64, |at, b| b.freeze_lazy(ramp, 3, at));
+        let (mut fe, mut fl) = (PoolForker::new(), PoolForker::new());
+        let (_, _) = (eager_pool.fork(&mut fe), lazy_pool.fork(&mut fl));
+        let (eager2, lazy2) = (fe.fork_aggregate(&eager), fl.fork_aggregate(&lazy));
+        assert!(lazy
+            .slices()
+            .chain(lazy2.slices())
+            .all(|s| !s.is_produced()));
+        for (l, e) in lazy2.slices().zip(eager2.slices()) {
+            assert_eq!(
+                (l.id(), l.generation(), l.len()),
+                (e.id(), e.generation(), e.len())
+            );
+            assert!(!l.same_buffer(lazy.slice_at(0)), "the fork is a twin");
+        }
+        assert_eq!(lazy2.to_vec(), eager2.to_vec());
+        assert!(
+            lazy.slices().all(|s| !s.is_produced()),
+            "the original stays unread"
+        );
+        assert_eq!(lazy.to_vec(), eager.to_vec());
     }
 
     #[test]

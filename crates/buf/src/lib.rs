@@ -21,6 +21,11 @@
 //! checksum cache of §3.9 (⟨address, generation⟩ uniquely identifies
 //! contents system-wide).
 //!
+//! A buffer's bytes may be produced when it is first read rather than
+//! when it is sealed ([`BufMut::freeze_lazy`]: disk data no one reads
+//! costs no host memory); immutability is unchanged, since a pure
+//! [`Producer`] fixes them at seal time.
+//!
 //! This crate is pure data-plane: it moves real bytes; what a chunk's
 //! first sight costs a domain in VM mappings is the `iolite-vm` window's
 //! bookkeeping. The enclosing simulation is deterministic and sequential.
@@ -79,7 +84,7 @@ pub use hash::{FixedMap, FixedState};
 pub use ids::{BufferId, ChunkId, DomainId, Generation, PoolId};
 pub use pool::{BufMut, BufferPool, PoolStats};
 pub use reader::AggReader;
-pub use slice::Slice;
+pub use slice::{Producer, Slice};
 
 /// The virtual-memory page size the paper's prototype uses (FreeBSD x86).
 pub const PAGE_SIZE: usize = 4096;

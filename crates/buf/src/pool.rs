@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use crate::acl::Acl;
 use crate::error::BufError;
 use crate::ids::{BufferId, ChunkId, DomainId, Generation, PoolId};
-use crate::slice::{BufferInner, ChunkState, Slice};
+use crate::slice::{BufferInner, ChunkState, Producer, Slice};
 
 /// Counters describing a pool's allocation behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -194,7 +194,7 @@ impl BufferPool {
             acl: inner.acl.clone(),
         };
         Ok(BufMut {
-            bytes: Vec::with_capacity(len),
+            bytes: Vec::new(),
             capacity: len,
             meta,
             chunk,
@@ -285,7 +285,9 @@ pub(crate) struct BufMeta {
 ///
 /// This is the "temporary write permission" window of §3.2: the producer
 /// fills the buffer, then [`BufMut::freeze`]s it into an immutable
-/// [`Slice`]. Unwritten capacity is dropped at freeze time.
+/// [`Slice`]. Unwritten capacity is dropped at freeze time. The first
+/// write asks the heap for the storage, so a buffer sealed lazily
+/// (see [`crate::slice`]) never does.
 pub struct BufMut {
     bytes: Vec<u8>,
     capacity: usize,
@@ -328,6 +330,7 @@ impl BufMut {
             data.len(),
             self.remaining()
         );
+        self.bytes.reserve_exact(self.remaining());
         self.bytes.extend_from_slice(data);
     }
 
@@ -339,6 +342,14 @@ impl BufMut {
             self.chunk,
         ));
         Slice::whole(inner)
+    }
+
+    /// Seals the buffer without bytes: its whole capacity is bytes
+    /// `offset..` of `produce`'s content `seed`, produced on its first
+    /// read (see [`crate::slice`]). `produce` must be pure.
+    pub fn freeze_lazy(self, produce: Producer, seed: u64, offset: u64) -> Slice {
+        let inner = BufferInner::new(Box::default(), self.meta, self.chunk);
+        Slice::whole(Arc::new(inner.lazy((produce, seed, offset), self.capacity)))
     }
 }
 

@@ -7,10 +7,16 @@
 //! buffers and chaining aggregates (§3.8). The §3.1 footnote's in-place
 //! modification of a provably unshared buffer is assumed, not simulated
 //! (see the crate docs).
+//!
+//! A buffer sealed lazily ([`crate::BufMut::freeze_lazy`]) holds
+//! a pure [`Producer`] and its ⟨seed, offset⟩ instead of bytes; its first
+//! [`Slice::as_bytes`] produces them. That changes when the bytes exist
+//! in host memory, never what they are: they are fixed at seal time,
+//! like any other buffer's.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::acl::Acl;
 use crate::ids::{BufferId, ChunkId, Generation, PoolId};
@@ -71,10 +77,24 @@ impl ChunkState {
     }
 }
 
+/// A pure function that streams bytes `offset..offset + len` of the
+/// content named by `seed` into `sink`, run by run: the same arguments
+/// always stream the same bytes. A lazily sealed buffer holds one (see
+/// the module docs); `iolite-fs`'s synthetic files supply theirs.
+pub type Producer = fn(seed: u64, offset: u64, len: u64, sink: &mut dyn FnMut(&[u8]));
+
 /// One immutable IO-Lite buffer: the sealed result of a
 /// [`crate::BufMut`].
 pub(crate) struct BufferInner {
-    bytes: Box<[u8]>,
+    /// Set at seal time, or by the first read of a lazily sealed buffer
+    /// from `source`. A one-time cell on one buffer, not a lock around
+    /// shared state: it is written at most once, with bytes `source`
+    /// fixes, so no reader can tell who read first.
+    bytes: OnceLock<Box<[u8]>>,
+    /// A lazily sealed buffer's producer, its content's seed and the
+    /// buffer's offset within that content.
+    source: Option<(Producer, u64, u64)>,
+    len: usize,
     meta: BufMeta,
     /// Keeps the chunk's liveness count up while any slice references the
     /// buffer, which is exactly the recycling condition of §3.2.
@@ -84,18 +104,53 @@ pub(crate) struct BufferInner {
 impl BufferInner {
     pub(crate) fn new(bytes: Box<[u8]>, meta: BufMeta, chunk: Arc<ChunkState>) -> Self {
         BufferInner {
-            bytes,
+            len: bytes.len(),
+            bytes: OnceLock::from(bytes),
+            source: None,
             meta,
             _chunk: chunk,
         }
     }
 
-    pub(crate) fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// This buffer's ids, sealed lazily instead: `len` bytes that
+    /// `source` produces on first read.
+    pub(crate) fn lazy(mut self, source: (Producer, u64, u64), len: usize) -> Self {
+        (self.bytes, self.source, self.len) = (OnceLock::new(), Some(source), len);
+        self
     }
 
-    pub(crate) fn meta(&self) -> &BufMeta {
-        &self.meta
+    /// The buffer's bytes: one load and one branch once they exist.
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        self.bytes.get_or_init(|| self.produce())
+    }
+
+    /// The first read of a lazily sealed buffer produces its bytes, out
+    /// of line (`get_or_init` calls this at most once).
+    #[cold]
+    fn produce(&self) -> Box<[u8]> {
+        let mut bytes = Vec::with_capacity(self.len);
+        self.stream(0, self.len, &mut |run| bytes.extend_from_slice(run));
+        bytes.into_boxed_slice()
+    }
+
+    /// Hands bytes `off..off + len` to `sink`; a lazily sealed buffer
+    /// not yet read streams them from its producer and stays unread.
+    pub(crate) fn stream(&self, off: usize, len: usize, sink: &mut dyn FnMut(&[u8])) {
+        match (self.bytes.get(), self.source) {
+            (None, Some((produce, seed, at))) => produce(seed, at + off as u64, len as u64, sink),
+            _ => sink(&self.bytes()[off..off + len]),
+        }
+    }
+
+    /// An independent copy on `chunk`, for pool forking: a lazily sealed
+    /// buffer carries its producer, any other copies its bytes.
+    pub(crate) fn twin(&self, chunk: Arc<ChunkState>) -> Self {
+        let meta = self.meta.clone();
+        match self.source {
+            Some(source) => BufferInner::new(Box::default(), meta, chunk).lazy(source, self.len),
+            None => BufferInner::new(self.bytes().into(), meta, chunk),
+        }
     }
 
     pub(crate) fn chunk(&self) -> &Arc<ChunkState> {
@@ -128,7 +183,7 @@ pub struct Slice {
 
 impl Slice {
     pub(crate) fn whole(inner: Arc<BufferInner>) -> Self {
-        let len = inner.bytes.len();
+        let len = inner.len;
         Slice { inner, off: 0, len }
     }
 
@@ -142,9 +197,17 @@ impl Slice {
         Slice { inner, off, len }
     }
 
-    /// The bytes this slice views.
+    /// The bytes this slice views; the first read of a lazily sealed
+    /// buffer produces them.
+    #[inline]
     pub fn as_bytes(&self) -> &[u8] {
-        &self.inner.bytes[self.off..self.off + self.len]
+        &self.inner.bytes()[self.off..self.off + self.len]
+    }
+
+    /// Whether the buffer's bytes exist in host memory: `false` only for
+    /// a lazily sealed buffer nothing has read yet.
+    pub fn is_produced(&self) -> bool {
+        self.inner.bytes.get().is_some()
     }
 
     /// Length in bytes.

@@ -4,7 +4,7 @@
 //! preserved by every zero-copy operation, regardless of how the value is
 //! fragmented across immutable buffers.
 
-use iolite_buf::{Acl, Aggregate, BufferPool, DomainId, PoolId};
+use iolite_buf::{digest_aggregate, Acl, Aggregate, BufferPool, DomainId, Fnv64, PoolId};
 use proptest::prelude::*;
 
 fn pool(chunk: usize) -> BufferPool {
@@ -235,11 +235,12 @@ proptest! {
             let data: Vec<u8> = (0..len).map(|j| (i * 131 + j * 7) as u8).collect();
             let copied = Aggregate::from_bytes_aligned(&copied_pool, &data, align);
             let mut next = 0u64;
-            let filled = Aggregate::fill_aligned(&filled_pool, len as u64, align, |offset, b| {
+            let filled = Aggregate::fill_aligned(&filled_pool, len as u64, align, |offset, mut b| {
                 assert_eq!(offset, next, "fills arrive in order, without gaps");
                 assert_eq!(b.remaining(), b.capacity(), "each buffer arrives empty");
                 next += b.capacity() as u64;
                 b.put(&data[offset as usize..][..b.capacity()]);
+                b.freeze()
             });
             prop_assert_eq!(next, len as u64);
             prop_assert_eq!(filled.num_slices(), copied.num_slices());
@@ -259,6 +260,65 @@ proptest! {
         }
         prop_assert_eq!(copied_pool.stats(), filled_pool.stats());
     }
+
+    /// A lazily sealed aggregate is `fill_aligned` with the same
+    /// producer run eagerly: on twin pools, through fresh, open and
+    /// recycled chunks alike, slice for slice the same buffer ids,
+    /// generations, offsets and lengths, the same digest — taken
+    /// without producing a byte — and, once read, the same bytes.
+    #[test]
+    fn lazy_sealing_allocates_and_reads_like_fill_aligned(
+        chunk in 1usize..300,
+        builds in proptest::collection::vec((0usize..900, 0u8..4, any::<bool>(), any::<u64>()), 1..24),
+    ) {
+        let (eager_pool, lazy_pool) = (pool(chunk), pool(chunk));
+        let mut live = Vec::new();
+        for &(len, align_log2, keep, seed) in &builds {
+            let align = (1usize << (align_log2 * 2)).min(chunk);
+            let eager = Aggregate::fill_aligned(&eager_pool, len as u64, align, |at, mut b| {
+                ramp(seed, at, b.capacity() as u64, &mut |run| b.put(run));
+                b.freeze()
+            });
+            let lazy = Aggregate::fill_aligned(&lazy_pool, len as u64, align, |at, b| {
+                b.freeze_lazy(ramp, seed, at)
+            });
+            prop_assert_eq!(lazy.num_slices(), eager.num_slices());
+            for (l, e) in lazy.slices().zip(eager.slices()) {
+                prop_assert_eq!(l.id(), e.id());
+                prop_assert_eq!(l.generation(), e.generation());
+                prop_assert_eq!(l.offset_in_buffer(), e.offset_in_buffer());
+                prop_assert_eq!(l.len(), e.len());
+            }
+            prop_assert_eq!(digest(&lazy), digest(&eager));
+            prop_assert!(lazy.slices().all(|s| !s.is_produced()), "observing is not reading");
+            prop_assert_eq!(&lazy.to_vec(), &eager.to_vec());
+            prop_assert!(lazy.slices().all(|s| s.is_produced()));
+            // Dropping some pairs lets chunks drain and recycle, in step.
+            if keep {
+                live.push((lazy, eager));
+            }
+        }
+        prop_assert_eq!(eager_pool.stats(), lazy_pool.stats());
+        for (lazy, eager) in &live {
+            prop_assert_eq!(&lazy.to_vec(), &eager.to_vec());
+        }
+    }
+}
+
+/// A pure producer for the lazy-sealing property: byte `i` of content
+/// `seed` is a mix of both, streamed in runs of up to 7 bytes so a
+/// buffer's bytes arrive in pieces.
+fn ramp(seed: u64, offset: u64, len: u64, sink: &mut dyn FnMut(&[u8])) {
+    let bytes: Vec<u8> = (offset..offset + len)
+        .map(|i| (seed ^ i.wrapping_mul(0x9E37_79B9)) as u8)
+        .collect();
+    bytes.chunks(7).for_each(sink);
+}
+
+fn digest(agg: &Aggregate) -> u64 {
+    let mut h = Fnv64::new();
+    digest_aggregate(agg, &mut h);
+    h.finish()
 }
 
 // ---- the inline ↔ spilled boundary ------------------------------------------

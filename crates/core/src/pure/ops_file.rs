@@ -7,8 +7,8 @@
 //! instead of being accumulated in place. CPU is billed where it is
 //! incurred (`KernelState::bill`).
 
-use iolite_buf::{Acl, Aggregate, DomainId};
-use iolite_fs::{CacheKey, FileContent, FileId};
+use iolite_buf::{Acl, Aggregate, DomainId, PAGE_SIZE};
+use iolite_fs::{stream_synthetic, CacheKey, FileContent, FileId};
 use iolite_vm::MemAccount;
 
 use super::effect::Effect;
@@ -374,9 +374,20 @@ impl KernelState {
             return agg;
         }
         let len = self.store.len(file).unwrap_or(0);
-        let agg = Aggregate::fill_aligned(&self.cache_pool, len, iolite_buf::PAGE_SIZE, |at, b| {
+        // A synthetic file's bytes are a pure function of its seed, so
+        // its buffers are sealed lazily: produced when first read (a
+        // Flash-Lite send's checksum), never for a copying server that
+        // is billed by length. Other content can change in the store
+        // after this read, and the snapshot must keep the bytes of this
+        // moment (§3.5), so it is copied in now. Either way the same
+        // buffers are allocated in the same order.
+        let agg = Aggregate::fill_aligned(&self.cache_pool, len, PAGE_SIZE, |at, mut b| {
+            if let Some(seed) = self.store.synthetic_seed(file) {
+                return b.freeze_lazy(stream_synthetic, seed, at);
+            }
             self.store
                 .stream(file, at, b.remaining() as u64, |run| b.put(run));
+            b.freeze()
         });
         out.disk_time = self.disk.access_time(len);
         fx.push(Effect::DiskRead {
@@ -385,7 +396,7 @@ impl KernelState {
             time: out.disk_time,
         });
         // Admit, then shrink to budget. The cache pool is *not*
-        // append-only: `fill_aligned` above allocates through
+        // append-only: the constructors above allocate through
         // `BufferPool::alloc_inner`, which scavenges chunks whose `Arc`
         // count says no one holds them once its free list is empty. So
         // buffer identity, which §3.9 checksum keys and the state digest

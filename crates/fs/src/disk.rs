@@ -5,14 +5,18 @@
 //! deterministically on demand (`FileContent::Synthetic`) so trace data
 //! sets of hundreds of megabytes cost no host memory until read; a PUT
 //! body stays in the IO-Lite buffers it arrived in (`FileContent::Buffers`).
+//! "Until read" holds down to the buffer: a cache miss on a synthetic
+//! file seals its buffers lazily with [`stream_synthetic`] as their
+//! producer, so bytes no one reads (a copying server's, billed by
+//! length) are never generated.
 //!
 //! Reads land where the caller says: [`FileStore::stream`] hands a file
 //! extent, run by run, to a caller-owned sink (the file cache appends
 //! each run to the IO-Lite buffer it is filling, §3.5), and one
-//! generator, `stream_synthetic`, produces every synthetic byte — four
+//! generator, [`stream_synthetic`], produces every synthetic byte — four
 //! independent SplitMix64 lanes into a batch that stays in L1 — for
-//! reads and for materialization on first write alike.
-//! [`FileStore::read`] is the same call into a fresh `Vec`.
+//! reads, lazily sealed buffers and materialization on first write
+//! alike. [`FileStore::read`] is the same call into a fresh `Vec`.
 
 use std::collections::BTreeMap;
 
@@ -66,8 +70,10 @@ const BATCH: usize = 1024;
 /// four independent lanes whose Weyl terms `b·PHI` are `k·PHI` apart,
 /// each stepping `4·PHI`, so their multiplies overlap. Two lanes share
 /// a `u128`, which keeps the multiplies scalar: vectorized, baseline
-/// x86-64 emulates each 64-bit multiply with three 32-bit ones.
-fn stream_synthetic(seed: u64, offset: u64, len: u64, sink: &mut impl FnMut(&[u8])) {
+/// x86-64 emulates each 64-bit multiply with three 32-bit ones. It is
+/// the [`iolite_buf::Producer`] of a synthetic file's lazily sealed
+/// cache buffers ([`FileStore::synthetic_seed`]).
+pub fn stream_synthetic(seed: u64, offset: u64, len: u64, sink: &mut dyn FnMut(&[u8])) {
     let block = |weyl: u64| {
         let mut z = seed ^ weyl;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -120,6 +126,15 @@ impl FileStore {
     /// Creates a synthetic file of `len` bytes.
     pub fn create_synthetic(&mut self, name: impl Into<String>, len: u64, seed: u64) -> FileId {
         self.create(name, FileContent::Synthetic { len, seed })
+    }
+
+    /// The seed of a synthetic file's content: its bytes are
+    /// [`stream_synthetic`]`(seed, ..)`. `None` for any other file.
+    pub fn synthetic_seed(&self, id: FileId) -> Option<u64> {
+        match self.files.get(&id)? {
+            FileContent::Synthetic { seed, .. } => Some(*seed),
+            _ => None,
+        }
     }
 
     /// Looks a file up by name.

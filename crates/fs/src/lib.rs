@@ -33,7 +33,7 @@ pub mod policy;
 pub mod writeback;
 
 pub use cache::{CacheKey, CacheStats, UnifiedCache};
-pub use disk::{DiskModel, FileContent, FileId, FileStore};
+pub use disk::{stream_synthetic, DiskModel, FileContent, FileId, FileStore};
 pub use meta::MetadataCache;
 pub use ownership::{home_shard, CacheOwnership};
 pub use policy::Policy;

@@ -1131,7 +1131,7 @@ impl EventLoopServer {
     /// buffers as they are.
     fn land_copied(&mut self, body: &Aggregate) -> Aggregate {
         let c = self.kernel.cost.copy(body.len());
-        self.kernel.charge(CostCategory::Copy, c);
+        self.kernel.charge_copied(CostCategory::Copy, c, body.len());
         body.pack(self.kernel.process(self.pid).pool())
     }
 
@@ -1329,20 +1329,20 @@ pub fn client_request(pool: &BufferPool, entry: &str, keep_alive: bool) -> Aggre
     let mut head = request_head(path, Some(len), keep_alive, &mut digits);
     let head_len: u64 = head.iter().map(|p| p.len() as u64).sum();
     let (seed, mut batch) = (put_body_seed(path), [0; 1024]);
-    Aggregate::fill_aligned(pool, head_len + len, 1, |at, b| {
+    Aggregate::fill_aligned(pool, head_len + len, 1, |at, mut b| {
         for part in &mut head {
             let n = part.len().min(b.remaining());
             b.put(&part[..n]);
             *part = &part[n..];
         }
         // Room left means the head is written: the rest is body.
-        let mut body_at = (at + (b.capacity() - b.remaining()) as u64).saturating_sub(head_len);
         while b.remaining() > 0 {
+            let body_at = at + (b.capacity() - b.remaining()) as u64 - head_len;
             let n = b.remaining().min(batch.len());
             synthetic_put_body_into(seed, body_at, &mut batch[..n]);
             b.put(&batch[..n]);
-            body_at += n as u64;
         }
+        b.freeze()
     })
 }
 

@@ -429,6 +429,44 @@ mod tests {
         );
     }
 
+    /// A remote PUT's body crosses the fabric by reference and lands at
+    /// home with one copy into the home's pool, which the home bills —
+    /// time and bytes alike: `N` body bytes raise its
+    /// `Metrics::bytes_copied` by `N`.
+    #[test]
+    fn a_remote_put_counts_its_landed_copy() {
+        const N: u64 = 12_345;
+        let mut servers = Vec::new();
+        for shard in 0..2 {
+            let mut k = Kernel::with_policy(CostModel::pentium_ii_333(), Policy::Gds);
+            let pid = k.spawn("server");
+            let files: Vec<_> = (0..8)
+                .map(|f| k.create_synthetic_file(&format!("/f{f}"), 4_000, f))
+                .collect();
+            let remote = files.iter().position(|&f| home_shard(f, 2) == 1);
+            let script = remote
+                .map(|f| format!("PUT /f{f} {N}"))
+                .into_iter()
+                .collect();
+            let scripts = if shard == 0 { vec![script] } else { Vec::new() };
+            servers.push(EventLoopServer::new(
+                k,
+                pid,
+                scripts,
+                None,
+                EventLoopConfig::default(),
+            ));
+        }
+        attach_fabric(&mut servers, CacheOwnership::HomeOnly);
+        let before = servers[1].kernel().metrics.bytes_copied;
+        while !servers.iter().all(EventLoopServer::is_done) {
+            run_round(&mut servers);
+        }
+        let stats = servers[0].stats();
+        assert_eq!((stats.puts, stats.remote_writes, stats.failed), (1, 1, 0));
+        assert_eq!(servers[1].kernel().metrics.bytes_copied - before, N);
+    }
+
     /// Every file's home shard serves it from disk exactly once
     /// fleet-wide under HomeOnly: disk_ops equals the per-shard count
     /// of homed-and-requested files (plus nothing else).

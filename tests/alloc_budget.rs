@@ -1,6 +1,7 @@
 //! Hit-path host cost (PR 22): what a cached GET and a by-value
 //! aggregate hand-off ask of the heap, counted exactly — and what the
-//! byte-moving paths (PUT ingest, a remote fetch) ask of it per byte.
+//! byte-moving paths (PUT ingest, a remote fetch, a cold miss) ask of
+//! it per byte.
 //!
 //! IO-Lite passes aggregates by value and buffers by reference (§3.1),
 //! so once the working set is resident a request should cost the host
@@ -19,7 +20,10 @@ use iolite::buf::{Acl, Aggregate, BufferPool, PoolId};
 use iolite::core::{CostModel, Kernel};
 use iolite::fs::{home_shard, CacheOwnership, Policy};
 use iolite::http::event_loop::{EventLoopConfig, EventLoopServer};
+use iolite::http::server::serve_static;
 use iolite::http::sharded::{attach_fabric, run_round};
+use iolite::http::ServerKind;
+use iolite::net::{DEFAULT_MSS, DEFAULT_TSS};
 
 thread_local! {
     /// Allocator calls (`alloc` + `realloc`) made by this thread. Per
@@ -361,5 +365,63 @@ fn remote_put_copies_each_body_byte_a_fixed_number_of_times() {
         per_byte <= REMOTE_PUT_BYTES_PER_BODY_BYTE,
         "{per_byte:.4} heap bytes per remote PUT body byte \
          (budget {REMOTE_PUT_BYTES_PER_BODY_BYTE})"
+    );
+}
+
+/// Heap bytes of `kind` serving 16 distinct `len`-byte synthetic
+/// documents once each through `serve_static` — every request a cold
+/// miss — and the document bytes it served.
+fn cold_serve(kind: ServerKind, len: u64) -> (u64, u64) {
+    const DOCS: u64 = 16;
+    let mut k = Kernel::with_policy(CostModel::pentium_ii_333(), Policy::Gds);
+    let pid = k.spawn("server");
+    let sock = k.socket_create(pid, kind.buffer_mode(), DEFAULT_MSS, DEFAULT_TSS);
+    let fds: Vec<_> = (0..DOCS)
+        .map(|d| {
+            let file = k.create_synthetic_file(&format!("/d{d}"), len, d);
+            k.open_file(pid, file)
+        })
+        .collect();
+    let before = heap_bytes();
+    for fd in fds {
+        assert!(!serve_static(&mut k, kind, sock, pid, fd).cache_hit);
+    }
+    (heap_bytes() - before, DOCS * len)
+}
+
+/// Heap bytes per document byte of a Flash cold miss: none. The miss
+/// puts the document in the unified cache, but Flash's copying
+/// `writev` and its checksum are billed by length, so no host code
+/// reads the bytes, and a synthetic file's buffers produce them only
+/// when read; the residue is send bookkeeping per segment. 0.0027
+/// measured (1.0027 while a miss generated every byte into its cache
+/// buffers).
+const FLASH_MISS_BYTES_PER_BYTE: f64 = 0.0027 + 0.5;
+
+#[test]
+fn a_flash_cold_miss_generates_no_document_byte() {
+    let kind = ServerKind::Flash;
+    let per_byte = slope(cold_serve(kind, SMALL), cold_serve(kind, LARGE));
+    assert!(
+        per_byte <= FLASH_MISS_BYTES_PER_BYTE,
+        "{per_byte:.4} heap bytes per document byte (budget {FLASH_MISS_BYTES_PER_BYTE})"
+    );
+}
+
+/// Heap bytes per document byte of a Flash-Lite cold miss and its
+/// send: the cache buffers' bytes, produced once, when the send's
+/// checksum first reads them (1). The response goes out by reference;
+/// a second generation, or a copy of the bytes on the way (a fork of
+/// the cache, say), adds a whole byte per byte. 1.0028 measured, as
+/// when the miss itself generated the bytes.
+const FLASH_LITE_MISS_BYTES_PER_BYTE: f64 = 1.0028 + 0.5;
+
+#[test]
+fn a_flash_lite_cold_miss_generates_each_byte_once() {
+    let kind = ServerKind::FlashLite;
+    let per_byte = slope(cold_serve(kind, SMALL), cold_serve(kind, LARGE));
+    assert!(
+        per_byte <= FLASH_LITE_MISS_BYTES_PER_BYTE,
+        "{per_byte:.4} heap bytes per document byte (budget {FLASH_LITE_MISS_BYTES_PER_BYTE})"
     );
 }

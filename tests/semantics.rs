@@ -162,3 +162,73 @@ fn pool_recycling_is_observable_system_wide() {
     assert_eq!(send.csum_bytes_computed, a2.len());
     assert_eq!(k.cksum.stats().hits, 0);
 }
+
+/// A cache miss on a synthetic file seals its buffers lazily: the bytes
+/// are produced when first read. A Flash read (`mapped_read`, which
+/// bills its send by length) leaves them unread; a write or a PUT that
+/// follows changes the file, yet the aggregate read before it still
+/// reads the bytes of its moment (§3.5), as an eagerly filled one would.
+#[test]
+fn a_lazily_sealed_read_keeps_the_bytes_of_its_moment() {
+    const LEN: u64 = 100_000;
+    let mut k = Kernel::new(CostModel::pentium_ii_333());
+    let pid = k.spawn("server");
+    let f = k.create_synthetic_file("/doc", LEN, 9);
+    let fd = k.open_file(pid, f);
+    let before = k.store.read(f, 0, LEN).unwrap();
+    let (old, out) = k.mapped_read(pid, fd, true).unwrap();
+    assert!(!out.cache_hit);
+    assert!(
+        old.slices().all(|s| !s.is_produced()),
+        "Flash reads no byte"
+    );
+
+    let patch = Aggregate::from_bytes(k.process(pid).pool(), &[0x42; 64]);
+    k.iol_pwrite(pid, fd, 0, &patch).unwrap();
+    let (patched, _) = k.mapped_read(pid, fd, true).unwrap();
+    let body = Aggregate::from_bytes(k.process(pid).pool(), b"a whole new body");
+    k.put_install(pid, f, &body);
+    let (put, _) = k.mapped_read(pid, fd, true).unwrap();
+
+    assert!(old.slices().all(|s| !s.is_produced()));
+    assert_eq!(
+        old.to_vec(),
+        before,
+        "the snapshot reads its moment's bytes"
+    );
+    assert_eq!(&patched.to_vec()[..64], &[0x42; 64]);
+    assert_eq!(patched.to_vec()[64..], before[64..]);
+    assert_eq!(put.to_vec(), b"a whole new body");
+}
+
+/// A cold read of a synthetic document reads as the file store's bytes,
+/// and reading them changes no observable state: the digest streams an
+/// unread buffer from its producer, so `state_hash` (and a snapshot's)
+/// is the same before and after the bytes exist, and neither produces
+/// them.
+#[test]
+fn producing_a_lazy_entrys_bytes_moves_no_state() {
+    let mut k = Kernel::new(CostModel::pentium_ii_333());
+    let pid = k.spawn("server");
+    let docs: Vec<_> = (0..4)
+        .map(|d| k.create_synthetic_file(&format!("/d{d}"), 30_000 + 9_000 * d, d))
+        .collect();
+    let mut reads = Vec::new();
+    for &f in &docs {
+        let fd = k.open_file(pid, f);
+        reads.push((f, k.mapped_read(pid, fd, true).unwrap().0));
+    }
+    let unread = k.state_hash();
+    assert_eq!(k.snapshot().state_hash(), unread);
+    assert!(reads
+        .iter()
+        .all(|(_, a)| a.slices().all(|s| !s.is_produced())));
+    for (f, agg) in &reads {
+        assert_eq!(agg.to_vec(), k.store.read(*f, 0, u64::MAX).unwrap());
+    }
+    assert!(reads
+        .iter()
+        .all(|(_, a)| a.slices().all(|s| s.is_produced())));
+    assert_eq!(k.state_hash(), unread);
+    assert_eq!(k.snapshot().state_hash(), unread);
+}
