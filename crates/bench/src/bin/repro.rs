@@ -70,12 +70,12 @@ fn scale_table() -> bool {
         .map(|r| format!("{} shards >= {:.1}x", r.shards, r.min_speedup))
         .collect();
     println!(
-        "  bar: {} one shard (replicated, {} MB/shard)",
+        "  bar: {} one shard ({} MB/shard)",
         bars.join(" and "),
         barred[0].ram_per_shard >> 20
     );
     println!(
-        "shards  ownership  MB/shard  req/cpu-sec  speedup   makespan imbalance hit rate evictions  fetches    waits"
+        "shards  MB/shard  req/cpu-sec  speedup   makespan imbalance hit rate evictions  fetches    waits"
     );
     let base = rows[0].report.requests_per_cpu_sec();
     let mut ok = true;
@@ -84,9 +84,8 @@ fn scale_table() -> bool {
         let pass = speedup >= row.min_speedup && row.report.failed() == 0 && !row.spun();
         ok &= pass;
         println!(
-            "{:>6} {:>10} {:>9} {:>12.0} {:>7.2}x {:>8.1} s {:>9.3} {:>8.3} {:>9} {:>8} {:>8}{}",
+            "{:>6} {:>9} {:>12.0} {:>7.2}x {:>8.1} s {:>9.3} {:>8.3} {:>9} {:>8} {:>8}{}",
             row.shards,
-            format!("{:?}", row.ownership),
             row.ram_per_shard >> 20,
             row.report.requests_per_cpu_sec(),
             speedup,

@@ -5,11 +5,10 @@
 //! Headline rows are per-core provisioned — every shard is a stock
 //! `pentium_ii_333` machine with the 128 MB budget — and requests per
 //! CPU second are taken on the parallel makespan (max per-shard
-//! simulated CPU), so idle shards don't help and a hot shard hurts. One
-//! `HomeOnly` row at 8 shards prices hot-spot concentration when
-//! replicas are forbidden; one fixed-total-RAM row (the single machine's
-//! budget *split* across 2 shards) prices replicating the Zipf head when
-//! adding shards cannot add memory.
+//! simulated CPU), so idle shards don't help and a hot shard hurts. Each
+//! file is cached only on its home shard, so adding shards adds cache:
+//! one fixed-total-RAM row (the single machine's budget *split* across 2
+//! shards) prices sharding when it cannot add memory.
 //!
 //! Every fleet is driven on one host thread in a fixed round order
 //! (`iolite_http::run_round`), so each row is a function of the sweep's
@@ -47,8 +46,6 @@ fn scale_spec() -> TraceSpec {
 pub struct ScaleRow {
     /// Shard count.
     pub shards: usize,
-    /// Cache ownership mode.
-    pub ownership: CacheOwnership,
     /// Cache budget per shard, in bytes.
     pub ram_per_shard: u64,
     /// The PR 7 bar: least speedup over the one-shard row this row must
@@ -90,13 +87,13 @@ impl ScaleRow {
 
 fn run_point(
     workload: &Workload,
-    (shards, ownership, ram_per_shard, min_speedup): (usize, CacheOwnership, u64, f64),
+    (shards, ram_per_shard, min_speedup): (usize, u64, f64),
 ) -> ScaleRow {
     let mut cost = CostModel::pentium_ii_333();
     cost.ram_bytes = ram_per_shard;
     let cfg = ShardedConfig {
         shards,
-        ownership,
+        ownership: CacheOwnership::HomeOnly,
         cost,
         policy: Policy::Gds,
         journal: false,
@@ -131,25 +128,22 @@ fn run_point(
     );
     ScaleRow {
         shards,
-        ownership,
         ram_per_shard,
         min_speedup,
         report,
     }
 }
 
-/// Runs the sweep: 1/2/4/8 shards replicated, 8 shards `HomeOnly`, and
-/// 2 shards at fixed total RAM. The first row is the speedup baseline.
+/// Runs the sweep: 1/2/4/8 shards, and 2 shards at fixed total RAM. The
+/// first row is the speedup baseline.
 pub fn sweep() -> Vec<ScaleRow> {
-    use CacheOwnership::{HomeOnly, Replicate};
     let workload = Workload::synthesize(&scale_spec(), 7);
     [
-        (1, Replicate, SHARD_RAM, 0.0),
-        (2, Replicate, SHARD_RAM, 1.7),
-        (4, Replicate, SHARD_RAM, 3.0),
-        (8, Replicate, SHARD_RAM, 0.0),
-        (8, HomeOnly, SHARD_RAM, 0.0),
-        (2, Replicate, SHARD_RAM / 2, 0.0),
+        (1, SHARD_RAM, 0.0),
+        (2, SHARD_RAM, 1.7),
+        (4, SHARD_RAM, 3.0),
+        (8, SHARD_RAM, 0.0),
+        (2, SHARD_RAM / 2, 0.0),
     ]
     .into_iter()
     .map(|point| run_point(&workload, point))

@@ -196,15 +196,17 @@ kernel_ops! {
     /// Releases one pin on a cache key.
     pub fn cache_unpin(key: CacheKey) = CacheUnpin => op_cache_unpin(*key);
 
-    /// Installs a replica of `data` as `file`'s whole-file cache entry
-    /// (sharded serving: a remote read's payload becomes a local cache
-    /// entry so later requests for the file hit this shard).
+    /// Installs a copy of `data` as `file`'s whole-file cache entry.
+    /// Nothing in the workspace calls it since a fleet keeps one owner
+    /// per file; the row stays because `perf/src/layers.rs` names its
+    /// `Command` variant.
     pub fn cache_install(file: FileId, data: &[u8] as Vec<u8>) = CacheInstall
         => op_cache_install(*file, data; fx);
 
-    /// Drops a cache entry outright (sharded writes: a stale local
-    /// replica after a write routed to the file's home shard). Returns
-    /// whether an entry was dropped.
+    /// Drops a cache entry outright. Returns whether an entry was
+    /// dropped. Nothing in the workspace calls it since a fleet keeps
+    /// one owner per file; the row stays because `perf/src/layers.rs`
+    /// names its `Command` variant.
     pub fn cache_invalidate(key: CacheKey) -> bool = CacheInvalidate => op_cache_invalidate(*key);
 
     /// Installs a PUT body as `file`'s whole-file cache entry, dirty,

@@ -56,12 +56,10 @@ impl KernelState {
         self.cache.unpin(&key);
     }
 
-    /// Installs a replica of a file's bytes as its whole-file cache
-    /// entry (sharded serving: a non-home shard caches the payload a
-    /// remote read returned, so later requests for the file hit
-    /// locally). The bytes arrived over a cross-shard channel, not from
-    /// this shard's disk, so copy cost is charged and no disk time
-    /// accrues.
+    /// Installs a copy of a file's bytes as its whole-file cache entry.
+    /// The bytes come from the caller, not from disk, so copy cost is
+    /// charged and no disk time accrues. (Kept for the operation table's
+    /// perf-pinned `CacheInstall` row; no workspace caller.)
     pub(crate) fn op_cache_install(&mut self, file: FileId, data: &[u8], fx: &mut Vec<Effect>) {
         IoOutcome::trap(self, fx);
         let agg = Aggregate::from_bytes_aligned(&self.cache_pool, data, iolite_buf::PAGE_SIZE);
@@ -71,12 +69,12 @@ impl KernelState {
         self.op_rebalance_cache();
     }
 
-    /// Drops a cache entry outright (sharded writes: a local replica
-    /// made stale by a write routed to the file's home shard must not
-    /// serve the old bytes afterwards). Checksums cached over the
-    /// dropped buffers die with it; readers still pinning slices of
-    /// the old aggregate keep their immutable snapshot (§3.5). No-op
-    /// when the key is absent. Returns whether an entry was dropped.
+    /// Drops a cache entry outright (kept for the operation table's
+    /// perf-pinned `CacheInvalidate` row; no workspace caller).
+    /// Checksums cached over the dropped buffers die with it; readers
+    /// still pinning slices of the old aggregate keep their immutable
+    /// snapshot (§3.5). No-op when the key is absent. Returns whether an
+    /// entry was dropped.
     pub(crate) fn op_cache_invalidate(&mut self, key: CacheKey) -> bool {
         let Some(old) = self.cache.replace_for_write(&key) else {
             return false;

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use iolite_buf::{digest_aggregate, Acl, Aggregate, BufferPool, Fnv64, PoolForker, PoolId};
 use iolite_fs::{
-    CacheKey, DiskModel, FileId, FileStore, MetadataCache, Policy, UnifiedCache, WritebackConfig,
+    DiskModel, FileId, FileStore, MetadataCache, Policy, UnifiedCache, WritebackConfig,
     WritebackScheduler,
 };
 use iolite_ipc::Pipe;
@@ -495,25 +495,15 @@ impl KernelState {
     }
 
     /// The length of the file behind a descriptor (`fstat(2)`'s
-    /// `st_size`).
-    ///
-    /// A resident whole-file cache entry is authoritative over the
-    /// store's metadata: under sharded replication a non-home shard's
-    /// store image goes stale the moment a write commits at the home
-    /// shard (shared-nothing — only home writes), while the replica
-    /// installed from the home's bytes carries the true length. Sizing
-    /// a read from the stale store would truncate or overrun the
-    /// replica. On an unsharded kernel the two never diverge
-    /// (`put_install` writes the store eagerly).
+    /// `st_size`), from the store: `put_install` writes the store
+    /// eagerly, and in a fleet only a file's home shard reads or writes
+    /// it, so the store is never behind the cache.
     ///
     /// # Errors
     ///
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
     pub fn fd_len(&self, pid: Pid, fd: Fd) -> Result<u64, IolError> {
         let file = self.fd_file(pid, fd)?;
-        if let Some(entry) = self.cache.peek(&CacheKey::whole(file)) {
-            return Ok(entry.len());
-        }
         Ok(self.store.len(file).unwrap_or(0))
     }
 

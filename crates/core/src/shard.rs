@@ -26,6 +26,17 @@
 //! whole fleet and the requester's checksum cache (§3.9) can key on a
 //! home shard's buffers without aliasing its own.
 //!
+//! # One owner, two exchanges
+//!
+//! Only a file's home shard caches or writes it
+//! ([`iolite_fs::CacheOwnership`]), so the protocol is two
+//! request/reply pairs: [`ShardMsg::RemoteRead`] answered by
+//! [`ShardMsg::RemoteData`], and [`ShardMsg::RemoteWrite`] answered by
+//! [`ShardMsg::RemoteWriteAck`]. No shard holds a copy another shard's
+//! write could make stale, so there is nothing to invalidate. A parked
+//! connection waits on one reply, so an inbox never holds more messages
+//! than there are connections in flight.
+//!
 //! # The fabric's queues
 //!
 //! Each shard's inbox is one unbounded FIFO, filled in send order, so
@@ -97,16 +108,6 @@ pub enum ShardMsg {
     RemoteWriteAck {
         /// The requester's correlation token, echoed back.
         token: u64,
-    },
-    /// Home-shard broadcast after a write commits: every replica of the
-    /// file cached under `Replicate` ownership is now stale and must be
-    /// dropped. Per-pair channels are FIFO, so a replica installed from
-    /// an earlier `RemoteData` is always invalidated by the broadcast
-    /// that follows the write — no shard can serve replaced bytes once
-    /// the fabric drains.
-    Invalidate {
-        /// The file whose replicas are stale.
-        file: FileId,
     },
 }
 

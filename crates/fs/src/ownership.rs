@@ -1,45 +1,34 @@
-//! Cache-ownership protocol for sharded serving.
+//! Cache ownership for sharded serving: one owner per file.
 //!
 //! When the kernel is instantiated once per core (shared-nothing
-//! sharding), the unified cache is partitioned too, and the design
-//! question is who may hold a file's bytes. Every file has exactly one
-//! **home shard**, chosen by mixing its id through splitmix64 — the
-//! same full-width-mixing discipline as connection routing, so a
-//! structured id space (files are created in creation order) cannot
-//! skew the partition. The home shard is the only shard that reads the
-//! file from disk and the only one whose cache entry is authoritative;
-//! a shard that needs a non-resident remote file messages the home
-//! shard and receives the home's buffers by reference.
+//! sharding), the unified cache is partitioned too. Every file has
+//! exactly one **home shard**, chosen by mixing its id through
+//! splitmix64 — the same full-width-mixing discipline as connection
+//! routing, so a structured id space (files are created in creation
+//! order) cannot skew the partition. The home shard is the only shard
+//! that reads the file from disk, writes it, or caches it. A shard that
+//! serves a request for a remote file messages the home shard and sends
+//! the home's buffers by reference, without copying or caching them, so
+//! the fleet holds a file's data once — IO-Lite's unified cache (§3),
+//! partitioned rather than replicated.
 //!
-//! What the requesting shard does with them is the
-//! [`CacheOwnership`] policy:
-//!
-//! - [`CacheOwnership::HomeOnly`] sends the home's buffers as they are
-//!   and drops them. Aggregate cache residency stays exactly one entry
-//!   per file (no replica memory), but every remote request for a hot
-//!   file pays a round-trip — this mode *measures* hot-spot imbalance.
-//! - [`CacheOwnership::Replicate`] installs a copy into the local
-//!   cache (a journaled `CacheInstall`), so a shard's second and later
-//!   requests for a remote-homed file hit locally. Hot entries end up
-//!   replicated on the shards that want them, trading memory for
-//!   locality — the LBICA-style answer to Zipf skew.
-//!
-//! Neither mode ever takes a lock on another shard's state; the
-//! protocol is message-passing only.
+//! No shard ever takes a lock on another shard's state; the protocol is
+//! message-passing only.
 
 use iolite_buf::splitmix64;
 
 use crate::disk::FileId;
 
-/// What a shard does with bytes fetched from a file's home shard.
+/// What a shard does with bytes fetched from a file's home shard. One
+/// policy is left, so nothing in the workspace branches on it; the enum
+/// stays only because `perf/` names it (its workload specs and shard
+/// contexts set `HomeOnly`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOwnership {
-    /// Only the home shard caches a file; remote shards re-request per
-    /// miss and serve the home's buffers without caching them.
+    /// Only the home shard caches a file; other shards fetch it from the
+    /// home for each request (concurrent requests share one fetch) and
+    /// serve the home's buffers without caching them.
     HomeOnly,
-    /// Remote shards install fetched bytes as local cache replicas, so
-    /// repeated access to a hot remote file becomes shard-local.
-    Replicate,
 }
 
 /// The shard that owns `file`'s authoritative cache entry and its disk

@@ -296,7 +296,8 @@ pub struct ShardContext {
     pub mailbox: ShardMailbox,
     /// Fleet size.
     pub shards: usize,
-    /// What to do with bytes fetched from a home shard.
+    /// Kept for `perf/src/engine.rs`, which builds a context by hand:
+    /// `HomeOnly` is the only policy, so nothing reads it.
     pub ownership: CacheOwnership,
     /// Kept for callers outside the workspace that build a context by
     /// hand; nothing in the workspace sends on it or reads it.
@@ -759,36 +760,18 @@ impl EventLoopServer {
         let path = &self.conns[i].req.path;
         let file = match self.kernel.store.lookup(path) {
             Some(file) => file,
+            // A fleet cannot create a file: an id minted on one shard
+            // names another file on the others, and its home would be
+            // picked by that id. The GET route's 404 answers.
+            None if self.shard.as_ref().is_some_and(|ctx| ctx.shards > 1) => {
+                return self.respond(i, &[not_found()], &Aggregate::empty())
+            }
             // First PUT to this path: create the (empty) file so an id
             // exists to install under.
             None => self.kernel.create_file(path, &[]),
         };
         self.kernel.put_install(self.pid, file, &body);
-        self.broadcast_invalidate(file);
         self.respond_created(i);
-    }
-
-    /// Tells every other shard that `file`'s replicas are stale (a
-    /// write just committed on this, the home, shard). Only `Replicate`
-    /// fleets carry replicas. The writing shard is *not* skipped even
-    /// though it dropped its own copy before routing the write here: it
-    /// may have re-fetched pre-write bytes in the window before the
-    /// write landed, and the per-pair FIFO order (`RemoteData` then
-    /// `Invalidate`) is what guarantees that refetched replica dies.
-    fn broadcast_invalidate(&mut self, file: FileId) {
-        let Some(ctx) = &self.shard else {
-            return;
-        };
-        if ctx.shards <= 1 || ctx.ownership != CacheOwnership::Replicate {
-            return;
-        }
-        let us = ctx.mailbox.id;
-        for s in 0..ctx.shards {
-            if s == us {
-                continue;
-            }
-            ctx.mailbox.send(s, ShardMsg::Invalidate { file });
-        }
     }
 
     /// Queues the short 201 response acknowledging a completed PUT.
@@ -1045,7 +1028,7 @@ impl EventLoopServer {
     /// that home is *another* shard. `None` — serve or install locally
     /// — when this is not a sharded run, the fleet has one shard, the
     /// home shard is us, or the path does not resolve in this shard's
-    /// namespace (the local 404 answers a GET; a first PUT creates it).
+    /// namespace (the local 404 answers a GET or a PUT alike).
     fn remote_home(&self, i: usize) -> Option<(FileId, usize)> {
         let ctx = self.shard.as_ref().filter(|ctx| ctx.shards > 1)?;
         let file = self.kernel.store.lookup(&self.conns[i].req.path)?;
@@ -1055,18 +1038,12 @@ impl EventLoopServer {
 
     /// Routes a static request for a remotely-homed document over the
     /// fabric, parking the connection in `RemoteWait`. Returns `false`
-    /// when the request should be served locally: no remote home (see
-    /// [`remote_home`](Self::remote_home)), or a `Replicate` replica is
-    /// already resident.
+    /// when the request should be served locally (no remote home; see
+    /// [`remote_home`](Self::remote_home)).
     fn try_remote_route(&mut self, i: usize) -> bool {
         let Some((file, home)) = self.remote_home(i) else {
             return false;
         };
-        if self.shard_ctx().ownership == CacheOwnership::Replicate
-            && self.kernel.cache.contains(&CacheKey::whole(file))
-        {
-            return false;
-        }
         // Single-flight: only the first waiter for a file sends the
         // fetch; later arrivals park behind it (a thundering herd of
         // per-connection fetches for the Zipf head would otherwise
@@ -1103,7 +1080,6 @@ impl EventLoopServer {
         // The body crosses by reference; the home shard copies it into
         // its own pool and bills that copy (`serve_remote_write`).
         let ctx = self.shard_ctx();
-        let replicate = ctx.ownership == CacheOwnership::Replicate;
         ctx.mailbox.send(
             home,
             ShardMsg::RemoteWrite {
@@ -1113,22 +1089,15 @@ impl EventLoopServer {
                 body: body.clone(),
             },
         );
-        // The writing shard's own replica is stale the moment the
-        // write lands at home: drop it now (journaled), so no later
-        // local read can serve the replaced bytes.
-        if replicate {
-            self.kernel.cache_invalidate(CacheKey::whole(file));
-        }
         self.conns[i].phase = Phase::PutWait;
         true
     }
 
-    /// Copies another shard's buffers into this shard's pool — a remote
-    /// write's body, or a `Replicate` fetch whose replica the cache
-    /// rejected — billed (and journaled) here, where the bytes land,
-    /// since the app-side `pack` is invisible to the kernel. A
-    /// `HomeOnly` fetch never lands: its waiters send the home's
-    /// buffers as they are.
+    /// Copies a remote write's body into this, the home, shard's pool,
+    /// billed (and journaled) here, where the bytes land, since the
+    /// app-side `pack` is invisible to the kernel. It is the fabric's
+    /// only copy: a remote read never lands, its waiters send the
+    /// home's buffers as they are.
     fn land_copied(&mut self, body: &Aggregate) -> Aggregate {
         let c = self.kernel.cost.copy(body.len());
         self.kernel.charge_copied(CostCategory::Copy, c, body.len());
@@ -1143,7 +1112,6 @@ impl EventLoopServer {
     fn serve_remote_write(&mut self, from: usize, token: u64, file: FileId, body: &Aggregate) {
         let body = self.land_copied(body);
         self.kernel.put_install(self.pid, file, &body);
-        self.broadcast_invalidate(file);
         self.shard_ctx()
             .mailbox
             .send(from, ShardMsg::RemoteWriteAck { token });
@@ -1173,9 +1141,6 @@ impl EventLoopServer {
                     self.respond_created(i);
                 }
             }
-            ShardMsg::Invalidate { file } => {
-                self.kernel.cache_invalidate(CacheKey::whole(file));
-            }
         }
     }
 
@@ -1196,9 +1161,7 @@ impl EventLoopServer {
         // the home shard hands the requester a *reference* (syscall +
         // disk on a cold home + page maps — no byte copy, exactly
         // like a local zero-copy serve), and the same buffers cross
-        // the fabric: no host copy either. Only a `Replicate` replica
-        // is a copy, billed where it lands (`cache_install` /
-        // `land_copied`).
+        // the fabric: no host copy either.
         #[expect(clippy::expect_used, reason = "RemoteRead has no failure reply")]
         let (body, out) = self
             .kernel
@@ -1219,38 +1182,16 @@ impl EventLoopServer {
         );
     }
 
-    /// Requester side: the home shard's buffers arrived; serve every
-    /// connection waiting on this file. Under `HomeOnly` every waiter
-    /// is answered with the home's buffers themselves — no copy, no
-    /// local cache entry, no pin — so a later fetch of the same file
-    /// sends the same buffers and hits this shard's checksum cache.
-    /// Under `Replicate` a replica is a local copy by definition: the
-    /// bytes are installed as a cache entry and the waiters go through
-    /// the normal local path (a guaranteed hit), unless the budget
-    /// rejects the entry outright, when each waiter lands a copy.
+    /// Requester side: the home shard's buffers arrived; answer every
+    /// connection waiting on this file with them — no copy, no local
+    /// cache entry, no pin — so a later fetch of the same file sends the
+    /// same buffers and hits this shard's checksum cache.
     fn finish_remote(&mut self, file: FileId, body: &Aggregate, home_hit: bool) {
         let waiters = self.remote_pending.remove(&file).unwrap_or_default();
         self.stats.remote_hits += u64::from(home_hit);
-        let replicate = self.shard_ctx().ownership == CacheOwnership::Replicate;
-        if replicate {
-            self.kernel.cache_install(file, &body.to_vec());
-        }
-        // When the budget evicts the replica on admission (entry larger
-        // than this shard's share), fall back to serving a copy
-        // directly instead of re-requesting forever.
-        let replica_resident = replicate && self.kernel.cache.contains(&CacheKey::whole(file));
         for i in waiters {
-            if !matches!(self.conns.get(i).map(|c| &c.phase), Some(Phase::RemoteWait)) {
-                // This waiter failed while the read was in flight.
-                continue;
-            }
-            if replica_resident {
-                // The normal local path serves the replica as a cache
-                // hit (and re-routing cannot recurse).
-                self.open_static(i);
-            } else {
-                let copy = replicate.then(|| self.land_copied(body));
-                let body = copy.as_ref().unwrap_or(body);
+            // A waiter that failed while the read was in flight is skipped.
+            if matches!(self.conns.get(i).map(|c| &c.phase), Some(Phase::RemoteWait)) {
                 self.respond(i, &ok_head(body.len(), true, &mut [0; 20]), body);
             }
         }

@@ -5,11 +5,14 @@
 //!
 //! Connections are routed to shards by mixing the **full 64-bit**
 //! connection id through [`shard_of_conn`]; documents have a single
-//! home shard ([`iolite_fs::home_shard`]) that owns their disk reads
-//! and authoritative cache entry. A shard that needs a remote document
-//! sends a typed [`ShardMsg`](iolite_core::ShardMsg) over the fabric's
-//! unbounded per-shard FIFOs and parks the connection — no shard ever
-//! takes a lock on another's state.
+//! home shard ([`iolite_fs::home_shard`]) that owns their disk reads,
+//! their writes and their only cache entry. A shard that serves a
+//! remote document sends a typed [`ShardMsg`](iolite_core::ShardMsg)
+//! over the fabric's unbounded per-shard FIFOs, parks the connection,
+//! and answers it with the home's buffers — no shard ever takes a lock
+//! on another's state, and no file is cached twice. A fleet serves the
+//! files `setup` created; a PUT to any other path gets the 404 a GET
+//! would.
 //!
 //! # The scaling metric
 //!
@@ -41,7 +44,8 @@ use crate::event_loop::{EventLoopConfig, EventLoopServer, LoopReport, ShardConte
 pub struct ShardedConfig {
     /// Number of shards (kernels, event loops). Must be ≥ 1.
     pub shards: usize,
-    /// What shards do with remotely fetched bytes.
+    /// Kept for `perf/`, which sets it: `HomeOnly` is the only policy,
+    /// so nothing reads it.
     pub ownership: CacheOwnership,
     /// Cost model for every shard's kernel.
     pub cost: CostModel,
@@ -174,7 +178,7 @@ where
             EventLoopServer::new(kernel, pid, scripts, None, cfg.loop_cfg)
         })
         .collect();
-    attach_fabric(&mut servers, cfg.ownership);
+    attach_fabric(&mut servers);
     let mut max_inbox_depth = 0;
     while !servers.iter().all(EventLoopServer::is_done) {
         max_inbox_depth = max_inbox_depth.max(run_round(&mut servers));
@@ -203,7 +207,7 @@ where
 /// shard `i`'s pools in id namespace `i` (see
 /// [`EventLoopServer::attach_shard`]); chunks minted before then are
 /// not fleet-unique.
-pub fn attach_fabric(servers: &mut [EventLoopServer], ownership: CacheOwnership) {
+pub fn attach_fabric(servers: &mut [EventLoopServer]) {
     let shards = servers.len();
     if shards <= 1 {
         return;
@@ -216,7 +220,7 @@ pub fn attach_fabric(servers: &mut [EventLoopServer], ownership: CacheOwnership)
         server.attach_shard(ShardContext {
             mailbox,
             shards,
-            ownership,
+            ownership: CacheOwnership::HomeOnly,
             done_tx: done_tx.clone(),
         });
     }
@@ -286,10 +290,10 @@ mod tests {
             .collect()
     }
 
-    fn base_cfg(shards: usize, ownership: CacheOwnership) -> ShardedConfig {
+    fn base_cfg(shards: usize) -> ShardedConfig {
         ShardedConfig {
             shards,
-            ownership,
+            ownership: CacheOwnership::HomeOnly,
             cost: CostModel::pentium_ii_333(),
             policy: Policy::Gds,
             journal: false,
@@ -300,58 +304,30 @@ mod tests {
     #[test]
     fn sharded_fleet_completes_every_request() {
         for shards in [1usize, 2, 4] {
-            for ownership in [CacheOwnership::HomeOnly, CacheOwnership::Replicate] {
-                let cfg = base_cfg(shards, ownership);
-                let report = run_sharded(&cfg, corpus, zipfish_conns(64));
-                assert_eq!(report.completed(), 192, "{shards} shards {ownership:?}");
-                assert_eq!(report.failed(), 0);
-                for s in &report.shards {
-                    assert_eq!(
-                        s.report.stats.blocked_io, 0,
-                        "shard {} must stay readiness-driven",
-                        s.shard
-                    );
-                }
+            let report = run_sharded(&base_cfg(shards), corpus, zipfish_conns(64));
+            assert_eq!(report.completed(), 192, "{shards} shards");
+            assert_eq!(report.failed(), 0);
+            for s in &report.shards {
+                assert_eq!(
+                    s.report.stats.blocked_io, 0,
+                    "shard {} must stay readiness-driven",
+                    s.shard
+                );
             }
         }
     }
 
     #[test]
     fn single_shard_run_never_touches_the_fabric() {
-        let cfg = base_cfg(1, CacheOwnership::HomeOnly);
+        let cfg = base_cfg(1);
         let report = run_sharded(&cfg, corpus, zipfish_conns(32));
         assert_eq!(report.remote_reads(), 0);
         assert_eq!(report.shards[0].report.stats.remote_hits, 0);
     }
 
     #[test]
-    fn home_only_pays_remote_reads_where_replicate_converges() {
-        let home_only = run_sharded(
-            &base_cfg(4, CacheOwnership::HomeOnly),
-            corpus,
-            zipfish_conns(64),
-        );
-        let replicate = run_sharded(
-            &base_cfg(4, CacheOwnership::Replicate),
-            corpus,
-            zipfish_conns(64),
-        );
-        assert_eq!(home_only.completed(), replicate.completed());
-        // HomeOnly re-fetches a remote file every time it comes up
-        // again; Replicate fetches each (shard, file) pair once and
-        // hits the local replica thereafter.
-        assert!(
-            home_only.remote_reads() > replicate.remote_reads(),
-            "HomeOnly {} fetches vs Replicate {}",
-            home_only.remote_reads(),
-            replicate.remote_reads()
-        );
-        assert!(replicate.remote_reads() > 0, "first touches still route");
-    }
-
-    #[test]
     fn admission_limit_bounds_inflight() {
-        let mut cfg = base_cfg(2, CacheOwnership::Replicate);
+        let mut cfg = base_cfg(2);
         cfg.loop_cfg.admission_limit = 4;
         let report = run_sharded(&cfg, corpus, zipfish_conns(64));
         assert_eq!(report.completed(), 192);
@@ -369,11 +345,7 @@ mod tests {
     /// it is positive, at most the CPU sum, and imbalance ≥ 1.
     #[test]
     fn makespan_metric_is_sane() {
-        let report = run_sharded(
-            &base_cfg(4, CacheOwnership::Replicate),
-            corpus,
-            zipfish_conns(64),
-        );
+        let report = run_sharded(&base_cfg(4), corpus, zipfish_conns(64));
         let max = report.max_shard_cpu();
         let sum: f64 = report
             .shards
@@ -415,7 +387,7 @@ mod tests {
                 EventLoopConfig::default(),
             ));
         }
-        attach_fabric(&mut servers, CacheOwnership::HomeOnly);
+        attach_fabric(&mut servers);
         while !servers.iter().all(EventLoopServer::is_done) {
             run_round(&mut servers);
         }
@@ -457,7 +429,7 @@ mod tests {
                 EventLoopConfig::default(),
             ));
         }
-        attach_fabric(&mut servers, CacheOwnership::HomeOnly);
+        attach_fabric(&mut servers);
         let before = servers[1].kernel().metrics.bytes_copied;
         while !servers.iter().all(EventLoopServer::is_done) {
             run_round(&mut servers);
@@ -473,11 +445,7 @@ mod tests {
     #[test]
     fn only_home_shards_read_disk() {
         let shards = 4;
-        let report = run_sharded(
-            &base_cfg(shards, CacheOwnership::HomeOnly),
-            corpus,
-            zipfish_conns(64),
-        );
+        let report = run_sharded(&base_cfg(shards), corpus, zipfish_conns(64));
         for s in &report.shards {
             let homed: Vec<u64> = (0..16)
                 .filter(|&f| {

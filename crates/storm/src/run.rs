@@ -14,7 +14,7 @@ use iolite_buf::{splitmix64, Aggregate, BufferPool};
 use iolite_core::{
     replay, shard_of_conn, ConnId, CostModel, Journal, Kernel, KernelState, Metrics, Pid,
 };
-use iolite_fs::{CacheKey, CacheOwnership, Policy};
+use iolite_fs::{CacheKey, Policy};
 use iolite_http::{
     attach_fabric, parse_put_entry, put_request_bytes, request_bytes, run_round,
     synthetic_put_body, EventLoopConfig, EventLoopServer, LoopReport,
@@ -355,7 +355,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         servers.push(server);
     }
 
-    attach_fabric(&mut servers, CacheOwnership::Replicate);
+    attach_fabric(&mut servers);
 
     let mut root = SimRng::new(cfg.seed);
     let faults = root.fork(4);
@@ -904,11 +904,11 @@ impl Storm {
         // must hold exactly the authoritative bytes — a torn or
         // misassembled upload in the cache is corruption, dirty or not
         // (dirty entries match too: the install writes the store image
-        // in the same step). Authority is the file's *home* shard's
-        // store: only the home ever writes a file, so a non-home
-        // shard's local store is a creation-time seed, while its cache
-        // replicas track the home through the write-invalidate
-        // broadcast.
+        // in the same step). And one owner per file: in a fleet only
+        // a file's home shard reads, writes or caches it, so an entry
+        // on any other shard is a violation in itself (a non-home
+        // shard's store is a creation-time seed, which no cache entry
+        // of its own could be checked against).
         for (s, kernel) in kernels.iter().enumerate() {
             for f in 0..self.cfg.files {
                 let Some(file) = kernel.store.lookup(&format!("/f{f}")) else {
@@ -924,14 +924,16 @@ impl Storm {
                     continue;
                 };
                 let home = iolite_fs::home_shard(file, kernels.len());
-                let truth = &kernels[home].store;
-                let store_len = truth.len(file).unwrap_or(0);
+                let store_len = kernel.store.len(file).unwrap_or(0);
                 let cached = agg.to_vec();
-                let stored = truth.read(file, 0, store_len).unwrap_or_default();
-                if cached != stored {
+                let stored = kernel.store.read(file, 0, store_len).unwrap_or_default();
+                if home != s {
+                    self.violations
+                        .push(format!("shard {s}: /f{f} cached off its home {home}"));
+                } else if cached != stored {
                     self.violations.push(format!(
                         "shard {s}: /f{f} cache entry ({} bytes) diverges from \
-                         home shard {home}'s store image ({} bytes)",
+                         its store image ({} bytes)",
                         cached.len(),
                         stored.len()
                     ));

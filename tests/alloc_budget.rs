@@ -18,7 +18,7 @@ use std::cell::Cell;
 
 use iolite::buf::{Acl, Aggregate, BufferPool, PoolId};
 use iolite::core::{CostModel, Kernel};
-use iolite::fs::{home_shard, CacheOwnership, Policy};
+use iolite::fs::{home_shard, Policy};
 use iolite::http::event_loop::{EventLoopConfig, EventLoopServer};
 use iolite::http::server::serve_static;
 use iolite::http::sharded::{attach_fabric, run_round};
@@ -249,7 +249,7 @@ fn remote_fleet(
             EventLoopConfig::default(),
         ));
     }
-    attach_fabric(&mut servers, CacheOwnership::HomeOnly);
+    attach_fabric(&mut servers);
     (servers, remote)
 }
 

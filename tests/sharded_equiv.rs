@@ -1,5 +1,5 @@
-//! Cross-shard equivalence (PR 7): over random corpora, scripts, shard
-//! counts, and both ownership modes, a shared-nothing sharded fleet
+//! Cross-shard equivalence: over random corpora, scripts and shard
+//! counts, a shared-nothing sharded fleet
 //! serves **byte-identical responses** and **identical aggregate
 //! request counts** to a single-shard run of the same connections —
 //! every shard's journal replays bit-identically through the pure core
@@ -16,10 +16,10 @@ use iolite::http::sharded::{run_sharded, ShardedConfig};
 use iolite::vm::MemAccount;
 use proptest::prelude::*;
 
-fn config(shards: usize, ownership: CacheOwnership, journal: bool) -> ShardedConfig {
+fn config(shards: usize, journal: bool) -> ShardedConfig {
     ShardedConfig {
         shards,
-        ownership,
+        ownership: CacheOwnership::HomeOnly,
         cost: CostModel::pentium_ii_333(),
         policy: Policy::Gds,
         journal,
@@ -49,13 +49,7 @@ proptest! {
         picks in proptest::collection::vec(any::<u64>(), 4..24),
         conn_seed in any::<u64>(),
         shards in 2usize..5,
-        replicate in any::<bool>(),
     ) {
-        let ownership = if replicate {
-            CacheOwnership::Replicate
-        } else {
-            CacheOwnership::HomeOnly
-        };
         let paths: Vec<String> = (0..sizes.len()).map(|i| format!("/f{i:05}")).collect();
         let setup = |k: &mut Kernel| -> Pid {
             let pid = k.spawn("server");
@@ -76,9 +70,9 @@ proptest! {
             conns[j % n_conns].1.push(path);
         }
 
-        let base = run_sharded(&config(1, ownership, false), setup, conns.clone());
-        let fleet = run_sharded(&config(shards, ownership, true), setup, conns.clone());
-        prop_assert!(fleet.max_inbox_depth <= 2 * n_conns, "depth {}", fleet.max_inbox_depth);
+        let base = run_sharded(&config(1, false), setup, conns.clone());
+        let fleet = run_sharded(&config(shards, true), setup, conns.clone());
+        prop_assert!(fleet.max_inbox_depth <= n_conns, "depth {}", fleet.max_inbox_depth);
 
         // Identical aggregate counts.
         prop_assert_eq!(base.failed(), 0);
@@ -117,7 +111,7 @@ proptest! {
 
         // Same inputs, same fleet: a multi-shard run is a function of
         // its arguments, shard by shard.
-        let again = run_sharded(&config(shards, ownership, true), setup, conns);
+        let again = run_sharded(&config(shards, true), setup, conns);
         for (a, b) in fleet.shards.iter().zip(&again.shards) {
             prop_assert_eq!(a.kernel.state_hash(), b.kernel.state_hash(), "shard {}", a.shard);
             prop_assert_eq!(a.report.stats, b.report.stats, "shard {}", a.shard);
@@ -125,9 +119,9 @@ proptest! {
         }
 
         // Every shard's journal replays bit-identically from a blank
-        // state: remote installs are journaled commands, and this corpus
-        // never evicts, so no shard recycles a chunk another shard still
-        // holds (see `a_home_that_evicts_lent_buffers_does_not_replay_alone`).
+        // state: this corpus never evicts, so no shard recycles a chunk
+        // another shard still holds (see
+        // `a_home_that_evicts_lent_buffers_does_not_replay_alone`).
         for outcome in fleet.shards {
             let mut kernel = outcome.kernel;
             let journal = kernel.take_journal().expect("journal was recording");
@@ -189,7 +183,7 @@ fn a_home_that_evicts_lent_buffers_does_not_replay_alone() {
         .take(3)
         .map(|c| (c, script.clone()))
         .collect();
-    let fleet = run_sharded(&config(2, CacheOwnership::HomeOnly, true), setup, conns);
+    let fleet = run_sharded(&config(2, true), setup, conns);
     assert_eq!(fleet.failed(), 0);
     assert!(fleet.remote_reads() > 0 && fleet.shards[1].kernel.cache.stats().evictions > 0);
     let matches: Vec<bool> = fleet

@@ -76,12 +76,13 @@ fn writes_seed_1015_journal_held_chunks_replay() {
     }
 }
 
-/// Sharded write-chaos seed 1 caught stale replicas: under `Replicate`
-/// ownership a write routed to its home shard invalidated only the
-/// *writer's* local copy, so a third shard's replica of the old bytes
-/// survived to end of run (the cache-vs-store audit flagged it). Fixed
-/// by a home-shard `Invalidate` broadcast after every committed write,
-/// ordered behind any in-flight `RemoteData` by the per-pair FIFO.
+/// Sharded write-chaos seed 1 once caught stale cache replicas (a
+/// non-home shard kept a copy of bytes a remote write had replaced).
+/// Replicas are gone: a fleet caches each file only on its home shard.
+/// The seed now guards the invariant that replaced them — remote writes
+/// under loss, duplication, reordering and resets leave no cache entry
+/// off a file's home shard (the quiesce audit's one-owner check) and
+/// every home entry equal to its store — and per-shard replay.
 #[test]
 fn sharded_write_chaos_replicas_track_home() {
     let cfg = StormConfig {

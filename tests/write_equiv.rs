@@ -220,20 +220,18 @@ fn a_posix_write_over_a_kept_body_reads_back() {
     assert_replays(k);
 }
 
-/// Pinned regression: a replica read on a non-home shard must be sized
-/// by the replica, not the local store. A remote write that changed
-/// `/f1` from 7136 to 13608 bytes committed at home; the writer's
-/// shard then fetched the new bytes, installed them as a replica — and
-/// served a GET framed by `fd_len`, which read the *local* store's
-/// stale 7136 (non-home stores are never updated under shared-nothing
-/// sharding). The response was a 7136-byte prefix of the new document:
-/// wrong length, silently torn. Fixed by making a resident whole-file
-/// cache entry authoritative over store metadata in `fd_len`.
+/// A GET after a remote PUT, on the writer's own shard, serves the whole
+/// new document. A remote write that changed `/f` from 7136 to 13608
+/// bytes commits at the home; the writer's shard keeps its
+/// creation-time store image (7136 bytes) and no cache entry, so it
+/// must fetch the document from the home rather than size or read it
+/// locally: framed by the local store, the GET would serve a torn
+/// 7136-byte prefix.
 #[test]
-fn replica_read_is_sized_by_the_replica_not_the_stale_local_store() {
+fn a_get_after_a_remote_put_serves_the_whole_new_document() {
     let config = ShardedConfig {
         shards: 3,
-        ownership: CacheOwnership::Replicate,
+        ownership: CacheOwnership::HomeOnly,
         cost: CostModel::pentium_ii_333(),
         policy: Policy::Gds,
         journal: false,
@@ -245,9 +243,8 @@ fn replica_read_is_sized_by_the_replica_not_the_stale_local_store() {
     let setup = |k: &mut Kernel| -> Pid {
         let pid = k.spawn("server");
         // With three shards, FileId(0) is homed on shard 1; conn id 1
-        // lands on shard 2, so the PUT routes over the fabric and the
-        // GETs read a fetched replica (the remote_writes assert below
-        // guards both placements).
+        // lands on shard 2, so the PUT and both GETs cross the fabric
+        // (the asserts on remote traffic below guard both placements).
         k.create_synthetic_file("/f", 7_136, 0x6_0000);
         pid
     };
@@ -271,6 +268,7 @@ fn replica_read_is_sized_by_the_replica_not_the_stale_local_store() {
         writes, 1,
         "the PUT must route over the fabric to mean anything"
     );
+    assert_eq!(report.remote_reads(), 2, "both GETs fetch from the home");
     let new_body = synthetic_put_body("/f", 13_608);
     let mut want = response_header(new_body.len() as u64, true);
     want.extend_from_slice(&new_body);
@@ -283,20 +281,87 @@ fn replica_read_is_sized_by_the_replica_not_the_stale_local_store() {
         .collect();
     assert_eq!(gets.len(), 2);
     for got in gets {
-        assert_eq!(got, &want, "replica GET must serve the full new document");
+        assert_eq!(got, &want, "a GET must serve the full new document");
+    }
+}
+
+/// A fleet cannot create a file. Each shard PUTs a path no shard has,
+/// then GETs it: a `FileId` minted by one shard's `create_file` names a
+/// different file on the other shards, and a later GET routed to that
+/// id's home served another shard's new file (with two shards, shard 0
+/// got `/new1`'s 150 bytes). So in a fleet both requests get the 404; a
+/// single shard still creates the file and serves it back.
+#[test]
+fn a_put_to_a_new_path_in_a_fleet_is_refused() {
+    for shards in [1usize, 2, 3] {
+        let config = ShardedConfig {
+            shards,
+            ownership: CacheOwnership::HomeOnly,
+            cost: CostModel::pentium_ii_333(),
+            policy: Policy::Gds,
+            journal: false,
+            loop_cfg: EventLoopConfig {
+                capture_responses: true,
+                ..EventLoopConfig::default()
+            },
+        };
+        let setup = |k: &mut Kernel| -> Pid {
+            let pid = k.spawn("server");
+            k.create_synthetic_file("/f", 4_000, 0x9_0000);
+            pid
+        };
+        let conns: Vec<(u64, Vec<String>)> = (0..shards)
+            .map(|s| {
+                let id = (0u64..)
+                    .find(|&id| shard_of_conn(ConnId(id), shards) == s)
+                    .expect("some conn id lands on every shard");
+                let script = vec![format!("PUT /new{s} {}", 100 + 50 * s), format!("/new{s}")];
+                (id, script)
+            })
+            .collect();
+        let report = run_sharded(&config, setup, conns);
+        assert_eq!(report.failed(), 0, "{shards} shards");
+        assert_eq!(report.completed(), 2 * shards as u64, "{shards} shards");
+        let requests = || report.shards.iter().flat_map(|s| &s.report.requests);
+        // No GET serves another file's bytes...
+        for req in requests() {
+            let resp = req.response.as_ref().expect("captured");
+            if resp.starts_with(b"HTTP/1.1 200") {
+                let s: u64 = req.path["/new".len()..].parse().expect("/new{s}");
+                let body = synthetic_put_body(&req.path, 100 + 50 * s);
+                let mut want = response_header(body.len() as u64, true);
+                want.extend_from_slice(&body);
+                assert!(
+                    *resp == want,
+                    "{shards} shards: {} served another file's bytes ({} in all)",
+                    req.path,
+                    resp.len()
+                );
+            }
+        }
+        // ...because a fleet answers both requests with the 404.
+        for req in requests() {
+            let resp = req.response.as_ref().expect("captured");
+            let want = if shards > 1 { "404" } else { "20" };
+            assert!(
+                resp.starts_with(format!("HTTP/1.1 {want}").as_bytes()),
+                "{shards} shards, {}: {}",
+                req.path,
+                String::from_utf8_lossy(&resp[..resp.len().min(40)])
+            );
+        }
     }
 }
 
 /// `writers` connections on shard 1 of a 2-shard fleet each PUT a file
-/// homed on shard 0, all at once. A committed remote write puts two
-/// messages into the writer's inbox (`RemoteWriteAck` and, under
-/// `Replicate`, the home's `Invalidate`), so the writer's inbox can
-/// hold two messages per writer in flight. Every PUT completes, and the
+/// homed on shard 0, all at once. A parked writer waits on one message
+/// (its `RemoteWrite`, then the home's `RemoteWriteAck`), so no inbox
+/// holds more than one message per writer. Every PUT completes, and the
 /// measured depth stays within that bound.
-fn remote_write_flood(ownership: CacheOwnership, writers: usize) {
+fn remote_write_flood(writers: usize) {
     let config = ShardedConfig {
         shards: 2,
-        ownership,
+        ownership: CacheOwnership::HomeOnly,
         cost: CostModel::pentium_ii_333(),
         policy: Policy::Gds,
         journal: false,
@@ -323,7 +388,7 @@ fn remote_write_flood(ownership: CacheOwnership, writers: usize) {
         .map(|(i, id)| (id, vec![format!("PUT {} 100", homed[i % homed.len()])]))
         .collect();
     let report = run_sharded(&config, setup, conns);
-    let case = format!("{ownership:?}, {writers} writers");
+    let case = format!("{writers} writers");
     assert_eq!(report.completed(), writers as u64, "{case}");
     assert_eq!(report.failed(), 0, "{case}");
     let remote_writes: u64 = report
@@ -333,7 +398,7 @@ fn remote_write_flood(ownership: CacheOwnership, writers: usize) {
         .sum();
     assert_eq!(remote_writes, writers as u64, "{case}: every PUT routes");
     assert!(
-        report.max_inbox_depth <= 2 * writers,
+        report.max_inbox_depth <= writers,
         "{case}: an inbox held {} messages",
         report.max_inbox_depth
     );
@@ -341,10 +406,8 @@ fn remote_write_flood(ownership: CacheOwnership, writers: usize) {
 
 #[test]
 fn a_remote_write_flood_completes_within_the_inbox_bound() {
-    for ownership in [CacheOwnership::Replicate, CacheOwnership::HomeOnly] {
-        for writers in [256, 4_096] {
-            remote_write_flood(ownership, writers);
-        }
+    for writers in [256, 4_096] {
+        remote_write_flood(writers);
     }
 }
 
@@ -479,16 +542,10 @@ proptest! {
             (any::<bool>(), 1u64..15_000), 6..18),
         conn_seed in any::<u64>(),
         shards in 2usize..5,
-        replicate in any::<bool>(),
     ) {
-        let ownership = if replicate {
-            CacheOwnership::Replicate
-        } else {
-            CacheOwnership::HomeOnly
-        };
         let config = |shards: usize, journal: bool| ShardedConfig {
             shards,
-            ownership,
+            ownership: CacheOwnership::HomeOnly,
             cost: CostModel::pentium_ii_333(),
             policy: Policy::Gds,
             journal,
@@ -528,7 +585,7 @@ proptest! {
         let in_flight = conns.len();
         let base = run_sharded(&config(1, false), setup.clone(), conns.clone());
         let fleet = run_sharded(&config(shards, true), setup, conns);
-        prop_assert!(fleet.max_inbox_depth <= 2 * in_flight, "depth {}", fleet.max_inbox_depth);
+        prop_assert!(fleet.max_inbox_depth <= in_flight, "depth {}", fleet.max_inbox_depth);
 
         prop_assert_eq!(base.failed(), 0);
         prop_assert_eq!(fleet.failed(), 0);
